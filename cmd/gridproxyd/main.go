@@ -89,15 +89,11 @@
 //	chunk_size        = 262144      # transfer checksum/retry unit in bytes
 //	stripes           = 4           # parallel streams per cross-site pull
 //
-// Tunnel knobs (all optional; see internal/tunnel defaults). Proxies run
-// RTT-adaptive flow control by default; bonding engages only when BOTH
-// ends configure bond_conns > 1, and a peer predating the BOND extension
-// negotiates down to a single connection automatically:
+// Tunnel knob (optional). A peer pair's tunnel is as wide as the smaller
+// of the two ends' settings; per-stream flow control is RTT-adaptive with
+// the internal/tunnel defaults:
 //
 //	bond_conns        = 1           # parallel connections per peer tunnel
-//	window_min        = 65536       # adaptive per-stream window floor
-//	window_max        = 4194304     # adaptive per-stream window ceiling
-//	bdp_gain          = 2.0         # window as multiple of measured BDP
 package main
 
 import (
@@ -190,7 +186,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	tunnelcfg, err := tunnelFromConfig(cfg)
+	bondConns, err := cfg.Int("bond_conns", 0)
 	if err != nil {
 		return err
 	}
@@ -239,7 +235,7 @@ func run() error {
 		PeerCache:  peerCache,
 		Jobs:       jobs,
 		Stage:      stagecfg,
-		Tunnel:     tunnelcfg,
+		Tunnel:     tunnel.Config{BondConns: bondConns},
 		Metrics:    reg,
 		Logger:     log,
 	})
@@ -444,27 +440,6 @@ func stageFromConfig(cfg *config.Config) (stage.Config, error) {
 		return sc, err
 	}
 	return sc, nil
-}
-
-// tunnelFromConfig reads the inter-site session knobs. Absent keys stay
-// zero so the tunnel defaults apply (and core turns adaptive flow
-// control on).
-func tunnelFromConfig(cfg *config.Config) (tunnel.Config, error) {
-	var tc tunnel.Config
-	var err error
-	if tc.BondConns, err = cfg.Int("bond_conns", 0); err != nil {
-		return tc, err
-	}
-	if tc.WindowMin, err = cfg.Int("window_min", 0); err != nil {
-		return tc, err
-	}
-	if tc.WindowMax, err = cfg.Int("window_max", 0); err != nil {
-		return tc, err
-	}
-	if tc.BDPGain, err = cfg.Float("bdp_gain", 0); err != nil {
-		return tc, err
-	}
-	return tc, nil
 }
 
 // jobsFromConfig reads the job-lifecycle knobs. Absent keys stay zero so

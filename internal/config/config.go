@@ -99,19 +99,6 @@ func (c *Config) Bool(key string, def bool) (bool, error) {
 	return b, nil
 }
 
-// Float returns a floating-point value ("1.5"), or def when absent.
-func (c *Config) Float(key string, def float64) (float64, error) {
-	v, ok := c.values[key]
-	if !ok {
-		return def, nil
-	}
-	f, err := strconv.ParseFloat(v, 64)
-	if err != nil {
-		return 0, fmt.Errorf("config: key %q: %w", key, err)
-	}
-	return f, nil
-}
-
 // Duration returns a time.Duration value ("30s", "5m"), or def.
 func (c *Config) Duration(key string, def time.Duration) (time.Duration, error) {
 	v, ok := c.values[key]

@@ -2,12 +2,19 @@ package core_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"testing"
 	"time"
 
+	"gridproxy/internal/auth"
+	"gridproxy/internal/core"
+	"gridproxy/internal/peerlink"
+	"gridproxy/internal/proto"
 	"gridproxy/internal/site"
+	"gridproxy/internal/transport"
 	"gridproxy/internal/tunnel"
+	"gridproxy/internal/wire"
 )
 
 func bondGrid(t *testing.T, tunnels ...*tunnel.Config) *site.Testbed {
@@ -48,20 +55,19 @@ func waitBondWidth(t *testing.T, tb *site.Testbed, from, to string, want int) {
 	}
 }
 
-// TestBondHandshakeMixedVersions is the cross-version contract at the
-// grid level: a bond-configured proxy peering with a default-configured
-// one must negotiate down to a single connection (today's exact wire
-// behavior), while two bond-configured proxies negotiate the smaller of
-// the two widths.
-func TestBondHandshakeMixedVersions(t *testing.T) {
+// TestBondHandshakeMixedWidths is the width negotiation at the grid
+// level: a proxy configured for four connections peering with a
+// default-configured one is granted min(4, 1) = 1, while two
+// bond-configured proxies negotiate the smaller of the two widths.
+func TestBondHandshakeMixedWidths(t *testing.T) {
 	tb := bondGrid(t,
 		&tunnel.Config{BondConns: 4}, // sitea: wants to bond
-		nil,                          // siteb: defaults, no bonding
+		nil,                          // siteb: defaults, one connection
 	)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 
-	// Mixed versions: the tunnel still works, over exactly one conn.
+	// Mixed widths: the tunnel still works, over exactly one conn.
 	waitBondWidth(t, tb, "sitea", "siteb", 1)
 	a := tb.Sites[0].Proxy
 	if err := a.PingPeer(ctx, "siteb"); err != nil {
@@ -69,7 +75,7 @@ func TestBondHandshakeMixedVersions(t *testing.T) {
 	}
 	summaries, err := a.Status(ctx, []string{"siteb"})
 	if err != nil || len(summaries) != 1 {
-		t.Fatalf("status over unbonded tunnel: %v (%d summaries)", err, len(summaries))
+		t.Fatalf("status over width-1 tunnel: %v (%d summaries)", err, len(summaries))
 	}
 }
 
@@ -103,5 +109,129 @@ func TestBondHandshakeBothSidesBond(t *testing.T) {
 	summaries, err := tb.Sites[0].Proxy.Status(ctx, nil)
 	if err != nil || len(summaries) != 2 {
 		t.Fatalf("status over bonded tunnel: %v (%d summaries)", err, len(summaries))
+	}
+}
+
+// versionProxy starts a lone proxy on a fresh memory WAN with a short
+// Hello deadline, for handshakes against a hand-rolled version-1 peer.
+func versionProxy(t *testing.T) (*core.Proxy, *transport.MemNetwork) {
+	t.Helper()
+	users, err := auth.NewStore()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wan := transport.NewMemNetwork()
+	t.Cleanup(func() { _ = wan.Close() })
+	proxy, err := core.New(core.Config{
+		Site:    "sitea",
+		WANAddr: "wan.sitea",
+		WAN:     wan,
+		Local:   transport.NewMemNetwork(),
+		Users:   users,
+		Lifecycle: peerlink.Config{
+			HelloTimeout:      200 * time.Millisecond,
+			HeartbeatInterval: -1,
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := proxy.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = proxy.Close() })
+	return proxy, wan
+}
+
+func waitSessionDone(t *testing.T, s *tunnel.Session, what string) {
+	t.Helper()
+	select {
+	case <-s.Done():
+	case <-time.After(5 * time.Second):
+		t.Fatalf("%s: session leaked", what)
+	}
+}
+
+// TestVersionOneHelloRefused: there is no negotiating down. An acceptor
+// answers a version-1 Hello — in this build's layout or in the shorter
+// one that ends before the tunnel-width fields — with a bad-request
+// error, registers no peer, and reaps the session.
+func TestVersionOneHelloRefused(t *testing.T) {
+	hello := &proto.Hello{Site: "old", Version: 1, WANAddr: "wan.old", BondConns: 1, BondID: make([]byte, 16)}
+	full := hello.Encode(nil)
+	for name, payload := range map[string][]byte{"full": full, "short": full[:len(full)-18]} {
+		t.Run(name, func(t *testing.T) {
+			proxy, wan := versionProxy(t)
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			conn, err := wan.Dial(ctx, "wan.sitea")
+			if err != nil {
+				t.Fatal(err)
+			}
+			session := tunnel.Client(conn, tunnel.Config{})
+			defer session.Close()
+			ctrl, err := session.Open(ctx, []byte("gridproxy-control"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			msg := proto.Message{Code: proto.CodeHello, Corr: 1, Payload: payload}
+			if err := proto.WriteMessage(wire.NewWriter(ctrl), msg); err != nil {
+				t.Fatal(err)
+			}
+			reply, err := proto.ReadMessage(wire.NewReader(ctrl))
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, err := proto.Unmarshal(reply)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if e, ok := body.(*proto.ErrorBody); !ok || e.Status != proto.StatusBadRequest {
+				t.Fatalf("version-1 Hello answered with %#v, want a bad-request error", body)
+			}
+			waitSessionDone(t, session, "refused dialer")
+			if got := proxy.Peers(); len(got) != 0 {
+				t.Fatalf("refused dialer registered as peer: %v", got)
+			}
+		})
+	}
+}
+
+// TestVersionOneAckRefused: a dialer that is acked by a version-1
+// acceptor fails Connect with proto.ErrVersionMismatch, registers no
+// peer, and closes the session it opened.
+func TestVersionOneAckRefused(t *testing.T) {
+	proxy, wan := versionProxy(t)
+	ln, err := wan.Listen("wan.old")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	sessions := make(chan *tunnel.Session, 1)
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		session := tunnel.Server(conn, tunnel.Config{})
+		sessions <- session
+		ctrl, err := session.Accept(ctx)
+		if err != nil {
+			return
+		}
+		msg, err := proto.ReadMessage(wire.NewReader(ctrl))
+		if err != nil {
+			return
+		}
+		ack := &proto.HelloAck{Site: "old", Version: 1, BondConns: 1}
+		_ = proto.WriteMessage(wire.NewWriter(ctrl), proto.Marshal(msg.Corr, ack))
+	}()
+	if err := proxy.Connect(ctx, "old", "wan.old"); !errors.Is(err, proto.ErrVersionMismatch) {
+		t.Fatalf("Connect to a version-1 acceptor = %v, want ErrVersionMismatch", err)
+	}
+	waitSessionDone(t, <-sessions, "refused acceptor")
+	if got := proxy.Peers(); len(got) != 0 {
+		t.Fatalf("refused acceptor registered as peer: %v", got)
 	}
 }

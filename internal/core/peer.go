@@ -98,27 +98,21 @@ func (p *Proxy) connectOnce(ctx context.Context, site, wanAddr string, pinned, r
 	ctrl := newRPC(p.ctx, ctrlStream, roleDialer, handler, p.log.Named("ctrl."+site), p.reg)
 	ctrl.start()
 
-	// Offer connection bonding when configured for more than one
-	// connection: the ack's BondConns (0 from peers predating the BOND
-	// extension) caps how many member connections actually get dialed.
+	// Offer the configured tunnel width: the ack's BondConns caps how
+	// many extra member connections actually get dialed.
 	var bondID tunnel.BondID
-	offered := p.tunnelcfg.BondConns
-	if offered > 1 {
-		if _, err := rand.Read(bondID[:]); err != nil {
-			offered = 1
-		}
+	offered := min(max(p.tunnelcfg.BondConns, 1), 255)
+	if _, err := rand.Read(bondID[:]); err != nil {
+		offered = 1 // no id for extra connections to join under
 	}
-	hello := &proto.Hello{
+	reply, err := ctrl.call(ctx, &proto.Hello{
 		Site:         p.site,
 		Version:      proto.Version,
 		Capabilities: defaultCapabilities,
 		WANAddr:      p.wanAddr,
-	}
-	if offered > 1 {
-		hello.BondConns = uint8(min(offered, 255))
-		hello.BondID = bondID[:]
-	}
-	reply, err := ctrl.call(ctx, hello)
+		BondConns:    uint8(offered),
+		BondID:       bondID[:],
+	})
 	if err != nil {
 		ctrl.close()
 		_ = session.Close()
@@ -139,23 +133,18 @@ func (p *Proxy) connectOnce(ctx context.Context, site, wanAddr string, pinned, r
 		p.log.Warn("peer announced unexpected site name", "expected", site, "got", ack.Site)
 		site = ack.Site
 	}
-	// Widen the link to the granted bond width. Extra-connection dial
-	// failures degrade the bond rather than the session: whatever joined
-	// carries traffic, and a lone primary is exactly the pre-bond wire.
-	if granted := min(offered, int(ack.BondConns)); granted > 1 {
-		for i := 1; i < granted; i++ {
-			bc, err := p.wan.Dial(ctx, wanAddr)
-			if err != nil {
-				p.log.Warn("bond member dial failed", "site", site, "index", i, "err", err)
-				break
-			}
-			if err := session.AddBondConn(bondID, i, bc); err != nil {
-				p.log.Warn("bond member join failed", "site", site, "index", i, "err", err)
-				_ = bc.Close()
-				break
-			}
+	// Widen the link to the granted width. Extra-connection dial failures
+	// degrade the bond rather than the session: whatever joined carries
+	// traffic.
+	for i := 1; i < min(offered, int(ack.BondConns)); i++ {
+		bc, err := p.wan.Dial(ctx, wanAddr)
+		if err == nil {
+			err = session.AddBondConn(bondID, i, bc)
 		}
-		p.log.Info("bonded tunnel established", "site", site, "conns", session.BondWidth())
+		if err != nil {
+			p.log.Warn("bond member join failed", "site", site, "index", i, "err", err)
+			break
+		}
 	}
 
 	pr := &peer{site: site, session: session, ctrl: ctrl}
@@ -186,7 +175,7 @@ func (p *Proxy) connectOnce(ctx context.Context, site, wanAddr string, pinned, r
 	if err := p.queryPeerStatus(ctx, pr); err != nil {
 		p.log.Warn("initial status query failed", "peer", site, "err", err)
 	}
-	p.log.Info("connected to peer", "site", site, "addr", wanAddr)
+	p.log.Info("connected to peer", "site", site, "addr", wanAddr, "conns", session.BondWidth())
 	return pr, nil
 }
 
@@ -393,7 +382,7 @@ func (pp *pendingPeer) handle(ctx context.Context, msg proto.Message) (proto.Bod
 	}
 	body, err := proto.Unmarshal(msg)
 	if err != nil {
-		return nil, err
+		return nil, badRequest("undecodable message: %v", err)
 	}
 	hello, ok := body.(*proto.Hello)
 	if !ok {
@@ -401,6 +390,9 @@ func (pp *pendingPeer) handle(ctx context.Context, msg proto.Message) (proto.Bod
 	}
 	if hello.Version != proto.Version {
 		return nil, badRequest("protocol version %d unsupported", hello.Version)
+	}
+	if hello.BondConns < 1 || len(hello.BondID) != len(tunnel.BondID{}) {
+		return nil, badRequest("malformed tunnel width offer")
 	}
 	pr := &peer{site: hello.Site, session: pp.session, ctrl: pp.ctrl}
 	if !pp.proxy.cache.Add(hello.Site, pr, false) {
@@ -448,20 +440,14 @@ func (pp *pendingPeer) handle(ctx context.Context, msg proto.Message) (proto.Bod
 		}
 	}()
 	pp.proxy.log.Info("accepted peer", "site", hello.Site, "capabilities", hello.Capabilities)
-	ack := &proto.HelloAck{Site: pp.proxy.site, Version: proto.Version}
-	// Grant bonding up to the local width. Expect must precede the ack:
-	// the dialer's extra connections race our reply, and a join with no
-	// registry entry would be refused.
-	if local := pp.proxy.tunnelcfg.BondConns; local > 1 && hello.BondConns > 1 && len(hello.BondID) == len(tunnel.BondID{}) {
-		granted := min(int(hello.BondConns), local, 255)
-		var id tunnel.BondID
-		copy(id[:], hello.BondID)
-		pp.proxy.bondReg.Expect(id, pp.session, granted-1)
-		ack.BondConns = uint8(granted)
-	}
+	// Grant the tunnel width up to the local one. Expect must precede the
+	// ack: the dialer's extra connections race our reply, and a join with
+	// no registry entry would be refused.
+	granted := min(int(hello.BondConns), max(pp.proxy.tunnelcfg.BondConns, 1))
+	pp.proxy.bondReg.Expect(tunnel.BondID(hello.BondID), pp.session, granted-1)
 	// The dialer follows its Hello with an inventory exchange, which
 	// gives both sides each other's node lists; nothing more to do here.
-	return ack, nil
+	return &proto.HelloAck{Site: pp.proxy.site, Version: proto.Version, BondConns: uint8(granted)}, nil
 }
 
 // watchPeer reacts to the peer's session ending. A teardown the

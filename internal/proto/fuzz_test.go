@@ -15,6 +15,9 @@ func FuzzUnmarshal(f *testing.F) {
 		f.Add(uint16(body.Code()), body.Encode(nil))
 	}
 	f.Add(uint16(CodeHello), []byte{0xFF})
+	// The version-1 layouts, which end before the tunnel-width fields.
+	f.Add(uint16(CodeHello), (&Hello{Site: "s", Version: 1}).Encode(nil)[:6])
+	f.Add(uint16(CodeHelloAck), (&HelloAck{Site: "s", Version: 1}).Encode(nil)[:4])
 	f.Add(uint16(0xFFFF), []byte{})
 
 	f.Fuzz(func(t *testing.T, code uint16, payload []byte) {

@@ -70,11 +70,8 @@ type Hello struct {
 	// so the accepting side learns a dialable address for the membership
 	// directory (the transport's remote address is an ephemeral port).
 	WANAddr string
-	// BondConns and BondID form the BOND extension: a dialer that wants
-	// a k-connection bonded tunnel offers its k (>1) and the 16-byte
-	// bond id its extra connections will join under. Both ride as
-	// trailing optional fields, so a peer running older code simply
-	// never sees the offer and the link degrades to one connection.
+	// BondConns is the tunnel width the dialer offers (at least 1), and
+	// BondID the 16-byte id its extra connections will join under.
 	BondConns uint8
 	BondID    []byte
 }
@@ -99,11 +96,8 @@ func (m *Hello) Decode(buf *wire.Buffer) error {
 	m.Version = buf.Uint16()
 	m.Capabilities = buf.StringSlice()
 	m.WANAddr = buf.String()
-	// Trailing BOND extension: absent from peers predating bonding.
-	if buf.Err() == nil && buf.Remaining() > 0 {
-		m.BondConns = buf.Uint8()
-		m.BondID = buf.Bytes()
-	}
+	m.BondConns = buf.Uint8()
+	m.BondID = buf.Bytes()
 	return buf.Err()
 }
 
@@ -111,10 +105,9 @@ func (m *Hello) Decode(buf *wire.Buffer) error {
 type HelloAck struct {
 	Site    string
 	Version uint16
-	// BondConns is the bond width the acceptor granted: min(offered,
-	// locally configured), 0 from peers predating bonding — either way
-	// the dialer opens max(BondConns, 1) - 1 extra connections, so a
-	// mixed-version pair falls back to exactly one connection.
+	// BondConns is the tunnel width the acceptor granted: min(offered,
+	// locally configured). The dialer opens BondConns - 1 extra
+	// connections.
 	BondConns uint8
 }
 
@@ -133,9 +126,7 @@ func (m *HelloAck) Encode(b []byte) []byte {
 func (m *HelloAck) Decode(buf *wire.Buffer) error {
 	m.Site = buf.String()
 	m.Version = buf.Uint16()
-	if buf.Err() == nil && buf.Remaining() > 0 {
-		m.BondConns = buf.Uint8()
-	}
+	m.BondConns = buf.Uint8()
 	return buf.Err()
 }
 

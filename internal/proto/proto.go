@@ -169,7 +169,7 @@ const (
 )
 
 // Version is the control-protocol version spoken by this build.
-const Version uint16 = 1
+const Version uint16 = 2
 
 // Message is one control-protocol exchange unit.
 type Message struct {

@@ -2,6 +2,7 @@ package proto
 
 import (
 	"bytes"
+	"errors"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -12,8 +13,11 @@ import (
 // allBodies returns one populated instance of every core message body.
 func allBodies() []Body {
 	return []Body{
-		&Hello{Site: "ufscar", Version: Version, Capabilities: []string{"mpi", "ticket"}},
-		&HelloAck{Site: "remote", Version: Version},
+		&Hello{
+			Site: "ufscar", Version: Version, Capabilities: []string{"mpi", "ticket"},
+			WANAddr: "wan.ufscar:7100", BondConns: 4, BondID: []byte("0123456789abcdef"),
+		},
+		&HelloAck{Site: "remote", Version: Version, BondConns: 2},
 		&ErrorBody{Status: StatusDenied, Text: "no permission"},
 		&Ping{Nonce: 12345},
 		&Pong{Nonce: 12345},
@@ -113,10 +117,29 @@ func normalizeValue(v reflect.Value) {
 	}
 }
 
+// TestHelloTunnelWidthMandatory: the tunnel-width fields are part of the
+// layout, not a trailing extension — a Hello or HelloAck that ends before
+// them does not decode.
+func TestHelloTunnelWidthMandatory(t *testing.T) {
+	for _, body := range []Body{
+		&Hello{Site: "s", Version: Version, BondConns: 1, BondID: make([]byte, 16)},
+		&HelloAck{Site: "s", Version: Version, BondConns: 1},
+	} {
+		msg := Marshal(1, body)
+		if _, err := Unmarshal(msg); err != nil {
+			t.Fatalf("%T: %v", body, err)
+		}
+		msg.Payload = msg.Payload[:len(msg.Payload)-1]
+		if _, err := Unmarshal(msg); !errors.Is(err, wire.ErrTruncated) {
+			t.Errorf("%T cut short: err = %v, want ErrTruncated", body, err)
+		}
+	}
+}
+
 func TestMessageFraming(t *testing.T) {
 	var buf bytes.Buffer
 	w := wire.NewWriter(&buf)
-	want := Marshal(99, &Hello{Site: "s", Version: 1})
+	want := Marshal(99, &Hello{Site: "s", Version: Version})
 	if err := WriteMessage(w, want); err != nil {
 		t.Fatalf("WriteMessage: %v", err)
 	}

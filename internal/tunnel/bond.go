@@ -10,47 +10,45 @@ import (
 	"gridproxy/internal/wire"
 )
 
-// Connection bonding. A bond joins k connections between the same two
-// peers into one logical Session: the dialer opens k-1 extra connections
-// and prefixes each with a BONDJOIN frame naming the bond id (16 random
-// bytes exchanged in the handshake hello) and the member's index; the
-// acceptor routes those connections to the already-established session
-// via a BondRegistry. Streams opened while a bond is active send their
-// data as DATAQ frames — DATA plus a per-stream sequence number — sprayed
-// across member connections by least outstanding (unacknowledged) bytes,
-// and the receiver reassembles each stream in sequence order. Streams
-// opened before the bond activated (notably the handshake control stream)
-// keep the legacy DATA framing pinned to the primary connection forever,
-// so a peer that never bonds sees today's single-connection wire behavior
-// bit for bit.
+// The data path. A session is a bond of k ≥ 1 connections between the same
+// two peers: the dialer opens k-1 extra connections and prefixes each with
+// a BONDJOIN frame naming the bond id (16 random bytes exchanged in the
+// handshake hello) and the member's index; the acceptor routes those
+// connections to the already-established session via a BondRegistry.
+// Every stream sends its data as DATA frames carrying a per-stream
+// sequence number, sprayed across whichever members are live at that
+// moment by least outstanding (unacknowledged) bytes, and the receiver
+// reassembles each stream in sequence order. With k = 1 every frame rides
+// the one member and arrives in order; nothing else differs.
 //
 // Reliability: every sprayed frame is retained (in a pooled buffer) by
 // the member that carried it until the receiver's cumulative BONDACK for
-// that connection covers it. wire.Writer assigns Seq-writes their wire
-// position under its own lock, and the receiver counts DATAQ/FINQ
-// arrivals per connection, so an ack of "n frames received" releases an
-// exact prefix. When a secondary member dies mid-stream its unacked tail
-// is resprayed over the survivors; per-stream sequence numbers make the
-// replay idempotent (duplicates are dropped in reassembly), so a member
-// death loses zero bytes. The primary carries the control plane and is
-// not failover-able: its death ends the session, exactly like the single
-// connection it used to be.
+// that connection covers it — or, while that member is the bond's only
+// one, just until it is written: there is no survivor to replay it to.
+// Each member's sendLoop is the only writer of DATA/FIN frames on its
+// connection and retains them in the order it wrote them, and the
+// receiver counts DATA/FIN arrivals per connection, so an ack of "n
+// frames received" releases an exact prefix. When a secondary member dies
+// mid-stream its unacked tail is resprayed over the survivors; per-stream
+// sequence numbers make the replay idempotent (duplicates are dropped in
+// reassembly), so a member death loses zero bytes. The primary carries
+// the control plane and is not failover-able: its death ends the session.
 
 // BondID identifies the member connections of one bond.
 type BondID [16]byte
 
 // sentFrame is one sprayed frame retained for possible retransmit.
 type sentFrame struct {
-	wseq   uint64 // position among Seq-writes on the member's writer
 	stream uint32
 	seq    uint64 // per-stream sequence
 	fin    bool
-	buf    []byte // pooled payload; nil for FINQ
+	buf    []byte // pooled payload; nil for FIN
 }
 
-// frameOverhead approximates per-frame wire overhead for the
-// least-outstanding-bytes spray metric, so empty FINQ frames still count.
-const frameOverhead = 16
+// cost is what the frame weighs in the least-outstanding-bytes spray
+// metric: its payload plus an approximate per-frame wire overhead, so
+// empty FIN frames still count.
+func (f *sentFrame) cost() int64 { return int64(len(f.buf)) + 16 }
 
 // member is one connection of a session's bond. Index 0 is the primary.
 type member struct {
@@ -59,40 +57,46 @@ type member struct {
 	conn    net.Conn
 	w       *wire.Writer
 
-	// Send queue: sprayFrame enqueues, one sendLoop per member drains in
+	// Send queue: sprayFrame enqueues, the member's sendLoop drains in
 	// multi-frame batches (wire.WriteSeqFrames), so the frames in flight
 	// on a member are bounded by window credit, not by how many stream
 	// writers happen to be blocked in a flush. qmu is never held across
 	// I/O; qcond wakes the loop on arrivals and on death.
-	qmu    sync.Mutex
-	qcond  *sync.Cond
-	queue  []sentFrame
-	sender bool
+	qmu   sync.Mutex
+	qcond *sync.Cond
+	queue []sentFrame
 
 	dead atomic.Bool
-	// outstanding is the spray balance metric: payload bytes written but
-	// not yet acknowledged (plus a fixed per-frame overhead).
+	// outstanding is the spray balance metric: the cost of frames queued
+	// or written but not yet acknowledged.
 	outstanding atomic.Int64
 	// srttMicros is the smoothed RTT of this connection, EWMA over probe
 	// samples, in microseconds. 0 = no sample yet.
 	srttMicros atomic.Int64
 
-	// Receiver side: how many sequenced frames arrived on this
-	// connection, and through which count we last sent a BONDACK.
+	// Receiver side: how many DATA/FIN frames arrived on this connection,
+	// and through which count we last sent a BONDACK.
 	rcvdSeq atomic.Uint64
 	ackSent atomic.Uint64
 
-	// Sender side: frames awaiting acknowledgement, sorted by wseq, and
-	// the highest cumulative ack applied. retMu is never held across I/O.
+	// Sender side: written frames awaiting acknowledgement, in wire order
+	// (retained[0] sits at wire position retBase+1), and the highest
+	// cumulative ack seen. retMu is never held across I/O.
 	retMu    sync.Mutex
 	retained []sentFrame
-	ackedCum uint64
+	retBase  uint64
+	acked    uint64
 }
 
-// newMember wires up one bond member around an established connection.
+// newMember wires up one bond member around an established connection
+// and starts its sendLoop.
 func newMember(s *Session, index int, conn net.Conn, w *wire.Writer) *member {
 	m := &member{session: s, index: index, conn: conn, w: w}
 	m.qcond = sync.NewCond(&m.qmu)
+	//lint:allow-leak sendLoop is supervised by the member: failover or
+	// session shutdown marks it dead and broadcasts qcond, and the loop
+	// drains its queue and exits.
+	go m.sendLoop()
 	return m
 }
 
@@ -129,10 +133,8 @@ func (m *member) countSeqArrival(s *Session) {
 func (s *Session) sendBondAck(m *member) {
 	cum := m.rcvdSeq.Load()
 	m.ackSent.Store(cum)
-	var buf [10]byte
-	p := append(buf[:0], 1, byte(m.index))
-	p = wire.AppendUint64(p, cum)
-	_ = s.w.WriteControl(frameBONDACK, p)
+	var buf [9]byte
+	_ = s.w.WriteControl(frameBONDACK, wire.AppendUint64(append(buf[:0], byte(m.index)), cum))
 }
 
 // flushBondAcks pushes acks for any member with unacknowledged arrivals;
@@ -145,105 +147,67 @@ func (s *Session) flushBondAcks() {
 	}
 }
 
-// handleBondAck releases retained frames covered by the peer's cumulative
-// per-connection counts.
+// handleBondAck releases the retained frames covered by the peer's
+// cumulative count for one connection.
 func (s *Session) handleBondAck(payload []byte) error {
 	buf := wire.NewBuffer(payload)
-	count := int(buf.Uint8())
-	type ack struct {
-		idx int
-		cum uint64
-	}
-	var acks [8]ack
-	if count > len(acks) {
-		return fmt.Errorf("tunnel: BONDACK with %d entries", count)
-	}
-	for i := 0; i < count; i++ {
-		acks[i] = ack{idx: int(buf.Uint8()), cum: buf.Uint64()}
-	}
+	index, cum := int(buf.Uint8()), buf.Uint64()
 	if err := buf.Err(); err != nil {
 		return fmt.Errorf("tunnel: bad BONDACK: %w", err)
 	}
-	for i := 0; i < count; i++ {
-		for _, m := range s.liveMembers() {
-			if m.index == acks[i].idx {
-				m.releaseTo(acks[i].cum)
-				break
-			}
+	for _, m := range s.liveMembers() {
+		if m.index == index {
+			m.releaseTo(cum)
+			break
 		}
 	}
 	return nil
 }
 
-// retain records a successfully written frame until its ack arrives. The
-// outstanding balance was already charged optimistically by sprayFrame;
-// if the ack raced ahead of us the frame is released immediately.
-func (m *member) retain(f sentFrame) {
+// releaseTo records the peer's cumulative ack and releases every retained
+// frame it covers.
+func (m *member) releaseTo(cum uint64) {
 	m.retMu.Lock()
-	if f.wseq <= m.ackedCum {
-		m.retMu.Unlock()
-		m.outstanding.Add(-(int64(len(f.buf)) + frameOverhead))
-		if f.buf != nil {
-			wire.PutPayload(f.buf)
-		}
+	m.acked = max(m.acked, cum)
+	m.releaseLocked()
+	m.retMu.Unlock()
+}
+
+// releaseLocked frees the prefix of the retention queue that no failover
+// can need any more: the frames the peer acknowledged, or all of them
+// while this is the bond's only member, since there is no survivor to
+// respray onto. The ack may run ahead of the queue — the peer can count a
+// frame before the sendLoop that wrote it gets to retain it — so sendLoop
+// calls this after every retain. Caller holds retMu.
+func (m *member) releaseLocked() {
+	n := len(m.retained)
+	if len(m.session.liveMembers()) > 1 {
+		n = int(min(uint64(n), max(m.acked, m.retBase)-m.retBase))
+	}
+	if n == 0 {
 		return
 	}
-	// Insert keeping wseq order. Concurrent sprayers can retain slightly
-	// out of order, but wseqs are near-monotonic so the bubble is short.
-	m.retained = append(m.retained, f)
-	for i := len(m.retained) - 1; i > 0 && m.retained[i-1].wseq > m.retained[i].wseq; i-- {
-		m.retained[i-1], m.retained[i] = m.retained[i], m.retained[i-1]
-	}
-	m.retMu.Unlock()
-}
-
-// releaseTo releases every retained frame whose wire position is covered
-// by the cumulative ack.
-func (m *member) releaseTo(cum uint64) {
 	var freed int64
-	m.retMu.Lock()
-	if cum > m.ackedCum {
-		m.ackedCum = cum
+	for i := range m.retained[:n] {
+		freed += m.retained[i].cost()
+		wire.PutPayload(m.retained[i].buf)
 	}
-	i := 0
-	for ; i < len(m.retained) && m.retained[i].wseq <= cum; i++ {
-		f := m.retained[i]
-		freed += int64(len(f.buf)) + frameOverhead
-		if f.buf != nil {
-			wire.PutPayload(f.buf)
-		}
-	}
-	if i > 0 {
-		rest := copy(m.retained, m.retained[i:])
-		// Zero the tail so retired entries don't pin pooled buffers.
-		for j := rest; j < len(m.retained); j++ {
-			m.retained[j] = sentFrame{}
-		}
-		m.retained = m.retained[:rest]
-	}
-	m.retMu.Unlock()
-	if freed != 0 {
-		m.outstanding.Add(-freed)
-	}
+	rest := copy(m.retained, m.retained[n:])
+	// Zero the tail so retired entries don't pin pooled buffers.
+	clear(m.retained[rest:])
+	m.retained = m.retained[:rest]
+	m.retBase += uint64(n)
+	m.outstanding.Add(-freed)
 }
 
-// takeRetained empties the retention queue (failover) and returns it.
+// takeRetained empties the retention queue (failover, teardown) and
+// returns it.
 func (m *member) takeRetained() []sentFrame {
 	m.retMu.Lock()
 	pend := m.retained
 	m.retained = nil
 	m.retMu.Unlock()
 	return pend
-}
-
-// releaseAll drops the retention queue, returning buffers to the pool
-// (session teardown).
-func (m *member) releaseAll() {
-	for _, f := range m.takeRetained() {
-		if f.buf != nil {
-			wire.PutPayload(f.buf)
-		}
-	}
 }
 
 // pickMember selects the live member with the least outstanding bytes —
@@ -268,21 +232,19 @@ func (s *Session) pickMember() *member {
 // into a single WriteSeqFrames batch (and thus one flush).
 const sprayBatchMax = 32
 
-// sprayFrame hands one sequenced frame (taking ownership of buf, a pooled
-// payload, or nil for FINQ) to the least-loaded live member's send queue.
-// It returns as soon as the frame is queued — the member's sendLoop
-// batches queued frames into single flushes, so spraying is paced by
-// window credit rather than by flush latency. A write failure surfaces
-// through memberFailed (failover resprays the frame); the caller only
-// sees an error when no live member remains.
+// sprayFrame hands one frame (taking ownership of buf, a pooled payload,
+// or nil for FIN) to the least-loaded live member's send queue. It
+// returns as soon as the frame is queued — the member's sendLoop batches
+// queued frames into single flushes, so spraying is paced by window
+// credit rather than by flush latency. A write failure surfaces through
+// memberFailed (failover resprays the frame); the caller only sees an
+// error when no live member remains.
 func (s *Session) sprayFrame(stream uint32, seq uint64, fin bool, buf []byte) error {
 	f := sentFrame{stream: stream, seq: seq, fin: fin, buf: buf}
 	for {
 		m := s.pickMember()
 		if m == nil {
-			if buf != nil {
-				wire.PutPayload(buf)
-			}
+			wire.PutPayload(buf)
 			return s.closeErr()
 		}
 		if m.enqueue(f) {
@@ -292,25 +254,17 @@ func (s *Session) sprayFrame(stream uint32, seq uint64, fin bool, buf []byte) er
 }
 
 // enqueue charges the frame against the member's outstanding balance and
-// appends it to the send queue, lazily starting the member's sendLoop.
-// It refuses (uncharging) if the member died first.
+// appends it to the send queue. It refuses (uncharging) if the member
+// died first.
 func (m *member) enqueue(f sentFrame) bool {
-	cost := int64(len(f.buf)) + frameOverhead
-	m.outstanding.Add(cost)
+	m.outstanding.Add(f.cost())
 	m.qmu.Lock()
 	if m.dead.Load() {
 		m.qmu.Unlock()
-		m.outstanding.Add(-cost)
+		m.outstanding.Add(-f.cost())
 		return false
 	}
 	m.queue = append(m.queue, f)
-	if !m.sender {
-		m.sender = true
-		//lint:allow-leak sendLoop is supervised by the member: failover or
-		// session shutdown marks it dead and broadcasts qcond, and the loop
-		// drains its queue and exits.
-		go m.sendLoop()
-	}
 	m.qcond.Signal()
 	m.qmu.Unlock()
 	return true
@@ -318,9 +272,10 @@ func (m *member) enqueue(f sentFrame) bool {
 
 // sendLoop drains the member's send queue in batches: up to sprayBatchMax
 // frames per WriteSeqFrames call share one writer-lock acquisition and
-// one flush wait. On member death it resprays everything still queued or
-// in flight over the survivors; per-stream sequence numbers make the
-// replay idempotent at the receiver.
+// one flush wait, and are retained in wire order once written. On member
+// death it resprays everything still queued or in flight over the
+// survivors; per-stream sequence numbers make the replay idempotent at
+// the receiver.
 func (m *member) sendLoop() {
 	items := make([]sentFrame, 0, sprayBatchMax)
 	frames := make([]wire.SeqFrame, sprayBatchMax)
@@ -330,81 +285,57 @@ func (m *member) sendLoop() {
 		for len(m.queue) == 0 && !m.dead.Load() {
 			m.qcond.Wait()
 		}
-		if m.dead.Load() {
-			rest := m.queue
-			m.queue = nil
-			m.qmu.Unlock()
-			m.session.resprayFrames(rest)
-			return
-		}
-		n := len(m.queue)
-		if n > sprayBatchMax {
-			n = sprayBatchMax
-		}
+		n := min(len(m.queue), sprayBatchMax)
 		items = append(items[:0], m.queue[:n]...)
 		kept := copy(m.queue, m.queue[n:])
 		// Zero the tail so drained entries don't pin pooled buffers.
-		for j := kept; j < len(m.queue); j++ {
-			m.queue[j] = sentFrame{}
-		}
+		clear(m.queue[kept:])
 		m.queue = m.queue[:kept]
 		m.qmu.Unlock()
 
-		for i := range items[:n] {
-			f := &items[i]
-			p := wire.AppendUint32(hdrs[i][:0], f.stream)
-			p = wire.AppendUint64(p, f.seq)
-			if f.fin {
-				frames[i] = wire.SeqFrame{Type: frameFINQ, Hdr: p}
-			} else {
-				frames[i] = wire.SeqFrame{Type: frameDATAQ, Hdr: p, Payload: f.buf}
+		if !m.dead.Load() {
+			for i := range items {
+				f := &items[i]
+				hdr := wire.AppendUint64(wire.AppendUint32(hdrs[i][:0], f.stream), f.seq)
+				frames[i] = wire.SeqFrame{Type: frameDATA, Hdr: hdr, Payload: f.buf}
+				if f.fin {
+					frames[i].Type = frameFIN
+				}
+			}
+			if err := m.w.WriteSeqFrames(frames[:n]); err != nil {
+				m.session.memberFailed(m, err)
 			}
 		}
-		first, err := m.w.WriteSeqFrames(frames[:n])
-		if err != nil {
-			m.session.memberFailed(m, err)
-			m.qmu.Lock()
-			rest := m.queue
-			m.queue = nil
-			m.qmu.Unlock()
-			m.session.resprayFrames(items[:n])
-			m.session.resprayFrames(rest)
-			return
+		// memberFailed marks the member dead before it empties the
+		// retention queue, so checking under retMu puts the batch either
+		// in that sweep or in the respray below, never in neither.
+		m.retMu.Lock()
+		if !m.dead.Load() {
+			m.retained = append(m.retained, items...)
+			m.releaseLocked()
+			m.retMu.Unlock()
+			continue
 		}
-		// One sendLoop per member means retains land in strict wseq order.
-		for i := range items[:n] {
-			f := items[i]
-			f.wseq = first + uint64(i)
-			m.retain(f)
-		}
+		m.retMu.Unlock()
+		m.qmu.Lock()
+		rest := m.queue
+		m.queue = nil
+		m.qmu.Unlock()
+		m.session.resprayFrames(items)
+		m.session.resprayFrames(rest)
+		return
 	}
 }
 
 // resprayFrames re-sprays frames stranded on a dead member (queued or
-// unacknowledged) over the surviving members, releasing their buffers if
-// the whole session dies mid-way.
+// unacknowledged) over the surviving members; with none left sprayFrame
+// releases their buffers.
 func (s *Session) resprayFrames(pend []sentFrame) {
-	for i, f := range pend {
-		s.bondRetransmit.Inc()
-		if err := s.sprayFrame(f.stream, f.seq, f.fin, f.buf); err != nil {
-			for _, g := range pend[i+1:] {
-				if g.buf != nil {
-					wire.PutPayload(g.buf)
-				}
-			}
-			return
+	for _, f := range pend {
+		if s.sprayFrame(f.stream, f.seq, f.fin, f.buf) == nil {
+			s.bondRetransmit.Inc()
 		}
 	}
-}
-
-// sendSeqData copies p into a pooled buffer (it must outlive the caller's
-// Write for possible retransmit) and sprays it as the stream's next
-// sequenced frame.
-func (s *Session) sendSeqData(st *Stream, p []byte) error {
-	buf := wire.GetPayload(len(p))
-	copy(buf, p)
-	seq := st.sendSeq.Add(1) - 1
-	return s.sprayFrame(st.id, seq, false, buf)
 }
 
 // memberFailed removes a dead secondary from the bond and resprays its
@@ -437,36 +368,34 @@ func (s *Session) memberFailed(m *member, err error) {
 	s.resprayFrames(m.takeRetained())
 }
 
-// addMember admits a new member connection into the bond (dial side wrote
-// the BONDJOIN preface already; accept side adopted it via the registry).
-func (s *Session) addMember(index int, conn net.Conn, w *wire.Writer) (*member, error) {
+// addMember admits a new member connection into the bond (the dial side
+// wrote the BONDJOIN preface already; the accept side consumed it, r
+// holding whatever it buffered past it) and starts reading from it.
+func (s *Session) addMember(index int, conn net.Conn, w *wire.Writer, r *wire.Reader) error {
 	if index <= 0 || index > 255 {
-		return nil, fmt.Errorf("tunnel: bond conn index %d out of range", index)
+		return fmt.Errorf("tunnel: bond conn index %d out of range", index)
 	}
 	s.bondMu.Lock()
 	if s.isClosed() {
 		s.bondMu.Unlock()
-		return nil, s.closeErr()
+		return s.closeErr()
 	}
 	cur := s.liveMembers()
 	for _, x := range cur {
 		if x.index == index {
 			s.bondMu.Unlock()
-			return nil, fmt.Errorf("tunnel: duplicate bond conn index %d", index)
+			return fmt.Errorf("tunnel: duplicate bond conn index %d", index)
 		}
 	}
 	m := newMember(s, index, conn, w)
-	next := make([]*member, 0, len(cur)+1)
-	next = append(next, cur...)
-	next = append(next, m)
+	next := append(cur[:len(cur):len(cur)], m)
 	s.members.Store(&next)
-	s.bondActive.Store(true)
 	s.bondMu.Unlock()
 	s.bondConnsGauge.Set(int64(len(next)))
-	// A bonded session needs the prober even without adaptive windows:
-	// it sweeps straggler acks and keeps per-member RTT fresh.
-	s.startProber()
-	return m, nil
+	//lint:allow-leak readLoop is supervised by the member connection:
+	// failover or session shutdown closes it and the loop exits.
+	go s.readLoop(m, r, nil)
+	return nil
 }
 
 // AddBondConn joins conn to the session as bond member index (1-based;
@@ -474,37 +403,15 @@ func (s *Session) addMember(index int, conn net.Conn, w *wire.Writer) (*member, 
 // it once per extra negotiated connection after the handshake exchanged
 // the bond id. The session takes ownership of conn.
 func (s *Session) AddBondConn(id BondID, index int, conn net.Conn) error {
-	w := wire.NewWriterOpts(conn, wire.Options{Observer: s.flushObserver})
-	var payload [17]byte
-	copy(payload[:16], id[:])
-	payload[16] = byte(index)
-	if err := w.WriteControl(frameBONDJOIN, payload[:]); err != nil {
+	w := s.newWriter(conn)
+	err := w.WriteControl(frameBONDJOIN, append(id[:], byte(index)))
+	if err == nil {
+		err = s.addMember(index, conn, w, wire.NewReader(conn))
+	}
+	if err != nil {
 		_ = conn.Close()
 		return fmt.Errorf("tunnel: bond join: %w", err)
 	}
-	m, err := s.addMember(index, conn, w)
-	if err != nil {
-		_ = conn.Close()
-		return err
-	}
-	//lint:allow-leak readLoop is supervised by the member connection:
-	// failover or session shutdown closes it and the loop exits.
-	go s.readLoop(m, wire.NewReader(conn), nil)
-	return nil
-}
-
-// adoptMember is the accept-side twin of AddBondConn: the BONDJOIN
-// preface was already consumed by ServerConn, whose reader (with its
-// buffered bytes) is handed over.
-func (s *Session) adoptMember(index int, conn net.Conn, r *wire.Reader) error {
-	w := wire.NewWriterOpts(conn, wire.Options{Observer: s.flushObserver})
-	m, err := s.addMember(index, conn, w)
-	if err != nil {
-		return err
-	}
-	//lint:allow-leak readLoop is supervised by the member connection:
-	// failover or session shutdown closes it and the loop exits.
-	go s.readLoop(m, r, nil)
 	return nil
 }
 
@@ -567,9 +474,8 @@ func (r *BondRegistry) claim(id BondID) (*Session, error) {
 // fresh session or a member joining an existing bond, telling the two
 // apart by the first frame. A BONDJOIN preface adopts the connection into
 // the session registered under its bond id and returns (nil, nil); any
-// other first frame starts a normal server session that processes it as
-// its first inbound frame — so a peer that never sends BONDJOIN gets
-// exactly the classic Server behavior. The preface read is bounded by
+// other first frame starts a server session that processes it as its
+// first inbound frame. The preface read is bounded by
 // prefaceTimeout (0 = no bound) so an idle connection cannot park the
 // acceptor. reg may be nil when bonding is disabled locally; join
 // attempts are then refused.
@@ -608,7 +514,7 @@ func ServerConn(conn net.Conn, reg *BondRegistry, cfg Config, prefaceTimeout tim
 		_ = conn.Close()
 		return nil, err
 	}
-	if err := s.adoptMember(index, conn, r); err != nil {
+	if err := s.addMember(index, conn, s.newWriter(conn), r); err != nil {
 		_ = conn.Close()
 		return nil, err
 	}

@@ -11,13 +11,37 @@ import (
 
 	"gridproxy/internal/failure"
 	"gridproxy/internal/transport"
+	"gridproxy/internal/wire"
 )
 
-// bondedPair builds a client/server session bonded over k connections
-// through a memory network with per-write latency. wrap, if non-nil,
-// wraps each dialed connection (index 0 is the primary) — the hook the
-// loss tests use to degrade individual members.
-func bondedPair(t *testing.T, k int, lat time.Duration, cfg Config, wrap func(i int, c net.Conn) net.Conn) (*Session, *Session) {
+// bondRig is a client/server session pair over a memory network with
+// per-write latency, plus what it takes to widen the bond later.
+type bondRig struct {
+	client, server *Session
+	reg            *BondRegistry
+	dial           func(i int) net.Conn
+}
+
+// join adds member connection i to the rig's bond and waits until both
+// ends list it.
+func (r *bondRig) join(t *testing.T, i int) {
+	t.Helper()
+	var id BondID
+	copy(id[:], "bond-test-id-16b")
+	r.reg.Expect(id, r.server, 1)
+	width := r.client.BondWidth() + 1
+	if err := r.client.AddBondConn(id, i, r.dial(i)); err != nil {
+		t.Fatal(err)
+	}
+	waitUntil(t, 5*time.Second, func() bool {
+		return r.client.BondWidth() == width && r.server.BondWidth() == width
+	})
+}
+
+// newBondRig builds a width-1 rig. wrap, if non-nil, wraps each dialed
+// connection (index 0 is the primary) — the hook the loss tests use to
+// degrade individual members.
+func newBondRig(t *testing.T, lat time.Duration, cfg Config, wrap func(i int, c net.Conn) net.Conn) *bondRig {
 	t.Helper()
 	mem := transport.NewMemNetwork(transport.WithLatency(lat))
 	t.Cleanup(func() { _ = mem.Close() })
@@ -25,7 +49,7 @@ func bondedPair(t *testing.T, k int, lat time.Duration, cfg Config, wrap func(i 
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := NewBondRegistry()
+	r := &bondRig{reg: NewBondRegistry()}
 	sessCh := make(chan *Session, 1)
 	go func() {
 		for {
@@ -34,7 +58,7 @@ func bondedPair(t *testing.T, k int, lat time.Duration, cfg Config, wrap func(i 
 				return
 			}
 			go func(conn net.Conn) {
-				s, err := ServerConn(conn, reg, cfg, 5*time.Second)
+				s, err := ServerConn(conn, r.reg, cfg, 5*time.Second)
 				if err == nil && s != nil {
 					sessCh <- s
 				}
@@ -42,7 +66,7 @@ func bondedPair(t *testing.T, k int, lat time.Duration, cfg Config, wrap func(i 
 		}
 	}()
 
-	dialOne := func(i int) net.Conn {
+	r.dial = func(i int) net.Conn {
 		conn, err := mem.Dial(context.Background(), "peer")
 		if err != nil {
 			t.Fatal(err)
@@ -52,31 +76,29 @@ func bondedPair(t *testing.T, k int, lat time.Duration, cfg Config, wrap func(i 
 		}
 		return conn
 	}
-	client := Client(dialOne(0), cfg)
+	r.client = Client(r.dial(0), cfg)
 	// The server session materializes on the client's first frame.
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	if err := client.Ping(ctx); err != nil {
+	if err := r.client.Ping(ctx); err != nil {
 		t.Fatal(err)
 	}
-	server := <-sessCh
-
-	var id BondID
-	copy(id[:], "bond-test-id-16b")
-	reg.Expect(id, server, k-1)
-	for i := 1; i < k; i++ {
-		if err := client.AddBondConn(id, i, dialOne(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	waitUntil(t, 5*time.Second, func() bool {
-		return client.BondWidth() == k && server.BondWidth() == k
-	})
+	r.server = <-sessCh
 	t.Cleanup(func() {
-		_ = client.Close()
-		_ = server.Close()
+		_ = r.client.Close()
+		_ = r.server.Close()
 	})
-	return client, server
+	return r
+}
+
+// bondedPair builds a client/server session bonded over k connections.
+func bondedPair(t *testing.T, k int, lat time.Duration, cfg Config, wrap func(i int, c net.Conn) net.Conn) (*Session, *Session) {
+	t.Helper()
+	r := newBondRig(t, lat, cfg, wrap)
+	for i := 1; i < k; i++ {
+		r.join(t, i)
+	}
+	return r.client, r.server
 }
 
 func waitUntil(t *testing.T, timeout time.Duration, cond func() bool) {
@@ -135,9 +157,6 @@ func TestBondedPairReassembly(t *testing.T) {
 	data := make([]byte, 4<<20)
 	rand.New(rand.NewSource(7)).Read(data)
 	transferExact(t, client, server, data, nil)
-	if !client.bondActive.Load() || !server.bondActive.Load() {
-		t.Fatal("bond not active on both ends")
-	}
 }
 
 // TestBondMemberDeathZeroByteLoss kills a secondary member mid-stream:
@@ -185,35 +204,84 @@ func TestBondLossyMemberStillExact(t *testing.T) {
 	transferExact(t, client, server, data, nil)
 }
 
-// TestServerConnLegacyClientFallback is the cross-version compatibility
-// contract: a peer that never sends BONDJOIN (an old build, or a new one
-// negotiated down to one connection) gets exactly the classic
-// single-connection behavior from ServerConn — no bond state, legacy
-// DATA framing, working streams.
-func TestServerConnLegacyClientFallback(t *testing.T) {
+// scrambleRelay forwards src's frames to dst, holding DATA and FIN frames
+// back three at a time to emit them in a shuffled order with random
+// duplicates — what failover respray does to a stream, reproduced on a
+// single connection. Everything else passes straight through.
+func scrambleRelay(src, dst net.Conn, seed int64) {
+	rng := rand.New(rand.NewSource(seed))
+	r, w := wire.NewReader(src), wire.NewWriter(dst)
+	var held []wire.Frame
+	for {
+		f, err := r.ReadFrame()
+		if err != nil {
+			_ = dst.Close()
+			return
+		}
+		if f.Type != frameDATA && f.Type != frameFIN {
+			_ = w.WriteFrame(f.Type, f.Payload)
+			continue
+		}
+		held = append(held, f)
+		if len(held) < 3 && f.Type != frameFIN {
+			continue
+		}
+		rng.Shuffle(len(held), func(i, j int) { held[i], held[j] = held[j], held[i] })
+		for _, h := range held {
+			_ = w.WriteFrame(h.Type, h.Payload)
+			if rng.Intn(3) == 0 {
+				_ = w.WriteFrame(h.Type, h.Payload)
+			}
+		}
+		held = held[:0]
+	}
+}
+
+// TestWidthOneReorderDupExact is the degenerate bond: a session that
+// never sees a BONDJOIN runs the same sequenced path as any other, so
+// its frames survive reordering and duplication byte for byte — and once
+// the transfer drains, the lone member holds no frame back for a
+// failover that cannot happen: its send queue and retention are empty and
+// every payload lease it charged has been settled.
+func TestWidthOneReorderDupExact(t *testing.T) {
 	mem := transport.NewMemNetwork()
 	t.Cleanup(func() { _ = mem.Close() })
-	ln, err := mem.Listen("peer")
+	peerLn, err := mem.Listen("peer")
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := NewBondRegistry()
+	relayLn, err := mem.Listen("relay")
+	if err != nil {
+		t.Fatal(err)
+	}
 	sessCh := make(chan *Session, 1)
 	go func() {
-		conn, err := ln.Accept()
+		conn, err := peerLn.Accept()
 		if err != nil {
 			return
 		}
-		s, err := ServerConn(conn, reg, Config{BondConns: 4}, 5*time.Second)
+		s, err := ServerConn(conn, NewBondRegistry(), Config{BondConns: 4}, 5*time.Second)
 		if err == nil && s != nil {
 			sessCh <- s
 		}
 	}()
-	conn, err := mem.Dial(context.Background(), "peer")
+	go func() {
+		up, err := relayLn.Accept()
+		if err != nil {
+			return
+		}
+		down, err := mem.Dial(context.Background(), "peer")
+		if err != nil {
+			_ = up.Close()
+			return
+		}
+		go func() { _, _ = io.Copy(up, down); _ = up.Close() }()
+		scrambleRelay(up, down, 5)
+	}()
+	conn, err := mem.Dial(context.Background(), "relay")
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A legacy dialer: plain Client, no bond joins ever.
 	client := Client(conn, Config{})
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
@@ -222,33 +290,88 @@ func TestServerConnLegacyClientFallback(t *testing.T) {
 	}
 	server := <-sessCh
 	t.Cleanup(func() { _ = client.Close(); _ = server.Close() })
-
-	st, err := client.Open(context.Background(), []byte("meta"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	peer, err := server.Accept(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.bonded || peer.bonded {
-		t.Fatal("stream marked bonded on an unbonded session")
-	}
-	if client.bondActive.Load() || server.bondActive.Load() {
-		t.Fatal("bond active without any BONDJOIN")
-	}
 	if client.BondWidth() != 1 || server.BondWidth() != 1 {
 		t.Fatal("bond width != 1 on single-connection session")
 	}
+
 	data := make([]byte, 1<<20)
 	rand.New(rand.NewSource(3)).Read(data)
+	transferExact(t, client, server, data, nil)
+
+	m := client.liveMembers()[0]
+	waitUntil(t, 5*time.Second, func() bool {
+		m.qmu.Lock()
+		queued := len(m.queue)
+		m.qmu.Unlock()
+		m.retMu.Lock()
+		retained := len(m.retained)
+		m.retMu.Unlock()
+		return queued == 0 && retained == 0 && m.outstanding.Load() == 0
+	})
+	for _, st := range server.table.snapshot() {
+		st.recvMu.Lock()
+		parked, bytes := len(st.ooo), st.oooBytes
+		st.recvMu.Unlock()
+		if parked != 0 || bytes != 0 {
+			t.Fatalf("stream %d still parks %d frames (%d bytes) after EOF", st.id, parked, bytes)
+		}
+	}
+}
+
+// TestStreamOpenedBeforeJoinUsesNewMember: a stream has no framing mode
+// to remember, so one opened while the bond was a single connection
+// sprays over a member that joins later — and loses nothing when that
+// member then dies under it.
+func TestStreamOpenedBeforeJoinUsesNewMember(t *testing.T) {
+	r := newBondRig(t, 50*time.Microsecond, Config{}, nil)
+	st, err := r.client.Open(context.Background(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	peer, err := r.server.Accept(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := make([]byte, 8<<20)
+	rand.New(rand.NewSource(19)).Read(data)
+	head, tail := data[:64<<10], data[64<<10:]
+	if _, err := st.Write(head); err != nil {
+		t.Fatal(err)
+	}
+	got := make([]byte, len(data))
+	if _, err := io.ReadFull(peer, got[:len(head)]); err != nil {
+		t.Fatal(err)
+	}
+
+	r.join(t, 1)
+	joined := r.server.liveMembers()[1]
+	errCh := make(chan error, 1)
 	go func() {
-		_, _ = st.Write(data)
-		_ = st.CloseWrite()
+		_, werr := st.Write(tail)
+		if werr == nil {
+			werr = st.CloseWrite()
+		}
+		errCh <- werr
 	}()
-	got, err := io.ReadAll(peer)
-	if err != nil || !bytes.Equal(got, data) {
-		t.Fatalf("legacy exchange broken: err=%v got=%d bytes", err, len(got))
+	// Kill the new member once it has demonstrably carried stream data.
+	waitUntil(t, 5*time.Second, func() bool { return joined.rcvdSeq.Load() > 0 })
+	_ = r.client.liveMembers()[1].conn.Close()
+
+	if _, err := io.ReadFull(peer, got[len(head):]); err != nil {
+		t.Fatalf("read: %v", err)
+	}
+	if _, err := peer.Read(make([]byte, 1)); err != io.EOF {
+		t.Fatalf("after CloseWrite: read err = %v, want EOF", err)
+	}
+	if werr := <-errCh; werr != nil {
+		t.Fatalf("write: %v", werr)
+	}
+	if !bytes.Equal(got, data) {
+		t.Fatal("payload mismatch across join and member death")
+	}
+	waitUntil(t, 5*time.Second, func() bool { return r.client.BondWidth() == 1 })
+	if r.client.isClosed() || r.server.isClosed() {
+		t.Fatal("session died on secondary member failure")
 	}
 }
 
@@ -287,6 +410,31 @@ func TestDeliverSeqReorderAndDup(t *testing.T) {
 	}
 	if string(got) != "abc" {
 		t.Fatalf("reassembled %q, want \"abc\"", got)
+	}
+}
+
+// TestDeliverSeqBoundsRunAhead: frames that take no window credit must
+// not buy unbounded parking. Every data frame carries at least a byte, so
+// a frame further ahead than the stream's credit, or an empty data frame,
+// is a protocol violation.
+func TestDeliverSeqBoundsRunAhead(t *testing.T) {
+	const window = 4 << 10
+	client, server := pair(t, Config{Window: window})
+	if _, err := client.Open(context.Background(), nil); err != nil {
+		t.Fatal(err)
+	}
+	peer, err := server.Accept(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := peer.deliverSeq(window, nil, true); err != nil {
+		t.Fatalf("FIN as far ahead as the credit allows: %v", err)
+	}
+	if err := peer.deliverSeq(window+1, nil, true); err == nil {
+		t.Fatal("FIN beyond the window's worth of frames parked")
+	}
+	if err := peer.deliverSeq(1, nil, false); err == nil {
+		t.Fatal("empty data frame accepted")
 	}
 }
 

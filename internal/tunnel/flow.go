@@ -27,8 +27,7 @@ import (
 // a thousand-stream session cannot promise unbounded receive buffering.
 //
 // The estimator lives at the receiver (grants are its to give); the
-// sender needs no changes at all, which is what keeps the scheme
-// compatible with peers running the fixed-window code.
+// sender needs no changes at all.
 
 // flowGains is the window gain cycle (see package comment above).
 var flowGains = [...]float64{1.25, 0.75, 1, 1, 1, 1, 1, 1}
@@ -159,23 +158,11 @@ func (f *flowState) retarget(cfg Config, gain float64, streams int) {
 // keep their configured window, adaptive ones track the estimator.
 func (s *Session) windowTarget() int64 { return s.flow.target.Load() }
 
-// startProber launches the estimator goroutine once per session. It runs
-// for adaptive sessions (window sizing needs the estimators) and for
-// bonded sessions (per-member RTT for the spray metrics plus straggler
-// BONDACK sweeps), and exits with the session.
-func (s *Session) startProber() {
-	if s.proberOn.Swap(true) {
-		return
-	}
-	//lint:allow-leak probeLoop is supervised by the session: it selects
-	// on s.done every tick and exits when the session shuts down.
-	go s.probeLoop()
-}
-
-// probeLoop drives the estimators: each tick it pings every live member
-// (attributing the RTT sample to the connection it returns on), samples
-// the delivery rate, advances the gain cycle, and refreshes the window
-// target and the bond/RTT gauges.
+// probeLoop runs for the life of every session: each tick it sweeps
+// straggler BONDACKs, pings every live member (attributing the RTT sample
+// to the connection it returns on, for the spray metrics), samples the
+// delivery rate, and refreshes the RTT gauge; for adaptive sessions it
+// also advances the gain cycle and refreshes the window target.
 func (s *Session) probeLoop() {
 	ticker := time.NewTicker(s.cfg.ProbeInterval)
 	defer ticker.Stop()
@@ -191,9 +178,7 @@ func (s *Session) probeLoop() {
 		case <-ticker.C:
 		}
 
-		if s.bondActive.Load() {
-			s.flushBondAcks()
-		}
+		s.flushBondAcks()
 
 		// Sweep prober waiters that have aged out (a PONG queued behind
 		// bulk traffic may legitimately take many ticks), then launch

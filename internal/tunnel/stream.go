@@ -13,7 +13,7 @@ import (
 	"gridproxy/internal/wire"
 )
 
-// oooFrame is one out-of-order sequenced frame parked for reassembly: the
+// oooFrame is one out-of-order frame parked for reassembly: the
 // payload was copied into its own pooled lease (buf), released when the
 // frame drains in order. fin entries carry no payload.
 type oooFrame struct {
@@ -31,18 +31,11 @@ type Stream struct {
 	meta    []byte
 	// accepted marks streams created by the peer's SYN.
 	accepted bool
-	// bonded is latched at creation: streams born after the bond
-	// activated send sequenced DATAQ frames sprayed across members;
-	// streams born before (notably the handshake control stream) keep
-	// the legacy DATA framing pinned to the primary connection, so no
-	// stream ever switches framing mid-flight. Receivers handle both
-	// framings on any stream regardless.
-	bonded bool
 	// openResult delivers the peer's SYNACK/RST verdict to Open.
 	openResult chan bool
 	openOnce   sync.Once
 
-	// sendSeq numbers this stream's outbound sequenced frames.
+	// sendSeq numbers this stream's outbound DATA and FIN frames.
 	sendSeq atomic.Uint64
 
 	// Receive side. Window accounting is kept as three monotonic totals:
@@ -67,7 +60,7 @@ type Stream struct {
 	// double-granting the same credit.
 	grantInFlight bool
 	readDeadline  time.Time
-	// Reassembly of sequenced frames: nextSeq is the next in-order
+	// Reassembly: nextSeq is the next in-order
 	// sequence, ooo a min-heap (by seq) of frames that arrived early,
 	// oooBytes their payload total (counted against the window).
 	nextSeq  uint64
@@ -89,7 +82,6 @@ func newStream(s *Session, id uint32) *Stream {
 	st := &Stream{
 		session:    s,
 		id:         id,
-		bonded:     s.bondActive.Load(),
 		openResult: make(chan bool, 1),
 		sendWindow: s.cfg.Window,
 		extended:   int64(s.cfg.Window),
@@ -109,78 +101,62 @@ func (st *Stream) notifyOpen(ok bool) {
 	st.openOnce.Do(func() { st.openResult <- ok })
 }
 
-// deliver appends inbound data and wakes readers. It enforces the receive
-// window: a peer overrunning its credit is a protocol violation.
-func (st *Stream) deliver(p []byte) error {
+// deliverSeq accepts one DATA or FIN frame and wakes readers: in-order
+// data is buffered immediately and the reorder heap drained behind it;
+// early frames are copied into their own pooled lease and parked; frames
+// at an already-delivered sequence are retransmit duplicates and dropped.
+// fin frames occupy a sequence slot so EOF cannot overtake data still in
+// flight on another member connection. It enforces the receive window: a
+// peer overrunning its credit is a protocol violation.
+func (st *Stream) deliverSeq(seq uint64, p []byte, fin bool) error {
 	st.recvMu.Lock()
 	defer st.recvMu.Unlock()
 	if st.recvErr != nil || st.recvEOF {
 		return nil // late data after close; drop
 	}
-	// An honest peer never has more than the granted credit outstanding,
-	// so buffered-but-unread data can never legitimately exceed it.
-	if st.delivered+int64(st.oooBytes)+int64(len(p)) > st.extended {
-		return fmt.Errorf("tunnel: stream %d receive window overrun", st.id)
-	}
-	st.recvBuf.Write(p)
-	st.delivered += int64(len(p))
-	st.recvCond.Broadcast()
-	return nil
-}
-
-// deliverSeq accepts one sequenced frame (bonded framing): in-order data
-// is buffered immediately and the reorder heap drained behind it;
-// early frames are copied into their own pooled lease and parked; frames
-// at an already-delivered sequence are retransmit duplicates and dropped.
-// fin frames occupy a sequence slot so EOF cannot overtake data still in
-// flight on another member connection.
-func (st *Stream) deliverSeq(seq uint64, p []byte, fin bool) error {
-	st.recvMu.Lock()
-	defer st.recvMu.Unlock()
-	if st.recvErr != nil || st.recvEOF {
-		return nil
-	}
 	if seq < st.nextSeq {
 		return nil // duplicate of a frame already delivered
 	}
-	if seq == st.nextSeq {
-		if st.delivered+int64(st.oooBytes)+int64(len(p)) > st.extended {
-			return fmt.Errorf("tunnel: stream %d receive window overrun", st.id)
-		}
-		if fin {
-			st.recvEOF = true
-		} else {
-			st.recvBuf.Write(p)
-			st.delivered += int64(len(p))
-		}
-		st.nextSeq++
-		// Drain every parked frame that is now in order.
-		for len(st.ooo) > 0 && st.ooo[0].seq == st.nextSeq {
-			f := oooPop(&st.ooo)
-			if f.fin {
-				st.recvEOF = true
-			} else {
-				st.recvBuf.Write(f.buf)
-				st.delivered += int64(len(f.buf))
-				st.oooBytes -= len(f.buf)
-			}
-			if f.buf != nil {
-				wire.PutPayload(f.buf)
-			}
-			st.nextSeq++
-		}
-		st.recvCond.Broadcast()
-		return nil
+	if fin {
+		p = nil
+	} else if len(p) == 0 {
+		return fmt.Errorf("tunnel: stream %d empty data frame", st.id)
 	}
-	// Early. Duplicate of a parked frame? The heap is small (bounded by
-	// window / segment size), so a linear scan beats a map's allocation.
+	// Duplicate of a parked frame? The heap is small (bounded by window /
+	// segment size), so a linear scan beats a map's allocation.
 	for i := range st.ooo {
 		if st.ooo[i].seq == seq {
 			return nil
 		}
 	}
-	if st.delivered+int64(st.oooBytes)+int64(len(p)) > st.extended {
+	// An honest peer never has more than the granted credit outstanding,
+	// so buffered-but-unread data can never legitimately exceed it; and
+	// since every data frame carries at least a byte, neither can the
+	// number of frames it has run ahead by (which bounds the heap).
+	credit := st.extended - st.delivered
+	if int64(st.oooBytes+len(p)) > credit || seq-st.nextSeq > uint64(credit) {
 		return fmt.Errorf("tunnel: stream %d receive window overrun", st.id)
+	}
+	if seq == st.nextSeq {
+		st.recvEOF = fin
+		st.recvBuf.Write(p)
+		st.delivered += int64(len(p))
+		st.nextSeq++
+		// Drain every parked frame that is now in order.
+		for !st.recvEOF && len(st.ooo) > 0 && st.ooo[0].seq == st.nextSeq {
+			f := oooPop(&st.ooo)
+			st.recvEOF = f.fin
+			st.recvBuf.Write(f.buf)
+			st.delivered += int64(len(f.buf))
+			st.oooBytes -= len(f.buf)
+			wire.PutPayload(f.buf)
+			st.nextSeq++
+		}
+		if st.recvEOF {
+			st.releaseOOOLocked() // nothing is valid past the FIN
+		}
+		st.recvCond.Broadcast()
+		return nil
 	}
 	f := oooFrame{seq: seq, fin: fin}
 	if !fin {
@@ -238,13 +214,6 @@ func oooPop(h *[]oooFrame) oooFrame {
 	return top
 }
 
-func (st *Stream) deliverEOF() {
-	st.recvMu.Lock()
-	st.recvEOF = true
-	st.recvCond.Broadcast()
-	st.recvMu.Unlock()
-}
-
 // grantSendWindow adds peer credit and wakes writers.
 func (st *Stream) grantSendWindow(delta int) {
 	st.sendMu.Lock()
@@ -276,9 +245,7 @@ func (st *Stream) closeWithError(err error) {
 // holds recvMu.
 func (st *Stream) releaseOOOLocked() {
 	for i := range st.ooo {
-		if st.ooo[i].buf != nil {
-			wire.PutPayload(st.ooo[i].buf)
-		}
+		wire.PutPayload(st.ooo[i].buf)
 		st.ooo[i] = oooFrame{}
 	}
 	st.ooo = st.ooo[:0]
@@ -294,7 +261,7 @@ func (st *Stream) Read(p []byte) (int, error) {
 			st.recvMu.Unlock()
 			return 0, err
 		}
-		if st.recvEOF && len(st.ooo) == 0 {
+		if st.recvEOF {
 			st.recvMu.Unlock()
 			return 0, io.EOF
 		}
@@ -363,101 +330,45 @@ func (st *Stream) waitRecvLocked() bool {
 	return time.Now().Before(deadline) || st.recvBuf.Len() > 0 || st.recvEOF || st.recvErr != nil
 }
 
-// Write implements net.Conn. Data is segmented into DATA frames and paced
-// by the peer's receive window. On an unbonded stream each segment is
-// gathered straight from p into the primary writer's coalescing buffer —
-// no intermediate payload slice; on a bonded stream each segment is
-// copied into a pooled buffer (it must survive for retransmit) and
-// sprayed across member connections.
+// Write implements net.Conn; see WriteBuffers.
 func (st *Stream) Write(p []byte) (int, error) {
-	total := 0
-	for len(p) > 0 {
-		n, err := st.reserveSend(len(p))
-		if err != nil {
-			return total, err
-		}
-		if st.bonded {
-			if err := st.session.sendSeqData(st, p[:n]); err != nil {
-				return total, err
-			}
-		} else {
-			var hdr [4]byte
-			if err := st.session.w.WriteFramev(frameDATA,
-				wire.AppendUint32(hdr[:0], st.id), p[:n]); err != nil {
-				return total, st.session.fail(fmt.Errorf("tunnel: send DATA: %w", err))
-			}
-		}
-		total += n
-		p = p[n:]
-	}
-	return total, nil
+	n, err := st.WriteBuffers(p)
+	return int(n), err
 }
 
-// WriteBuffers writes the concatenation of segs as stream data without
-// assembling them into one contiguous slice first (net.Buffers-style):
-// each DATA frame gathers directly from as many segments as fit, so small
-// prefixes (length fields, checksums) ride in the same frame as the bulk
-// payload that follows them. Frame boundaries fall exactly as if the
-// segments had been written back-to-back with Write. On a bonded stream
-// the gather target is the retransmit buffer rather than the primary
-// writer's lane, preserving the single-copy property.
+// WriteBuffers writes the concatenation of segs as stream data
+// (net.Buffers-style), segmented into DATA frames and paced by the peer's
+// receive window. Each frame is gathered from as many segments as fit
+// straight into a pooled buffer (the frame must outlive this call for the
+// asynchronous send and a possible retransmit), so small prefixes —
+// length fields, checksums — ride in the same frame as the bulk payload
+// that follows them, and frame boundaries fall exactly as if the segments
+// had been one slice. It returns once the frames are queued; a later send
+// failure fails over or kills the session.
 func (st *Stream) WriteBuffers(segs ...[]byte) (int64, error) {
 	remaining := 0
 	for _, seg := range segs {
 		remaining += len(seg)
 	}
 	var total int64
-	parts := make([][]byte, 1, len(segs)+1)
-	var hdr [4]byte
 	i, off := 0, 0
 	for remaining > 0 {
 		n, err := st.reserveSend(remaining)
 		if err != nil {
 			return total, err
 		}
-		if st.bonded {
-			// Gather the segments straight into the pooled retransmit
-			// buffer and spray it.
-			buf := wire.GetPayload(n)
-			w := 0
-			for w < n {
-				seg := segs[i][off:]
-				if len(seg) == 0 {
-					i, off = i+1, 0
-					continue
-				}
-				take := copy(buf[w:], seg)
-				off += take
-				w += take
-			}
-			seq := st.sendSeq.Add(1) - 1
-			if err := st.session.sprayFrame(st.id, seq, false, buf); err != nil {
-				return total, err
-			}
-			total += int64(n)
-			remaining -= n
-			continue
-		}
-		// The writer copies every part into its coalescing buffer before
-		// returning, so hdr and parts can be reused per frame.
-		parts = parts[:1]
-		parts[0] = wire.AppendUint32(hdr[:0], st.id)
-		for k := n; k > 0; {
-			seg := segs[i][off:]
-			if len(seg) == 0 {
+		buf := wire.GetPayload(n)
+		for w := 0; w < n; {
+			if off == len(segs[i]) {
 				i, off = i+1, 0
 				continue
 			}
-			take := len(seg)
-			if take > k {
-				take = k
-			}
-			parts = append(parts, seg[:take])
+			take := copy(buf[w:], segs[i][off:])
 			off += take
-			k -= take
+			w += take
 		}
-		if err := st.session.w.WriteFramev(frameDATA, parts...); err != nil {
-			return total, st.session.fail(fmt.Errorf("tunnel: send DATA: %w", err))
+		if err := st.session.sprayFrame(st.id, st.sendSeq.Add(1)-1, false, buf); err != nil {
+			return total, err
 		}
 		total += int64(n)
 		remaining -= n
@@ -527,13 +438,9 @@ func (st *Stream) CloseWrite() error {
 	st.sendClosed = true
 	st.sendCond.Broadcast()
 	st.sendMu.Unlock()
-	if st.bonded {
-		// FIN takes a sequence slot so it cannot overtake data in flight
-		// on another member connection.
-		seq := st.sendSeq.Add(1) - 1
-		return st.session.sprayFrame(st.id, seq, true, nil)
-	}
-	return st.session.w.WriteFrame(frameFIN, wire.AppendUint32(nil, st.id))
+	// FIN takes a sequence slot so it cannot overtake data in flight on
+	// another member connection.
+	return st.session.sprayFrame(st.id, st.sendSeq.Add(1)-1, true, nil)
 }
 
 // Close fully closes the stream and releases it from the session.

@@ -1,7 +1,6 @@
 // Package tunnel implements a stream multiplexer: many logical byte
-// streams carried over one underlying connection — or, when a bond is
-// negotiated, over several parallel connections joined into one logical
-// session.
+// streams carried over a bond of one or more parallel connections joined
+// into one logical session.
 //
 // The paper's proxy keeps a single secure (TLS) connection per remote site
 // and multiplexes all grid traffic over it — control messages, spliced
@@ -10,11 +9,12 @@
 // between the source and the destination"). This package provides that
 // multiplexer with per-stream flow control so one bulk stream cannot starve
 // the control channel. Because that one connection is the global bottleneck
-// between two sites, a session may bond k connections: sequenced data
-// frames are sprayed across members by least-outstanding-bytes and
-// reassembled in order per stream on the far side (see bond.go), and the
-// per-stream window can be sized adaptively from measured RTT and delivery
-// rate instead of a fixed constant (see flow.go).
+// between two sites, a session may bond k connections: every data frame
+// carries a per-stream sequence number, is sprayed across the members by
+// least-outstanding-bytes and reassembled in order on the far side (see
+// bond.go; one connection is simply a bond of one), and the per-stream
+// window can be sized adaptively from measured RTT and delivery rate
+// instead of a fixed constant (see flow.go).
 //
 // Wire format: every tunnel frame is a wire.Frame whose payload begins with
 // a 4-byte big-endian stream id (bond join/ack frames excepted; see below).
@@ -40,8 +40,8 @@ const (
 	frameSYN    byte = 0x10 // open stream; payload after id = metadata
 	frameSYNACK byte = 0x11 // accept stream
 	frameRST    byte = 0x12 // refuse/abort stream
-	frameDATA   byte = 0x13 // stream data
-	frameFIN    byte = 0x14 // half-close from sender
+	frameDATA   byte = 0x13 // stream data; after id = [stream seq u64][payload]
+	frameFIN    byte = 0x14 // half-close from sender; after id = [stream seq u64]
 	frameWINDOW byte = 0x15 // receive-window credit grant (uint32 delta)
 	framePING   byte = 0x16 // liveness probe (8-byte nonce)
 	framePONG   byte = 0x17 // probe reply
@@ -49,14 +49,10 @@ const (
 
 	// Bonding frames. BONDJOIN is the first (and only raw) frame on a
 	// joining member connection: [bond id 16B][conn index u8]. BONDACK
-	// carries cumulative per-connection delivery counts back to the
-	// sender: [count u8] then count × ([conn index u8][received u64]).
-	// DATAQ/FINQ are the sequenced forms of DATA/FIN used by bonded
-	// streams: [stream id u32][stream seq u64][payload...].
+	// carries one connection's cumulative count of DATA and FIN frames
+	// received back to the sender: [conn index u8][received u64].
 	frameBONDJOIN byte = 0x19
 	frameBONDACK  byte = 0x1A
-	frameDATAQ    byte = 0x1B
-	frameFINQ     byte = 0x1C
 )
 
 // Flow-control and segmentation defaults.
@@ -137,10 +133,9 @@ type Config struct {
 	// DefaultProbeInterval.
 	ProbeInterval time.Duration
 
-	// BondConns is how many parallel connections a bonded peer link
-	// uses. The session itself never dials: the value is carried here so
-	// the dialing/accepting layers negotiate from one config (0 or 1
-	// means a single connection, i.e. no bond).
+	// BondConns is how many parallel connections a peer link uses. The
+	// session itself never dials: the value is carried here so the
+	// dialing/accepting layers negotiate from one config (0 means 1).
 	BondConns int
 
 	// Metrics receives tunnel counters; may be nil.
@@ -197,10 +192,7 @@ type pongWaiter struct {
 type Session struct {
 	conn net.Conn
 	cfg  Config
-	// w is the primary member's writer; all non-sequenced frames (the
-	// whole control plane, plus legacy DATA/FIN) ride it, so a session
-	// that never bonds behaves exactly as a single-connection session
-	// always has.
+	// w is the primary member's writer; the whole control plane rides it.
 	w *wire.Writer
 
 	// members is the immutable snapshot of live member connections,
@@ -210,8 +202,7 @@ type Session struct {
 	members atomic.Pointer[[]*member]
 	// bondMu serializes membership changes only; it is never held across
 	// I/O.
-	bondMu     sync.Mutex
-	bondActive atomic.Bool
+	bondMu sync.Mutex
 
 	// table holds live streams; frame dispatch looks streams up through
 	// it without touching s.mu (which guards only the cold state below).
@@ -233,7 +224,6 @@ type Session struct {
 	// prober differentiates it into a delivery rate.
 	flow      flowState
 	delivered atomic.Int64
-	proberOn  atomic.Bool
 
 	// pingSeq generates unique probe nonces.
 	pingSeq atomic.Uint64
@@ -287,7 +277,7 @@ func newSession(conn net.Conn, cfg Config, firstID uint32, r *wire.Reader, first
 		batchFrames.Add(int64(fs.Frames))
 		batchControl.Add(int64(fs.Control))
 	}
-	s.w = wire.NewWriterOpts(conn, wire.Options{Observer: s.flushObserver})
+	s.w = s.newWriter(conn)
 	primary := newMember(s, 0, conn, s.w)
 	ms := []*member{primary}
 	s.members.Store(&ms)
@@ -299,10 +289,14 @@ func newSession(conn net.Conn, cfg Config, firstID uint32, r *wire.Reader, first
 	// context: Close (and any peer disconnect) closes conn, the blocked
 	// ReadFrame fails, and the loop exits.
 	go s.readLoop(primary, r, first)
-	if cfg.Adaptive {
-		s.startProber()
-	}
+	//lint:allow-leak probeLoop is supervised by the session: it selects
+	// on s.done every tick and exits when the session shuts down.
+	go s.probeLoop()
 	return s
+}
+
+func (s *Session) newWriter(conn net.Conn) *wire.Writer {
+	return wire.NewWriterOpts(conn, wire.Options{Observer: s.flushObserver})
 }
 
 // liveMembers returns the current membership snapshot (never empty; the
@@ -310,8 +304,7 @@ func newSession(conn net.Conn, cfg Config, firstID uint32, r *wire.Reader, first
 // session).
 func (s *Session) liveMembers() []*member { return *s.members.Load() }
 
-// BondWidth reports the number of live member connections (1 for an
-// unbonded session).
+// BondWidth reports the number of live member connections.
 func (s *Session) BondWidth() int { return len(s.liveMembers()) }
 
 // SmoothedRTT returns the smallest smoothed RTT measured across live
@@ -503,7 +496,9 @@ func (s *Session) shutdown(err error, sendGoaway bool) error {
 			m.dead.Store(true)
 			m.qcond.Broadcast()
 			_ = m.conn.Close()
-			m.releaseAll()
+			for _, f := range m.takeRetained() {
+				wire.PutPayload(f.buf)
+			}
 		}
 	})
 	return nil
@@ -514,11 +509,10 @@ func (s *Session) removeStream(id uint32) { s.table.remove(id) }
 // readLoop dispatches frames inbound on one member connection until it
 // dies. It reads through the wire payload pool: the loop is the single
 // owner of each leased payload — every dispatch path that keeps bytes
-// copies them before returning (deliver copies into the recv buffer,
-// deliverSeq copies out-of-order segments into their own leases,
-// handleSYN copies meta, the PONG echo is coalesced into the writer
-// before WriteControl returns) — so the lease is released here,
-// unconditionally, after dispatch. A secondary member's death fails over;
+// copies them before returning (deliverSeq copies into the recv buffer,
+// or out-of-order segments into their own leases, handleSYN copies meta,
+// the PONG echo is coalesced into the writer before WriteControl returns)
+// — so the lease is released here, unconditionally, after dispatch. A secondary member's death fails over;
 // the primary's death (or any protocol error) kills the session.
 func (s *Session) readLoop(m *member, r *wire.Reader, first *wire.Frame) {
 	if first != nil {
@@ -612,34 +606,19 @@ func (s *Session) dispatch(m *member, frame wire.Frame) error {
 			s.removeStream(id)
 		}
 		return nil
-	case frameDATA:
-		st := s.table.get(id)
-		if st == nil {
-			// Stream already gone; drop silently (late data after
-			// local close is normal).
-			return nil
-		}
-		s.bytesTunneled.Add(int64(len(rest)))
-		s.delivered.Add(int64(len(rest)))
-		return st.deliver(rest)
-	case frameFIN:
-		if st := s.table.get(id); st != nil {
-			st.deliverEOF()
-		}
-		return nil
 	case frameWINDOW:
 		if st := s.table.get(id); st != nil && len(rest) >= 4 {
 			delta := wire.NewBuffer(rest).Uint32()
 			st.grantSendWindow(int(delta))
 		}
 		return nil
-	case frameDATAQ:
+	case frameDATA, frameFIN:
 		if len(rest) < 8 {
-			return fmt.Errorf("tunnel: short DATAQ for stream %d", id)
+			return fmt.Errorf("tunnel: short frame type %#x for stream %d", frame.Type, id)
 		}
 		// Count the arrival before the stream lookup: the sender's
 		// retention drains on these acks even when the local stream is
-		// already gone.
+		// already gone (late data after a local close is normal).
 		m.countSeqArrival(s)
 		seq := wire.NewBuffer(rest).Uint64()
 		data := rest[8:]
@@ -649,17 +628,7 @@ func (s *Session) dispatch(m *member, frame wire.Frame) error {
 		}
 		s.bytesTunneled.Add(int64(len(data)))
 		s.delivered.Add(int64(len(data)))
-		return st.deliverSeq(seq, data, false)
-	case frameFINQ:
-		if len(rest) < 8 {
-			return fmt.Errorf("tunnel: short FINQ for stream %d", id)
-		}
-		m.countSeqArrival(s)
-		seq := wire.NewBuffer(rest).Uint64()
-		if st := s.table.get(id); st != nil {
-			return st.deliverSeq(seq, nil, true)
-		}
-		return nil
+		return st.deliverSeq(seq, data, frame.Type == frameFIN)
 	default:
 		return fmt.Errorf("tunnel: unknown frame type %#x", frame.Type)
 	}

@@ -511,10 +511,11 @@ func TestWindowOverrunKillsSession(t *testing.T) {
 	}
 	// ... then flood it far past the 8 KiB receive window without any
 	// reads happening.
-	chunk := make([]byte, 0, 4+4096)
-	chunk = wire.AppendUint32(chunk, 1)
-	chunk = append(chunk, make([]byte, 4096)...)
 	for i := 0; i < 16; i++ {
+		chunk := make([]byte, 0, 12+4096)
+		chunk = wire.AppendUint32(chunk, 1)
+		chunk = wire.AppendUint64(chunk, uint64(i)) // stream seq
+		chunk = append(chunk, make([]byte, 4096)...)
 		if err := w.WriteFrame(0x13, chunk); err != nil {
 			break // session may already have torn down the conn
 		}

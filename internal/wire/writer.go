@@ -65,13 +65,21 @@ type lane struct {
 	frames int
 }
 
-func (l *lane) appendFrame(frameType byte, segs [][]byte, total int) {
+func (l *lane) appendFrame(frameType byte, segs ...[]byte) {
 	l.buf = append(l.buf, magicByte, frameType)
-	l.buf = binary.BigEndian.AppendUint32(l.buf, uint32(total))
+	l.buf = binary.BigEndian.AppendUint32(l.buf, uint32(payloadLen(segs)))
 	for _, s := range segs {
 		l.buf = append(l.buf, s...)
 	}
 	l.frames++
+}
+
+func payloadLen(segs [][]byte) int {
+	total := 0
+	for _, s := range segs {
+		total += len(s)
+	}
+	return total
 }
 
 // Writer writes frames to an underlying io.Writer. It is safe for
@@ -127,12 +135,6 @@ type Writer struct {
 	flushedBatch uint64
 	flushing     bool
 
-	// seq numbers frames written through WriteFramevSeq, assigned in
-	// lane-append order under mu — which is exactly their wire order,
-	// since the bulk lane is flushed front-to-back and a failed flush
-	// poisons the writer before any later batch can pass it.
-	seq uint64
-
 	lingerTimer *time.Timer
 }
 
@@ -168,26 +170,29 @@ func NewWriterOpts(w io.Writer, opts Options) *Writer {
 // WriteFrame writes one bulk-lane frame and returns once it has reached
 // the underlying writer.
 func (w *Writer) WriteFrame(frameType byte, payload []byte) error {
-	_, err := w.write(false, false, frameType, payload)
-	return err
+	return w.WriteFramev(frameType, payload)
 }
 
 // WriteFramev writes one bulk-lane frame whose payload is the
 // concatenation of segs, gathered directly into the coalescing buffer —
 // callers need not assemble a contiguous payload slice first.
 func (w *Writer) WriteFramev(frameType byte, segs ...[]byte) error {
-	_, err := w.write(false, false, frameType, segs...)
-	return err
+	if payloadLen(segs) > MaxPayload {
+		return ErrFrameTooLarge
+	}
+	return w.commit(false, func(l *lane) { l.appendFrame(frameType, segs...) })
 }
 
-// WriteFramevSeq is WriteFramev for callers that track in-flight frames:
-// on success it returns this frame's position (1-based) in the writer's
-// wire order among all Seq-writes. A receiver counting such frames as
-// they arrive and reporting the count back therefore acknowledges an
-// exact prefix of the sequence, which is what the tunnel's bonded
-// retransmit bookkeeping relies on.
-func (w *Writer) WriteFramevSeq(frameType byte, segs ...[]byte) (uint64, error) {
-	return w.write(false, true, frameType, segs...)
+// WriteControl writes one control-lane frame. Control frames skip the bulk
+// backpressure cap and are flushed ahead of bulk frames queued in the same
+// batch, so latency-sensitive signalling (pings, window grants, stream
+// setup) is never starved by saturating bulk traffic. Use only for frame
+// types that may safely overtake previously written bulk frames.
+func (w *Writer) WriteControl(frameType byte, payload []byte) error {
+	if len(payload) > MaxPayload {
+		return ErrFrameTooLarge
+	}
+	return w.commit(true, func(l *lane) { l.appendFrame(frameType, payload) })
 }
 
 // SeqFrame is one frame of a WriteSeqFrames batch: a frame type, an
@@ -199,89 +204,38 @@ type SeqFrame struct {
 	Payload []byte
 }
 
-// WriteSeqFrames appends a batch of Seq-frames in one writer-lock
-// acquisition and returns the wire position of the first (the batch
-// occupies consecutive positions first..first+len(frames)-1). The whole
-// batch shares one flush wait, so a sender draining a queue of frames
-// pays one underlying write for the lot instead of one per frame —
-// which is what makes bonded member connections worth their latency.
-// Like every Write* call it returns only after the batch has reached
-// the underlying writer, and a flush failure poisons the writer before
-// any later batch can pass it, preserving the exact-prefix property
-// WriteFramevSeq documents.
-func (w *Writer) WriteSeqFrames(frames []SeqFrame) (uint64, error) {
-	if len(frames) == 0 {
-		return 0, nil
-	}
+// WriteSeqFrames writes a sequence of bulk-lane frames, appended in one
+// writer-lock acquisition so they reach the wire back to back and in
+// order. The whole batch shares one flush wait, so a sender draining a
+// queue of frames pays one underlying write for the lot instead of one
+// per frame. A single caller's batches reach the wire in call order (a
+// failed flush poisons the writer before any later batch can pass it), so
+// a receiver counting that caller's frames as they arrive and reporting
+// the count back acknowledges an exact prefix of what it wrote — which is
+// what the tunnel's retransmit bookkeeping relies on.
+func (w *Writer) WriteSeqFrames(frames []SeqFrame) error {
 	for i := range frames {
 		if len(frames[i].Hdr)+len(frames[i].Payload) > MaxPayload {
-			return 0, ErrFrameTooLarge
+			return ErrFrameTooLarge
 		}
 	}
-	w.arrivals.Add(1)
-	w.mu.Lock()
-	for w.err == nil && len(w.bulk.buf) >= w.maxPend {
-		w.cond.Wait()
-	}
-	if w.err != nil {
-		w.arrivals.Add(-1)
-		err := w.err
-		w.mu.Unlock()
-		return 0, err
-	}
-	var segs [2][]byte
-	for i := range frames {
-		f := &frames[i]
-		segs[0], segs[1] = f.Hdr, f.Payload
-		w.bulk.appendFrame(f.Type, segs[:], len(f.Hdr)+len(f.Payload))
-		w.seq++
-	}
-	first := w.seq - uint64(len(frames)) + 1
-	mine := w.batch
-	w.arrivals.Add(-1)
-	if w.flushing {
-		w.cond.Broadcast()
-	}
-	for w.err == nil && w.flushedBatch <= mine {
-		if w.flushing {
-			w.cond.Wait()
-			continue
+	return w.commit(false, func(l *lane) {
+		for i := range frames {
+			l.appendFrame(frames[i].Type, frames[i].Hdr, frames[i].Payload)
 		}
-		w.flushing = true
-		w.flushBatchLocked()
-		w.flushing = false
-		w.cond.Broadcast()
-	}
-	var err error
-	if w.flushedBatch <= mine {
-		err = w.err
-	}
-	w.mu.Unlock()
-	return first, err
+	})
 }
 
-// WriteControl writes one control-lane frame. Control frames skip the bulk
-// backpressure cap and are flushed ahead of bulk frames queued in the same
-// batch, so latency-sensitive signalling (pings, window grants, stream
-// setup) is never starved by saturating bulk traffic. Use only for frame
-// types that may safely overtake previously written bulk frames.
-func (w *Writer) WriteControl(frameType byte, payload []byte) error {
-	_, err := w.write(true, false, frameType, payload)
-	return err
-}
-
-func (w *Writer) write(control, seq bool, frameType byte, segs ...[]byte) (uint64, error) {
-	total := 0
-	for _, s := range segs {
-		total += len(s)
-	}
-	if total > MaxPayload {
-		return 0, ErrFrameTooLarge
-	}
-
+// commit is the one write path: it lets add append frames to the bulk or
+// the control lane under the writer lock and returns once their batch has
+// reached the underlying writer, electing itself flusher if nobody else
+// is.
+func (w *Writer) commit(control bool, add func(*lane)) error {
 	w.arrivals.Add(1)
 	w.mu.Lock()
+	ln := &w.ctrl
 	if !control {
+		ln = &w.bulk
 		for w.err == nil && len(w.bulk.buf) >= w.maxPend {
 			w.cond.Wait()
 		}
@@ -290,22 +244,13 @@ func (w *Writer) write(control, seq bool, frameType byte, segs ...[]byte) (uint6
 		w.arrivals.Add(-1)
 		err := w.err
 		w.mu.Unlock()
-		return 0, err
+		return err
 	}
-	ln := &w.bulk
-	if control {
-		ln = &w.ctrl
-	}
-	ln.appendFrame(frameType, segs, total)
-	var sq uint64
-	if seq {
-		w.seq++
-		sq = w.seq
-	}
+	add(ln)
 	mine := w.batch
 	w.arrivals.Add(-1)
 	if w.flushing {
-		// The active flusher may be lingering for us; our frame is in.
+		// The active flusher may be lingering for us; our frames are in.
 		w.cond.Broadcast()
 	}
 
@@ -326,7 +271,7 @@ func (w *Writer) write(control, seq bool, frameType byte, segs ...[]byte) (uint6
 		err = w.err
 	}
 	w.mu.Unlock()
-	return sq, err
+	return err
 }
 
 // flushBatchLocked writes everything pending as one batch: an optional

@@ -247,6 +247,38 @@ func TestWriteFramev(t *testing.T) {
 	}
 }
 
+// TestWriteSeqFrames verifies a batch lands as consecutive frames (header
+// and payload segments concatenated), in order with the writes around it,
+// and that the size limit applies per frame.
+func TestWriteSeqFrames(t *testing.T) {
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	batch := []SeqFrame{
+		{Type: 1, Hdr: []byte("h1"), Payload: []byte("one")},
+		{Type: 2, Hdr: []byte("h2")},
+	}
+	if err := w.WriteSeqFrames(batch); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.WriteFrame(9, []byte("single")); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.WriteSeqFrames(batch[:1]); err != nil {
+		t.Fatal(err)
+	}
+	r := NewReader(&buf)
+	for i, want := range []string{"h1one", "h2", "single", "h1one"} {
+		f, err := r.ReadFrame()
+		if err != nil || string(f.Payload) != want {
+			t.Fatalf("frame %d = %q, %v; want %q", i, f.Payload, err, want)
+		}
+	}
+	big := []SeqFrame{{Type: 1, Hdr: make([]byte, 1), Payload: make([]byte, MaxPayload)}}
+	if err := w.WriteSeqFrames(big); err != ErrFrameTooLarge {
+		t.Fatalf("oversized frame: err = %v, want ErrFrameTooLarge", err)
+	}
+}
+
 func waitFor(t *testing.T, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
