@@ -87,7 +87,7 @@
 //	store_max_bytes   = 268435456   # staging-cache cap before LRU eviction
 //	                                 # (negative disables the cap)
 //	chunk_size        = 262144      # transfer checksum/retry unit in bytes
-//	stripes           = 4           # parallel streams per cross-site pull
+//	stripes           = 4           # parallel streams per pull plan (all of a job's missing inputs)
 //
 // Tunnel knob (optional). A peer pair's tunnel is as wide as the smaller
 // of the two ends' settings; per-stream flow control is RTT-adaptive with

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 
 	"gridproxy/internal/membership"
 	"gridproxy/internal/monitor"
@@ -190,11 +191,11 @@ func (p *Proxy) clientRegistryQuery(req *proto.RegistryQuery) (proto.Body, error
 }
 
 // handleJobUpdate records a remote site's completion report for an app we
-// launched. The Site field names the reporter; reports from peers built
-// before that field existed fall back to the done-report convention of
-// carrying the site in Detail. Outputs the reporter published are pulled
-// into the origin store over the data plane before the report counts,
-// so Launch.Wait returning means the output blobs are local.
+// launched. The Site field names the reporter. Outputs the reporter
+// published are pulled into the origin store over the data plane before
+// the report counts, so Launch.Wait returning means the output blobs are
+// local: only refs that were pulled are recorded, and one that could not
+// be turns the site's report into a failure naming it.
 func (p *Proxy) handleJobUpdate(ctx context.Context, req *proto.JobUpdate) {
 	p.mu.Lock()
 	js, ok := p.jobs[req.JobID]
@@ -206,17 +207,16 @@ func (p *Proxy) handleJobUpdate(ctx context.Context, req *proto.JobUpdate) {
 	if req.State == proto.JobFailed {
 		err = errors.New(req.Detail)
 	}
-	site := req.Site
-	if site == "" {
-		site = req.Detail
-	}
-	if len(req.Outputs) > 0 && site != "" {
-		p.pullOutputs(ctx, site, req.Outputs)
-		for _, ref := range req.Outputs {
+	if len(req.Outputs) > 0 && req.Site != "" {
+		pulled, pullErr := p.pullOutputs(ctx, req.Site, req.Outputs)
+		for _, ref := range pulled {
 			js.launch.recordOutput(ref)
 		}
+		if err == nil && pullErr != nil {
+			err = fmt.Errorf("outputs not returned: %w", pullErr)
+		}
 	}
-	js.launch.remoteDone(site, err)
+	js.launch.remoteDone(req.Site, err)
 }
 
 // handlePermCheck validates a permission for a peer (the destination-side

@@ -338,10 +338,6 @@ func (p *Proxy) handlePrepareSpawn(ctx context.Context, req *proto.PrepareSpawn)
 	sort.Ints(ranks)
 
 	epoch := req.Epoch
-	if epoch == 0 {
-		epoch = 1 // pre-epoch origins: everything is the first epoch
-	}
-
 	if ha, ok := p.lookupHosted(req.AppID); ok {
 		ha.mu.Lock()
 		if ha.aborted {

@@ -191,8 +191,10 @@ func (p *Proxy) launchAt(ctx context.Context, spec LaunchSpec, locations map[int
 		}
 	}
 	// Every staged input must already be in the origin store: destinations
-	// pull the blobs from us during their PrepareSpawn.
-	if err := p.verifyStageRefs(spec.StageIn); err != nil {
+	// pull the blobs from us during their PrepareSpawn, sized by what our
+	// store says they are.
+	var err error
+	if spec.StageIn, err = p.originStageRefs(spec.StageIn); err != nil {
 		return nil, err
 	}
 	// All remote sites must be live directory members before any process

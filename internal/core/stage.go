@@ -2,10 +2,12 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net"
 	"time"
 
+	"gridproxy/internal/logging"
 	"gridproxy/internal/metrics"
 	"gridproxy/internal/proto"
 	"gridproxy/internal/stage"
@@ -15,8 +17,8 @@ import (
 // dedicated tunnel data streams (proto.StreamStage), ahead of the
 // control-plane commit that starts ranks. See DESIGN.md §12.
 
-// stageDialer opens fresh stage streams to site's proxy; stage.Pull
-// calls it once per stripe and again to resume after a link drop.
+// stageDialer opens fresh stage streams to site's proxy; a pull plan
+// calls it once per stream and again to resume after a link drop.
 func (p *Proxy) stageDialer(site string) stage.Dialer {
 	return func(ctx context.Context) (net.Conn, error) {
 		pr, err := p.peerFor(ctx, site)
@@ -33,53 +35,78 @@ func (p *Proxy) stageDialer(site string) stage.Dialer {
 	}
 }
 
-// PullBlob fetches one blob from a peer site's store into this proxy's
-// store. A blob already held is a cache hit and transfers nothing.
+// pullRefs brings the blobs refs name from a peer site's store into this
+// proxy's store under one pull plan (stage.PullAll): blobs already held
+// are cache hits and transfer nothing, the missing ones share one set of
+// streams. It returns one error per ref.
+func (p *Proxy) pullRefs(ctx context.Context, site string, refs []proto.StageRef) []error {
+	want := make([]stage.FileRef, len(refs))
+	for i, ref := range refs {
+		want[i] = stage.FileRef(ref)
+	}
+	if p.log.Enabled(logging.LevelDebug) {
+		// No daemon exports its counters yet, so this line is how an
+		// operator tells a cold stage-in from a warm one.
+		var cold int
+		for _, ref := range refs {
+			if !p.store.Has(ref.Hash) {
+				cold++
+			}
+		}
+		//lint:allow-wallclock monotonic transfer-duration measurement for the log; injected clocks have no monotonic reading
+		start := time.Now()
+		defer func() {
+			//lint:allow-wallclock monotonic transfer-duration measurement for the log; injected clocks have no monotonic reading
+			p.log.Debug("stage plan complete", "site", site, "refs", len(refs), "cold", cold, "took", time.Since(start))
+		}()
+	}
+	errs := stage.PullAll(ctx, p.stageDialer(site), want, p.store, p.stagecfg, p.reg)
+	for i, err := range errs {
+		if err != nil {
+			p.log.Warn("stage pull failed", "site", site, "name", refs[i].Name, "hash", refs[i].Hash, "err", err)
+		}
+	}
+	return errs
+}
+
+// PullBlob fetches one blob, of a size this proxy does not know, from a
+// peer site's store into this proxy's store.
 func (p *Proxy) PullBlob(ctx context.Context, site, hash string) error {
-	if p.store.Has(hash) {
-		p.reg.Counter(metrics.StageCacheHits).Inc()
-		p.log.Debug("stage cache hit", "site", site, "hash", hash)
-		return nil
-	}
-	p.reg.Counter(metrics.StageCacheMisses).Inc()
-	//lint:allow-wallclock monotonic transfer-duration measurement for the log; injected clocks have no monotonic reading
-	start := time.Now()
-	if err := stage.Pull(ctx, p.stageDialer(site), hash, p.store, p.stagecfg, p.reg); err != nil {
-		p.log.Warn("stage pull failed", "site", site, "hash", hash, "err", err)
-		return err
-	}
-	size, _ := p.store.Stat(hash)
-	//lint:allow-wallclock monotonic transfer-duration measurement for the log; injected clocks have no monotonic reading
-	p.log.Debug("stage pull complete", "site", site, "hash", hash, "bytes", size, "took", time.Since(start))
-	return nil
+	return p.pullRefs(ctx, site, []proto.StageRef{{Hash: hash}})[0]
 }
 
 // stageIn ensures every referenced blob is in the local store, pulling
-// the missing ones from origin. Destinations run this during
-// PrepareSpawn, so by the time the origin fans out CommitSpawn all
-// inputs are site-local and a warm cache transfers nothing.
+// the missing ones from origin in one plan. Destinations run this
+// during PrepareSpawn, so by the time the origin fans out CommitSpawn
+// all inputs are site-local and a warm cache transfers nothing.
 func (p *Proxy) stageIn(ctx context.Context, origin string, refs []proto.StageRef) error {
-	for _, ref := range refs {
-		if err := p.PullBlob(ctx, origin, ref.Hash); err != nil {
-			return fmt.Errorf("core: stage in %q: %w", ref.Name, err)
+	for i, err := range p.pullRefs(ctx, origin, refs) {
+		if err != nil {
+			return fmt.Errorf("core: stage in %q: %w", refs[i].Name, err)
 		}
 	}
 	return nil
 }
 
-// verifyStageRefs checks that every referenced blob is present in this
+// originStageRefs checks that every referenced blob is present in this
 // proxy's store — the origin-side precondition for launching a job with
-// staged inputs.
-func (p *Proxy) verifyStageRefs(refs []proto.StageRef) error {
-	for _, ref := range refs {
+// staged inputs — and returns the refs with Size restamped from the
+// store: destinations size their receive buffers from the refs, and the
+// sizes a client wrote into its submit are not to be trusted with that.
+func (p *Proxy) originStageRefs(refs []proto.StageRef) ([]proto.StageRef, error) {
+	out := make([]proto.StageRef, len(refs))
+	for i, ref := range refs {
 		if ref.Hash == "" {
-			return fmt.Errorf("core: stage ref %q has no hash", ref.Name)
+			return nil, fmt.Errorf("core: stage ref %q has no hash", ref.Name)
 		}
-		if !p.store.Has(ref.Hash) {
-			return fmt.Errorf("core: stage ref %q (%s) not in this site's store; put it first", ref.Name, ref.Hash)
+		size, ok := p.store.Stat(ref.Hash)
+		if !ok {
+			return nil, fmt.Errorf("core: stage ref %q (%s) not in this site's store; put it first", ref.Name, ref.Hash)
 		}
+		out[i] = ref
+		out[i].Size = size
 	}
-	return nil
+	return out, nil
 }
 
 // stageEnv builds the node.Env staging hooks for ranks of an app: Input
@@ -137,14 +164,21 @@ func (p *Proxy) JobOutputs(appID string) []proto.StageRef {
 }
 
 // pullOutputs fetches a completing job's published outputs back from
-// the reporting site, skipping blobs already held (a rank that ran
-// locally published straight into this store).
-func (p *Proxy) pullOutputs(ctx context.Context, site string, refs []proto.StageRef) {
-	for _, ref := range refs {
-		if err := p.PullBlob(ctx, site, ref.Hash); err != nil {
-			p.log.Warn("output pull failed", "site", site, "name", ref.Name, "err", err)
+// the reporting site in one plan, skipping blobs already held (a rank
+// that ran locally published straight into this store). It returns the
+// refs now in this store and an error naming the ones that are not.
+func (p *Proxy) pullOutputs(ctx context.Context, site string, refs []proto.StageRef) ([]proto.StageRef, error) {
+	var (
+		pulled []proto.StageRef
+		failed []error
+	)
+	for i, err := range p.pullRefs(ctx, site, refs) {
+		if err != nil {
+			failed = append(failed, fmt.Errorf("output %q: %w", refs[i].Name, err))
 			continue
 		}
+		pulled = append(pulled, refs[i])
 		p.reg.Counter(metrics.StageOutputs).Inc()
 	}
+	return pulled, errors.Join(failed...)
 }

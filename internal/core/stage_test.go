@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -127,7 +128,11 @@ func TestStagedLaunchWarmCache(t *testing.T) {
 	// Warm relaunch: everything is cached on both sides, so no payload
 	// bytes move and every stage lookup is a hit.
 	hitsBefore := reg.Counter(metrics.StageCacheHits).Value()
+	streamsBefore := reg.Counter(metrics.StageStreamsDialed).Value()
 	run("stage-job-2")
+	if delta := reg.Counter(metrics.StageStreamsDialed).Value() - streamsBefore; delta != 0 {
+		t.Errorf("warm relaunch opened %d stage streams, want 0", delta)
+	}
 	if delta := reg.Counter(metrics.StageBytesReceived).Value() - coldBytes; delta != 0 {
 		t.Errorf("warm relaunch transferred %d payload bytes, want 0", delta)
 	}
@@ -198,5 +203,107 @@ func TestLaunchRefusedWithoutStagedBlob(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("launch with unstaged blob succeeded, want refusal")
+	}
+}
+
+// TestStagedLaunchRestampsClientSizes: a submit arriving through the gate
+// carries whatever sizes the client wrote. The origin's store is the
+// authority: refs saying 0 bytes or the wrong number stage correctly,
+// because destinations size their buffers from restamped refs.
+func TestStagedLaunchRestampsClientSizes(t *testing.T) {
+	reg := metrics.NewRegistry()
+	tb := newStagedGrid(t, reg, stage.Config{ChunkSize: 16 << 10, Stripes: 2}, 1, 1)
+	inputs := map[string][]byte{"unsized": make([]byte, 96<<10), "missized": make([]byte, 40<<10)}
+	rand.New(rand.NewSource(17)).Read(inputs["unsized"])
+	rand.New(rand.NewSource(18)).Read(inputs["missized"])
+	tb.RegisterProgram("check-inputs", func(ctx context.Context, env node.Env) error {
+		for name, want := range inputs {
+			if data, ok := env.StagedInput(name); !ok || !bytes.Equal(data, want) {
+				return fmt.Errorf("rank %d: staged input %q missing or wrong", env.Rank, name)
+			}
+		}
+		return nil
+	})
+
+	origin := tb.Sites[0].Proxy
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	launch, err := origin.LaunchMPI(ctx, core.LaunchSpec{
+		Owner:   "admin",
+		Program: "check-inputs",
+		Procs:   2,
+		StageIn: []proto.StageRef{
+			{Name: "unsized", Hash: origin.Store().Put(inputs["unsized"]).Hash, Size: 0},
+			{Name: "missized", Hash: origin.Store().Put(inputs["missized"]).Hash, Size: 40<<10 + 5},
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := launch.Wait(ctx); err != nil {
+		t.Fatal(err)
+	}
+	// Both inputs came in one plan sized by the origin, two streams of
+	// 68 KiB each (the first input is cut at the boundary): no request
+	// went out only to learn a size.
+	if got := reg.Counter(metrics.StageRequests).Value(); got != 3 {
+		t.Errorf("stage.requests = %d, want 3", got)
+	}
+	if got := reg.Counter(metrics.StageStreamsDialed).Value(); got != 2 {
+		t.Errorf("stage.streams_dialed = %d, want 2", got)
+	}
+	if got := reg.Counter(metrics.StageBytesReceived).Value(); got != 136<<10 {
+		t.Errorf("stage.bytes_received = %d, want %d", got, 136<<10)
+	}
+}
+
+// TestUnpulledOutputFailsReport: a remote site advertises two outputs
+// and one of them cannot be pulled (every attempt arrives corrupted until
+// the retries run out). Launch.Wait returning means the recorded outputs
+// are local, so the origin records only the one it holds and the site's
+// report turns into a failure naming the other.
+func TestUnpulledOutputFailsReport(t *testing.T) {
+	// The corrupter spares writes under 128 bytes: the chunk frame of
+	// "keep" (36 + 6 bytes) passes, that of "lose" never does.
+	var corrupter failure.Corrupter
+	corrupter.Arm(1 << 20)
+	tb := newStagedGrid(t, metrics.NewRegistry(), stage.Config{
+		WrapConn: func(c net.Conn) net.Conn { return corrupter.Wrap(c) },
+	}, 1, 1)
+	tb.RegisterProgram("keep-lose", func(ctx context.Context, env node.Env) error {
+		if err := env.PublishOutput(fmt.Sprintf("keep-%d", env.Rank), []byte(fmt.Sprintf("keep %d", env.Rank))); err != nil {
+			return err
+		}
+		return env.PublishOutput(fmt.Sprintf("lose-%d", env.Rank), bytes.Repeat([]byte{byte(env.Rank)}, 4<<10))
+	})
+
+	origin := tb.Sites[0].Proxy
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	launch, err := origin.LaunchMPI(ctx, core.LaunchSpec{Owner: "admin", Program: "keep-lose", Procs: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var remote int
+	for rank, loc := range launch.Locations {
+		if loc.Site != tb.Sites[0].Name {
+			remote = rank
+		}
+	}
+	lost := fmt.Sprintf("lose-%d", remote)
+	err = launch.Wait(ctx)
+	if err == nil || !strings.Contains(err.Error(), lost) {
+		t.Fatalf("Wait = %v, want a failure naming output %q", err, lost)
+	}
+	var names []string
+	for _, out := range launch.Outputs() {
+		names = append(names, out.Name)
+		if !origin.Store().Has(out.Hash) {
+			t.Errorf("recorded output %q is not in the origin store", out.Name)
+		}
+	}
+	want := []string{"keep-0", "keep-1", fmt.Sprintf("lose-%d", 1-remote)}
+	if strings.Join(names, " ") != strings.Join(want, " ") {
+		t.Errorf("recorded outputs = %v, want %v", names, want)
 	}
 }

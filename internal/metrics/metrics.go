@@ -399,6 +399,12 @@ const (
 	// StageResumes counts transfers that restarted from a non-zero
 	// offset after a link drop instead of from byte 0.
 	StageResumes = "stage.resumes"
+	// StageStreamsDialed counts transfer streams a puller opened (first
+	// dials and redials after a link drop): with StageRequests, the round
+	// trips a pull plan spent.
+	StageStreamsDialed = "stage.streams_dialed"
+	// StageRequests counts get requests a puller wrote.
+	StageRequests = "stage.requests"
 	// StageEvictions counts blobs evicted by the LRU size cap.
 	StageEvictions = "stage.evictions"
 	// StagePulls counts whole-blob pulls completed from a remote store.

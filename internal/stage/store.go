@@ -33,7 +33,7 @@ import (
 const (
 	DefaultMaxBytes    = 256 << 20 // 256 MiB per-site cache
 	DefaultChunkSize   = 256 << 10 // 256 KiB checksummed chunks
-	DefaultStripes     = 4         // parallel streams per pull
+	DefaultStripes     = 4         // parallel streams per pull plan
 	DefaultIdleTimeout = 10 * time.Second
 	DefaultPullRetries = 4
 
@@ -55,14 +55,15 @@ type Config struct {
 	MaxBytes int64
 	// ChunkSize is the unit of transfer checksumming and retry.
 	ChunkSize int
-	// Stripes is how many parallel streams a pull spreads a blob over.
+	// Stripes is how many parallel streams a pull plan (all the blobs
+	// one PullAll is missing) spreads its bytes over.
 	Stripes int
 	// IdleTimeout bounds how long either end of a transfer waits on a
 	// single read or write before declaring the peer stalled. 0 means
 	// DefaultIdleTimeout, negative disables the deadline.
 	IdleTimeout time.Duration
 	// PullRetries bounds retry rounds (checksum re-requests, redials)
-	// per pull before it fails.
+	// per stream of a pull plan before the blobs it still misses fail.
 	PullRetries int
 	// WrapConn, when set, wraps every transfer connection on both the
 	// serving and pulling side. Fault-injection hook for tests; nil in

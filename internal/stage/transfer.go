@@ -9,6 +9,7 @@ import (
 	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"gridproxy/internal/metrics"
@@ -21,7 +22,6 @@ import (
 // the requested byte range:
 //
 //	request:  uint32 len | op u8, hash str, offset i64, length i64, chunk u32
-//	stat rsp: uint32 len | status u8, size i64
 //	get rsp:  uint32 len | status u8, size i64
 //	          then per chunk: uint32 n | sha256(chunk) 32B | n payload bytes
 //
@@ -29,8 +29,7 @@ import (
 // stays in sync even across a chunk whose checksum fails — the bad span
 // is recorded and re-requested after the response completes.
 const (
-	opGet  = 1
-	opStat = 2
+	opGet = 1
 
 	statusOK       = 0
 	statusNotFound = 1
@@ -114,15 +113,6 @@ func Serve(conn net.Conn, store *Store, cfg Config, reg *metrics.Registry) error
 			return writeFrame(conn, cfg.IdleTimeout, statusFrame(statusBad, 0))
 		}
 		switch op {
-		case opStat:
-			size, ok := store.Stat(hash)
-			st := byte(statusOK)
-			if !ok {
-				st = statusNotFound
-			}
-			if err := writeFrame(conn, cfg.IdleTimeout, statusFrame(st, size)); err != nil {
-				return err
-			}
 		case opGet:
 			if err := serveGet(conn, store, cfg, reg, hash, offset, length, chunk); err != nil {
 				return err
@@ -166,7 +156,7 @@ func serveGet(conn net.Conn, store *Store, cfg Config, reg *metrics.Registry, ha
 		return writeFrame(conn, cfg.IdleTimeout, statusFrame(statusBad, size))
 	}
 	end := size
-	if length > 0 && offset+length < size {
+	if length > 0 && length < size-offset {
 		end = offset + length
 	}
 	if err := writeFrame(conn, cfg.IdleTimeout, statusFrame(statusOK, size)); err != nil {
@@ -216,298 +206,386 @@ func serveGet(conn net.Conn, store *Store, cfg Config, reg *metrics.Registry, ha
 	return nil
 }
 
-// Dialer opens a fresh transfer connection to the serving site. Pull
-// calls it once per stripe and again after a link drop to resume.
+// Dialer opens a fresh transfer connection to the serving site. A pull
+// plan calls it once per stream and again after a link drop to resume.
 type Dialer func(ctx context.Context) (net.Conn, error)
 
-// span is a half-open byte range [off, end) still missing from a pull.
-type span struct{ off, end int64 }
+// ErrSizeMismatch reports that the serving store holds a blob at a
+// different size than the ref that named it.
+var ErrSizeMismatch = errors.New("stage: blob size differs from its ref")
 
-// Stat asks the remote store for a blob's size over a fresh connection.
-func Stat(ctx context.Context, dial Dialer, hash string, cfg Config) (int64, bool, error) {
-	cfg = cfg.WithDefaults()
-	conn, err := dialWrapped(ctx, dial, cfg)
-	if err != nil {
-		return 0, false, err
-	}
-	defer conn.Close()
-	size, ok, err := statOn(conn, hash, cfg)
-	return size, ok, err
+// maxPipelined bounds how many requests a stream writes before it reads
+// their responses. A server answers in order and stops reading while it
+// writes, so requests beyond what the transport buffers would block the
+// puller's write against the server's; 32 requests are under 3 KiB.
+const maxPipelined = 32
+
+// span is a half-open byte range [off, end) of one blob still missing
+// from a pull plan: the unit of request, retry and resume.
+type span struct {
+	b        *pullBlob
+	off, end int64
 }
 
-func dialWrapped(ctx context.Context, dial Dialer, cfg Config) (net.Conn, error) {
-	conn, err := dial(ctx)
-	if err != nil {
-		return nil, err
-	}
-	if cfg.WrapConn != nil {
-		conn = cfg.WrapConn(conn)
-	}
-	return conn, nil
+// pullBlob is one distinct blob of a pull plan. size and buf are set
+// before any span of the blob is in flight: from the ref, or by the one
+// leading span that learns the size from its get header (the blob's
+// other spans are only dealt in the wave after that).
+type pullBlob struct {
+	hash string
+	refs []int        // indices of the plan's refs that name this blob
+	size int64        // -1 until known
+	buf  []byte       // spans of different streams fill disjoint ranges
+	left atomic.Int64 // bytes not yet received and verified
+
+	mu  sync.Mutex
+	err error // first failure; a failed blob's spans are dropped, not retried
 }
 
-func statOn(conn net.Conn, hash string, cfg Config) (int64, bool, error) {
-	req := []byte{opStat}
-	req = wire.AppendString(req, hash)
-	req = wire.AppendInt64(req, 0)
-	req = wire.AppendInt64(req, 0)
-	req = wire.AppendUint32(req, 0)
-	if err := writeFrame(conn, cfg.IdleTimeout, req); err != nil {
-		return 0, false, err
+func (b *pullBlob) fail(err error) {
+	b.mu.Lock()
+	if b.err == nil {
+		b.err = err
 	}
-	rsp, err := readFrame(conn, cfg.IdleTimeout, maxRequestFrame)
-	if err != nil {
-		return 0, false, err
-	}
-	buf := wire.NewBuffer(rsp)
-	status := buf.Uint8()
-	size := buf.Int64()
-	if err := buf.Err(); err != nil {
-		return 0, false, err
-	}
-	switch status {
-	case statusOK:
-		return size, true, nil
-	case statusNotFound:
-		return 0, false, nil
-	default:
-		return 0, false, fmt.Errorf("stage: stat rejected (status %d)", status)
-	}
+	b.mu.Unlock()
 }
 
-// Pull fetches the blob named by hash from a remote store into dst,
-// striping the byte range over parallel connections, verifying every
-// chunk checksum, re-requesting corrupt chunks, and resuming from the
-// bytes already received if a connection drops mid-transfer. On success
-// the reassembled blob is verified against hash before entering dst.
+func (b *pullBlob) failure() error {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.err
+}
+
+func (b *pullBlob) setSize(size int64) {
+	b.size = size
+	b.buf = make([]byte, size)
+	b.left.Store(size)
+}
+
+// pullPlan is the state one PullAll shares between its streams.
+type pullPlan struct {
+	dial Dialer
+	dst  *Store
+	cfg  Config
+	reg  *metrics.Registry
+
+	mu sync.Mutex
+	// discovered collects the spans behind the leading chunk of blobs
+	// whose size the current wave learned; they form the next wave.
+	discovered []span
+}
+
+// Pull fetches the one blob named by hash, its size unknown: PullAll of
+// a single ref without a size.
 func Pull(ctx context.Context, dial Dialer, hash string, dst *Store, cfg Config, reg *metrics.Registry) error {
-	cfg = cfg.WithDefaults()
-	// The opening stat shares the transfer's retry budget so a stalled
-	// or flaky peer at the very first byte is handled like one mid-blob.
-	var (
-		conn net.Conn
-		size int64
-	)
-	for round := 0; ; round++ {
-		c, err := dialWrapped(ctx, dial, cfg)
-		if err == nil {
-			var ok bool
-			size, ok, err = statOn(c, hash, cfg)
-			if err == nil && !ok {
-				c.Close()
-				return fmt.Errorf("stage: pull %s: %w", short(hash), ErrNotFound)
-			}
-			if err == nil {
-				conn = c
-				break
-			}
-			c.Close()
-		}
-		if round >= cfg.PullRetries {
-			return fmt.Errorf("stage: stat %s: %w", short(hash), err)
-		}
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-	}
-	if size == 0 {
-		conn.Close()
-		return dst.PutHashed(hash, nil)
-	}
-
-	buf := make([]byte, size)
-	stripes := stripeRanges(size, int64(cfg.ChunkSize), cfg.Stripes)
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
-	for i, sp := range stripes {
-		wg.Add(1)
-		// The stat connection is reused for the first stripe; the rest
-		// dial their own stream.
-		var c net.Conn
-		if i == 0 {
-			c = conn
-		}
-		go func(sp span, c net.Conn) {
-			defer wg.Done()
-			err := pullRange(ctx, dial, c, hash, buf, sp, cfg, reg)
-			mu.Lock()
-			if err != nil && firstErr == nil {
-				firstErr = err
-			}
-			mu.Unlock()
-		}(sp, c)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return fmt.Errorf("stage: pull %s: %w", short(hash), firstErr)
-	}
-	if err := dst.PutHashed(hash, buf); err != nil {
-		return err
-	}
-	reg.Counter(metrics.StagePulls).Inc()
-	return nil
+	return PullAll(ctx, dial, []FileRef{{Hash: hash}}, dst, cfg, reg)[0]
 }
 
-// stripeRanges splits [0, size) into up to stripes contiguous ranges of
-// at least one chunk each, so tiny blobs do not fan out into empty
-// streams.
-func stripeRanges(size, chunk int64, stripes int) []span {
-	if int64(stripes) > (size+chunk-1)/chunk {
-		stripes = int((size + chunk - 1) / chunk)
+// PullAll brings every blob refs name into dst under one plan and
+// returns one error per ref (nil where the blob is now in dst). Refs dst
+// already holds are cache hits and cost nothing. The bytes of the
+// missing blobs are laid end to end, cut into spans and dealt over at
+// most cfg.Stripes streams, all dialed at once; each stream writes the
+// get requests of its spans back to back and then reads the responses
+// in order, so a plan costs one open and one request round trip however
+// many blobs it names. Every chunk checksum is verified, corrupt chunks
+// are re-requested, a dropped stream redials and resumes from the bytes
+// already received, and each reassembled blob is verified against its
+// hash before it enters dst — one blob failing leaves the others whole.
+//
+// Sizes come from the refs. A ref with Size <= 0 is of unknown size: its
+// leading chunk is requested first, the header of that response carries
+// the size, and the rest of the blob follows in a second wave on the
+// same streams.
+func PullAll(ctx context.Context, dial Dialer, refs []FileRef, dst *Store, cfg Config, reg *metrics.Registry) []error {
+	cfg = cfg.WithDefaults()
+	errs := make([]error, len(refs))
+	var (
+		blobs  []*pullBlob
+		byHash map[string]*pullBlob
+		wave   []span
+	)
+	for i, ref := range refs {
+		if b, ok := byHash[ref.Hash]; ok {
+			// A second name for a blob this plan already fetches moves no
+			// bytes of its own.
+			b.refs = append(b.refs, i)
+			reg.Counter(metrics.StageCacheHits).Inc()
+			continue
+		}
+		if dst.Has(ref.Hash) {
+			reg.Counter(metrics.StageCacheHits).Inc()
+			continue
+		}
+		reg.Counter(metrics.StageCacheMisses).Inc()
+		b := &pullBlob{hash: ref.Hash, refs: []int{i}, size: -1}
+		lead := int64(cfg.ChunkSize)
+		if ref.Size > 0 {
+			b.setSize(ref.Size)
+			lead = ref.Size
+		}
+		if byHash == nil {
+			byHash = make(map[string]*pullBlob)
+		}
+		byHash[ref.Hash] = b
+		blobs = append(blobs, b)
+		wave = append(wave, span{b, 0, lead})
+	}
+
+	if len(wave) == 0 {
+		return errs
+	}
+
+	pl := &pullPlan{dial: dial, dst: dst, cfg: cfg, reg: reg}
+	// Streams stay open between waves: the one that learned a size also
+	// carries its share of the remainder.
+	conns := make([]net.Conn, cfg.Stripes)
+	for len(wave) > 0 {
+		shares := dealSpans(wave, int64(cfg.ChunkSize), cfg.Stripes)
+		var wg sync.WaitGroup
+		for i := range shares {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				conns[i] = pl.pullShare(ctx, conns[i], shares[i])
+			}(i)
+		}
+		wg.Wait()
+		wave, pl.discovered = pl.discovered, nil
+	}
+	for _, conn := range conns {
+		if conn != nil {
+			conn.Close()
+		}
+	}
+	for _, b := range blobs {
+		if err := b.failure(); err != nil {
+			for _, i := range b.refs {
+				errs[i] = fmt.Errorf("stage: pull %s: %w", short(b.hash), err)
+			}
+		}
+	}
+	return errs
+}
+
+// dealSpans lays a wave's spans end to end and cuts the run into up to
+// stripes contiguous shares of at least one chunk each, one per stream:
+// a big blob fans out, a plan of many tiny blobs rides one stream. A
+// span is split where a share boundary falls inside it.
+func dealSpans(spans []span, chunk int64, stripes int) [][]span {
+	var total int64
+	for _, sp := range spans {
+		total += sp.end - sp.off
+	}
+	if n := (total + chunk - 1) / chunk; int64(stripes) > n {
+		stripes = int(n)
 	}
 	if stripes < 1 {
 		stripes = 1
 	}
-	per := size / int64(stripes)
-	var out []span
-	off := int64(0)
-	for i := 0; i < stripes; i++ {
-		end := off + per
-		if i == stripes-1 {
-			end = size
+	per := total / int64(stripes)
+	shares := make([][]span, stripes)
+	i, room := 0, per
+	for _, sp := range spans {
+		for i < stripes-1 && sp.end-sp.off >= room {
+			if room > 0 {
+				shares[i] = append(shares[i], span{sp.b, sp.off, sp.off + room})
+				sp.off += room
+			}
+			i, room = i+1, per
 		}
-		out = append(out, span{off, end})
-		off = end
+		if sp.off < sp.end {
+			shares[i] = append(shares[i], sp)
+			room -= sp.end - sp.off
+		}
 	}
-	return out
+	return shares
 }
 
-// pullRange fetches one stripe's byte range, retrying corrupt chunks
-// and redialing after link drops until the range is complete or the
-// retry budget runs out. conn, if non-nil, is an already-open
-// connection to use first.
-func pullRange(ctx context.Context, dial Dialer, conn net.Conn, hash string, buf []byte, sp span, cfg Config, reg *metrics.Registry) error {
-	defer func() {
-		if conn != nil {
-			conn.Close()
+// pullShare fetches one stream's share of a wave, re-requesting corrupt
+// chunks and redialing after link drops until every span is complete,
+// its blob has failed, or the retry budget runs out (which fails the
+// blobs still missing). conn, if non-nil, is the stream's connection
+// from the previous wave; the connection is returned for the next one.
+func (pl *pullPlan) pullShare(ctx context.Context, conn net.Conn, missing []span) net.Conn {
+	var (
+		received int64
+		lastErr  error
+	)
+	for round := 0; ; round++ {
+		live := missing[:0:0]
+		for _, sp := range missing {
+			if sp.b.failure() == nil {
+				live = append(live, sp)
+			}
 		}
-	}()
-	missing := []span{sp}
-	received := int64(0)
-	var lastErr error
-	for round := 0; len(missing) > 0; round++ {
-		if round > cfg.PullRetries {
+		missing = live
+		if len(missing) == 0 {
+			return conn
+		}
+		err := ctx.Err()
+		if err == nil && round > pl.cfg.PullRetries {
 			if lastErr == nil {
 				lastErr = errors.New("checksum retries exhausted")
 			}
-			return fmt.Errorf("range [%d,%d) incomplete after %d rounds: %w", sp.off, sp.end, round, lastErr)
+			err = fmt.Errorf("incomplete after %d rounds: %w", round, lastErr)
 		}
-		if err := ctx.Err(); err != nil {
-			return err
+		if err != nil {
+			for _, sp := range missing {
+				sp.b.fail(err)
+			}
+			return conn
 		}
 		if conn == nil {
-			var err error
-			conn, err = dialWrapped(ctx, dial, cfg)
+			conn, err = pl.dial(ctx)
 			if err != nil {
-				lastErr = err
+				conn, lastErr = nil, err
 				continue
 			}
+			if pl.cfg.WrapConn != nil {
+				conn = pl.cfg.WrapConn(conn)
+			}
+			pl.reg.Counter(metrics.StageStreamsDialed).Inc()
 			if received > 0 {
 				// A redial with bytes in hand is a resume, not a
-				// restart: the request below carries the offset.
-				reg.Counter(metrics.StageResumes).Inc()
+				// restart: the requests below carry the offsets.
+				pl.reg.Counter(metrics.StageResumes).Inc()
 			}
 		}
 		if round > 0 {
-			reg.Counter(metrics.StageChunkRetries).Add(int64(len(missing)))
+			pl.reg.Counter(metrics.StageChunkRetries).Add(int64(len(missing)))
 		}
-		var next []span
-		for i, m := range missing {
-			bad, got, err := requestRange(conn, hash, m, buf, cfg, reg)
-			received += got
-			next = append(next, bad...)
-			if err != nil {
-				// Link dropped mid-response: everything not yet read
-				// in this and later spans is still missing.
-				if got > 0 || len(bad) > 0 {
-					rem := m.off + got
-					for _, b := range bad {
-						rem += b.end - b.off
-					}
-					if rem < m.end {
-						next = append(next, span{rem, m.end})
-					}
-				} else {
-					next = append(next, m)
-				}
-				next = append(next, missing[i+1:]...)
-				conn.Close()
-				conn = nil
-				lastErr = err
-				break
-			}
+		var got int64
+		missing, got, err = pl.exchange(conn, missing)
+		received += got
+		if err != nil {
+			conn.Close()
+			conn, lastErr = nil, err
 		}
-		missing = next
 	}
-	return nil
 }
 
-// requestRange issues one get for [m.off, m.end) on conn and reads the
-// chunk stream into buf. It returns the spans of chunks that failed
-// their checksum, the verified byte count (contiguous from m.off until
-// the first bad chunk, then continuing after it), and a non-nil error
-// only when the connection itself broke.
-func requestRange(conn net.Conn, hash string, m span, buf []byte, cfg Config, reg *metrics.Registry) ([]span, int64, error) {
-	req := []byte{opGet}
-	req = wire.AppendString(req, hash)
-	req = wire.AppendInt64(req, m.off)
-	req = wire.AppendInt64(req, m.end-m.off)
-	req = wire.AppendUint32(req, uint32(cfg.ChunkSize))
-	if err := writeFrame(conn, cfg.IdleTimeout, req); err != nil {
-		return nil, 0, err
+// exchange runs one turn on conn: the get requests of spans go out back
+// to back (at most maxPipelined at a time), then the responses are read
+// in order. It returns the spans still missing — corrupt chunks, and
+// after a broken connection everything not yet read — the bytes
+// verified, and a non-nil error only when the connection is unusable.
+func (pl *pullPlan) exchange(conn net.Conn, spans []span) (missing []span, got int64, err error) {
+	for len(spans) > 0 {
+		batch := spans[:min(len(spans), maxPipelined)]
+		spans = spans[len(batch):]
+		for _, sp := range batch {
+			req := []byte{opGet}
+			req = wire.AppendString(req, sp.b.hash)
+			req = wire.AppendInt64(req, sp.off)
+			req = wire.AppendInt64(req, sp.end-sp.off)
+			req = wire.AppendUint32(req, uint32(pl.cfg.ChunkSize))
+			if err := writeFrame(conn, pl.cfg.IdleTimeout, req); err != nil {
+				return append(append(missing, batch...), spans...), got, err
+			}
+		}
+		pl.reg.Counter(metrics.StageRequests).Add(int64(len(batch)))
+		for i, sp := range batch {
+			rest, n, err := pl.readResponse(conn, sp)
+			got += n
+			missing = append(missing, rest...)
+			if err != nil {
+				return append(append(missing, batch[i+1:]...), spans...), got, err
+			}
+		}
 	}
-	hdr, err := readFrame(conn, cfg.IdleTimeout, maxRequestFrame)
+	return missing, got, nil
+}
+
+// readResponse reads the response to the get for sp into its blob's
+// buffer. It returns what of sp is still missing — the chunks that
+// failed their checksum, and after an error the part not yet read — the
+// bytes verified, and a non-nil error only when the connection broke or
+// lost framing. A response that refuses the blob fails it and leaves
+// the stream in sync.
+func (pl *pullPlan) readResponse(conn net.Conn, sp span) (missing []span, got int64, err error) {
+	b := sp.b
+	hdr, err := readFrame(conn, pl.cfg.IdleTimeout, maxRequestFrame)
 	if err != nil {
-		return nil, 0, err
+		return []span{sp}, 0, err
 	}
 	hb := wire.NewBuffer(hdr)
 	status := hb.Uint8()
-	hb.Int64() // total blob size; the puller already knows it
+	size := hb.Int64()
 	if err := hb.Err(); err != nil {
+		return []span{sp}, 0, err
+	}
+	switch {
+	case status == statusNotFound:
+		b.fail(ErrNotFound)
+		return nil, 0, nil
+	case size < 0:
+		return []span{sp}, 0, fmt.Errorf("stage: get header announces %d bytes", size)
+	case b.size >= 0 && size != b.size:
+		// Whatever follows covers a range this plan did not size its
+		// buffer for; the stream cannot be followed further.
+		err := fmt.Errorf("%w: ref says %d bytes, the serving store %d", ErrSizeMismatch, b.size, size)
+		b.fail(err)
 		return nil, 0, err
+	case status != statusOK:
+		b.fail(fmt.Errorf("stage: get rejected (status %d)", status))
+		return nil, 0, nil
+	case b.size < 0:
+		// The leading span of a blob of unknown size: its header is
+		// where the size comes from.
+		b.setSize(size)
+		if size == 0 {
+			pl.finish(b)
+		}
+		if size > sp.end {
+			pl.mu.Lock()
+			pl.discovered = append(pl.discovered, span{b, sp.end, size})
+			pl.mu.Unlock()
+		}
+		sp.end = min(sp.end, size)
 	}
-	if status == statusNotFound {
-		return nil, 0, ErrNotFound
-	}
-	if status != statusOK {
-		return nil, 0, fmt.Errorf("stage: get rejected (status %d)", status)
-	}
-	var (
-		bad      []span
-		verified int64
-		chdr     [4 + sha256.Size]byte
-	)
-	for pos := m.off; pos < m.end; {
-		armRead(conn, cfg.IdleTimeout)
+	var chdr [4 + sha256.Size]byte
+	for pos := sp.off; pos < sp.end; {
+		unread := span{b, pos, sp.end}
+		armRead(conn, pl.cfg.IdleTimeout)
 		if _, err := io.ReadFull(conn, chdr[:]); err != nil {
-			return bad, verified, err
+			return append(missing, unread), got, err
 		}
 		n := int64(binary.BigEndian.Uint32(chdr[:4]))
-		if n <= 0 || pos+n > m.end || n > maxChunkSize {
-			return bad, verified, fmt.Errorf("stage: bad chunk length %d at offset %d", n, pos)
+		if n <= 0 || pos+n > sp.end || n > maxChunkSize {
+			return append(missing, unread), got, fmt.Errorf("stage: bad chunk length %d at offset %d", n, pos)
 		}
-		armRead(conn, cfg.IdleTimeout)
-		if _, err := io.ReadFull(conn, buf[pos:pos+n]); err != nil {
-			return bad, verified, err
+		armRead(conn, pl.cfg.IdleTimeout)
+		if _, err := io.ReadFull(conn, b.buf[pos:pos+n]); err != nil {
+			return append(missing, unread), got, err
 		}
-		sum := sha256.Sum256(buf[pos : pos+n])
-		if [sha256.Size]byte(chdr[4:]) != sum {
+		if [sha256.Size]byte(chdr[4:]) != sha256.Sum256(b.buf[pos:pos+n]) {
 			// The chunk is framed correctly but its payload is wrong:
 			// record the span and keep reading — the stream is still
 			// in sync, so later chunks are usable and only this span
 			// is re-requested.
-			reg.Counter(metrics.StageCorruptChunks).Inc()
-			bad = append(bad, span{pos, pos + n})
+			pl.reg.Counter(metrics.StageCorruptChunks).Inc()
+			missing = append(missing, span{b, pos, pos + n})
 		} else {
-			reg.Counter(metrics.StageBytesReceived).Add(n)
-			verified += n
+			pl.reg.Counter(metrics.StageBytesReceived).Add(n)
+			got += n
+			if b.left.Add(-n) == 0 {
+				pl.finish(b)
+			}
 		}
 		pos += n
 	}
-	return bad, verified, nil
+	return missing, got, nil
+}
+
+// finish moves a fully received blob into the store, on the stream that
+// read its last byte, so one blob's hashing overlaps the others' bytes.
+func (pl *pullPlan) finish(b *pullBlob) {
+	if err := pl.dst.PutHashed(b.hash, b.buf); err != nil {
+		b.fail(err)
+		return
+	}
+	pl.reg.Counter(metrics.StagePulls).Inc()
 }
 
 func short(hash string) string {

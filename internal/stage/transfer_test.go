@@ -12,18 +12,34 @@ import (
 
 	"gridproxy/internal/failure"
 	"gridproxy/internal/metrics"
+	"gridproxy/internal/transport"
 )
 
 // pipeDialer returns a Dialer whose every connection is the client end
-// of a net.Pipe served from src. wrap, if non-nil, wraps the server end
-// (fault injection).
+// of an in-memory connection served from src. wrap, if non-nil, wraps
+// the server end (fault injection). The connections buffer a few dozen
+// writes each way, as a tunnel stream's window does: a puller pipelines
+// requests, which an unbuffered net.Pipe would deadlock against the
+// server's first response.
 func pipeDialer(src *Store, serveCfg Config, reg *metrics.Registry, wrap func(net.Conn) net.Conn) Dialer {
+	netw := transport.NewMemNetwork()
+	ln, err := netw.Listen("src")
+	if err != nil {
+		panic(err)
+	}
+	cfg := serveCfg
+	cfg.WrapConn = wrap
+	go func() {
+		for {
+			server, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go Serve(server, src, cfg, reg)
+		}
+	}()
 	return func(ctx context.Context) (net.Conn, error) {
-		client, server := net.Pipe()
-		cfg := serveCfg
-		cfg.WrapConn = wrap
-		go Serve(server, src, cfg, reg)
-		return client, nil
+		return netw.Dial(ctx, "src")
 	}
 }
 
@@ -199,32 +215,47 @@ func TestPullRecoversAfterStallHeals(t *testing.T) {
 	}
 }
 
-func TestStripeRanges(t *testing.T) {
+func TestDealSpans(t *testing.T) {
 	cases := []struct {
-		size, chunk int64
-		stripes     int
-		want        int
+		sizes   []int64
+		chunk   int64
+		stripes int
+		want    int
 	}{
-		{100, 64, 4, 2}, // only two chunks of data: two stripes
-		{10, 64, 4, 1},  // sub-chunk blob: one stripe
-		{1 << 20, 1 << 16, 4, 4},
+		{[]int64{100}, 64, 4, 2}, // only two chunks of data: two shares
+		{[]int64{10}, 64, 4, 1},  // sub-chunk blob: one share
+		{[]int64{1 << 20}, 1 << 16, 4, 4},
+		{[]int64{4 << 20, 4 << 20}, 256 << 10, 4, 4},       // two blobs, two shares each
+		{[]int64{4096, 4096, 4096, 4096}, 256 << 10, 4, 1}, // tiny blobs ride one stream
+		{[]int64{1 << 20, 10, 3 << 20, 7}, 1 << 16, 3, 3},  // cuts fall inside blobs
 	}
 	for _, c := range cases {
-		got := stripeRanges(c.size, c.chunk, c.stripes)
-		if len(got) != c.want {
-			t.Fatalf("stripeRanges(%d,%d,%d) = %d ranges, want %d", c.size, c.chunk, c.stripes, len(got), c.want)
+		var spans []span
+		for _, size := range c.sizes {
+			spans = append(spans, span{&pullBlob{}, 0, size})
 		}
-		var covered int64
-		prev := int64(0)
-		for _, sp := range got {
-			if sp.off != prev || sp.end < sp.off {
-				t.Fatalf("ranges not contiguous: %+v", got)
+		shares := dealSpans(spans, c.chunk, c.stripes)
+		if len(shares) != c.want {
+			t.Fatalf("dealSpans(%v,%d,%d) = %d shares, want %d", c.sizes, c.chunk, c.stripes, len(shares), c.want)
+		}
+		// Read back in order, the shares are the input spans again:
+		// contiguous per blob, nothing lost, nothing empty.
+		i, pos := 0, int64(0)
+		for _, share := range shares {
+			if len(share) == 0 {
+				t.Fatalf("dealSpans(%v,%d,%d) left a share empty", c.sizes, c.chunk, c.stripes)
 			}
-			covered += sp.end - sp.off
-			prev = sp.end
+			for _, sp := range share {
+				if sp.b != spans[i].b || sp.off != pos || sp.end <= sp.off || sp.end > spans[i].end {
+					t.Fatalf("dealSpans(%v,%d,%d): span [%d,%d) does not continue blob %d at %d", c.sizes, c.chunk, c.stripes, sp.off, sp.end, i, pos)
+				}
+				if pos = sp.end; pos == spans[i].end {
+					i, pos = i+1, 0
+				}
+			}
 		}
-		if covered != c.size {
-			t.Fatalf("ranges cover %d bytes, want %d", covered, c.size)
+		if i != len(spans) {
+			t.Fatalf("dealSpans(%v,%d,%d) covered %d of %d blobs", c.sizes, c.chunk, c.stripes, i, len(spans))
 		}
 	}
 }
