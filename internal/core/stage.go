@@ -5,9 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"time"
 
-	"gridproxy/internal/logging"
 	"gridproxy/internal/metrics"
 	"gridproxy/internal/proto"
 	"gridproxy/internal/stage"
@@ -44,23 +42,13 @@ func (p *Proxy) pullRefs(ctx context.Context, site string, refs []proto.StageRef
 	for i, ref := range refs {
 		want[i] = stage.FileRef(ref)
 	}
-	if p.log.Enabled(logging.LevelDebug) {
-		// No daemon exports its counters yet, so this line is how an
-		// operator tells a cold stage-in from a warm one.
-		var cold int
-		for _, ref := range refs {
-			if !p.store.Has(ref.Hash) {
-				cold++
-			}
-		}
-		//lint:allow-wallclock monotonic transfer-duration measurement for the log; injected clocks have no monotonic reading
-		start := time.Now()
-		defer func() {
-			//lint:allow-wallclock monotonic transfer-duration measurement for the log; injected clocks have no monotonic reading
-			p.log.Debug("stage plan complete", "site", site, "refs", len(refs), "cold", cold, "took", time.Since(start))
-		}()
-	}
+	misses := p.reg.Counter(metrics.StageCacheMisses)
+	before := misses.Value()
 	errs := stage.PullAll(ctx, p.stageDialer(site), want, p.store, p.stagecfg, p.reg)
+	// No daemon exports its counters yet, so this line is how an operator
+	// tells a cold stage-in from a warm one (plans that run at the same
+	// time share the counter).
+	p.log.Debug("stage plan complete", "site", site, "refs", len(refs), "cold", misses.Value()-before)
 	for i, err := range errs {
 		if err != nil {
 			p.log.Warn("stage pull failed", "site", site, "name", refs[i].Name, "hash", refs[i].Hash, "err", err)

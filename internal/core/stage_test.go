@@ -257,6 +257,56 @@ func TestStagedLaunchRestampsClientSizes(t *testing.T) {
 	}
 }
 
+// TestStagedLaunchEmptyBlobs: an empty input beside a small one, and an
+// empty output beside a small one, cross the sites. The origin's honest
+// size for them is 0, which a pull plan otherwise reads as "unknown".
+func TestStagedLaunchEmptyBlobs(t *testing.T) {
+	tb := newStagedGrid(t, metrics.NewRegistry(), stage.Config{Stripes: 4}, 1, 1)
+	small := make([]byte, 100)
+	rand.New(rand.NewSource(19)).Read(small)
+	tb.RegisterProgram("empties", func(ctx context.Context, env node.Env) error {
+		if data, ok := env.StagedInput("small"); !ok || !bytes.Equal(data, small) {
+			return fmt.Errorf("rank %d: staged input \"small\" missing or wrong", env.Rank)
+		}
+		if data, ok := env.StagedInput("empty"); !ok || len(data) != 0 {
+			return fmt.Errorf("rank %d: staged input \"empty\" missing or wrong", env.Rank)
+		}
+		if err := env.PublishOutput(fmt.Sprintf("none-%d", env.Rank), nil); err != nil {
+			return err
+		}
+		return env.PublishOutput(fmt.Sprintf("some-%d", env.Rank), []byte(fmt.Sprintf("ok %d", env.Rank)))
+	})
+
+	origin := tb.Sites[0].Proxy
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	smallRef, emptyRef := origin.Store().Put(small), origin.Store().Put(nil)
+	launch, err := origin.LaunchMPI(ctx, core.LaunchSpec{
+		Owner:   "admin",
+		Program: "empties",
+		Procs:   2,
+		StageIn: []proto.StageRef{
+			{Name: "small", Hash: smallRef.Hash, Size: smallRef.Size},
+			{Name: "empty", Hash: emptyRef.Hash, Size: emptyRef.Size},
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := launch.Wait(ctx); err != nil {
+		t.Fatal(err)
+	}
+	outputs := launch.Outputs()
+	if len(outputs) != 4 {
+		t.Fatalf("recorded %d outputs, want 4: %v", len(outputs), outputs)
+	}
+	for _, ref := range outputs {
+		if !origin.Store().Has(ref.Hash) {
+			t.Errorf("output %q is not in the origin store", ref.Name)
+		}
+	}
+}
+
 // TestUnpulledOutputFailsReport: a remote site advertises two outputs
 // and one of them cannot be pulled (every attempt arrives corrupted until
 // the retries run out). Launch.Wait returning means the recorded outputs

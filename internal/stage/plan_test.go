@@ -8,6 +8,7 @@ import (
 	"errors"
 	"math/rand"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -247,7 +248,73 @@ func TestPullUnknownSizeEmptyAndSubChunk(t *testing.T) {
 		}
 		wantBlob(t, dst, refs[i], blobs[i])
 	}
-	wantCounter(t, reg, metrics.StageRequests, 2)
+	wantCounter(t, reg, metrics.StageRequests, 1) // the empty blob is known by its hash
+}
+
+// TestPullAllEmptyAndUnknownBesideKnown: the leading span of a blob of
+// unknown size stays one request on one stream although the share
+// boundary of a plan that also carries small sized blobs falls inside
+// it, and the empty blob, whose trusted size of 0 reads as unknown,
+// costs no request at all. (Split, the lead span had two streams size
+// one buffer, and the one that asked past offset 0 was refused.)
+func TestPullAllEmptyAndUnknownBesideKnown(t *testing.T) {
+	reg := metrics.NewRegistry()
+	src, _ := NewStore(Config{}, nil)
+	dst, _ := NewStore(Config{}, reg)
+	blobs := [][]byte{seededBlob(15, 100), nil, seededBlob(16, 200<<10), seededBlob(17, 300)}
+	var refs []FileRef
+	for _, data := range blobs {
+		refs = append(refs, src.Put(data))
+	}
+	refs[2].Size = 0
+
+	cfg := Config{ChunkSize: 64 << 10, Stripes: 4, IdleTimeout: 2 * time.Second}
+	rec := newStreamRecorder(pipeDialer(src, cfg, nil, nil), 0)
+	for i, err := range PullAll(context.Background(), rec.dial, refs, dst, cfg, reg) {
+		if err != nil {
+			t.Fatalf("ref %d: %v", i, err)
+		}
+		wantBlob(t, dst, refs[i], blobs[i])
+	}
+	rec.wantOnlyGets(t)
+	wantCounter(t, reg, metrics.StageBytesReceived, 100+200<<10+300)
+	wantCounter(t, reg, metrics.StageChunkRetries, 0)
+	wantCounter(t, reg, metrics.StagePulls, 4)
+}
+
+// TestPullAllRefusalIsNotSizeMismatch: a refusal that carries no size
+// (the answer to a request the server could not read) fails its blob as
+// a refusal, not as a size mismatch with the ref, and leaves the stream
+// in sync for the blob behind it.
+func TestPullAllRefusalIsNotSizeMismatch(t *testing.T) {
+	src, _ := NewStore(Config{}, nil)
+	dst, _ := NewStore(Config{}, nil)
+	blobs := [][]byte{seededBlob(18, 3000), seededBlob(19, 2000)}
+	refs := []FileRef{src.Put(blobs[0]), src.Put(blobs[1])}
+
+	cfg := Config{ChunkSize: 1 << 10, Stripes: 1, IdleTimeout: 2 * time.Second}
+	answer := &scriptConn{in: bytes.NewReader(fuzzGet(nil, refs[1].Hash, 0, 2000, 1<<10))}
+	if err := Serve(answer, src, cfg, nil); err != nil {
+		t.Fatal(err)
+	}
+	script := append([]byte{0, 0, 0, 9}, statusFrame(statusBad, 0)...)
+	script = append(script, answer.out.Bytes()...)
+	dials := 0
+	dial := func(context.Context) (net.Conn, error) {
+		dials++
+		return &scriptConn{in: bytes.NewReader(script)}, nil
+	}
+	errs := PullAll(context.Background(), dial, refs, dst, cfg, nil)
+	if errs[0] == nil || errors.Is(errs[0], ErrSizeMismatch) || !strings.Contains(errs[0].Error(), "rejected") {
+		t.Fatalf("refused blob: got %v, want a rejection that is not ErrSizeMismatch", errs[0])
+	}
+	if errs[1] != nil {
+		t.Fatalf("blob behind the refusal failed: %v", errs[1])
+	}
+	wantBlob(t, dst, refs[1], blobs[1])
+	if dials != 1 {
+		t.Fatalf("dialed %d streams, want 1: the refusal left the stream in sync", dials)
+	}
 }
 
 // TestPullUnknownSizeResumesSubChunk: a link that drops after the header

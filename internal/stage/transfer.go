@@ -43,6 +43,9 @@ const (
 // ErrNotFound reports that the serving store does not hold the blob.
 var ErrNotFound = errors.New("stage: blob not found")
 
+// emptyHash names the blob of no bytes.
+var emptyHash = Hash(nil)
+
 // armRead sets the idle read deadline on conn (idle <= 0 disables).
 func armRead(conn net.Conn, idle time.Duration) {
 	if idle > 0 {
@@ -294,9 +297,10 @@ func Pull(ctx context.Context, dial Dialer, hash string, dst *Store, cfg Config,
 // hash before it enters dst — one blob failing leaves the others whole.
 //
 // Sizes come from the refs. A ref with Size <= 0 is of unknown size: its
-// leading chunk is requested first, the header of that response carries
-// the size, and the rest of the blob follows in a second wave on the
-// same streams.
+// leading chunk is requested first, as one request, the header of that
+// response carries the size, and the rest of the blob follows in a
+// second wave on the same streams. The empty blob is known by its hash
+// and is never requested.
 func PullAll(ctx context.Context, dial Dialer, refs []FileRef, dst *Store, cfg Config, reg *metrics.Registry) []error {
 	cfg = cfg.WithDefaults()
 	errs := make([]error, len(refs))
@@ -318,6 +322,14 @@ func PullAll(ctx context.Context, dial Dialer, refs []FileRef, dst *Store, cfg C
 			continue
 		}
 		reg.Counter(metrics.StageCacheMisses).Inc()
+		if ref.Hash == emptyHash {
+			// Size 0 on a ref reads as unknown, but this hash names no
+			// bytes whatever the ref says: there is nothing to request.
+			if errs[i] = dst.PutHashed(ref.Hash, nil); errs[i] == nil {
+				reg.Counter(metrics.StagePulls).Inc()
+			}
+			continue
+		}
 		b := &pullBlob{hash: ref.Hash, refs: []int{i}, size: -1}
 		lead := int64(cfg.ChunkSize)
 		if ref.Size > 0 {
@@ -371,7 +383,9 @@ func PullAll(ctx context.Context, dial Dialer, refs []FileRef, dst *Store, cfg C
 // dealSpans lays a wave's spans end to end and cuts the run into up to
 // stripes contiguous shares of at least one chunk each, one per stream:
 // a big blob fans out, a plan of many tiny blobs rides one stream. A
-// span is split where a share boundary falls inside it.
+// span is split where a share boundary falls inside it, except the
+// leading span of a blob of unknown size: the one response to it is what
+// sizes the blob's buffer, so it stays one request on one stream.
 func dealSpans(spans []span, chunk int64, stripes int) [][]span {
 	var total int64
 	for _, sp := range spans {
@@ -387,11 +401,12 @@ func dealSpans(spans []span, chunk int64, stripes int) [][]span {
 	shares := make([][]span, stripes)
 	i, room := 0, per
 	for _, sp := range spans {
-		for i < stripes-1 && sp.end-sp.off >= room {
-			if room > 0 {
-				shares[i] = append(shares[i], span{sp.b, sp.off, sp.off + room})
-				sp.off += room
-			}
+		if room <= 0 && i < stripes-1 {
+			i, room = i+1, per
+		}
+		for sp.b.size >= 0 && i < stripes-1 && sp.end-sp.off >= room {
+			shares[i] = append(shares[i], span{sp.b, sp.off, sp.off + room})
+			sp.off += room
 			i, room = i+1, per
 		}
 		if sp.off < sp.end {
@@ -515,21 +530,31 @@ func (pl *pullPlan) readResponse(conn net.Conn, sp span) (missing []span, got in
 	if err := hb.Err(); err != nil {
 		return []span{sp}, 0, err
 	}
+	mismatch := func() error {
+		return fmt.Errorf("%w: ref says %d bytes, the serving store %d", ErrSizeMismatch, b.size, size)
+	}
 	switch {
 	case status == statusNotFound:
 		b.fail(ErrNotFound)
+		return nil, 0, nil
+	case status != statusOK:
+		// No chunks follow a refusal, so the stream stays in sync. The
+		// refusal of an offset past the blob's end carries the size
+		// that explains it; the others carry none.
+		if size > 0 && b.size >= 0 && size != b.size {
+			b.fail(mismatch())
+		} else {
+			b.fail(fmt.Errorf("stage: get rejected (status %d)", status))
+		}
 		return nil, 0, nil
 	case size < 0:
 		return []span{sp}, 0, fmt.Errorf("stage: get header announces %d bytes", size)
 	case b.size >= 0 && size != b.size:
 		// Whatever follows covers a range this plan did not size its
 		// buffer for; the stream cannot be followed further.
-		err := fmt.Errorf("%w: ref says %d bytes, the serving store %d", ErrSizeMismatch, b.size, size)
+		err := mismatch()
 		b.fail(err)
 		return nil, 0, err
-	case status != statusOK:
-		b.fail(fmt.Errorf("stage: get rejected (status %d)", status))
-		return nil, 0, nil
 	case b.size < 0:
 		// The leading span of a blob of unknown size: its header is
 		// where the size comes from.

@@ -259,3 +259,33 @@ func TestDealSpans(t *testing.T) {
 		}
 	}
 }
+
+// TestDealSpansKeepsUnsizedLeadWhole: share boundaries fall inside the
+// leading span of a blob of unknown size and do not cut it.
+func TestDealSpansKeepsUnsizedLeadWhole(t *testing.T) {
+	const chunk = 64 << 10
+	sized := func(n int64) span { return span{&pullBlob{size: n}, 0, n} }
+	lead := func() span { return span{&pullBlob{size: -1}, 0, chunk} }
+	for _, spans := range [][]span{
+		{sized(100), lead()},
+		{lead(), sized(100)},
+		{lead(), lead(), lead()},
+		{sized(300 << 10), lead(), sized(7), lead(), sized(1 << 20)},
+	} {
+		var want, got int64
+		for _, sp := range spans {
+			want += sp.end - sp.off
+		}
+		for _, share := range dealSpans(spans, chunk, 4) {
+			for _, sp := range share {
+				if sp.b.size < 0 && (sp.off != 0 || sp.end != chunk) {
+					t.Fatalf("lead span cut to [%d,%d)", sp.off, sp.end)
+				}
+				got += sp.end - sp.off
+			}
+		}
+		if got != want {
+			t.Fatalf("shares cover %d bytes of %d", got, want)
+		}
+	}
+}
