@@ -31,22 +31,21 @@
 //	node_speed  = 1.0
 //	announce    = 30s               # inventory re-announce interval
 //
-// Peer-lifecycle knobs (all optional; see internal/peerlink defaults):
+// Control-plane timing knobs (all optional; see internal/peerlink defaults):
 //
-//	backoff_min       = 200ms       # first redial delay after a link drops
-//	backoff_max       = 15s         # redial delay cap
-//	heartbeat         = 3s          # peer probe interval (negative disables)
-//	heartbeat_timeout = 1s          # per-probe deadline
-//	heartbeat_misses  = 3           # consecutive misses before redial
-//	rpc_timeout       = 10s         # default per-control-RPC deadline
+//	rpc_timeout       = 10s         # deadline of one control RPC, and of one
+//	                                 # whole connect (dial, TLS, Hello)
 //	hello_timeout     = 10s         # inbound session identification deadline
-//	status_ttl        = 0           # serve cached global status this fresh
-//	                                 # (0 disables caching)
+//	status_ttl        = 0           # status reads served from summaries this
+//	                                 # fresh count as cache hits (0: none do)
 //
 // Membership/gossip knobs (all optional; see core.GossipConfig and
 // peerlink.CacheConfig defaults). With gossip on, `peers` only needs ONE
 // bootstrap entry: the directory learns every other site epidemically
-// and tunnels are dialed on demand.
+// and tunnels are dialed on demand. Every `peers` address is a seed: it
+// is retried by gossip rounds for as long as the daemon runs (paced by
+// the breaker_* windows) and never forgotten, so a peer that is down at
+// start-up is joined when it comes up.
 //
 //	gossip_interval   = 1s          # gossip round period (negative disables)
 //	summary_every     = 15s         # local status republication cadence
@@ -58,7 +57,7 @@
 //	                                 # contact escalates (negative: none)
 //	vouch_window      = 30s         # direct contact this fresh overrides
 //	                                 # a death rumor (negative disables)
-//	health_max        = 4           # Lifeguard local-health cap; timeouts
+//	health_max        = 8           # Lifeguard local-health cap; timeouts
 //	                                 # stretch by (1 + score)
 //	max_tunnels       = 32          # live-tunnel LRU cap (negative unlimited)
 //	idle_close        = 2m          # close tunnels idle this long
@@ -279,7 +278,7 @@ func run() error {
 				return fmt.Errorf("config: peers entry %q must be site=addr", entry)
 			}
 			if err := proxy.Connect(ctx, name, addr); err != nil {
-				log.Warn("peer connect failed (supervisor keeps retrying)", "site", name, "err", err)
+				log.Warn("peer connect failed (gossip rounds keep retrying the address)", "site", name, "err", err)
 			}
 		}
 	}
@@ -338,27 +337,12 @@ func run() error {
 	return nil
 }
 
-// lifecycleFromConfig reads the peer-lifecycle knobs. Absent keys stay
-// zero so peerlink's defaults apply; negative durations disable the
-// corresponding mechanism.
+// lifecycleFromConfig reads the control-plane timing knobs. Absent keys
+// stay zero so peerlink's defaults apply; a negative rpc_timeout disables
+// the default deadline.
 func lifecycleFromConfig(cfg *config.Config) (peerlink.Config, error) {
 	var lc peerlink.Config
 	var err error
-	if lc.BackoffMin, err = cfg.Duration("backoff_min", 0); err != nil {
-		return lc, err
-	}
-	if lc.BackoffMax, err = cfg.Duration("backoff_max", 0); err != nil {
-		return lc, err
-	}
-	if lc.HeartbeatInterval, err = cfg.Duration("heartbeat", 0); err != nil {
-		return lc, err
-	}
-	if lc.HeartbeatTimeout, err = cfg.Duration("heartbeat_timeout", 0); err != nil {
-		return lc, err
-	}
-	if lc.HeartbeatMisses, err = cfg.Int("heartbeat_misses", 0); err != nil {
-		return lc, err
-	}
 	if lc.RPCTimeout, err = cfg.Duration("rpc_timeout", 0); err != nil {
 		return lc, err
 	}

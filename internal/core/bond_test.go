@@ -123,15 +123,12 @@ func versionProxy(t *testing.T) (*core.Proxy, *transport.MemNetwork) {
 	wan := transport.NewMemNetwork()
 	t.Cleanup(func() { _ = wan.Close() })
 	proxy, err := core.New(core.Config{
-		Site:    "sitea",
-		WANAddr: "wan.sitea",
-		WAN:     wan,
-		Local:   transport.NewMemNetwork(),
-		Users:   users,
-		Lifecycle: peerlink.Config{
-			HelloTimeout:      200 * time.Millisecond,
-			HeartbeatInterval: -1,
-		},
+		Site:      "sitea",
+		WANAddr:   "wan.sitea",
+		WAN:       wan,
+		Local:     transport.NewMemNetwork(),
+		Users:     users,
+		Lifecycle: peerlink.Config{HelloTimeout: 200 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)

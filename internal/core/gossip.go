@@ -78,9 +78,6 @@ func (p *Proxy) Members() []membership.Entry {
 	return p.members.Entries()
 }
 
-// Directory exposes the membership directory (web interface, tests).
-func (p *Proxy) Directory() *membership.Directory { return p.members }
-
 // peerFor returns a live control session to site, dialing on demand
 // through the membership directory. This is the partial-mesh path: job
 // placement, staging, status and gossip all call it instead of assuming
@@ -98,20 +95,22 @@ func (p *Proxy) releasePeer(pr *peer) {
 	p.cache.Release(pr.site, pr)
 }
 
-// dialOnDemand is the connection cache's dial function: resolve the site
-// through the directory, then run the normal connect handshake. A site
-// the directory does not know (or knows to be dead) is not dialable —
-// the caller sees ErrUnknownPeer exactly as it did under the old
-// must-be-connected roster.
+// dialOnDemand is the connection cache's dial function, and so the one
+// path by which this proxy ever dials another: resolve the site through
+// the directory, then run the connect handshake. A site the directory
+// does not know is not dialable, and neither is one it holds dead —
+// except for the callers whose business is exactly that site's verdict
+// (an operator's Connect, the resurrection probe), which say so with
+// withDeadDialable.
 func (p *Proxy) dialOnDemand(ctx context.Context, site string) (*peer, error) {
 	e, ok := p.members.Lookup(site)
 	if !ok || e.Addr == "" {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownPeer, site)
 	}
-	if e.State == membership.Dead {
+	if e.State == membership.Dead && ctx.Value(deadDialable{}) == nil {
 		return nil, fmt.Errorf("%w: %q is dead", ErrUnknownPeer, site)
 	}
-	pr, err := p.connectOnce(ctx, site, e.Addr, false, false)
+	pr, err := p.connectOnce(ctx, site, e.Addr)
 	if err != nil {
 		// A failed dial is evidence against the site only if other
 		// members cannot reach it either; it is always evidence about
@@ -122,6 +121,15 @@ func (p *Proxy) dialOnDemand(ctx context.Context, site string) (*peer, error) {
 	}
 	p.members.NoteLocalProbe(true)
 	return pr, nil
+}
+
+// deadDialable is the context key withDeadDialable sets.
+type deadDialable struct{}
+
+// withDeadDialable marks ctx so a peerFor under it dials a site even when
+// the directory holds it dead.
+func withDeadDialable(ctx context.Context) context.Context {
+	return context.WithValue(ctx, deadDialable{}, true)
 }
 
 // siteUp reports whether the directory still counts a site as a member
@@ -166,40 +174,43 @@ func (p *Proxy) gossipRound(ctx context.Context) {
 	p.reg.Counter(metrics.GossipRounds).Inc()
 	p.members.Sweep()
 	targets := p.members.Sample(p.gossipcfg.Fanout)
-	if len(targets) == 0 {
-		return
-	}
-	push := p.members.HotPush()
-	for _, target := range targets {
-		sync := &proto.GossipSync{From: p.site, Addr: p.wanAddr, Entries: push}
-		if p.members.ShouldDigest(target.Site) {
-			sync.HasDigest = true
-			sync.Digest = p.members.Digest()
-			p.reg.Counter(metrics.GossipAntiEntropy).Inc()
-		}
-		p.gossipTo(ctx, target, sync)
-	}
 	// Resurrection probe: Sample excludes dead entries, so after a
 	// partition long enough for mutual death verdicts nobody would ever
 	// gossip across the healed boundary again. One direct probe per
 	// round at a retained dead entry (with a forced digest, so both
-	// sides reconcile their whole views) re-merges a healed split.
-	for _, target := range p.members.DeadProbeTargets(1) {
-		p.deadProbe(ctx, target, push)
+	// sides reconcile their whole views) re-merges a healed split — and
+	// is what peers a two-site grid again, where the only other site
+	// being dead leaves nobody to sample.
+	dead := p.members.DeadProbeTargets(1)
+	if len(targets)+len(dead) > 0 {
+		push := p.members.HotPush()
+		for _, target := range targets {
+			sync := &proto.GossipSync{From: p.site, Addr: p.wanAddr, Entries: push}
+			if p.members.ShouldDigest(target.Site) {
+				sync.HasDigest = true
+				sync.Digest = p.members.Digest()
+				p.reg.Counter(metrics.GossipAntiEntropy).Inc()
+			}
+			p.gossipTo(ctx, target, sync)
+		}
+		for _, target := range dead {
+			p.deadProbe(ctx, target, push)
+		}
 	}
 	p.syncGlobalFromMembers()
 }
 
-// deadProbe attempts one gossip exchange with a dead-marked site,
-// bypassing the directory's is-it-dialable filter. Success revives the
-// entry (connectOnce's ObserveAlive) and the forced digest exchange
-// repairs both directories; failure is the expected outcome and changes
-// nothing.
+// deadProbe attempts one gossip exchange with a dead-marked site, through
+// the same cache and the same bounded connect as any other contact (so
+// the site's circuit breaker paces the probes). Success revives the entry
+// (connectOnce's ObserveAlive) and the forced digest exchange repairs
+// both directories; failure is the expected outcome and changes nothing.
 func (p *Proxy) deadProbe(ctx context.Context, target membership.Entry, push []proto.GossipEntry) {
-	pr, err := p.connectOnce(ctx, target.Site, target.Addr, false, true)
+	pr, err := p.peerFor(withDeadDialable(ctx), target.Site)
 	if err != nil {
 		return
 	}
+	defer p.releasePeer(pr)
 	sync := &proto.GossipSync{From: p.site, Addr: p.wanAddr, Entries: push,
 		HasDigest: true, Digest: p.members.Digest()}
 	p.reg.Counter(metrics.GossipSyncs).Inc()
@@ -237,6 +248,11 @@ func (p *Proxy) gossipTo(ctx context.Context, target membership.Entry, sync *pro
 		p.log.Warn("gossip exchange: unexpected reply", "peer", target.Site, "reply", fmt.Sprintf("%T", reply))
 		return
 	}
+	// An exchange that worked is evidence about this proxy's own
+	// connectivity as much as a failed one is: without the credit, one
+	// hung peer failing every round pins the health score at its cap and
+	// stretches every verdict ninefold though the other exchanges succeed.
+	p.members.NoteLocalProbe(true)
 	p.members.ObserveAlive(target.Site, target.Addr)
 	if len(delta.Entries) > 0 {
 		p.members.Merge(delta.Entries)
@@ -307,11 +323,14 @@ func (p *Proxy) handleMemberList() *proto.MemberListReply {
 	return reply
 }
 
-// syncGlobalFromMembers folds the directory into the compiled global
-// view the web interface and scheduler read. Dead sites are removed —
-// this also fixes the stale-entry retention bug where a site that died
-// while its summary was still inside the status TTL kept being served
-// from the cache.
+// syncGlobalFromMembers makes the rest of the proxy agree with the
+// directory, once per gossip round and per inbound exchange. Live sites'
+// summaries are folded into the compiled global view the web interface
+// and scheduler read. A dead site leaves that view, and a tunnel still
+// held to it is killed: the directory is the one judge of liveness, so a
+// site it has given up on (hung but connected is the case nothing else
+// catches) must look to watchPeer like any other lost peer — resources
+// dropped, launches waiting on it rescheduled — whichever side dialed.
 func (p *Proxy) syncGlobalFromMembers() {
 	for _, e := range p.members.Entries() {
 		if e.Site == p.site {
@@ -319,6 +338,14 @@ func (p *Proxy) syncGlobalFromMembers() {
 		}
 		if e.State == membership.Dead {
 			p.global.Remove(e.Site)
+			// Ask the directory again once the tunnel is in hand: a
+			// session enters the cache only after the contact that built
+			// it was recorded, so a verdict read now cannot predate a
+			// tunnel this snapshot raced with.
+			if pr, ok := p.cache.Peek(e.Site); ok && !p.siteUp(e.Site) && p.cache.DropIf(e.Site, pr) {
+				p.log.Warn("directory holds site dead; closing its tunnel", "site", e.Site)
+				pr.abort()
+			}
 			continue
 		}
 		if !e.HasSummary {

@@ -23,8 +23,7 @@ func TestSingleBootstrapLearnsGrid(t *testing.T) {
 	const n = 8
 	reg := metrics.NewRegistry()
 	cfg := site.TestbedConfig{
-		GridName:  "bootstrap",
-		Lifecycle: peerlink.Config{HeartbeatInterval: -1},
+		GridName: "bootstrap",
 		Gossip: core.GossipConfig{
 			Interval:     20 * time.Millisecond,
 			SummaryEvery: 50 * time.Millisecond,
@@ -92,8 +91,8 @@ func TestSingleBootstrapLearnsGrid(t *testing.T) {
 	}
 
 	// Partial mesh: the directory spans n sites while the leaf holds far
-	// fewer tunnels than the n-1 an all-pairs mesh would need (its
-	// pinned bootstrap link plus at most MaxTunnels cached ones).
+	// fewer tunnels than the n-1 an all-pairs mesh would need (at most
+	// MaxTunnels, plus whatever is checked out this instant).
 	if got := len(leaf.Peers()); got >= n-1 {
 		t.Fatalf("leaf holds %d tunnels — that is an all-pairs mesh, want < %d", got, n-1)
 	}

@@ -6,7 +6,6 @@ import (
 	"fmt"
 
 	"gridproxy/internal/membership"
-	"gridproxy/internal/monitor"
 	"gridproxy/internal/proto"
 	"gridproxy/internal/registry"
 )
@@ -50,11 +49,6 @@ func (p *Proxy) handleControl(ctx context.Context, msg proto.Message) (proto.Bod
 		return &proto.Pong{Nonce: req.Nonce}, nil
 	case *proto.StatusQuery:
 		return p.handleStatusQuery(req), nil
-	case *proto.StatusReport:
-		for _, s := range req.Sites {
-			p.global.Update(monitor.SummaryFromStatus(s))
-		}
-		return nil, nil
 	case *proto.GossipSync:
 		return p.handleGossipSync(req), nil
 	case *proto.RegistryAnnounce:

@@ -591,21 +591,25 @@ func (p *Proxy) finishHostedGroup(ha *hostedApp, ranks []int, err error) {
 		update.State = proto.JobFailed
 		update.Detail = fmt.Sprintf("%s: %v", p.site, err)
 	}
-	// JobUpdate is addressed by app id, so broadcasting to all peers is
-	// safe and simple; the origin matches it against its job table.
-	p.broadcastJobUpdate(update)
+	p.reportToOrigin(ha.origin, update)
 }
 
-// broadcastJobUpdate notifies every peer a live tunnel is held to (best
-// effort). The origin of a job always holds one — it dialed us for the
-// launch and its supervised link is pinned; for anyone else the update
-// is an optimization, so unreachable directory members are not dialed
-// just to be told about someone else's job.
-func (p *Proxy) broadcastJobUpdate(update *proto.JobUpdate) {
-	for site, pr := range p.cache.Snapshot() {
-		if err := pr.ctrl.notify(update); err != nil && !errors.Is(err, errRPCClosed) {
-			p.log.Debug("job update notify failed", "peer", site, "err", err)
-		}
+// reportToOrigin delivers a completion report to the proxy that launched
+// the application. The tunnel the launch arrived over is usually still
+// there, but nothing holds it for the job's sake — a job whose ranks
+// never talk across sites leaves it idle, and idle tunnels get closed —
+// so the report goes out through peerFor, which dials when it has to. An
+// origin that cannot be reached is, to this site, dead: its own watchPeer
+// (or the orphan reaper here) settles the job.
+func (p *Proxy) reportToOrigin(origin string, update *proto.JobUpdate) {
+	pr, err := p.peerFor(p.ctx, origin)
+	if err != nil {
+		p.log.Debug("job update undeliverable", "origin", origin, "err", err)
+		return
+	}
+	defer p.releasePeer(pr)
+	if err := pr.ctrl.notify(update); err != nil && !errors.Is(err, errRPCClosed) {
+		p.log.Debug("job update notify failed", "origin", origin, "err", err)
 	}
 }
 
@@ -662,7 +666,7 @@ func (p *Proxy) reapHosted(ha *hostedApp, reason string) bool {
 // orphanReaper autonomously reaps hosted applications whose origin proxy
 // has stayed disconnected past the grace period. Without it, an origin
 // crash would leave its remote rank groups running (and their address
-// spaces pinned) at every destination forever.
+// spaces held) at every destination forever.
 func (p *Proxy) orphanReaper() {
 	defer p.wg.Done()
 	grace := p.jobcfg.OrphanGrace
@@ -825,7 +829,7 @@ func (p *Proxy) rescheduleSite(l *Launch, deadSite string) {
 		}
 	}
 	if len(remoteSites) > 0 {
-		results := peerlink.FanOut(p.ctx, remoteSites, p.perPeerTimeout(), func(ctx context.Context, site string) (struct{}, error) {
+		results := peerlink.FanOut(p.ctx, remoteSites, p.lifecycle.RPCTimeout, func(ctx context.Context, site string) (struct{}, error) {
 			return struct{}{}, p.spawnAtSite(ctx, l, site, newSites[site], locations, epoch)
 		})
 		for _, res := range results {

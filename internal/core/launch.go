@@ -251,7 +251,7 @@ func (p *Proxy) launchAt(ctx context.Context, spec LaunchSpec, locations map[int
 	// slowest-site round trip per phase, not the sum over sites.
 	wireLocs := locationsToWire(locations)
 	if len(remoteSites) > 0 {
-		results := peerlink.FanOut(ctx, remoteSites, p.perPeerTimeout(), func(ctx context.Context, site string) (struct{}, error) {
+		results := peerlink.FanOut(ctx, remoteSites, p.lifecycle.RPCTimeout, func(ctx context.Context, site string) (struct{}, error) {
 			return struct{}{}, p.prepareAt(ctx, site, &proto.PrepareSpawn{
 				AppID:     appID,
 				Origin:    p.site,
@@ -284,7 +284,7 @@ func (p *Proxy) launchAt(ctx context.Context, spec LaunchSpec, locations map[int
 
 	// Phase 2: commit every prepared site.
 	if len(remoteSites) > 0 {
-		results := peerlink.FanOut(ctx, remoteSites, p.perPeerTimeout(), func(ctx context.Context, site string) (struct{}, error) {
+		results := peerlink.FanOut(ctx, remoteSites, p.lifecycle.RPCTimeout, func(ctx context.Context, site string) (struct{}, error) {
 			_, err := p.commitAt(ctx, site, appID, 1)
 			return struct{}{}, err
 		})
@@ -655,7 +655,7 @@ func (p *Proxy) abortRemote(ctx context.Context, appID string, sites []string, r
 		return
 	}
 	p.reg.Counter(metrics.JobAborts).Inc()
-	peerlink.FanOut(ctx, sites, p.perPeerTimeout(), func(ctx context.Context, site string) (struct{}, error) {
+	peerlink.FanOut(ctx, sites, p.lifecycle.RPCTimeout, func(ctx context.Context, site string) (struct{}, error) {
 		pr, err := p.peerFor(ctx, site)
 		if err != nil {
 			return struct{}{}, nil // unreachable: nothing to abort there

@@ -10,6 +10,7 @@ import (
 	"gridproxy/internal/ca"
 	"gridproxy/internal/core"
 	"gridproxy/internal/failure"
+	"gridproxy/internal/membership"
 	"gridproxy/internal/metrics"
 	"gridproxy/internal/node"
 	"gridproxy/internal/peerlink"
@@ -21,8 +22,9 @@ import (
 // TestProxyRestartRecovers kills a whole site (proxy and nodes) and boots
 // a fresh one at the same addresses, then asserts peering, inventory, and
 // scheduling all recover WITHOUT operator action: the surviving proxy's
-// supervised link redials, re-exchanges inventories, and a multi-site MPI
-// job placed across both sites completes.
+// gossip rounds redial the site through the connection cache, the
+// connect re-exchanges inventories, and a multi-site MPI job placed
+// across both sites completes.
 func TestProxyRestartRecovers(t *testing.T) {
 	reg := metrics.NewRegistry()
 	cfg := site.TestbedConfig{
@@ -31,11 +33,7 @@ func TestProxyRestartRecovers(t *testing.T) {
 			{Name: "sitea", Nodes: site.UniformNodes(2, 1)},
 			{Name: "siteb", Nodes: site.UniformNodes(2, 1)},
 		},
-		Lifecycle: peerlink.Config{
-			BackoffMin:        20 * time.Millisecond,
-			BackoffMax:        200 * time.Millisecond,
-			HeartbeatInterval: -1,
-		},
+		Gossip:  core.GossipConfig{Interval: 20 * time.Millisecond},
 		Metrics: reg,
 	}
 	tb, err := site.NewTestbed(cfg)
@@ -62,16 +60,18 @@ func TestProxyRestartRecovers(t *testing.T) {
 	}
 	fresh.RegisterProgram("sumranks", sumRanksProgram(nil))
 
-	// Peering: the supervised link must re-establish on its own. Waiting
-	// on the reconnect counter (not just the state) distinguishes the new
-	// session from the not-yet-reaped old one.
+	// Peering: the tunnel must come back on its own, and the directory
+	// must agree the site is alive again. RestartSite returns after the
+	// old site is closed, so a tunnel held now that answers a ping is the
+	// new one; the dial count says the proxy — not the test — built it.
+	dialsBefore := reg.Counter(metrics.PeerDialsOnDemand).Value()
 	waitFor(t, 15*time.Second, func() bool {
-		if reg.Counter(metrics.PeerReconnects).Value() < 1 {
-			return false
-		}
-		state, ok := a.PeerLinkState("siteb")
-		return ok && state == peerlink.StateEstablished && len(a.Peers()) == 1
+		m, _ := memberOf(a, "siteb")
+		return m.State == membership.Alive && len(a.Peers()) == 1 && a.PingPeer(ctx, "siteb") == nil
 	})
+	if got := reg.Counter(metrics.PeerDialsOnDemand).Value(); got <= dialsBefore {
+		t.Fatalf("peered again with no new dial (peer.dials_on_demand %d -> %d)", dialsBefore, got)
+	}
 
 	// Inventory: the fresh site's nodes come back into the registry.
 	waitFor(t, 15*time.Second, func() bool { return len(a.Candidates()) == 4 })
@@ -128,16 +128,13 @@ func TestStatusWithHungPeer(t *testing.T) {
 		}
 		local := transport.NewMemNetwork()
 		proxy, err := core.New(core.Config{
-			Site:    name,
-			WANAddr: "wan." + name,
-			WAN:     transport.NewTLS(wanNet, cred, authority.CertPool(), nil),
-			Local:   local,
-			Users:   users,
-			Policy:  balance.LeastLoaded{},
-			Lifecycle: peerlink.Config{
-				RPCTimeout:        500 * time.Millisecond,
-				HeartbeatInterval: -1,
-			},
+			Site:      name,
+			WANAddr:   "wan." + name,
+			WAN:       transport.NewTLS(wanNet, cred, authority.CertPool(), nil),
+			Local:     local,
+			Users:     users,
+			Policy:    balance.LeastLoaded{},
+			Lifecycle: peerlink.Config{RPCTimeout: 500 * time.Millisecond},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -216,15 +213,12 @@ func TestInboundSessionWithoutHelloIsReaped(t *testing.T) {
 		t.Fatal(err)
 	}
 	proxy, err := core.New(core.Config{
-		Site:    "sitea",
-		WANAddr: "wan.sitea",
-		WAN:     transport.NewTLS(wan, cred, authority.CertPool(), nil),
-		Local:   transport.NewMemNetwork(),
-		Users:   users,
-		Lifecycle: peerlink.Config{
-			HelloTimeout:      200 * time.Millisecond,
-			HeartbeatInterval: -1,
-		},
+		Site:      "sitea",
+		WANAddr:   "wan.sitea",
+		WAN:       transport.NewTLS(wan, cred, authority.CertPool(), nil),
+		Local:     transport.NewMemNetwork(),
+		Users:     users,
+		Lifecycle: peerlink.Config{HelloTimeout: 200 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -286,12 +280,11 @@ func TestWANListenerSurvivesBadHandshake(t *testing.T) {
 			t.Fatal(err)
 		}
 		proxy, err := core.New(core.Config{
-			Site:      name,
-			WANAddr:   "wan." + name,
-			WAN:       transport.NewTLS(wan, cred, authority.CertPool(), nil),
-			Local:     transport.NewMemNetwork(),
-			Users:     users,
-			Lifecycle: peerlink.Config{HeartbeatInterval: -1},
+			Site:    name,
+			WANAddr: "wan." + name,
+			WAN:     transport.NewTLS(wan, cred, authority.CertPool(), nil),
+			Local:   transport.NewMemNetwork(),
+			Users:   users,
 		})
 		if err != nil {
 			t.Fatal(err)

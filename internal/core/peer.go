@@ -28,7 +28,10 @@ var controlStreamMeta = []byte("gridproxy-control")
 // the grid) lives in the directory, and most directory entries have no
 // peer at any given moment.
 type peer struct {
-	site    string
+	site string
+	// conn is the session's first connection, kept so a tunnel can be
+	// torn down without writing to it (see abort).
+	conn    net.Conn
 	session *tunnel.Session
 	ctrl    *rpc
 	// evicted marks a teardown initiated by the connection cache (LRU,
@@ -39,43 +42,66 @@ type peer struct {
 
 func (pr *peer) close() {
 	pr.ctrl.close()
+	// The connection goes before the session: Session.Close says GOAWAY
+	// with a synchronous write, and a remote that stopped reading (hung,
+	// not dead) would hold that write, and whoever is closing, for good.
+	pr.abort()
 	_ = pr.session.Close()
 }
 
-// Done and Close make *peer a peerlink.Session, so the connection cache
-// can hold peers directly.
+// abort kills the tunnel by closing the connection under it: the session
+// and the control channel see the read fail and shut themselves down, and
+// watchPeer takes it from there as for any unannounced close. Unlike
+// close it waits for nothing, so it is safe from inside a control handler
+// and against a peer that no longer reads.
+func (pr *peer) abort() { _ = pr.conn.Close() }
+
+// Done, Close and Busy make *peer a peerlink.Session, so the connection
+// cache can hold peers directly. A tunnel is busy while it carries any
+// stream besides the control stream — a stage transfer, a spliced MPI
+// channel: work the cache's checkouts never see, because whoever opened
+// the stream released the tunnel as soon as it was open.
 func (pr *peer) Done() <-chan struct{} { return pr.session.Done() }
 func (pr *peer) Close() error          { pr.close(); return nil }
+func (pr *peer) Busy() bool            { return pr.session.NumStreams() > 1 }
 
-// Connect dials the proxy of a remote site, performs the Hello exchange,
-// and announces this site's inventory. It is idempotent: connecting to an
-// already-connected site returns nil. Connect also registers the site
-// with the peer-lifecycle supervisor, so even when the synchronous
-// attempt fails (or the link later drops) the proxy keeps redialing with
-// backoff until it is stopped. Connected bootstrap peers are pinned in
-// the connection cache: the supervisor owns their lifetime, not the LRU.
+// Connect introduces a remote site by address: the address enters the
+// membership directory as a seed, and one synchronous attempt to reach it
+// is made through the connection cache, exactly as any later use of the
+// site would. It is idempotent: connecting to an already-connected site
+// returns nil. When the attempt fails the seed stays, so gossip rounds
+// keep trying the address (the cache's circuit breaker is the backoff)
+// for as long as the proxy runs — a bootstrap peer that is down at
+// start-up is peered when it comes up, with no second Connect.
 func (p *Proxy) Connect(ctx context.Context, site, wanAddr string) error {
-	_, err := p.connectOnce(ctx, site, wanAddr, true, true)
-	p.superviseLink(site, wanAddr)
-	return err
+	p.members.AddSeed(site, wanAddr)
+	pr, err := p.peerFor(withDeadDialable(ctx), site)
+	if err != nil {
+		return err
+	}
+	p.cache.Release(site, pr) // under the name dialed, whatever the remote calls itself
+	return nil
 }
 
-// connectOnce performs one dial + Hello exchange, returning the
-// (possibly pre-existing) peer. With register it adds the session to the
-// connection cache itself (the Connect/supervisor path); without, the
-// caller owns registration — the cache's dial-on-demand path inserts the
-// session atomically with its checkout, so it is never cached at zero
-// references where LRU pressure from a concurrent fan-out could close it
-// mid-handshake.
-func (p *Proxy) connectOnce(ctx context.Context, site, wanAddr string, pinned, register bool) (*peer, error) {
+// connectOnce performs one dial + Hello exchange + inventory and status
+// exchange and returns the new peer, unregistered: the connection cache
+// inserts it together with the caller's checkout, so it is never cached at
+// zero references where LRU pressure from a concurrent fan-out could
+// close it mid-handshake. The whole connect is one control round trip as
+// far as deadlines go: Lifecycle.RPCTimeout bounds it, so a site that
+// accepts the connection and then says nothing costs the caller that
+// long and no longer.
+func (p *Proxy) connectOnce(ctx context.Context, site, wanAddr string) (*peer, error) {
 	p.mu.Lock()
 	stopped := p.stopped
 	p.mu.Unlock()
 	if stopped {
 		return nil, ErrStopped
 	}
-	if pr, ok := p.cache.Peek(site); ok {
-		return pr, nil
+	if d := p.lifecycle.RPCTimeout; d > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, d)
+		defer cancel()
 	}
 
 	conn, err := p.wan.Dial(ctx, wanAddr)
@@ -85,6 +111,7 @@ func (p *Proxy) connectOnce(ctx context.Context, site, wanAddr string, pinned, r
 	session := tunnel.Client(conn, p.tunnelConfig())
 	ctrlStream, err := session.Open(ctx, controlStreamMeta)
 	if err != nil {
+		_ = conn.Close()
 		_ = session.Close()
 		return nil, fmt.Errorf("core: open control stream to %s: %w", site, err)
 	}
@@ -95,8 +122,9 @@ func (p *Proxy) connectOnce(ctx context.Context, site, wanAddr string, pinned, r
 	handler := func(ctx context.Context, msg proto.Message) (proto.Body, error) {
 		return p.handleSessionControl(ctx, bound.Load(), msg)
 	}
-	ctrl := newRPC(p.ctx, ctrlStream, roleDialer, handler, p.log.Named("ctrl."+site), p.reg)
-	ctrl.start()
+	pr := &peer{site: site, conn: conn, session: session}
+	pr.ctrl = newRPC(p.ctx, ctrlStream, roleDialer, handler, p.log.Named("ctrl."+site), p.reg)
+	pr.ctrl.start()
 
 	// Offer the configured tunnel width: the ack's BondConns caps how
 	// many extra member connections actually get dialed.
@@ -105,7 +133,7 @@ func (p *Proxy) connectOnce(ctx context.Context, site, wanAddr string, pinned, r
 	if _, err := rand.Read(bondID[:]); err != nil {
 		offered = 1 // no id for extra connections to join under
 	}
-	reply, err := ctrl.call(ctx, &proto.Hello{
+	reply, err := pr.ctrl.call(ctx, &proto.Hello{
 		Site:         p.site,
 		Version:      proto.Version,
 		Capabilities: defaultCapabilities,
@@ -114,24 +142,21 @@ func (p *Proxy) connectOnce(ctx context.Context, site, wanAddr string, pinned, r
 		BondID:       bondID[:],
 	})
 	if err != nil {
-		ctrl.close()
-		_ = session.Close()
+		pr.close()
 		return nil, fmt.Errorf("core: hello to %s: %w", site, err)
 	}
 	ack, ok := reply.(*proto.HelloAck)
 	if !ok {
-		ctrl.close()
-		_ = session.Close()
+		pr.close()
 		return nil, fmt.Errorf("core: hello to %s: unexpected reply %T", site, reply)
 	}
 	if ack.Version != proto.Version {
-		ctrl.close()
-		_ = session.Close()
+		pr.close()
 		return nil, fmt.Errorf("%w: local %d remote %d", proto.ErrVersionMismatch, proto.Version, ack.Version)
 	}
 	if ack.Site != site {
 		p.log.Warn("peer announced unexpected site name", "expected", site, "got", ack.Site)
-		site = ack.Site
+		pr.site = ack.Site
 	}
 	// Widen the link to the granted width. Extra-connection dial failures
 	// degrade the bond rather than the session: whatever joined carries
@@ -142,26 +167,13 @@ func (p *Proxy) connectOnce(ctx context.Context, site, wanAddr string, pinned, r
 			err = session.AddBondConn(bondID, i, bc)
 		}
 		if err != nil {
-			p.log.Warn("bond member join failed", "site", site, "index", i, "err", err)
+			p.log.Warn("bond member join failed", "site", pr.site, "index", i, "err", err)
 			break
 		}
 	}
 
-	pr := &peer{site: site, session: session, ctrl: ctrl}
 	bound.Store(pr)
-	if register {
-		if !p.cache.Add(site, pr, pinned) {
-			// A crossing dial from the remote registered a session for
-			// this site while we were dialing (or the proxy is
-			// stopping). Keep the established one and discard ours.
-			pr.close()
-			if cur, ok := p.cache.Peek(site); ok {
-				return cur, nil
-			}
-			return nil, ErrStopped
-		}
-	}
-	p.members.ObserveAlive(site, wanAddr)
+	p.members.ObserveAlive(pr.site, wanAddr)
 	p.wg.Add(1)
 	go p.servePeerStreams(pr)
 	p.wg.Add(1)
@@ -170,81 +182,13 @@ func (p *Proxy) connectOnce(ctx context.Context, site, wanAddr string, pinned, r
 	// Announce our inventory so the remote scheduler can place work
 	// here, and pull theirs.
 	if err := p.announceTo(ctx, pr); err != nil {
-		p.log.Warn("inventory announce failed", "peer", site, "err", err)
+		p.log.Warn("inventory announce failed", "peer", pr.site, "err", err)
 	}
 	if err := p.queryPeerStatus(ctx, pr); err != nil {
-		p.log.Warn("initial status query failed", "peer", site, "err", err)
+		p.log.Warn("initial status query failed", "peer", pr.site, "err", err)
 	}
-	p.log.Info("connected to peer", "site", site, "addr", wanAddr, "conns", session.BondWidth())
+	p.log.Info("connected to peer", "site", pr.site, "addr", wanAddr, "conns", session.BondWidth())
 	return pr, nil
-}
-
-// superviseLink registers a peer with the lifecycle supervisor
-// (idempotent). Supervision only runs on the dialing side: the accepting
-// side of a link relies on the remote to redial.
-func (p *Proxy) superviseLink(site, wanAddr string) {
-	p.mu.Lock()
-	if p.stopped {
-		p.mu.Unlock()
-		return
-	}
-	if _, ok := p.links[site]; ok {
-		p.mu.Unlock()
-		return
-	}
-	link := peerlink.New(site, p.lifecycle, p.peerDialer(site, wanAddr), p.peerProber(site))
-	p.links[site] = link
-	p.mu.Unlock()
-	p.wg.Add(1)
-	go func() {
-		defer p.wg.Done()
-		link.Run(p.ctx)
-	}()
-}
-
-// peerDialer adapts connectOnce into the supervisor's DialFunc. It
-// adopts a live session established by other means (the synchronous
-// Connect, or a crossing inbound dial from the remote) instead of
-// dialing a duplicate. A failed dial is direct evidence against the site
-// and feeds the membership suspicion machinery.
-func (p *Proxy) peerDialer(site, wanAddr string) peerlink.DialFunc {
-	return func(ctx context.Context) (peerlink.Session, error) {
-		if pr, ok := p.cache.Peek(site); ok {
-			select {
-			case <-pr.session.Done():
-				// Stale entry on its way out; fall through to redial.
-			default:
-				return pr, nil
-			}
-		}
-		pr, err := p.connectOnce(ctx, site, wanAddr, true, true)
-		if err != nil {
-			p.members.NoteLocalProbe(false)
-			p.suspectSite(site)
-			return nil, err
-		}
-		p.members.NoteLocalProbe(true)
-		return pr, nil
-	}
-}
-
-// peerProber adapts PingPeer into the supervisor's heartbeat probe.
-func (p *Proxy) peerProber(site string) peerlink.ProbeFunc {
-	return func(ctx context.Context) error {
-		return p.PingPeer(ctx, site)
-	}
-}
-
-// PeerLinkState reports the supervised lifecycle state of a site's link.
-// Only links registered via Connect (the dialing side) are supervised.
-func (p *Proxy) PeerLinkState(site string) (peerlink.State, bool) {
-	p.mu.Lock()
-	link, ok := p.links[site]
-	p.mu.Unlock()
-	if !ok {
-		return 0, false
-	}
-	return link.State(), true
 }
 
 // PeerBondWidth reports the connection fan-out and smoothed RTT of the
@@ -255,17 +199,6 @@ func (p *Proxy) PeerBondWidth(site string) (conns int, rtt time.Duration, ok boo
 		return 0, 0, false
 	}
 	return pr.session.BondWidth(), pr.session.SmoothedRTT(), true
-}
-
-// KickPeer asks the supervisor to retry a site's link now instead of
-// waiting out the current backoff.
-func (p *Proxy) KickPeer(site string) {
-	p.mu.Lock()
-	link, ok := p.links[site]
-	p.mu.Unlock()
-	if ok {
-		link.Kick()
-	}
 }
 
 // acceptWAN admits inbound proxy sessions. Host authentication already
@@ -308,7 +241,7 @@ func (p *Proxy) acceptWAN(ln net.Listener) {
 				return // bond member adopted into its session
 			}
 			p.wg.Add(1)
-			p.admitSession(session)
+			p.admitSession(conn, session)
 		}(conn)
 	}
 }
@@ -316,8 +249,13 @@ func (p *Proxy) acceptWAN(ln net.Listener) {
 // admitSession waits for the inbound session's control stream and Hello.
 // A session that never identifies itself is reaped after HelloTimeout:
 // without the watchdog, an opened-but-silent control stream would pin the
-// session and its rpc forever.
-func (p *Proxy) admitSession(session *tunnel.Session) {
+// session and its rpc forever. A session that does identify itself enters
+// the connection cache checked out, and keeps that checkout until the
+// dialer's connect exchange has been served (pendingPeer.handle) or the
+// same patience runs out here: seven proxies dialing one bootstrap peer
+// whose cap is three must not have the fourth accept close the first
+// dialer's tunnel under its Hello.
+func (p *Proxy) admitSession(conn net.Conn, session *tunnel.Session) {
 	defer p.wg.Done()
 	helloTimeout := p.lifecycle.HelloTimeout
 	ctx, cancel := context.WithTimeout(p.ctx, helloTimeout)
@@ -335,7 +273,7 @@ func (p *Proxy) admitSession(session *tunnel.Session) {
 	}
 	// The Hello arrives as the first request on the control channel;
 	// the pending peer's handler registers the peer on receipt.
-	pending := &pendingPeer{proxy: p, session: session}
+	pending := &pendingPeer{proxy: p, conn: conn, session: session}
 	ctrl := newRPC(p.ctx, ctrlStream, roleAcceptor, pending.handle, p.log.Named("ctrl.inbound"), p.reg)
 	pending.ctrl = ctrl
 	ctrl.start()
@@ -345,10 +283,12 @@ func (p *Proxy) admitSession(session *tunnel.Session) {
 	defer timer.Stop()
 	select {
 	case <-timer.C:
-		if !pending.established() {
+		if pending.established() == nil {
 			p.log.Warn("inbound session sent no Hello; reaping")
 			ctrl.close()
 			_ = session.Close()
+		} else {
+			pending.release()
 		}
 	case <-session.Done():
 	case <-p.ctx.Done():
@@ -359,26 +299,39 @@ func (p *Proxy) admitSession(session *tunnel.Session) {
 // then hands off to the proxy's normal handler.
 type pendingPeer struct {
 	proxy   *Proxy
+	conn    net.Conn
 	session *tunnel.Session
 	ctrl    *rpc
 
 	mu   sync.Mutex
 	peer *peer
+	// released guards the accept-side checkout (cache.Add), handed back
+	// once: when the dialer's connect exchange is over, or when
+	// admitSession stops waiting for that.
+	released sync.Once
 }
 
-// established reports whether the Hello arrived and the peer registered.
-func (pp *pendingPeer) established() bool {
+func (pp *pendingPeer) release() {
+	pp.released.Do(func() { pp.proxy.releasePeer(pp.established()) })
+}
+
+// established returns the registered peer, or nil until the Hello has
+// arrived and been accepted.
+func (pp *pendingPeer) established() *peer {
 	pp.mu.Lock()
 	defer pp.mu.Unlock()
-	return pp.peer != nil
+	return pp.peer
 }
 
 func (pp *pendingPeer) handle(ctx context.Context, msg proto.Message) (proto.Body, error) {
-	pp.mu.Lock()
-	established := pp.peer
-	pp.mu.Unlock()
-	if established != nil {
-		return pp.proxy.handleSessionControl(ctx, established, msg)
+	if established := pp.established(); established != nil {
+		reply, err := pp.proxy.handleSessionControl(ctx, established, msg)
+		if msg.Code == proto.CodeStatusQuery {
+			// connectOnce ends with a status query: the dialer's
+			// connect exchange is over.
+			pp.release()
+		}
+		return reply, err
 	}
 	body, err := proto.Unmarshal(msg)
 	if err != nil {
@@ -394,8 +347,15 @@ func (pp *pendingPeer) handle(ctx context.Context, msg proto.Message) (proto.Bod
 	if hello.BondConns < 1 || len(hello.BondID) != len(tunnel.BondID{}) {
 		return nil, badRequest("malformed tunnel width offer")
 	}
-	pr := &peer{site: hello.Site, session: pp.session, ctrl: pp.ctrl}
-	if !pp.proxy.cache.Add(hello.Site, pr, false) {
+	// The Hello carries the dialer's WAN address, so accepting a
+	// connection is also learning a dialable directory entry — this is
+	// how a bootstrap proxy populates its directory from inbound joins.
+	// It is recorded before the session is cached: a tunnel to a site the
+	// directory holds dead gets closed (syncGlobalFromMembers), and a
+	// site that just said Hello is not dead.
+	pp.proxy.members.ObserveAlive(hello.Site, hello.WANAddr)
+	pr := &peer{site: hello.Site, conn: pp.conn, session: pp.session, ctrl: pp.ctrl}
+	if !pp.proxy.cache.Add(hello.Site, pr) {
 		// A session for this site is already cached. With disposable
 		// on-demand tunnels that is routinely a dying predecessor — one
 		// we just evicted, or one whose bye beat this redial — so a
@@ -415,12 +375,8 @@ func (pp *pendingPeer) handle(ctx context.Context, msg proto.Message) (proto.Bod
 		if ok && !stale {
 			return nil, badRequest("core: peer %s already connected", hello.Site)
 		}
-		pp.proxy.cache.Put(hello.Site, pr, false)
+		pp.proxy.cache.Put(hello.Site, pr)
 	}
-	// The Hello carries the dialer's WAN address, so accepting a
-	// connection is also learning a dialable directory entry — this is
-	// how a bootstrap proxy populates its directory from inbound joins.
-	pp.proxy.members.ObserveAlive(hello.Site, hello.WANAddr)
 	pp.mu.Lock()
 	pp.peer = pr
 	pp.mu.Unlock()
@@ -450,14 +406,6 @@ func (pp *pendingPeer) handle(ctx context.Context, msg proto.Message) (proto.Bod
 	return &proto.HelloAck{Site: pp.proxy.site, Version: proto.Version, BondConns: uint8(granted)}, nil
 }
 
-// watchPeer reacts to the peer's session ending. A teardown the
-// connection cache initiated (LRU eviction, idle close, replacement) is
-// expected: the site remains a live directory member and only the tunnel
-// goes away. Anything else is evidence of site failure: the directory
-// marks it dead (the rumor gossips out), its announced resources and
-// status leave the local view, and affected launches are rescheduled —
-// the failure-containment behaviour of E7: losing one proxy costs the
-// grid only that site.
 // byeTimeout bounds the courtesy PeerBye announcement on the eviction
 // path; a peer that cannot ack it in time just sees an unannounced close
 // and draws its own conclusions.
@@ -477,6 +425,16 @@ func (p *Proxy) evictPeer(site string, pr *peer) {
 	}
 }
 
+// watchPeer reacts to the peer's session ending. A teardown the
+// connection cache initiated (LRU eviction, idle close, replacement) is
+// expected: the site remains a live directory member and only the tunnel
+// goes away. Anything else is evidence of site failure: the directory
+// marks it dead (the rumor gossips out), its announced resources and
+// status leave the local view, and affected launches are rescheduled —
+// the failure-containment behaviour of E7: losing one proxy costs the
+// grid only that site. A tunnel this proxy killed because the
+// directory had already given the site up (syncGlobalFromMembers) ends
+// here too, as the unannounced close it is.
 func (p *Proxy) watchPeer(pr *peer) {
 	defer p.wg.Done()
 	select {
@@ -573,14 +531,6 @@ func (p *Proxy) callPeer(ctx context.Context, pr *peer, body proto.Body) (proto.
 	return reply, err
 }
 
-// perPeerTimeout is the per-target deadline control fan-outs run under.
-func (p *Proxy) perPeerTimeout() time.Duration {
-	if d := p.lifecycle.RPCTimeout; d > 0 {
-		return d
-	}
-	return 0
-}
-
 // announceTo exchanges inventories with one peer: it announces this
 // site's nodes and merges the peer's reply, so both schedulers see each
 // other's resources after a single round trip.
@@ -601,8 +551,8 @@ func (p *Proxy) announceTo(ctx context.Context, pr *peer) error {
 // Announcements fan out concurrently with a per-peer deadline, so one
 // slow peer delays nothing.
 func (p *Proxy) AnnounceAll(ctx context.Context) {
-	targets, byName := p.connectedPeers(nil)
-	results := peerlink.FanOut(ctx, targets, p.perPeerTimeout(), func(ctx context.Context, site string) (struct{}, error) {
+	targets, byName := p.connectedPeers()
+	results := peerlink.FanOut(ctx, targets, p.lifecycle.RPCTimeout, func(ctx context.Context, site string) (struct{}, error) {
 		return struct{}{}, p.announceTo(ctx, byName[site])
 	})
 	for _, res := range results {
@@ -612,26 +562,21 @@ func (p *Proxy) AnnounceAll(ctx context.Context) {
 	}
 }
 
-// connectedPeers snapshots the live-tunnel peers passing the include
-// filter (nil means all), returning sorted names plus a lookup map.
-func (p *Proxy) connectedPeers(include func(string) bool) ([]string, map[string]*peer) {
+// connectedPeers snapshots the live-tunnel peers: sorted names plus a
+// lookup map.
+func (p *Proxy) connectedPeers() ([]string, map[string]*peer) {
 	byName := p.cache.Snapshot()
 	targets := make([]string, 0, len(byName))
 	for site := range byName {
-		if include != nil && !include(site) {
-			delete(byName, site)
-			continue
-		}
 		targets = append(targets, site)
 	}
-	sortStrings(targets)
+	sort.Strings(targets)
 	return targets, byName
 }
 
 // PingPeer round-trips a liveness probe to one connected peer. The
 // monitoring experiment (E4) also uses it as the unit cost of one
-// per-node poll in the centralized-collection baseline, and the
-// peer-lifecycle supervisor uses it as the heartbeat probe.
+// per-node poll in the centralized-collection baseline.
 func (p *Proxy) PingPeer(ctx context.Context, site string) error {
 	pr, err := p.peerBySite(site)
 	if err != nil {
@@ -733,7 +678,7 @@ func (p *Proxy) FreshStatus(ctx context.Context, sites []string) ([]monitor.Site
 			targets = append(targets, e.Site)
 		}
 	}
-	results := peerlink.FanOut(ctx, targets, p.perPeerTimeout(), func(ctx context.Context, site string) (monitor.SiteSummary, error) {
+	results := peerlink.FanOut(ctx, targets, p.lifecycle.RPCTimeout, func(ctx context.Context, site string) (monitor.SiteSummary, error) {
 		// Retry with a fresh dial when an attempt fails: with on-demand
 		// dialing, a query can lose benign races that say nothing about
 		// the site's health — the remote's cache pressure evicting the
@@ -801,8 +746,6 @@ func includeFunc(sites []string) func(string) bool {
 // GlobalView returns the cached global monitor (updated by gossip, status
 // queries, and peer announcements).
 func (p *Proxy) GlobalView() *monitor.Global { return p.global }
-
-func sortStrings(s []string) { sort.Strings(s) }
 
 func sortSummaries(s []monitor.SiteSummary) {
 	sort.Slice(s, func(i, j int) bool { return s[i].Site < s[j].Site })

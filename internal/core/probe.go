@@ -69,7 +69,7 @@ func (p *Proxy) confirmUnreachable(ctx context.Context, site string) bool {
 	for _, c := range confirmers {
 		targets = append(targets, c.Site)
 	}
-	results := peerlink.FanOut(ctx, targets, p.perPeerTimeout(), func(ctx context.Context, confirmer string) (bool, error) {
+	results := peerlink.FanOut(ctx, targets, p.lifecycle.RPCTimeout, func(ctx context.Context, confirmer string) (bool, error) {
 		pr, err := p.peerFor(ctx, confirmer)
 		if err != nil {
 			return false, err

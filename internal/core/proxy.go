@@ -105,9 +105,9 @@ type Config struct {
 	TicketSkew time.Duration
 	// Policy is the placement policy; nil means balance.LeastLoaded.
 	Policy balance.Policy
-	// Lifecycle carries the peer-link supervision knobs (backoff,
-	// heartbeats, RPC deadlines, status cache TTL). The zero value uses
-	// peerlink defaults; see peerlink.Config.
+	// Lifecycle carries the control-plane timing knobs (RPC and connect
+	// deadline, Hello deadline, status staleness budget). The zero value
+	// uses peerlink defaults; see peerlink.Config.
 	Lifecycle peerlink.Config
 	// Gossip carries the membership gossip knobs (round interval,
 	// fanout, suspicion timing). The zero value uses the GossipConfig
@@ -180,7 +180,6 @@ type Proxy struct {
 	spliceListener net.Listener
 
 	mu      sync.Mutex
-	links   map[string]*peerlink.Link
 	nodes   map[string]NodeHandle
 	apps    map[string]*addressSpace
 	jobs    map[string]*jobState
@@ -214,9 +213,6 @@ func New(cfg Config) (*Proxy, error) {
 	if clock == nil {
 		clock = time.Now
 	}
-	lifecycle := cfg.Lifecycle
-	lifecycle.Metrics = cfg.Metrics
-	lifecycle.Logger = cfg.Logger.Named("peerlink." + cfg.Site)
 	tunnelcfg := cfg.Tunnel
 	if tunnelcfg.Window == 0 && !tunnelcfg.Adaptive {
 		// No explicit static window configured: proxies default to the
@@ -225,7 +221,7 @@ func New(cfg Config) (*Proxy, error) {
 		tunnelcfg.Adaptive = true
 	}
 	//lint:allow-background the proxy IS the lifecycle root: every peer
-	// link, job, and handler context in the process derives from this one,
+	// session, job, and handler context in the process derives from this one,
 	// and Close cancels it.
 	ctx, cancel := context.WithCancel(context.Background())
 	p := &Proxy{
@@ -242,13 +238,12 @@ func New(cfg Config) (*Proxy, error) {
 		collector: monitor.NewCollector(cfg.Site),
 		global:    monitor.NewGlobal(),
 		resources: registry.New(),
-		lifecycle: lifecycle.WithDefaults(),
+		lifecycle: cfg.Lifecycle.WithDefaults(),
 		gossipcfg: cfg.Gossip.WithDefaults(),
 		jobcfg:    cfg.Jobs.WithDefaults(),
 		stagecfg:  cfg.Stage.WithDefaults(),
 		tunnelcfg: tunnelcfg,
 		bondReg:   tunnel.NewBondRegistry(),
-		links:     make(map[string]*peerlink.Link),
 		nodes:     make(map[string]NodeHandle),
 		apps:      make(map[string]*addressSpace),
 		jobs:      make(map[string]*jobState),

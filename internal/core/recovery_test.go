@@ -5,94 +5,33 @@ import (
 	"testing"
 	"time"
 
-	"gridproxy/internal/auth"
 	"gridproxy/internal/balance"
-	"gridproxy/internal/ca"
 	"gridproxy/internal/core"
 	"gridproxy/internal/failure"
-	"gridproxy/internal/metrics"
+	"gridproxy/internal/membership"
 	"gridproxy/internal/monitor"
-	"gridproxy/internal/node"
-	"gridproxy/internal/peerlink"
 	"gridproxy/internal/proto"
-	"gridproxy/internal/transport"
 	"gridproxy/internal/wire"
 )
 
-// fastLifecycle keeps supervised-reconnect tests snappy: small backoff so
-// a healed link comes back within a test's wait window, heartbeats off so
-// probe traffic does not race assertions.
-func fastLifecycle() peerlink.Config {
-	return peerlink.Config{
-		BackoffMin:        20 * time.Millisecond,
-		BackoffMax:        200 * time.Millisecond,
-		HeartbeatInterval: -1,
-	}
-}
-
 // TestReconnectAfterPartition severs the WAN between two proxies with the
 // failure injector, verifies the survivor evicts the peer, heals the
-// link, and confirms the supervised peer lifecycle re-establishes the
-// grid WITHOUT any operator reconnect — the recovery side of the paper's
-// "recovery of system flaws" requirement.
+// link, and confirms the grid re-establishes itself WITHOUT any operator
+// reconnect — the recovery side of the paper's "recovery of system
+// flaws" requirement. Nothing supervises the link: each side's directory
+// holds the other dead, each gossip round sends one resurrection probe
+// through the connection cache, and the first one after the heal peers
+// the sites again.
 func TestReconnectAfterPartition(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 
-	authority, err := ca.New("recovery")
-	if err != nil {
-		t.Fatal(err)
-	}
-	users, err := auth.NewStore()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := users.AddUser("admin", "admin"); err != nil {
-		t.Fatal(err)
-	}
-	if err := users.GrantUser("admin", auth.Permission{Action: "*", Resource: "*"}); err != nil {
-		t.Fatal(err)
-	}
-
-	wanBase := transport.NewMemNetwork()
-	defer wanBase.Close()
+	g := newHandGrid(t, "recovery")
 	// Site A reaches the WAN through a kill switch.
-	flaky := failure.New(wanBase)
-
-	mk := func(name string, wanNet transport.Network, reg *metrics.Registry) *core.Proxy {
-		cred, err := authority.IssueHost("proxy." + name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		local := transport.NewMemNetwork()
-		proxy, err := core.New(core.Config{
-			Site:      name,
-			WANAddr:   "wan." + name,
-			WAN:       transport.NewTLS(wanNet, cred, authority.CertPool(), nil),
-			Local:     local,
-			Users:     users,
-			Policy:    balance.LeastLoaded{},
-			Lifecycle: fastLifecycle(),
-			Metrics:   reg,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		agent := node.New(name+"-n0", name, local)
-		proxy.AttachNode(agent)
-		if err := proxy.Start(); err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() {
-			_ = proxy.Close()
-			agent.Stop()
-		})
-		return proxy
-	}
-
-	regA := metrics.NewRegistry()
-	proxyA := mk("sitea", flaky, regA)
-	proxyB := mk("siteb", wanBase, nil)
+	flaky := failure.New(g.wan)
+	cfg := core.Config{Policy: balance.LeastLoaded{}, Gossip: core.GossipConfig{Interval: 20 * time.Millisecond}}
+	proxyA := g.start("sitea", flaky, 1, nil, cfg)
+	proxyB := g.start("siteb", g.wan, 1, nil, cfg)
 
 	if err := proxyA.Connect(ctx, "siteb", "wan.siteb"); err != nil {
 		t.Fatal(err)
@@ -100,40 +39,29 @@ func TestReconnectAfterPartition(t *testing.T) {
 	if len(proxyA.Candidates()) != 2 {
 		t.Fatal("initial grid incomplete")
 	}
-	// Connect starts link supervision asynchronously; let the link adopt
-	// the live session before severing it, or the post-heal dial counts
-	// as the link's FIRST establishment and no reconnect is recorded.
-	waitFor(t, 10*time.Second, func() bool {
-		state, ok := proxyA.PeerLinkState("siteb")
-		return ok && state == peerlink.StateEstablished
-	})
 
-	// Partition: sever A's WAN.
+	// Partition: sever A's WAN. Both sides lose the tunnel and, with it,
+	// the other site's resources; both directories hold the other dead.
 	flaky.Fail()
 	waitFor(t, 10*time.Second, func() bool { return len(proxyA.Peers()) == 0 })
 	waitFor(t, 10*time.Second, func() bool { return len(proxyB.Peers()) == 0 })
 	if got := len(proxyA.Candidates()); got != 1 {
 		t.Fatalf("candidates during partition = %d", got)
 	}
+	if m, ok := memberOf(proxyA, "siteb"); !ok || m.State != membership.Dead {
+		t.Fatalf("siteb in A's directory during partition = %v (known %v), want dead", m.State, ok)
+	}
 
-	// Heal. No reconnect call: the supervised link must redial with
-	// backoff and restore the grid on its own.
+	// Heal. No reconnect call: a gossip round's probe must redial and
+	// restore the grid on its own — tunnel, directory and inventory.
 	flaky.Heal()
 	waitFor(t, 10*time.Second, func() bool { return len(proxyA.Candidates()) == 2 })
 	waitFor(t, 10*time.Second, func() bool {
-		state, ok := proxyA.PeerLinkState("siteb")
-		return ok && state == peerlink.StateEstablished
+		mA, _ := memberOf(proxyA, "siteb")
+		mB, _ := memberOf(proxyB, "sitea")
+		return mA.State == membership.Alive && mB.State == membership.Alive &&
+			len(proxyA.Peers()) == 1 && len(proxyB.Peers()) == 1
 	})
-	// The state gauge can read Established before the supervisor notices
-	// the dead session (and again after it redials), so give the
-	// reconnect accounting its own wait instead of a one-shot read —
-	// same idiom as peerlink's own reconnect test.
-	waitFor(t, 10*time.Second, func() bool {
-		return regA.Counter(metrics.PeerReconnects).Value() >= 1
-	})
-	if got := regA.Counter(metrics.PeerTransitions).Value(); got < 3 {
-		t.Fatalf("peer.transitions = %d, want >= 3 (established/backoff/established)", got)
-	}
 	summaries, err := proxyA.Status(ctx, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"gridproxy/internal/core"
 	"gridproxy/internal/metrics"
 	"gridproxy/internal/peerlink"
 	"gridproxy/internal/site"
@@ -41,9 +42,9 @@ func DefaultE4() E4Config {
 //     sites' data") — one control round trip per remote site;
 //   - "central-poll": a centralized monitor that polls every node
 //     individually — one round trip per remote node;
-//   - "site-cached": the proxy's TTL-cached global view — a warm read
-//     costs zero control messages, the background refresher amortizing
-//     the per-site queries across many reads.
+//   - "site-cached": the proxy's gossiped global view — a read costs
+//     zero control messages; the summaries arrived with the connects and
+//     keep arriving with gossip, whoever reads.
 func E4(cfg E4Config) ([]E4Row, error) {
 	var rows []E4Row
 	for _, shape := range cfg.Shapes {
@@ -62,10 +63,12 @@ func runE4Shape(sitesCount, nodesPerSite int) ([]E4Row, error) {
 	tbCfg := site.TestbedConfig{
 		GridName: "e4",
 		Metrics:  reg,
-		// Heartbeats off so probe traffic cannot pollute the message
-		// counts; a long StatusTTL so the "site-cached" row reads a warm
-		// cache instead of racing the background refresher.
-		Lifecycle: peerlink.Config{HeartbeatInterval: -1, StatusTTL: time.Hour},
+		// A long StatusTTL so the "site-cached" row's reads count as
+		// cache hits; gossip off so no round's exchange lands inside a
+		// row's message count (the summaries the cached row reads came
+		// with the connects).
+		Lifecycle: peerlink.Config{StatusTTL: time.Hour},
+		Gossip:    core.GossipConfig{Interval: -1},
 	}
 	for s := 0; s < sitesCount; s++ {
 		tbCfg.Sites = append(tbCfg.Sites, site.SiteSpec{

@@ -8,7 +8,6 @@ import (
 	"gridproxy/internal/core"
 	"gridproxy/internal/metrics"
 	"gridproxy/internal/node"
-	"gridproxy/internal/peerlink"
 	"gridproxy/internal/site"
 )
 
@@ -70,13 +69,6 @@ func runE9Shape(sitesCount, nodesPerSite, procs int, work time.Duration) (E9Row,
 	tbCfg := site.TestbedConfig{
 		GridName: "e9",
 		Metrics:  reg,
-		// Fast backoff, heartbeats off: detection is the session-death
-		// path, as in E7.
-		Lifecycle: peerlink.Config{
-			BackoffMin:        20 * time.Millisecond,
-			BackoffMax:        500 * time.Millisecond,
-			HeartbeatInterval: -1,
-		},
 	}
 	for s := 0; s < sitesCount; s++ {
 		tbCfg.Sites = append(tbCfg.Sites, site.SiteSpec{
@@ -135,11 +127,13 @@ func runE9Shape(sitesCount, nodesPerSite, procs int, work time.Duration) (E9Row,
 		return row, nil
 	}
 	time.Sleep(work / 10)
+	// Time-to-reschedule: kill → the lost ranks respawned elsewhere. The
+	// target is read before the kill: Close returns after the survivors
+	// have seen the sessions die, and by then the ranks may be respawned.
+	wantRanks := reg.Counter(metrics.RanksRescheduled).Value() + int64(lost)
 	killed := time.Now()
 	tb.Site(victim).Close()
 
-	// Time-to-reschedule: kill → the lost ranks respawned elsewhere.
-	wantRanks := reg.Counter(metrics.RanksRescheduled).Value() + int64(lost)
 	deadline := time.Now().Add(30 * time.Second)
 	for time.Now().Before(deadline) {
 		if reg.Counter(metrics.RanksRescheduled).Value() >= wantRanks {

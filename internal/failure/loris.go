@@ -13,7 +13,7 @@ import (
 // gate, so a test (or load experiment) can freeze a whole cohort of
 // in-flight requests and release them at a chosen instant. This is the
 // failure mode a gateway's admission control and per-route deadlines
-// must survive: slots pinned by clients that are connected but not
+// must survive: slots held by clients that are connected but not
 // making progress.
 type SlowLoris struct {
 	// Chunk is how many bytes each Read releases. Default 1 — the

@@ -148,8 +148,8 @@ func TestMembers(t *testing.T) {
 		}
 	}
 	// The directory row for the proxy's own site reports a tunnel (to
-	// itself); the testbed's ConnectAll holds supervised links to the
-	// rest, so they count as tunnels held too.
+	// itself); the testbed's ConnectAll dialed the rest a moment ago, so
+	// those tunnels are still cached and count as held too.
 	for _, m := range members {
 		if !m.Tunnel {
 			t.Errorf("%s tunnel = n, want y under full testbed mesh", m.Site)

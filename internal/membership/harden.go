@@ -79,7 +79,7 @@ func (d *Directory) vouchLocked(local *entry, rumor State, rumorInc uint64, now 
 // (or vouches, or sees the refutation) independently. Callers hold
 // d.mu.
 func (d *Directory) demoteLocked(local *entry, ge *proto.GossipEntry, now time.Time) {
-	d.setState(local, Suspect, now)
+	d.setStateLocked(local, Suspect, now)
 	local.incarnation = ge.Incarnation
 	local.version = ge.Version
 	if ge.Addr != "" {
@@ -160,7 +160,7 @@ func (d *Directory) ObserveDigest(items []proto.GossipDigestItem) int {
 		changed++
 	}
 	if changed > 0 {
-		d.publishGauges()
+		d.publishGaugesLocked()
 	}
 	return changed
 }

@@ -120,7 +120,18 @@ type entry struct {
 	deadAt    time.Time
 	// retransmit is the remaining hot-push budget; zero means cold.
 	retransmit int
+	// seed marks a site the operator configured (AddSeed): it is never
+	// pruned, so a bootstrap peer is retried for as long as the proxy
+	// runs. A seed nothing has been heard from yet sits at incarnation 0
+	// (every real row is at 1 or above) and is kept off the wire: the
+	// directory does not vouch for a site on the strength of a config
+	// line.
+	seed bool
 }
+
+// unmet reports whether the row is a seed that neither a contact nor a
+// rumor has filled in yet.
+func (e *entry) unmet() bool { return e.incarnation == 0 }
 
 // Config parameterizes a Directory.
 type Config struct {
@@ -267,13 +278,16 @@ func New(cfg Config) *Directory {
 	d.entries[cfg.Site] = self
 	d.stateCount[Alive]++
 	d.markHotLocked(self)
-	d.publishGauges()
+	d.publishGaugesLocked()
 	return d
 }
 
 // markHotLocked gives e a fresh retransmit budget of RetransmitFactor·⌈log₂N⌉.
-// Callers hold d.mu.
+// An unmet seed has nothing to spread and stays cold. Callers hold d.mu.
 func (d *Directory) markHotLocked(e *entry) {
+	if e.unmet() {
+		return
+	}
 	n := len(d.entries)
 	if n < 2 {
 		n = 2
@@ -281,9 +295,9 @@ func (d *Directory) markHotLocked(e *entry) {
 	e.retransmit = d.cfg.RetransmitFactor * int(math.Ceil(math.Log2(float64(n))))
 }
 
-// setState moves e between states, maintaining gauge counts and
+// setStateLocked moves e between states, maintaining gauge counts and
 // transition counters. Callers hold d.mu.
-func (d *Directory) setState(e *entry, s State, now time.Time) {
+func (d *Directory) setStateLocked(e *entry, s State, now time.Time) {
 	if e.state == s {
 		return
 	}
@@ -302,8 +316,8 @@ func (d *Directory) setState(e *entry, s State, now time.Time) {
 	e.state = s
 }
 
-// publishGauges pushes the per-state entry counts. Callers hold d.mu.
-func (d *Directory) publishGauges() {
+// publishGaugesLocked pushes the per-state entry counts. Callers hold d.mu.
+func (d *Directory) publishGaugesLocked() {
 	d.cfg.Metrics.Gauge(metrics.MembersAlive).Set(int64(d.stateCount[Alive]))
 	d.cfg.Metrics.Gauge(metrics.MembersSuspect).Set(int64(d.stateCount[Suspect]))
 	d.cfg.Metrics.Gauge(metrics.MembersDead).Set(int64(d.stateCount[Dead]))
@@ -519,6 +533,9 @@ func (d *Directory) Digest() []proto.GossipDigestItem {
 	sort.Strings(sites)
 	for _, site := range sites {
 		e := d.entries[site]
+		if e.unmet() {
+			continue
+		}
 		out = append(out, proto.GossipDigestItem{
 			Site:        e.site,
 			Incarnation: e.incarnation,
@@ -548,6 +565,9 @@ func (d *Directory) DeltaFor(digest []proto.GossipDigestItem) []proto.GossipEntr
 	var out []proto.GossipEntry
 	for _, site := range sites {
 		e := d.entries[site]
+		if e.unmet() {
+			continue
+		}
 		item, ok := seen[site]
 		if ok && !newer(e.incarnation, e.version, uint8(e.state), item.Incarnation, item.Version, item.State) {
 			continue
@@ -626,7 +646,7 @@ func (d *Directory) Merge(entries []proto.GossipEntry) int {
 	}
 	if merged > 0 {
 		d.cfg.Metrics.Counter(metrics.GossipEntriesMerged).Add(int64(merged))
-		d.publishGauges()
+		d.publishGaugesLocked()
 	}
 	return merged
 }
@@ -656,7 +676,7 @@ func (d *Directory) adopt(local *entry, ge *proto.GossipEntry, now time.Time) {
 	if state > Dead {
 		state = Dead
 	}
-	d.setState(local, state, now)
+	d.setStateLocked(local, state, now)
 	local.incarnation = ge.Incarnation
 	local.version = ge.Version
 	if ge.Addr != "" {
@@ -699,9 +719,35 @@ func (d *Directory) refuteLocked(ge *proto.GossipEntry, now time.Time) {
 	}
 }
 
+// AddSeed records a site the operator configured, before anything has
+// been heard from it. The row is dialable at once (Sample and, once the
+// sweep has given up on it, DeadProbeTargets return it), is never pruned,
+// and stays off the wire until a contact or a rumor fills it in. A site
+// the directory already knows keeps its state and becomes a seed at the
+// operator's address.
+func (d *Directory) AddSeed(site, addr string) {
+	if site == "" || site == d.cfg.Site {
+		return
+	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	e, ok := d.entries[site]
+	if !ok {
+		e = &entry{site: site, state: Alive, heardAt: d.cfg.Now()}
+		d.entries[site] = e
+		d.stateCount[Alive]++
+		d.publishGaugesLocked()
+	}
+	e.seed = true
+	if addr != "" {
+		e.addr = addr
+	}
+}
+
 // ObserveAlive records direct evidence that a site is up (a session or
 // RPC to it just succeeded). A suspect or dead entry is revived past its
-// current incarnation — direct contact outranks any rumor.
+// current incarnation — direct contact outranks any rumor — and an unmet
+// seed gets its first.
 func (d *Directory) ObserveAlive(site, addr string) {
 	if site == "" || site == d.cfg.Site {
 		return
@@ -718,7 +764,7 @@ func (d *Directory) ObserveAlive(site, addr string) {
 			e.addr = addr
 		}
 		d.markHotLocked(e)
-		d.publishGauges()
+		d.publishGaugesLocked()
 		return
 	}
 	if addr != "" {
@@ -726,12 +772,12 @@ func (d *Directory) ObserveAlive(site, addr string) {
 	}
 	e.heardAt = now
 	e.directAt = now
-	if e.state != Alive {
+	if e.state != Alive || e.unmet() {
 		e.incarnation++
 		e.version = 0
-		d.setState(e, Alive, now)
+		d.setStateLocked(e, Alive, now)
 		d.markHotLocked(e)
-		d.publishGauges()
+		d.publishGaugesLocked()
 	}
 }
 
@@ -751,15 +797,15 @@ func (d *Directory) ObserveSummary(site, addr string, s proto.SiteStatus) {
 		e = &entry{site: site, state: Alive, incarnation: 1}
 		d.entries[site] = e
 		d.stateCount[Alive]++
-		d.publishGauges()
+		d.publishGaugesLocked()
 	}
 	if addr != "" {
 		e.addr = addr
 	}
-	if e.state != Alive {
+	if e.state != Alive || e.unmet() {
 		e.incarnation++
-		d.setState(e, Alive, now)
-		d.publishGauges()
+		d.setStateLocked(e, Alive, now)
+		d.publishGaugesLocked()
 	}
 	e.version++
 	e.hasSummary = true
@@ -784,13 +830,13 @@ func (d *Directory) ObserveSuspect(site string) {
 		return
 	}
 	e.version++
-	d.setState(e, Suspect, d.cfg.Now())
+	d.setStateLocked(e, Suspect, d.cfg.Now())
 	d.markHotLocked(e)
-	d.publishGauges()
+	d.publishGaugesLocked()
 }
 
-// ObserveDead records conclusive evidence a site is down (its supervised
-// tunnel session died and redials fail). The entry goes straight to dead
+// ObserveDead records conclusive evidence a site is down (the tunnel held
+// to it died unannounced). The entry goes straight to dead
 // — preserving the old roster semantics where a dead peer drops out of
 // the compiled global view immediately.
 func (d *Directory) ObserveDead(site string) {
@@ -804,15 +850,15 @@ func (d *Directory) ObserveDead(site string) {
 		return
 	}
 	e.version++
-	d.setState(e, Dead, d.cfg.Now())
+	d.setStateLocked(e, Dead, d.cfg.Now())
 	d.markHotLocked(e)
-	d.publishGauges()
+	d.publishGaugesLocked()
 }
 
 // Sweep advances the time-driven half of the state machine: long-silent
 // alive entries become suspect, unrefuted suspects become dead, and dead
-// entries past retention are pruned. The proxy calls this once per gossip
-// round.
+// entries past retention are pruned — except seeds, which stay dead and
+// probed. The proxy calls this once per gossip round.
 func (d *Directory) Sweep() {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -833,19 +879,19 @@ func (d *Directory) Sweep() {
 		case Alive:
 			if now.Sub(e.heardAt) > suspectAfter {
 				e.version++
-				d.setState(e, Suspect, now)
+				d.setStateLocked(e, Suspect, now)
 				d.markHotLocked(e)
 				changed = true
 			}
 		case Suspect:
 			if now.Sub(e.suspectAt) > deadAfter {
 				e.version++
-				d.setState(e, Dead, now)
+				d.setStateLocked(e, Dead, now)
 				d.markHotLocked(e)
 				changed = true
 			}
 		case Dead:
-			if now.Sub(e.deadAt) > d.cfg.DeadRetention {
+			if !e.seed && now.Sub(e.deadAt) > d.cfg.DeadRetention {
 				d.stateCount[Dead]--
 				delete(d.entries, site)
 				d.cfg.Metrics.Counter(metrics.MemberPrunes).Inc()
@@ -854,7 +900,7 @@ func (d *Directory) Sweep() {
 		}
 	}
 	if changed {
-		d.publishGauges()
+		d.publishGaugesLocked()
 	}
 }
 

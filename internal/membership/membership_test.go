@@ -336,3 +336,110 @@ func TestWantAntiEntropyAlwaysOnTinyDirectory(t *testing.T) {
 		t.Fatal("singleton directory must always want anti-entropy (bootstrap pull)")
 	}
 }
+
+// TestSeedNeverPrunedNeverVouchedFor covers the seed rule. A configured
+// address is dialable at once; while nothing has been heard from the site
+// it stays off the wire (no alive rumor on the strength of a config
+// line); it walks alive → suspect → dead on silence like anyone else but
+// is never pruned, so it is a resurrection-probe target for as long as
+// the proxy runs — while a gossiped site that died beside it is
+// forgotten after DeadRetention as before. First contact gives the seed
+// its first incarnation and makes it hot.
+func TestSeedNeverPrunedNeverVouchedFor(t *testing.T) {
+	c := newFakeClock()
+	d := New(Config{
+		Site: "sitea", Addr: "wan.sitea", Now: c.now,
+		SuspectAfter: 10 * time.Second, DeadAfter: 10 * time.Second,
+		DeadRetention: 30 * time.Second,
+	})
+	d.HotPush() // drain the self announcement
+	d.AddSeed("seed", "wan.seed")
+	d.Merge([]proto.GossipEntry{{Site: "rumor", Addr: "wan.rumor", Incarnation: 1}})
+
+	if e, ok := d.Lookup("seed"); !ok || e.Addr != "wan.seed" || e.State != Alive {
+		t.Fatalf("seed entry = %+v ok=%v, want listed with its address", e, ok)
+	}
+	sampled := false
+	for _, e := range d.Sample(8) {
+		sampled = sampled || e.Site == "seed"
+	}
+	if !sampled {
+		t.Fatal("seed is not a gossip target before first contact")
+	}
+	onWire := func() bool {
+		for _, ge := range d.HotPush() {
+			if ge.Site == "seed" {
+				return true
+			}
+		}
+		for _, item := range d.Digest() {
+			if item.Site == "seed" {
+				return true
+			}
+		}
+		for _, ge := range d.DeltaFor(nil) {
+			if ge.Site == "seed" {
+				return true
+			}
+		}
+		return false
+	}
+	if onWire() {
+		t.Fatal("an unmet seed spread as a rumor")
+	}
+
+	// Silence: suspect, dead, and — past retention — still there.
+	for _, want := range []State{Suspect, Dead} {
+		c.advance(11 * time.Second)
+		d.Sweep()
+		if e, _ := d.Lookup("seed"); e.State != want {
+			t.Fatalf("seed state = %v, want %v", e.State, want)
+		}
+		if onWire() {
+			t.Fatalf("an unmet seed spread as a %v rumor", want)
+		}
+	}
+	c.advance(10 * time.Minute)
+	d.Sweep()
+	if _, ok := d.Lookup("rumor"); ok {
+		t.Fatal("gossiped dead site survived retention, want pruned")
+	}
+	if e, ok := d.Lookup("seed"); !ok || e.State != Dead || e.Addr != "wan.seed" {
+		t.Fatalf("dead seed after retention = %+v ok=%v, want kept", e, ok)
+	}
+	if targets := d.DeadProbeTargets(4); len(targets) != 1 || targets[0].Site != "seed" {
+		t.Fatalf("DeadProbeTargets = %+v, want the seed", targets)
+	}
+
+	// First contact: a real row, and news.
+	d.ObserveAlive("seed", "wan.seed")
+	if e, _ := d.Lookup("seed"); e.State != Alive || e.Incarnation != 1 {
+		t.Fatalf("seed after first contact = %+v, want alive at incarnation 1", e)
+	}
+	if !onWire() {
+		t.Fatal("a contacted seed is not gossiped")
+	}
+}
+
+// TestSeedOnKnownSite: configuring a site gossip already brought keeps
+// what is known about it and only makes it unprunable.
+func TestSeedOnKnownSite(t *testing.T) {
+	c := newFakeClock()
+	d := New(Config{Site: "sitea", Addr: "wan.sitea", Now: c.now,
+		SuspectAfter: 10 * time.Second, DeadAfter: 10 * time.Second, DeadRetention: 30 * time.Second})
+	d.Merge([]proto.GossipEntry{{Site: "siteb", Addr: "wan.old", Incarnation: 3, Version: 2}})
+	d.AddSeed("siteb", "wan.siteb")
+	e, _ := d.Lookup("siteb")
+	if e.Incarnation != 3 || e.Version != 2 || e.Addr != "wan.siteb" {
+		t.Fatalf("entry after AddSeed = %+v, want (3,2) kept at the configured address", e)
+	}
+	c.advance(11 * time.Second)
+	d.Sweep()
+	c.advance(11 * time.Second)
+	d.Sweep()
+	c.advance(time.Hour)
+	d.Sweep()
+	if e, ok := d.Lookup("siteb"); !ok || e.State != Dead {
+		t.Fatalf("seeded site after retention = %+v ok=%v, want kept dead", e, ok)
+	}
+}

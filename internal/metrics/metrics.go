@@ -224,22 +224,6 @@ const (
 	// the control (priority) lane.
 	TunnelBatchControl = "tunnel.batch.control"
 
-	// Peer-lifecycle gauges: how many supervised links currently occupy
-	// each state of the machine (see internal/peerlink).
-	PeersConnecting  = "gauge.peer.connecting"
-	PeersEstablished = "gauge.peer.established"
-	PeersDegraded    = "gauge.peer.degraded"
-	PeersBackoff     = "gauge.peer.backoff"
-	// PeerTransitions counts state-machine transitions across all links.
-	PeerTransitions = "peer.transitions"
-	// PeerReconnects counts sessions re-established after a loss.
-	PeerReconnects = "peer.reconnects"
-	// PeerRedialFailures counts dial attempts that failed.
-	PeerRedialFailures = "peer.redial_failures"
-	// PeerHeartbeats counts heartbeat probes sent.
-	PeerHeartbeats = "peer.heartbeats"
-	// PeerHeartbeatMisses counts probes that failed or timed out.
-	PeerHeartbeatMisses = "peer.heartbeat_misses"
 	// ControlRPCs counts proxy-to-proxy control calls issued.
 	ControlRPCs = "control.rpcs"
 	// ControlRPCMicros accumulates control-call latency in microseconds.
@@ -249,7 +233,8 @@ const (
 	// StatusCacheHits counts Status reads answered from the cached global
 	// view without a cross-site RPC.
 	StatusCacheHits = "status.cache_hits"
-	// StatusCacheMisses counts Status reads that had to query a peer.
+	// StatusCacheMisses counts summaries Status served that were older
+	// than the StatusTTL budget (they are served all the same).
 	StatusCacheMisses = "status.cache_misses"
 
 	// Membership and gossip metrics (internal/membership): the directory

@@ -94,6 +94,33 @@ func TestBreakerWindowExpiresAndBacksOff(t *testing.T) {
 	}
 }
 
+// TestBreakerWindowBounds: the open window is the redial backoff, so its
+// shape is fixed here — BreakerMinOpen doubled per consecutive open, capped
+// at BreakerMaxOpen, each within ±20 % jitter. Measured through the
+// cache's own clock: after the k-th open the breaker still refuses at
+// 0.8 of the nominal window and admits again past 1.2 of it.
+func TestBreakerWindowBounds(t *testing.T) {
+	d := newCountingDialer()
+	d.fail["far"] = errors.New("connection refused")
+	for trial := 0; trial < 20; trial++ { // the jitter is random; sample it
+		clock := &breakerClock{now: time.Unix(1000, 0)}
+		c := newBreakerCache(t, d, clock) // 1s doubling to a 4s cap
+		for _, nominal := range []time.Duration{time.Second, 2 * time.Second, 4 * time.Second, 4 * time.Second, 4 * time.Second} {
+			for i := 0; i < 3; i++ {
+				if _, err := c.Get(context.Background(), "far"); errors.Is(err, ErrCircuitOpen) {
+					t.Fatalf("window %v: breaker open before the threshold", nominal)
+				}
+			}
+			low, high := nominal*8/10, nominal*12/10
+			clock.Advance(low - time.Millisecond)
+			if _, err := c.Get(context.Background(), "far"); !errors.Is(err, ErrCircuitOpen) {
+				t.Fatalf("window %v: admitted a dial %v in, below the jittered minimum", nominal, low)
+			}
+			clock.Advance(high - low + time.Millisecond)
+		}
+	}
+}
+
 func TestBreakerResetOnDialSuccess(t *testing.T) {
 	d := newCountingDialer()
 	d.fail["far"] = errors.New("connection refused")
@@ -111,7 +138,7 @@ func TestBreakerResetOnDialSuccess(t *testing.T) {
 		t.Fatalf("recovered dial failed: %v", err)
 	}
 	c.Release("far", sess)
-	c.Drop("far")
+	c.DropIf("far", sess)
 	d.fail["far"] = errors.New("connection refused")
 	for i := 0; i < 2; i++ {
 		if _, err := c.Get(context.Background(), "far"); errors.Is(err, ErrCircuitOpen) {
@@ -135,10 +162,11 @@ func TestBreakerResetOnInboundSession(t *testing.T) {
 	// The "unreachable" site dialed US: adopting its session clears the
 	// breaker, so after that session dies a fresh dial is admitted
 	// immediately.
-	if !c.Add("far", newCacheSession("far"), false) {
+	inbound := newCacheSession("far")
+	if !c.Add("far", inbound) {
 		t.Fatal("Add refused")
 	}
-	c.Drop("far")
+	c.DropIf("far", inbound)
 	if _, err := c.Get(context.Background(), "far"); errors.Is(err, ErrCircuitOpen) {
 		t.Fatal("breaker survived an inbound session")
 	}

@@ -2,6 +2,7 @@ package peerlink
 
 import (
 	"context"
+	"errors"
 	"sort"
 	"sync"
 	"time"
@@ -12,12 +13,12 @@ import (
 // CacheConfig carries the connection-cache knobs. The zero value means
 // "use defaults"; negative durations disable the behaviour.
 type CacheConfig struct {
-	// MaxTunnels caps the number of live unpinned sessions; inserting
-	// past the cap evicts the least-recently-used one (default 32;
-	// negative: unlimited).
+	// MaxTunnels caps the number of live sessions; inserting past the
+	// cap evicts the least-recently-used one that is not in use (default
+	// 32; negative: unlimited).
 	MaxTunnels int
-	// IdleClose closes unpinned sessions unused for this long (default
-	// 2m; negative disables).
+	// IdleClose closes sessions unused for this long (default 2m;
+	// negative disables).
 	IdleClose time.Duration
 	// SweepEvery is the idle janitor's period (default IdleClose/4).
 	SweepEvery time.Duration
@@ -74,19 +75,30 @@ func (c CacheConfig) WithDefaults() CacheConfig {
 	return c
 }
 
+// errSessionDied is what Get returns when the session it dialed was dead
+// by the time it could be cached.
+var errSessionDied = errors.New("peerlink: session died while connecting")
+
 // cacheEntry is one live session in the cache.
 type cacheEntry[T Session] struct {
 	sess    T
 	lastUse time.Time
-	// pinned sessions (explicitly configured bootstrap peers under link
-	// supervision) are exempt from LRU eviction and idle close.
-	pinned bool
-	// refs counts outstanding Get checkouts. The LRU evictor and the
-	// idle sweep skip referenced sessions — closing a tunnel out from
-	// under an in-flight RPC (a status fan-out wider than MaxTunnels
+	// refs counts outstanding checkouts (Get, Add, Put). The LRU evictor
+	// and the idle sweep skip referenced sessions — closing a tunnel out
+	// from under an in-flight RPC (a status fan-out wider than MaxTunnels
 	// does this reliably) turns cache pressure into spurious peer
 	// failures. Release returns a checkout.
 	refs int
+}
+
+// inUse reports whether the cache must leave e alone: somebody holds a
+// checkout on it, or the session says it is busy (see Session).
+func (e *cacheEntry[T]) inUse() bool {
+	if e.refs > 0 {
+		return true
+	}
+	b, ok := any(e.sess).(interface{ Busy() bool })
+	return ok && b.Busy()
 }
 
 // cacheDial establishes a session to a site once, on demand.
@@ -105,8 +117,7 @@ type inflightDial[T Session] struct {
 // sites; the cache holds live tunnels to the handful in active use,
 // dialing lazily, evicting by LRU past MaxTunnels, and closing idle
 // tunnels. It deliberately does not watch session health: the owner
-// supervises sessions (watch goroutines, heartbeats) and calls Drop when
-// one dies.
+// watches Done and calls DropIf when a session dies.
 type Cache[T Session] struct {
 	cfg  CacheConfig
 	dial cacheDial[T]
@@ -201,6 +212,18 @@ func (c *Cache[T]) Get(ctx context.Context, site string) (T, error) {
 	c.mu.Lock()
 	delete(c.inflight, site)
 	if err == nil {
+		select {
+		case <-sess.Done():
+			// Died during its own handshake. The owner's watcher has
+			// already come by and found nothing to drop, so inserting
+			// it now would cache a corpse nobody removes.
+			err = errSessionDied
+			f.sess, f.err = zero, err
+			victims = append(victims, evicted[T]{site: site, sess: sess})
+		default:
+		}
+	}
+	if err == nil {
 		if c.closed {
 			// Lost the race with CloseAll: the new session must not
 			// outlive the cache.
@@ -221,8 +244,7 @@ func (c *Cache[T]) Get(ctx context.Context, site string) (T, error) {
 			e.refs++
 			e.lastUse = c.cfg.Now()
 		} else {
-			victims = c.insertLocked(site, sess, false)
-			c.live[site].refs = 1 // the dialer's own checkout
+			victims = c.insertLocked(site, sess) // with the dialer's checkout
 		}
 	}
 	c.mu.Unlock()
@@ -234,7 +256,8 @@ func (c *Cache[T]) Get(ctx context.Context, site string) (T, error) {
 	return sess, nil
 }
 
-// Release hands back a checkout taken by Get. It is identity-checked:
+// Release hands back a checkout taken by Get, Add or Put. It is
+// identity-checked:
 // releasing a session that has since been replaced or dropped is a
 // no-op, so callers may release unconditionally after use. The release
 // refreshes the LRU clock — "last use" means the RPC's end, not its
@@ -272,13 +295,6 @@ func (c *Cache[T]) Has(site string) bool {
 	return ok
 }
 
-// Len returns the number of live sessions held.
-func (c *Cache[T]) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.live)
-}
-
 // Sites returns the sites with live sessions, sorted.
 func (c *Cache[T]) Sites() []string {
 	c.mu.Lock()
@@ -292,11 +308,9 @@ func (c *Cache[T]) Sites() []string {
 }
 
 // Put adopts an externally established session (an accepted inbound
-// tunnel, a supervised bootstrap link); sess must not already be in the
-// cache. A previous session for the site is evicted and closed. Pinned
-// sessions are exempt from LRU eviction and idle close — the owner's
-// supervisor manages their lifetime.
-func (c *Cache[T]) Put(site string, sess T, pinned bool) {
+// tunnel) as Add does, but replaces a session already held for the site:
+// the old one is evicted and closed.
+func (c *Cache[T]) Put(site string, sess T) {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
@@ -308,17 +322,21 @@ func (c *Cache[T]) Put(site string, sess T, pinned bool) {
 		victims = append(victims, evicted[T]{site: site, sess: old.sess})
 		delete(c.live, site)
 	}
-	victims = append(victims, c.insertLocked(site, sess, pinned)...)
+	victims = append(victims, c.insertLocked(site, sess)...)
 	delete(c.breakers, site) // a session in hand proves reachability
 	c.mu.Unlock()
 	c.closeEvicted(victims)
 }
 
-// Add inserts sess for site only if no live session is held there,
-// reporting whether it was adopted. Crossing dials keep the first
-// session: the loser gets false back and closes its own. After CloseAll,
-// Add always reports false.
-func (c *Cache[T]) Add(site string, sess T, pinned bool) bool {
+// Add adopts an externally established session (an accepted inbound
+// tunnel) only if no live session is held for site, reporting whether it
+// did. Crossing dials keep the first session: the loser gets false back
+// and closes its own. After CloseAll, Add always reports false. Like a
+// dialed session, an adopted one enters the cache checked out — the
+// remote's connect exchange is still running over it, and cache pressure
+// from the next accept must not close it mid-handshake — and the caller
+// hands the checkout back with Release when that exchange is over.
+func (c *Cache[T]) Add(site string, sess T) bool {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
@@ -328,7 +346,7 @@ func (c *Cache[T]) Add(site string, sess T, pinned bool) bool {
 		c.mu.Unlock()
 		return false
 	}
-	victims := c.insertLocked(site, sess, pinned)
+	victims := c.insertLocked(site, sess)
 	delete(c.breakers, site) // an inbound session proves reachability
 	c.mu.Unlock()
 	c.closeEvicted(victims)
@@ -348,8 +366,10 @@ func (c *Cache[T]) Snapshot() map[string]T {
 
 // DropIf removes site's entry only when it still holds sess (compared by
 // interface identity — sessions must be comparable, e.g. pointers),
-// without closing it. It reports whether the entry was removed; a false
-// return means a newer session took the slot and survives.
+// without closing it: the caller owns the teardown (it is usually
+// reacting to the session already being dead). It reports whether the
+// entry was removed; a false return means a newer session took the slot
+// and survives.
 func (c *Cache[T]) DropIf(site string, sess T) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -362,32 +382,21 @@ func (c *Cache[T]) DropIf(site string, sess T) bool {
 	return true
 }
 
-// Drop removes site's session from the cache without closing it — the
-// caller owns the teardown (it is usually reacting to the session already
-// being dead).
-func (c *Cache[T]) Drop(site string) {
-	c.mu.Lock()
-	if _, ok := c.live[site]; ok {
-		delete(c.live, site)
-		c.cfg.Metrics.Gauge(metrics.PeersCached).Set(int64(len(c.live)))
-	}
-	c.mu.Unlock()
-}
-
 // evicted pairs a session with its site for deferred close.
 type evicted[T Session] struct {
 	site string
 	sess T
 }
 
-// insertLocked adds a session and returns any LRU victims to close. The
-// caller holds c.mu and must close the victims after releasing it.
-func (c *Cache[T]) insertLocked(site string, sess T, pinned bool) []evicted[T] {
-	c.live[site] = &cacheEntry[T]{sess: sess, lastUse: c.cfg.Now(), pinned: pinned}
+// insertLocked adds a session, checked out once on behalf of whoever
+// brought it, and returns any LRU victims to close. The caller holds c.mu
+// and must close the victims after releasing it.
+func (c *Cache[T]) insertLocked(site string, sess T) []evicted[T] {
+	c.live[site] = &cacheEntry[T]{sess: sess, lastUse: c.cfg.Now(), refs: 1}
 	var victims []evicted[T]
 	if c.cfg.MaxTunnels > 0 {
-		for c.unpinnedLocked() > c.cfg.MaxTunnels {
-			victim := c.oldestUnpinnedLocked(site)
+		for len(c.live) > c.cfg.MaxTunnels {
+			victim := c.oldestIdleLocked()
 			if victim == "" {
 				break
 			}
@@ -400,27 +409,15 @@ func (c *Cache[T]) insertLocked(site string, sess T, pinned bool) []evicted[T] {
 	return victims
 }
 
-// unpinnedLocked counts unpinned live entries. Caller holds c.mu.
-func (c *Cache[T]) unpinnedLocked() int {
-	n := 0
-	for _, e := range c.live {
-		if !e.pinned {
-			n++
-		}
-	}
-	return n
-}
-
-// oldestUnpinnedLocked returns the least-recently-used unpinned,
-// unreferenced site, never the one named keep (the entry just
-// inserted). When every candidate is checked out it returns "" and the
-// cache temporarily exceeds MaxTunnels — a soft cap beats closing a
-// tunnel mid-RPC. Caller holds c.mu.
-func (c *Cache[T]) oldestUnpinnedLocked(keep string) string {
+// oldestIdleLocked returns the least-recently-used site whose session is
+// not in use. When every session is checked out or busy it returns "" and
+// the cache temporarily exceeds MaxTunnels — a soft cap beats closing a
+// tunnel mid-RPC or under a running transfer. Caller holds c.mu.
+func (c *Cache[T]) oldestIdleLocked() string {
 	var oldest string
 	var oldestAt time.Time
 	for site, e := range c.live {
-		if e.pinned || e.refs > 0 || site == keep {
+		if e.inUse() {
 			continue
 		}
 		if oldest == "" || e.lastUse.Before(oldestAt) {
@@ -441,8 +438,8 @@ func (c *Cache[T]) closeEvicted(victims []evicted[T]) {
 	}
 }
 
-// Sweep closes unpinned sessions idle past IdleClose. The janitor calls
-// it periodically; tests call it directly.
+// Sweep closes sessions idle past IdleClose, skipping those in use. The
+// janitor calls it periodically; tests call it directly.
 func (c *Cache[T]) Sweep() {
 	if c.cfg.IdleClose <= 0 {
 		return
@@ -451,10 +448,7 @@ func (c *Cache[T]) Sweep() {
 	var victims []evicted[T]
 	c.mu.Lock()
 	for site, e := range c.live {
-		if e.pinned || e.refs > 0 {
-			continue
-		}
-		if now.Sub(e.lastUse) > c.cfg.IdleClose {
+		if now.Sub(e.lastUse) > c.cfg.IdleClose && !e.inUse() {
 			victims = append(victims, evicted[T]{site: site, sess: e.sess})
 			delete(c.live, site)
 			c.cfg.Metrics.Counter(metrics.PeerIdleCloses).Inc()

@@ -13,12 +13,16 @@ import (
 	"gridproxy/internal/metrics"
 )
 
-// cacheSession is a fake Session recording whether it was closed.
+// cacheSession is a fake Session recording whether it was closed. busy
+// stands for open data streams the cache cannot see.
 type cacheSession struct {
 	site   string
 	done   chan struct{}
 	closed atomic.Bool
+	busy   atomic.Bool
 }
+
+func (s *cacheSession) Busy() bool { return s.busy.Load() }
 
 func newCacheSession(site string) *cacheSession {
 	return &cacheSession{site: site, done: make(chan struct{})}
@@ -162,23 +166,97 @@ func TestCacheLRUEviction(t *testing.T) {
 	}
 }
 
-func TestCachePinnedExemptFromEviction(t *testing.T) {
+// TestCacheBusySessionNotClosed pins the busy rule: a session that says
+// it is busy — nobody holds a checkout, but it carries streams — survives
+// the idle sweep past IdleClose and LRU pressure past MaxTunnels on
+// either way into the cache (dialed or adopted), and goes like any other
+// once it is idle again.
+func TestCacheBusySessionNotClosed(t *testing.T) {
+	d := newCountingDialer()
+	reg := metrics.NewRegistry()
+	var mu sync.Mutex
+	now := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
+	clock := func() time.Time { mu.Lock(); defer mu.Unlock(); return now }
+	advance := func(d time.Duration) { mu.Lock(); now = now.Add(d); mu.Unlock() }
+	c := NewCache[*cacheSession](CacheConfig{MaxTunnels: 1, IdleClose: 10 * time.Second, Now: clock, Metrics: reg}, d.dial, nil)
+	ctx := context.Background()
+
+	dialed, _ := c.Get(ctx, "dialed")
+	dialed.busy.Store(true)
+	c.Release("dialed", dialed)
+	accepted := newCacheSession("accepted")
+	accepted.busy.Store(true)
+	if !c.Add("accepted", accepted) {
+		t.Fatal("Add refused")
+	}
+	c.Release("accepted", accepted)
+
+	advance(time.Hour)
+	c.Sweep()
+	other, _ := c.Get(ctx, "other") // two over the cap, nothing evictable
+	if !c.Has("dialed") || !c.Has("accepted") || dialed.closed.Load() || accepted.closed.Load() {
+		t.Fatal("busy session closed by the cache")
+	}
+	if got := reg.Snapshot()[metrics.PeerIdleCloses] + reg.Snapshot()[metrics.PeerLRUEvictions]; got != 0 {
+		t.Fatalf("closes while busy = %d, want 0", got)
+	}
+	c.Release("other", other)
+
+	// Idle again: the next insert evicts the older of the two, the next
+	// sweep takes whatever sat past IdleClose.
+	dialed.busy.Store(false)
+	accepted.busy.Store(false)
+	advance(time.Second)
+	s, _ := c.Get(ctx, "fourth")
+	c.Release("fourth", s)
+	if len(c.Sites()) != 1 || !dialed.closed.Load() || !accepted.closed.Load() || !other.closed.Load() {
+		t.Fatalf("idle sessions survived LRU pressure: %v", c.Sites())
+	}
+	advance(time.Hour)
+	c.Sweep()
+	if len(c.Sites()) != 0 {
+		t.Fatalf("idle session survived the sweep: %v", c.Sites())
+	}
+}
+
+// TestCacheAdoptedSessionIsCheckedOut: an accepted session enters the
+// cache holding a checkout, so the next insert cannot evict it while the
+// remote is still mid-handshake; after Release it is fair game.
+func TestCacheAdoptedSessionIsCheckedOut(t *testing.T) {
 	d := newCountingDialer()
 	c := NewCache[*cacheSession](CacheConfig{MaxTunnels: 1}, d.dial, nil)
-	pinned := newCacheSession("boot")
-	c.Put("boot", pinned, true)
-	ctx := context.Background()
-	sa, _ := c.Get(ctx, "sitea")
-	c.Release("sitea", sa)
-	c.Get(ctx, "siteb") // evicts sitea, never boot
-	if !c.Has("boot") {
-		t.Fatal("pinned session evicted")
+	first := newCacheSession("first")
+	if !c.Add("first", first) {
+		t.Fatal("Add refused")
 	}
-	if pinned.closed.Load() {
-		t.Fatal("pinned session closed")
+	second := newCacheSession("second")
+	c.Put("second", second)
+	if !c.Has("first") || first.closed.Load() {
+		t.Fatal("accepted session evicted before its handshake was released")
+	}
+	c.Release("first", first)
+	c.Release("second", second)
+	third, _ := c.Get(context.Background(), "third")
+	c.Release("third", third)
+	if len(c.Sites()) != 1 || !first.closed.Load() || !second.closed.Load() {
+		t.Fatalf("released sessions survived LRU pressure: %v", c.Sites())
+	}
+}
+
+// TestCacheDeadOnArrivalNotCached: a session that died while its dial
+// function was still finishing the handshake is refused, not cached — its
+// owner's death watcher has already run and would never drop it.
+func TestCacheDeadOnArrivalNotCached(t *testing.T) {
+	c := NewCache[*cacheSession](CacheConfig{}, func(_ context.Context, site string) (*cacheSession, error) {
+		s := newCacheSession(site)
+		_ = s.Close()
+		return s, nil
+	}, nil)
+	if _, err := c.Get(context.Background(), "sitea"); !errors.Is(err, errSessionDied) {
+		t.Fatalf("Get = %v, want errSessionDied", err)
 	}
 	if c.Has("sitea") {
-		t.Fatal("unpinned LRU victim survived")
+		t.Fatal("dead session cached")
 	}
 }
 
@@ -191,17 +269,12 @@ func TestCacheIdleSweep(t *testing.T) {
 	c := NewCache[*cacheSession](CacheConfig{IdleClose: 10 * time.Second, Now: clock, Metrics: reg}, d.dial, nil)
 	s, _ := c.Get(context.Background(), "sitea")
 	c.Release("sitea", s)
-	pinned := newCacheSession("boot")
-	c.Put("boot", pinned, true)
 	mu.Lock()
 	now = now.Add(11 * time.Second)
 	mu.Unlock()
 	c.Sweep()
 	if c.Has("sitea") || !s.closed.Load() {
 		t.Fatal("idle session survived the sweep")
-	}
-	if !c.Has("boot") {
-		t.Fatal("pinned session idle-closed")
 	}
 	if got := reg.Snapshot()[metrics.PeerIdleCloses]; got != 1 {
 		t.Fatalf("idle_closes = %d, want 1", got)
@@ -265,7 +338,7 @@ func TestCacheDropLeavesSessionOpen(t *testing.T) {
 	d := newCountingDialer()
 	c := NewCache[*cacheSession](CacheConfig{}, d.dial, nil)
 	s, _ := c.Get(context.Background(), "sitea")
-	c.Drop("sitea")
+	c.DropIf("sitea", s)
 	if c.Has("sitea") {
 		t.Fatal("dropped session still cached")
 	}
@@ -307,7 +380,7 @@ func TestCacheCloseAllRefusesInserts(t *testing.T) {
 		t.Fatal("CloseAll left a session open")
 	}
 	late := newCacheSession("siteb")
-	c.Put("siteb", late, false)
+	c.Put("siteb", late)
 	if !late.closed.Load() {
 		t.Fatal("Put after CloseAll adopted a session instead of closing it")
 	}
@@ -344,15 +417,19 @@ func TestFanOutUnderMembershipChurn(t *testing.T) {
 				case 0:
 					if s, err := c.Get(ctx, site); err == nil {
 						if i%6 == 0 {
-							c.Drop(site)
+							c.DropIf(site, s)
 							_ = s.Close()
 						}
 						c.Release(site, s)
 					}
 				case 1:
-					c.Put(site, newCacheSession(site), false)
+					s := newCacheSession(site)
+					c.Put(site, s)
+					c.Release(site, s)
 				case 2:
-					c.Drop(site)
+					if s, ok := c.Peek(site); ok {
+						c.DropIf(site, s)
+					}
 				}
 			}
 		}(w)
@@ -429,7 +506,9 @@ func TestFanOutTargetsRemovedMidFlight(t *testing.T) {
 			})
 	}()
 	<-started
-	c.Drop("siteb") // membership removal races the in-flight fan-out
+	if s, ok := c.Peek("siteb"); ok {
+		c.DropIf("siteb", s) // membership removal races the in-flight fan-out
+	}
 	got := <-results
 	if len(got) != 3 {
 		t.Fatalf("%d results, want 3", len(got))

@@ -3,169 +3,22 @@ package peerlink
 import (
 	"context"
 	"errors"
-	"sync"
 	"testing"
 	"time"
-
-	"gridproxy/internal/metrics"
 )
-
-// fakeSession is a Session killed by closing it.
-type fakeSession struct {
-	once sync.Once
-	done chan struct{}
-}
-
-func newFakeSession() *fakeSession { return &fakeSession{done: make(chan struct{})} }
-
-func (s *fakeSession) Done() <-chan struct{} { return s.done }
-func (s *fakeSession) Close() error {
-	s.once.Do(func() { close(s.done) })
-	return nil
-}
 
 func TestWithDefaults(t *testing.T) {
 	c := Config{}.WithDefaults()
-	if c.BackoffMin != DefaultBackoffMin || c.BackoffMax != DefaultBackoffMax {
-		t.Errorf("backoff defaults not applied: %+v", c)
-	}
-	if c.HeartbeatInterval != DefaultHeartbeatInterval || c.HeartbeatMisses != DefaultHeartbeatMisses {
-		t.Errorf("heartbeat defaults not applied: %+v", c)
-	}
 	if c.RPCTimeout != DefaultRPCTimeout || c.HelloTimeout != DefaultHelloTimeout {
 		t.Errorf("timeout defaults not applied: %+v", c)
 	}
 	// Negative means disabled and must survive.
-	d := Config{HeartbeatInterval: -1, RPCTimeout: -1}.WithDefaults()
-	if d.HeartbeatInterval != -1 || d.RPCTimeout != -1 {
-		t.Errorf("negative (disabled) knobs overridden: %+v", d)
+	if d := (Config{RPCTimeout: -1}).WithDefaults(); d.RPCTimeout != -1 {
+		t.Errorf("negative (disabled) RPCTimeout overridden: %+v", d)
 	}
 	// StatusTTL has no default: caching is opt-in.
 	if c.StatusTTL != 0 {
 		t.Errorf("StatusTTL defaulted to %v, want 0", c.StatusTTL)
-	}
-}
-
-func TestBackoffBounds(t *testing.T) {
-	l := New("s", Config{
-		BackoffMin:    100 * time.Millisecond,
-		BackoffMax:    time.Second,
-		BackoffFactor: 2,
-		Jitter:        0.2,
-	}, nil, nil)
-	for attempt := 0; attempt < 12; attempt++ {
-		for i := 0; i < 50; i++ {
-			d := l.backoff(attempt)
-			if d > 1200*time.Millisecond {
-				t.Fatalf("backoff(%d) = %v exceeds jittered cap", attempt, d)
-			}
-			if attempt == 0 && (d < 80*time.Millisecond || d > 120*time.Millisecond) {
-				t.Fatalf("backoff(0) = %v outside jittered min", d)
-			}
-		}
-	}
-	// Growth: the un-jittered midpoint doubles until the cap.
-	noJitter := New("s", Config{BackoffMin: 100 * time.Millisecond, BackoffMax: time.Second, BackoffFactor: 2, Jitter: -1}, nil, nil)
-	noJitter.cfg.Jitter = 0
-	if d := noJitter.backoff(1); d != 200*time.Millisecond {
-		t.Errorf("backoff(1) = %v, want 200ms", d)
-	}
-	if d := noJitter.backoff(10); d != time.Second {
-		t.Errorf("backoff(10) = %v, want capped 1s", d)
-	}
-}
-
-// TestReconnectAfterSessionDeath drives a link through session death and
-// checks it redials, counts the reconnect, and re-enters Established.
-func TestReconnectAfterSessionDeath(t *testing.T) {
-	reg := metrics.NewRegistry()
-	var mu sync.Mutex
-	var sessions []*fakeSession
-	dial := func(ctx context.Context) (Session, error) {
-		mu.Lock()
-		defer mu.Unlock()
-		s := newFakeSession()
-		sessions = append(sessions, s)
-		return s, nil
-	}
-	l := New("peer", Config{
-		BackoffMin:        5 * time.Millisecond,
-		BackoffMax:        20 * time.Millisecond,
-		HeartbeatInterval: -1,
-		Metrics:           reg,
-	}, dial, nil)
-
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	go l.Run(ctx)
-
-	waitFor(t, time.Second, func() bool { return l.State() == StateEstablished })
-	mu.Lock()
-	first := sessions[0]
-	mu.Unlock()
-	_ = first.Close()
-
-	waitFor(t, time.Second, func() bool { return l.Reconnects() == 1 && l.State() == StateEstablished })
-	if got := reg.Counter(metrics.PeerReconnects).Value(); got != 1 {
-		t.Errorf("peer.reconnects = %d, want 1", got)
-	}
-	cancel()
-	waitFor(t, time.Second, func() bool { return l.State() == StateClosed })
-	if got := reg.Gauge(metrics.PeersEstablished).Value(); got != 0 {
-		t.Errorf("established gauge after close = %d, want 0", got)
-	}
-}
-
-// TestHeartbeatDemotesThenTearsDown checks a failing probe first demotes
-// the link to Degraded, then (after HeartbeatMisses consecutive misses)
-// closes the session so the dial loop replaces it.
-func TestHeartbeatDemotesThenTearsDown(t *testing.T) {
-	reg := metrics.NewRegistry()
-	var mu sync.Mutex
-	dials := 0
-	degradedSeen := false
-	dial := func(ctx context.Context) (Session, error) {
-		mu.Lock()
-		dials++
-		mu.Unlock()
-		return newFakeSession(), nil
-	}
-	var l *Link
-	probe := func(ctx context.Context) error {
-		if l.State() == StateDegraded {
-			mu.Lock()
-			degradedSeen = true
-			mu.Unlock()
-		}
-		return errors.New("probe failed")
-	}
-	l = New("peer", Config{
-		BackoffMin:        5 * time.Millisecond,
-		BackoffMax:        20 * time.Millisecond,
-		HeartbeatInterval: 10 * time.Millisecond,
-		HeartbeatTimeout:  50 * time.Millisecond,
-		HeartbeatMisses:   3,
-		Metrics:           reg,
-	}, dial, probe)
-
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	go l.Run(ctx)
-
-	// Three misses close the session; the supervisor then redials.
-	waitFor(t, 2*time.Second, func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		return dials >= 2
-	})
-	mu.Lock()
-	sawDegraded := degradedSeen
-	mu.Unlock()
-	if !sawDegraded {
-		t.Error("link never passed through Degraded before teardown")
-	}
-	if got := reg.Counter(metrics.PeerHeartbeatMisses).Value(); got < 3 {
-		t.Errorf("heartbeat misses = %d, want >= 3", got)
 	}
 }
 
@@ -199,52 +52,4 @@ func TestFanOutBoundedByPerTargetDeadline(t *testing.T) {
 	if results[2].Value != "ok:b" || results[2].Err != nil {
 		t.Errorf("target b: %+v", results[2])
 	}
-}
-
-// TestKickCutsBackoffShort verifies Kick wakes the supervisor out of a
-// long backoff immediately.
-func TestKickCutsBackoffShort(t *testing.T) {
-	var mu sync.Mutex
-	fail := true
-	dials := 0
-	dial := func(ctx context.Context) (Session, error) {
-		mu.Lock()
-		defer mu.Unlock()
-		dials++
-		if fail {
-			return nil, errors.New("down")
-		}
-		return newFakeSession(), nil
-	}
-	l := New("peer", Config{
-		BackoffMin:        time.Hour, // without Kick the test would hang
-		BackoffMax:        time.Hour,
-		HeartbeatInterval: -1,
-	}, dial, nil)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	go l.Run(ctx)
-
-	waitFor(t, time.Second, func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		return dials >= 1
-	})
-	mu.Lock()
-	fail = false
-	mu.Unlock()
-	l.Kick()
-	waitFor(t, time.Second, func() bool { return l.State() == StateEstablished })
-}
-
-func waitFor(t *testing.T, timeout time.Duration, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(timeout)
-	for time.Now().Before(deadline) {
-		if cond() {
-			return
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	t.Fatal("condition never satisfied")
 }

@@ -135,12 +135,12 @@ func TestRequirementsFilter(t *testing.T) {
 
 func TestSitePinning(t *testing.T) {
 	s := New(balance.LeastLoaded{}, twoNodes())
-	j := job("pinned", 3)
+	j := job("fixed", 3)
 	j.Requirements = Requirements{Site: "a"}
 	if err := s.Submit(j); err != nil {
 		t.Fatal(err)
 	}
-	placements, err := s.Place("pinned")
+	placements, err := s.Place("fixed")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -118,7 +118,7 @@ func TestGossipGridSpreadsDeath(t *testing.T) {
 	if g.Converged() < n {
 		t.Fatal("grid never converged")
 	}
-	// Site 1 goes down; its supervised-tunnel holder (site 4, say) sees
+	// Site 1 goes down; a proxy holding a tunnel to it (site 4, say) sees
 	// the session die: straight to dead, then the rumor mill takes over.
 	// Stopping the site first matters — a running directory would refute
 	// its own death, which is exactly the refutation machinery working.

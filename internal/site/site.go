@@ -99,7 +99,7 @@ type TestbedConfig struct {
 	LANLatency time.Duration
 	// Policy is the placement policy name (default "least-loaded").
 	Policy string
-	// Lifecycle carries the peer-link supervision knobs handed to every
+	// Lifecycle carries the control-plane timing knobs handed to every
 	// proxy (zero value: peerlink defaults).
 	Lifecycle peerlink.Config
 	// Gossip carries the membership-gossip knobs handed to every proxy
@@ -308,9 +308,9 @@ func (tb *Testbed) Site(name string) *Site {
 
 // RestartSite tears one site down and rebuilds it from its original
 // spec — the testbed's "kill -9 the proxy host and boot a fresh one".
-// The new site listens on the same WAN and client addresses; peers that
-// supervise a link to it will redial and recover without operator
-// action. The returned Site replaces the old one in tb.Sites.
+// The new site listens on the same WAN and client addresses; the other
+// proxies' gossip rounds redial it and recover without operator action.
+// The returned Site replaces the old one in tb.Sites.
 func (tb *Testbed) RestartSite(name string) (*Site, error) {
 	spec, ok := tb.specs[name]
 	if !ok {

@@ -188,7 +188,7 @@ func TestPullIdleDeadlineUnsticksStalledPeer(t *testing.T) {
 		t.Fatal("pull against a permanently stalled peer must fail")
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("stalled peer pinned the transfer for %v", elapsed)
+		t.Fatalf("stalled peer held the transfer for %v", elapsed)
 	}
 }
 
