@@ -114,8 +114,8 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("%-10s %-8s %5s %12s %11s %11s %7s %5s %9s  %s\n",
-			"SITE", "STATE", "INC", "SUMMARY AGE", "LAST HEARD", "SUSPECT FOR", "TUNNEL", "BOND", "RTT", "ADDR")
+		fmt.Printf("%-10s %-8s %5s %12s %11s %11s %7s %5s %9s %8s  %s\n",
+			"SITE", "STATE", "INC", "SUMMARY AGE", "LAST HEARD", "SUSPECT FOR", "TUNNEL", "BOND", "RTT", "WND", "ADDR")
 		for _, m := range members {
 			age := "-"
 			if m.HasSummary {
@@ -130,15 +130,18 @@ func run() error {
 			if m.Tunnel {
 				tunnel = "y"
 			}
-			bond, rtt := "-", "-"
+			bond, rtt, wnd := "-", "-", "-"
 			if m.BondConns > 0 {
 				bond = fmt.Sprintf("%d", m.BondConns)
 			}
 			if m.RTT > 0 {
 				rtt = m.RTT.Round(time.Microsecond).String()
 			}
-			fmt.Printf("%-10s %-8s %5d %12s %11s %11s %7s %5s %9s  %s\n",
-				m.Site, m.State, m.Incarnation, age, heard, suspect, tunnel, bond, rtt, m.Addr)
+			if m.Window > 0 {
+				wnd = fmt.Sprintf("%dKiB", m.Window>>10)
+			}
+			fmt.Printf("%-10s %-8s %5d %12s %11s %11s %7s %5s %9s %8s  %s\n",
+				m.Site, m.State, m.Incarnation, age, heard, suspect, tunnel, bond, rtt, wnd, m.Addr)
 		}
 		return nil
 

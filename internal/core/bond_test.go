@@ -113,7 +113,7 @@ func TestBondHandshakeBothSidesBond(t *testing.T) {
 }
 
 // versionProxy starts a lone proxy on a fresh memory WAN with a short
-// Hello deadline, for handshakes against a hand-rolled version-1 peer.
+// Hello deadline, for handshakes against a hand-rolled older peer.
 func versionProxy(t *testing.T) (*core.Proxy, *transport.MemNetwork) {
 	t.Helper()
 	users, err := auth.NewStore()
@@ -149,14 +149,20 @@ func waitSessionDone(t *testing.T, s *tunnel.Session, what string) {
 	}
 }
 
-// TestVersionOneHelloRefused: there is no negotiating down. An acceptor
-// answers a version-1 Hello — in this build's layout or in the shorter
-// one that ends before the tunnel-width fields — with a bad-request
-// error, registers no peer, and reaps the session.
-func TestVersionOneHelloRefused(t *testing.T) {
+// TestOldVersionHelloRefused: there is no negotiating down. An acceptor
+// answers the Hello of an older version — the previous one, or version 1
+// in this build's layout or in the shorter one that ends before the
+// tunnel-width fields — with a bad-request error, registers no peer, and
+// reaps the session.
+func TestOldVersionHelloRefused(t *testing.T) {
 	hello := &proto.Hello{Site: "old", Version: 1, WANAddr: "wan.old", BondConns: 1, BondID: make([]byte, 16)}
 	full := hello.Encode(nil)
-	for name, payload := range map[string][]byte{"full": full, "short": full[:len(full)-18]} {
+	hello.Version = proto.Version - 1
+	for name, payload := range map[string][]byte{
+		"v1 full":  full,
+		"v1 short": full[:len(full)-18],
+		"previous": hello.Encode(nil),
+	} {
 		t.Run(name, func(t *testing.T) {
 			proxy, wan := versionProxy(t)
 			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -184,7 +190,7 @@ func TestVersionOneHelloRefused(t *testing.T) {
 				t.Fatal(err)
 			}
 			if e, ok := body.(*proto.ErrorBody); !ok || e.Status != proto.StatusBadRequest {
-				t.Fatalf("version-1 Hello answered with %#v, want a bad-request error", body)
+				t.Fatalf("old-version Hello answered with %#v, want a bad-request error", body)
 			}
 			waitSessionDone(t, session, "refused dialer")
 			if got := proxy.Peers(); len(got) != 0 {
@@ -194,10 +200,10 @@ func TestVersionOneHelloRefused(t *testing.T) {
 	}
 }
 
-// TestVersionOneAckRefused: a dialer that is acked by a version-1
-// acceptor fails Connect with proto.ErrVersionMismatch, registers no
-// peer, and closes the session it opened.
-func TestVersionOneAckRefused(t *testing.T) {
+// TestOldVersionAckRefused: a dialer that is acked by an acceptor of the
+// previous version fails Connect with proto.ErrVersionMismatch, registers
+// no peer, and closes the session it opened.
+func TestOldVersionAckRefused(t *testing.T) {
 	proxy, wan := versionProxy(t)
 	ln, err := wan.Listen("wan.old")
 	if err != nil {
@@ -221,11 +227,11 @@ func TestVersionOneAckRefused(t *testing.T) {
 		if err != nil {
 			return
 		}
-		ack := &proto.HelloAck{Site: "old", Version: 1, BondConns: 1}
+		ack := &proto.HelloAck{Site: "old", Version: proto.Version - 1, BondConns: 1}
 		_ = proto.WriteMessage(wire.NewWriter(ctrl), proto.Marshal(msg.Corr, ack))
 	}()
 	if err := proxy.Connect(ctx, "old", "wan.old"); !errors.Is(err, proto.ErrVersionMismatch) {
-		t.Fatalf("Connect to a version-1 acceptor = %v, want ErrVersionMismatch", err)
+		t.Fatalf("Connect to an older acceptor = %v, want ErrVersionMismatch", err)
 	}
 	waitSessionDone(t, <-sessions, "refused acceptor")
 	if got := proxy.Peers(); len(got) != 0 {

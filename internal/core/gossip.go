@@ -311,12 +311,13 @@ func (p *Proxy) handleMemberList() *proto.MemberListReply {
 		if e.HasSummary {
 			mi.AgeMillis = e.SummaryAge.Milliseconds()
 		}
-		// Bond width and smoothed RTT come from the live session, not
-		// the directory: they describe this proxy's tunnel, and vanish
-		// with it.
+		// Bond width, smoothed RTT and learned window come from the live
+		// session, not the directory: they describe this proxy's tunnel,
+		// and vanish with it.
 		if pr, ok := p.cache.Peek(e.Site); ok {
 			mi.BondConns = uint8(min(pr.session.BondWidth(), 255))
 			mi.RTTMicros = pr.session.SmoothedRTT().Microseconds()
+			mi.WindowBytes = pr.session.Window()
 		}
 		reply.Members = append(reply.Members, mi)
 	}

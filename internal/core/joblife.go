@@ -232,8 +232,8 @@ func (p *Proxy) ActiveApps() int {
 
 // hostedApp is the destination-side record of an application this site
 // runs ranks for on behalf of a remote origin proxy. It exists from the
-// PrepareSpawn until the last rank group finishes or the app is aborted
-// or reaped.
+// moment a PrepareSpawn starts staging until the last rank group finishes
+// or the app is aborted or reaped.
 type hostedApp struct {
 	appID     string
 	origin    string
@@ -312,14 +312,17 @@ func (p *Proxy) dropHosted(appID string) {
 
 // handlePrepareSpawn serves launch phase one at a destination: validate
 // the owner (the paper validates permissions at originating AND
-// destination proxies), stage the job's input blobs into the site store,
-// create the address space, and record the rank assignments — without
-// starting anything. Staging inside prepare means the data plane runs
-// strictly between PrepareSpawn and CommitSpawn: the origin only fans
-// out commits once every site holds every input, and a site that
-// already holds the blobs (warm cache) transfers nothing. A later
-// reschedule landing more ranks on a site that already hosts the app
-// merges into the existing record instead of re-creating it.
+// destination proxies), record the application with its address space,
+// stage the job's input blobs into the site store, and record the rank
+// assignments — without starting anything. Staging inside prepare means
+// the data plane runs strictly between PrepareSpawn and CommitSpawn: the
+// origin only fans out commits once every site holds every input, and a
+// site that already holds the blobs (warm cache) transfers nothing. The
+// record exists before the staging starts, so an AbortSpawn that arrives
+// meanwhile — the origin gave up on a launch whose inputs are still in
+// flight — finds something to abort, and the prepare refuses when its
+// staging ends. A later reschedule landing more ranks on a site that
+// already hosts the app merges into the existing record.
 func (p *Proxy) handlePrepareSpawn(ctx context.Context, req *proto.PrepareSpawn) (proto.Body, error) {
 	refuse := func(reason string) proto.Body {
 		return &proto.PrepareSpawnReply{AppID: req.AppID, OK: false, Reason: reason}
@@ -327,10 +330,17 @@ func (p *Proxy) handlePrepareSpawn(ctx context.Context, req *proto.PrepareSpawn)
 	if err := p.users.Allowed(req.Owner, "mpi", "site:"+p.site); err != nil {
 		return refuse(fmt.Sprintf("owner %q not permitted at site %s", req.Owner, p.site)), nil
 	}
-	if err := p.stageIn(ctx, req.Origin, req.StageIn); err != nil {
+	locations := locationsFromWire(req.Locations)
+	ha, created, err := p.hostedFor(req, locations)
+	if err != nil {
 		return refuse(err.Error()), nil
 	}
-	locations := locationsFromWire(req.Locations)
+	if err := p.stageIn(ctx, req.Origin, req.StageIn); err != nil {
+		if created {
+			p.reapHosted(ha, "stage-in failed")
+		}
+		return refuse(err.Error()), nil
+	}
 	ranks := make([]int, 0, len(req.Ranks))
 	for _, ra := range req.Ranks {
 		ranks = append(ranks, int(ra.Rank))
@@ -338,69 +348,67 @@ func (p *Proxy) handlePrepareSpawn(ctx context.Context, req *proto.PrepareSpawn)
 	sort.Ints(ranks)
 
 	epoch := req.Epoch
-	if ha, ok := p.lookupHosted(req.AppID); ok {
-		ha.mu.Lock()
-		if ha.aborted {
-			ha.mu.Unlock()
-			return refuse("application is being aborted"), nil
-		}
-		if ha.origin != req.Origin {
-			ha.mu.Unlock()
-			return refuse(fmt.Sprintf("application belongs to origin %q", ha.origin)), nil
-		}
-		if epoch < ha.epoch {
-			cur := ha.epoch
-			ha.mu.Unlock()
-			p.reg.Counter(metrics.JobStaleCommits).Inc()
-			return refuse(fmt.Sprintf("stale launch epoch %d (current %d)", epoch, cur)), nil
-		}
-		newEpoch := epoch > ha.epoch
-		if newEpoch {
-			ha.epoch = epoch
-		}
-		ha.pending = ranks
-		ha.pendingEpoch = epoch
-		ha.worldSize = int(req.WorldSize)
-		ha.program, ha.args = req.Program, req.Args
-		ha.stageIn, ha.stageOut = req.StageIn, req.StageOut
+	ha.mu.Lock()
+	if ha.aborted {
 		ha.mu.Unlock()
-		if newEpoch {
-			// A newer epoch assigning ranks this site still runs from an
-			// older one means those copies were rescheduled elsewhere and
-			// came BACK — the old copies are stale split-brain survivors
-			// and die now, before the new ones are committed.
-			p.fenceStaleRanks(ha, epoch, ranks)
-		}
-		ha.as.setLocations(locations)
-		p.reg.Counter(metrics.JobPrepares).Inc()
-		return &proto.PrepareSpawnReply{AppID: req.AppID, OK: true}, nil
+		return refuse("application is being aborted"), nil
 	}
+	if ha.origin != req.Origin {
+		ha.mu.Unlock()
+		return refuse(fmt.Sprintf("application belongs to origin %q", ha.origin)), nil
+	}
+	if epoch < ha.epoch {
+		cur := ha.epoch
+		ha.mu.Unlock()
+		p.reg.Counter(metrics.JobStaleCommits).Inc()
+		return refuse(fmt.Sprintf("stale launch epoch %d (current %d)", epoch, cur)), nil
+	}
+	newEpoch := epoch > ha.epoch
+	if newEpoch {
+		ha.epoch = epoch
+	}
+	ha.pending = ranks
+	ha.pendingEpoch = epoch
+	ha.worldSize = int(req.WorldSize)
+	ha.program, ha.args = req.Program, req.Args
+	ha.stageIn, ha.stageOut = req.StageIn, req.StageOut
+	ha.mu.Unlock()
+	if newEpoch {
+		// A newer epoch assigning ranks this site still runs from an
+		// older one means those copies were rescheduled elsewhere and
+		// came BACK — the old copies are stale split-brain survivors
+		// and die now, before the new ones are committed.
+		p.fenceStaleRanks(ha, epoch, ranks)
+	}
+	ha.as.setLocations(locations)
+	p.reg.Counter(metrics.JobPrepares).Inc()
+	return &proto.PrepareSpawnReply{AppID: req.AppID, OK: true}, nil
+}
 
+// hostedFor returns the record of the application a prepare names,
+// creating it — with its address space, at the prepare's epoch and with
+// no ranks yet — if this site does not host the application.
+func (p *Proxy) hostedFor(req *proto.PrepareSpawn, locations map[int]rankLoc) (_ *hostedApp, created bool, _ error) {
+	if ha, ok := p.lookupHosted(req.AppID); ok {
+		return ha, false, nil
+	}
 	as, err := p.createAddressSpace(req.AppID, req.Owner, locations)
 	if err != nil {
-		return refuse(err.Error()), nil
+		return nil, false, err
 	}
 	ha := &hostedApp{
-		appID:        req.AppID,
-		origin:       req.Origin,
-		owner:        req.Owner,
-		program:      req.Program,
-		args:         req.Args,
-		worldSize:    int(req.WorldSize),
-		as:           as,
-		pending:      ranks,
-		running:      make(map[int]rankRun),
-		epoch:        epoch,
-		pendingEpoch: epoch,
-		commits:      make(map[string]*proto.SpawnReply),
-		stageIn:      req.StageIn,
-		stageOut:     req.StageOut,
+		appID:   req.AppID,
+		origin:  req.Origin,
+		owner:   req.Owner,
+		as:      as,
+		running: make(map[int]rankRun),
+		epoch:   req.Epoch,
+		commits: make(map[string]*proto.SpawnReply),
 	}
 	p.mu.Lock()
 	p.hosted[req.AppID] = ha
 	p.mu.Unlock()
-	p.reg.Counter(metrics.JobPrepares).Inc()
-	return &proto.PrepareSpawnReply{AppID: req.AppID, OK: true}, nil
+	return ha, true, nil
 }
 
 // handleCommitSpawn serves launch phase two: spawn the prepared ranks and

@@ -649,11 +649,16 @@ func (p *Proxy) commitAt(ctx context.Context, site, appID string, epoch uint64) 
 
 // abortRemote fans AbortSpawn out to the named sites (best effort:
 // unreachable peers are skipped — their state dies with them or is reaped
-// by their orphan reaper).
+// by their orphan reaper). The fan-out outlives the caller's context and
+// is bounded by RPCTimeout per site instead: a launch is often aborted
+// because that very context ended (the client went away mid-stage-in),
+// and a destination that is never told keeps the prepared application
+// for as long as this origin lives.
 func (p *Proxy) abortRemote(ctx context.Context, appID string, sites []string, reason string) {
 	if len(sites) == 0 {
 		return
 	}
+	ctx = context.WithoutCancel(ctx)
 	p.reg.Counter(metrics.JobAborts).Inc()
 	peerlink.FanOut(ctx, sites, p.lifecycle.RPCTimeout, func(ctx context.Context, site string) (struct{}, error) {
 		pr, err := p.peerFor(ctx, site)

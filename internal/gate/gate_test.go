@@ -214,8 +214,15 @@ func TestLoginSessionsAndLogout(t *testing.T) {
 		t.Errorf("sites = %+v", gridReply.Sites)
 	}
 
-	// A tampered token is a forgery, not a session.
-	bad := reply.Token[:len(reply.Token)-2] + "zz"
+	// A tampered token is a forgery, not a session. (The character changed
+	// sits mid-token: the last one of an unpadded base64 string carries
+	// bits that decode to nothing, and a token that already ended in the
+	// replacement is no forgery at all.)
+	mid, other := len(reply.Token)/2, "A"
+	if reply.Token[mid] == 'A' {
+		other = "B"
+	}
+	bad := reply.Token[:mid] + other + reply.Token[mid+1:]
 	if rr := f.do(http.MethodGet, "/api/grid", bad, nil); rr.Code != http.StatusUnauthorized {
 		t.Errorf("tampered token = %d", rr.Code)
 	}

@@ -388,9 +388,12 @@ type Member struct {
 	SuspectFor time.Duration
 	Tunnel     bool
 	// BondConns is the live tunnel's bond width (0 without a tunnel);
-	// RTT its smoothed round-trip time (0 until a probe completes).
+	// RTT its smoothed round-trip time (0 until a probe completes);
+	// Window the per-stream receive window, in bytes, the answering proxy
+	// has learned for it — what a new stream over that tunnel starts at.
 	BondConns int
 	RTT       time.Duration
+	Window    int64
 }
 
 // Members returns the proxy's membership directory, sorted by site.
@@ -414,6 +417,7 @@ func (c *Client) Members(ctx context.Context) ([]Member, error) {
 			Tunnel:      m.Tunnel,
 			BondConns:   int(m.BondConns),
 			RTT:         time.Duration(m.RTTMicros) * time.Microsecond,
+			Window:      m.WindowBytes,
 		}
 		if m.AgeMillis >= 0 {
 			out[i].HasSummary = true

@@ -154,6 +154,11 @@ func TestMembers(t *testing.T) {
 		if !m.Tunnel {
 			t.Errorf("%s tunnel = n, want y under full testbed mesh", m.Site)
 		}
+		// A held tunnel reports the window its session has learned (at
+		// least the protocol's floor); the proxy's own row has none.
+		if own := m.Site == "sitea"; own != (m.Window == 0) || m.Window < 0 {
+			t.Errorf("%s window = %d bytes", m.Site, m.Window)
+		}
 	}
 	if _, ok := byName["sitea"]; !ok {
 		t.Errorf("own site missing from directory: %+v", members)

@@ -214,6 +214,10 @@ const (
 	// TunnelRTTMicros gauges the smoothed tunnel round-trip time in
 	// microseconds, the minimum across a session's member connections.
 	TunnelRTTMicros = "gauge.tunnel.rtt_us"
+	// TunnelWindowBytes gauges the per-stream receive window a tunnel
+	// session has learned: what its next stream starts at (before the
+	// memory clamp) and what WINDOW grants top up to.
+	TunnelWindowBytes = "gauge.tunnel.window_bytes"
 	// TunnelBondFailovers counts bond member connections declared dead
 	// and removed, with their in-flight frames resprayed.
 	TunnelBondFailovers = "tunnel.bond.failovers"

@@ -1665,9 +1665,12 @@ type MemberInfo struct {
 	SuspectMillis int64
 	// BondConns is the width of the live bonded tunnel to the site (0
 	// when no tunnel); RTTMicros the smoothed round-trip time across its
-	// member connections in microseconds (0 until a probe completes).
-	BondConns uint8
-	RTTMicros int64
+	// member connections in microseconds (0 until a probe completes);
+	// WindowBytes the per-stream receive window the answering proxy's end
+	// of that tunnel has learned (0 when no tunnel).
+	BondConns   uint8
+	RTTMicros   int64
+	WindowBytes int64
 }
 
 func (mi *MemberInfo) encode(b []byte) []byte {
@@ -1682,6 +1685,7 @@ func (mi *MemberInfo) encode(b []byte) []byte {
 	b = wire.AppendInt64(b, mi.SuspectMillis)
 	b = append(b, mi.BondConns)
 	b = wire.AppendInt64(b, mi.RTTMicros)
+	b = wire.AppendInt64(b, mi.WindowBytes)
 	return b
 }
 
@@ -1697,6 +1701,7 @@ func (mi *MemberInfo) decode(buf *wire.Buffer) {
 	mi.SuspectMillis = buf.Int64()
 	mi.BondConns = buf.Uint8()
 	mi.RTTMicros = buf.Int64()
+	mi.WindowBytes = buf.Int64()
 }
 
 // MemberListReply answers a MemberList with the proxy's directory.

@@ -168,8 +168,11 @@ const (
 	CodeFenceReply
 )
 
-// Version is the control-protocol version spoken by this build.
-const Version uint16 = 2
+// Version is the protocol version spoken by this build. It covers the
+// tunnel's frame layouts as well as the control messages: 3 put the
+// initial credit into SYN and SYNACK and the learned window into
+// MemberInfo.
+const Version uint16 = 3
 
 // Message is one control-protocol exchange unit.
 type Message struct {

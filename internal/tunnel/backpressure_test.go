@@ -14,7 +14,7 @@ import (
 // or error), then resume exactly where it stopped once the reader
 // consumes and the WINDOW grant arrives.
 func TestBlockedWriterUnblocksOnCredit(t *testing.T) {
-	const window = 4 << 10
+	const window = earlyCredit // the smallest window a stream can have
 	client, server := pair(t, Config{Window: window})
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
@@ -82,7 +82,7 @@ func TestBlockedWriterUnblocksOnCredit(t *testing.T) {
 // TestBlockedWriterAbortsOnSessionClose: a writer parked on an exhausted
 // window must not hang forever when the session dies under it.
 func TestBlockedWriterAbortsOnSessionClose(t *testing.T) {
-	const window = 4 << 10
+	const window = earlyCredit
 	client, server := pair(t, Config{Window: window})
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()

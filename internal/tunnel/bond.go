@@ -119,22 +119,26 @@ func (m *member) recordRTT(rtt time.Duration) {
 // countSeqArrival bumps the receiver-side frame count and pushes a
 // cumulative BONDACK once enough frames accumulated. Stragglers (a tail
 // smaller than bondAckEvery when traffic pauses) are swept by the prober.
-func (m *member) countSeqArrival(s *Session) {
+func (m *member) countSeqArrival(s *Session) error {
 	n := m.rcvdSeq.Add(1)
 	if n-m.ackSent.Load() >= bondAckEvery {
-		s.sendBondAck(m)
+		return s.sendBondAck(m)
 	}
+	return nil
 }
 
 // sendBondAck reports the member's cumulative received-frame count to the
 // sender. Acks ride the primary's control lane: they must never be queued
 // behind bulk data on a congested member, and the primary's death kills
 // the session anyway so no redundancy is lost.
-func (s *Session) sendBondAck(m *member) {
+func (s *Session) sendBondAck(m *member) error {
 	cum := m.rcvdSeq.Load()
-	m.ackSent.Store(cum)
 	var buf [9]byte
-	_ = s.w.WriteControl(frameBONDACK, wire.AppendUint64(append(buf[:0], byte(m.index)), cum))
+	err := s.queueReply(s.w, frameBONDACK, wire.AppendUint64(append(buf[:0], byte(m.index)), cum))
+	if err == nil {
+		m.ackSent.Store(cum)
+	}
+	return err
 }
 
 // flushBondAcks pushes acks for any member with unacknowledged arrivals;
@@ -142,7 +146,7 @@ func (s *Session) sendBondAck(m *member) {
 func (s *Session) flushBondAcks() {
 	for _, m := range s.liveMembers() {
 		if m.rcvdSeq.Load() != m.ackSent.Load() {
-			s.sendBondAck(m)
+			_ = s.sendBondAck(m) // reply queue full: the next tick retries
 		}
 	}
 }
@@ -213,11 +217,12 @@ func (m *member) takeRetained() []sentFrame {
 // pickMember selects the live member with the least outstanding bytes —
 // the spray policy that keeps a slow or lossy member from capping the
 // bond, since it simply stops winning the election while its acks lag.
-func (s *Session) pickMember() *member {
+// With primaryOnly the election has one candidate.
+func (s *Session) pickMember(primaryOnly bool) *member {
 	var best *member
 	var bestOut int64
 	for _, m := range s.liveMembers() {
-		if m.dead.Load() {
+		if m.dead.Load() || primaryOnly && m.index != 0 {
 			continue
 		}
 		out := m.outstanding.Load()
@@ -232,19 +237,21 @@ func (s *Session) pickMember() *member {
 // into a single WriteSeqFrames batch (and thus one flush).
 const sprayBatchMax = 32
 
-// sprayFrame hands one frame (taking ownership of buf, a pooled payload,
-// or nil for FIN) to the least-loaded live member's send queue. It
-// returns as soon as the frame is queued — the member's sendLoop batches
-// queued frames into single flushes, so spraying is paced by window
-// credit rather than by flush latency. A write failure surfaces through
+// sprayFrame hands one frame (taking ownership of f.buf, a pooled
+// payload, or nil for FIN) to the least-loaded live member's send queue.
+// It returns as soon as the frame is queued — the member's sendLoop
+// batches queued frames into single flushes, so spraying is paced by
+// window credit rather than by flush latency. primaryOnly keeps the frame
+// on the connection that carried its stream's SYN: every other frame of a
+// stream may overtake the SYN on another member, and the far end drops
+// DATA for a stream it does not know. A write failure surfaces through
 // memberFailed (failover resprays the frame); the caller only sees an
 // error when no live member remains.
-func (s *Session) sprayFrame(stream uint32, seq uint64, fin bool, buf []byte) error {
-	f := sentFrame{stream: stream, seq: seq, fin: fin, buf: buf}
+func (s *Session) sprayFrame(f sentFrame, primaryOnly bool) error {
 	for {
-		m := s.pickMember()
+		m := s.pickMember(primaryOnly)
 		if m == nil {
-			wire.PutPayload(buf)
+			wire.PutPayload(f.buf)
 			return s.closeErr()
 		}
 		if m.enqueue(f) {
@@ -329,10 +336,12 @@ func (m *member) sendLoop() {
 
 // resprayFrames re-sprays frames stranded on a dead member (queued or
 // unacknowledged) over the surviving members; with none left sprayFrame
-// releases their buffers.
+// releases their buffers. Only a secondary's frames are ever resprayed,
+// and a stream reaches a secondary only after its SYNACK, so any
+// survivor will do.
 func (s *Session) resprayFrames(pend []sentFrame) {
 	for _, f := range pend {
-		if s.sprayFrame(f.stream, f.seq, f.fin, f.buf) == nil {
+		if s.sprayFrame(f, false) == nil {
 			s.bondRetransmit.Inc()
 		}
 	}

@@ -418,7 +418,7 @@ func TestDeliverSeqReorderAndDup(t *testing.T) {
 // a frame further ahead than the stream's credit, or an empty data frame,
 // is a protocol violation.
 func TestDeliverSeqBoundsRunAhead(t *testing.T) {
-	const window = 4 << 10
+	const window = earlyCredit
 	client, server := pair(t, Config{Window: window})
 	if _, err := client.Open(context.Background(), nil); err != nil {
 		t.Fatal(err)
@@ -504,7 +504,7 @@ func TestAdaptiveWindowConvergesUnderLoss(t *testing.T) {
 		got.Write(buf[:n])
 		// Observe the live target as the transfer runs: the clamp
 		// invariant must hold at every instant, not just at the end.
-		if target := server.windowTarget(); target < int64(cfg.WindowMin) || target > int64(cfg.WindowMax) {
+		if target := server.Window(); target < int64(cfg.WindowMin) || target > int64(cfg.WindowMax) {
 			violations++
 		}
 		if rerr == io.EOF {
@@ -532,7 +532,7 @@ func TestAdaptiveWindowConvergesUnderLoss(t *testing.T) {
 	if bw := server.flow.maxBW(); bw <= 0 {
 		t.Fatal("no delivery-rate samples collected")
 	}
-	if target := server.windowTarget(); target < int64(cfg.WindowMin) || target > int64(cfg.WindowMax) {
+	if target := server.Window(); target < int64(cfg.WindowMin) || target > int64(cfg.WindowMax) {
 		t.Fatalf("final target %d outside clamps", target)
 	}
 }
@@ -592,11 +592,66 @@ func TestAdaptiveWindowRespectsMemBudget(t *testing.T) {
 	time.Sleep(20 * time.Millisecond)
 	deadline := time.Now().Add(200 * time.Millisecond)
 	for time.Now().Before(deadline) {
-		if target := server.windowTarget(); target > perStream {
+		if target := server.Window(); target > perStream {
 			close(done)
 			t.Fatalf("window target %d exceeds memory clamp %d", target, perStream)
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
 	close(done)
+}
+
+// TestOpenBurstRespectsMemBudget: the memory clamp binds when a stream is
+// opened, not a prober tick later. 256 streams opened at once each carry
+// a credit in their SYN and get one back in the SYNACK; on either end the
+// credits sum to no more than MemBudget, beyond the earlyCredit every
+// stream is owed whatever the budget says (256 × the default window is
+// twice the default budget). Closing the streams hands every byte back.
+func TestOpenBurstRespectsMemBudget(t *testing.T) {
+	const streams = 256
+	cfg := Config{Adaptive: true, ProbeInterval: time.Hour}.withDefaults()
+	client, server := pair(t, cfg)
+
+	opened := make(chan *Stream, streams)
+	for i := 0; i < streams; i++ {
+		go func() {
+			st, err := client.Open(context.Background(), nil)
+			if err != nil {
+				t.Error(err)
+			}
+			opened <- st
+		}()
+	}
+	var all []*Stream
+	for i := 0; i < streams; i++ {
+		peer, err := server.Accept(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		all = append(all, <-opened, peer)
+	}
+	for _, s := range []*Session{client, server} {
+		var sum, floors int64
+		for _, st := range s.table.snapshot() {
+			sum += st.credit
+			if st.credit == earlyCredit {
+				floors++
+			}
+		}
+		if sum != s.promised.Load() {
+			t.Errorf("session books %d bytes promised, its streams hold %d", s.promised.Load(), sum)
+		}
+		if floors == 0 || floors == streams {
+			t.Errorf("%d of %d streams at the floor: the burst did not cross the budget", floors, streams)
+		}
+		if limit := cfg.MemBudget + floors*earlyCredit; sum > limit {
+			t.Errorf("%d bytes of credit outstanding, budget %d + %d floors = %d", sum, cfg.MemBudget, floors, limit)
+		}
+	}
+	for _, st := range all {
+		_ = st.Close()
+	}
+	waitUntil(t, 5*time.Second, func() bool {
+		return client.promised.Load() == 0 && server.promised.Load() == 0
+	})
 }

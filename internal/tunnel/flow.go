@@ -26,8 +26,11 @@ import (
 // [WindowMin, WindowMax] and to MemBudget split across live streams, so
 // a thousand-stream session cannot promise unbounded receive buffering.
 //
-// The estimator lives at the receiver (grants are its to give); the
-// sender needs no changes at all.
+// The estimator lives at the receiver (grants are its to give) and
+// belongs to the session, not to a stream: a new stream's first credit —
+// the field its SYN or SYNACK carries — is the target the session has
+// already learned (promiseCredit), so a link measured minutes ago is not
+// ramped up to again by every stream opened over it.
 
 // flowGains is the window gain cycle (see package comment above).
 var flowGains = [...]float64{1.25, 0.75, 1, 1, 1, 1, 1, 1}
@@ -154,15 +157,37 @@ func (f *flowState) retarget(cfg Config, gain float64, streams int) {
 	f.target.Store(target)
 }
 
-// windowTarget is the current per-stream window target: static sessions
-// keep their configured window, adaptive ones track the estimator.
-func (s *Session) windowTarget() int64 { return s.flow.target.Load() }
+// Window returns the per-stream receive window, in bytes, the session
+// currently grants up to: static sessions keep their configured window,
+// adaptive ones track what the estimator has learned of the path.
+func (s *Session) Window() int64 { return s.flow.target.Load() }
+
+// promiseCredit sizes the credit a new stream advertises in its SYN or
+// SYNACK and books it against the session: the learned target, never
+// less than the configured window (a loopback BDP reads tiny) or than
+// earlyCredit, which the protocol owes every stream. On an adaptive
+// session MemBudget binds here, at open time, against what the live
+// streams were promised when they opened — retarget only learns the
+// stream count at its next tick, too late for a burst of opens. A stream
+// that finds the budget spent starts at earlyCredit and is topped up by
+// its first WINDOW grant. removeStream hands the credit back.
+func (s *Session) promiseCredit() int64 {
+	credit := max(int64(s.cfg.Window), s.Window(), earlyCredit)
+	booked := s.promised.Add(credit)
+	if s.cfg.Adaptive && s.cfg.MemBudget > 0 && booked > s.cfg.MemBudget {
+		refund := min(booked-s.cfg.MemBudget, credit-earlyCredit)
+		s.promised.Add(-refund)
+		credit -= refund
+	}
+	return credit
+}
 
 // probeLoop runs for the life of every session: each tick it sweeps
 // straggler BONDACKs, pings every live member (attributing the RTT sample
 // to the connection it returns on, for the spray metrics), samples the
-// delivery rate, and refreshes the RTT gauge; for adaptive sessions it
-// also advances the gain cycle and refreshes the window target.
+// delivery rate, and refreshes the RTT and window gauges; for adaptive
+// sessions it first advances the gain cycle and refreshes the window
+// target.
 func (s *Session) probeLoop() {
 	ticker := time.NewTicker(s.cfg.ProbeInterval)
 	defer ticker.Stop()
@@ -231,5 +256,6 @@ func (s *Session) probeLoop() {
 			s.flow.retarget(s.cfg, flowGains[gainIdx], s.table.len())
 			gainIdx = (gainIdx + 1) % len(flowGains)
 		}
+		s.windowGauge.Set(s.Window())
 	}
 }

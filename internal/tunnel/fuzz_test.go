@@ -10,47 +10,80 @@ import (
 
 // fuzzFrame appends one record of FuzzSessionFrames' input encoding: a
 // selector byte (low nibble picks the frame type 0x10..0x1F — every
-// defined tunnel frame plus five unknown ones — bit 6 the control lane),
-// a length byte, and that many payload bytes.
+// defined tunnel frame plus five unknown ones — bit 6 the control lane,
+// bit 5 the bond's second member connection instead of the primary), a
+// length byte, and that many payload bytes.
 func fuzzFrame(b []byte, selector byte, payload ...byte) []byte {
 	return append(append(b, selector, byte(len(payload))), payload...)
 }
 
 // FuzzSessionFrames feeds arbitrary frame sequences into one end of a
-// live session pair (toServer picks which), interleaved with the
-// sessions' own traffic. Whatever arrives — SYN, DATA and FIN at
-// duplicate, early or out-of-window sequences, WINDOW, BONDACK, PING, RST,
+// live two-connection session pair (toServer picks which), interleaved
+// with the sessions' own traffic. Whatever arrives — SYN and SYNACK with
+// any credit, DATA and FIN at duplicate, early or out-of-window sequences
+// or for a stream whose SYN is still to come, WINDOW, BONDACK, PING, RST,
 // unknown types, payloads too short to parse — a session may kill itself
 // over it, but must not panic, must not deadlock (the input is processed,
 // or the session is down, within the timeout), and must not buffer more
-// than its memory budget.
+// than its memory clamp: MemBudget plus the earlyCredit the protocol owes
+// each stream.
 //
 // Only one end is flooded per input; the other plays the peer that keeps
-// reading. A read loop answers PING and SYN synchronously, so flooding
-// both ends at once wedges the pair: each stops reading while its peer's
-// pipe is full. Two honest sessions cannot do that to each other —
-// MaxStreams bounds the SYNs in flight and the prober paces the PINGs.
+// reading.
 func FuzzSessionFrames(f *testing.F) {
-	const data = frameDATA &^ 0x10 // a selector's low nibble is type - 0x10
-	stream1 := []byte{0, 0, 0, 1}
-	seq := func(n byte) []byte { return append(append([]byte(nil), stream1...), 0, 0, 0, 0, 0, 0, 0, n) }
+	const (
+		syn, synack, rst, data = frameSYN &^ 0x10, frameSYNACK &^ 0x10, frameRST &^ 0x10, frameDATA &^ 0x10
+		member1                = 0x20
+	)
+	stream := func(id byte, rest ...byte) []byte { return append([]byte{0, 0, 0, id}, rest...) }
+	seq := func(id, n byte, payload string) []byte {
+		return append(stream(id, 0, 0, 0, 0, 0, 0, 0, n), payload...)
+	}
 	var in []byte
-	in = fuzzFrame(in, frameSYN&^0x10, append(stream1, "meta"...)...)
-	in = fuzzFrame(in, data, append(seq(2), "early"...)...)
-	in = fuzzFrame(in, data, append(seq(0), "in order"...)...)
-	in = fuzzFrame(in, data, append(seq(0), "dup"...)...)
-	in = fuzzFrame(in, frameFIN&^0x10, seq(3)...)
-	in = fuzzFrame(in, data, append(seq(1), "fills the gap"...)...)
-	in = fuzzFrame(in, frameWINDOW&^0x10, append(stream1, 0, 0, 0x10, 0)...)
+	in = fuzzFrame(in, syn, append(stream(1, 0, 1, 0, 0), "meta"...)...)
+	in = fuzzFrame(in, data, seq(1, 2, "early")...)
+	in = fuzzFrame(in, data, seq(1, 0, "in order")...)
+	in = fuzzFrame(in, data, seq(1, 0, "dup")...)
+	in = fuzzFrame(in, frameFIN&^0x10, seq(1, 3, "")...)
+	in = fuzzFrame(in, data, seq(1, 1, "fills the gap")...)
+	in = fuzzFrame(in, frameWINDOW&^0x10, stream(1, 0, 0, 0x10, 0)...)
 	in = fuzzFrame(in, 0x40|frameBONDACK&^0x10, 0, 0, 0, 0, 0, 0, 0, 0, 9)
 	in = fuzzFrame(in, 0x40|framePING&^0x10, 1, 2, 3, 4, 5, 6, 7, 8)
-	in = fuzzFrame(in, frameRST&^0x10, stream1...)
+	in = fuzzFrame(in, rst, stream(1)...)
 	f.Add(true, in)
 	f.Add(false, in)
-	f.Add(true, fuzzFrame(nil, data, append(seq(0xFF), make([]byte, 200)...)...)) // out of window
-	f.Add(true, fuzzFrame(nil, data, 0, 0))                                       // too short for an id
-	f.Add(false, fuzzFrame(nil, 0x0F))                                            // unknown type
+	f.Add(true, fuzzFrame(nil, data, append(seq(1, 0xFF, ""), make([]byte, 200)...)...)) // out of window
+	f.Add(true, fuzzFrame(nil, data, 0, 0))                                              // too short for an id
+	f.Add(false, fuzzFrame(nil, 0x0F))                                                   // unknown type
 	f.Add(true, fuzzFrame(nil, frameBONDJOIN&^0x10, make([]byte, 17)...))
+
+	// Credit in SYN and SYNACK: none (raised to earlyCredit), more than
+	// any window may be (cut to maxCredit), and too short to hold one.
+	// Stream 1 is the honest one the client opened, so on the client a
+	// SYNACK for it is a second one, and must not add credit again.
+	in = fuzzFrame(nil, syn, stream(3, 0, 0, 0, 0)...)
+	in = fuzzFrame(in, data, seq(3, 0, "counts against the floor")...)
+	in = fuzzFrame(in, syn, stream(5, 0xFF, 0xFF, 0xFF, 0xFF)...)
+	in = fuzzFrame(in, syn, stream(7, 0, 1)...)
+	f.Add(true, in)
+	in = fuzzFrame(nil, 0x40|synack, stream(1, 0xFF, 0xFF, 0xFF, 0xFF)...)
+	in = fuzzFrame(in, 0x40|synack, stream(1, 0, 0, 0, 0)...)
+	in = fuzzFrame(in, 0x40|synack, stream(1)...)
+	f.Add(false, in)
+	// DATA ahead of its SYN, on the primary and on the other member: it
+	// is dropped, not parked, and the stream the SYN then opens starts
+	// clean.
+	for _, sel := range []byte{data, member1 | data} {
+		in = fuzzFrame(nil, sel, seq(9, 0, "nobody home yet")...)
+		in = fuzzFrame(in, syn, stream(9, 0, 1, 0, 0)...)
+		in = fuzzFrame(in, sel, seq(9, 0, "now somebody is")...)
+		f.Add(true, in)
+	}
+	// SYNACK and RST for ids nobody opened.
+	in = fuzzFrame(nil, 0x40|synack, stream(11, 0, 1, 0, 0)...)
+	in = fuzzFrame(in, 0x40|rst, stream(13)...)
+	f.Add(true, in)
+	f.Add(false, in)
 
 	cfg := Config{
 		Adaptive:      true,
@@ -63,16 +96,16 @@ func FuzzSessionFrames(f *testing.F) {
 		ProbeInterval: time.Millisecond,
 	}
 	f.Fuzz(func(t *testing.T, toServer bool, input []byte) {
-		client, server := pair(t, cfg)
+		client, server := bondedPair(t, 2, 0, cfg, nil)
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
 		// One honest stream, so there is live state on both ends to hit.
 		if _, err := client.Open(ctx, nil); err != nil {
 			t.Fatal(err)
 		}
-		w := server.w
+		from := server
 		if toServer {
-			w = client.w
+			from = client
 		}
 		within(t, "dispatch", func() {
 			for len(input) >= 2 {
@@ -80,19 +113,25 @@ func FuzzSessionFrames(f *testing.F) {
 				input = input[2:]
 				payload := input[:min(n, len(input))]
 				input = input[len(payload):]
+				w := from.w
+				if ms := from.liveMembers(); selector&0x20 != 0 && len(ms) > 1 {
+					w = ms[1].w
+				}
 				write := w.WriteFrame
 				if selector&0x40 != 0 {
 					write = w.WriteControl
 				}
-				if write(0x10|selector&0x0F, payload) != nil {
+				if write(0x10|selector&0x0F, payload) != nil && w == from.w {
 					return // that end is down
 				}
 			}
-			// A ping is answered only after everything before it was
-			// dispatched; on a session that was killed it fails at once.
+			// A ping is answered only after everything before it on the
+			// primary was dispatched; on a session that was killed it
+			// fails at once.
 			_ = client.Ping(ctx)
 			_ = server.Ping(ctx)
 		})
+		clamp := cfg.MemBudget + int64(cfg.MaxStreams)*earlyCredit
 		for _, s := range []*Session{client, server} {
 			buffered := 0
 			for _, st := range s.table.snapshot() {
@@ -100,12 +139,12 @@ func FuzzSessionFrames(f *testing.F) {
 				buffered += st.recvBuf.Len() + st.oooBytes
 				parked := len(st.ooo)
 				st.recvMu.Unlock()
-				if parked > cfg.Window {
+				if parked > earlyCredit {
 					t.Fatalf("stream %d parks %d frames", st.id, parked)
 				}
 			}
-			if int64(buffered) > cfg.MemBudget {
-				t.Fatalf("session buffers %d bytes past its %d budget", buffered, cfg.MemBudget)
+			if int64(buffered) > clamp {
+				t.Fatalf("session buffers %d bytes past its %d clamp", buffered, clamp)
 			}
 		}
 		within(t, "close", func() {

@@ -29,11 +29,15 @@ type Stream struct {
 	session *Session
 	id      uint32
 	meta    []byte
-	// accepted marks streams created by the peer's SYN.
-	accepted bool
-	// openResult delivers the peer's SYNACK/RST verdict to Open.
-	openResult chan bool
-	openOnce   sync.Once
+	// credit is the receive credit this end promised when the stream was
+	// created (the SYN's or SYNACK's credit field); the session holds it
+	// against MemBudget until the stream leaves the table.
+	credit int64
+	// synacked is false on a stream this end opened until the peer's
+	// SYNACK arrives (a stream the peer opened is born with it set). Until
+	// then the stream sends from earlyCredit and only on the primary
+	// connection, where its frames cannot overtake the SYN.
+	synacked atomic.Bool
 
 	// sendSeq numbers this stream's outbound DATA and FIN frames.
 	sendSeq atomic.Uint64
@@ -78,13 +82,16 @@ type Stream struct {
 
 var _ net.Conn = (*Stream)(nil)
 
-func newStream(s *Session, id uint32) *Stream {
+// newStream builds a stream that may send sendWindow bytes and promises
+// the peer the session's current initial credit; insertStream must follow.
+func newStream(s *Session, id uint32, sendWindow int) *Stream {
+	credit := s.promiseCredit()
 	st := &Stream{
 		session:    s,
 		id:         id,
-		openResult: make(chan bool, 1),
-		sendWindow: s.cfg.Window,
-		extended:   int64(s.cfg.Window),
+		credit:     credit,
+		sendWindow: sendWindow,
+		extended:   credit,
 	}
 	st.recvCond = sync.NewCond(&st.recvMu)
 	st.sendCond = sync.NewCond(&st.sendMu)
@@ -97,8 +104,16 @@ func (st *Stream) ID() uint32 { return st.id }
 // Meta returns the metadata the opener attached (nil on the opening side).
 func (st *Stream) Meta() []byte { return st.meta }
 
-func (st *Stream) notifyOpen(ok bool) {
-	st.openOnce.Do(func() { st.openResult <- ok })
+// onSynack records the peer's SYNACK: the stream's send window becomes
+// the credit the acceptor advertised (less what was sent early), and its
+// frames may leave the primary connection. A SYNACK for a stream the peer
+// opened, or a second one, changes nothing.
+func (st *Stream) onSynack(credit uint32) {
+	if st.synacked.Swap(true) {
+		return
+	}
+	st.session.streamsOpened.Inc()
+	st.grantSendWindow(clampCredit(credit) - earlyCredit)
 }
 
 // deliverSeq accepts one DATA or FIN frame and wakes readers: in-order
@@ -224,7 +239,6 @@ func (st *Stream) grantSendWindow(delta int) {
 
 // closeWithError fails both directions (session teardown, RST).
 func (st *Stream) closeWithError(err error) {
-	st.notifyOpen(false)
 	st.recvMu.Lock()
 	if st.recvErr == nil {
 		st.recvErr = err
@@ -290,7 +304,7 @@ func (st *Stream) Read(p []byte) (int, error) {
 func (st *Stream) sendPendingGrant() {
 	st.recvMu.Lock()
 	for st.recvErr == nil && !st.grantInFlight {
-		target := st.session.windowTarget()
+		target := st.session.Window()
 		delta := st.consumed + target - st.extended
 		if delta < target/2 || delta <= 0 {
 			break
@@ -367,7 +381,7 @@ func (st *Stream) WriteBuffers(segs ...[]byte) (int64, error) {
 			off += take
 			w += take
 		}
-		if err := st.session.sprayFrame(st.id, st.sendSeq.Add(1)-1, false, buf); err != nil {
+		if err := st.spray(false, buf); err != nil {
 			return total, err
 		}
 		total += int64(n)
@@ -440,7 +454,15 @@ func (st *Stream) CloseWrite() error {
 	st.sendMu.Unlock()
 	// FIN takes a sequence slot so it cannot overtake data in flight on
 	// another member connection.
-	return st.session.sprayFrame(st.id, st.sendSeq.Add(1)-1, true, nil)
+	return st.spray(true, nil)
+}
+
+// spray numbers one outbound frame and queues it on a member connection:
+// any live one once the peer is known to hold the stream, the primary —
+// which carried the SYN — until then.
+func (st *Stream) spray(fin bool, buf []byte) error {
+	f := sentFrame{stream: st.id, seq: st.sendSeq.Add(1) - 1, fin: fin, buf: buf}
+	return st.session.sprayFrame(f, !st.synacked.Load())
 }
 
 // Close fully closes the stream and releases it from the session.

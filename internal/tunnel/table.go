@@ -73,17 +73,19 @@ func (t *streamTable) get(id uint32) *Stream {
 	return st
 }
 
-// remove deletes id. It is idempotent: only an entry actually present
-// releases a count reservation.
-func (t *streamTable) remove(id uint32) {
+// remove deletes id and returns the stream that was registered under it,
+// or nil. It is idempotent: only an entry actually present releases a
+// count reservation.
+func (t *streamTable) remove(id uint32) *Stream {
 	sh := t.shard(id)
 	sh.mu.Lock()
-	_, present := sh.m[id]
+	st := sh.m[id]
 	delete(sh.m, id)
 	sh.mu.Unlock()
-	if present {
+	if st != nil {
 		t.count.Add(-1)
 	}
+	return st
 }
 
 // len returns the number of live streams (including in-flight inserts

@@ -37,8 +37,8 @@ import (
 // Tunnel frame types (wire.Frame.Type). They occupy 0x10.. so they can
 // never be confused with the control protocol's 0x01.
 const (
-	frameSYN    byte = 0x10 // open stream; payload after id = metadata
-	frameSYNACK byte = 0x11 // accept stream
+	frameSYN    byte = 0x10 // open stream; after id = [credit u32][metadata]
+	frameSYNACK byte = 0x11 // accept stream; after id = [credit u32]
 	frameRST    byte = 0x12 // refuse/abort stream
 	frameDATA   byte = 0x13 // stream data; after id = [stream seq u64][payload]
 	frameFIN    byte = 0x14 // half-close from sender; after id = [stream seq u64]
@@ -61,6 +61,15 @@ const (
 	DefaultWindow = 256 << 10
 	// maxSegment is the largest DATA payload per frame.
 	maxSegment = 64 << 10
+	// earlyCredit is the protocol's one fixed window: what the opener of
+	// a stream may send before the SYNACK tells it the acceptor's credit,
+	// and therefore what an acceptor honours for a stream it has not yet
+	// granted anything. Every advertised credit is at least this much, so
+	// the bytes sent early simply count against the SYNACK's credit.
+	earlyCredit = maxSegment
+	// maxCredit caps the credit a SYN or SYNACK may advertise; a larger
+	// value is clamped, not refused.
+	maxCredit = 1 << 30
 
 	// DefaultWindowMin / DefaultWindowMax clamp the adaptive per-stream
 	// window (Config.Adaptive): it never shrinks below Min even when the
@@ -100,9 +109,10 @@ var (
 
 // Config parameterizes a Session.
 type Config struct {
-	// Window is the initial receive window per stream. Zero means
-	// DefaultWindow. With Adaptive set, this is only the starting point;
-	// the window then tracks the measured bandwidth-delay product.
+	// Window is the receive window per stream. Zero means DefaultWindow.
+	// With Adaptive set it is what a session that has measured nothing
+	// yet starts its streams at; the window then tracks the measured
+	// bandwidth-delay product. No stream starts below earlyCredit.
 	Window int
 	// MaxStreams bounds concurrently open streams. Zero means 1024.
 	MaxStreams int
@@ -126,8 +136,10 @@ type Config struct {
 	// DefaultBDPGain.
 	BDPGain float64
 	// MemBudget caps the sum of adaptive windows across the session's
-	// live streams. Zero means DefaultMemBudget; negative disables the
-	// clamp.
+	// live streams, at open time (the credit a SYN or SYNACK advertises)
+	// and on every later grant; each stream keeps earlyCredit whatever
+	// the budget says. Zero means DefaultMemBudget; negative disables
+	// the clamp.
 	MemBudget int64
 	// ProbeInterval is the estimator cadence. Zero means
 	// DefaultProbeInterval.
@@ -146,6 +158,9 @@ func (c Config) withDefaults() Config {
 	if c.Window <= 0 {
 		c.Window = DefaultWindow
 	}
+	// SYN, SYNACK and WINDOW carry credit as a uint32 and grants never
+	// exceed one target, so window and target must fit comfortably.
+	c.Window = min(c.Window, maxCredit)
 	if c.MaxStreams <= 0 {
 		c.MaxStreams = 1024
 	}
@@ -158,11 +173,7 @@ func (c Config) withDefaults() Config {
 	if c.WindowMax <= 0 {
 		c.WindowMax = DefaultWindowMax
 	}
-	// The WINDOW frame carries a uint32 delta and grants never exceed
-	// one target, so the target itself must fit comfortably.
-	if c.WindowMax > 1<<30 {
-		c.WindowMax = 1 << 30
-	}
+	c.WindowMax = min(c.WindowMax, maxCredit)
 	if c.WindowMax < c.WindowMin {
 		c.WindowMax = c.WindowMin
 	}
@@ -215,15 +226,19 @@ type Session struct {
 	bondRetransmit *metrics.Counter
 	bondConnsGauge *metrics.Gauge
 	rttGauge       *metrics.Gauge
+	windowGauge    *metrics.Gauge
 	// flushObserver feeds every member writer's FlushStats into the same
 	// counters.
 	flushObserver func(wire.FlushStats)
 
 	// flow is the adaptive window estimator state (flow.go). delivered
 	// counts all in-order stream bytes handed to receive buffers; the
-	// prober differentiates it into a delivery rate.
+	// prober differentiates it into a delivery rate. promised is the sum
+	// of the initial credits of the live streams, which is what keeps an
+	// open burst inside MemBudget between two prober ticks.
 	flow      flowState
 	delivered atomic.Int64
+	promised  atomic.Int64
 
 	// pingSeq generates unique probe nonces.
 	pingSeq atomic.Uint64
@@ -235,8 +250,20 @@ type Session struct {
 	pongs  map[uint64]*pongWaiter
 
 	acceptCh chan *Stream
+	// replies feeds replyLoop the control frames the read loops owe the
+	// peer.
+	replies  chan reply
 	done     chan struct{}
 	closeOne sync.Once
+}
+
+// reply is one control frame a read loop owes the peer — PONG, SYNACK, RST
+// or BONDACK — and the member connection it goes out on.
+type reply struct {
+	w    *wire.Writer
+	body [12]byte
+	n    uint8
+	typ  byte
 }
 
 // Client starts a session on the dialing side of conn.
@@ -261,10 +288,15 @@ func newSession(conn net.Conn, cfg Config, firstID uint32, r *wire.Reader, first
 		bondRetransmit: cfg.Metrics.Counter(metrics.TunnelBondRetransmits),
 		bondConnsGauge: cfg.Metrics.Gauge(metrics.TunnelBondConns),
 		rttGauge:       cfg.Metrics.Gauge(metrics.TunnelRTTMicros),
+		windowGauge:    cfg.Metrics.Gauge(metrics.TunnelWindowBytes),
 		nextID:         firstID,
 		acceptCh:       make(chan *Stream, cfg.AcceptBacklog),
-		done:           make(chan struct{}),
-		pongs:          make(map[uint64]*pongWaiter),
+		// Sized for the most an honest peer makes us owe it at once: a
+		// verdict per stream it may open, then as many again for the
+		// PONGs and BONDACKs that gather while the link is stalled.
+		replies: make(chan reply, 2*cfg.MaxStreams+256),
+		done:    make(chan struct{}),
+		pongs:   make(map[uint64]*pongWaiter),
 	}
 	s.flow.init(cfg)
 	flushes := cfg.Metrics.Counter(metrics.TunnelFlushes)
@@ -292,7 +324,43 @@ func newSession(conn net.Conn, cfg Config, firstID uint32, r *wire.Reader, first
 	//lint:allow-leak probeLoop is supervised by the session: it selects
 	// on s.done every tick and exits when the session shuts down.
 	go s.probeLoop()
+	go s.replyLoop()
 	return s
+}
+
+// queueReply hands replyLoop a control frame for w. Read loops never write
+// themselves: one blocked in a write stops reading, and two ends that do
+// that to each other — each waiting for the other to drain its connection
+// — never resume. With zero-RTT opens that takes no malice, only a burst
+// of opens whose early data meets the SYNACKs coming back. A peer that
+// lets more replies pile up than an honest one can cause is not reading
+// at all, and the session ends.
+func (s *Session) queueReply(w *wire.Writer, typ byte, body []byte) error {
+	r := reply{w: w, typ: typ}
+	r.n = uint8(copy(r.body[:], body))
+	select {
+	case s.replies <- r:
+		return nil
+	default:
+		return fmt.Errorf("tunnel: %d control replies unsent: peer is not reading", len(s.replies))
+	}
+}
+
+// replyLoop writes the queued replies until the session ends. Only the
+// primary's failure matters here; a secondary's is noticed by its own
+// loops.
+func (s *Session) replyLoop() {
+	for {
+		select {
+		case r := <-s.replies:
+			if err := r.w.WriteControl(r.typ, r.body[:r.n]); err != nil && r.w == s.w {
+				_ = s.fail(fmt.Errorf("tunnel: send reply: %w", err))
+				return
+			}
+		case <-s.done:
+			return
+		}
+	}
 }
 
 func (s *Session) newWriter(conn net.Conn) *wire.Writer {
@@ -320,57 +388,54 @@ func (s *Session) SmoothedRTT() time.Duration {
 }
 
 // Open creates a new stream to the peer, passing opaque metadata the
-// acceptor can inspect with Stream.Meta. It blocks until the peer accepts
-// or refuses, or ctx is done.
+// acceptor can inspect with Stream.Meta. It costs no round trip: it
+// returns once the SYN is written, and the stream is usable at once.
+// Until the peer's SYNACK arrives the stream may send earlyCredit bytes,
+// which ride the primary connection behind the SYN; a peer that refuses
+// the stream instead fails its next Read or Write with ErrStreamRefused.
 func (s *Session) Open(ctx context.Context, meta []byte) (*Stream, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	s.mu.Lock()
 	if s.closed {
-		err := s.err
 		s.mu.Unlock()
-		if err == nil {
-			err = ErrSessionClosed
-		}
-		return nil, err
+		return nil, s.closeErr()
 	}
 	id := s.nextID
 	s.nextID += 2
 	s.mu.Unlock()
 
-	st := newStream(s, id)
-	if err := s.table.insert(id, st, s.cfg.MaxStreams); err != nil {
+	st := newStream(s, id, earlyCredit)
+	if err := s.insertStream(st); err != nil {
 		return nil, err
 	}
-	// Re-check closed now that the stream is visible: a concurrent
-	// shutdown either sees the stream in its snapshot or we clean up here.
-	s.mu.Lock()
-	closed := s.closed
-	s.mu.Unlock()
-	if closed {
-		s.table.remove(id)
-		return nil, s.closeErr()
-	}
-
-	payload := make([]byte, 0, 4+len(meta))
+	payload := make([]byte, 0, 8+len(meta))
 	payload = wire.AppendUint32(payload, id)
+	payload = wire.AppendUint32(payload, uint32(st.credit))
 	payload = append(payload, meta...)
 	if err := s.w.WriteControl(frameSYN, payload); err != nil {
 		s.removeStream(id)
 		return nil, s.fail(fmt.Errorf("tunnel: send SYN: %w", err))
 	}
-	select {
-	case ok := <-st.openResult:
-		if !ok {
-			s.removeStream(id)
-			return nil, ErrStreamRefused
-		}
-		s.streamsOpened.Inc()
-		return st, nil
-	case <-ctx.Done():
-		_ = st.Close()
-		return nil, ctx.Err()
-	case <-s.done:
-		return nil, s.closeErr()
+	return st, nil
+}
+
+// insertStream makes a new stream visible to frame dispatch, or hands
+// back the credit newStream promised it: it fails when the stream limit
+// is reached, the id is taken, or the session has shut down.
+func (s *Session) insertStream(st *Stream) error {
+	if err := s.table.insert(st.id, st, s.cfg.MaxStreams); err != nil {
+		s.promised.Add(-st.credit)
+		return err
 	}
+	// Re-check closed now that the stream is visible: a concurrent
+	// shutdown either sees the stream in its snapshot or we clean up here.
+	if s.isClosed() {
+		s.removeStream(st.id)
+		return s.closeErr()
+	}
+	return nil
 }
 
 // Accept returns the next stream opened by the peer.
@@ -504,15 +569,21 @@ func (s *Session) shutdown(err error, sendGoaway bool) error {
 	return nil
 }
 
-func (s *Session) removeStream(id uint32) { s.table.remove(id) }
+// removeStream drops id from the table and releases the credit promised
+// to it. It is idempotent.
+func (s *Session) removeStream(id uint32) {
+	if st := s.table.remove(id); st != nil {
+		s.promised.Add(-st.credit)
+	}
+}
 
 // readLoop dispatches frames inbound on one member connection until it
 // dies. It reads through the wire payload pool: the loop is the single
 // owner of each leased payload — every dispatch path that keeps bytes
 // copies them before returning (deliverSeq copies into the recv buffer,
 // or out-of-order segments into their own leases, handleSYN copies meta,
-// the PONG echo is coalesced into the writer before WriteControl returns)
-// — so the lease is released here, unconditionally, after dispatch. A secondary member's death fails over;
+// queueReply copies the PING's nonce) — so the lease is released here,
+// unconditionally, after dispatch. A secondary member's death fails over;
 // the primary's death (or any protocol error) kills the session.
 func (s *Session) readLoop(m *member, r *wire.Reader, first *wire.Frame) {
 	if first != nil {
@@ -548,9 +619,9 @@ func (s *Session) readLoop(m *member, r *wire.Reader, first *wire.Frame) {
 func (s *Session) dispatch(m *member, frame wire.Frame) error {
 	switch frame.Type {
 	case framePING:
-		// Echo on the member the probe arrived on, so the round trip
-		// measures that specific connection.
-		return m.w.WriteControl(framePONG, frame.Payload)
+		// Echo the nonce on the member the probe arrived on, so the round
+		// trip measures that specific connection.
+		return s.queueReply(m.w, framePONG, frame.Payload[:min(len(frame.Payload), 8)])
 	case framePONG:
 		if len(frame.Payload) >= 8 {
 			nonce := wire.NewBuffer(frame.Payload).Uint64()
@@ -595,14 +666,22 @@ func (s *Session) dispatch(m *member, frame wire.Frame) error {
 	case frameSYN:
 		return s.handleSYN(id, rest)
 	case frameSYNACK:
+		if len(rest) < 4 {
+			return fmt.Errorf("tunnel: short SYNACK for stream %d", id)
+		}
 		if st := s.table.get(id); st != nil {
-			st.notifyOpen(true)
+			st.onSynack(wire.NewBuffer(rest).Uint32())
 		}
 		return nil
 	case frameRST:
 		if st := s.table.get(id); st != nil {
-			st.notifyOpen(false)
-			st.closeWithError(ErrStreamClosed)
+			// Only an acceptor turning a SYN down sends RST, so on a
+			// stream still waiting for its SYNACK it is the refusal.
+			err := ErrStreamClosed
+			if !st.synacked.Load() {
+				err = ErrStreamRefused
+			}
+			st.closeWithError(err)
 			s.removeStream(id)
 		}
 		return nil
@@ -619,7 +698,9 @@ func (s *Session) dispatch(m *member, frame wire.Frame) error {
 		// Count the arrival before the stream lookup: the sender's
 		// retention drains on these acks even when the local stream is
 		// already gone (late data after a local close is normal).
-		m.countSeqArrival(s)
+		if err := m.countSeqArrival(s); err != nil {
+			return err
+		}
 		seq := wire.NewBuffer(rest).Uint64()
 		data := rest[8:]
 		st := s.table.get(id)
@@ -634,33 +715,38 @@ func (s *Session) dispatch(m *member, frame wire.Frame) error {
 	}
 }
 
-func (s *Session) handleSYN(id uint32, meta []byte) error {
-	st := newStream(s, id)
-	st.meta = append([]byte(nil), meta...)
-	st.accepted = true
-	switch err := s.table.insert(id, st, s.cfg.MaxStreams); {
+func (s *Session) handleSYN(id uint32, rest []byte) error {
+	if len(rest) < 4 {
+		return fmt.Errorf("tunnel: short SYN for stream %d", id)
+	}
+	st := newStream(s, id, clampCredit(wire.NewBuffer(rest).Uint32()))
+	st.meta = append([]byte(nil), rest[4:]...)
+	st.synacked.Store(true)
+	var buf [8]byte
+	verdict := wire.AppendUint32(buf[:0], id)
+	switch err := s.insertStream(st); {
 	case errors.Is(err, errDuplicateStream):
 		return fmt.Errorf("tunnel: duplicate SYN for stream %d", id)
 	case errors.Is(err, ErrTooManyStreams):
-		return s.w.WriteControl(frameRST, wire.AppendUint32(nil, id))
-	}
-	// Same closed re-check as Open: either the shutdown snapshot saw our
-	// insert, or we saw the flag and unwind.
-	s.mu.Lock()
-	closed := s.closed
-	s.mu.Unlock()
-	if closed {
-		s.table.remove(id)
+		return s.queueReply(s.w, frameRST, verdict)
+	case err != nil: // shut down meanwhile
 		return nil
 	}
 
 	select {
 	case s.acceptCh <- st:
 		s.streamsOpened.Inc()
-		return s.w.WriteControl(frameSYNACK, wire.AppendUint32(nil, id))
+		return s.queueReply(s.w, frameSYNACK, wire.AppendUint32(verdict, uint32(st.credit)))
 	default:
 		// Backlog full: refuse.
 		s.removeStream(id)
-		return s.w.WriteControl(frameRST, wire.AppendUint32(nil, id))
+		return s.queueReply(s.w, frameRST, verdict)
 	}
+}
+
+// clampCredit reads a SYN's or SYNACK's advertised credit: no peer grants
+// less than earlyCredit (the opener may already have sent that much), and
+// more than maxCredit is cut to it rather than treated as a violation.
+func clampCredit(credit uint32) int {
+	return int(min(max(credit, earlyCredit), maxCredit))
 }

@@ -20,6 +20,13 @@ import (
 // pair builds a connected client/server session over the in-memory network.
 func pair(t *testing.T, cfg Config) (*Session, *Session) {
 	t.Helper()
+	return pairOver(t, cfg, cfg, func(c net.Conn) net.Conn { return c })
+}
+
+// pairOver is pair with a config per end and a wrapper around each end's
+// connection.
+func pairOver(t *testing.T, ccfg, scfg Config, wrap func(net.Conn) net.Conn) (*Session, *Session) {
+	t.Helper()
 	mem := transport.NewMemNetwork()
 	ln, err := mem.Listen("peer")
 	if err != nil {
@@ -42,8 +49,8 @@ func pair(t *testing.T, cfg Config) (*Session, *Session) {
 	if r.err != nil {
 		t.Fatal(r.err)
 	}
-	client := Client(clientConn, cfg)
-	server := Server(r.conn, cfg)
+	client := Client(wrap(clientConn), ccfg)
+	server := Server(wrap(r.conn), scfg)
 	t.Cleanup(func() {
 		_ = client.Close()
 		_ = server.Close()
@@ -453,23 +460,6 @@ func TestMetricsCounted(t *testing.T) {
 	}
 }
 
-func TestAcceptBacklogRefusesExcessStreams(t *testing.T) {
-	client, _ := pair(t, Config{AcceptBacklog: 2})
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-
-	// Nobody accepts on the server; the third open must be refused.
-	var refused int
-	for i := 0; i < 5; i++ {
-		if _, err := client.Open(ctx, nil); errors.Is(err, ErrStreamRefused) {
-			refused++
-		}
-	}
-	if refused == 0 {
-		t.Error("expected at least one refused stream with tiny backlog")
-	}
-}
-
 // rawPeer gives a test direct frame-level access to one side of a
 // session, for protocol-violation injection.
 func rawPeer(t *testing.T) (*Session, net.Conn) {
@@ -496,12 +486,18 @@ func rawPeer(t *testing.T) (*Session, net.Conn) {
 	return session, raw
 }
 
+// rawSYN is the payload of a SYN for stream id that advertises the
+// smallest credit and carries no metadata.
+func rawSYN(id uint32) []byte {
+	return wire.AppendUint32(wire.AppendUint32(nil, id), earlyCredit)
+}
+
 func TestWindowOverrunKillsSession(t *testing.T) {
 	session, raw := rawPeer(t)
 	w := wire.NewWriter(raw)
 
 	// Open a stream legitimately (SYN id=1) ...
-	if err := w.WriteFrame(0x10, wire.AppendUint32(nil, 1)); err != nil {
+	if err := w.WriteFrame(frameSYN, rawSYN(1)); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -509,9 +505,10 @@ func TestWindowOverrunKillsSession(t *testing.T) {
 	if _, err := session.Accept(ctx); err != nil {
 		t.Fatal(err)
 	}
-	// ... then flood it far past the 8 KiB receive window without any
-	// reads happening.
-	for i := 0; i < 16; i++ {
+	// ... then flood it to twice its receive window (the 8 KiB configured
+	// is below earlyCredit, which every stream gets) without any reads
+	// happening.
+	for i := 0; i < 2*earlyCredit/4096; i++ {
 		chunk := make([]byte, 0, 12+4096)
 		chunk = wire.AppendUint32(chunk, 1)
 		chunk = wire.AppendUint64(chunk, uint64(i)) // stream seq
@@ -560,7 +557,7 @@ func TestShortFrameKillsSession(t *testing.T) {
 func TestDuplicateSYNKillsSession(t *testing.T) {
 	session, raw := rawPeer(t)
 	w := wire.NewWriter(raw)
-	syn := wire.AppendUint32(nil, 5)
+	syn := rawSYN(5)
 	if err := w.WriteFrame(0x10, syn); err != nil {
 		t.Fatal(err)
 	}
