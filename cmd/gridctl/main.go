@@ -170,11 +170,7 @@ func run() error {
 		if *stageIn != "" {
 			for _, path := range strings.Split(*stageIn, ",") {
 				path = strings.TrimSpace(path)
-				data, err := os.ReadFile(path)
-				if err != nil {
-					return err
-				}
-				ref, err := client.Put(ctx, filepath.Base(path), data)
+				ref, err := putFile(ctx, client, filepath.Base(path), path)
 				if err != nil {
 					return fmt.Errorf("stage %s: %w", path, err)
 				}
@@ -261,17 +257,13 @@ func run() error {
 		if fs.NArg() != 1 {
 			return fmt.Errorf("usage: gridctl put [-name n] <file>")
 		}
-		data, err := os.ReadFile(fs.Arg(0))
-		if err != nil {
-			return err
-		}
 		if *name == "" {
 			*name = filepath.Base(fs.Arg(0))
 		}
 		if err := login(); err != nil {
 			return err
 		}
-		ref, err := client.Put(ctx, *name, data)
+		ref, err := putFile(ctx, client, *name, fs.Arg(0))
 		if err != nil {
 			return err
 		}
@@ -290,15 +282,11 @@ func run() error {
 		if err := login(); err != nil {
 			return err
 		}
-		data, err := client.Get(ctx, fs.Arg(0))
-		if err != nil {
-			return err
-		}
 		if *out == "" {
-			_, err = os.Stdout.Write(data)
+			_, err := client.GetTo(ctx, fs.Arg(0), os.Stdout)
 			return err
 		}
-		return os.WriteFile(*out, data, 0o644)
+		return getFile(ctx, client, fs.Arg(0), *out)
 
 	case "stat":
 		fs := flag.NewFlagSet("stat", flag.ContinueOnError)
@@ -348,13 +336,9 @@ func run() error {
 				return err
 			}
 			for _, ref := range refs {
-				data, err := client.Get(ctx, ref.Hash)
-				if err != nil {
-					return fmt.Errorf("fetch %s: %w", ref.Name, err)
-				}
 				path := filepath.Join(*fetch, filepath.Base(ref.Name))
-				if err := os.WriteFile(path, data, 0o644); err != nil {
-					return err
+				if err := getFile(ctx, client, ref.Hash, path); err != nil {
+					return fmt.Errorf("fetch %s: %w", ref.Name, err)
 				}
 				fmt.Println("wrote", path)
 			}
@@ -439,4 +423,39 @@ func runForwarder(client *grid.Client, proxyAddr, listen, app, targetSite, targe
 			<-done
 		}()
 	}
+}
+
+// putFile streams the file at path into the proxy's store under name.
+func putFile(ctx context.Context, client *grid.Client, name, path string) (grid.FileRef, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return grid.FileRef{}, err
+	}
+	defer f.Close()
+	info, err := f.Stat()
+	if err != nil {
+		return grid.FileRef{}, err
+	}
+	return client.PutFrom(ctx, name, f, info.Size())
+}
+
+// getFile streams the blob named by hash into the file at path, through a
+// ".part" file beside it: a download that fails leaves path as it was.
+func getFile(ctx context.Context, client *grid.Client, hash, path string) error {
+	part := path + ".part"
+	f, err := os.Create(part)
+	if err != nil {
+		return err
+	}
+	_, err = client.GetTo(ctx, hash, f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(part, path)
+	}
+	if err != nil {
+		os.Remove(part)
+	}
+	return err
 }

@@ -7,11 +7,14 @@ import (
 	"io"
 	"net"
 	"strconv"
+	"sync"
 	"time"
 
 	"gridproxy/internal/auth"
+	"gridproxy/internal/metrics"
 	"gridproxy/internal/monitor"
 	"gridproxy/internal/proto"
+	"gridproxy/internal/stage"
 	"gridproxy/internal/wire"
 )
 
@@ -80,6 +83,15 @@ func (p *Proxy) acceptClients(ln net.Listener) {
 		session := &clientSession{proxy: p}
 		session.rpc = newRPC(p.ctx, conn, roleServer, session.handle, p.log.Named("client"), p.reg)
 		session.rpc.start()
+		p.wg.Add(1)
+		go func() {
+			defer p.wg.Done()
+			select {
+			case <-session.rpc.done:
+			case <-p.ctx.Done():
+			}
+			session.dropUploads()
+		}()
 	}
 }
 
@@ -96,6 +108,11 @@ type clientSession struct {
 	expiry time.Time
 	// challenge is the outstanding signature challenge, if any.
 	challenge []byte
+
+	upMu sync.Mutex
+	// uploads holds the blobs this connection is part-way through sending,
+	// under the ids its client chose. They die with the connection.
+	uploads map[uint64]*upload // guarded by upMu
 }
 
 // checkSession enforces that the connection is authenticated and its
@@ -156,21 +173,9 @@ func (cs *clientSession) handle(ctx context.Context, msg proto.Message) (proto.B
 		}
 		return &proto.JobUpdate{JobID: req.JobID, State: state, Detail: detail, Outputs: p.JobOutputs(req.JobID)}, nil
 	case *proto.StagePut:
-		if err := cs.requirePermission("stage", "site:"+p.site); err != nil {
-			return nil, err
-		}
-		ref := p.store.Put(req.Data)
-		ref.Name = req.Name
-		return &proto.StagePutReply{Ref: proto.StageRef{Name: ref.Name, Hash: ref.Hash, Size: ref.Size}}, nil
+		return cs.handleStagePut(req)
 	case *proto.StageGet:
-		if err := cs.requirePermission("stage", "site:"+p.site); err != nil {
-			return nil, err
-		}
-		data, ok := p.store.Get(req.Hash)
-		if !ok {
-			return nil, notFound("no blob %s in the %s store", req.Hash, p.site)
-		}
-		return &proto.StageGetReply{Hash: req.Hash, Data: data}, nil
+		return cs.handleStageGet(req)
 	case *proto.StageStat:
 		if err := cs.requirePermission("stage", "site:"+p.site); err != nil {
 			return nil, err
@@ -247,6 +252,10 @@ func (cs *clientSession) handleAuth(req *proto.AuthRequest) (proto.Body, error) 
 	default:
 		return nil, badRequest("unknown auth method %d", req.Method)
 	}
+	if cs.user != req.User {
+		// Half-sent blobs belong to whoever opened them.
+		cs.dropUploads()
+	}
 	cs.user = req.User
 	token, expiry, err := p.users.IssueToken(req.User)
 	if err != nil {
@@ -280,6 +289,146 @@ func (cs *clientSession) requirePermission(action, resource string) error {
 		return denied("%v", err)
 	}
 	return nil
+}
+
+// Bounds on the uploads one connection holds open. A gateway multiplexes
+// all of a user's requests over one connection, so the count matches its
+// default admission capacity; an upload no chunk has touched for
+// uploadIdle was abandoned by a client that could not say so.
+const (
+	maxUploads = 256
+	uploadIdle = 2 * time.Minute
+)
+
+// upload is one blob a client is sending chunk by chunk.
+type upload struct {
+	touched time.Time // guarded by clientSession.upMu
+
+	// mu orders the chunks of a client that sends two at once; one that
+	// keeps to one chunk in flight never waits on it.
+	mu sync.Mutex
+	w  *stage.Writer // nil once committed or dropped
+}
+
+// handleStagePut takes one chunk of an upload. The first chunk opens the
+// upload, every chunk must start where the one before it ended, the last
+// commits the blob under the hash computed as its chunks arrived; any
+// violation drops the upload. A blob that fits one chunk is opened and
+// committed by the same message and never enters the table.
+func (cs *clientSession) handleStagePut(req *proto.StagePut) (proto.Body, error) {
+	if req.Step == proto.PutAbort {
+		// No standing is needed to give up one's own upload: a client may
+		// be giving up because its session lapsed.
+		cs.endUpload(req.Upload)
+		return &proto.StagePutReply{}, nil
+	}
+	if err := cs.requirePermission("stage", "site:"+cs.proxy.site); err != nil {
+		return nil, err
+	}
+	up, err := cs.openUpload(req)
+	if err != nil {
+		return nil, err
+	}
+	up.mu.Lock()
+	defer up.mu.Unlock()
+	if up.w == nil || req.Offset != up.w.Len() {
+		cs.endUpload(req.Upload)
+		return nil, badRequest("upload %d: chunk at offset %d does not continue it", req.Upload, req.Offset)
+	}
+	up.w.Append(req.Data)
+	if req.Step == proto.PutMore {
+		return &proto.StagePutReply{Ref: proto.StageRef{Size: up.w.Len()}}, nil
+	}
+	w := up.w
+	up.w = nil
+	cs.endUpload(req.Upload)
+	if req.Size >= 0 && req.Size != w.Len() {
+		return nil, badRequest("upload %d: announced %d bytes, sent %d", req.Upload, req.Size, w.Len())
+	}
+	ref := w.Commit()
+	return &proto.StagePutReply{Ref: proto.StageRef{Name: req.Name, Hash: ref.Hash, Size: ref.Size}}, nil
+}
+
+// openUpload finds the upload a chunk continues, or opens one for a chunk
+// at offset 0.
+func (cs *clientSession) openUpload(req *proto.StagePut) (*upload, error) {
+	now := cs.proxy.clock()
+	cs.upMu.Lock()
+	defer cs.upMu.Unlock()
+	if up := cs.uploads[req.Upload]; up != nil {
+		up.touched = now
+		return up, nil
+	}
+	if req.Offset != 0 {
+		return nil, badRequest("no upload %d open on this connection", req.Upload)
+	}
+	up := &upload{touched: now, w: cs.proxy.store.NewWriter(req.Size)}
+	if req.Step == proto.PutLast {
+		return up, nil
+	}
+	for id, old := range cs.uploads {
+		if now.Sub(old.touched) > uploadIdle {
+			cs.forgetLocked(id)
+		}
+	}
+	if len(cs.uploads) >= maxUploads {
+		return nil, unavailable("%d uploads already open on this connection", len(cs.uploads))
+	}
+	if cs.uploads == nil {
+		cs.uploads = make(map[uint64]*upload)
+	}
+	cs.uploads[req.Upload] = up
+	cs.proxy.reg.Gauge(metrics.StageUploads).Add(1)
+	return up, nil
+}
+
+func (cs *clientSession) forgetLocked(id uint64) {
+	if _, ok := cs.uploads[id]; ok {
+		delete(cs.uploads, id)
+		cs.proxy.reg.Gauge(metrics.StageUploads).Add(-1)
+	}
+}
+
+// endUpload takes an upload out of the table: committed, aborted or broken.
+func (cs *clientSession) endUpload(id uint64) {
+	cs.upMu.Lock()
+	cs.forgetLocked(id)
+	cs.upMu.Unlock()
+}
+
+// dropUploads abandons every open upload; their buffers go with them.
+func (cs *clientSession) dropUploads() {
+	cs.upMu.Lock()
+	for id := range cs.uploads {
+		cs.forgetLocked(id)
+	}
+	cs.upMu.Unlock()
+}
+
+// handleStageGet answers one ranged read of a stored blob. The reply
+// aliases the store's copy of the blob: nothing is copied until the frame
+// writer gathers it.
+func (cs *clientSession) handleStageGet(req *proto.StageGet) (proto.Body, error) {
+	p := cs.proxy
+	if err := cs.requirePermission("stage", "site:"+p.site); err != nil {
+		return nil, err
+	}
+	size, ok := p.store.Stat(req.Hash)
+	if !ok {
+		return nil, notFound("no blob %s in the %s store", req.Hash, p.site)
+	}
+	if req.Offset > size {
+		return nil, badRequest("offset %d is past the end of blob %s (%d bytes)", req.Offset, req.Hash, size)
+	}
+	n := min(req.Length, proto.StageChunk, size-req.Offset)
+	// The loan is not released: a blob in memory needs no release, and a
+	// spilled one's pooled buffer must outlive this call (the reply is
+	// written after it returns), so it is left to the collector.
+	loan, ok := p.store.LoanChunk(req.Hash, req.Offset, n)
+	if !ok {
+		return nil, notFound("blob %s left the %s store", req.Hash, p.site)
+	}
+	return &proto.StageGetReply{Size: size, Offset: req.Offset, Data: loan.Data}, nil
 }
 
 // handleJobSubmit launches an MPI job for the session user.

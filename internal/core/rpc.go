@@ -193,15 +193,16 @@ func (r *rpc) serve(msg proto.Message) {
 	if reply == nil {
 		return
 	}
-	if werr := r.write(proto.Marshal(msg.Corr, reply)); werr != nil {
+	if werr := r.write(msg.Corr, reply); werr != nil {
 		r.log.Debug("control reply write failed", "err", werr)
 	}
 }
 
-func (r *rpc) write(msg proto.Message) error {
+func (r *rpc) write(corr uint64, body proto.Body) error {
 	r.reg.Counter(metrics.ControlMessages).Inc()
-	r.reg.Counter(metrics.ControlBytes).Add(int64(len(msg.Payload)))
-	return proto.WriteMessage(r.w, msg)
+	n, err := proto.WriteBody(r.w, corr, body)
+	r.reg.Counter(metrics.ControlBytes).Add(int64(n))
+	return err
 }
 
 // call sends a request and waits for its reply. An ErrorBody reply is
@@ -229,7 +230,7 @@ func (r *rpc) call(ctx context.Context, body proto.Body) (proto.Body, error) {
 	// abandoned write simply drains (or fails) when the connection
 	// unblocks or is torn down.
 	written := make(chan error, 1)
-	go func() { written <- r.write(proto.Marshal(corr, body)) }()
+	go func() { written <- r.write(corr, body) }()
 	select {
 	case err := <-written:
 		if err != nil {
@@ -265,7 +266,7 @@ func (r *rpc) notify(body proto.Body) error {
 	if closed {
 		return errRPCClosed
 	}
-	return r.write(proto.Marshal(0, body))
+	return r.write(0, body)
 }
 
 func (r *rpc) shutdown(err error) {
@@ -334,6 +335,12 @@ func notFound(format string, args ...any) error {
 // badRequest builds a StatusBadRequest error.
 func badRequest(format string, args ...any) error {
 	return &statusError{status: proto.StatusBadRequest, text: fmt.Sprintf(format, args...)}
+}
+
+// unavailable builds a StatusUnavailable error: the request is fine, the
+// proxy cannot take it right now.
+func unavailable(format string, args ...any) error {
+	return &statusError{status: proto.StatusUnavailable, text: fmt.Sprintf(format, args...)}
 }
 
 // authExpired builds a StatusAuthExpired error: the session was valid

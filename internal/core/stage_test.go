@@ -188,6 +188,90 @@ func TestStagedLaunchSurvivesCorruptChunk(t *testing.T) {
 	}
 }
 
+// TestStagedLaunchHashesOncePerStore counts the bytes each site's store
+// fed to SHA-256 across one cold two-site launch of N input bytes: the
+// origin hashes them when they are put, the destination when the pulled
+// blob enters its store, and neither hashes anything per chunk moved. A
+// chunk corrupted in flight is found by its CRC and moved again, and the
+// destination still hashes N. (With per-chunk SHA-256 on both ends each
+// side would read 2N.)
+func TestStagedLaunchHashesOncePerStore(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		corrupt int
+	}{{"clean link", 0}, {"corrupt chunk", 1}} {
+		t.Run(tc.name, func(t *testing.T) {
+			var corrupter failure.Corrupter
+			corrupter.Arm(tc.corrupt)
+			regs := []*metrics.Registry{metrics.NewRegistry(), metrics.NewRegistry()}
+			tb, err := site.NewTestbed(site.TestbedConfig{
+				GridName: "hashonce",
+				Stage: stage.Config{
+					ChunkSize: 8 << 10,
+					Stripes:   2,
+					WrapConn:  func(c net.Conn) net.Conn { return corrupter.Wrap(c) },
+				},
+				Sites: []site.SiteSpec{
+					{Name: "sitea", Nodes: site.UniformNodes(1, 1), Metrics: regs[0]},
+					{Name: "siteb", Nodes: site.UniformNodes(1, 1), Metrics: regs[1]},
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(tb.Close)
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			if err := tb.ConnectAll(ctx); err != nil {
+				t.Fatal(err)
+			}
+			params := make([]byte, 96<<10)
+			rand.New(rand.NewSource(23)).Read(params)
+			tb.RegisterProgram("staged-echo", stagedEchoProgram(t, params))
+
+			origin := tb.Sites[0].Proxy
+			ref := origin.Store().Put(params)
+			launch, err := origin.LaunchMPI(ctx, core.LaunchSpec{
+				Owner:   "admin",
+				Program: "staged-echo",
+				Procs:   2,
+				StageIn: []proto.StageRef{{Name: "params", Hash: ref.Hash, Size: ref.Size}},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := launch.Wait(ctx); err != nil {
+				t.Fatal(err)
+			}
+			outputs := launch.Outputs()
+			if len(outputs) != 2 {
+				t.Fatalf("outputs = %+v, want one per rank", outputs)
+			}
+			// One rank ran on each site. The origin hashed the input, its
+			// own rank's output and the other rank's, pulled back; the
+			// destination hashed the pulled input and its rank's output.
+			n := int64(len(params))
+			originWant := n + outputs[0].Size + outputs[1].Size
+			if got := regs[0].Counter(metrics.StageHashedBytes).Value(); got != originWant {
+				t.Errorf("origin stage.hashed_bytes = %d, want %d (N = %d)", got, originWant, n)
+			}
+			remoteOut := outputs[0].Size // "ok 0" and "ok 1" are the same length
+			if got := regs[1].Counter(metrics.StageHashedBytes).Value(); got != n+remoteOut {
+				t.Errorf("destination stage.hashed_bytes = %d, want %d (N = %d)", got, n+remoteOut, n)
+			}
+			if got := regs[1].Counter(metrics.StageBytesReceived).Value(); got != n {
+				t.Errorf("destination stage.bytes_received = %d, want N = %d", got, n)
+			}
+			corrupt := regs[1].Counter(metrics.StageCorruptChunks).Value()
+			retries := regs[1].Counter(metrics.StageChunkRetries).Value()
+			if corrupter.Corrupted() != tc.corrupt || corrupt != int64(tc.corrupt) || (retries >= 1) != (tc.corrupt > 0) {
+				t.Errorf("corrupter fired %d times, stage.corrupt_chunks = %d, stage.chunk_retries = %d; armed for %d",
+					corrupter.Corrupted(), corrupt, retries, tc.corrupt)
+			}
+		})
+	}
+}
+
 // TestLaunchRefusedWithoutStagedBlob: launching with a ref the origin
 // store does not hold is refused before anything runs.
 func TestLaunchRefusedWithoutStagedBlob(t *testing.T) {

@@ -178,7 +178,10 @@ func runE8Mux(streams, bytesEach int) (E8Row, error) {
 			return E8Row{}, err
 		}
 	}
-	_ = session.Close()
+	// The session stays open until the server has drained every stream:
+	// an opener no longer waits for its SYNACK, so it can be done writing
+	// before the acceptor has accepted, and closing under it fails the
+	// acceptor's session.
 	if err := <-serverErr; err != nil {
 		return E8Row{}, err
 	}

@@ -193,3 +193,24 @@ func TestCrashRanks(t *testing.T) {
 		t.Errorf("crash-all rank = %v, want ErrInjected", err)
 	}
 }
+
+func TestHeldBodyStopsAtItsHoldPoint(t *testing.T) {
+	payload := []byte("0123456789")
+	body := HoldBody(payload, 4)
+	got := make(chan []byte, 1)
+	go func() {
+		all, _ := io.ReadAll(body)
+		got <- all
+	}()
+	<-body.Parked()
+	select {
+	case all := <-got:
+		t.Fatalf("read %q through a held body", all)
+	case <-time.After(10 * time.Millisecond):
+	}
+	body.Release()
+	body.Release() // idempotent
+	if all := <-got; string(all) != string(payload) {
+		t.Fatalf("read %q, want %q", all, payload)
+	}
+}

@@ -97,3 +97,47 @@ func (b *lorisBody) Close() error {
 	b.once.Do(func() { close(b.closed) })
 	return nil
 }
+
+// HeldBody is a payload that arrives up to a point and then stops: Read
+// yields payload[:hold] and blocks there until Release, then yields the
+// rest. It is the deterministic half of a slow-loris — a test parks an
+// upload at a known byte, looks at what the server holds of it, and lets
+// it go.
+type HeldBody struct {
+	payload []byte
+	hold    int
+	off     int
+	parked  chan struct{}
+	release chan struct{}
+	once    sync.Once
+}
+
+// HoldBody returns payload as a body that stops after hold bytes.
+func HoldBody(payload []byte, hold int) *HeldBody {
+	return &HeldBody{payload: payload, hold: hold, parked: make(chan struct{}), release: make(chan struct{})}
+}
+
+// Parked is closed once a Read has blocked at the hold point.
+func (b *HeldBody) Parked() <-chan struct{} { return b.parked }
+
+// Release lets the rest of the payload through.
+func (b *HeldBody) Release() { b.once.Do(func() { close(b.release) }) }
+
+// Read implements io.Reader; it is called from one goroutine.
+func (b *HeldBody) Read(p []byte) (int, error) {
+	if b.off == b.hold {
+		select {
+		case <-b.release:
+		default:
+			close(b.parked)
+			<-b.release
+		}
+		b.hold = len(b.payload)
+	}
+	if b.off == len(b.payload) {
+		return 0, io.EOF
+	}
+	n := copy(p, b.payload[b.off:b.hold])
+	b.off += n
+	return n, nil
+}

@@ -56,7 +56,13 @@ type fixture struct {
 
 // newFixture stands up a two-site grid and a gateway fronting sitea.
 // mod, if non-nil, tweaks the gateway config before assembly.
-func newFixture(t *testing.T, mod func(*gate.Config)) *fixture {
+func newFixture(t testing.TB, mod func(*gate.Config)) *fixture {
+	t.Helper()
+	return newFixtureOn(t, nil, mod)
+}
+
+// newFixtureOn is newFixture with a say in the grid under the gateway.
+func newFixtureOn(t testing.TB, gridMod func(*site.TestbedConfig), mod func(*gate.Config)) *fixture {
 	t.Helper()
 	users, err := auth.NewStore()
 	if err != nil {
@@ -78,7 +84,7 @@ func newFixture(t *testing.T, mod func(*gate.Config)) *fixture {
 
 	clock := newFakeClock()
 	reg := metrics.NewRegistry()
-	tb, err := site.NewTestbed(site.TestbedConfig{
+	gridCfg := site.TestbedConfig{
 		GridName: "gatetest",
 		Users:    users,
 		Metrics:  reg,
@@ -87,7 +93,11 @@ func newFixture(t *testing.T, mod func(*gate.Config)) *fixture {
 			{Name: "sitea", Nodes: site.UniformNodes(2, 1)},
 			{Name: "siteb", Nodes: site.UniformNodes(2, 1)},
 		},
-	})
+	}
+	if gridMod != nil {
+		gridMod(&gridCfg)
+	}
+	tb, err := site.NewTestbed(gridCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +137,7 @@ func (f *fixture) do(method, path, token string, body io.Reader) *httptest.Respo
 	return rr
 }
 
-func (f *fixture) login(t *testing.T, user, password string) string {
+func (f *fixture) login(t testing.TB, user, password string) string {
 	t.Helper()
 	body := fmt.Sprintf(`{"user":%q,"password":%q}`, user, password)
 	rr := f.do(http.MethodPost, "/api/login", "", strings.NewReader(body))

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"net/http"
+	"os"
 	"strconv"
 
 	"gridproxy/internal/grid"
@@ -322,51 +323,99 @@ func (g *Gateway) handleOutputs(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// bodyReader remembers the error that ended a request body, so a failed
+// upload can be blamed on the side that failed.
+type bodyReader struct {
+	r   io.Reader
+	err error
+}
+
+func (b *bodyReader) Read(p []byte) (int, error) {
+	n, err := b.r.Read(p)
+	if err != nil && err != io.EOF {
+		b.err = err
+	}
+	return n, err
+}
+
+// handleFilePut streams the request body to the proxy a chunk at a time
+// (grid.Client.PutFrom): the gateway holds two chunks of an upload, never
+// the body, so MaxBodyBytes is what an operator allows, not what the
+// gateway's memory can take.
 func (g *Gateway) handleFilePut(w http.ResponseWriter, r *http.Request) {
 	name := r.URL.Query().Get("name")
 	if name == "" {
 		writeError(w, http.StatusBadRequest, "?name= is required")
 		return
 	}
-	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, g.maxBody))
-	if err != nil {
+	if r.ContentLength > g.maxBody {
+		writeError(w, http.StatusRequestEntityTooLarge, "body exceeds size cap")
+		return
+	}
+	if deadline, ok := r.Context().Deadline(); ok {
+		// A body that stops arriving must not hold the slot past the
+		// route's deadline. A writer without a connection cannot do this.
+		_ = http.NewResponseController(w).SetReadDeadline(deadline)
+	}
+	body := &bodyReader{r: http.MaxBytesReader(w, r.Body, g.maxBody)}
+	g.withClient(w, r, func(sc sessionClaims, c *grid.Client) error {
+		ref, err := c.PutFrom(r.Context(), name, body, r.ContentLength)
 		var tooBig *http.MaxBytesError
 		switch {
-		case errors.As(err, &tooBig):
+		case err == nil:
+			writeJSON(w, http.StatusCreated, map[string]any{
+				"name": ref.Name, "hash": ref.Hash, "size": ref.Size,
+			})
+		case body.err == nil:
+			return err
+		case errors.As(body.err, &tooBig):
 			writeError(w, http.StatusRequestEntityTooLarge, "body exceeds size cap")
-		case r.Context().Err() != nil:
+		case r.Context().Err() != nil || errors.Is(body.err, os.ErrDeadlineExceeded):
 			// Deadline expiry or client disconnect mid-body (slow-loris,
 			// dropped uplink) — a timeout, not a size violation.
 			g.reg.Counter(metrics.GateTimeouts).Inc()
 			writeError(w, http.StatusRequestTimeout, "body read timed out")
 		default:
-			writeError(w, http.StatusBadRequest, "body read failed: "+err.Error())
+			writeError(w, http.StatusBadRequest, "body read failed: "+body.err.Error())
 		}
-		return
-	}
-	g.withClient(w, r, func(sc sessionClaims, c *grid.Client) error {
-		ref, err := c.Put(r.Context(), name, data)
-		if err != nil {
-			return err
-		}
-		writeJSON(w, http.StatusCreated, map[string]any{
-			"name": ref.Name, "hash": ref.Hash, "size": ref.Size,
-		})
 		return nil
 	})
 }
 
+// download is the destination of a blob read back through the gateway:
+// the response, told its length before its first byte.
+type download struct {
+	w         http.ResponseWriter
+	announced bool
+}
+
+func (d *download) SetSize(size int64) {
+	d.announced = true
+	h := d.w.Header()
+	h.Set("Content-Type", "application/octet-stream")
+	h.Set("Content-Disposition", "attachment")
+	h.Set("Content-Length", strconv.FormatInt(size, 10))
+}
+
+func (d *download) Write(p []byte) (int, error) { return d.w.Write(p) }
+
+// handleFileGet streams a blob out of the proxy's store a range at a time
+// (grid.Client.GetTo). The length is announced from the first range, so a
+// client can tell a whole blob from a cut one: when a later range fails —
+// the blob was evicted in between, the proxy went away — the connection
+// is torn down and the client reads an unexpected EOF, never a 200 that
+// ends short.
 func (g *Gateway) handleFileGet(w http.ResponseWriter, r *http.Request) {
 	hash := r.PathValue("hash")
 	g.withClient(w, r, func(sc sessionClaims, c *grid.Client) error {
-		data, err := c.Get(r.Context(), hash)
-		if err != nil {
-			return err
+		dst := &download{w: w}
+		n, err := c.GetTo(r.Context(), hash, dst)
+		if err != nil && dst.announced {
+			g.reg.Counter(metrics.GateErrors).Inc()
+			g.log.Warn("download cut short", "hash", hash, "sent", n, "err", err)
+			panic(http.ErrAbortHandler)
 		}
-		w.Header().Set("Content-Type", "application/octet-stream")
-		w.Header().Set("Content-Disposition", "attachment")
-		_, _ = w.Write(data)
-		return nil
+		return err
 	})
 }
 

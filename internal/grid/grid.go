@@ -16,6 +16,7 @@
 package grid
 
 import (
+	"bytes"
 	"context"
 	"crypto/ecdsa"
 	"errors"
@@ -81,7 +82,8 @@ type Client struct {
 	conn net.Conn
 	w    *wire.Writer
 
-	nextCorr atomic.Uint64
+	nextCorr   atomic.Uint64
+	nextUpload atomic.Uint64
 
 	mu      sync.Mutex
 	pending map[uint64]chan proto.Message
@@ -165,6 +167,24 @@ func (c *Client) call(ctx context.Context, body proto.Body) (proto.Body, error) 
 	return c.callOnce(ctx, body)
 }
 
+// answer is what a call came back with.
+type answer struct {
+	reply proto.Body
+	err   error
+}
+
+// start issues call on a goroutine of its own, for the two places that
+// have something to do while the proxy works: the answer is on the
+// returned channel when the call is over.
+func (c *Client) start(ctx context.Context, body proto.Body) <-chan answer {
+	done := make(chan answer, 1)
+	go func() {
+		reply, err := c.call(ctx, body)
+		done <- answer{reply, err}
+	}()
+	return done
+}
+
 // callOnce sends a request and waits for its typed reply.
 func (c *Client) callOnce(ctx context.Context, body proto.Body) (proto.Body, error) {
 	corr := c.nextCorr.Add(1)
@@ -182,7 +202,7 @@ func (c *Client) callOnce(ctx context.Context, body proto.Body) (proto.Body, err
 		c.mu.Unlock()
 	}()
 
-	if err := proto.WriteMessage(c.w, proto.Marshal(corr, body)); err != nil {
+	if _, err := proto.WriteBody(c.w, corr, body); err != nil {
 		return nil, fmt.Errorf("grid: send: %w", err)
 	}
 	select {
@@ -472,34 +492,171 @@ func (r FileRef) toProto() proto.StageRef {
 // returns its ref. Staging the same content twice is free: the store
 // dedupes by hash. The ref can be handed to SubmitJob as a StageIn.
 func (c *Client) Put(ctx context.Context, name string, data []byte) (FileRef, error) {
+	return c.PutFrom(ctx, name, bytes.NewReader(data), int64(len(data)))
+}
+
+// chunks recycles the buffers PutFrom reads its source into.
+var chunks = sync.Pool{New: func() any { return new([proto.StageChunk]byte) }}
+
+// PutFrom stores the blob r yields, as Put does, without ever holding more
+// of it than two chunks: each chunk of proto.StageChunk bytes goes to the
+// proxy as one request, and while the proxy takes one in — copying it into
+// the blob and hashing it — the next is read from r. size is the number of
+// bytes r will yield, or negative when the caller cannot tell; a known
+// size lets the proxy allocate the blob once and makes a source that ends
+// early an error. A blob of at most one chunk costs one request. Chunks of
+// one upload go out strictly one after the other: the proxy serves every
+// request of a connection on its own goroutine, and this is what keeps
+// them in order. Other calls on c proceed in between.
+func (c *Client) PutFrom(ctx context.Context, name string, r io.Reader, size int64) (FileRef, error) {
 	if c.User() == "" {
 		return FileRef{}, ErrNotAuthenticated
 	}
-	reply, err := c.call(ctx, &proto.StagePut{Name: name, Data: data})
+	upload := c.nextUpload.Add(1)
+	var bufs [2]*[proto.StageChunk]byte
+	defer func() {
+		for _, b := range bufs {
+			if b != nil {
+				chunks.Put(b)
+			}
+		}
+	}()
+	readChunk := func(i int, off int64) (n int, last bool, err error) {
+		if bufs[i] == nil {
+			bufs[i] = chunks.Get().(*[proto.StageChunk]byte)
+		}
+		want := int64(proto.StageChunk)
+		if size >= 0 {
+			want = min(want, size-off)
+		}
+		n, err = io.ReadFull(r, bufs[i][:want])
+		switch {
+		case err == nil:
+			return n, size >= 0 && off+int64(n) == size, nil
+		case size < 0 && (err == io.EOF || err == io.ErrUnexpectedEOF):
+			return n, true, nil
+		}
+		return n, false, fmt.Errorf("grid: put %s: read at %d: %w", name, off+int64(n), err)
+	}
+
+	var off int64
+	cur := 0
+	n, last, err := readChunk(cur, off)
 	if err != nil {
 		return FileRef{}, err
 	}
-	pr, ok := reply.(*proto.StagePutReply)
-	if !ok {
-		return FileRef{}, fmt.Errorf("grid: unexpected put reply %T", reply)
+	for {
+		step := proto.PutMore
+		if last {
+			step = proto.PutLast
+		}
+		sent := c.start(ctx, &proto.StagePut{
+			Upload: upload, Offset: off, Size: max(size, -1), Step: step, Name: name, Data: bufs[cur][:n],
+		})
+		var (
+			nextN    int
+			nextLast bool
+			readErr  error
+		)
+		if !last {
+			nextN, nextLast, readErr = readChunk(1-cur, off+int64(n))
+		}
+		// The chunk's buffer is the call's until the call is over.
+		res := <-sent
+		pr, ok := res.reply.(*proto.StagePutReply)
+		switch {
+		case res.err == nil && !ok:
+			res.err = fmt.Errorf("grid: unexpected put reply %T", res.reply)
+		case res.err == nil && last:
+			return refFromProto(pr.Ref), nil
+		}
+		if err := errors.Join(res.err, readErr); err != nil {
+			// Tell the proxy to let go of what it holds of the blob. Sent
+			// without waiting for an answer: the context may be the reason
+			// the upload is being given up.
+			_, _ = proto.WriteBody(c.w, 0, &proto.StagePut{Upload: upload, Size: -1, Step: proto.PutAbort})
+			return FileRef{}, err
+		}
+		off += int64(n)
+		cur, n, last = 1-cur, nextN, nextLast
 	}
-	return refFromProto(pr.Ref), nil
 }
 
 // Get fetches a blob from the site proxy's store by content hash.
 func (c *Client) Get(ctx context.Context, hash string) ([]byte, error) {
-	if c.User() == "" {
-		return nil, ErrNotAuthenticated
-	}
-	reply, err := c.call(ctx, &proto.StageGet{Hash: hash})
-	if err != nil {
+	var blob blobBuffer
+	if _, err := c.GetTo(ctx, hash, &blob); err != nil {
 		return nil, err
 	}
-	gr, ok := reply.(*proto.StageGetReply)
-	if !ok {
-		return nil, fmt.Errorf("grid: unexpected get reply %T", reply)
+	return blob.data, nil
+}
+
+// blobBuffer is Get's destination: one allocation of the blob's size.
+type blobBuffer struct{ data []byte }
+
+func (b *blobBuffer) SetSize(size int64) { b.data = make([]byte, 0, size) }
+
+func (b *blobBuffer) Write(p []byte) (int, error) {
+	b.data = append(b.data, p...)
+	return len(p), nil
+}
+
+// GetTo fetches a blob from the site proxy's store into w, one ranged read
+// of at most proto.StageChunk bytes at a time, asking for the next range
+// while it writes the one it has; it returns the bytes written. The first
+// reply carries the blob's size: if w has a SetSize(int64) method, it is
+// called with it before the first Write. A blob of at most one chunk costs
+// one request. An error after the first Write means w holds a prefix of
+// the blob (the blob left the store between two ranges, or the connection
+// did): the caller must not pass it on as the whole.
+func (c *Client) GetTo(ctx context.Context, hash string, w io.Writer) (int64, error) {
+	if c.User() == "" {
+		return 0, ErrNotAuthenticated
 	}
-	return gr.Data, nil
+	ask := func(off int64) <-chan answer {
+		return c.start(ctx, &proto.StageGet{Hash: hash, Offset: off, Length: proto.StageChunk})
+	}
+	// size is the blob's size as the first reply gave it, -1 before.
+	take := func(got answer, off, size int64) (*proto.StageGetReply, error) {
+		if got.err != nil {
+			return nil, got.err
+		}
+		gr, ok := got.reply.(*proto.StageGetReply)
+		if !ok {
+			return nil, fmt.Errorf("grid: unexpected get reply %T", got.reply)
+		}
+		if gr.Offset != off || len(gr.Data) == 0 && off < gr.Size || size >= 0 && gr.Size != size {
+			return nil, fmt.Errorf("grid: get %s: asked for offset %d of %d, reply carries %d bytes at %d of %d",
+				hash, off, size, len(gr.Data), gr.Offset, gr.Size)
+		}
+		return gr, nil
+	}
+	gr, err := take(<-ask(0), 0, -1)
+	if err != nil {
+		return 0, err
+	}
+	size := gr.Size
+	if sized, ok := w.(interface{ SetSize(int64) }); ok {
+		sized.SetSize(size)
+	}
+	var off int64
+	for {
+		next := off + int64(len(gr.Data))
+		var ahead <-chan answer
+		if next < size {
+			ahead = ask(next)
+		}
+		if _, err := w.Write(gr.Data); err != nil {
+			return off, err
+		}
+		off = next
+		if ahead == nil {
+			return off, nil
+		}
+		if gr, err = take(<-ahead, off, size); err != nil {
+			return off, err
+		}
+	}
 }
 
 // Stat reports whether the site proxy's store holds a blob and its size.

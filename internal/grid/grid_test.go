@@ -21,7 +21,8 @@ import (
 )
 
 type fixture struct {
-	tb *site.Testbed
+	tb  *site.Testbed
+	reg *metrics.Registry
 }
 
 func newFixture(t *testing.T, nodesPerSite ...int) *fixture {
@@ -38,7 +39,8 @@ func newFixture(t *testing.T, nodesPerSite ...int) *fixture {
 	}
 	users.GrantGroup("researchers", auth.Permission{Action: "*", Resource: "*"})
 
-	cfg := site.TestbedConfig{GridName: "gridtest", Users: users, Metrics: metrics.NewRegistry()}
+	reg := metrics.NewRegistry()
+	cfg := site.TestbedConfig{GridName: "gridtest", Users: users, Metrics: reg}
 	for i, n := range nodesPerSite {
 		cfg.Sites = append(cfg.Sites, site.SiteSpec{
 			Name:  fmt.Sprintf("site%c", 'a'+i),
@@ -55,7 +57,7 @@ func newFixture(t *testing.T, nodesPerSite ...int) *fixture {
 	if err := tb.ConnectAll(ctx); err != nil {
 		t.Fatal(err)
 	}
-	return &fixture{tb: tb}
+	return &fixture{tb: tb, reg: reg}
 }
 
 func (f *fixture) dial(t *testing.T, siteIdx int) *grid.Client {

@@ -400,6 +400,13 @@ const (
 	StagePulls = "stage.pulls"
 	// StageOutputs counts job output blobs returned to their origin site.
 	StageOutputs = "stage.outputs"
+	// StageHashedBytes counts the bytes a store fed to SHA-256: once per
+	// blob it takes in (client upload, published output, completed pull),
+	// nothing per chunk moved.
+	StageHashedBytes = "stage.hashed_bytes"
+	// StageUploads gauges the client uploads a proxy holds open: chunks
+	// received, neither committed nor dropped yet.
+	StageUploads = "gauge.stage.uploads"
 
 	// Gateway metrics (the HTTP front door, internal/gate).
 

@@ -19,6 +19,11 @@ func FuzzUnmarshal(f *testing.F) {
 	f.Add(uint16(CodeHello), (&Hello{Site: "s", Version: 1}).Encode(nil)[:6])
 	f.Add(uint16(CodeHelloAck), (&HelloAck{Site: "s", Version: 1}).Encode(nil)[:4])
 	f.Add(uint16(0xFFFF), []byte{})
+	// The whole-blob put and get of protocol 3: whatever else a fuzzer
+	// makes of them, they do not decode (TestOldBlobLayoutsRefused).
+	for code, payload := range oldBlobLayouts() {
+		f.Add(uint16(code), payload)
+	}
 
 	f.Fuzz(func(t *testing.T, code uint16, payload []byte) {
 		body, err := Unmarshal(Message{Code: Code(code), Corr: 1, Payload: payload})

@@ -1179,34 +1179,108 @@ func (m *StreamOpen) Decode(buf *wire.Buffer) error {
 	return buf.Err()
 }
 
-// StagePut stores a blob in the serving proxy's content-addressed store
-// (client API). The blob must fit one control frame (wire.MaxPayload);
-// larger inputs are split by the caller into multiple named blobs.
+// StageChunk is the most blob bytes one client message carries. Blobs
+// move between a client and its proxy in chunks of this size — one
+// request and one reply per chunk — so a blob of any size fits the
+// control channel's frames, and a blob of at most one chunk costs one
+// message each way.
+const StageChunk = 1 << 20
+
+// tailed is implemented by the two bodies that carry blob bytes. Their
+// layout ends with the bytes, so WriteBody can hand them to the frame
+// writer as a segment of their own instead of copying them behind the
+// header, and Decode can alias the frame instead of copying them out.
+type tailed interface {
+	Body
+	// encodeHead appends everything Encode does except the tail bytes.
+	encodeHead(b []byte) []byte
+	tail() []byte
+}
+
+// decodeTail reads the "n u32 | n bytes" run that ends a tailed body. The
+// run must end the payload exactly, and the returned slice aliases it.
+func decodeTail(buf *wire.Buffer) ([]byte, error) {
+	n := buf.Uint32()
+	if err := buf.Err(); err != nil {
+		return nil, err
+	}
+	if n > StageChunk || int(n) != buf.Remaining() {
+		return nil, ErrMalformed
+	}
+	return buf.View(int(n)), nil
+}
+
+// PutStep says what a StagePut does to its upload.
+type PutStep uint8
+
+const (
+	// PutMore appends the chunk; more follow.
+	PutMore PutStep = iota
+	// PutLast appends the chunk and commits the blob to the store.
+	PutLast
+	// PutAbort drops the upload; the chunk carries no bytes.
+	PutAbort
+)
+
+// StagePut carries one chunk of a blob a client uploads into the serving
+// proxy's content-addressed store (client API). The chunks of one upload
+// go out one at a time, in order, each answered by a StagePutReply; a blob
+// of at most StageChunk bytes is a single PutLast.
+//
+//	upload u64 | offset i64 | size i64 | step u8 | name str | n u32 | n bytes
 type StagePut struct {
+	// Upload names the upload among those open on this connection; the
+	// client picks it.
+	Upload uint64
+	// Offset is where Data goes: the count of bytes sent before it.
+	Offset int64
+	// Size is the blob's announced size, or -1 when the client does not
+	// know it; the proxy sizes its buffer from the first chunk's.
+	Size int64
+	Step PutStep
 	// Name is advisory — the store is keyed by content, but tools echo
 	// the name back in refs.
 	Name string
+	// Data aliases the decoded frame.
 	Data []byte
 }
 
 // Code implements Body.
 func (*StagePut) Code() Code { return CodeStagePut }
 
-// Encode implements Body.
-func (m *StagePut) Encode(b []byte) []byte {
+func (m *StagePut) encodeHead(b []byte) []byte {
+	b = wire.AppendUint64(b, m.Upload)
+	b = wire.AppendInt64(b, m.Offset)
+	b = wire.AppendInt64(b, m.Size)
+	b = append(b, byte(m.Step))
 	b = wire.AppendString(b, m.Name)
-	b = wire.AppendBytes(b, m.Data)
-	return b
+	return wire.AppendUint32(b, uint32(len(m.Data)))
 }
+
+func (m *StagePut) tail() []byte { return m.Data }
+
+// Encode implements Body.
+func (m *StagePut) Encode(b []byte) []byte { return append(m.encodeHead(b), m.Data...) }
 
 // Decode implements Body.
 func (m *StagePut) Decode(buf *wire.Buffer) error {
+	m.Upload = buf.Uint64()
+	m.Offset = buf.Int64()
+	m.Size = buf.Int64()
+	m.Step = PutStep(buf.Uint8())
 	m.Name = buf.String()
-	m.Data = buf.Bytes()
-	return buf.Err()
+	var err error
+	if m.Data, err = decodeTail(buf); err != nil {
+		return err
+	}
+	if m.Offset < 0 || m.Size < -1 || m.Step > PutAbort {
+		return ErrMalformed
+	}
+	return nil
 }
 
-// StagePutReply answers a StagePut with the stored blob's ref.
+// StagePutReply answers a StagePut. After PutLast the ref names the stored
+// blob; before it the ref carries only Size, the bytes received so far.
 type StagePutReply struct {
 	Ref StageRef
 }
@@ -1232,44 +1306,77 @@ func (m *StagePutReply) Decode(buf *wire.Buffer) error {
 	return buf.Err()
 }
 
-// StageGet fetches a blob from the serving proxy's store (client API).
+// StageGet asks the serving proxy's store for one range of a blob (client
+// API): at most Length bytes from Offset, clipped to StageChunk and to the
+// blob's end.
 type StageGet struct {
-	Hash string
+	Hash   string
+	Offset int64
+	Length int64
 }
 
 // Code implements Body.
 func (*StageGet) Code() Code { return CodeStageGet }
 
 // Encode implements Body.
-func (m *StageGet) Encode(b []byte) []byte { return wire.AppendString(b, m.Hash) }
+func (m *StageGet) Encode(b []byte) []byte {
+	b = wire.AppendString(b, m.Hash)
+	b = wire.AppendInt64(b, m.Offset)
+	return wire.AppendInt64(b, m.Length)
+}
 
 // Decode implements Body.
 func (m *StageGet) Decode(buf *wire.Buffer) error {
 	m.Hash = buf.String()
-	return buf.Err()
+	m.Offset = buf.Int64()
+	m.Length = buf.Int64()
+	if err := buf.Err(); err != nil {
+		return err
+	}
+	if m.Offset < 0 || m.Length < 0 {
+		return ErrMalformed
+	}
+	return nil
 }
 
-// StageGetReply answers a StageGet.
+// StageGetReply answers a StageGet with the bytes of the range and the
+// size of the whole blob, which is how a reader learns where to stop.
+//
+//	size i64 | offset i64 | n u32 | n bytes
 type StageGetReply struct {
-	Hash string
+	Size   int64
+	Offset int64
+	// Data aliases the store's blob when encoded and the decoded frame
+	// when decoded.
 	Data []byte
 }
 
 // Code implements Body.
 func (*StageGetReply) Code() Code { return CodeStageGetReply }
 
-// Encode implements Body.
-func (m *StageGetReply) Encode(b []byte) []byte {
-	b = wire.AppendString(b, m.Hash)
-	b = wire.AppendBytes(b, m.Data)
-	return b
+func (m *StageGetReply) encodeHead(b []byte) []byte {
+	b = wire.AppendInt64(b, m.Size)
+	b = wire.AppendInt64(b, m.Offset)
+	return wire.AppendUint32(b, uint32(len(m.Data)))
 }
+
+func (m *StageGetReply) tail() []byte { return m.Data }
+
+// Encode implements Body.
+func (m *StageGetReply) Encode(b []byte) []byte { return append(m.encodeHead(b), m.Data...) }
 
 // Decode implements Body.
 func (m *StageGetReply) Decode(buf *wire.Buffer) error {
-	m.Hash = buf.String()
-	m.Data = buf.Bytes()
-	return buf.Err()
+	m.Size = buf.Int64()
+	m.Offset = buf.Int64()
+	var err error
+	if m.Data, err = decodeTail(buf); err != nil {
+		return err
+	}
+	if m.Offset < 0 || m.Offset+int64(len(m.Data)) > m.Size {
+		return ErrMalformed
+	}
+	return nil
 }
 
 // StageStat asks whether the serving proxy's store holds a blob.

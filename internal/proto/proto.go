@@ -171,8 +171,9 @@ const (
 // Version is the protocol version spoken by this build. It covers the
 // tunnel's frame layouts as well as the control messages: 3 put the
 // initial credit into SYN and SYNACK and the learned window into
-// MemberInfo.
-const Version uint16 = 3
+// MemberInfo; 4 moves blobs between client and proxy in chunks (StagePut,
+// StageGetReply) and checks transfer chunks with CRC-32C.
+const Version uint16 = 4
 
 // Message is one control-protocol exchange unit.
 type Message struct {
@@ -193,6 +194,11 @@ var (
 	// ErrVersionMismatch indicates the peer speaks an incompatible
 	// protocol version.
 	ErrVersionMismatch = errors.New("proto: protocol version mismatch")
+	// ErrMalformed reports a body whose fields decoded but contradict
+	// each other (a chunk that names more bytes than it carries, a
+	// negative offset). The blob layouts of earlier protocol versions fail
+	// this way rather than decoding as something shorter.
+	ErrMalformed = errors.New("proto: malformed message body")
 )
 
 // Body is implemented by every typed message body.
@@ -268,6 +274,25 @@ func WriteMessage(w *wire.Writer, msg Message) error {
 	b = wire.AppendUint64(b, msg.Corr)
 	b = append(b, msg.Payload...)
 	return w.WriteFrame(frameTypeControl, b)
+}
+
+// WriteBody frames body under corr and writes it, and returns the
+// payload bytes written. Blob bytes a body carries go to the frame writer
+// as a segment of their own, so they are copied once, into the writer's
+// batch, and not also behind their header; every other body goes the way
+// of WriteMessage.
+func WriteBody(w *wire.Writer, corr uint64, body Body) (int, error) {
+	t, ok := body.(tailed)
+	if !ok {
+		msg := Marshal(corr, body)
+		return len(msg.Payload), WriteMessage(w, msg)
+	}
+	head := make([]byte, 0, 64)
+	head = wire.AppendUint16(head, uint16(body.Code()))
+	head = wire.AppendUint64(head, corr)
+	head = t.encodeHead(head)
+	tail := t.tail()
+	return len(head) - 10 + len(tail), w.WriteFramev(frameTypeControl, head, tail)
 }
 
 // ReadMessage reads the next control message from r.

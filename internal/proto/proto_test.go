@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -70,6 +71,93 @@ func allBodies() []Body {
 		&RegistryAnnounce{Site: "a", Resources: []Resource{{Name: "n1", Kind: "node", Site: "a", Attrs: []string{"ram_mb=1024"}}}},
 		&RegistryQuery{Kind: "node", Attrs: []string{"ram_mb=1024"}},
 		&RegistryReply{Resources: []Resource{{Name: "n1", Kind: "node", Site: "a"}}},
+		&StagePut{Upload: 7, Offset: 1 << 20, Size: 3 << 20, Step: PutMore, Name: "params.bin", Data: []byte("chunk bytes")},
+		&StagePut{Upload: 8, Size: -1, Step: PutLast, Name: "empty"},
+		&StagePutReply{Ref: StageRef{Name: "params.bin", Hash: "ab12", Size: 3 << 20}},
+		&StageGet{Hash: "ab12", Offset: 2 << 20, Length: StageChunk},
+		&StageGetReply{Size: 3 << 20, Offset: 2 << 20, Data: []byte("range bytes")},
+	}
+}
+
+// oldBlobLayouts are the whole-blob client messages of protocol 3, as a
+// client of that version would still send them.
+func oldBlobLayouts() map[Code][]byte {
+	blob := bytes.Repeat([]byte("old blob "), 100)
+	hash := strings.Repeat("ab", 32)
+	return map[Code][]byte{
+		CodeStagePut:      wire.AppendBytes(wire.AppendString(nil, "params.bin"), blob),
+		CodeStageGet:      wire.AppendString(nil, hash),
+		CodeStageGetReply: wire.AppendBytes(wire.AppendString(nil, hash), blob),
+	}
+}
+
+// TestOldBlobLayoutsRefused: a whole-blob put or get of the previous
+// protocol version does not decode — it must not pass for a chunk, a
+// range or a short blob.
+func TestOldBlobLayoutsRefused(t *testing.T) {
+	for code, payload := range oldBlobLayouts() {
+		if body, err := Unmarshal(Message{Code: code, Corr: 1, Payload: payload}); err == nil {
+			t.Errorf("code %#x: protocol 3 layout decoded as %+v", uint16(code), body)
+		}
+	}
+}
+
+// TestChunkBodiesRejectInconsistency: the bytes a chunk carries must be
+// exactly the bytes it says it carries, within the bounds it names.
+func TestChunkBodiesRejectInconsistency(t *testing.T) {
+	put := (&StagePut{Upload: 1, Size: 10, Data: []byte("0123456789")}).Encode(nil)
+	get := (&StageGetReply{Size: 10, Data: []byte("0123456789")}).Encode(nil)
+	for name, tc := range map[string]struct {
+		code    Code
+		payload []byte
+		want    error
+	}{
+		"put with a byte missing":     {CodeStagePut, put[:len(put)-1], ErrMalformed},
+		"put with a byte extra":       {CodeStagePut, append(append([]byte(nil), put...), 0), ErrMalformed},
+		"put with an unknown step":    {CodeStagePut, (&StagePut{Step: PutAbort + 1}).Encode(nil), ErrMalformed},
+		"put at a negative offset":    {CodeStagePut, (&StagePut{Offset: -1}).Encode(nil), ErrMalformed},
+		"put cut inside its header":   {CodeStagePut, put[:20], wire.ErrTruncated},
+		"range with a byte missing":   {CodeStageGetReply, get[:len(get)-1], ErrMalformed},
+		"range past the blob's end":   {CodeStageGetReply, (&StageGetReply{Size: 5, Offset: 1, Data: []byte("01234")}).Encode(nil), ErrMalformed},
+		"get with a negative length":  {CodeStageGet, (&StageGet{Hash: "h", Length: -1}).Encode(nil), ErrMalformed},
+		"chunk beyond the chunk size": {CodeStagePut, (&StagePut{Data: make([]byte, StageChunk+1)}).Encode(nil), ErrMalformed},
+	} {
+		if _, err := Unmarshal(Message{Code: tc.code, Corr: 1, Payload: tc.payload}); !errors.Is(err, tc.want) {
+			t.Errorf("%s: err = %v, want %v", name, err, tc.want)
+		}
+	}
+}
+
+// TestWriteBodyGathersTail: a body that carries blob bytes reaches the
+// wire exactly as WriteMessage would put it there, and decodes into a
+// body whose bytes alias the frame.
+func TestWriteBodyGathersTail(t *testing.T) {
+	for _, body := range []Body{
+		&StagePut{Upload: 3, Offset: 5, Size: 16, Step: PutLast, Name: "n", Data: []byte("eleven bytes")},
+		&StageGetReply{Size: 100, Offset: 40, Data: []byte("eleven bytes")},
+		&Ping{Nonce: 9},
+	} {
+		var gathered, copied bytes.Buffer
+		n, err := WriteBody(wire.NewWriter(&gathered), 42, body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg := Marshal(42, body)
+		if err := WriteMessage(wire.NewWriter(&copied), msg); err != nil {
+			t.Fatal(err)
+		}
+		if n != len(msg.Payload) || !bytes.Equal(gathered.Bytes(), copied.Bytes()) {
+			t.Errorf("%T: WriteBody wrote %d payload bytes, WriteMessage %d; frames equal: %v",
+				body, n, len(msg.Payload), bytes.Equal(gathered.Bytes(), copied.Bytes()))
+		}
+		got, err := ReadMessage(wire.NewReader(&gathered))
+		if err != nil {
+			t.Fatal(err)
+		}
+		decoded, err := Unmarshal(got)
+		if err != nil || !reflect.DeepEqual(normalize(decoded), normalize(body)) {
+			t.Errorf("%T: read back %+v, %v", body, decoded, err)
+		}
 	}
 }
 

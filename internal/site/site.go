@@ -66,6 +66,10 @@ type SiteSpec struct {
 	// this site — how mixed-version grids (one site bonding, another
 	// not) are simulated.
 	Tunnel *tunnel.Config
+	// Metrics, if non-nil, receives this site's proxy metrics instead of
+	// the testbed-wide registry — for tests that must tell one site's
+	// counts from another's.
+	Metrics *metrics.Registry
 }
 
 // UniformNodes builds n identical node profiles with the given speed.
@@ -259,6 +263,10 @@ func (tb *Testbed) buildSite(spec SiteSpec, policyName string, log *logging.Logg
 	if spec.Tunnel != nil {
 		tunnelcfg = *spec.Tunnel
 	}
+	reg := tb.metrics
+	if spec.Metrics != nil {
+		reg = spec.Metrics
+	}
 	proxy, err := core.New(core.Config{
 		Site:      spec.Name,
 		WANAddr:   "wan." + spec.Name,
@@ -275,7 +283,7 @@ func (tb *Testbed) buildSite(spec SiteSpec, policyName string, log *logging.Logg
 		Jobs:      tb.jobs,
 		Stage:     tb.stage,
 		Tunnel:    tunnelcfg,
-		Metrics:   tb.metrics,
+		Metrics:   reg,
 		Logger:    log,
 		Clock:     tb.clock,
 	})

@@ -3,8 +3,8 @@ package stage
 import (
 	"bytes"
 	"context"
-	"crypto/sha256"
 	"encoding/binary"
+	"hash/crc32"
 	"io"
 	"net"
 	"testing"
@@ -28,6 +28,21 @@ func (c *scriptConn) Close() error                     { return nil }
 func (c *scriptConn) SetReadDeadline(time.Time) error  { return nil }
 func (c *scriptConn) SetWriteDeadline(time.Time) error { return nil }
 
+// wireStatus is a status frame as it appears on the wire.
+func wireStatus(status byte, size int64) []byte {
+	frame := statusFrame(status, size)
+	binary.BigEndian.PutUint32(frame, uint32(len(frame)-framePrefix))
+	return frame
+}
+
+// wireChunk is one chunk as it appears on the wire: uint32 n | crc32c u32
+// | payload. The length and the checksum are the caller's to get wrong.
+func wireChunk(n, sum uint32, payload []byte) []byte {
+	out := binary.BigEndian.AppendUint32(nil, n)
+	out = binary.BigEndian.AppendUint32(out, sum)
+	return append(out, payload...)
+}
+
 // fuzzGet appends one well-framed get request to a FuzzServeRequests
 // input.
 func fuzzGet(b []byte, hash string, off, length int64, chunk uint32) []byte {
@@ -49,8 +64,8 @@ func fuzzGet(b []byte, hash string, off, length int64, chunk uint32) []byte {
 // of 0 and beyond maxChunkSize, unknown ops and hashes. Serve must
 // return, and what it wrote must be, request by request in order,
 // exactly the answer the protocol defines: a status frame, then for an
-// accepted get the checksummed chunks of the clipped range and not a
-// byte more.
+// accepted get the chunks of the clipped range, each behind its length
+// and its CRC-32C, and not a byte more.
 //
 // responses is what a serving peer sends a puller, replayed on every
 // stream a two-blob plan dials. The plan must return; its buffers are
@@ -93,6 +108,25 @@ func FuzzServeRequests(f *testing.F) {
 	f.Add(odd, answer.out.Bytes()[:2000])
 	f.Add(append(fuzzGet(nil, refs[0].Hash, 0, 0, 0)[:20], 0xFF), []byte{0, 0, 0, 9, statusOK})
 	f.Add([]byte{0, 0, 0, 1, 2}, []byte{0, 0, 0, 9, statusNotFound, 0, 0, 0, 0, 0, 0, 0, 0})
+	// Answers to the plan's first request whose one chunk header is wrong:
+	// a payload bit flipped under a true checksum, a checksum bit flipped
+	// over a true payload, a chunk of no bytes, a chunk beyond the limit.
+	// The first two leave the stream in sync (the span is re-requested),
+	// the last two cannot be followed; either way the blob must not enter
+	// the store changed.
+	first := blobs[0][:1<<10]
+	sum := crc32.Checksum(first, castagnoli)
+	flipped := append([]byte(nil), first...)
+	flipped[17] ^= 0x04
+	header := wireStatus(statusOK, 5000)
+	for _, chunk := range [][]byte{
+		wireChunk(1<<10, sum, flipped),
+		wireChunk(1<<10, sum^0x0100, first),
+		wireChunk(0, 0, nil),
+		wireChunk(maxChunkSize+1, sum, first),
+	} {
+		f.Add(plan, append(append([]byte(nil), header...), chunk...))
+	}
 
 	f.Fuzz(func(t *testing.T, requests, responses []byte) {
 		conn := &scriptConn{in: bytes.NewReader(requests)}
@@ -135,7 +169,7 @@ func checkServed(t *testing.T, cfg Config, blobs map[string][]byte, requests, ou
 		case off < 0 || off > size:
 			status = statusBad
 		}
-		if len(out) < 13 || !bytes.Equal(out[:13], append([]byte{0, 0, 0, 9}, statusFrame(status, size)...)) {
+		if len(out) < 13 || !bytes.Equal(out[:13], wireStatus(status, size)) {
 			t.Fatalf("request %x: want status %d size %d, Serve wrote %x", req, status, size, out[:min(13, len(out))])
 		}
 		out = out[13:]
@@ -154,9 +188,7 @@ func checkServed(t *testing.T, cfg Config, blobs map[string][]byte, requests, ou
 		}
 		for pos := off; pos < end; {
 			n := min(int64(chunk), end-pos)
-			sum := sha256.Sum256(data[pos : pos+n])
-			want := append(binary.BigEndian.AppendUint32(nil, uint32(n)), sum[:]...)
-			want = append(want, data[pos:pos+n]...)
+			want := wireChunk(uint32(n), crc32.Checksum(data[pos:pos+n], castagnoli), data[pos:pos+n])
 			if !bytes.HasPrefix(out, want) {
 				t.Fatalf("request %x: chunk at %d of [%d,%d) is not what Serve wrote", req, pos, off, end)
 			}

@@ -3,9 +3,9 @@ package stage
 import (
 	"bytes"
 	"context"
-	"crypto/sha256"
 	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"math/rand"
 	"net"
 	"strings"
@@ -297,8 +297,7 @@ func TestPullAllRefusalIsNotSizeMismatch(t *testing.T) {
 	if err := Serve(answer, src, cfg, nil); err != nil {
 		t.Fatal(err)
 	}
-	script := append([]byte{0, 0, 0, 9}, statusFrame(statusBad, 0)...)
-	script = append(script, answer.out.Bytes()...)
+	script := append(wireStatus(statusBad, 0), answer.out.Bytes()...)
 	dials := 0
 	dial := func(context.Context) (net.Conn, error) {
 		dials++
@@ -450,12 +449,12 @@ func TestPullAllOneBlobFailsOthersWhole(t *testing.T) {
 	refs := []FileRef{src.Put(blobs[0]), src.Put(blobs[1])}
 
 	cfg := Config{ChunkSize: 16 << 10, Stripes: 1, IdleTimeout: 2 * time.Second, PullRetries: 2}
-	sum := sha256.Sum256(blobs[0][:cfg.ChunkSize])
+	sum := binary.BigEndian.AppendUint32(nil, crc32.Checksum(blobs[0][:cfg.ChunkSize], castagnoli))
 	cut := onFirstDial(func(conn net.Conn) net.Conn {
 		return &cutConn{Conn: conn, budget: 192 << 10} // dies halfway through B
 	})
 	dial := pipeDialer(src, cfg, nil, func(conn net.Conn) net.Conn {
-		return cut(&poisonConn{Conn: conn, sum: sum[:]})
+		return cut(&poisonConn{Conn: conn, sum: sum})
 	})
 	errs := PullAll(context.Background(), dial, refs, dst, cfg, reg)
 	if errs[0] == nil {

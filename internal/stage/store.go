@@ -176,7 +176,7 @@ func (s *Store) load() error {
 		if err != nil {
 			continue
 		}
-		if Hash(data) != e.Name() {
+		if s.hash(data) != e.Name() {
 			// Torn write or tampering: the name is the contract.
 			os.Remove(path)
 			continue
@@ -197,7 +197,7 @@ func (s *Store) load() error {
 // empty Name). Storing the same content twice is a no-op beyond an LRU
 // touch.
 func (s *Store) Put(data []byte) FileRef {
-	h := Hash(data)
+	h := s.hash(data)
 	s.put(h, data)
 	return FileRef{Hash: h, Size: int64(len(data))}
 }
@@ -206,11 +206,18 @@ func (s *Store) Put(data []byte) FileRef {
 // claim first. Transfer receive paths use it so a corrupted blob can
 // never enter the store under a clean name.
 func (s *Store) PutHashed(hash string, data []byte) error {
-	if Hash(data) != hash {
-		return fmt.Errorf("stage: content hashes to %s, not %s", Hash(data), hash)
+	if got := s.hash(data); got != hash {
+		return fmt.Errorf("stage: content hashes to %s, not %s", got, hash)
 	}
 	s.put(hash, data)
 	return nil
+}
+
+// hash is Hash, counted: every SHA-256 pass a store makes goes through it
+// or through a Writer.
+func (s *Store) hash(data []byte) string {
+	s.reg.Counter(metrics.StageHashedBytes).Add(int64(len(data)))
+	return Hash(data)
 }
 
 func (s *Store) put(hash string, data []byte) {

@@ -2,10 +2,10 @@ package stage
 
 import (
 	"context"
-	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"net"
 	"sync"
@@ -23,11 +23,15 @@ import (
 //
 //	request:  uint32 len | op u8, hash str, offset i64, length i64, chunk u32
 //	get rsp:  uint32 len | status u8, size i64
-//	          then per chunk: uint32 n | sha256(chunk) 32B | n payload bytes
+//	          then per chunk: uint32 n | crc32c(chunk) u32 | n payload bytes
 //
 // The puller knows the exact byte range it asked for, so chunk framing
 // stays in sync even across a chunk whose checksum fails — the bad span
-// is recorded and re-requested after the response completes.
+// is recorded and re-requested after the response completes. The chunk
+// checksum is CRC-32C: it is there to find which chunk a faulty link or
+// buffer damaged, so that only that span moves again, and the hardware
+// computes it at memory speed. What a blob is trusted on is the SHA-256 of
+// the whole of it, checked once when it enters the store (PutHashed).
 const (
 	opGet = 1
 
@@ -46,6 +50,11 @@ var ErrNotFound = errors.New("stage: blob not found")
 // emptyHash names the blob of no bytes.
 var emptyHash = Hash(nil)
 
+// chunkHeader is the "uint32 n | crc32c u32" that precedes a chunk's bytes.
+const chunkHeader = 8
+
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
 // armRead sets the idle read deadline on conn (idle <= 0 disables).
 func armRead(conn net.Conn, idle time.Duration) {
 	if idle > 0 {
@@ -60,13 +69,16 @@ func armWrite(conn net.Conn, idle time.Duration) {
 	}
 }
 
-// writeFrame writes one length-prefixed frame as a single Write.
-func writeFrame(conn net.Conn, idle time.Duration, payload []byte) error {
-	buf := make([]byte, 4+len(payload))
-	binary.BigEndian.PutUint32(buf, uint32(len(payload)))
-	copy(buf[4:], payload)
+// framePrefix is the length prefix of a frame. A frame is built behind
+// four reserved bytes, which writeFrame fills in.
+const framePrefix = 4
+
+// writeFrame writes frame, whose payload starts at framePrefix, as a
+// single Write.
+func writeFrame(conn net.Conn, idle time.Duration, frame []byte) error {
+	binary.BigEndian.PutUint32(frame, uint32(len(frame)-framePrefix))
 	armWrite(conn, idle)
-	_, err := conn.Write(buf)
+	_, err := conn.Write(frame)
 	return err
 }
 
@@ -129,7 +141,7 @@ func Serve(conn net.Conn, store *Store, cfg Config, reg *metrics.Registry) error
 }
 
 func statusFrame(status byte, size int64) []byte {
-	out := []byte{status}
+	out := append(make([]byte, framePrefix, framePrefix+9), status)
 	return wire.AppendInt64(out, size)
 }
 
@@ -168,9 +180,9 @@ func serveGet(conn net.Conn, store *Store, cfg Config, reg *metrics.Registry, ha
 	bw, _ := conn.(bufferWriter)
 	var frame []byte
 	if bw == nil {
-		frame = make([]byte, 0, 4+sha256.Size+chunk)
+		frame = make([]byte, 0, chunkHeader+chunk)
 	}
-	var chdr [4 + sha256.Size]byte
+	var chdr [chunkHeader]byte
 	for pos := offset; pos < end; {
 		n := int64(chunk)
 		if pos+n > end {
@@ -185,18 +197,14 @@ func serveGet(conn net.Conn, store *Store, cfg Config, reg *metrics.Registry, ha
 			return fmt.Errorf("stage: blob %s evicted mid-transfer", short(hash))
 		}
 		payload := loan.Data
-		sum := sha256.Sum256(payload)
+		binary.BigEndian.PutUint32(chdr[:4], uint32(n))
+		binary.BigEndian.PutUint32(chdr[4:], crc32.Checksum(payload, castagnoli))
 		armWrite(conn, cfg.IdleTimeout)
 		var err error
 		if bw != nil {
-			binary.BigEndian.PutUint32(chdr[:4], uint32(n))
-			copy(chdr[4:], sum[:])
 			_, err = bw.WriteBuffers(chdr[:], payload)
 		} else {
-			frame = frame[:0]
-			frame = binary.BigEndian.AppendUint32(frame, uint32(n))
-			frame = append(frame, sum[:]...)
-			frame = append(frame, payload...)
+			frame = append(append(frame[:0], chdr[:]...), payload...)
 			_, err = conn.Write(frame)
 		}
 		loan.Release()
@@ -490,7 +498,7 @@ func (pl *pullPlan) exchange(conn net.Conn, spans []span) (missing []span, got i
 		batch := spans[:min(len(spans), maxPipelined)]
 		spans = spans[len(batch):]
 		for _, sp := range batch {
-			req := []byte{opGet}
+			req := append(make([]byte, framePrefix, framePrefix+96), opGet)
 			req = wire.AppendString(req, sp.b.hash)
 			req = wire.AppendInt64(req, sp.off)
 			req = wire.AppendInt64(req, sp.end-sp.off)
@@ -569,7 +577,7 @@ func (pl *pullPlan) readResponse(conn net.Conn, sp span) (missing []span, got in
 		}
 		sp.end = min(sp.end, size)
 	}
-	var chdr [4 + sha256.Size]byte
+	var chdr [chunkHeader]byte
 	for pos := sp.off; pos < sp.end; {
 		unread := span{b, pos, sp.end}
 		armRead(conn, pl.cfg.IdleTimeout)
@@ -584,7 +592,7 @@ func (pl *pullPlan) readResponse(conn net.Conn, sp span) (missing []span, got in
 		if _, err := io.ReadFull(conn, b.buf[pos:pos+n]); err != nil {
 			return append(missing, unread), got, err
 		}
-		if [sha256.Size]byte(chdr[4:]) != sha256.Sum256(b.buf[pos:pos+n]) {
+		if binary.BigEndian.Uint32(chdr[4:]) != crc32.Checksum(b.buf[pos:pos+n], castagnoli) {
 			// The chunk is framed correctly but its payload is wrong:
 			// record the span and keep reading — the stream is still
 			// in sync, so later chunks are usable and only this span

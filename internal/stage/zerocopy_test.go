@@ -3,7 +3,6 @@ package stage
 import (
 	"bytes"
 	"context"
-	"crypto/sha256"
 	"encoding/binary"
 	"net"
 	"os"
@@ -158,6 +157,6 @@ func TestChunkLoanReleasePooled(t *testing.T) {
 	// A second lease of pooled size must not crash and the hash check
 	// guards correctness elsewhere; this is a smoke test for the
 	// single-release contract.
-	buf := wire.GetPayload(sha256.Size)
+	buf := wire.GetPayload(32)
 	wire.PutPayload(buf)
 }

@@ -280,6 +280,14 @@ func (b *Buffer) Bytes() []byte {
 	return out
 }
 
+// View returns the next n bytes without copying them: the slice aliases
+// the payload the buffer was built over. It is for bulk fields of frames
+// the decoder owns (ReadFrame hands every frame to its caller); a decoder
+// over a pooled or reused payload must use Bytes.
+func (b *Buffer) View(n int) []byte {
+	return b.take(n)
+}
+
 // String decodes a uvarint-prefixed string.
 func (b *Buffer) String() string {
 	n := b.uvarint()
