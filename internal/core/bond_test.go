@@ -158,10 +158,15 @@ func TestOldVersionHelloRefused(t *testing.T) {
 	hello := &proto.Hello{Site: "old", Version: 1, WANAddr: "wan.old", BondConns: 1, BondID: make([]byte, 16)}
 	full := hello.Encode(nil)
 	hello.Version = proto.Version - 1
+	previous := hello.Encode(nil)
+	// Version 4 by number: its CommitSpawn and JobUpdate end a field
+	// before this build's.
+	hello.Version = 4
 	for name, payload := range map[string][]byte{
 		"v1 full":  full,
 		"v1 short": full[:len(full)-18],
-		"previous": hello.Encode(nil),
+		"previous": previous,
+		"v4":       hello.Encode(nil),
 	} {
 		t.Run(name, func(t *testing.T) {
 			proxy, wan := versionProxy(t)

@@ -186,10 +186,11 @@ func (p *Proxy) clientRegistryQuery(req *proto.RegistryQuery) (proto.Body, error
 
 // handleJobUpdate records a remote site's completion report for an app we
 // launched. The Site field names the reporter. Outputs the reporter
-// published are pulled into the origin store over the data plane before
-// the report counts, so Launch.Wait returning means the output blobs are
-// local: only refs that were pulled are recorded, and one that could not
-// be turns the site's report into a failure naming it.
+// published are in the origin store before the report counts, so
+// Launch.Wait returning means the output blobs are local: the small ones
+// arrive inside the report, the others are pulled over the data plane.
+// Only refs whose blobs are here are recorded, and one that could not be
+// pulled turns the site's report into a failure naming it.
 func (p *Proxy) handleJobUpdate(ctx context.Context, req *proto.JobUpdate) {
 	p.mu.Lock()
 	js, ok := p.jobs[req.JobID]
@@ -202,12 +203,16 @@ func (p *Proxy) handleJobUpdate(ctx context.Context, req *proto.JobUpdate) {
 		err = errors.New(req.Detail)
 	}
 	if len(req.Outputs) > 0 && req.Site != "" {
-		pulled, pullErr := p.pullOutputs(ctx, req.Site, req.Outputs)
-		for _, ref := range pulled {
-			js.launch.recordOutput(ref)
+		here, rest := p.acceptInlined(req)
+		if len(rest) > 0 {
+			pulled, pullErr := p.pullOutputs(ctx, req.Site, rest)
+			here = append(here, pulled...)
+			if err == nil && pullErr != nil {
+				err = fmt.Errorf("outputs not returned: %w", pullErr)
+			}
 		}
-		if err == nil && pullErr != nil {
-			err = fmt.Errorf("outputs not returned: %w", pullErr)
+		for _, ref := range here {
+			js.launch.recordOutput(ref)
 		}
 	}
 	js.launch.remoteDone(req.Site, err)

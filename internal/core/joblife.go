@@ -324,22 +324,30 @@ func (p *Proxy) dropHosted(appID string) {
 // staging ends. A later reschedule landing more ranks on a site that
 // already hosts the app merges into the existing record.
 func (p *Proxy) handlePrepareSpawn(ctx context.Context, req *proto.PrepareSpawn) (proto.Body, error) {
-	refuse := func(reason string) proto.Body {
+	reply := p.prepareSpawn(ctx, req)
+	// Whichever way the prepare went, a commit sent behind it may be
+	// waiting for exactly this.
+	p.settleHeld(req.AppID, req.Epoch, reply)
+	return reply, nil
+}
+
+func (p *Proxy) prepareSpawn(ctx context.Context, req *proto.PrepareSpawn) *proto.PrepareSpawnReply {
+	refuse := func(reason string) *proto.PrepareSpawnReply {
 		return &proto.PrepareSpawnReply{AppID: req.AppID, OK: false, Reason: reason}
 	}
 	if err := p.users.Allowed(req.Owner, "mpi", "site:"+p.site); err != nil {
-		return refuse(fmt.Sprintf("owner %q not permitted at site %s", req.Owner, p.site)), nil
+		return refuse(fmt.Sprintf("owner %q not permitted at site %s", req.Owner, p.site))
 	}
 	locations := locationsFromWire(req.Locations)
 	ha, created, err := p.hostedFor(req, locations)
 	if err != nil {
-		return refuse(err.Error()), nil
+		return refuse(err.Error())
 	}
 	if err := p.stageIn(ctx, req.Origin, req.StageIn); err != nil {
 		if created {
 			p.reapHosted(ha, "stage-in failed")
 		}
-		return refuse(err.Error()), nil
+		return refuse(err.Error())
 	}
 	ranks := make([]int, 0, len(req.Ranks))
 	for _, ra := range req.Ranks {
@@ -351,17 +359,17 @@ func (p *Proxy) handlePrepareSpawn(ctx context.Context, req *proto.PrepareSpawn)
 	ha.mu.Lock()
 	if ha.aborted {
 		ha.mu.Unlock()
-		return refuse("application is being aborted"), nil
+		return refuse("application is being aborted")
 	}
 	if ha.origin != req.Origin {
 		ha.mu.Unlock()
-		return refuse(fmt.Sprintf("application belongs to origin %q", ha.origin)), nil
+		return refuse(fmt.Sprintf("application belongs to origin %q", ha.origin))
 	}
 	if epoch < ha.epoch {
 		cur := ha.epoch
 		ha.mu.Unlock()
 		p.reg.Counter(metrics.JobStaleCommits).Inc()
-		return refuse(fmt.Sprintf("stale launch epoch %d (current %d)", epoch, cur)), nil
+		return refuse(staleEpoch(epoch, cur))
 	}
 	newEpoch := epoch > ha.epoch
 	if newEpoch {
@@ -382,7 +390,11 @@ func (p *Proxy) handlePrepareSpawn(ctx context.Context, req *proto.PrepareSpawn)
 	}
 	ha.as.setLocations(locations)
 	p.reg.Counter(metrics.JobPrepares).Inc()
-	return &proto.PrepareSpawnReply{AppID: req.AppID, OK: true}, nil
+	return &proto.PrepareSpawnReply{AppID: req.AppID, OK: true}
+}
+
+func staleEpoch(epoch, current uint64) string {
+	return fmt.Sprintf("stale launch epoch %d (current %d)", epoch, current)
 }
 
 // hostedFor returns the record of the application a prepare names,
@@ -411,16 +423,199 @@ func (p *Proxy) hostedFor(req *proto.PrepareSpawn, locations map[int]rankLoc) (_
 	return ha, true, nil
 }
 
-// handleCommitSpawn serves launch phase two: spawn the prepared ranks and
-// watch them. The reply lists the virtual-slave endpoints of the started
-// ranks, mirroring the old single-phase SpawnReply.
+// handleCommitSpawn serves launch phase two. A commit the origin sent
+// after its prepare's reply runs at once; one sent unconfirmed, behind
+// the prepare, first waits for that prepare to settle.
 func (p *Proxy) handleCommitSpawn(ctx context.Context, req *proto.CommitSpawn) (proto.Body, error) {
-	refuse := func(reason string) proto.Body {
+	if !req.Unconfirmed {
+		return p.commitSpawn(ctx, req), nil
+	}
+	h, first := p.enterHeld(req)
+	return p.serveHeld(ctx, req, h, first), nil
+}
+
+// commitArrived is a peer link's rpc.arrival: it records an unconfirmed
+// commit as held on the read loop, in arrival order, and returns what
+// serves it. The origin aborts a refused launch right after the refusal,
+// so the AbortSpawn can be read a moment after the commit and its
+// goroutine run first; the abort still finds the commit recorded and
+// refuses it, where it would otherwise wait out RPCTimeout for a verdict
+// that had already been given.
+func (p *Proxy) commitArrived(msg proto.Message) servedBy {
+	if msg.Code != proto.CodeCommitSpawn {
+		return nil
+	}
+	body, err := proto.Unmarshal(msg)
+	if err != nil {
+		return nil // the handler says what is wrong with it
+	}
+	req := body.(*proto.CommitSpawn)
+	if !req.Unconfirmed {
+		return nil
+	}
+	h, first := p.enterHeld(req)
+	return func(ctx context.Context) (proto.Body, error) {
+		return p.serveHeld(ctx, req, h, first), nil
+	}
+}
+
+// serveHeld answers an unconfirmed commit that enterHeld has recorded.
+func (p *Proxy) serveHeld(ctx context.Context, req *proto.CommitSpawn, h *heldCommit, first bool) *proto.SpawnReply {
+	if !first {
+		// A retry under the token of an attempt that has not replied yet
+		// gets that attempt's outcome.
+		select {
+		case <-h.done:
+			return h.reply
+		case <-ctx.Done():
+			return &proto.SpawnReply{AppID: req.AppID, OK: false, Reason: ctx.Err().Error()}
+		}
+	}
+	var reply *proto.SpawnReply
+	if reason := p.awaitPrepare(ctx, req, h); reason != "" {
+		reply = &proto.SpawnReply{AppID: req.AppID, OK: false, Reason: reason}
+	} else {
+		reply = p.commitSpawn(ctx, req)
+	}
+	p.leaveHeld(req.AppID, h, reply)
+	return reply
+}
+
+// heldCommit is an unconfirmed CommitSpawn at a destination, from its
+// arrival to its reply. rpc.readLoop serves every request on its own
+// goroutine, so the commit's can run before its prepare has recorded the
+// application, while the prepare is staging, or after it is through; the
+// table of held commits (Proxy.held, by application) is where the two
+// meet whatever the order.
+type heldCommit struct {
+	epoch uint64
+	token string
+	// verdict receives the outcome of the prepare the commit was sent
+	// behind: "" when it succeeded, otherwise why the commit is refused.
+	// Buffered and written without blocking — the first verdict counts.
+	verdict chan string
+	// done is closed once reply is set, for retries under the same token.
+	done  chan struct{}
+	reply *proto.SpawnReply
+}
+
+// enterHeld records an unconfirmed commit, or finds the earlier attempt
+// under the same token that has not replied yet.
+func (p *Proxy) enterHeld(req *proto.CommitSpawn) (_ *heldCommit, first bool) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for _, h := range p.held[req.AppID] {
+		if req.Token != "" && h.token == req.Token {
+			return h, false
+		}
+	}
+	h := &heldCommit{epoch: req.Epoch, token: req.Token, verdict: make(chan string, 1), done: make(chan struct{})}
+	p.held[req.AppID] = append(p.held[req.AppID], h)
+	return h, true
+}
+
+func (p *Proxy) leaveHeld(appID string, h *heldCommit, reply *proto.SpawnReply) {
+	p.mu.Lock()
+	held := p.held[appID]
+	for i := range held {
+		if held[i] == h {
+			held = append(held[:i], held[i+1:]...)
+			break
+		}
+	}
+	if len(held) == 0 {
+		delete(p.held, appID)
+	} else {
+		p.held[appID] = held
+	}
+	p.mu.Unlock()
+	h.reply = reply
+	close(h.done)
+}
+
+// awaitPrepare holds an unconfirmed commit until the prepare it was sent
+// behind has settled, and returns why the commit is refused ("" to run
+// it). It blocks on the verdict that every exit of handlePrepareSpawn and
+// handleAbortSpawn deliver; a prepare that never arrives, or one that
+// refused before this commit arrived and whose origin then never aborts,
+// costs one RPCTimeout — as long as the origin itself waits.
+func (p *Proxy) awaitPrepare(ctx context.Context, req *proto.CommitSpawn, h *heldCommit) string {
+	if ha, ok := p.lookupHosted(req.AppID); ok && !ha.awaitsPrepare(req) {
+		return ""
+	}
+	p.reg.Counter(metrics.JobCommitsHeld).Inc()
+	p.log.Debug("commit held for its prepare", "app", req.AppID, "epoch", req.Epoch)
+	if d := p.lifecycle.RPCTimeout; d > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, d)
+		defer cancel()
+	}
+	select {
+	case reason := <-h.verdict:
+		return reason
+	case <-ctx.Done():
+		return fmt.Sprintf("no prepare settled for the commit: %v", ctx.Err())
+	}
+}
+
+// awaitsPrepare reports whether a commit at req's epoch has a prepare
+// still to wait for: not when the commit body would answer it as things
+// stand — a replayed token, an aborted application, a newer epoch, ranks
+// pending at its epoch.
+func (ha *hostedApp) awaitsPrepare(req *proto.CommitSpawn) bool {
+	ha.mu.Lock()
+	defer ha.mu.Unlock()
+	if _, replay := ha.commits[req.Token]; replay || ha.aborted || req.Epoch < ha.epoch {
+		return false
+	}
+	return ha.pendingEpoch != req.Epoch || len(ha.pending) == 0
+}
+
+// settleHeld tells the commits held for an application how the prepare at
+// epoch went: those at that epoch run or are refused with it, and a
+// prepare that succeeded makes the ones from older epochs stale.
+func (p *Proxy) settleHeld(appID string, epoch uint64, reply *proto.PrepareSpawnReply) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for _, h := range p.held[appID] {
+		switch {
+		case h.epoch == epoch && reply.OK:
+			h.settle("")
+		case h.epoch == epoch:
+			h.settle("prepare refused: " + reply.Reason)
+		case h.epoch < epoch && reply.OK:
+			p.reg.Counter(metrics.JobStaleCommits).Inc()
+			h.settle(staleEpoch(h.epoch, epoch))
+		}
+	}
+}
+
+// refuseHeld refuses every commit held for an application.
+func (p *Proxy) refuseHeld(appID, reason string) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for _, h := range p.held[appID] {
+		h.settle(reason)
+	}
+}
+
+func (h *heldCommit) settle(verdict string) {
+	select {
+	case h.verdict <- verdict:
+	default:
+	}
+}
+
+// commitSpawn is the commit body: spawn the prepared ranks and watch
+// them. The reply lists the virtual-slave endpoints of the started ranks,
+// mirroring the old single-phase SpawnReply.
+func (p *Proxy) commitSpawn(ctx context.Context, req *proto.CommitSpawn) *proto.SpawnReply {
+	refuse := func(reason string) *proto.SpawnReply {
 		return &proto.SpawnReply{AppID: req.AppID, OK: false, Reason: reason}
 	}
 	ha, ok := p.lookupHosted(req.AppID)
 	if !ok {
-		return refuse("no prepared application"), nil
+		return refuse("no prepared application")
 	}
 	ha.mu.Lock()
 	if req.Token != "" {
@@ -429,22 +624,22 @@ func (p *Proxy) handleCommitSpawn(ctx context.Context, req *proto.CommitSpawn) (
 			// transit, not the spawn. Re-report it instead of spawning
 			// the group twice.
 			ha.mu.Unlock()
-			return cached, nil
+			return cached
 		}
 	}
 	if ha.aborted {
 		ha.mu.Unlock()
-		return refuse("application is being aborted"), nil
+		return refuse("application is being aborted")
 	}
 	if req.Epoch != 0 && req.Epoch < ha.epoch {
 		cur := ha.epoch
 		ha.mu.Unlock()
 		p.reg.Counter(metrics.JobStaleCommits).Inc()
-		return refuse(fmt.Sprintf("stale launch epoch %d (current %d)", req.Epoch, cur)), nil
+		return refuse(staleEpoch(req.Epoch, cur))
 	}
 	if len(ha.pending) == 0 {
 		ha.mu.Unlock()
-		return refuse("no pending ranks (commit without prepare)"), nil
+		return refuse("no pending ranks (commit without prepare)")
 	}
 	ranks := ha.pending
 	epoch := ha.pendingEpoch
@@ -457,7 +652,7 @@ func (p *Proxy) handleCommitSpawn(ctx context.Context, req *proto.CommitSpawn) (
 	locations := ha.as.locationsSnapshot()
 	if err := p.spawnLocalRanks(ctx, req.AppID, ha.owner, program, args, worldSize, locations, ranks, stageIn, ha.recordOutput); err != nil {
 		p.releaseHostedGroup(ha, nil)
-		return refuse(err.Error()), nil
+		return refuse(err.Error())
 	}
 
 	ha.mu.Lock()
@@ -466,7 +661,7 @@ func (p *Proxy) handleCommitSpawn(ctx context.Context, req *proto.CommitSpawn) (
 		ha.mu.Unlock()
 		p.reapLocalRanks(req.AppID, locations, ranks)
 		p.releaseHostedGroup(ha, nil)
-		return refuse("application is being aborted"), nil
+		return refuse("application is being aborted")
 	}
 	for _, rank := range ranks {
 		ha.running[rank] = rankRun{node: locations[rank].node, epoch: epoch}
@@ -496,7 +691,7 @@ func (p *Proxy) handleCommitSpawn(ctx context.Context, req *proto.CommitSpawn) (
 		ha.commits[req.Token] = reply
 		ha.mu.Unlock()
 	}
-	return reply, nil
+	return reply
 }
 
 // fenceStaleRanks kills this site's copies of the listed ranks (all
@@ -592,9 +787,9 @@ func (p *Proxy) finishHostedGroup(ha *hostedApp, ranks []int, err error) {
 		return
 	}
 	// The update advertises the refs of every output published here so
-	// far; the origin pulls the blobs over the data plane before it
-	// counts this group done.
-	update := &proto.JobUpdate{JobID: ha.appID, State: proto.JobDone, Detail: p.site, Site: p.site, Outputs: outputs}
+	// far, and carries the small ones; the origin pulls the rest over the
+	// data plane before it counts this group done.
+	update := &proto.JobUpdate{JobID: ha.appID, State: proto.JobDone, Detail: p.site, Site: p.site, Outputs: outputs, Inline: p.inlineOutputs(outputs)}
 	if err != nil {
 		update.State = proto.JobFailed
 		update.Detail = fmt.Sprintf("%s: %v", p.site, err)
@@ -625,6 +820,9 @@ func (p *Proxy) reportToOrigin(origin string, update *proto.JobUpdate) {
 // Idempotent: aborting an unknown (or already-aborted) app succeeds, so
 // origin-side abort fan-outs can safely over-approximate.
 func (p *Proxy) handleAbortSpawn(req *proto.AbortSpawn) proto.Body {
+	// A commit may be held for an application no prepare has recorded
+	// (yet, or any more).
+	p.refuseHeld(req.AppID, "application is being aborted")
 	ha, ok := p.lookupHosted(req.AppID)
 	if !ok {
 		return &proto.AbortSpawnReply{AppID: req.AppID, OK: true}
@@ -858,25 +1056,10 @@ func (p *Proxy) rescheduleSite(l *Launch, deadSite string) {
 	l.maybeFinish()
 }
 
-// spawnAtSite runs the prepare+commit sequence against a single site
-// (reschedule path), stamped with the reschedule's launch epoch.
+// spawnAtSite lands a reschedule's ranks at one site, stamped with the
+// reschedule's launch epoch. Replacement sites do not wait for each other
+// (the surviving ranks are running already), so each takes the pipelined
+// form.
 func (p *Proxy) spawnAtSite(ctx context.Context, l *Launch, site string, ranks []int, locations map[int]rankLoc, epoch uint64) error {
-	spec := l.spec
-	if err := p.prepareAt(ctx, site, &proto.PrepareSpawn{
-		AppID:     l.AppID,
-		Origin:    p.site,
-		Owner:     spec.Owner,
-		Program:   spec.Program,
-		Args:      spec.Args,
-		WorldSize: uint32(len(locations)),
-		Ranks:     rankAssignments(ranks, locations),
-		Locations: locationsToWire(locations),
-		StageIn:   spec.StageIn,
-		StageOut:  spec.StageOut,
-		Epoch:     epoch,
-	}); err != nil {
-		return err
-	}
-	_, err := p.commitAt(ctx, site, l.AppID, epoch)
-	return err
+	return p.spawnAt(ctx, site, l.prepareFor(ranks, locations, epoch), func() error { return nil })
 }

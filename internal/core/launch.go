@@ -170,10 +170,12 @@ func (p *Proxy) LaunchMPI(ctx context.Context, spec LaunchSpec) (*Launch, error)
 // launchAt starts spec with an explicit placement (used directly by
 // experiments that sweep policies). The multi-site part runs as a
 // two-phase commit: every remote site first PREPARES (validates the
-// owner, creates the address space, records its ranks — nothing runs),
-// then every site COMMITS (spawns). A failure in either phase triggers a
-// best-effort AbortSpawn fan-out, so a launch that dies half-way strands
-// no address spaces or ranks anywhere.
+// owner, creates the address space, stages the inputs, records its ranks
+// — nothing runs), then every site COMMITS (spawns). With one remote site
+// the commit travels behind the prepare (spawnAt); with more, every
+// prepare is awaited first (spawnBehindBarrier). A failure in either
+// phase triggers a best-effort AbortSpawn fan-out, so a launch that dies
+// half-way strands no address spaces or ranks anywhere.
 func (p *Proxy) launchAt(ctx context.Context, spec LaunchSpec, locations map[int]rankLoc) (*Launch, error) {
 	appID := spec.AppID
 	if appID == "" {
@@ -246,58 +248,37 @@ func (p *Proxy) launchAt(ctx context.Context, spec LaunchSpec, locations map[int
 		p.unregisterJob(appID)
 	}
 
-	// Phase 1: prepare every remote site. Requests fan out concurrently
-	// with a per-peer deadline: a multi-site launch costs one
-	// slowest-site round trip per phase, not the sum over sites.
-	wireLocs := locationsToWire(locations)
-	if len(remoteSites) > 0 {
-		results := peerlink.FanOut(ctx, remoteSites, p.lifecycle.RPCTimeout, func(ctx context.Context, site string) (struct{}, error) {
-			return struct{}{}, p.prepareAt(ctx, site, &proto.PrepareSpawn{
-				AppID:     appID,
-				Origin:    p.site,
-				Owner:     spec.Owner,
-				Program:   spec.Program,
-				Args:      spec.Args,
-				WorldSize: uint32(len(locations)),
-				Ranks:     rankAssignments(sites[site], locations),
-				Locations: wireLocs,
-				StageIn:   spec.StageIn,
-				StageOut:  spec.StageOut,
-				Epoch:     1,
-			})
-		})
-		for _, res := range results {
-			if res.Err != nil {
-				abort(res.Err.Error())
-				return nil, res.Err
-			}
-		}
+	// The origin's own commit: its ranks start once every remote prepare
+	// has succeeded. Inputs are already in the origin store (verified
+	// above), so local ranks read them directly and publish outputs
+	// straight back into it.
+	localUp := false
+	spawnLocal := func() error {
+		err := p.spawnLocalRanks(ctx, appID, spec.Owner, spec.Program, spec.Args, len(locations), locations, localRanks, spec.StageIn, launch.recordOutput)
+		localUp = err == nil
+		return err
 	}
-
-	// Spawn local ranks (the origin's own commit). Inputs are already in
-	// the origin store (verified above), so local ranks read them
-	// directly and publish outputs straight back into it.
-	if err := p.spawnLocalRanks(ctx, appID, spec.Owner, spec.Program, spec.Args, len(locations), locations, localRanks, spec.StageIn, launch.recordOutput); err != nil {
+	prepares := make(map[string]*proto.PrepareSpawn, len(remoteSites))
+	for _, site := range remoteSites {
+		prepares[site] = launch.prepareFor(sites[site], locations, 1)
+	}
+	switch len(remoteSites) {
+	case 0:
+		err = spawnLocal()
+	case 1:
+		err = p.spawnAt(ctx, remoteSites[0], prepares[remoteSites[0]], spawnLocal)
+	default:
+		err = p.spawnBehindBarrier(ctx, remoteSites, prepares, spawnLocal)
+	}
+	if err != nil {
+		// Commit is not atomic across sites: some may already run ranks.
+		// Abort everywhere (idempotent) and kill our own ranks so nothing
+		// survives a failed launch.
+		if localUp {
+			p.reapLocalRanks(appID, locations, localRanks)
+		}
 		abort(err.Error())
 		return nil, err
-	}
-
-	// Phase 2: commit every prepared site.
-	if len(remoteSites) > 0 {
-		results := peerlink.FanOut(ctx, remoteSites, p.lifecycle.RPCTimeout, func(ctx context.Context, site string) (struct{}, error) {
-			_, err := p.commitAt(ctx, site, appID, 1)
-			return struct{}{}, err
-		})
-		for _, res := range results {
-			if res.Err != nil {
-				// Commit is not atomic across sites: some may already
-				// run ranks. Abort everywhere (idempotent) and kill our
-				// own ranks so nothing survives a failed launch.
-				p.reapLocalRanks(appID, locations, localRanks)
-				abort(res.Err.Error())
-				return nil, res.Err
-			}
-		}
 	}
 
 	launch.mu.Lock()
@@ -576,6 +557,90 @@ func (p *Proxy) JobStatus(appID string) (proto.JobState, string, error) {
 	return js.state, js.detail, nil
 }
 
+// prepareFor renders the PrepareSpawn that lands ranks of the launch at
+// one site, under the placement and launch epoch given.
+func (l *Launch) prepareFor(ranks []int, locations map[int]rankLoc, epoch uint64) *proto.PrepareSpawn {
+	return &proto.PrepareSpawn{
+		AppID:     l.AppID,
+		Origin:    l.proxy.site,
+		Owner:     l.spec.Owner,
+		Program:   l.spec.Program,
+		Args:      l.spec.Args,
+		WorldSize: uint32(len(locations)),
+		Ranks:     rankAssignments(ranks, locations),
+		Locations: locationsToWire(locations),
+		StageIn:   l.spec.StageIn,
+		StageOut:  l.spec.StageOut,
+		Epoch:     epoch,
+	}
+}
+
+// spawnAt prepares and commits a rank group at a remote site that is the
+// only remote participant of its step (a two-site launch, any
+// reschedule), so no other site's prepare gates the commit. PrepareSpawn
+// and an unconfirmed CommitSpawn leave back to back on one control
+// stream: the destination holds the commit until the prepare has settled
+// and answers both, so the commit's reply is one propagation delay behind
+// the prepare's where it used to be a round trip. prepared runs between
+// the two replies — the origin's own ranks start there, only after the
+// destination's prepare succeeded, but possibly after its ranks did.
+func (p *Proxy) spawnAt(ctx context.Context, site string, prep *proto.PrepareSpawn, prepared func() error) error {
+	pr, err := p.peerFor(ctx, site)
+	if err != nil {
+		return err
+	}
+	defer p.releasePeer(pr)
+	commit := p.newCommit(prep.AppID, prep.Epoch)
+	commit.Unconfirmed = true
+
+	pctx, cancel := p.rpcDeadline(ctx)
+	defer cancel()
+	prepCall := p.sendPeer(pctx, pr, prep)
+	commitCall := p.sendPeer(pctx, pr, commit)
+	// On every early return the commit is no longer waited for here; the
+	// caller's abort settles it at the destination.
+	defer commitCall.forget()
+	if err := prepareOutcome(pctx, site, prepCall); err != nil {
+		return err
+	}
+	if err := prepared(); err != nil {
+		return err
+	}
+	_, err = p.commitAt(ctx, site, commit, commitCall)
+	return err
+}
+
+// spawnBehindBarrier prepares and commits rank groups at several remote
+// sites: a commit at one must not start ranks before every other site
+// has prepared, so each phase fans out and is awaited whole. Requests fan
+// out concurrently with a per-peer deadline: a phase costs one
+// slowest-site round trip, not the sum over sites.
+func (p *Proxy) spawnBehindBarrier(ctx context.Context, sites []string, prepares map[string]*proto.PrepareSpawn, prepared func() error) error {
+	phase := func(step func(ctx context.Context, site string) error) error {
+		results := peerlink.FanOut(ctx, sites, p.lifecycle.RPCTimeout, func(ctx context.Context, site string) (struct{}, error) {
+			return struct{}{}, step(ctx, site)
+		})
+		for _, res := range results {
+			if res.Err != nil {
+				return res.Err
+			}
+		}
+		return nil
+	}
+	if err := phase(func(ctx context.Context, site string) error {
+		return p.prepareAt(ctx, site, prepares[site])
+	}); err != nil {
+		return err
+	}
+	if err := prepared(); err != nil {
+		return err
+	}
+	return phase(func(ctx context.Context, site string) error {
+		_, err := p.commitAt(ctx, site, p.newCommit(prepares[site].AppID, prepares[site].Epoch), nil)
+		return err
+	})
+}
+
 // prepareAt runs launch phase one at a remote site.
 func (p *Proxy) prepareAt(ctx context.Context, site string, req *proto.PrepareSpawn) error {
 	pr, err := p.peerFor(ctx, site)
@@ -583,7 +648,13 @@ func (p *Proxy) prepareAt(ctx context.Context, site string, req *proto.PrepareSp
 		return err
 	}
 	defer p.releasePeer(pr)
-	reply, err := p.callPeer(ctx, pr, req)
+	return prepareOutcome(ctx, site, p.sendPeer(ctx, pr, req))
+}
+
+// prepareOutcome collects a PrepareSpawn's reply: nil when the site
+// prepared.
+func prepareOutcome(ctx context.Context, site string, call *peerCall) error {
+	reply, err := call.reply(ctx)
 	if err != nil {
 		return fmt.Errorf("core: prepare at %s: %w", site, err)
 	}
@@ -598,18 +669,24 @@ func (p *Proxy) prepareAt(ctx context.Context, site string, req *proto.PrepareSp
 	return nil
 }
 
-// commitAt runs launch phase two at a remote site. Transport failures
-// are retried with jittered backoff under ONE idempotency token: if the
-// first attempt spawned the group but its reply was lost, the retry
-// re-reports that outcome from the destination's token cache instead of
-// spawning a second copy of every rank. Refusals are terminal — the
-// destination answered; asking again changes nothing.
-func (p *Proxy) commitAt(ctx context.Context, site, appID string, epoch uint64) (*proto.SpawnReply, error) {
-	req := &proto.CommitSpawn{
+// newCommit mints the CommitSpawn of one rank group, with the idempotency
+// token every attempt at it shares.
+func (p *Proxy) newCommit(appID string, epoch uint64) *proto.CommitSpawn {
+	return &proto.CommitSpawn{
 		AppID: appID,
 		Epoch: epoch,
 		Token: fmt.Sprintf("%s-%d", p.site, p.appSeq.Add(1)),
 	}
+}
+
+// commitAt runs launch phase two at a remote site; sent, if not nil, is a
+// first attempt already on the wire. Transport failures are retried with
+// jittered backoff under ONE idempotency token: if the first attempt
+// spawned the group but its reply was lost, the retry re-reports that
+// outcome from the destination's token cache instead of spawning a
+// second copy of every rank. Refusals are terminal — the destination
+// answered; asking again changes nothing.
+func (p *Proxy) commitAt(ctx context.Context, site string, req *proto.CommitSpawn, sent *peerCall) (*proto.SpawnReply, error) {
 	var lastErr error
 	for attempt := 0; attempt < 3; attempt++ {
 		if attempt > 0 {
@@ -619,13 +696,23 @@ func (p *Proxy) commitAt(ctx context.Context, site, appID string, epoch uint64) 
 				return nil, lastErr
 			}
 		}
-		pr, err := p.peerFor(ctx, site)
-		if err != nil {
-			lastErr = err
-			continue
+		var (
+			reply proto.Body
+			err   error
+		)
+		if attempt == 0 && sent != nil {
+			rctx, cancel := p.rpcDeadline(ctx)
+			reply, err = sent.reply(rctx)
+			cancel()
+		} else {
+			var pr *peer
+			if pr, err = p.peerFor(ctx, site); err != nil {
+				lastErr = err
+				continue
+			}
+			reply, err = p.callPeer(ctx, pr, req)
+			p.releasePeer(pr)
 		}
-		reply, err := p.callPeer(ctx, pr, req)
-		p.releasePeer(pr)
 		if err != nil {
 			var se *statusError
 			if errors.As(err, &se) {

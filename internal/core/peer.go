@@ -124,6 +124,7 @@ func (p *Proxy) connectOnce(ctx context.Context, site, wanAddr string) (*peer, e
 	}
 	pr := &peer{site: site, conn: conn, session: session}
 	pr.ctrl = newRPC(p.ctx, ctrlStream, roleDialer, handler, p.log.Named("ctrl."+site), p.reg)
+	pr.ctrl.arrival = p.commitArrived
 	pr.ctrl.start()
 
 	// Offer the configured tunnel width: the ack's BondConns caps how
@@ -276,6 +277,12 @@ func (p *Proxy) admitSession(conn net.Conn, session *tunnel.Session) {
 	pending := &pendingPeer{proxy: p, conn: conn, session: session}
 	ctrl := newRPC(p.ctx, ctrlStream, roleAcceptor, pending.handle, p.log.Named("ctrl.inbound"), p.reg)
 	pending.ctrl = ctrl
+	ctrl.arrival = func(msg proto.Message) servedBy {
+		if pending.established() == nil {
+			return nil // nothing is recorded for a session that has not said Hello
+		}
+		return p.commitArrived(msg)
+	}
 	ctrl.start()
 
 	//lint:allow-wallclock bounds a real network handshake, not simulated time
@@ -514,19 +521,44 @@ func (p *Proxy) Peers() []string {
 // peer can never pin a control-plane caller indefinitely; latency and
 // timeout metrics are recorded per call.
 func (p *Proxy) callPeer(ctx context.Context, pr *peer, body proto.Body) (proto.Body, error) {
+	ctx, cancel := p.rpcDeadline(ctx)
+	defer cancel()
+	return p.sendPeer(ctx, pr, body).reply(ctx)
+}
+
+// rpcDeadline bounds a context that has no deadline by RPCTimeout.
+func (p *Proxy) rpcDeadline(ctx context.Context) (context.Context, context.CancelFunc) {
 	if _, ok := ctx.Deadline(); !ok && p.lifecycle.RPCTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, p.lifecycle.RPCTimeout)
-		defer cancel()
+		return context.WithTimeout(ctx, p.lifecycle.RPCTimeout)
 	}
+	return ctx, func() {}
+}
+
+// peerCall is one control call to a peer between its send and its reply.
+// Splitting the two is what lets a caller put a second request on the
+// control stream behind the first without waiting a round trip.
+type peerCall struct {
+	*pendingCall
+	reg   *metrics.Registry
+	start time.Time
+}
+
+func (p *Proxy) sendPeer(ctx context.Context, pr *peer, body proto.Body) *peerCall {
 	//lint:allow-wallclock monotonic latency measurement for metrics; injected clocks have no monotonic reading
 	start := time.Now()
-	reply, err := pr.ctrl.call(ctx, body)
-	p.reg.Counter(metrics.ControlRPCs).Inc()
+	return &peerCall{pendingCall: pr.ctrl.send(ctx, body), reg: p.reg, start: start}
+}
+
+// reply collects the call's reply and ends the call. A call whose reply
+// is not wanted any more is ended with forget instead.
+func (c *peerCall) reply(ctx context.Context) (proto.Body, error) {
+	defer c.forget()
+	reply, err := c.wait(ctx)
+	c.reg.Counter(metrics.ControlRPCs).Inc()
 	//lint:allow-wallclock monotonic latency measurement for metrics; injected clocks have no monotonic reading
-	p.reg.Counter(metrics.ControlRPCMicros).Add(time.Since(start).Microseconds())
+	c.reg.Counter(metrics.ControlRPCMicros).Add(time.Since(c.start).Microseconds())
 	if errors.Is(err, context.DeadlineExceeded) {
-		p.reg.Counter(metrics.ControlRPCTimeouts).Inc()
+		c.reg.Counter(metrics.ControlRPCTimeouts).Inc()
 	}
 	return reply, err
 }

@@ -184,6 +184,7 @@ type Proxy struct {
 	apps    map[string]*addressSpace
 	jobs    map[string]*jobState
 	hosted  map[string]*hostedApp
+	held    map[string][]*heldCommit
 	probing map[string]bool // sites with an indirect probe in flight
 	fences  []*pendingFence // undelivered split-brain fences
 	stopped bool
@@ -248,6 +249,7 @@ func New(cfg Config) (*Proxy, error) {
 		apps:      make(map[string]*addressSpace),
 		jobs:      make(map[string]*jobState),
 		hosted:    make(map[string]*hostedApp),
+		held:      make(map[string][]*heldCommit),
 		probing:   make(map[string]bool),
 		ctx:       ctx,
 		cancel:    cancel,

@@ -53,6 +53,12 @@ type rpc struct {
 	// handler serves requests from the peer. It returns the reply body,
 	// or an error rendered as an ErrorBody.
 	handler func(ctx context.Context, msg proto.Message) (proto.Body, error)
+	// arrival, if set (between newRPC and start), sees every request on
+	// the read loop, before the request gets its goroutine: what has to
+	// happen in the order requests arrived happens there, because the
+	// goroutines run in any order. It returns what serves the request, or
+	// nil for handler.
+	arrival func(msg proto.Message) servedBy
 
 	nextCorr atomic.Uint64
 
@@ -64,6 +70,9 @@ type rpc struct {
 	done chan struct{}
 	wg   sync.WaitGroup
 }
+
+// servedBy serves one request whose message its maker has already seen.
+type servedBy func(ctx context.Context) (proto.Body, error)
 
 // errRPCClosed is returned for calls on a closed control channel.
 var errRPCClosed = errors.New("core: control channel closed")
@@ -155,11 +164,15 @@ func (r *rpc) readLoop() {
 			r.log.Debug("dropping late control reply", "corr", msg.Corr)
 			continue
 		}
+		var by servedBy
+		if r.arrival != nil {
+			by = r.arrival(msg)
+		}
 		r.wg.Add(1)
-		go func(msg proto.Message) {
+		go func() {
 			defer r.wg.Done()
-			r.serve(msg)
-		}(msg)
+			r.serve(msg, by)
+		}()
 	}
 }
 
@@ -176,8 +189,17 @@ func (r *rpc) takePending(corr uint64) chan proto.Message {
 	return ch
 }
 
-func (r *rpc) serve(msg proto.Message) {
-	reply, err := r.handler(r.ctx, msg)
+// serve answers one request: by, if arrival supplied one, else handler.
+func (r *rpc) serve(msg proto.Message, by servedBy) {
+	var (
+		reply proto.Body
+		err   error
+	)
+	if by != nil {
+		reply, err = by(r.ctx)
+	} else {
+		reply, err = r.handler(r.ctx, msg)
+	}
 	if msg.Corr == 0 {
 		// Notification; nothing to send back.
 		return
@@ -205,44 +227,60 @@ func (r *rpc) write(corr uint64, body proto.Body) error {
 	return err
 }
 
-// call sends a request and waits for its reply. An ErrorBody reply is
-// converted to an error. Both the send and the wait respect ctx: a hung
+// pendingCall is a request that has been sent and whose reply has not
+// been collected yet. Whoever sent it forgets it when done with it,
+// collected or not: a reply nobody waits for any more is dropped by the
+// read loop as a late one.
+type pendingCall struct {
+	r    *rpc
+	corr uint64
+	ch   chan proto.Message
+	// sendErr is why the request never went out; wait returns it.
+	sendErr error
+}
+
+// send writes a request and returns once it is on the connection (or
+// could not be put there: wait then says why), so requests one goroutine
+// sends reach the peer in that order. The send respects ctx: a hung
 // connection (write blocked in the kernel or a peer that stopped reading)
 // cannot hold the caller past its deadline.
-func (r *rpc) call(ctx context.Context, body proto.Body) (proto.Body, error) {
-	corr := r.newCorr()
-	ch := make(chan proto.Message, 1)
+func (r *rpc) send(ctx context.Context, body proto.Body) *pendingCall {
+	c := &pendingCall{r: r, corr: r.newCorr(), ch: make(chan proto.Message, 1)}
 	r.mu.Lock()
 	if r.closed {
 		r.mu.Unlock()
-		return nil, errRPCClosed
+		c.sendErr = errRPCClosed
+		return c
 	}
-	r.pending[corr] = ch
+	r.pending[c.corr] = c.ch
 	r.mu.Unlock()
-	defer func() {
-		r.mu.Lock()
-		delete(r.pending, corr)
-		r.mu.Unlock()
-	}()
 
 	// The write runs in its own goroutine so a blocked connection cannot
 	// pin the caller: wire.Writer serializes frames internally, so an
 	// abandoned write simply drains (or fails) when the connection
 	// unblocks or is torn down.
 	written := make(chan error, 1)
-	go func() { written <- r.write(corr, body) }()
+	go func() { written <- r.write(c.corr, body) }()
 	select {
 	case err := <-written:
 		if err != nil {
-			return nil, fmt.Errorf("core: control send: %w", err)
+			c.sendErr = fmt.Errorf("core: control send: %w", err)
 		}
 	case <-ctx.Done():
-		return nil, ctx.Err()
+		c.sendErr = ctx.Err()
 	case <-r.done:
-		return nil, r.closeErr()
+		c.sendErr = r.closeErr()
+	}
+	return c
+}
+
+// wait collects the reply. An ErrorBody reply is converted to an error.
+func (c *pendingCall) wait(ctx context.Context) (proto.Body, error) {
+	if c.sendErr != nil {
+		return nil, c.sendErr
 	}
 	select {
-	case msg := <-ch:
+	case msg := <-c.ch:
 		reply, err := proto.Unmarshal(msg)
 		if err != nil {
 			return nil, err
@@ -253,9 +291,22 @@ func (r *rpc) call(ctx context.Context, body proto.Body) (proto.Body, error) {
 		return reply, nil
 	case <-ctx.Done():
 		return nil, ctx.Err()
-	case <-r.done:
-		return nil, r.closeErr()
+	case <-c.r.done:
+		return nil, c.r.closeErr()
 	}
+}
+
+func (c *pendingCall) forget() {
+	c.r.mu.Lock()
+	delete(c.r.pending, c.corr)
+	c.r.mu.Unlock()
+}
+
+// call sends a request and waits for its reply.
+func (r *rpc) call(ctx context.Context, body proto.Body) (proto.Body, error) {
+	c := r.send(ctx, body)
+	defer c.forget()
+	return c.wait(ctx)
 }
 
 // notify sends a request expecting no reply.

@@ -151,6 +151,73 @@ func (p *Proxy) JobOutputs(appID string) []proto.StageRef {
 	return js.launch.Outputs()
 }
 
+// inlineOutputs picks the outputs a completion report carries itself: in
+// ref order, each one that still fits proto.MaxInlineOutputs in total.
+// Fetching such a blob would cost the origin a round trip for less than
+// the report that announced it.
+func (p *Proxy) inlineOutputs(refs []proto.StageRef) []proto.InlineOutput {
+	if len(refs) == 0 {
+		return nil
+	}
+	var (
+		inline []proto.InlineOutput
+		total  int64
+	)
+	carried := make(map[string]bool, len(refs))
+	for i, ref := range refs {
+		// Ranks that publish the same content share one blob: it travels
+		// once, and its other names find it in the origin's store.
+		if carried[ref.Hash] || total+ref.Size > proto.MaxInlineOutputs {
+			continue
+		}
+		data, ok := p.store.Get(ref.Hash)
+		if !ok || int64(len(data)) != ref.Size {
+			continue
+		}
+		total += ref.Size
+		carried[ref.Hash] = true
+		inline = append(inline, proto.InlineOutput{Ref: uint32(i), Data: data})
+	}
+	return inline
+}
+
+// acceptInlined enters the outputs a report carried into this store. It
+// returns the refs they account for and the refs still to be pulled. The
+// hash check is the integrity contract of a pull: a blob that fails it is
+// dropped and left to the pull plan, as if it had not been sent. So is
+// one this store already holds — that is a cache hit, which the plan
+// counts.
+func (p *Proxy) acceptInlined(req *proto.JobUpdate) (entered, rest []proto.StageRef) {
+	if len(req.Inline) == 0 {
+		return nil, req.Outputs
+	}
+	accepted := make([]bool, len(req.Outputs))
+	for _, in := range req.Inline {
+		ref := req.Outputs[in.Ref]
+		if p.store.Has(ref.Hash) {
+			continue
+		}
+		if err := p.store.PutHashed(ref.Hash, in.Data); err != nil {
+			p.log.Warn("inlined output dropped", "site", req.Site, "name", ref.Name, "err", err)
+			continue
+		}
+		accepted[in.Ref] = true
+		p.reg.Counter(metrics.StageOutputsInlined).Inc()
+		p.reg.Counter(metrics.StageOutputs).Inc()
+	}
+	for i, ref := range req.Outputs {
+		if accepted[i] {
+			entered = append(entered, ref)
+		} else {
+			rest = append(rest, ref)
+		}
+	}
+	// Like the stage plan's line: how an operator tells an inlined output
+	// from a pulled one while no daemon exports its counters.
+	p.log.Debug("outputs arrived with the report", "site", req.Site, "carried", len(req.Inline), "entered", len(entered), "to_pull", len(rest))
+	return entered, rest
+}
+
 // pullOutputs fetches a completing job's published outputs back from
 // the reporting site in one plan, skipping blobs already held (a rank
 // that ran locally published straight into this store). It returns the

@@ -97,10 +97,13 @@ func TestStagedLaunchWarmCache(t *testing.T) {
 
 	launch := run("stage-job-1")
 
-	// The destination pulled the input once (cold), the origin pulled the
-	// remote rank's output once.
-	if misses := reg.Counter(metrics.StageCacheMisses).Value(); misses != 2 {
-		t.Errorf("cold cache misses = %d, want 2 (input at destination, output at origin)", misses)
+	// The destination pulled the input once (cold); the remote rank's
+	// output came inside its site's report.
+	if misses := reg.Counter(metrics.StageCacheMisses).Value(); misses != 1 {
+		t.Errorf("cold cache misses = %d, want 1 (input at destination)", misses)
+	}
+	if inlined := reg.Counter(metrics.StageOutputsInlined).Value(); inlined != 1 {
+		t.Errorf("stage.outputs_inlined = %d, want 1 (output at origin)", inlined)
 	}
 	coldBytes := reg.Counter(metrics.StageBytesReceived).Value()
 	if coldBytes < int64(len(params)) {
@@ -139,8 +142,11 @@ func TestStagedLaunchWarmCache(t *testing.T) {
 	if hits := reg.Counter(metrics.StageCacheHits).Value() - hitsBefore; hits != 2 {
 		t.Errorf("warm relaunch cache hits = %d, want 2", hits)
 	}
-	if misses := reg.Counter(metrics.StageCacheMisses).Value(); misses != 2 {
-		t.Errorf("warm relaunch added cache misses (total %d, want 2)", misses)
+	if misses := reg.Counter(metrics.StageCacheMisses).Value(); misses != 1 {
+		t.Errorf("warm relaunch added cache misses (total %d, want 1)", misses)
+	}
+	if inlined := reg.Counter(metrics.StageOutputsInlined).Value(); inlined != 1 {
+		t.Errorf("warm relaunch entered an output the origin already held (stage.outputs_inlined = %d)", inlined)
 	}
 }
 
@@ -397,8 +403,9 @@ func TestStagedLaunchEmptyBlobs(t *testing.T) {
 // are local, so the origin records only the one it holds and the site's
 // report turns into a failure naming the other.
 func TestUnpulledOutputFailsReport(t *testing.T) {
-	// The corrupter spares writes under 128 bytes: the chunk frame of
-	// "keep" (36 + 6 bytes) passes, that of "lose" never does.
+	// "keep" rides its site's report. "lose" is past what a report
+	// carries, and the corrupter damages every write of 128 bytes or more:
+	// its chunk frames never pass.
 	var corrupter failure.Corrupter
 	corrupter.Arm(1 << 20)
 	tb := newStagedGrid(t, metrics.NewRegistry(), stage.Config{
@@ -408,7 +415,7 @@ func TestUnpulledOutputFailsReport(t *testing.T) {
 		if err := env.PublishOutput(fmt.Sprintf("keep-%d", env.Rank), []byte(fmt.Sprintf("keep %d", env.Rank))); err != nil {
 			return err
 		}
-		return env.PublishOutput(fmt.Sprintf("lose-%d", env.Rank), bytes.Repeat([]byte{byte(env.Rank)}, 4<<10))
+		return env.PublishOutput(fmt.Sprintf("lose-%d", env.Rank), bytes.Repeat([]byte{byte(env.Rank)}, proto.MaxInlineOutputs+1))
 	})
 
 	origin := tb.Sites[0].Proxy

@@ -326,6 +326,9 @@ const (
 	JobPrepares = "job.prepares"
 	// JobCommits counts CommitSpawn requests that started ranks.
 	JobCommits = "job.commits"
+	// JobCommitsHeld counts unconfirmed CommitSpawn requests that reached
+	// a destination before their prepare had settled and waited for it.
+	JobCommitsHeld = "job.commits_held"
 	// JobAborts counts abort fan-outs initiated by an origin proxy
 	// (failed launch phase, cancellation).
 	JobAborts = "job.aborts"
@@ -400,6 +403,9 @@ const (
 	StagePulls = "stage.pulls"
 	// StageOutputs counts job output blobs returned to their origin site.
 	StageOutputs = "stage.outputs"
+	// StageOutputsInlined counts job output blobs that reached their
+	// origin inside the completion report and passed their hash there.
+	StageOutputsInlined = "stage.outputs_inlined"
 	// StageHashedBytes counts the bytes a store fed to SHA-256: once per
 	// blob it takes in (client upload, published output, completed pull),
 	// nothing per chunk moved.

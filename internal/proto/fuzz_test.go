@@ -24,6 +24,16 @@ func FuzzUnmarshal(f *testing.F) {
 	for code, payload := range oldBlobLayouts() {
 		f.Add(uint16(code), payload)
 	}
+	// Protocol 4's commit and completion report, one field short each
+	// (TestOldLaunchLayoutsRefused), and reports whose inline outputs
+	// contradict their refs or exceed MaxInlineOutputs.
+	for code, payload := range oldLaunchLayouts() {
+		f.Add(uint16(code), payload)
+	}
+	refs := []StageRef{{Name: "a", Hash: "01", Size: 1}}
+	f.Add(uint16(CodeJobUpdate), (&JobUpdate{JobID: "j", Outputs: refs, Inline: []InlineOutput{{Ref: 0}, {Ref: 1}}}).Encode(nil))
+	f.Add(uint16(CodeJobUpdate), (&JobUpdate{JobID: "j", Outputs: refs, Inline: []InlineOutput{{Ref: 0, Data: make([]byte, MaxInlineOutputs+1)}}}).Encode(nil))
+	f.Add(uint16(CodeCommitSpawn), append((&CommitSpawn{AppID: "a"}).Encode(nil), 7))
 
 	f.Fuzz(func(t *testing.T, code uint16, payload []byte) {
 		body, err := Unmarshal(Message{Code: Code(code), Corr: 1, Payload: payload})

@@ -625,7 +625,24 @@ const (
 	JobCancelled
 )
 
+// MaxInlineOutputs bounds the output bytes one JobUpdate carries inline:
+// one tunnel segment (the tunnel's maxSegment, which is also the credit
+// every stream starts with), so a report never waits for a window update
+// and costs the control stream well under a millisecond at link rate.
+// Outputs past it travel over the data plane.
+const MaxInlineOutputs = 64 << 10
+
+// InlineOutput is the content of one of a JobUpdate's Outputs, carried in
+// the report itself.
+type InlineOutput struct {
+	// Ref indexes the update's Outputs.
+	Ref  uint32
+	Data []byte
+}
+
 // JobUpdate reports a job state transition.
+//
+//	job str | state u8 | detail str | site str | refs | n u32 | n × (ref u32 | bytes)
 type JobUpdate struct {
 	JobID  string
 	State  JobState
@@ -636,6 +653,12 @@ type JobUpdate struct {
 	// Outputs references blobs the reporting site's ranks published; the
 	// origin pulls any it does not already hold.
 	Outputs []StageRef
+	// Inline carries the bytes of some Outputs, in ascending Ref order
+	// and MaxInlineOutputs in total at most, so that fetching a small
+	// output does not cost a round trip after the report that announced
+	// it. Only site-to-site completion reports use it; the receiver
+	// checks each against its ref's hash like any transferred blob.
+	Inline []InlineOutput
 }
 
 // Code implements Body.
@@ -648,6 +671,11 @@ func (m *JobUpdate) Encode(b []byte) []byte {
 	b = wire.AppendString(b, m.Detail)
 	b = wire.AppendString(b, m.Site)
 	b = appendStageRefs(b, m.Outputs)
+	b = wire.AppendUint32(b, uint32(len(m.Inline)))
+	for _, in := range m.Inline {
+		b = wire.AppendUint32(b, in.Ref)
+		b = wire.AppendBytes(b, in.Data)
+	}
 	return b
 }
 
@@ -661,7 +689,31 @@ func (m *JobUpdate) Decode(buf *wire.Buffer) error {
 	if m.Outputs, err = decodeStageRefs(buf); err != nil {
 		return err
 	}
-	return buf.Err()
+	n := int(buf.Uint32())
+	if err := buf.Err(); err != nil {
+		return err
+	}
+	if n > len(m.Outputs) {
+		return ErrMalformed
+	}
+	if n > 0 {
+		m.Inline = make([]InlineOutput, n)
+	}
+	total := 0
+	for i := range m.Inline {
+		in := &m.Inline[i]
+		in.Ref = buf.Uint32()
+		in.Data = buf.Bytes()
+		if err := buf.Err(); err != nil {
+			return err
+		}
+		total += len(in.Data)
+		ascending := i == 0 || in.Ref > m.Inline[i-1].Ref
+		if !ascending || int(in.Ref) >= len(m.Outputs) || total > MaxInlineOutputs {
+			return ErrMalformed
+		}
+	}
+	return nil
 }
 
 // JobQuery asks for a job's current state.
@@ -958,6 +1010,8 @@ func (m *PrepareSpawnReply) Decode(buf *wire.Buffer) error {
 
 // CommitSpawn starts the ranks reserved by a PrepareSpawn. The reply is
 // a SpawnReply listing the spawned endpoints.
+//
+//	app str | epoch u64 | token str | unconfirmed u8
 type CommitSpawn struct {
 	AppID string
 	// Epoch must match the epoch of the prepare being committed; a
@@ -969,6 +1023,12 @@ type CommitSpawn struct {
 	// the outcome per (application, token) and replays it instead of
 	// spawning the ranks a second time. Empty disables caching.
 	Token string
+	// Unconfirmed says the origin sent this commit behind its prepare
+	// without waiting for the prepare's reply (the site is the launch's
+	// only remote participant, so no other prepare gates it). The
+	// destination holds it until that prepare has settled, and refuses
+	// it if the prepare refused.
+	Unconfirmed bool
 }
 
 // Code implements Body.
@@ -979,6 +1039,7 @@ func (m *CommitSpawn) Encode(b []byte) []byte {
 	b = wire.AppendString(b, m.AppID)
 	b = wire.AppendUint64(b, m.Epoch)
 	b = wire.AppendString(b, m.Token)
+	b = wire.AppendBool(b, m.Unconfirmed)
 	return b
 }
 
@@ -987,7 +1048,15 @@ func (m *CommitSpawn) Decode(buf *wire.Buffer) error {
 	m.AppID = buf.String()
 	m.Epoch = buf.Uint64()
 	m.Token = buf.String()
-	return buf.Err()
+	flag := buf.Uint8()
+	if err := buf.Err(); err != nil {
+		return err
+	}
+	if flag > 1 {
+		return ErrMalformed
+	}
+	m.Unconfirmed = flag == 1
+	return nil
 }
 
 // AbortSpawn tears a prepared or running application down at a

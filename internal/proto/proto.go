@@ -172,8 +172,10 @@ const (
 // tunnel's frame layouts as well as the control messages: 3 put the
 // initial credit into SYN and SYNACK and the learned window into
 // MemberInfo; 4 moves blobs between client and proxy in chunks (StagePut,
-// StageGetReply) and checks transfer chunks with CRC-32C.
-const Version uint16 = 4
+// StageGetReply) and checks transfer chunks with CRC-32C; 5 lets a
+// CommitSpawn say it left unconfirmed, behind its prepare, and a JobUpdate
+// carry small outputs inline.
+const Version uint16 = 5
 
 // Message is one control-protocol exchange unit.
 type Message struct {

@@ -41,6 +41,16 @@ func allBodies() []Body {
 		&NodeReport{Node: "n1", CPUFreePct: 99, RAMFreeMB: 512, DiskFreeMB: 1000, Load1: 0.1, Procs: 3, UnixNano: 42},
 		&JobSubmit{JobID: "j1", Owner: "alice", Program: "pi", Args: []string{"-n", "1e6"}, Procs: 8, Requirements: []string{"min_ram_mb=256"}},
 		&JobUpdate{JobID: "j1", State: JobRunning, Detail: "started"},
+		&JobUpdate{
+			JobID: "j1", State: JobDone, Detail: "b", Site: "b",
+			Outputs: []StageRef{{Name: "digest-1", Hash: "ab12", Size: 5}},
+			Inline:  []InlineOutput{{Ref: 0, Data: []byte("bytes")}},
+		},
+		&JobUpdate{
+			JobID: "j2", State: JobDone, Site: "b",
+			Outputs: []StageRef{{Name: "empty", Hash: "e3b0"}, {Name: "big", Hash: "cd34", Size: 1 << 20}, {Name: "small", Hash: "ef56", Size: 3}},
+			Inline:  []InlineOutput{{Ref: 0}, {Ref: 2, Data: []byte("sml")}},
+		},
 		&SpawnRequest{
 			AppID: "app-1", Owner: "alice", Program: "pi", Args: []string{"x"}, WorldSize: 4,
 			Ranks: []RankAssignment{{Rank: 1, Node: "n1"}, {Rank: 2, Node: "n2"}},
@@ -61,6 +71,7 @@ func allBodies() []Body {
 		},
 		&PrepareSpawnReply{AppID: "app-2", OK: false, Reason: "duplicate app id"},
 		&CommitSpawn{AppID: "app-2"},
+		&CommitSpawn{AppID: "app-2", Epoch: 3, Token: "a-17", Unconfirmed: true},
 		&AbortSpawn{AppID: "app-2", Reason: "prepare failed at site c"},
 		&AbortSpawnReply{AppID: "app-2", OK: true, Killed: 2},
 		&JobCancel{JobID: "j1"},
@@ -98,6 +109,61 @@ func TestOldBlobLayoutsRefused(t *testing.T) {
 	for code, payload := range oldBlobLayouts() {
 		if body, err := Unmarshal(Message{Code: code, Corr: 1, Payload: payload}); err == nil {
 			t.Errorf("code %#x: protocol 3 layout decoded as %+v", uint16(code), body)
+		}
+	}
+}
+
+// oldLaunchLayouts are the CommitSpawn and JobUpdate of protocol 4, which
+// end where this version's unconfirmed flag and inline outputs begin.
+func oldLaunchLayouts() map[Code][]byte {
+	commit := wire.AppendString(wire.AppendUint64(wire.AppendString(nil, "app-2"), 1), "a-17")
+	update := wire.AppendString(nil, "j1")
+	update = append(update, byte(JobDone))
+	update = wire.AppendString(wire.AppendString(update, "b"), "b")
+	update = appendStageRefs(update, []StageRef{{Name: "digest-1", Hash: "ab12", Size: 5}})
+	return map[Code][]byte{CodeCommitSpawn: commit, CodeJobUpdate: update}
+}
+
+// TestOldLaunchLayoutsRefused: a protocol 4 commit must not pass for a
+// confirmed one, nor a protocol 4 report for one that carries no output
+// inline — neither decodes.
+func TestOldLaunchLayoutsRefused(t *testing.T) {
+	for code, payload := range oldLaunchLayouts() {
+		if body, err := Unmarshal(Message{Code: code, Corr: 1, Payload: payload}); !errors.Is(err, wire.ErrTruncated) {
+			t.Errorf("code %#x: protocol 4 layout decoded as %+v, %v", uint16(code), body, err)
+		}
+	}
+}
+
+// TestInlineOutputsRejectInconsistency: what a report carries inline must
+// name refs of that report, each once, and stay within the bound — more
+// is a protocol violation, not something to truncate.
+func TestInlineOutputsRejectInconsistency(t *testing.T) {
+	refs := []StageRef{{Name: "a", Hash: "01", Size: 1}, {Name: "b", Hash: "02", Size: 1}}
+	update := func(inline ...InlineOutput) []byte {
+		return (&JobUpdate{JobID: "j", State: JobDone, Site: "b", Outputs: refs, Inline: inline}).Encode(nil)
+	}
+	full := update(InlineOutput{Ref: 0, Data: []byte("a")}, InlineOutput{Ref: 1, Data: []byte("b")})
+	half := make([]byte, MaxInlineOutputs/2)
+	flagged := (&CommitSpawn{AppID: "a"}).Encode(nil)
+	flagged[len(flagged)-1] = 2
+	for name, tc := range map[string]struct {
+		code    Code
+		payload []byte
+		want    error
+	}{
+		"everything inline, at the bound": {CodeJobUpdate, update(InlineOutput{Ref: 0, Data: half}, InlineOutput{Ref: 1, Data: half}), nil},
+		"one byte over the bound":         {CodeJobUpdate, update(InlineOutput{Ref: 0, Data: half}, InlineOutput{Ref: 1, Data: append(half, 0)}), ErrMalformed},
+		"more blobs than refs":            {CodeJobUpdate, update(InlineOutput{Ref: 0}, InlineOutput{Ref: 1}, InlineOutput{Ref: 2}), ErrMalformed},
+		"a ref the report does not have":  {CodeJobUpdate, update(InlineOutput{Ref: 2, Data: []byte("c")}), ErrMalformed},
+		"a ref twice":                     {CodeJobUpdate, update(InlineOutput{Ref: 1}, InlineOutput{Ref: 1}), ErrMalformed},
+		"refs out of order":               {CodeJobUpdate, update(InlineOutput{Ref: 1}, InlineOutput{Ref: 0}), ErrMalformed},
+		"cut inside a blob":               {CodeJobUpdate, full[:len(full)-1], wire.ErrTruncated},
+		"cut before the count":            {CodeJobUpdate, update()[:len(update())-4], wire.ErrTruncated},
+		"an unknown commit flag":          {CodeCommitSpawn, flagged, ErrMalformed},
+	} {
+		if _, err := Unmarshal(Message{Code: tc.code, Corr: 1, Payload: tc.payload}); !errors.Is(err, tc.want) {
+			t.Errorf("%s: err = %v, want %v", name, err, tc.want)
 		}
 	}
 }
