@@ -111,23 +111,6 @@ func BenchmarkE8_TunnelMultiplexing(b *testing.B) {
 
 // --- substrate micro-benchmarks ---------------------------------------------
 
-// BenchmarkTunnelThroughput and BenchmarkWireRoundTrip are the data-path
-// headline numbers committed to BENCH_tunnel.json; their bodies live in
-// internal/experiments so `gridbench -json` captures the same
-// measurements.
-
-func BenchmarkTunnelThroughput(b *testing.B) {
-	experiments.BenchTunnelThroughput(b)
-}
-
-func BenchmarkTunnelThroughputBonded4(b *testing.B) {
-	experiments.BenchTunnelThroughputBonded4(b)
-}
-
-func BenchmarkWireRoundTrip(b *testing.B) {
-	experiments.BenchWireRoundTrip(b)
-}
-
 func BenchmarkWireFrameRoundTrip(b *testing.B) {
 	payload := bytes.Repeat([]byte{0xAA}, 4096)
 	var buf bytes.Buffer
@@ -430,9 +413,9 @@ func BenchmarkMetricsCounter(b *testing.B) {
 // one shaped WAN link (the headline Figure 3 comparison at bench speed).
 func BenchmarkE1CrossSiteLatency(b *testing.B) {
 	row, err := experiments.E1(experiments.E1Config{
-		MsgSizes:   []int{1024},
-		Rounds:     b.N + 1,
-		WANLatency: 50 * time.Microsecond,
+		MsgSizes: []int{1024},
+		Rounds:   b.N + 1,
+		WAN:      transport.LinkParams{OneWay: 50 * time.Microsecond},
 	})
 	if err != nil {
 		b.Fatal(err)

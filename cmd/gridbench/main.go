@@ -3,12 +3,6 @@
 // corresponds to one claim in the paper's text; run all of them with
 // `gridbench -exp all`, a single one with e.g. `gridbench -exp e2`, and
 // list what exists with `gridbench -list`.
-//
-// With -json FILE the tool instead runs the tunnel data-path
-// micro-benchmarks and merges a labeled run into FILE (the committed
-// BENCH_tunnel.json artifact); -label names the run (default "after")
-// and -bond sets the tunnel connection fan-out the throughput capture
-// runs at (the committed "bonded-k4" row uses -bond 4).
 package main
 
 import (
@@ -132,23 +126,7 @@ var runners = []struct {
 func run() error {
 	exp := flag.String("exp", "all", "experiment to run: e1..e10, comma-separated, or all")
 	list := flag.Bool("list", false, "list available experiments and exit")
-	jsonPath := flag.String("json", "", "capture tunnel micro-benchmarks into this JSON artifact instead of running experiments")
-	label := flag.String("label", "after", "run label recorded with -json (e.g. before, after, bonded-k4)")
-	bond := flag.Int("bond", 1, "tunnel bond width the -json throughput capture runs at")
 	flag.Parse()
-
-	if *jsonPath != "" {
-		run, err := experiments.WriteBenchFileK(*jsonPath, *label, *bond)
-		if err != nil {
-			return err
-		}
-		for _, res := range run.Results {
-			fmt.Printf("%-20s %10.2f MB/s %12.0f ns/op %8d B/op %4d allocs/op\n",
-				res.Name, res.MBPerS, res.NsPerOp, res.BytesPerOp, res.AllocsPerOp)
-		}
-		fmt.Printf("recorded run %q (bond=%d) in %s\n", *label, *bond, *jsonPath)
-		return nil
-	}
 
 	if *list {
 		for _, runner := range runners {

@@ -18,6 +18,7 @@ import (
 	"gridproxy/internal/mpirun"
 	"gridproxy/internal/node"
 	"gridproxy/internal/site"
+	"gridproxy/internal/transport"
 )
 
 const steps = 2_000_000
@@ -40,7 +41,7 @@ func run() error {
 			{Name: "gamma", Nodes: site.UniformNodes(2, 1)},
 		},
 		// Simulate a real WAN between the sites.
-		WANLatency: 200 * time.Microsecond,
+		WAN: transport.LinkParams{OneWay: 200 * time.Microsecond},
 	})
 	if err != nil {
 		return err

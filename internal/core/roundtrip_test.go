@@ -3,7 +3,6 @@ package core_test
 import (
 	"bytes"
 	"context"
-	"io"
 	"math/rand"
 	"net"
 	"strings"
@@ -23,92 +22,8 @@ import (
 	"gridproxy/internal/transport"
 )
 
-// delayNet is a WAN whose every connection is a delay line: bytes become
-// readable one-way delay d after the far end wrote them, however many
-// they are (the same few lines as internal/tunnel's tests use; the link
-// has no bandwidth limit, so what a test times is round trips).
-type delayNet struct {
-	transport.Network
-	d time.Duration
-}
-
-func (n delayNet) Dial(ctx context.Context, addr string) (net.Conn, error) {
-	c, err := n.Network.Dial(ctx, addr)
-	if err != nil {
-		return nil, err
-	}
-	return newDelayConn(c, n.d), nil
-}
-
-func (n delayNet) Listen(addr string) (net.Listener, error) {
-	ln, err := n.Network.Listen(addr)
-	if err != nil {
-		return nil, err
-	}
-	return delayListener{ln, n.d}, nil
-}
-
-type delayListener struct {
-	net.Listener
-	d time.Duration
-}
-
-func (l delayListener) Accept() (net.Conn, error) {
-	c, err := l.Listener.Accept()
-	if err != nil {
-		return nil, err
-	}
-	return newDelayConn(c, l.d), nil
-}
-
-type delayConn struct {
-	net.Conn
-	in   chan delayed
-	head []byte
-}
-
-type delayed struct {
-	due time.Time
-	b   []byte
-}
-
-func newDelayConn(c net.Conn, d time.Duration) *delayConn {
-	// The queue is the link's capacity: it never fills in these tests.
-	dc := &delayConn{Conn: c, in: make(chan delayed, 1<<14)}
-	go func() {
-		defer close(dc.in)
-		for {
-			buf := make([]byte, 64<<10)
-			n, err := c.Read(buf)
-			if n > 0 {
-				dc.in <- delayed{time.Now().Add(d), buf[:n]}
-			}
-			if err != nil {
-				return
-			}
-		}
-	}()
-	return dc
-}
-
-func (dc *delayConn) Read(p []byte) (int, error) {
-	if len(dc.head) == 0 {
-		x, ok := <-dc.in
-		if !ok {
-			return 0, io.EOF
-		}
-		time.Sleep(time.Until(x.due))
-		dc.head = x.b
-	}
-	n := copy(p, dc.head)
-	dc.head = dc.head[n:]
-	return n, nil
-}
-
-func (dc *delayConn) SetDeadline(time.Time) error     { return nil }
-func (dc *delayConn) SetReadDeadline(time.Time) error { return nil }
-
-// delayGrid is two proxies over a WAN of the given round-trip time:
+// delayGrid is two proxies over a WAN of the given round-trip time, a
+// delay line with no rate limit, so what a test times is round trips:
 // "origin", which has no node, so every rank lands on "remote", which has
 // one. The remote site checks owners against remoteUsers.
 func delayGrid(t *testing.T, ctx context.Context, rtt time.Duration, reg *metrics.Registry, remoteUsers *auth.Store, programs map[string]node.ProgramFunc) (origin, remote *core.Proxy) {
@@ -119,7 +34,8 @@ func delayGrid(t *testing.T, ctx context.Context, rtt time.Duration, reg *metric
 	}
 	wanBase := transport.NewMemNetwork()
 	t.Cleanup(func() { wanBase.Close() })
-	mk := func(name string, nodes int, users *auth.Store) *core.Proxy {
+	link := transport.NewLink(transport.LinkParams{OneWay: rtt / 2})
+	mk := func(name string, side, nodes int, users *auth.Store) *core.Proxy {
 		cred, err := authority.IssueHost("proxy." + name)
 		if err != nil {
 			t.Fatal(err)
@@ -128,7 +44,7 @@ func delayGrid(t *testing.T, ctx context.Context, rtt time.Duration, reg *metric
 		proxy, err := core.New(core.Config{
 			Site:    name,
 			WANAddr: "wan." + name,
-			WAN:     transport.NewTLS(delayNet{wanBase, rtt / 2}, cred, authority.CertPool(), nil),
+			WAN:     transport.NewTLS(link.Side(side, wanBase), cred, authority.CertPool(), nil),
 			Local:   local,
 			Users:   users,
 			Policy:  balance.LeastLoaded{},
@@ -152,8 +68,8 @@ func delayGrid(t *testing.T, ctx context.Context, rtt time.Duration, reg *metric
 		t.Cleanup(func() { _ = proxy.Close() })
 		return proxy
 	}
-	origin = mk("origin", 0, newStoreWith(t, "alice", auth.Permission{Action: "*", Resource: "*"}))
-	remote = mk("remote", 1, remoteUsers)
+	origin = mk("origin", 0, 0, newStoreWith(t, "alice", auth.Permission{Action: "*", Resource: "*"}))
+	remote = mk("remote", 1, 1, remoteUsers)
 	if err := origin.Connect(ctx, "remote", "wan.remote"); err != nil {
 		t.Fatal(err)
 	}

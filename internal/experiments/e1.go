@@ -11,6 +11,7 @@ import (
 	"gridproxy/internal/mpirun"
 	"gridproxy/internal/node"
 	"gridproxy/internal/site"
+	"gridproxy/internal/transport"
 )
 
 // E1Row is one (mode, message size) measurement of MPI ping-pong through
@@ -30,9 +31,9 @@ type E1Config struct {
 	MsgSizes []int
 	// Rounds per size.
 	Rounds int
-	// WANLatency shapes the simulated inter-site link for the proxy
-	// mode (zero = unshaped loopback).
-	WANLatency time.Duration
+	// WAN shapes the inter-site link for the proxy mode (zero =
+	// unshaped).
+	WAN transport.LinkParams
 }
 
 // DefaultE1 returns the parameters used in EXPERIMENTS.md.
@@ -74,7 +75,7 @@ func runE1Case(mode string, msgBytes int, cfg E1Config) (E1Row, error) {
 			{Name: "sitea", Nodes: site.UniformNodes(1, 1)},
 			{Name: "siteb", Nodes: site.UniformNodes(1, 1)},
 		}
-		tbCfg.WANLatency = cfg.WANLatency
+		tbCfg.WAN = cfg.WAN
 	default:
 		return E1Row{}, fmt.Errorf("unknown mode %q", mode)
 	}

@@ -9,12 +9,13 @@ import (
 	"gridproxy/internal/metrics"
 	"gridproxy/internal/site"
 	"gridproxy/internal/stage"
+	"gridproxy/internal/transport"
 	"gridproxy/internal/tunnel"
 )
 
 // E10Row is one data-plane staging measurement: a blob pulled cold
-// across a latency-shaped WAN with a given stripe count, then pulled
-// again warm.
+// across a shaped WAN link with a given stripe count, then pulled again
+// warm.
 type E10Row struct {
 	Stripes int
 	// Bond is the tunnel connection fan-out between the two proxies (1 =
@@ -41,16 +42,11 @@ type E10Config struct {
 	ChunkSize int
 	// StripeCounts lists the parallel-stream counts to sweep.
 	StripeCounts []int
-	// BondConns lists the tunnel connection fan-outs to sweep; each
-	// member connection charges its WAN latency independently, so bonding
-	// multiplies the flush parallelism stripes already exploit.
+	// BondConns lists the tunnel connection fan-outs to sweep. Every
+	// member crosses the same link and shares its rate.
 	BondConns []int
-	// WANLatency shapes the inter-site links. On the in-memory transport
-	// the latency is charged per underlying write on the sender; with the
-	// batched wire.Writer, concurrent stripes coalesce their frames into
-	// shared flushes, so each write carries more payload and striping
-	// improves cold throughput (see the E10 notes in EXPERIMENTS.md).
-	WANLatency time.Duration
+	// WAN shapes the link between the two sites (zero = unshaped).
+	WAN transport.LinkParams
 }
 
 // DefaultE10 returns the parameters used in EXPERIMENTS.md.
@@ -60,18 +56,19 @@ func DefaultE10() E10Config {
 		ChunkSize:    128 << 10,
 		StripeCounts: []int{1, 2, 4, 8},
 		BondConns:    []int{1, 4},
-		WANLatency:   2 * time.Millisecond,
+		// gridmark's bulk_wan link, so cold MB/s reads against its
+		// tunnel.link_utilisation.
+		WAN: transport.LinkParams{OneWay: 10 * time.Millisecond, Rate: 125e6},
 	}
 }
 
 // E10 measures the content-addressed data plane: one blob is staged from
 // an origin site to a destination over dedicated tunnel data streams,
 // cold (empty destination store) and warm (already held). The sweep over
-// stripe counts shows cold throughput rising with stripes — the batched
-// wire.Writer coalesces concurrent stripes' frames into shared flushes,
-// amortizing the per-write WAN latency across them — while the warm pull
-// is a pure cache hit and moves zero payload bytes: the dedupe the job
-// launch path relies on for fast relaunches.
+// stripe counts and bond widths shows what they do to a cold pull on a
+// link whose rate they share; the warm pull is a pure cache hit and moves
+// zero payload bytes: the dedupe the job launch path relies on for fast
+// relaunches.
 func E10(cfg E10Config) ([]E10Row, error) {
 	bonds := cfg.BondConns
 	if len(bonds) == 0 {
@@ -93,10 +90,10 @@ func E10(cfg E10Config) ([]E10Row, error) {
 func runE10Stripes(cfg E10Config, stripes, bond int) (E10Row, error) {
 	reg := metrics.NewRegistry()
 	tb, err := site.NewTestbed(site.TestbedConfig{
-		GridName:   "e10",
-		Metrics:    reg,
-		WANLatency: cfg.WANLatency,
-		Tunnel:     tunnel.Config{BondConns: bond},
+		GridName: "e10",
+		Metrics:  reg,
+		WAN:      cfg.WAN,
+		Tunnel:   tunnel.Config{BondConns: bond},
 		Stage: stage.Config{
 			ChunkSize: cfg.ChunkSize,
 			Stripes:   stripes,
@@ -150,7 +147,7 @@ func runE10Stripes(cfg E10Config, stripes, bond int) (E10Row, error) {
 func E10Table(rows []E10Row) Table {
 	t := Table{
 		Title:  "E10 — data plane: striped cross-site staging, cold vs warm",
-		Claim:  "a warm (content-addressed) restage moves zero payload bytes; cold stripes coalesce into shared flushes on the WAN link",
+		Claim:  "a warm (content-addressed) restage moves zero payload bytes; cold, stripes add windows on a link whose rate bond members share",
 		Header: []string{"stripes", "bond", "blob_mb", "chunk_kb", "cold_time", "cold_MB/s", "cold_bytes", "warm_time", "warm_bytes", "cache_hits"},
 	}
 	for _, r := range rows {

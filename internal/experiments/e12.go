@@ -152,8 +152,8 @@ func e12Run(cfg E12Config) (*e12Result, error) {
 			if site == gray {
 				continue
 			}
-			c.SetShape(gray, site, failure.Shape{Loss: cfg.GrayLoss})
-			c.SetShape(site, gray, failure.Shape{Loss: cfg.GrayLoss})
+			c.SetLoss(gray, site, cfg.GrayLoss)
+			c.SetLoss(site, gray, cfg.GrayLoss)
 		}
 	})
 	ch.At(faultAt+5, func(c *failure.Chaos) { c.CutOneWay(flapA, flapB) })
@@ -163,8 +163,8 @@ func e12Run(cfg E12Config) (*e12Result, error) {
 		for i := 0; i < cfg.Sites; i++ {
 			site := g.Name(i)
 			if site != gray {
-				c.SetShape(gray, site, failure.Shape{})
-				c.SetShape(site, gray, failure.Shape{})
+				c.SetLoss(gray, site, 0)
+				c.SetLoss(site, gray, 0)
 			}
 		}
 	})

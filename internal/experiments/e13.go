@@ -43,11 +43,11 @@ type E13Config struct {
 	Capacity int
 	// QueueWait bounds how long a queued request may wait for a slot.
 	QueueWait time.Duration
-	// LANLatency shapes the site-local network so every gate→proxy RPC
-	// has a realistic service time. Without it the in-memory pipes are
-	// effectively infinitely fast: slots recycle in microseconds, no
-	// finite herd can fill the queue, and the experiment would measure
-	// the Go scheduler instead of admission control.
+	// LANLatency puts a one-way delay line on the site-local network so
+	// every gate→proxy RPC has a realistic service time. Without it the
+	// in-memory pipes are effectively infinitely fast: slots recycle in
+	// microseconds, no finite herd can fill the queue, and the experiment
+	// would measure the Go scheduler instead of admission control.
 	LANLatency time.Duration
 	// Clients is the offered load per multiplier phase (total simulated
 	// clients = Clients × len(Multipliers)).

@@ -1,75 +1,33 @@
 package failure
 
 import (
-	"context"
-	"fmt"
 	"math/rand"
-	"net"
 	"sort"
 	"sync"
-	"time"
 
 	"gridproxy/internal/metrics"
-	"gridproxy/internal/transport"
 )
 
 // Chaos is the grid-level fault controller behind experiment E12: a
-// deterministic, seeded model of every failure mode a WAN federation
-// actually exhibits, instead of FlakyNetwork's binary dead-or-alive
-// site. It holds
+// deterministic, seeded model of the failure modes a WAN federation
+// exhibits, instead of FlakyNetwork's binary dead-or-alive site. It holds
 //
 //   - a pairwise, *directed* reachability matrix (partitions and
 //     asymmetric routing failures: A reaching B does not imply B
 //     reaching A),
-//   - per-directed-link traffic shaping (latency, jitter, loss,
-//     bandwidth) for gray failures — links that are alive but slow or
-//     lossy, the mode that provokes false suspicion,
+//   - a per-directed-link loss probability for gray failures — links
+//     that are alive but lossy, the mode that provokes false suspicion,
 //   - a scripted schedule (partition at step t₁, flap, heal at t₂)
 //     keyed by a logical step counter, so a whole scenario replays
 //     identically from one seed.
 //
-// Two consumers exist. Live proxies wrap their WAN transport with
-// NetworkFor: dials in a cut direction are refused, writes (and reads
-// whose return direction is cut) black-hole exactly like a silently
-// dropped route — while still honouring the caller's deadlines. The
-// round-based simulator (internal/sim.ChaosGrid) instead consults the
-// matrix directly via ExchangeOK/Reachable on a single goroutine,
-// where the seed makes entire runs bit-for-bit reproducible.
-//
-// All randomness (jitter, loss) is drawn from one seeded source; under
-// concurrent live connections the interleaving of draws follows the
-// goroutine schedule, so strict determinism is a property of the
-// single-threaded simulator, not of live wrapping.
-
-// Shape is the traffic shaping applied to one directed link.
-type Shape struct {
-	// Latency is added to every dial and write on the link; Jitter is
-	// the ± spread applied uniformly around it.
-	Latency time.Duration
-	Jitter  time.Duration
-	// Loss is the probability (0..1) that an operation is "lost". A
-	// lost dial fails; a lost write pays a retransmit-like penalty of
-	// 3× latency (TCP hides loss as delay, not as an error).
-	Loss float64
-	// BandwidthBps throttles writes to this many bytes/second (0 =
-	// unlimited).
-	BandwidthBps int64
-}
-
-func (s Shape) zero() bool {
-	return s.Latency == 0 && s.Jitter == 0 && s.Loss == 0 && s.BandwidthBps == 0
-}
+// Its consumer is the round-based simulator (internal/sim.ChaosGrid),
+// which consults the matrix via ExchangeOK/Reachable on a single
+// goroutine, where the seed makes entire runs bit-for-bit reproducible.
+// Delay and rate on live connections are transport.Link's, not this
+// package's.
 
 type linkKey struct{ from, to string }
-
-// connKey identifies one dialed connection on a directed link by dial
-// order: index 0 is the first connection dialed from→to, 1 the second,
-// and so on. Bonded tunnels dial their member connections in index
-// order, so connKey index i addresses bond member i.
-type connKey struct {
-	linkKey
-	index int
-}
 
 // chaosEvent is one scripted action, applied when the logical step
 // counter reaches At.
@@ -85,20 +43,14 @@ type Chaos struct {
 	seed int64
 	reg  *metrics.Registry
 
-	mu        sync.Mutex
-	rng       *rand.Rand
-	owner     map[string]string // listen addr -> site
-	cut       map[linkKey]chan struct{}
-	shape     map[linkKey]Shape
-	connShape map[connKey]Shape
-	dialSeq   map[linkKey]int
-	conns     map[*chaosConn]struct{}
+	mu   sync.Mutex
+	rng  *rand.Rand
+	cut  map[linkKey]bool
+	loss map[linkKey]float64
 
 	script  []chaosEvent
 	applied int
 	step    int
-
-	sleep func(time.Duration)
 }
 
 // NewChaos returns a controller whose every random draw derives from
@@ -109,42 +61,20 @@ func NewChaos(seed int64, reg *metrics.Registry) *Chaos {
 		seed = 1
 	}
 	return &Chaos{
-		seed:      seed,
-		reg:       reg,
-		rng:       rand.New(rand.NewSource(seed)),
-		owner:     make(map[string]string),
-		cut:       make(map[linkKey]chan struct{}),
-		shape:     make(map[linkKey]Shape),
-		connShape: make(map[connKey]Shape),
-		dialSeq:   make(map[linkKey]int),
-		conns:     make(map[*chaosConn]struct{}),
-		sleep:     time.Sleep,
+		seed: seed,
+		reg:  reg,
+		rng:  rand.New(rand.NewSource(seed)),
+		cut:  make(map[linkKey]bool),
+		loss: make(map[linkKey]float64),
 	}
 }
 
 // Seed returns the seed that reproduces this run; experiments print it.
 func (c *Chaos) Seed() int64 { return c.seed }
 
-// Register declares that addr is site's WAN listen address, so dials
-// can be attributed to a destination site. Unregistered addresses pass
-// through unshaped.
-func (c *Chaos) Register(site, addr string) {
-	c.mu.Lock()
-	c.owner[addr] = site
-	c.mu.Unlock()
-}
-
-// NetworkFor wraps inner as seen from site: outbound dials consult the
-// matrix and established connections are shaped and severable.
-func (c *Chaos) NetworkFor(site string, inner transport.Network) transport.Network {
-	return &chaosNetwork{chaos: c, site: site, inner: inner}
-}
-
-// CutOneWay makes traffic from→to black-hole: new dials fail, writes
-// already-established connections carry in that direction block (still
-// honouring deadlines) until the link heals. The reverse direction is
-// untouched — the asymmetric case a symmetric fail/heal switch cannot
-// express.
+// CutOneWay makes traffic from→to black-hole until the link heals. The
+// reverse direction is untouched — the asymmetric case a symmetric
+// fail/heal switch cannot express.
 func (c *Chaos) CutOneWay(from, to string) {
 	c.mu.Lock()
 	c.cutLocked(from, to)
@@ -152,9 +82,8 @@ func (c *Chaos) CutOneWay(from, to string) {
 }
 
 // Partition splits the named groups from each other: every directed
-// link between sites of different groups is cut and existing
-// cross-group connections are severed. Links within a group, and to
-// sites not named in any group, are untouched.
+// link between sites of different groups is cut. Links within a group,
+// and to sites not named in any group, are untouched.
 func (c *Chaos) Partition(groups ...[]string) {
 	member := make(map[string]int)
 	for gi, g := range groups {
@@ -170,32 +99,20 @@ func (c *Chaos) Partition(groups ...[]string) {
 			}
 		}
 	}
-	var sever []*chaosConn
-	for conn := range c.conns {
-		ga, oka := member[conn.from]
-		gb, okb := member[conn.to]
-		if oka && okb && ga != gb {
-			sever = append(sever, conn)
-		}
-	}
 	c.mu.Unlock()
-	for _, conn := range sever {
-		_ = conn.Close()
-	}
 }
 
 // cutLocked records a directed cut. Callers hold c.mu.
 func (c *Chaos) cutLocked(from, to string) {
 	k := linkKey{from, to}
-	if _, dead := c.cut[k]; dead {
+	if c.cut[k] {
 		return
 	}
-	c.cut[k] = make(chan struct{})
+	c.cut[k] = true
 	c.reg.Counter(metrics.ChaosCuts).Inc()
 }
 
-// HealLink restores both directions between a and b; operations
-// blocked on the cut resume.
+// HealLink restores both directions between a and b.
 func (c *Chaos) HealLink(a, b string) {
 	c.mu.Lock()
 	c.healLocked(a, b)
@@ -203,8 +120,8 @@ func (c *Chaos) HealLink(a, b string) {
 	c.mu.Unlock()
 }
 
-// HealAll clears every cut (shapes persist; gray failure is healed via
-// SetShape with a zero Shape).
+// HealAll clears every cut (loss persists; gray failure is healed via
+// SetLoss with zero).
 func (c *Chaos) HealAll() {
 	c.mu.Lock()
 	for k := range c.cut {
@@ -215,42 +132,22 @@ func (c *Chaos) HealAll() {
 
 func (c *Chaos) healLocked(from, to string) {
 	k := linkKey{from, to}
-	gate, dead := c.cut[k]
-	if !dead {
+	if !c.cut[k] {
 		return
 	}
-	close(gate)
 	delete(c.cut, k)
 	c.reg.Counter(metrics.ChaosHeals).Inc()
 }
 
-// SetShape installs (or, with a zero Shape, removes) gray-failure
-// shaping on the directed link from→to.
-func (c *Chaos) SetShape(from, to string, s Shape) {
+// SetLoss makes each exchange over the directed link from→to fail with
+// probability p (0 heals it).
+func (c *Chaos) SetLoss(from, to string, p float64) {
 	k := linkKey{from, to}
 	c.mu.Lock()
-	if s.zero() {
-		delete(c.shape, k)
+	if p == 0 {
+		delete(c.loss, k)
 	} else {
-		c.shape[k] = s
-	}
-	c.mu.Unlock()
-}
-
-// SetConnShape installs (or, with a zero Shape, removes) shaping for a
-// single connection on the directed link from→to, addressed by dial
-// order: the index-th connection dialed after the call picks it up (and
-// any already-established connection with that index switches to it).
-// The per-connection shape overrides the link shape entirely, which is
-// how a test degrades one member of a bonded tunnel — loss on member 2
-// — while its siblings stay clean.
-func (c *Chaos) SetConnShape(from, to string, index int, s Shape) {
-	k := connKey{linkKey{from, to}, index}
-	c.mu.Lock()
-	if s.zero() {
-		delete(c.connShape, k)
-	} else {
-		c.connShape[k] = s
+		c.loss[k] = p
 	}
 	c.mu.Unlock()
 }
@@ -260,8 +157,7 @@ func (c *Chaos) SetConnShape(from, to string, index int, s Shape) {
 func (c *Chaos) Reachable(from, to string) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	_, dead := c.cut[linkKey{from, to}]
-	return !dead
+	return !c.cut[linkKey{from, to}]
 }
 
 // ExchangeOK is the simulator's per-exchange verdict for one
@@ -271,18 +167,13 @@ func (c *Chaos) Reachable(from, to string) bool {
 func (c *Chaos) ExchangeOK(from, to string) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, dead := c.cut[linkKey{from, to}]; dead {
-		return false
-	}
-	if _, dead := c.cut[linkKey{to, from}]; dead {
+	if c.cut[linkKey{from, to}] || c.cut[linkKey{to, from}] {
 		return false
 	}
 	for _, k := range [2]linkKey{{from, to}, {to, from}} {
-		if s, ok := c.shape[k]; ok && s.Loss > 0 {
-			if c.rng.Float64() < s.Loss {
-				c.reg.Counter(metrics.ChaosRefusedOps).Inc()
-				return false
-			}
+		if p := c.loss[k]; p > 0 && c.rng.Float64() < p {
+			c.reg.Counter(metrics.ChaosRefusedOps).Inc()
+			return false
 		}
 	}
 	return true
@@ -325,175 +216,4 @@ func (c *Chaos) Step() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.step
-}
-
-// delayFor draws the shaping delay for one operation of n bytes on the
-// directed link. idx < 0 means the operation is not attributable to a
-// single connection (a dial), so only the link shape applies; otherwise
-// a per-connection shape for that index overrides the link shape.
-func (c *Chaos) delayFor(from, to string, idx, n int) time.Duration {
-	c.mu.Lock()
-	s, ok := c.shape[linkKey{from, to}]
-	if idx >= 0 {
-		if cs, cok := c.connShape[connKey{linkKey{from, to}, idx}]; cok {
-			s, ok = cs, true
-		}
-	}
-	if !ok {
-		c.mu.Unlock()
-		return 0
-	}
-	d := s.Latency
-	if s.Jitter > 0 {
-		d += time.Duration(c.rng.Int63n(int64(2*s.Jitter))) - s.Jitter
-	}
-	if s.Loss > 0 && c.rng.Float64() < s.Loss {
-		penalty := 3 * s.Latency
-		if penalty < time.Millisecond {
-			penalty = time.Millisecond
-		}
-		d += penalty
-	}
-	if s.BandwidthBps > 0 && n > 0 {
-		d += time.Duration(int64(n) * int64(time.Second) / s.BandwidthBps)
-	}
-	c.mu.Unlock()
-	if d < 0 {
-		d = 0
-	}
-	if d > 0 {
-		c.reg.Counter(metrics.ChaosDelayedOps).Inc()
-	}
-	return d
-}
-
-// lostDial reports whether a dial on the link is dropped by loss.
-func (c *Chaos) lostDial(from, to string) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	s, ok := c.shape[linkKey{from, to}]
-	if !ok || s.Loss == 0 {
-		return false
-	}
-	return c.rng.Float64() < s.Loss
-}
-
-// gateFor returns the black-hole gate for a directed link, or nil when
-// the direction is routed.
-func (c *Chaos) gateFor(from, to string) chan struct{} {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.cut[linkKey{from, to}]
-}
-
-func (c *Chaos) track(conn *chaosConn) {
-	c.mu.Lock()
-	c.conns[conn] = struct{}{}
-	c.mu.Unlock()
-}
-
-func (c *Chaos) forget(conn *chaosConn) {
-	c.mu.Lock()
-	delete(c.conns, conn)
-	c.mu.Unlock()
-}
-
-// chaosNetwork is one site's view of the WAN through the controller.
-type chaosNetwork struct {
-	chaos *Chaos
-	site  string
-	inner transport.Network
-}
-
-var _ transport.Network = (*chaosNetwork)(nil)
-
-func (n *chaosNetwork) Dial(ctx context.Context, addr string) (net.Conn, error) {
-	c := n.chaos
-	c.mu.Lock()
-	target, known := c.owner[addr]
-	c.mu.Unlock()
-	if !known {
-		return n.inner.Dial(ctx, addr)
-	}
-	if !c.Reachable(n.site, target) || c.lostDial(n.site, target) {
-		c.reg.Counter(metrics.ChaosRefusedOps).Inc()
-		return nil, fmt.Errorf("%w: %s cannot reach %s", ErrInjected, n.site, target)
-	}
-	if d := c.delayFor(n.site, target, -1, 0); d > 0 {
-		c.sleep(d)
-	}
-	conn, err := n.inner.Dial(ctx, addr)
-	if err != nil {
-		return nil, err
-	}
-	k := linkKey{n.site, target}
-	c.mu.Lock()
-	idx := c.dialSeq[k]
-	c.dialSeq[k] = idx + 1
-	c.mu.Unlock()
-	cc := &chaosConn{Conn: conn, chaos: c, from: n.site, to: target, idx: idx, closed: make(chan struct{})}
-	c.track(cc)
-	return cc, nil
-}
-
-// Listen passes through: both directions of a dialled connection are
-// enforced on the dialler-side wrapper (writes check from→to, reads
-// check the return direction to→from), so accept-side conns — whose
-// remote site a listener cannot attribute — need no wrapping.
-func (n *chaosNetwork) Listen(addr string) (net.Listener, error) {
-	return n.inner.Listen(addr)
-}
-
-// chaosConn is the dialler-side end of a shaped, severable connection.
-type chaosConn struct {
-	net.Conn
-	chaos  *Chaos
-	from   string
-	to     string
-	idx    int // dial order on the from→to link, for SetConnShape
-	once   sync.Once
-	closed chan struct{}
-	dl     connDeadlines
-}
-
-func (c *chaosConn) Read(p []byte) (int, error) {
-	// Data arriving here travelled to→from; a cut of that direction
-	// black-holes the read (deadlines still fire).
-	if err := awaitGate(c.chaos.gateFor(c.to, c.from), c.closed, c.dl.get(true)); err != nil {
-		return 0, err
-	}
-	return c.Conn.Read(p)
-}
-
-func (c *chaosConn) Write(p []byte) (int, error) {
-	if err := awaitGate(c.chaos.gateFor(c.from, c.to), c.closed, c.dl.get(false)); err != nil {
-		return 0, err
-	}
-	if d := c.chaos.delayFor(c.from, c.to, c.idx, len(p)); d > 0 {
-		c.chaos.sleep(d)
-	}
-	return c.Conn.Write(p)
-}
-
-func (c *chaosConn) SetDeadline(t time.Time) error {
-	c.dl.set(true, true, t)
-	return c.Conn.SetDeadline(t)
-}
-
-func (c *chaosConn) SetReadDeadline(t time.Time) error {
-	c.dl.set(true, false, t)
-	return c.Conn.SetReadDeadline(t)
-}
-
-func (c *chaosConn) SetWriteDeadline(t time.Time) error {
-	c.dl.set(false, true, t)
-	return c.Conn.SetWriteDeadline(t)
-}
-
-func (c *chaosConn) Close() error {
-	c.once.Do(func() {
-		c.chaos.forget(c)
-		close(c.closed)
-	})
-	return c.Conn.Close()
 }

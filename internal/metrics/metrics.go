@@ -293,12 +293,9 @@ const (
 	ChaosCuts = "chaos.cuts"
 	// ChaosHeals counts directed links restored.
 	ChaosHeals = "chaos.heals"
-	// ChaosRefusedOps counts dials and simulated exchanges refused or
-	// lost by the reachability matrix and loss shaping.
+	// ChaosRefusedOps counts simulated exchanges lost to a link's loss
+	// probability.
 	ChaosRefusedOps = "chaos.refused_ops"
-	// ChaosDelayedOps counts operations that paid injected latency,
-	// loss-retransmit, or bandwidth delay.
-	ChaosDelayedOps = "chaos.delayed_ops"
 
 	// Peer connection-cache metrics (internal/peerlink dial-on-demand).
 

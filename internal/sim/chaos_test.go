@@ -28,8 +28,8 @@ func TestChaosGridDeterministic(t *testing.T) {
 			c.Partition(
 				[]string{g.Name(0), g.Name(1), g.Name(2), g.Name(3), g.Name(4), g.Name(5), g.Name(6), g.Name(7)},
 				[]string{g.Name(8), g.Name(9), g.Name(10), g.Name(11)})
-			c.SetShape(g.Name(2), g.Name(3), failure.Shape{Loss: 0.5})
-			c.SetShape(g.Name(3), g.Name(2), failure.Shape{Loss: 0.5})
+			c.SetLoss(g.Name(2), g.Name(3), 0.5)
+			c.SetLoss(g.Name(3), g.Name(2), 0.5)
 		})
 		g.Chaos().At(30, func(c *failure.Chaos) { c.HealAll() })
 		var out []string

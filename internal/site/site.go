@@ -1,8 +1,8 @@
 // Package site assembles the pieces of one grid site — a site-local
 // network, node agents, and the border proxy — and provides a multi-site
 // Testbed that stands in for the paper's physical deployment: several
-// LANs/clusters joined through proxy servers over an (optionally shaped)
-// WAN with TLS between the borders.
+// LANs/clusters joined through proxy servers over a WAN with TLS between
+// the borders, optionally shaped by one transport.Link per pair of sites.
 //
 // The Testbed is the substrate for integration tests, the examples, and
 // the experiment harness. Every byte still flows through real listeners,
@@ -12,6 +12,9 @@ package site
 import (
 	"context"
 	"fmt"
+	"net"
+	"strings"
+	"sync"
 	"time"
 
 	"gridproxy/internal/auth"
@@ -34,7 +37,8 @@ type Site struct {
 	Proxy *core.Proxy
 	Nodes []*node.Agent
 	// Local is the site's internal network (plaintext).
-	Local *transport.MemNetwork
+	Local transport.Network
+	lan   *transport.MemNetwork
 }
 
 // LocalAddr returns the proxy's client service address inside the site.
@@ -53,7 +57,7 @@ func (s *Site) Close() {
 	for _, agent := range s.Nodes {
 		agent.Stop()
 	}
-	_ = s.Local.Close()
+	_ = s.lan.Close()
 }
 
 // SiteSpec describes one site of a testbed.
@@ -92,12 +96,12 @@ type TestbedConfig struct {
 	GridName string
 	// Sites lists the member sites.
 	Sites []SiteSpec
-	// WANLatency and WANBandwidth shape the inter-site links; zero
-	// means unshaped.
-	WANLatency   time.Duration
-	WANBandwidth int64
-	// LANLatency shapes each site's internal network with a one-way
-	// per-message delay; zero means unshaped. Load experiments set this
+	// WAN shapes the inter-site links. Each pair of sites gets one
+	// transport.Link, so the control session, bond members and stripes
+	// between two sites share its rate. The zero value is unshaped.
+	WAN transport.LinkParams
+	// LANLatency puts a one-way delay line (a Rate-0 link) on each site's
+	// internal network; zero means unshaped. Load experiments set this
 	// so in-site RPCs have a realistic service time instead of the
 	// infinite speed of an unshaped in-memory pipe.
 	LANLatency time.Duration
@@ -141,12 +145,15 @@ type Testbed struct {
 	Users *auth.Store
 	TGS   *ticket.GrantingService
 	Sites []*Site
-	// WAN is the shared inter-site backbone (pre-TLS).
+	// WAN is the shared inter-site backbone (pre-TLS, before any Link).
 	WAN *transport.MemNetwork
 
 	metrics    *metrics.Registry
 	clock      func() time.Time
+	wanLink    transport.LinkParams
 	lanLatency time.Duration
+	linksMu    sync.Mutex
+	links      map[[2]string]*transport.Link // by site pair, names in order
 	specs      map[string]SiteSpec
 	policyName string
 	lifecycle  peerlink.Config
@@ -195,15 +202,6 @@ func NewTestbed(cfg TestbedConfig) (*Testbed, error) {
 		return nil, err
 	}
 
-	var wanOpts []transport.MemOption
-	if cfg.WANLatency > 0 {
-		wanOpts = append(wanOpts, transport.WithLatency(cfg.WANLatency))
-	}
-	if cfg.WANBandwidth > 0 {
-		wanOpts = append(wanOpts, transport.WithBandwidth(cfg.WANBandwidth))
-	}
-	wan := transport.NewMemNetwork(wanOpts...)
-
 	policyName := cfg.Policy
 	if policyName == "" {
 		policyName = "least-loaded"
@@ -213,10 +211,12 @@ func NewTestbed(cfg TestbedConfig) (*Testbed, error) {
 		CA:         authority,
 		Users:      users,
 		TGS:        tgs,
-		WAN:        wan,
+		WAN:        transport.NewMemNetwork(),
 		metrics:    cfg.Metrics,
 		clock:      cfg.Clock,
+		wanLink:    cfg.WAN,
 		lanLatency: cfg.LANLatency,
+		links:      make(map[[2]string]*transport.Link),
 		specs:      make(map[string]SiteSpec, len(cfg.Sites)),
 		policyName: policyName,
 		lifecycle:  cfg.Lifecycle,
@@ -248,12 +248,16 @@ func (tb *Testbed) buildSite(spec SiteSpec, policyName string, log *logging.Logg
 	if err != nil {
 		return nil, err
 	}
-	var lanOpts []transport.MemOption
+	lan := transport.NewMemNetwork()
+	var local transport.Network = lan
 	if tb.lanLatency > 0 {
-		lanOpts = append(lanOpts, transport.WithLatency(tb.lanLatency))
+		local = transport.NewLink(transport.LinkParams{OneWay: tb.lanLatency}).Side(0, lan)
 	}
-	local := transport.NewMemNetwork(lanOpts...)
-	wanTLS := transport.NewTLS(tb.WAN, cred, tb.CA.CertPool(), tb.metrics)
+	var wan transport.Network = tb.WAN
+	if tb.wanLink != (transport.LinkParams{}) {
+		wan = siteWAN{tb: tb, site: spec.Name}
+	}
+	wanTLS := transport.NewTLS(wan, cred, tb.CA.CertPool(), tb.metrics)
 
 	ticketKey, err := tb.TGS.RegisterService(core.ServiceName(spec.Name))
 	if err != nil {
@@ -290,7 +294,7 @@ func (tb *Testbed) buildSite(spec SiteSpec, policyName string, log *logging.Logg
 	if err != nil {
 		return nil, err
 	}
-	s := &Site{Name: spec.Name, Proxy: proxy, Local: local}
+	s := &Site{Name: spec.Name, Proxy: proxy, Local: local, lan: lan}
 	for i, hw := range spec.Nodes {
 		agent := node.New(fmt.Sprintf("%s-n%d", spec.Name, i), spec.Name, local,
 			node.WithHW(hw), node.WithLogger(log))
@@ -302,6 +306,36 @@ func (tb *Testbed) buildSite(spec SiteSpec, policyName string, log *logging.Logg
 		return nil, err
 	}
 	return s, nil
+}
+
+// siteWAN is one site's view of the shaped WAN: a dial to another site
+// crosses the Link of that pair of sites.
+type siteWAN struct {
+	tb   *Testbed
+	site string
+}
+
+func (w siteWAN) Listen(addr string) (net.Listener, error) { return w.tb.WAN.Listen(addr) }
+
+func (w siteWAN) Dial(ctx context.Context, addr string) (net.Conn, error) {
+	return w.tb.link(w.site, strings.TrimPrefix(addr, "wan.")).Dial(ctx, addr)
+}
+
+// link returns from's side of the Link between sites from and to, built on
+// first use.
+func (tb *Testbed) link(from, to string) transport.Network {
+	pair, side := [2]string{from, to}, 0
+	if to < from {
+		pair, side = [2]string{to, from}, 1
+	}
+	tb.linksMu.Lock()
+	defer tb.linksMu.Unlock()
+	l := tb.links[pair]
+	if l == nil {
+		l = transport.NewLink(tb.wanLink)
+		tb.links[pair] = l
+	}
+	return l.Side(side, tb.WAN)
 }
 
 // Site returns the site with the given name, or nil.

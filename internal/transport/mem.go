@@ -16,38 +16,17 @@ import (
 // full-duplex byte streams implemented over channels with deadline support,
 // so they satisfy net.Conn closely enough to carry TLS.
 //
-// A MemNetwork can shape traffic with a per-message latency and a link
-// bandwidth, approximating a WAN hop between sites.
+// A MemNetwork is as fast as the machine: to model a distance between its
+// ends, dial through a Link.
 type MemNetwork struct {
 	mu        sync.Mutex
 	listeners map[string]*memListener
 	closed    bool
-
-	latency   time.Duration
-	bandwidth int64 // bytes per second; 0 = unlimited
-}
-
-// MemOption configures a MemNetwork.
-type MemOption func(*MemNetwork)
-
-// WithLatency adds a fixed one-way delay to every write on connections made
-// through this network.
-func WithLatency(d time.Duration) MemOption {
-	return func(n *MemNetwork) { n.latency = d }
-}
-
-// WithBandwidth limits each connection direction to bytesPerSecond.
-func WithBandwidth(bytesPerSecond int64) MemOption {
-	return func(n *MemNetwork) { n.bandwidth = bytesPerSecond }
 }
 
 // NewMemNetwork creates an empty in-memory network.
-func NewMemNetwork(opts ...MemOption) *MemNetwork {
-	n := &MemNetwork{listeners: make(map[string]*memListener)}
-	for _, opt := range opts {
-		opt(n)
-	}
-	return n
+func NewMemNetwork() *MemNetwork {
+	return &MemNetwork{listeners: make(map[string]*memListener)}
 }
 
 var _ Network = (*MemNetwork)(nil)
@@ -87,7 +66,7 @@ func (n *MemNetwork) Dial(ctx context.Context, addr string) (net.Conn, error) {
 	if !ok {
 		return nil, fmt.Errorf("transport: mem dial %s: connection refused", addr)
 	}
-	client, server := n.pipePair(memAddr("dial:"+addr), memAddr(addr))
+	client, server := pipePair(memAddr("dial:"+addr), memAddr(addr))
 	select {
 	case ln.accept <- server:
 		return client, nil
@@ -122,9 +101,9 @@ func (n *MemNetwork) remove(addr string) {
 }
 
 // pipePair builds the two ends of an in-memory duplex connection.
-func (n *MemNetwork) pipePair(clientAddr, serverAddr memAddr) (net.Conn, net.Conn) {
-	a2b := newHalfPipe(n.latency, n.bandwidth)
-	b2a := newHalfPipe(n.latency, n.bandwidth)
+func pipePair(clientAddr, serverAddr memAddr) (net.Conn, net.Conn) {
+	a2b := newHalfPipe()
+	b2a := newHalfPipe()
 	client := &memConn{read: b2a, write: a2b, local: clientAddr, remote: serverAddr}
 	server := &memConn{read: a2b, write: b2a, local: serverAddr, remote: clientAddr}
 	return client, server
@@ -167,9 +146,9 @@ func (l *memListener) Addr() net.Addr { return l.addr }
 
 // chunk is one Write's worth of bytes in flight on a halfPipe. Chunks
 // are pooled: the reader recycles each one once fully consumed, so a
-// steady-state connection stops allocating per write. The data-path
-// benchmarks assert zero allocations per frame end to end, and the
-// transport simulator must not be the layer that breaks that.
+// steady-state connection stops allocating per write: the in-memory
+// network must not be what an allocation budget measured over it
+// (TestGatePutGetAllocBudget) counts.
 type chunk struct{ b []byte }
 
 var chunkPool = sync.Pool{New: func() any { return new(chunk) }}
@@ -189,7 +168,7 @@ func newChunk(p []byte) *chunk {
 func (ck *chunk) release() { chunkPool.Put(ck) }
 
 // halfPipe is one direction of a memConn: a bounded queue of byte chunks
-// with close semantics and traffic shaping. pending/poff track the
+// with close semantics. pending/poff track the
 // partially consumed head chunk; they are only touched by the reading
 // side, which is single-goroutine like any net.Conn read half.
 type halfPipe struct {
@@ -198,18 +177,10 @@ type halfPipe struct {
 	close1  sync.Once
 	pending *chunk
 	poff    int
-
-	latency   time.Duration
-	bandwidth int64
 }
 
-func newHalfPipe(latency time.Duration, bandwidth int64) *halfPipe {
-	return &halfPipe{
-		ch:        make(chan *chunk, 64),
-		closed:    make(chan struct{}),
-		latency:   latency,
-		bandwidth: bandwidth,
-	}
+func newHalfPipe() *halfPipe {
+	return &halfPipe{ch: make(chan *chunk, 64), closed: make(chan struct{})}
 }
 
 // consume copies from the pending head chunk into p, recycling the chunk
@@ -283,14 +254,6 @@ func (c *memConn) Read(p []byte) (int, error) {
 func (c *memConn) Write(p []byte) (int, error) {
 	if len(p) == 0 {
 		return 0, nil
-	}
-	// Traffic shaping: model the serialization + propagation delay of
-	// the link on the sender side.
-	if d := c.write.latency; d > 0 {
-		time.Sleep(d)
-	}
-	if bw := c.write.bandwidth; bw > 0 {
-		time.Sleep(time.Duration(int64(len(p)) * int64(time.Second) / bw))
 	}
 	ck := newChunk(p)
 	//lint:allow-guardedby only the field's address is taken here; getDeadline dereferences it under mu

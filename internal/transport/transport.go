@@ -4,8 +4,9 @@
 //   - TCP for real deployments,
 //   - TLS-over-anything for the encrypted inter-site channels, with
 //     certificates issued by the grid CA (package ca),
-//   - an in-memory network with configurable latency and bandwidth for
-//     tests and for the multi-site simulator (package sim).
+//   - an in-memory network for tests and the multi-site simulator,
+//   - a Link that puts a site-to-site delay and rate between the two ends
+//     of any of them.
 //
 // All transports implement the Network interface so the proxy, the MPI
 // runtime, and the baseline comparator are transport-agnostic. The TLS

@@ -201,36 +201,6 @@ func TestMemConnDeadline(t *testing.T) {
 
 func errAnyDeadline(err error) error { return err }
 
-func TestMemNetworkLatencyShaping(t *testing.T) {
-	const delay = 20 * time.Millisecond
-	mem := NewMemNetwork(WithLatency(delay))
-	ln, err := mem.Listen("svc")
-	if err != nil {
-		t.Fatal(err)
-	}
-	connCh := acceptOne(t, ln)
-	client, err := mem.Dial(context.Background(), "svc")
-	if err != nil {
-		t.Fatal(err)
-	}
-	server := <-connCh
-	go func() {
-		buf := make([]byte, 16)
-		n, _ := server.Read(buf)
-		_, _ = server.Write(buf[:n])
-	}()
-	start := time.Now()
-	if _, err := client.Write([]byte("x")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := client.Read(make([]byte, 1)); err != nil {
-		t.Fatal(err)
-	}
-	if rtt := time.Since(start); rtt < 2*delay {
-		t.Errorf("RTT %v < 2×latency %v; shaping not applied", rtt, 2*delay)
-	}
-}
-
 func newTLSPair(t *testing.T, reg *metrics.Registry) (*TLS, *TLS, *MemNetwork) {
 	t.Helper()
 	authority, err := ca.New("testgrid")

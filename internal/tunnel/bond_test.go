@@ -9,13 +9,13 @@ import (
 	"testing"
 	"time"
 
-	"gridproxy/internal/failure"
 	"gridproxy/internal/transport"
 	"gridproxy/internal/wire"
 )
 
-// bondRig is a client/server session pair over a memory network with
-// per-write latency, plus what it takes to widen the bond later.
+// bondRig is a client/server session pair over a memory network whose
+// members dial across a delay line, plus what it takes to widen the bond
+// later.
 type bondRig struct {
 	client, server *Session
 	reg            *BondRegistry
@@ -38,13 +38,15 @@ func (r *bondRig) join(t *testing.T, i int) {
 	})
 }
 
-// newBondRig builds a width-1 rig. wrap, if non-nil, wraps each dialed
-// connection (index 0 is the primary) — the hook the loss tests use to
-// degrade individual members.
-func newBondRig(t *testing.T, lat time.Duration, cfg Config, wrap func(i int, c net.Conn) net.Conn) *bondRig {
+// newBondRig builds a width-1 rig whose members dial across one link with
+// one-way delay lat (index 0 is the primary). Member slow, unless
+// negative, dials across a second link ten times as long.
+func newBondRig(t *testing.T, lat time.Duration, cfg Config, slow int) *bondRig {
 	t.Helper()
-	mem := transport.NewMemNetwork(transport.WithLatency(lat))
+	mem := transport.NewMemNetwork()
 	t.Cleanup(func() { _ = mem.Close() })
+	near := across(mem, transport.LinkParams{OneWay: lat})
+	far := across(mem, transport.LinkParams{OneWay: 10 * lat})
 	ln, err := mem.Listen("peer")
 	if err != nil {
 		t.Fatal(err)
@@ -67,12 +69,13 @@ func newBondRig(t *testing.T, lat time.Duration, cfg Config, wrap func(i int, c 
 	}()
 
 	r.dial = func(i int) net.Conn {
-		conn, err := mem.Dial(context.Background(), "peer")
+		network := near
+		if i == slow {
+			network = far
+		}
+		conn, err := network.Dial(context.Background(), "peer")
 		if err != nil {
 			t.Fatal(err)
-		}
-		if wrap != nil {
-			conn = wrap(i, conn)
 		}
 		return conn
 	}
@@ -92,9 +95,9 @@ func newBondRig(t *testing.T, lat time.Duration, cfg Config, wrap func(i int, c 
 }
 
 // bondedPair builds a client/server session bonded over k connections.
-func bondedPair(t *testing.T, k int, lat time.Duration, cfg Config, wrap func(i int, c net.Conn) net.Conn) (*Session, *Session) {
+func bondedPair(t *testing.T, k int, lat time.Duration, cfg Config, slow int) (*Session, *Session) {
 	t.Helper()
-	r := newBondRig(t, lat, cfg, wrap)
+	r := newBondRig(t, lat, cfg, slow)
 	for i := 1; i < k; i++ {
 		r.join(t, i)
 	}
@@ -150,7 +153,7 @@ func transferExact(t *testing.T, client, server *Session, data []byte, during fu
 // TestBondedPairReassembly sprays one stream over three member
 // connections and requires byte-exact in-order delivery.
 func TestBondedPairReassembly(t *testing.T) {
-	client, server := bondedPair(t, 3, 50*time.Microsecond, Config{}, nil)
+	client, server := bondedPair(t, 3, 50*time.Microsecond, Config{}, -1)
 	if got := client.BondWidth(); got != 3 {
 		t.Fatalf("client bond width %d, want 3", got)
 	}
@@ -164,7 +167,7 @@ func TestBondedPairReassembly(t *testing.T) {
 // receiver must still observe every byte exactly once, in order. Run
 // with -race this also exercises the failover locking.
 func TestBondMemberDeathZeroByteLoss(t *testing.T) {
-	client, server := bondedPair(t, 3, 50*time.Microsecond, Config{}, nil)
+	client, server := bondedPair(t, 3, 50*time.Microsecond, Config{}, -1)
 	data := make([]byte, 8<<20)
 	rand.New(rand.NewSource(11)).Read(data)
 	transferExact(t, client, server, data, func() {
@@ -185,20 +188,12 @@ func TestBondMemberDeathZeroByteLoss(t *testing.T) {
 	transferExact(t, client, server, data[:1<<20], nil)
 }
 
-// TestBondLossyMemberStillExact degrades one member with 30% loss and
-// added latency: the least-outstanding spray should route around it,
-// and delivery must stay byte-exact regardless.
-func TestBondLossyMemberStillExact(t *testing.T) {
-	if testing.Short() {
-		t.Skip("lossy-link test sleeps for shaping delays")
-	}
-	shape := failure.Shape{Latency: 500 * time.Microsecond, Loss: 0.3}
-	client, server := bondedPair(t, 3, 50*time.Microsecond, Config{}, func(i int, c net.Conn) net.Conn {
-		if i == 2 {
-			return failure.ShapedConn(c, shape, 42)
-		}
-		return c
-	})
+// TestBondSlowMemberStillExact routes one member over a link ten times
+// as long as its siblings' — on a reliable transport, what loss looks like
+// to the sender: the least-outstanding spray should route around it, and
+// delivery must stay byte-exact regardless.
+func TestBondSlowMemberStillExact(t *testing.T) {
+	client, server := bondedPair(t, 3, 50*time.Microsecond, Config{}, 2)
 	data := make([]byte, 2<<20)
 	rand.New(rand.NewSource(13)).Read(data)
 	transferExact(t, client, server, data, nil)
@@ -323,7 +318,7 @@ func TestWidthOneReorderDupExact(t *testing.T) {
 // sprays over a member that joins later — and loses nothing when that
 // member then dies under it.
 func TestStreamOpenedBeforeJoinUsesNewMember(t *testing.T) {
-	r := newBondRig(t, 50*time.Microsecond, Config{}, nil)
+	r := newBondRig(t, 50*time.Microsecond, Config{}, -1)
 	st, err := r.client.Open(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
@@ -439,22 +434,19 @@ func TestDeliverSeqBoundsRunAhead(t *testing.T) {
 }
 
 // TestAdaptiveWindowConvergesUnderLoss runs an adaptive receiver behind
-// a 30%-loss, latency-spiking link and requires the estimator to settle
-// on a sane window: RTT and bandwidth samples present, target inside
-// [WindowMin, WindowMax] on every observation, and the transfer itself
-// byte-exact.
+// a 1 ms link whose rate is below the sender's pace — on a reliable
+// transport loss is delay, and here the delay grows and shrinks with the
+// queue — and requires the estimator to settle on a sane window: RTT and
+// bandwidth samples present, target inside [WindowMin, WindowMax] on
+// every observation, and the transfer itself byte-exact.
 func TestAdaptiveWindowConvergesUnderLoss(t *testing.T) {
-	if testing.Short() {
-		t.Skip("loss shaping sleeps")
-	}
 	cfg := Config{
 		Adaptive:      true,
 		WindowMin:     32 << 10,
 		WindowMax:     1 << 20,
 		ProbeInterval: 5 * time.Millisecond,
 	}
-	shape := failure.Shape{Latency: 1 * time.Millisecond, Jitter: 200 * time.Microsecond, Loss: 0.3}
-	mem := transport.NewMemNetwork(transport.WithLatency(50 * time.Microsecond))
+	mem := transport.NewMemNetwork()
 	t.Cleanup(func() { _ = mem.Close() })
 	ln, err := mem.Listen("peer")
 	if err != nil {
@@ -467,13 +459,13 @@ func TestAdaptiveWindowConvergesUnderLoss(t *testing.T) {
 			connCh <- conn
 		}
 	}()
-	clientConn, err := mem.Dial(context.Background(), "peer")
+	// The client is the sender; the server is the adaptive receiver whose
+	// PONGs and data cross the link.
+	clientConn, err := across(mem, transport.LinkParams{OneWay: time.Millisecond, Rate: 20e6}).Dial(context.Background(), "peer")
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The client (sender) side is lossy; the server is the adaptive
-	// receiver whose PONGs and data arrive through the shaped pipe.
-	client := Client(failure.ShapedConn(clientConn, shape, 99), cfg)
+	client := Client(clientConn, cfg)
 	server := Server(<-connCh, cfg)
 	t.Cleanup(func() { _ = client.Close(); _ = server.Close() })
 
@@ -521,11 +513,11 @@ func TestAdaptiveWindowConvergesUnderLoss(t *testing.T) {
 		t.Fatalf("window target escaped [WindowMin, WindowMax] %d times", violations)
 	}
 	if !bytes.Equal(got.Bytes(), data) {
-		t.Fatalf("transfer corrupted under loss: got %d bytes", got.Len())
+		t.Fatalf("transfer corrupted: got %d bytes", got.Len())
 	}
-	// The estimators must have real samples by now: a 1ms+ shaped path
-	// cannot legitimately measure a zero RTT, and a 2 MiB transfer
-	// produces delivery-rate ticks.
+	// The estimators must have real samples by now: a 1ms link cannot
+	// legitimately measure a zero RTT, and a 2 MiB transfer produces
+	// delivery-rate ticks.
 	if rtt := server.flow.minRTT(); rtt < 500*time.Microsecond {
 		t.Fatalf("min RTT %v implausibly small for a 1ms shaped path", rtt)
 	}

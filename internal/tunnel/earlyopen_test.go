@@ -12,66 +12,16 @@ import (
 	"testing"
 	"time"
 
+	"gridproxy/internal/transport"
 	"gridproxy/internal/wire"
 )
-
-// delayConn is the receiving end of a delay line: what the peer wrote is
-// readable one-way delay d after it arrived here, however large it was —
-// latency charged where a link charges it, not as a sleep in the sender's
-// Write. Read deadlines are not modelled.
-type delayConn struct {
-	net.Conn
-	in   chan delayed
-	head []byte
-}
-
-type delayed struct {
-	due time.Time
-	b   []byte
-}
-
-func newDelayConn(c net.Conn, d time.Duration) *delayConn {
-	// The queue is the link's capacity: it never fills in these tests.
-	dc := &delayConn{Conn: c, in: make(chan delayed, 1<<14)}
-	go func() {
-		defer close(dc.in)
-		for {
-			buf := make([]byte, 64<<10)
-			n, err := c.Read(buf)
-			if n > 0 {
-				dc.in <- delayed{time.Now().Add(d), buf[:n]}
-			}
-			if err != nil {
-				return
-			}
-		}
-	}()
-	return dc
-}
-
-func (dc *delayConn) Read(p []byte) (int, error) {
-	if len(dc.head) == 0 {
-		x, ok := <-dc.in
-		if !ok {
-			return 0, io.EOF
-		}
-		time.Sleep(time.Until(x.due))
-		dc.head = x.b
-	}
-	n := copy(p, dc.head)
-	dc.head = dc.head[n:]
-	return n, nil
-}
-
-func (dc *delayConn) SetDeadline(time.Time) error     { return nil }
-func (dc *delayConn) SetReadDeadline(time.Time) error { return nil }
 
 // TestEarlyOpenOneRoundTrip: over a link with one-way delay d, Open costs
 // no round trip, and a request written right behind it is answered one
 // round trip after the Open began (two when Open waited for the SYNACK).
 func TestEarlyOpenOneRoundTrip(t *testing.T) {
 	const d = 50 * time.Millisecond
-	client, server := pairOver(t, Config{}, Config{}, func(c net.Conn) net.Conn { return newDelayConn(c, d) })
+	client, server := pairOver(t, Config{}, Config{}, transport.LinkParams{OneWay: d})
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 
@@ -118,7 +68,7 @@ func TestEarlyOpenRefusalSurfacesOnFirstIO(t *testing.T) {
 		"max streams":  {MaxStreams: 1},
 	} {
 		t.Run(name, func(t *testing.T) {
-			client, _ := pairOver(t, Config{}, scfg, func(c net.Conn) net.Conn { return c })
+			client, _ := pairOver(t, Config{}, scfg, transport.LinkParams{})
 			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 			defer cancel()
 			// Nobody accepts: the first stream takes the acceptor's only
@@ -155,7 +105,7 @@ func TestEarlyOpenRefusalSurfacesOnFirstIO(t *testing.T) {
 func TestEarlyOpenBondedNoOvertake(t *testing.T) {
 	const streams = 500
 	cfg := Config{AcceptBacklog: streams}
-	client, server := bondedPair(t, 4, 50*time.Microsecond, cfg, nil)
+	client, server := bondedPair(t, 4, 50*time.Microsecond, cfg, -1)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 

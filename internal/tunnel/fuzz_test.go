@@ -96,7 +96,7 @@ func FuzzSessionFrames(f *testing.F) {
 		ProbeInterval: time.Millisecond,
 	}
 	f.Fuzz(func(t *testing.T, toServer bool, input []byte) {
-		client, server := bondedPair(t, 2, 0, cfg, nil)
+		client, server := bondedPair(t, 2, 0, cfg, -1)
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
 		// One honest stream, so there is live state on both ends to hit.

@@ -5,7 +5,6 @@ import (
 	"context"
 	"io"
 	"math/rand"
-	"net"
 	"sort"
 	"sync"
 	"testing"
@@ -13,42 +12,6 @@ import (
 
 	"gridproxy/internal/transport"
 )
-
-// wanPair builds a client/server session over a memory network with
-// per-write latency, approximating a WAN hop.
-func wanPair(t *testing.T, lat time.Duration, cfg Config) (*Session, *Session) {
-	t.Helper()
-	mem := transport.NewMemNetwork(transport.WithLatency(lat))
-	t.Cleanup(func() { _ = mem.Close() })
-	ln, err := mem.Listen("peer")
-	if err != nil {
-		t.Fatal(err)
-	}
-	type res struct {
-		conn net.Conn
-		err  error
-	}
-	ch := make(chan res, 1)
-	go func() {
-		conn, err := ln.Accept()
-		ch <- res{conn, err}
-	}()
-	clientConn, err := mem.Dial(context.Background(), "peer")
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := <-ch
-	if r.err != nil {
-		t.Fatal(r.err)
-	}
-	client := Client(clientConn, cfg)
-	server := Server(r.conn, cfg)
-	t.Cleanup(func() {
-		_ = client.Close()
-		_ = server.Close()
-	})
-	return client, server
-}
 
 func pingMedian(t *testing.T, s *Session, n int) time.Duration {
 	t.Helper()
@@ -73,7 +36,7 @@ func pingMedian(t *testing.T, s *Session, n int) time.Duration {
 // baseline gets a small floor so scheduler noise on tiny idle medians
 // cannot turn the ratio into a coin flip.
 func TestPingRTTUnderSaturation(t *testing.T) {
-	client, server := wanPair(t, 100*time.Microsecond, Config{})
+	client, server := pairOver(t, Config{}, Config{}, transport.LinkParams{OneWay: 100 * time.Microsecond})
 
 	// Server drains every stream.
 	go func() {

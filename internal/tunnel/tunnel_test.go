@@ -20,12 +20,21 @@ import (
 // pair builds a connected client/server session over the in-memory network.
 func pair(t *testing.T, cfg Config) (*Session, *Session) {
 	t.Helper()
-	return pairOver(t, cfg, cfg, func(c net.Conn) net.Conn { return c })
+	return pairOver(t, cfg, cfg, transport.LinkParams{})
 }
 
-// pairOver is pair with a config per end and a wrapper around each end's
-// connection.
-func pairOver(t *testing.T, ccfg, scfg Config, wrap func(net.Conn) net.Conn) (*Session, *Session) {
+// across is mem as seen by a dialer on one side of a link with params p;
+// the zero LinkParams is the bare pipe.
+func across(mem *transport.MemNetwork, p transport.LinkParams) transport.Network {
+	if p == (transport.LinkParams{}) {
+		return mem
+	}
+	return transport.NewLink(p).Side(0, mem)
+}
+
+// pairOver is pair with a config per end, the client dialing across a
+// link with params p.
+func pairOver(t *testing.T, ccfg, scfg Config, p transport.LinkParams) (*Session, *Session) {
 	t.Helper()
 	mem := transport.NewMemNetwork()
 	ln, err := mem.Listen("peer")
@@ -41,7 +50,7 @@ func pairOver(t *testing.T, ccfg, scfg Config, wrap func(net.Conn) net.Conn) (*S
 		conn, err := ln.Accept()
 		ch <- res{conn, err}
 	}()
-	clientConn, err := mem.Dial(context.Background(), "peer")
+	clientConn, err := across(mem, p).Dial(context.Background(), "peer")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,8 +58,8 @@ func pairOver(t *testing.T, ccfg, scfg Config, wrap func(net.Conn) net.Conn) (*S
 	if r.err != nil {
 		t.Fatal(r.err)
 	}
-	client := Client(wrap(clientConn), ccfg)
-	server := Server(wrap(r.conn), scfg)
+	client := Client(clientConn, ccfg)
+	server := Server(r.conn, scfg)
 	t.Cleanup(func() {
 		_ = client.Close()
 		_ = server.Close()
