@@ -238,7 +238,7 @@ func run() error {
 		if err := login(); err != nil {
 			return err
 		}
-		jobs, err := client.Jobs(ctx)
+		jobs, err := allJobs(ctx, client)
 		if err != nil {
 			return err
 		}
@@ -422,6 +422,24 @@ func runForwarder(client *grid.Client, proxyAddr, listen, app, targetSite, targe
 			go func() { _, _ = io.Copy(local, remote); done <- struct{}{} }()
 			<-done
 		}()
+	}
+}
+
+// allJobs lists every owner's jobs, newest first, following the proxy's
+// cursor from page to page.
+func allJobs(ctx context.Context, client *grid.Client) ([]grid.JobRecord, error) {
+	var all []grid.JobRecord
+	var before uint64
+	for {
+		page, next, err := client.Jobs(ctx, "", before)
+		if err != nil {
+			return nil, err
+		}
+		all = append(all, page...)
+		if next == 0 {
+			return all, nil
+		}
+		before = next
 	}
 }
 

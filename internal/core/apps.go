@@ -93,7 +93,7 @@ func (p *Proxy) createAddressSpace(appID, owner string, locations map[int]rankLo
 	}
 	if _, dup := p.apps[appID]; dup {
 		p.mu.Unlock()
-		return nil, fmt.Errorf("core: duplicate app id %q", appID)
+		return nil, errDuplicateApp(appID)
 	}
 	p.apps[appID] = as
 	p.mu.Unlock()

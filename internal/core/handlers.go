@@ -192,11 +192,9 @@ func (p *Proxy) clientRegistryQuery(req *proto.RegistryQuery) (proto.Body, error
 // Only refs whose blobs are here are recorded, and one that could not be
 // pulled turns the site's report into a failure naming it.
 func (p *Proxy) handleJobUpdate(ctx context.Context, req *proto.JobUpdate) {
-	p.mu.Lock()
-	js, ok := p.jobs[req.JobID]
-	p.mu.Unlock()
+	js, ok := p.job(req.JobID)
 	if !ok || js.launch == nil {
-		return // not ours
+		return // not ours, or finished
 	}
 	var err error
 	if req.State == proto.JobFailed {

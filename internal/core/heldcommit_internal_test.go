@@ -240,7 +240,9 @@ func TestCorruptInlinedOutputIsPulled(t *testing.T) {
 	published := []byte("what the remote rank published")
 	ref := dest.Store().Put(published)
 	launch := &Launch{AppID: "app1", proxy: origin, remote: map[string]int{"dst": 1}, done: make(chan struct{})}
-	origin.registerJob("app1", launch)
+	if err := origin.registerJob("app1", launch); err != nil {
+		t.Fatal(err)
+	}
 	damaged := append([]byte(nil), published...)
 	damaged[3] ^= 0x40
 	origin.handleJobUpdate(ctx, &proto.JobUpdate{

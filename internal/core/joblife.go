@@ -62,64 +62,11 @@ func (c JobConfig) WithDefaults() JobConfig {
 	return c
 }
 
-// jobState is one entry of the origin proxy's job table.
-type jobState struct {
-	launch *Launch
-	state  proto.JobState
-	detail string
-	// terminalAt is when the job reached a terminal state; zero while it
-	// is queued or running. The janitor prunes entries older than the
-	// configured TTL.
-	terminalAt time.Time
-}
-
-// registerJob installs a job-table entry before the launch can produce
-// any completion report, so even an instantly-finishing remote group
-// finds it.
-func (p *Proxy) registerJob(appID string, l *Launch) {
-	p.mu.Lock()
-	p.jobs[appID] = &jobState{launch: l, state: proto.JobQueued, detail: "preparing"}
-	n := len(p.jobs)
-	p.mu.Unlock()
-	p.reg.Gauge(metrics.JobsTracked).Set(int64(n))
-}
-
-// setJobRunning marks a job running unless it already reached a terminal
-// state (an all-remote job can finish before the launcher gets here).
-func (p *Proxy) setJobRunning(appID string) {
-	p.mu.Lock()
-	if js, ok := p.jobs[appID]; ok && js.terminalAt.IsZero() {
-		js.state = proto.JobRunning
-		js.detail = "running"
-	}
-	p.mu.Unlock()
-}
-
-// setJobTerminal records a job's terminal state and stamps it for the
-// janitor.
-func (p *Proxy) setJobTerminal(appID string, state proto.JobState, detail string) {
-	p.mu.Lock()
-	if js, ok := p.jobs[appID]; ok && js.terminalAt.IsZero() {
-		js.state, js.detail, js.terminalAt = state, detail, p.clock()
-	}
-	p.mu.Unlock()
-}
-
-// unregisterJob removes a job-table entry (aborted launches).
-func (p *Proxy) unregisterJob(appID string) {
-	p.mu.Lock()
-	delete(p.jobs, appID)
-	n := len(p.jobs)
-	p.mu.Unlock()
-	p.reg.Gauge(metrics.JobsTracked).Set(int64(n))
-}
-
 // jobsJanitor prunes terminal job records past the TTL, bounding the job
 // table of a long-lived proxy.
 func (p *Proxy) jobsJanitor() {
 	defer p.wg.Done()
-	ttl := p.jobcfg.TerminalTTL
-	interval := ttl / 4
+	interval := p.jobcfg.TerminalTTL / 4
 	if interval < 5*time.Millisecond {
 		interval = 5 * time.Millisecond
 	}
@@ -134,21 +81,7 @@ func (p *Proxy) jobsJanitor() {
 			return
 		case <-ticker.C:
 		}
-		now := p.clock()
-		pruned := 0
-		p.mu.Lock()
-		for id, js := range p.jobs {
-			if !js.terminalAt.IsZero() && now.Sub(js.terminalAt) >= ttl {
-				delete(p.jobs, id)
-				pruned++
-			}
-		}
-		n := len(p.jobs)
-		p.mu.Unlock()
-		if pruned > 0 {
-			p.reg.Counter(metrics.JobsPruned).Add(int64(pruned))
-			p.reg.Gauge(metrics.JobsTracked).Set(int64(n))
-		}
+		p.pruneJobs(p.clock())
 	}
 }
 
@@ -158,13 +91,14 @@ func (p *Proxy) jobsJanitor() {
 // ErrCanceled. Cancelling an already-cancelled job is a no-op; jobs still
 // in their launch phases or already finished are refused.
 func (p *Proxy) Cancel(ctx context.Context, appID string) error {
-	p.mu.Lock()
-	js, ok := p.jobs[appID]
-	p.mu.Unlock()
-	if !ok || js.launch == nil {
+	js, ok := p.job(appID)
+	if !ok {
 		return notFound("no job %q", appID)
 	}
 	l := js.launch
+	if l == nil {
+		return badRequest("job %q already finished", appID)
+	}
 	//lint:allow-wallclock monotonic cancel-latency measurement for metrics; injected clocks have no monotonic reading
 	start := time.Now()
 

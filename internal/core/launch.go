@@ -215,11 +215,6 @@ func (p *Proxy) launchAt(ctx context.Context, spec LaunchSpec, locations map[int
 	localRanks := append([]int(nil), sites[p.site]...)
 	sort.Ints(localRanks)
 
-	as, err := p.createAddressSpace(appID, spec.Owner, locations)
-	if err != nil {
-		return nil, err
-	}
-
 	launch := &Launch{
 		AppID:     appID,
 		Locations: exportLocations(locations),
@@ -239,7 +234,14 @@ func (p *Proxy) launchAt(ctx context.Context, spec LaunchSpec, locations map[int
 
 	// Register the job before any site can report completion, so even an
 	// instantly-finishing remote rank group finds its launch.
-	p.registerJob(appID, launch)
+	if err := p.registerJob(appID, launch); err != nil {
+		return nil, err
+	}
+	as, err := p.createAddressSpace(appID, spec.Owner, locations)
+	if err != nil {
+		p.unregisterJob(appID)
+		return nil, err
+	}
 
 	abort := func(reason string) {
 		p.abortRemote(ctx, appID, remoteSites, reason)
@@ -528,7 +530,7 @@ func (l *Launch) finish(failed error, canceled bool) {
 	case failed != nil:
 		state, detail = proto.JobFailed, failed.Error()
 	}
-	p.setJobTerminal(l.AppID, state, detail)
+	p.setJobTerminal(l.AppID, state, detail, l.Outputs())
 	close(l.done)
 }
 
@@ -544,17 +546,6 @@ func (l *Launch) Wait(ctx context.Context) error {
 	case <-ctx.Done():
 		return ctx.Err()
 	}
-}
-
-// JobStatus reports a job's state by app id.
-func (p *Proxy) JobStatus(appID string) (proto.JobState, string, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	js, ok := p.jobs[appID]
-	if !ok {
-		return 0, "", notFound("no job %q", appID)
-	}
-	return js.state, js.detail, nil
 }
 
 // prepareFor renders the PrepareSpawn that lands ranks of the launch at

@@ -167,11 +167,7 @@ func (cs *clientSession) handle(ctx context.Context, msg proto.Message) (proto.B
 	case *proto.JobSubmit:
 		return cs.handleJobSubmit(ctx, req)
 	case *proto.JobQuery:
-		state, detail, err := p.JobStatus(req.JobID)
-		if err != nil {
-			return nil, err
-		}
-		return &proto.JobUpdate{JobID: req.JobID, State: state, Detail: detail, Outputs: p.JobOutputs(req.JobID)}, nil
+		return cs.handleJobQuery(req)
 	case *proto.StagePut:
 		return cs.handleStagePut(req)
 	case *proto.StageGet:
@@ -188,11 +184,10 @@ func (cs *clientSession) handle(ctx context.Context, msg proto.Message) (proto.B
 		if err := cs.requirePermission("status", "grid"); err != nil {
 			return nil, err
 		}
-		reply := &proto.JobListReply{}
-		for _, job := range p.Jobs() {
-			reply.Jobs = append(reply.Jobs, proto.JobRecord{
-				JobID: job.AppID, State: job.State, Detail: job.Detail,
-			})
+		jobs, next := p.Jobs(req.Owner, req.Before)
+		reply := &proto.JobListReply{Jobs: make([]proto.JobRecord, len(jobs)), Next: next}
+		for i, job := range jobs {
+			reply.Jobs[i] = proto.JobRecord{JobID: job.AppID, State: job.State, Detail: job.Detail}
 		}
 		return reply, nil
 	case *proto.RegistryQuery:
@@ -456,29 +451,43 @@ func (cs *clientSession) handleJobSubmit(ctx context.Context, req *proto.JobSubm
 	return &proto.JobUpdate{JobID: launch.AppID, State: proto.JobRunning, Detail: "running"}, nil
 }
 
+// ownJob looks a job up for the session user: its owner may always act on
+// it; anyone else needs the given grid permission (operators).
+func (cs *clientSession) ownJob(jobID, action string) (jobState, error) {
+	p := cs.proxy
+	if err := cs.checkSession(); err != nil {
+		return jobState{}, err
+	}
+	js, ok := p.job(jobID)
+	if !ok {
+		return jobState{}, notFound("no job %q", jobID)
+	}
+	if js.owner != cs.user {
+		if err := p.users.Allowed(cs.user, action, "grid"); err != nil {
+			return jobState{}, denied("job %q belongs to %q: %v", jobID, js.owner, err)
+		}
+	}
+	return js, nil
+}
+
+// handleJobQuery reports a job's state and outputs to its owner, or to a
+// user with the "status" grid permission.
+func (cs *clientSession) handleJobQuery(req *proto.JobQuery) (proto.Body, error) {
+	js, err := cs.ownJob(req.JobID, "status")
+	if err != nil {
+		return nil, err
+	}
+	return &proto.JobUpdate{JobID: req.JobID, State: js.state, Detail: js.detail, Outputs: js.outputRefs()}, nil
+}
+
 // handleJobCancel cancels a job for the session user: the job's owner may
 // always cancel their own jobs; anyone else needs the "cancel" grid
 // permission (operators). The reply reports the job's state after the
 // cancellation took effect.
 func (cs *clientSession) handleJobCancel(ctx context.Context, req *proto.JobCancel) (proto.Body, error) {
 	p := cs.proxy
-	if err := cs.checkSession(); err != nil {
+	if _, err := cs.ownJob(req.JobID, "cancel"); err != nil {
 		return nil, err
-	}
-	p.mu.Lock()
-	js, ok := p.jobs[req.JobID]
-	var owner string
-	if ok && js.launch != nil {
-		owner = js.launch.spec.Owner
-	}
-	p.mu.Unlock()
-	if !ok {
-		return nil, notFound("no job %q", req.JobID)
-	}
-	if owner != cs.user {
-		if err := p.users.Allowed(cs.user, "cancel", "grid"); err != nil {
-			return nil, denied("job %q belongs to %q: %v", req.JobID, owner, err)
-		}
 	}
 	if err := p.Cancel(ctx, req.JobID); err != nil {
 		return nil, err

@@ -462,7 +462,7 @@ func (p *Proxy) watchPeer(pr *peer) {
 	// "recovery of users' applications").
 	p.mu.Lock()
 	var affected []*Launch
-	for _, js := range p.jobs {
+	for _, js := range p.jobs.byID {
 		if js.launch != nil && js.launch.awaitsSite(pr.site) {
 			affected = append(affected, js.launch)
 		}

@@ -36,7 +36,6 @@ import (
 	"gridproxy/internal/monitor"
 	"gridproxy/internal/node"
 	"gridproxy/internal/peerlink"
-	"gridproxy/internal/proto"
 	"gridproxy/internal/registry"
 	"gridproxy/internal/scheduler"
 	"gridproxy/internal/stage"
@@ -182,7 +181,7 @@ type Proxy struct {
 	mu      sync.Mutex
 	nodes   map[string]NodeHandle
 	apps    map[string]*addressSpace
-	jobs    map[string]*jobState
+	jobs    jobTable
 	hosted  map[string]*hostedApp
 	held    map[string][]*heldCommit
 	probing map[string]bool // sites with an indirect probe in flight
@@ -247,7 +246,7 @@ func New(cfg Config) (*Proxy, error) {
 		bondReg:   tunnel.NewBondRegistry(),
 		nodes:     make(map[string]NodeHandle),
 		apps:      make(map[string]*addressSpace),
-		jobs:      make(map[string]*jobState),
+		jobs:      newJobTable(),
 		hosted:    make(map[string]*hostedApp),
 		held:      make(map[string][]*heldCommit),
 		probing:   make(map[string]bool),
@@ -510,42 +509,6 @@ func nodeInfoFromResource(res registry.Resource) balance.NodeInfo {
 		_, _ = fmt.Sscanf(v, "%d", &info.Running)
 	}
 	return info
-}
-
-// JobInfo is a queryable job record (web/CLI interfaces).
-type JobInfo struct {
-	AppID  string
-	State  string
-	Detail string
-}
-
-// Jobs lists jobs launched from this proxy, sorted by app id.
-func (p *Proxy) Jobs() []JobInfo {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	out := make([]JobInfo, 0, len(p.jobs))
-	for appID, js := range p.jobs {
-		out = append(out, JobInfo{AppID: appID, State: jobStateName(js.state), Detail: js.detail})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].AppID < out[j].AppID })
-	return out
-}
-
-func jobStateName(s proto.JobState) string {
-	switch s {
-	case proto.JobQueued:
-		return "queued"
-	case proto.JobRunning:
-		return "running"
-	case proto.JobDone:
-		return "done"
-	case proto.JobFailed:
-		return "failed"
-	case proto.JobCancelled:
-		return "cancelled"
-	default:
-		return fmt.Sprintf("state(%d)", uint8(s))
-	}
 }
 
 // AllResources returns this proxy's full resource view: its own live node

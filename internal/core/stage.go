@@ -142,13 +142,11 @@ func wantOutput(filter []string, name string) bool {
 // JobOutputs returns the output refs recorded so far for a job launched
 // from this proxy (empty for unknown jobs — job state has its own API).
 func (p *Proxy) JobOutputs(appID string) []proto.StageRef {
-	p.mu.Lock()
-	js, ok := p.jobs[appID]
-	p.mu.Unlock()
-	if !ok || js.launch == nil {
+	js, ok := p.job(appID)
+	if !ok {
 		return nil
 	}
-	return js.launch.Outputs()
+	return js.outputRefs()
 }
 
 // inlineOutputs picks the outputs a completion report carries itself: in

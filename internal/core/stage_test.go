@@ -6,10 +6,12 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"gridproxy/internal/auth"
 	"gridproxy/internal/core"
 	"gridproxy/internal/failure"
 	"gridproxy/internal/metrics"
@@ -147,6 +149,58 @@ func TestStagedLaunchWarmCache(t *testing.T) {
 	}
 	if inlined := reg.Counter(metrics.StageOutputsInlined).Value(); inlined != 1 {
 		t.Errorf("warm relaunch entered an output the origin already held (stage.outputs_inlined = %d)", inlined)
+	}
+}
+
+// TestReusedJobIDRefused: a finished job's id belongs to its owner while
+// the record is tracked. Another user submitting under it is refused with
+// the duplicate-id error, and the finished record — state, owner, outputs
+// — is what it was; so is the answer to a cancel ("already finished").
+func TestReusedJobIDRefused(t *testing.T) {
+	reg := metrics.NewRegistry()
+	tb := newStagedGrid(t, reg, stage.Config{}, 1, 1)
+	if err := tb.Users.AddUser("bob", "pw"); err != nil {
+		t.Fatal(err)
+	}
+	if err := tb.Users.GrantUser("bob", auth.Permission{Action: "*", Resource: "*"}); err != nil {
+		t.Fatal(err)
+	}
+	tb.RegisterProgram("publish", func(ctx context.Context, env node.Env) error {
+		return env.PublishOutput(fmt.Sprintf("result-%d", env.Rank), []byte(fmt.Sprintf("ok %d", env.Rank)))
+	})
+	origin := tb.Sites[0].Proxy
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	launch, err := origin.LaunchMPI(ctx, core.LaunchSpec{Owner: "admin", Program: "publish", Procs: 2, AppID: "shared-id"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := launch.Wait(ctx); err != nil {
+		t.Fatal(err)
+	}
+	outputs := origin.JobOutputs("shared-id")
+	if len(outputs) != 2 {
+		t.Fatalf("outputs = %+v, want 2 refs", outputs)
+	}
+
+	_, err = origin.LaunchMPI(ctx, core.LaunchSpec{Owner: "bob", Program: "publish", Procs: 2, AppID: "shared-id"})
+	if err == nil || !strings.Contains(err.Error(), "duplicate app id") {
+		t.Fatalf("bob's launch under admin's finished id: %v, want a duplicate app id refusal", err)
+	}
+	if state, detail, err := origin.JobStatus("shared-id"); err != nil || state != proto.JobDone || detail != "completed" {
+		t.Errorf("admin's record after the refusal: %v %q %v", state, detail, err)
+	}
+	if got := origin.JobOutputs("shared-id"); !reflect.DeepEqual(got, outputs) {
+		t.Errorf("outputs after the refusal = %+v, want %+v", got, outputs)
+	}
+	if jobs, _ := origin.Jobs("bob", 0); len(jobs) != 0 {
+		t.Errorf("bob lists %+v", jobs)
+	}
+	if jobs, _ := origin.Jobs("admin", 0); len(jobs) != 1 || jobs[0].AppID != "shared-id" {
+		t.Errorf("admin lists %+v", jobs)
+	}
+	if err := origin.Cancel(ctx, "shared-id"); err == nil || !strings.Contains(err.Error(), "already finished") {
+		t.Errorf("cancel of the finished job: %v", err)
 	}
 }
 

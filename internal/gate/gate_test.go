@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"gridproxy/internal/auth"
+	"gridproxy/internal/core"
 	"gridproxy/internal/failure"
 	"gridproxy/internal/gate"
 	"gridproxy/internal/grid"
@@ -656,6 +657,79 @@ func TestTicketAuthGatesHandlers(t *testing.T) {
 	handler.ServeHTTP(rr, req)
 	if rr.Code != http.StatusUnauthorized {
 		t.Errorf("expired ticket = %d", rr.Code)
+	}
+}
+
+// TestJobListingIsTheCallersNewestPage: GET /api/jobs lists the session
+// user's jobs only, newest first, a page at a time; ?before= takes the
+// page's "next", the last page has none, and an empty listing is an empty
+// array, never null.
+func TestJobListingIsTheCallersNewestPage(t *testing.T) {
+	f := newFixture(t, nil)
+	f.tb.RegisterProgram("quick", func(ctx context.Context, env node.Env) error { return nil })
+	aliceTok := f.login(t, "alice", "secret")
+	bobTok := f.login(t, "bob", "hunter2")
+	type page struct {
+		Jobs []struct {
+			ID string `json:"id"`
+		} `json:"jobs"`
+		Next *string `json:"next"`
+	}
+	list := func(token, query string) (page, string) {
+		t.Helper()
+		rr := f.do(http.MethodGet, "/api/jobs"+query, token, nil)
+		if rr.Code != http.StatusOK {
+			t.Fatalf("GET /api/jobs%s = %d: %s", query, rr.Code, rr.Body)
+		}
+		if !strings.HasPrefix(rr.Body.String(), `{"jobs":[`) {
+			t.Fatalf("GET /api/jobs%s: body %.40q", query, rr.Body)
+		}
+		var p page
+		if err := json.Unmarshal(rr.Body.Bytes(), &p); err != nil {
+			t.Fatal(err)
+		}
+		return p, rr.Body.String()
+	}
+
+	if _, body := list(bobTok, ""); body != "{\"jobs\":[]}\n" {
+		t.Errorf("empty listing = %q", body)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	launch := func(owner string) string {
+		l, err := f.tb.Sites[0].Proxy.LaunchMPI(ctx, core.LaunchSpec{Owner: owner, Program: "quick", Procs: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return l.AppID
+	}
+	var alices []string
+	for i := 0; i < core.JobPage+5; i++ {
+		alices = append(alices, launch("alice"))
+	}
+	bobs := []string{launch("bob"), launch("bob")}
+
+	first, body := list(aliceTok, "")
+	if n := strings.Count(body, `"id":`); n != core.JobPage || len(first.Jobs) != core.JobPage || first.Next == nil {
+		t.Fatalf("first page: %d jobs (%d ids), next %v", len(first.Jobs), n, first.Next)
+	}
+	second, _ := list(aliceTok, "?before="+*first.Next)
+	if len(second.Jobs) != 5 || second.Next != nil {
+		t.Fatalf("last page: %d jobs, next %v", len(second.Jobs), second.Next)
+	}
+	for i, j := range append(first.Jobs, second.Jobs...) {
+		if want := alices[len(alices)-1-i]; j.ID != want {
+			t.Fatalf("alice's job %d is %s, want %s (newest first)", i, j.ID, want)
+		}
+	}
+	if p, _ := list(bobTok, ""); len(p.Jobs) != 2 || p.Jobs[0].ID != bobs[1] || p.Jobs[1].ID != bobs[0] || p.Next != nil {
+		t.Errorf("bob's listing = %+v", p)
+	}
+	for _, bad := range []string{"abc", "0", "-3", "1e3"} {
+		if rr := f.do(http.MethodGet, "/api/jobs?before="+bad, aliceTok, nil); rr.Code != http.StatusBadRequest {
+			t.Errorf("?before=%s = %d: %s", bad, rr.Code, rr.Body)
+		}
 	}
 }
 

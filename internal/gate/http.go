@@ -186,9 +186,20 @@ func (g *Gateway) handleMembers(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// handleJobs lists the session user's jobs a page at a time, newest first:
+// ?before= takes the "next" of the page before, which the last page omits.
 func (g *Gateway) handleJobs(w http.ResponseWriter, r *http.Request) {
+	var before uint64
+	if s := r.URL.Query().Get("before"); s != "" {
+		n, err := strconv.ParseUint(s, 10, 64)
+		if err != nil || n == 0 {
+			writeError(w, http.StatusBadRequest, "?before= must be the next of an earlier page")
+			return
+		}
+		before = n
+	}
 	g.withClient(w, r, func(sc sessionClaims, c *grid.Client) error {
-		jobs, err := c.Jobs(r.Context())
+		jobs, next, err := c.Jobs(r.Context(), sc.User, before)
 		if err != nil {
 			return err
 		}
@@ -197,11 +208,17 @@ func (g *Gateway) handleJobs(w http.ResponseWriter, r *http.Request) {
 			State  string `json:"state"`
 			Detail string `json:"detail"`
 		}
-		out := make([]job, len(jobs))
+		page := struct {
+			Jobs []job  `json:"jobs"`
+			Next string `json:"next,omitempty"`
+		}{Jobs: make([]job, len(jobs))}
 		for i, j := range jobs {
-			out[i] = job{ID: j.ID, State: j.State, Detail: j.Detail}
+			page.Jobs[i] = job{ID: j.ID, State: j.State, Detail: j.Detail}
 		}
-		writeJSON(w, http.StatusOK, map[string]any{"jobs": out})
+		if next != 0 {
+			page.Next = strconv.FormatUint(next, 10)
+		}
+		writeJSON(w, http.StatusOK, page)
 		return nil
 	})
 }

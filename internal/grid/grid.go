@@ -800,21 +800,24 @@ type JobRecord struct {
 	Detail string
 }
 
-// Jobs lists the jobs tracked by this client's proxy.
-func (c *Client) Jobs(ctx context.Context) ([]JobRecord, error) {
-	reply, err := c.call(ctx, &proto.JobList{})
+// Jobs lists one page of the jobs tracked by this client's proxy, newest
+// first: at most core.JobPage of owner's jobs (every owner's when owner is
+// empty) submitted before the cursor (the newest when before is 0). Pass
+// the returned cursor to fetch the next page; 0 means there is none.
+func (c *Client) Jobs(ctx context.Context, owner string, before uint64) ([]JobRecord, uint64, error) {
+	reply, err := c.call(ctx, &proto.JobList{Owner: owner, Before: before})
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	jl, ok := reply.(*proto.JobListReply)
 	if !ok {
-		return nil, fmt.Errorf("grid: unexpected job list reply %T", reply)
+		return nil, 0, fmt.Errorf("grid: unexpected job list reply %T", reply)
 	}
 	out := make([]JobRecord, len(jl.Jobs))
 	for i, j := range jl.Jobs {
 		out[i] = JobRecord{ID: j.JobID, State: j.State, Detail: j.Detail}
 	}
-	return out, nil
+	return out, jl.Next, nil
 }
 
 // Resources queries the proxy's local resource inventory.

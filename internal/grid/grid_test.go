@@ -16,6 +16,7 @@ import (
 	"gridproxy/internal/mpi"
 	"gridproxy/internal/mpirun"
 	"gridproxy/internal/node"
+	"gridproxy/internal/proto"
 	"gridproxy/internal/site"
 	"gridproxy/internal/ticket"
 )
@@ -281,7 +282,7 @@ func TestCancelJobAndList(t *testing.T) {
 	if err := c.WaitJob(ctx, jobID); !errors.Is(err, grid.ErrJobCanceled) {
 		t.Fatalf("WaitJob after cancel = %v, want ErrJobCanceled", err)
 	}
-	jobs, err := c.Jobs(ctx)
+	jobs, _, err := c.Jobs(ctx, "alice", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,6 +301,128 @@ func TestCancelJobAndList(t *testing.T) {
 	// Cancelling an unknown job is refused.
 	if err := c.Cancel(ctx, "no-such-job"); err == nil {
 		t.Error("cancel of unknown job accepted")
+	}
+}
+
+// TestJobQueryNeedsSessionAndStanding: a job's state and outputs are told
+// to its owner and to users with "status" on the grid — not to a
+// connection that never authenticated, nor to another user without it.
+func TestJobQueryNeedsSessionAndStanding(t *testing.T) {
+	f := newFixture(t, 2)
+	f.tb.RegisterProgram("quick", func(ctx context.Context, env node.Env) error { return nil })
+	for user, grant := range map[string]auth.Permission{
+		"carol": {Action: "mpi", Resource: "site:*"},
+		"dave":  {Action: "status", Resource: "grid"},
+	} {
+		if err := f.tb.Users.AddUser(user, "pw-"+user); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.tb.Users.GrantUser(user, grant); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	alice := f.dial(t, 0)
+	if err := alice.Login(ctx, "alice", "secret"); err != nil {
+		t.Fatal(err)
+	}
+	jobID, err := alice.SubmitMPI(ctx, "quick", nil, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := alice.WaitJob(ctx, jobID); err != nil {
+		t.Fatal(err)
+	}
+
+	status := func(err error) uint16 {
+		var re *grid.RemoteError
+		if !errors.As(err, &re) {
+			t.Fatalf("err = %v, want a remote error", err)
+		}
+		return re.Status
+	}
+	anonymous := f.dial(t, 0)
+	if _, _, err := anonymous.JobState(ctx, jobID); status(err) != proto.StatusUnauthorized {
+		t.Errorf("unauthenticated query: %v", err)
+	}
+	if _, err := anonymous.JobOutputs(ctx, jobID); status(err) != proto.StatusUnauthorized {
+		t.Errorf("unauthenticated outputs: %v", err)
+	}
+	for user, want := range map[string]uint16{"carol": proto.StatusDenied, "dave": 0} {
+		c := f.dial(t, 0)
+		if err := c.Login(ctx, user, "pw-"+user); err != nil {
+			t.Fatal(err)
+		}
+		_, _, err := c.JobState(ctx, jobID)
+		if want == 0 && err != nil {
+			t.Errorf("%s, with status on the grid: %v", user, err)
+		}
+		if want != 0 && (err == nil || status(err) != want) {
+			t.Errorf("%s, without status on the grid: %v", user, err)
+		}
+	}
+	if state, _, err := alice.JobState(ctx, jobID); err != nil || state != proto.JobDone {
+		t.Errorf("owner's query = %v, %v", state, err)
+	}
+	if _, err := alice.JobOutputs(ctx, jobID); err != nil {
+		t.Errorf("owner's outputs: %v", err)
+	}
+}
+
+// TestJobsPageThroughCursor: a listing longer than a page comes back a page
+// at a time, newest first, and following the cursor yields every job once.
+func TestJobsPageThroughCursor(t *testing.T) {
+	f := newFixture(t, 2)
+	f.tb.RegisterProgram("quick", func(ctx context.Context, env node.Env) error { return nil })
+	c := f.dial(t, 0)
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	if err := c.Login(ctx, "alice", "secret"); err != nil {
+		t.Fatal(err)
+	}
+	const n = core.JobPage + 25
+	submitted := make([]string, n)
+	for i := range submitted {
+		id, err := c.SubmitMPI(ctx, "quick", nil, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		submitted[i] = id
+	}
+	for _, owner := range []string{"alice", ""} {
+		var got []string
+		var before uint64
+		for pages := 1; ; pages++ {
+			jobs, next, err := c.Jobs(ctx, owner, before)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(jobs) > core.JobPage {
+				t.Fatalf("owner %q: a page of %d jobs", owner, len(jobs))
+			}
+			for _, j := range jobs {
+				got = append(got, j.ID)
+			}
+			if next == 0 {
+				if pages != 2 {
+					t.Errorf("owner %q: %d pages, want 2", owner, pages)
+				}
+				break
+			}
+			before = next
+		}
+		if len(got) != n {
+			t.Fatalf("owner %q: listed %d jobs, want %d", owner, len(got), n)
+		}
+		for i, id := range got {
+			if want := submitted[n-1-i]; id != want {
+				t.Fatalf("owner %q: job %d is %s, want %s (newest first)", owner, i, id, want)
+			}
+		}
+	}
+	if jobs, next, err := c.Jobs(ctx, "nobody", 0); err != nil || len(jobs) != 0 || next != 0 {
+		t.Errorf("an owner without jobs: %v, next %d, %v", jobs, next, err)
 	}
 }
 

@@ -30,6 +30,10 @@ func FuzzUnmarshal(f *testing.F) {
 	for code, payload := range oldLaunchLayouts() {
 		f.Add(uint16(code), payload)
 	}
+	// Listings as they were before paging: no fields, no cursor.
+	for code, payload := range unpagedJobListLayouts() {
+		f.Add(uint16(code), payload)
+	}
 	refs := []StageRef{{Name: "a", Hash: "01", Size: 1}}
 	f.Add(uint16(CodeJobUpdate), (&JobUpdate{JobID: "j", Outputs: refs, Inline: []InlineOutput{{Ref: 0}, {Ref: 1}}}).Encode(nil))
 	f.Add(uint16(CodeJobUpdate), (&JobUpdate{JobID: "j", Outputs: refs, Inline: []InlineOutput{{Ref: 0, Data: make([]byte, MaxInlineOutputs+1)}}}).Encode(nil))

@@ -1131,17 +1131,34 @@ func (m *JobCancel) Decode(buf *wire.Buffer) error {
 	return buf.Err()
 }
 
-// JobList asks a proxy for its job table.
-type JobList struct{}
+// JobList asks a proxy for one page of its job table, newest first: the
+// jobs of Owner (every owner's when empty) submitted before the cursor
+// Before (the newest jobs when zero). The fields were appended to a body
+// that had none, so an empty payload still decodes, as the newest page of
+// every owner's jobs.
+type JobList struct {
+	Owner  string
+	Before uint64
+}
 
 // Code implements Body.
 func (*JobList) Code() Code { return CodeJobList }
 
 // Encode implements Body.
-func (m *JobList) Encode(b []byte) []byte { return b }
+func (m *JobList) Encode(b []byte) []byte {
+	b = wire.AppendString(b, m.Owner)
+	return wire.AppendUint64(b, m.Before)
+}
 
 // Decode implements Body.
-func (m *JobList) Decode(buf *wire.Buffer) error { return buf.Err() }
+func (m *JobList) Decode(buf *wire.Buffer) error {
+	if buf.Remaining() == 0 {
+		return buf.Err()
+	}
+	m.Owner = buf.String()
+	m.Before = buf.Uint64()
+	return buf.Err()
+}
 
 // JobRecord is one entry of a JobListReply. State is the human-readable
 // state name ("queued", "running", "done", "failed", "cancelled").
@@ -1151,9 +1168,12 @@ type JobRecord struct {
 	Detail string
 }
 
-// JobListReply answers a JobList.
+// JobListReply answers a JobList with one page of jobs, newest first.
+// Next is the Before of the following page; zero on the last page, and in
+// a reply that ends before it (a proxy that did not page).
 type JobListReply struct {
 	Jobs []JobRecord
+	Next uint64
 }
 
 // Code implements Body.
@@ -1167,7 +1187,7 @@ func (m *JobListReply) Encode(b []byte) []byte {
 		b = wire.AppendString(b, j.State)
 		b = wire.AppendString(b, j.Detail)
 	}
-	return b
+	return wire.AppendUint64(b, m.Next)
 }
 
 // Decode implements Body.
@@ -1184,6 +1204,9 @@ func (m *JobListReply) Decode(buf *wire.Buffer) error {
 		m.Jobs[i].JobID = buf.String()
 		m.Jobs[i].State = buf.String()
 		m.Jobs[i].Detail = buf.String()
+	}
+	if buf.Err() == nil && buf.Remaining() > 0 {
+		m.Next = buf.Uint64()
 	}
 	return buf.Err()
 }

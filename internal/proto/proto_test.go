@@ -76,7 +76,9 @@ func allBodies() []Body {
 		&AbortSpawnReply{AppID: "app-2", OK: true, Killed: 2},
 		&JobCancel{JobID: "j1"},
 		&JobList{},
+		&JobList{Owner: "alice", Before: 4711},
 		&JobListReply{Jobs: []JobRecord{{JobID: "j1", State: "cancelled", Detail: "canceled by operator"}}},
+		&JobListReply{Jobs: []JobRecord{{JobID: "j2", State: "done", Detail: "completed"}}, Next: 4711},
 		&StreamOpen{AppID: "app-1", TargetNode: "n1", TargetAddr: "n1:7001", Kind: StreamMPI},
 		&StreamOpenReply{OK: true},
 		&RegistryAnnounce{Site: "a", Resources: []Resource{{Name: "n1", Kind: "node", Site: "a", Attrs: []string{"ram_mb=1024"}}}},
@@ -132,6 +134,39 @@ func TestOldLaunchLayoutsRefused(t *testing.T) {
 		if body, err := Unmarshal(Message{Code: code, Corr: 1, Payload: payload}); !errors.Is(err, wire.ErrTruncated) {
 			t.Errorf("code %#x: protocol 4 layout decoded as %+v, %v", uint16(code), body, err)
 		}
+	}
+}
+
+// unpagedJobListLayouts are a JobList and its reply as they were before
+// listings were paged: a list request with no fields, and a reply that
+// ends after its records.
+func unpagedJobListLayouts() map[Code][]byte {
+	reply := wire.AppendUint32(nil, 1)
+	for _, s := range []string{"j1", "done", "completed"} {
+		reply = wire.AppendString(reply, s)
+	}
+	return map[Code][]byte{CodeJobList: nil, CodeJobListReply: reply}
+}
+
+// TestUnpagedJobListDecodes: the paging fields were appended, so the
+// layouts without them still decode — a request as the newest page of
+// every owner's jobs, a reply as the last page.
+func TestUnpagedJobListDecodes(t *testing.T) {
+	layouts := unpagedJobListLayouts()
+	body, err := Unmarshal(Message{Code: CodeJobList, Corr: 1, Payload: layouts[CodeJobList]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := *body.(*JobList); got != (JobList{}) {
+		t.Errorf("empty JobList decoded as %+v, want zero values", got)
+	}
+	body, err = Unmarshal(Message{Code: CodeJobListReply, Corr: 1, Payload: layouts[CodeJobListReply]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := &JobListReply{Jobs: []JobRecord{{JobID: "j1", State: "done", Detail: "completed"}}}
+	if !reflect.DeepEqual(body, want) {
+		t.Errorf("unpaged reply decoded as %+v, want %+v", body, want)
 	}
 }
 

@@ -85,8 +85,10 @@ func (h *Handler) apiGrid(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, h.proxy.GlobalView().Compile())
 }
 
+// apiJobs lists the newest page of every owner's jobs.
 func (h *Handler) apiJobs(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, h.proxy.Jobs())
+	jobs, _ := h.proxy.Jobs("", 0)
+	writeJSON(w, jobs)
 }
 
 func (h *Handler) apiResources(w http.ResponseWriter, r *http.Request) {
@@ -120,11 +122,12 @@ func (h *Handler) index(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadGateway)
 		return
 	}
+	jobs, _ := h.proxy.Jobs("", 0)
 	data := indexData{
 		Site:      h.proxy.Site(),
 		Peers:     h.proxy.Peers(),
 		Summaries: summaries,
-		Jobs:      h.proxy.Jobs(),
+		Jobs:      jobs,
 	}
 	w.Header().Set("Content-Type", "text/html; charset=utf-8")
 	if err := h.tmpl.Execute(w, data); err != nil {
@@ -155,7 +158,7 @@ td:first-child, th:first-child { text-align: left; }
 {{end}}
 </table>
 
-<h2>Jobs</h2>
+<h2>Jobs (newest first)</h2>
 {{if .Jobs}}
 <table>
 <tr><th>App</th><th>State</th><th>Detail</th></tr>
