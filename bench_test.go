@@ -21,7 +21,6 @@ import (
 	"gridproxy/internal/metrics"
 	"gridproxy/internal/mpi"
 	"gridproxy/internal/proto"
-	"gridproxy/internal/scheduler"
 	"gridproxy/internal/sim"
 	"gridproxy/internal/ticket"
 	"gridproxy/internal/transport"
@@ -359,7 +358,9 @@ func BenchmarkTicketValidate(b *testing.B) {
 	}
 }
 
-func BenchmarkSchedulerPlace(b *testing.B) {
+// BenchmarkBalanceAssign times the placement algorithm the proxy runs for
+// every launch and reschedule: 32 processes over 64 candidate nodes.
+func BenchmarkBalanceAssign(b *testing.B) {
 	nodes := make([]balance.NodeInfo, 64)
 	for i := range nodes {
 		nodes[i] = balance.NodeInfo{
@@ -367,22 +368,9 @@ func BenchmarkSchedulerPlace(b *testing.B) {
 			Speed: 1 + float64(i%8), RAMFreeMB: 2048,
 		}
 	}
-	source := scheduler.NodeSourceFunc(func() []balance.NodeInfo {
-		out := make([]balance.NodeInfo, len(nodes))
-		copy(out, nodes)
-		return out
-	})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s := scheduler.New(balance.LeastLoaded{}, source)
-		job := scheduler.Job{ID: "j", Owner: "a", Program: "p"}
-		for t := 0; t < 32; t++ {
-			job.Tasks = append(job.Tasks, scheduler.Task{ID: fmt.Sprintf("t%d", t), Work: 1})
-		}
-		if err := s.Submit(job); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := s.Place("j"); err != nil {
+		if _, err := balance.Assign(balance.LeastLoaded{}, nodes, 32); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,6 +1,6 @@
 // Command gridproxyd runs a site's border proxy: the TLS-tunneled
 // inter-site endpoint, the site-local client/node/splice services, the
-// status collector, the scheduler, and (optionally) the web interface and
+// status collector, rank placement, and (optionally) the web interface and
 // the ticket-granting service.
 //
 // Configuration ("key = value" file, see -config):
@@ -36,8 +36,6 @@
 //	rpc_timeout       = 10s         # deadline of one control RPC, and of one
 //	                                 # whole connect (dial, TLS, Hello)
 //	hello_timeout     = 10s         # inbound session identification deadline
-//	status_ttl        = 0           # status reads served from summaries this
-//	                                 # fresh count as cache hits (0: none do)
 //
 // Membership/gossip knobs (all optional; see core.GossipConfig and
 // peerlink.CacheConfig defaults). With gossip on, `peers` only needs ONE
@@ -347,9 +345,6 @@ func lifecycleFromConfig(cfg *config.Config) (peerlink.Config, error) {
 		return lc, err
 	}
 	if lc.HelloTimeout, err = cfg.Duration("hello_timeout", 0); err != nil {
-		return lc, err
-	}
-	if lc.StatusTTL, err = cfg.Duration("status_ttl", 0); err != nil {
 		return lc, err
 	}
 	return lc, nil

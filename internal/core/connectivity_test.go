@@ -307,6 +307,56 @@ func TestHungHostingSiteIsRescheduled(t *testing.T) {
 	}
 }
 
+// TestPlacementSkipsDeadSiteWithoutTunnel: the directory convicts siteb
+// while sitea holds no tunnel to it. Only watchPeer purges an announced
+// inventory, and sitea's tunnel to siteb ended as an idle close, so
+// siteb's nodes are still in sitea's registry; the directory's verdict
+// alone must keep them out of placement. Picking them would refuse the
+// whole launch with ErrUnknownPeer instead of running it on the live
+// sites.
+func TestPlacementSkipsDeadSiteWithoutTunnel(t *testing.T) {
+	g := newHandGrid(t, "deadplace")
+	programs := map[string]node.ProgramFunc{"work": workProgram(time.Millisecond)}
+	// Gossip off everywhere: nothing but the test touches a tunnel or the
+	// directory, so sitea's tunnel to siteb closes idle and stays closed.
+	noGossip := core.GossipConfig{Interval: -1}
+	a := g.start("sitea", g.wan, 1, programs, core.Config{
+		Gossip:    noGossip,
+		PeerCache: peerlink.CacheConfig{IdleClose: 20 * time.Millisecond},
+	})
+	b := g.start("siteb", g.wan, 2, programs, core.Config{Gossip: noGossip})
+	g.start("sitec", g.wan, 1, programs, core.Config{Gossip: noGossip})
+
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	for _, site := range []string{"siteb", "sitec"} {
+		if err := a.Connect(ctx, site, "wan."+site); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, 10*time.Second, func() bool {
+		return candidatesAt(a, "siteb") == 2 && candidatesAt(a, "sitec") == 1 && len(a.Peers()) == 0
+	})
+
+	// siteb dies unseen by sitea, and the conviction gossip would deliver
+	// (a rumor, then sitea's own sweep) is recorded directly.
+	_ = b.Close()
+	a.ObserveDead("siteb")
+
+	launch, err := a.LaunchMPI(ctx, core.LaunchSpec{Owner: "admin", Program: "work", Procs: 4})
+	if err != nil {
+		t.Fatalf("launch after siteb's conviction: %v", err)
+	}
+	for rank, loc := range launch.Locations {
+		if loc.Site == "siteb" {
+			t.Errorf("rank %d placed on the dead site", rank)
+		}
+	}
+	if err := launch.Wait(ctx); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestBusyTunnelOutlivesIdleClose: with gossip off nothing touches a
 // tunnel but the job, and with IdleClose at a few milliseconds the idle
 // janitor runs hundreds of times while two ranks on two sites talk. The

@@ -7,7 +7,6 @@ import (
 
 	"gridproxy/internal/membership"
 	"gridproxy/internal/metrics"
-	"gridproxy/internal/monitor"
 	"gridproxy/internal/proto"
 )
 
@@ -197,7 +196,7 @@ func (p *Proxy) gossipRound(ctx context.Context) {
 			p.deadProbe(ctx, target, push)
 		}
 	}
-	p.syncGlobalFromMembers()
+	p.closeDeadTunnels()
 }
 
 // deadProbe attempts one gossip exchange with a dead-marked site, through
@@ -222,7 +221,7 @@ func (p *Proxy) deadProbe(ctx context.Context, target membership.Entry, push []p
 	if delta, ok := reply.(*proto.GossipDelta); ok && len(delta.Entries) > 0 {
 		p.members.Merge(delta.Entries)
 	}
-	p.syncGlobalFromMembers()
+	p.closeDeadTunnels()
 }
 
 // gossipTo runs one push-pull exchange with one sampled target. Both a
@@ -283,7 +282,7 @@ func (p *Proxy) handleGossipSync(req *proto.GossipSync) *proto.GossipDelta {
 	} else {
 		delta.Entries = p.members.HotPush()
 	}
-	p.syncGlobalFromMembers()
+	p.closeDeadTunnels()
 	return delta
 }
 
@@ -324,38 +323,25 @@ func (p *Proxy) handleMemberList() *proto.MemberListReply {
 	return reply
 }
 
-// syncGlobalFromMembers makes the rest of the proxy agree with the
-// directory, once per gossip round and per inbound exchange. Live sites'
-// summaries are folded into the compiled global view the web interface
-// and scheduler read. A dead site leaves that view, and a tunnel still
-// held to it is killed: the directory is the one judge of liveness, so a
-// site it has given up on (hung but connected is the case nothing else
-// catches) must look to watchPeer like any other lost peer — resources
-// dropped, launches waiting on it rescheduled — whichever side dialed.
-func (p *Proxy) syncGlobalFromMembers() {
+// closeDeadTunnels makes the proxy's tunnels agree with the directory,
+// once per gossip round and per inbound exchange: a tunnel still held to
+// a site the directory holds dead is killed. The directory is the one
+// judge of liveness, so a site it has given up on (hung but connected is
+// the case nothing else catches) must look to watchPeer like any other
+// lost peer — resources dropped, launches waiting on it rescheduled —
+// whichever side dialed.
+func (p *Proxy) closeDeadTunnels() {
 	for _, e := range p.members.Entries() {
-		if e.Site == p.site {
+		if e.Site == p.site || e.State != membership.Dead {
 			continue
 		}
-		if e.State == membership.Dead {
-			p.global.Remove(e.Site)
-			// Ask the directory again once the tunnel is in hand: a
-			// session enters the cache only after the contact that built
-			// it was recorded, so a verdict read now cannot predate a
-			// tunnel this snapshot raced with.
-			if pr, ok := p.cache.Peek(e.Site); ok && !p.siteUp(e.Site) && p.cache.DropIf(e.Site, pr) {
-				p.log.Warn("directory holds site dead; closing its tunnel", "site", e.Site)
-				pr.abort()
-			}
-			continue
+		// Ask the directory again once the tunnel is in hand: a session
+		// enters the cache only after the contact that built it was
+		// recorded, so a verdict read now cannot predate a tunnel this
+		// snapshot raced with.
+		if pr, ok := p.cache.Peek(e.Site); ok && !p.siteUp(e.Site) && p.cache.DropIf(e.Site, pr) {
+			p.log.Warn("directory holds site dead; closing its tunnel", "site", e.Site)
+			pr.abort()
 		}
-		if !e.HasSummary {
-			continue
-		}
-		s := monitor.SummaryFromStatus(e.Summary)
-		s.Age = e.SummaryAge
-		s.Incarnation = e.Incarnation
-		s.Member = e.State
-		p.global.Update(s)
 	}
 }

@@ -149,20 +149,15 @@ func (p *Proxy) handleRegistryQuery(req *proto.RegistryQuery) (proto.Body, error
 	if err != nil {
 		return nil, badRequest("%v", err)
 	}
-	// Answer with local resources only; grid-wide lookup is the
-	// requester compiling per-site answers, mirroring status queries.
-	found := p.resources.Lookup(registry.Query{Kind: req.Kind, Site: p.site, Attrs: attrs})
-	// Local nodes are not stored in p.resources (they are live), so
-	// merge the current inventory.
-	for _, r := range p.localInventory() {
-		q := registry.Query{Kind: req.Kind, Attrs: attrs}
-		if q.Matches(r) {
-			found = append(found, r)
-		}
-	}
+	// Answer with local resources only — the live inventory, since
+	// p.resources holds only what peers announced; grid-wide lookup is
+	// the requester compiling per-site answers, mirroring status queries.
+	q := registry.Query{Kind: req.Kind, Attrs: attrs}
 	reply := &proto.RegistryReply{}
-	for _, r := range found {
-		reply.Resources = append(reply.Resources, r.ToProto())
+	for _, r := range p.localInventory() {
+		if q.Matches(r) {
+			reply.Resources = append(reply.Resources, r.ToProto())
+		}
 	}
 	return reply, nil
 }

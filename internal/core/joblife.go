@@ -8,7 +8,6 @@ import (
 	"sync"
 	"time"
 
-	"gridproxy/internal/balance"
 	"gridproxy/internal/metrics"
 	"gridproxy/internal/peerlink"
 	"gridproxy/internal/proto"
@@ -911,13 +910,7 @@ func (p *Proxy) rescheduleSite(l *Launch, deadSite string) {
 	// rejoins the directory, its stale-epoch copies are killed.
 	p.addFence(l.AppID, deadSite, epoch, lost)
 
-	var candidates []balance.NodeInfo
-	for _, n := range p.Candidates() {
-		if n.Site != deadSite {
-			candidates = append(candidates, n)
-		}
-	}
-	chosen, err := p.sched.Replacements(candidates, len(lost))
+	chosen, err := p.pickNodes(len(lost), deadSite)
 	if err != nil {
 		l.fail(fmt.Errorf("core: reschedule %s after %s died: %w", l.AppID, deadSite, err))
 		return
@@ -930,7 +923,7 @@ func (p *Proxy) rescheduleSite(l *Launch, deadSite string) {
 		return
 	}
 	for i, rank := range lost {
-		loc := rankLoc{site: chosen[i].Site, node: chosen[i].Name}
+		loc := chosen[i]
 		l.locations[rank] = loc
 		newSites[loc.site] = append(newSites[loc.site], rank)
 	}

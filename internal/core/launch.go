@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -127,19 +128,35 @@ func (p *Proxy) placement(procs int) (map[int]rankLoc, error) {
 	if procs <= 0 {
 		return nil, badRequest("procs must be positive, got %d", procs)
 	}
-	candidates := p.Candidates()
+	chosen, err := p.pickNodes(procs, "")
+	if err != nil {
+		return nil, err
+	}
+	locations := make(map[int]rankLoc, procs)
+	for rank, loc := range chosen {
+		locations[rank] = loc
+	}
+	return locations, nil
+}
+
+// pickNodes chooses a node for each of n processes among the current
+// candidates outside site exclude ("" excludes none), with the proxy's
+// placement policy. Initial placement and rank rescheduling both place
+// through it.
+func (p *Proxy) pickNodes(n int, exclude string) ([]rankLoc, error) {
+	candidates := slices.DeleteFunc(p.Candidates(), func(c balance.NodeInfo) bool { return c.Site == exclude })
 	if len(candidates) == 0 {
 		return nil, errors.New("core: no candidate nodes in the grid")
 	}
-	idxs, err := balance.Assign(p.sched.Policy(), candidates, procs)
+	idxs, err := balance.Assign(p.policy, candidates, n)
 	if err != nil {
 		return nil, fmt.Errorf("core: placement: %w", err)
 	}
-	locations := make(map[int]rankLoc, procs)
-	for rank, idx := range idxs {
-		locations[rank] = rankLoc{site: candidates[idx].Site, node: candidates[idx].Name}
+	chosen := make([]rankLoc, n)
+	for i, idx := range idxs {
+		chosen[i] = rankLoc{site: candidates[idx].Site, node: candidates[idx].Name}
 	}
-	return locations, nil
+	return chosen, nil
 }
 
 func exportLocations(locations map[int]rankLoc) map[int]RankPlacement {

@@ -185,7 +185,7 @@ func (p *Proxy) connectOnce(ctx context.Context, site, wanAddr string) (*peer, e
 	if err := p.announceTo(ctx, pr); err != nil {
 		p.log.Warn("inventory announce failed", "peer", pr.site, "err", err)
 	}
-	if err := p.queryPeerStatus(ctx, pr); err != nil {
+	if _, err := p.queryPeerStatus(ctx, pr); err != nil {
 		p.log.Warn("initial status query failed", "peer", pr.site, "err", err)
 	}
 	p.log.Info("connected to peer", "site", pr.site, "addr", wanAddr, "conns", session.BondWidth())
@@ -358,7 +358,7 @@ func (pp *pendingPeer) handle(ctx context.Context, msg proto.Message) (proto.Bod
 	// connection is also learning a dialable directory entry — this is
 	// how a bootstrap proxy populates its directory from inbound joins.
 	// It is recorded before the session is cached: a tunnel to a site the
-	// directory holds dead gets closed (syncGlobalFromMembers), and a
+	// directory holds dead gets closed (closeDeadTunnels), and a
 	// site that just said Hello is not dead.
 	pp.proxy.members.ObserveAlive(hello.Site, hello.WANAddr)
 	pr := &peer{site: hello.Site, conn: pp.conn, session: pp.session, ctrl: pp.ctrl}
@@ -398,7 +398,7 @@ func (pp *pendingPeer) handle(ctx context.Context, msg proto.Message) (proto.Bod
 	pp.proxy.wg.Add(1)
 	go func() {
 		defer pp.proxy.wg.Done()
-		if err := pp.proxy.queryPeerStatus(pp.proxy.ctx, pr); err != nil {
+		if _, err := pp.proxy.queryPeerStatus(pp.proxy.ctx, pr); err != nil {
 			pp.proxy.log.Debug("accept-side status query failed", "peer", pr.site, "err", err)
 		}
 	}()
@@ -436,12 +436,13 @@ func (p *Proxy) evictPeer(site string, pr *peer) {
 // connection cache initiated (LRU eviction, idle close, replacement) is
 // expected: the site remains a live directory member and only the tunnel
 // goes away. Anything else is evidence of site failure: the directory
-// marks it dead (the rumor gossips out), its announced resources and
-// status leave the local view, and affected launches are rescheduled —
-// the failure-containment behaviour of E7: losing one proxy costs the
-// grid only that site. A tunnel this proxy killed because the
-// directory had already given the site up (syncGlobalFromMembers) ends
-// here too, as the unannounced close it is.
+// marks it dead (the rumor gossips out), which takes its summary out of
+// Status and its nodes out of Candidates; its announced resources are
+// dropped and affected launches are rescheduled — the failure-containment
+// behaviour of E7: losing one proxy costs the grid only that site. A
+// tunnel this proxy killed because the directory had already given the
+// site up (closeDeadTunnels) ends here too, as the unannounced close it
+// is.
 func (p *Proxy) watchPeer(pr *peer) {
 	defer p.wg.Done()
 	select {
@@ -469,7 +470,6 @@ func (p *Proxy) watchPeer(pr *peer) {
 	}
 	p.mu.Unlock()
 	p.resources.RemoveSite(pr.site)
-	p.global.Remove(pr.site)
 	for _, launch := range affected {
 		launch := launch
 		p.wg.Add(1)
@@ -627,25 +627,24 @@ func (p *Proxy) PingPeer(ctx context.Context, site string) error {
 	return nil
 }
 
-// queryPeerStatus fetches one peer's site summary. The peer's own
-// summary is direct evidence and enters the membership directory (where
-// gossip spreads it); everything lands in the compiled global view.
-func (p *Proxy) queryPeerStatus(ctx context.Context, pr *peer) error {
+// queryPeerStatus fetches one peer's site summary. The summary is direct
+// evidence and enters the membership directory, where gossip spreads it.
+func (p *Proxy) queryPeerStatus(ctx context.Context, pr *peer) (monitor.SiteSummary, error) {
 	reply, err := p.callPeer(ctx, pr, &proto.StatusQuery{})
 	if err != nil {
-		return err
+		return monitor.SiteSummary{}, err
 	}
 	report, ok := reply.(*proto.StatusReport)
 	if !ok {
-		return fmt.Errorf("core: status query to %s: unexpected reply %T", pr.site, reply)
+		return monitor.SiteSummary{}, fmt.Errorf("core: status query to %s: unexpected reply %T", pr.site, reply)
 	}
 	for _, s := range report.Sites {
 		if s.Site == pr.site {
 			p.members.ObserveSummary(pr.site, "", s)
+			return monitor.SummaryFromStatus(s), nil
 		}
-		p.global.Update(monitor.SummaryFromStatus(s))
 	}
-	return nil
+	return monitor.SiteSummary{}, fmt.Errorf("core: site %s reported no summary", pr.site)
 }
 
 // Status returns compiled summaries: this site's live summary plus the
@@ -654,30 +653,17 @@ func (p *Proxy) queryPeerStatus(ctx context.Context, pr *peer) error {
 // not yet gossiped a summary are omitted. No cross-site RPC happens on
 // this path — freshness arrives by gossip and by the connect-time status
 // exchange, which is what lets a 1000-site grid answer a global status
-// query in zero control messages. FreshStatus keeps the direct-query
-// semantics.
-//
-// Lifecycle.StatusTTL acts as a staleness budget: served summaries
-// younger than the TTL count as status cache hits, older ones as misses
-// (both are served — the metric is the operator's signal that gossip is
-// not keeping up, not a trigger to refetch).
+// query in zero control messages. Each served summary carries its Age.
+// FreshStatus keeps the direct-query semantics.
 func (p *Proxy) Status(ctx context.Context, sites []string) ([]monitor.SiteSummary, error) {
 	include := includeFunc(sites)
 	var out []monitor.SiteSummary
 	if include(p.site) {
-		local := p.LocalSummary()
-		p.global.Update(local)
-		out = append(out, local)
+		out = append(out, p.LocalSummary())
 	}
-	ttl := p.lifecycle.StatusTTL
 	for _, e := range p.members.Entries() {
 		if e.Site == p.site || !include(e.Site) || e.State == membership.Dead || !e.HasSummary {
 			continue
-		}
-		if ttl > 0 && e.SummaryAge <= ttl {
-			p.reg.Counter(metrics.StatusCacheHits).Inc()
-		} else {
-			p.reg.Counter(metrics.StatusCacheMisses).Inc()
 		}
 		s := monitor.SummaryFromStatus(e.Summary)
 		s.Age = e.SummaryAge
@@ -700,9 +686,7 @@ func (p *Proxy) FreshStatus(ctx context.Context, sites []string) ([]monitor.Site
 	include := includeFunc(sites)
 	var out []monitor.SiteSummary
 	if include(p.site) {
-		local := p.LocalSummary()
-		p.global.Update(local)
-		out = append(out, local)
+		out = append(out, p.LocalSummary())
 	}
 	var targets []string
 	for _, e := range p.members.Entries() {
@@ -721,13 +705,10 @@ func (p *Proxy) FreshStatus(ctx context.Context, sites []string) ([]monitor.Site
 		for attempt := 0; ; attempt++ {
 			pr, err := p.peerFor(ctx, site)
 			if err == nil {
-				err = p.queryPeerStatus(ctx, pr)
+				var s monitor.SiteSummary
+				s, err = p.queryPeerStatus(ctx, pr)
 				p.releasePeer(pr)
 				if err == nil {
-					s, ok := p.global.Site(site)
-					if !ok {
-						return monitor.SiteSummary{}, fmt.Errorf("core: site %s reported no summary", site)
-					}
 					return s, nil
 				}
 				select {
@@ -774,10 +755,6 @@ func includeFunc(sites []string) func(string) bool {
 		return false
 	}
 }
-
-// GlobalView returns the cached global monitor (updated by gossip, status
-// queries, and peer announcements).
-func (p *Proxy) GlobalView() *monitor.Global { return p.global }
 
 func sortSummaries(s []monitor.SiteSummary) {
 	sort.Slice(s, func(i, j int) bool { return s[i].Site < s[j].Site })

@@ -12,7 +12,8 @@
 //     checks at both the originating and destination proxies. Intra-site
 //     traffic stays in the clear by default;
 //   - L3 control and monitoring: per-site status collection compiled on
-//     demand, a resource registry, and a load-balancing scheduler;
+//     demand, a resource registry, and load-balanced rank placement
+//     (package balance);
 //   - L4 MPI support: per-application address spaces with virtual-slave
 //     endpoints that multiplex MPI rank traffic through the tunnels,
 //     giving unmodified applications the illusion of one virtual cluster.
@@ -37,7 +38,6 @@ import (
 	"gridproxy/internal/node"
 	"gridproxy/internal/peerlink"
 	"gridproxy/internal/registry"
-	"gridproxy/internal/scheduler"
 	"gridproxy/internal/stage"
 	"gridproxy/internal/ticket"
 	"gridproxy/internal/transport"
@@ -105,8 +105,8 @@ type Config struct {
 	// Policy is the placement policy; nil means balance.LeastLoaded.
 	Policy balance.Policy
 	// Lifecycle carries the control-plane timing knobs (RPC and connect
-	// deadline, Hello deadline, status staleness budget). The zero value
-	// uses peerlink defaults; see peerlink.Config.
+	// deadline, Hello deadline). The zero value uses peerlink defaults;
+	// see peerlink.Config.
 	Lifecycle peerlink.Config
 	// Gossip carries the membership gossip knobs (round interval,
 	// fanout, suspicion timing). The zero value uses the GossipConfig
@@ -155,9 +155,8 @@ type Proxy struct {
 	log       *logging.Logger
 
 	collector *monitor.Collector
-	global    *monitor.Global
 	resources *registry.Registry
-	sched     *scheduler.Scheduler
+	policy    balance.Policy
 	lifecycle peerlink.Config
 	gossipcfg GossipConfig
 	jobcfg    JobConfig
@@ -236,8 +235,8 @@ func New(cfg Config) (*Proxy, error) {
 		reg:       cfg.Metrics,
 		log:       cfg.Logger.Named("proxy." + cfg.Site),
 		collector: monitor.NewCollector(cfg.Site),
-		global:    monitor.NewGlobal(),
 		resources: registry.New(),
+		policy:    policy,
 		lifecycle: cfg.Lifecycle.WithDefaults(),
 		gossipcfg: cfg.Gossip.WithDefaults(),
 		jobcfg:    cfg.Jobs.WithDefaults(),
@@ -273,7 +272,6 @@ func New(cfg Config) (*Proxy, error) {
 	cachecfg := cfg.PeerCache
 	cachecfg.Metrics = cfg.Metrics
 	p.cache = peerlink.NewCache[*peer](cachecfg, p.dialOnDemand, p.evictPeer)
-	p.sched = scheduler.New(policy, scheduler.NodeSourceFunc(p.Candidates))
 	if cfg.TGS != nil && cfg.TicketKey != nil {
 		p.validator = ticket.NewValidator(ServiceName(cfg.Site), cfg.TicketKey, cfg.Metrics).
 			WithValidatorClock(clock).
@@ -302,12 +300,6 @@ func (p *Proxy) WANAddr() string { return p.wanAddr }
 
 // LocalAddr returns the site-local service address.
 func (p *Proxy) LocalAddr() string { return p.localAddr }
-
-// Scheduler exposes the proxy's scheduler (CLI and web interface).
-func (p *Proxy) Scheduler() *scheduler.Scheduler { return p.sched }
-
-// Registry exposes the proxy's resource registry view.
-func (p *Proxy) Registry() *registry.Registry { return p.resources }
 
 // Start begins listening on the WAN and (if configured) local addresses.
 func (p *Proxy) Start() error {
@@ -394,15 +386,6 @@ func (p *Proxy) AttachNode(h NodeHandle) {
 	p.collector.Report(h.Stats())
 }
 
-// DetachNode removes a node (decommissioned or failed).
-func (p *Proxy) DetachNode(name string) {
-	p.mu.Lock()
-	delete(p.nodes, name)
-	p.mu.Unlock()
-	p.collector.Forget(name)
-	p.sched.ReleaseNode(name)
-}
-
 // nodeHandle looks a node up.
 func (p *Proxy) nodeHandle(name string) (NodeHandle, error) {
 	p.mu.Lock()
@@ -414,10 +397,10 @@ func (p *Proxy) nodeHandle(name string) (NodeHandle, error) {
 	return h, nil
 }
 
-// refreshLocalStats re-samples every attached node into the collector —
-// the proxy "responsible for the collection and control of the site where
-// it is located".
-func (p *Proxy) refreshLocalStats() {
+// LocalSummary re-samples every attached node into the collector — the
+// proxy "responsible for the collection and control of the site where it
+// is located" — and compiles this site's current status.
+func (p *Proxy) LocalSummary() monitor.SiteSummary {
 	p.mu.Lock()
 	handles := make([]NodeHandle, 0, len(p.nodes))
 	for _, h := range p.nodes {
@@ -427,18 +410,16 @@ func (p *Proxy) refreshLocalStats() {
 	for _, h := range handles {
 		p.collector.Report(h.Stats())
 	}
-}
-
-// LocalSummary compiles this site's current status.
-func (p *Proxy) LocalSummary() monitor.SiteSummary {
-	p.refreshLocalStats()
 	return p.collector.Summary()
 }
 
-// Candidates implements the scheduler's node source: fresh local node
-// stats plus the last-announced inventory of every peer site.
+// Candidates lists the nodes placement may choose from: fresh local node
+// stats plus the last-announced inventory of every peer site the
+// directory counts as up. A site the directory holds dead is skipped
+// whether or not a tunnel to it is held — only watchPeer purges an
+// inventory, so a site convicted by gossip while its tunnel was closed
+// would otherwise stay a candidate and fail every launch that picked it.
 func (p *Proxy) Candidates() []balance.NodeInfo {
-	p.refreshLocalStats()
 	var out []balance.NodeInfo
 	p.mu.Lock()
 	for _, h := range p.nodes {
@@ -454,7 +435,7 @@ func (p *Proxy) Candidates() []balance.NodeInfo {
 	}
 	p.mu.Unlock()
 	for _, res := range p.resources.Lookup(registry.Query{Kind: "node"}) {
-		if res.Site == p.site {
+		if res.Site == p.site || !p.siteUp(res.Site) {
 			continue
 		}
 		out = append(out, nodeInfoFromResource(res))
@@ -471,7 +452,6 @@ func (p *Proxy) Candidates() []balance.NodeInfo {
 // localInventory renders this site's nodes as registry resources for
 // announcement to peers.
 func (p *Proxy) localInventory() []registry.Resource {
-	p.refreshLocalStats()
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	out := make([]registry.Resource, 0, len(p.nodes))
@@ -493,7 +473,7 @@ func (p *Proxy) localInventory() []registry.Resource {
 }
 
 // nodeInfoFromResource parses an announced node resource back into
-// scheduler input.
+// placement input.
 func nodeInfoFromResource(res registry.Resource) balance.NodeInfo {
 	info := balance.NodeInfo{Name: res.Name, Site: res.Site, Speed: 1}
 	if v, ok := res.Attrs["speed"]; ok {

@@ -234,12 +234,6 @@ const (
 	ControlRPCMicros = "control.rpc_micros"
 	// ControlRPCTimeouts counts control calls that hit their deadline.
 	ControlRPCTimeouts = "control.rpc_timeouts"
-	// StatusCacheHits counts Status reads answered from the cached global
-	// view without a cross-site RPC.
-	StatusCacheHits = "status.cache_hits"
-	// StatusCacheMisses counts summaries Status served that were older
-	// than the StatusTTL budget (they are served all the same).
-	StatusCacheMisses = "status.cache_misses"
 
 	// Membership and gossip metrics (internal/membership): the directory
 	// every proxy keeps of all grid sites, disseminated epidemically.

@@ -5,8 +5,8 @@
 // compilation of all the sites' data."
 //
 // Node agents push NodeStats to their site's Collector (running inside the
-// site proxy); the Collector compiles a SiteSummary on demand; a Global
-// view merges summaries from many sites. Experiment E4 compares this
+// site proxy); the Collector compiles a SiteSummary on demand; Compile
+// totals the summaries of many sites. Experiment E4 compares this
 // site-compiled scheme against centrally polling every node.
 package monitor
 
@@ -227,73 +227,6 @@ func (c *Collector) Summary() SiteSummary {
 	return sum
 }
 
-// Global merges site summaries into a grid-wide view ("The global status
-// is obtained by compilation of all the sites' data").
-type Global struct {
-	mu    sync.RWMutex
-	sites map[string]SiteSummary
-	// updated stamps each site's LOCAL receipt time. Ages derived from it
-	// are immune to cross-site clock skew, unlike SiteSummary.Collected
-	// which is stamped by the reporting site.
-	updated map[string]time.Time
-}
-
-// NewGlobal creates an empty global view.
-func NewGlobal() *Global {
-	return &Global{
-		sites:   make(map[string]SiteSummary),
-		updated: make(map[string]time.Time),
-	}
-}
-
-// Update records a site's summary, replacing its previous one.
-func (g *Global) Update(s SiteSummary) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.sites[s.Site] = s
-	g.updated[s.Site] = time.Now()
-}
-
-// Remove drops a site (site left the grid or its proxy failed).
-func (g *Global) Remove(site string) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	delete(g.sites, site)
-	delete(g.updated, site)
-}
-
-// Site returns one site's summary.
-func (g *Global) Site(site string) (SiteSummary, bool) {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	s, ok := g.sites[site]
-	return s, ok
-}
-
-// SiteWithAge returns one site's summary plus how long ago this view
-// received it (local clock). Status caching keys freshness off this age.
-func (g *Global) SiteWithAge(site string) (SiteSummary, time.Duration, bool) {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	s, ok := g.sites[site]
-	if !ok {
-		return SiteSummary{}, 0, false
-	}
-	return s, time.Since(g.updated[site]), true
-}
-
-// Sites returns all summaries sorted by site name.
-func (g *Global) Sites() []SiteSummary {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	out := make([]SiteSummary, 0, len(g.sites))
-	for _, s := range g.sites {
-		out = append(out, s)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Site < out[j].Site })
-	return out
-}
-
 // GridStatus is the compiled grid-wide totals.
 type GridStatus struct {
 	Sites        int
@@ -304,13 +237,13 @@ type GridStatus struct {
 	RunningProcs int
 }
 
-// Compile aggregates all known sites.
-func (g *Global) Compile() GridStatus {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	var status GridStatus
-	status.Sites = len(g.sites)
-	for _, s := range g.sites {
+// Compile totals site summaries into the grid's status ("The global
+// status is obtained by compilation of all the sites' data"). It keeps no
+// state: the summaries are whatever the caller's view holds, normally
+// the proxy's Status.
+func Compile(sites []SiteSummary) GridStatus {
+	status := GridStatus{Sites: len(sites)}
+	for _, s := range sites {
 		status.Nodes += s.Nodes
 		status.NodesUp += s.NodesUp
 		status.RAMFreeMB += s.RAMFreeMB

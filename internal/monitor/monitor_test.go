@@ -72,39 +72,23 @@ func TestCollectorForget(t *testing.T) {
 	}
 }
 
-func TestGlobalCompile(t *testing.T) {
-	g := NewGlobal()
-	g.Update(SiteSummary{Site: "a", Nodes: 10, NodesUp: 9, RAMFreeMB: 1000, DiskFreeMB: 100, RunningProcs: 3})
-	g.Update(SiteSummary{Site: "b", Nodes: 20, NodesUp: 20, RAMFreeMB: 2000, DiskFreeMB: 200, RunningProcs: 7})
-
-	status := g.Compile()
-	if status.Sites != 2 || status.Nodes != 30 || status.NodesUp != 29 {
-		t.Errorf("status = %+v", status)
-	}
-	if status.RAMFreeMB != 3000 || status.DiskFreeMB != 300 || status.RunningProcs != 10 {
-		t.Errorf("aggregates = %+v", status)
-	}
-
-	g.Remove("a")
-	if got := g.Compile(); got.Sites != 1 || got.Nodes != 20 {
-		t.Errorf("after remove = %+v", got)
-	}
-	if _, ok := g.Site("a"); ok {
-		t.Error("removed site still present")
-	}
-	sites := g.Sites()
-	if len(sites) != 1 || sites[0].Site != "b" {
-		t.Errorf("Sites = %+v", sites)
-	}
-}
-
-func TestGlobalUpdateReplaces(t *testing.T) {
-	g := NewGlobal()
-	g.Update(SiteSummary{Site: "a", Nodes: 5})
-	g.Update(SiteSummary{Site: "a", Nodes: 8})
-	s, ok := g.Site("a")
-	if !ok || s.Nodes != 8 {
-		t.Errorf("Site = %+v", s)
+func TestCompile(t *testing.T) {
+	a := SiteSummary{Site: "a", Nodes: 10, NodesUp: 9, CPUFreePct: 50, RAMFreeMB: 1000, DiskFreeMB: 100, Load1: 2, RunningProcs: 3}
+	b := SiteSummary{Site: "b", Nodes: 20, NodesUp: 20, CPUFreePct: 10, RAMFreeMB: 2000, DiskFreeMB: 200, Load1: 4, RunningProcs: 7}
+	for _, tc := range []struct {
+		name  string
+		sites []SiteSummary
+		want  GridStatus
+	}{
+		{"empty", nil, GridStatus{}},
+		{"one site", []SiteSummary{b}, GridStatus{Sites: 1, Nodes: 20, NodesUp: 20, RAMFreeMB: 2000, DiskFreeMB: 200, RunningProcs: 7}},
+		{"two sites", []SiteSummary{a, b}, GridStatus{Sites: 2, Nodes: 30, NodesUp: 29, RAMFreeMB: 3000, DiskFreeMB: 300, RunningProcs: 10}},
+		{"order does not matter", []SiteSummary{b, a}, GridStatus{Sites: 2, Nodes: 30, NodesUp: 29, RAMFreeMB: 3000, DiskFreeMB: 300, RunningProcs: 10}},
+		{"a site with no nodes up", []SiteSummary{{Site: "c", Nodes: 4}}, GridStatus{Sites: 1, Nodes: 4}},
+	} {
+		if got := Compile(tc.sites); got != tc.want {
+			t.Errorf("%s: Compile = %+v, want %+v", tc.name, got, tc.want)
+		}
 	}
 }
 

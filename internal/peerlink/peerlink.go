@@ -37,12 +37,6 @@ type Config struct {
 	// HelloTimeout is how long an inbound session may take to identify
 	// itself before it is reaped (default 10s).
 	HelloTimeout time.Duration
-	// StatusTTL is the staleness budget for gossiped site summaries:
-	// Status reads served entirely from summaries younger than this
-	// count as cache hits, older ones as misses (the directory still
-	// answers either way — freshness arrives by gossip, not by refetch).
-	// Default 0: every directory-served read counts as a miss.
-	StatusTTL time.Duration
 }
 
 // Default knob values.

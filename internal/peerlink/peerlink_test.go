@@ -16,10 +16,6 @@ func TestWithDefaults(t *testing.T) {
 	if d := (Config{RPCTimeout: -1}).WithDefaults(); d.RPCTimeout != -1 {
 		t.Errorf("negative (disabled) RPCTimeout overridden: %+v", d)
 	}
-	// StatusTTL has no default: caching is opt-in.
-	if c.StatusTTL != 0 {
-		t.Errorf("StatusTTL defaulted to %v, want 0", c.StatusTTL)
-	}
 }
 
 // TestFanOutBoundedByPerTargetDeadline injects one hung target among

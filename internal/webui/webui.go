@@ -76,13 +76,16 @@ func (h *Handler) apiStatus(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, summaries)
 }
 
+// apiGrid totals the summaries an unfiltered /api/status serves.
 func (h *Handler) apiGrid(w http.ResponseWriter, r *http.Request) {
-	// Refresh the cached global view, then compile it.
-	if _, err := h.statusSummaries(r); err != nil {
+	ctx, cancel := context.WithTimeout(r.Context(), statusTimeout)
+	defer cancel()
+	summaries, err := h.proxy.Status(ctx, nil)
+	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadGateway)
 		return
 	}
-	writeJSON(w, h.proxy.GlobalView().Compile())
+	writeJSON(w, monitor.Compile(summaries))
 }
 
 // apiJobs lists the newest page of every owner's jobs.

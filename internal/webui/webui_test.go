@@ -105,6 +105,56 @@ func TestAPIGrid(t *testing.T) {
 	}
 }
 
+// TestAPIGridCompilesAPIStatus: the grid totals are the sum of the site
+// summaries /api/status serves — before and after the directory convicts
+// a site, which leaves both answers together.
+func TestAPIGridCompilesAPIStatus(t *testing.T) {
+	server, tb := newServer(t)
+	check := func(wantSites int) {
+		t.Helper()
+		var summaries []monitor.SiteSummary
+		_, body := get(t, server.URL+"/api/status")
+		if err := json.Unmarshal(body, &summaries); err != nil {
+			t.Fatal(err)
+		}
+		var grid monitor.GridStatus
+		_, body = get(t, server.URL+"/api/grid")
+		if err := json.Unmarshal(body, &grid); err != nil {
+			t.Fatal(err)
+		}
+		var sum monitor.GridStatus
+		for _, s := range summaries {
+			sum.Sites++
+			sum.Nodes += s.Nodes
+			sum.NodesUp += s.NodesUp
+			sum.RAMFreeMB += s.RAMFreeMB
+			sum.DiskFreeMB += s.DiskFreeMB
+			sum.RunningProcs += s.RunningProcs
+		}
+		if grid != sum || grid.Sites != wantSites {
+			t.Fatalf("/api/grid = %+v, want the sum of /api/status %+v over %d sites", grid, sum, wantSites)
+		}
+	}
+	check(2)
+
+	tb.Sites[1].Close()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		summaries, err := tb.Sites[0].Proxy.Status(context.Background(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(summaries) == 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("siteb still served 10s after its proxy closed: %+v", summaries)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	check(1)
+}
+
 func TestAPIResourcesAndPeers(t *testing.T) {
 	server, _ := newServer(t)
 	code, body := get(t, server.URL+"/api/resources?kind=node")
