@@ -353,7 +353,7 @@ func (p *Proxy) spawnLocalRanks(ctx context.Context, appID, owner, program strin
 	if record == nil {
 		record = func(proto.StageRef) {}
 	}
-	input, publish := p.stageEnv(stageIn, record)
+	input, publish := p.stageEnv(appID, stageIn, record)
 	for i, rank := range ranks {
 		loc := locations[rank]
 		handle, err := p.nodeHandle(loc.node)
@@ -365,7 +365,7 @@ func (p *Proxy) spawnLocalRanks(ctx context.Context, appID, owner, program strin
 				Rank:      rank,
 				WorldSize: worldSize,
 				RankTable: table,
-				Input:     input,
+				Input:     input(rank, handle),
 				Publish:   publish,
 			})
 		}

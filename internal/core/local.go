@@ -90,6 +90,7 @@ func (p *Proxy) acceptClients(ln net.Listener) {
 			case <-session.rpc.done:
 			case <-p.ctx.Done():
 			}
+			session.rpc.close() // no request in flight opens an upload after this
 			session.dropUploads()
 		}()
 	}
@@ -325,20 +326,24 @@ func (cs *clientSession) handleStagePut(req *proto.StagePut) (proto.Body, error)
 		return nil, err
 	}
 	up.mu.Lock()
-	defer up.mu.Unlock()
 	if up.w == nil || req.Offset != up.w.Len() {
-		cs.endUpload(req.Upload)
-		return nil, badRequest("upload %d: chunk at offset %d does not continue it", req.Upload, req.Offset)
-	}
-	up.w.Append(req.Data)
-	if req.Step == proto.PutMore {
+		err = badRequest("upload %d: chunk at offset %d does not continue it", req.Upload, req.Offset)
+	} else if err = up.w.Append(req.Data); err != nil {
+		err = unavailable("upload %d: %v", req.Upload, err)
+	} else if req.Step == proto.PutMore {
+		defer up.mu.Unlock()
 		return &proto.StagePutReply{Ref: proto.StageRef{Size: up.w.Len()}}, nil
 	}
 	w := up.w
 	up.w = nil
+	up.mu.Unlock() // before endUpload: forgetLocked takes up.mu under upMu
 	cs.endUpload(req.Upload)
-	if req.Size >= 0 && req.Size != w.Len() {
-		return nil, badRequest("upload %d: announced %d bytes, sent %d", req.Upload, req.Size, w.Len())
+	if err == nil && req.Size >= 0 && req.Size != w.Len() {
+		err = badRequest("upload %d: announced %d bytes, sent %d", req.Upload, req.Size, w.Len())
+	}
+	if err != nil {
+		w.Abort()
+		return nil, err
 	}
 	ref := w.Commit()
 	return &proto.StagePutReply{Ref: proto.StageRef{Name: req.Name, Hash: ref.Hash, Size: ref.Size}}, nil
@@ -367,6 +372,7 @@ func (cs *clientSession) openUpload(req *proto.StagePut) (*upload, error) {
 		}
 	}
 	if len(cs.uploads) >= maxUploads {
+		up.w.Abort()
 		return nil, unavailable("%d uploads already open on this connection", len(cs.uploads))
 	}
 	if cs.uploads == nil {
@@ -377,10 +383,15 @@ func (cs *clientSession) openUpload(req *proto.StagePut) (*upload, error) {
 	return up, nil
 }
 
+// forgetLocked takes an upload out of the table and aborts its blob.
 func (cs *clientSession) forgetLocked(id uint64) {
-	if _, ok := cs.uploads[id]; ok {
+	if up, ok := cs.uploads[id]; ok {
 		delete(cs.uploads, id)
 		cs.proxy.reg.Gauge(metrics.StageUploads).Add(-1)
+		up.mu.Lock()
+		up.w.Abort()
+		up.w = nil
+		up.mu.Unlock()
 	}
 }
 
@@ -391,7 +402,7 @@ func (cs *clientSession) endUpload(id uint64) {
 	cs.upMu.Unlock()
 }
 
-// dropUploads abandons every open upload; their buffers go with them.
+// dropUploads aborts every open upload.
 func (cs *clientSession) dropUploads() {
 	cs.upMu.Lock()
 	for id := range cs.uploads {
@@ -416,15 +427,21 @@ func (cs *clientSession) handleStageGet(req *proto.StageGet) (proto.Body, error)
 		return nil, badRequest("offset %d is past the end of blob %s (%d bytes)", req.Offset, req.Hash, size)
 	}
 	n := min(req.Length, proto.StageChunk, size-req.Offset)
-	// The loan is not released: a blob in memory needs no release, and a
-	// spilled one's pooled buffer must outlive this call (the reply is
-	// written after it returns), so it is left to the collector.
 	loan, ok := p.store.LoanChunk(req.Hash, req.Offset, n)
 	if !ok {
 		return nil, notFound("blob %s left the %s store", req.Hash, p.site)
 	}
-	return &proto.StageGetReply{Size: size, Offset: req.Offset, Data: loan.Data}, nil
+	return &loanedReply{&proto.StageGetReply{Size: size, Offset: req.Offset, Data: loan.Data}, loan}, nil
 }
+
+// loanedReply is a StageGetReply whose bytes are on loan from the store;
+// rpc.serve releases it once the reply is written.
+type loanedReply struct {
+	*proto.StageGetReply
+	loan stage.ChunkLoan
+}
+
+func (r *loanedReply) release() { r.loan.Release() }
 
 // handleJobSubmit launches an MPI job for the session user.
 func (cs *clientSession) handleJobSubmit(ctx context.Context, req *proto.JobSubmit) (proto.Body, error) {

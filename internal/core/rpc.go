@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -141,7 +142,14 @@ func (r *rpc) readLoop() {
 	defer r.wg.Done()
 	reader := wire.NewReader(r.conn)
 	for {
-		msg, err := proto.ReadMessage(reader)
+		// Large frames (blob chunks) are pooled: a request's goes back once
+		// served (a StagePut's bytes are copied into its upload), a reply's
+		// once copied out at its own length, since the reply outlives it.
+		frame, err := reader.ReadFramePooledFrom(proto.MaxInlineOutputs)
+		var msg proto.Message
+		if err == nil {
+			msg, err = proto.FrameMessage(frame)
+		}
 		if err != nil {
 			if !errors.Is(err, io.EOF) {
 				r.log.Debug("control read failed", "err", err)
@@ -157,10 +165,15 @@ func (r *rpc) readLoop() {
 		// is a late reply to a call that already timed out and is
 		// dropped; everything else is a request for the handler.
 		if ch := r.takePending(msg.Corr); ch != nil {
+			if len(frame.Payload) >= proto.MaxInlineOutputs {
+				msg.Payload = bytes.Clone(msg.Payload)
+				wire.PutPayload(frame.Payload)
+			}
 			ch <- msg
 			continue
 		}
 		if r.ownsCorr(msg.Corr) {
+			wire.PutPayload(frame.Payload)
 			r.log.Debug("dropping late control reply", "corr", msg.Corr)
 			continue
 		}
@@ -172,6 +185,7 @@ func (r *rpc) readLoop() {
 		go func() {
 			defer r.wg.Done()
 			r.serve(msg, by)
+			wire.PutPayload(frame.Payload)
 		}()
 	}
 }
@@ -199,6 +213,9 @@ func (r *rpc) serve(msg proto.Message, by servedBy) {
 		reply, err = by(r.ctx)
 	} else {
 		reply, err = r.handler(r.ctx, msg)
+	}
+	if l, ok := reply.(interface{ release() }); ok {
+		defer l.release() // after the frame writer has copied the reply
 	}
 	if msg.Corr == 0 {
 		// Notification; nothing to send back.
@@ -356,16 +373,6 @@ type statusError struct {
 
 func (e *statusError) Error() string {
 	return fmt.Sprintf("remote error (status %d): %s", e.status, e.text)
-}
-
-// Status returns the protocol status class of an error, or StatusInternal
-// if it is not a statusError.
-func statusOf(err error) uint16 {
-	var se *statusError
-	if errors.As(err, &se) {
-		return se.status
-	}
-	return proto.StatusInternal
 }
 
 // denied builds a StatusDenied error.

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"sync"
 
 	"gridproxy/internal/metrics"
 	"gridproxy/internal/proto"
@@ -97,23 +98,45 @@ func (p *Proxy) originStageRefs(refs []proto.StageRef) ([]proto.StageRef, error)
 	return out, nil
 }
 
-// stageEnv builds the node.Env staging hooks for ranks of an app: Input
-// resolves staged names out of the local store, Publish records an
-// output blob locally and hands its ref to record (nil-safe copies of
-// refs are taken by value).
-func (p *Proxy) stageEnv(refs []proto.StageRef, record func(ref proto.StageRef)) (func(string) ([]byte, bool), func(string, []byte) error) {
+// stageEnv builds the node.Env staging hooks for ranks of an app: input
+// returns one rank's resolver of staged names, which pins each blob it
+// hands out until the rank's process has exited; publish records an
+// output blob locally and hands its ref to record.
+func (p *Proxy) stageEnv(appID string, refs []proto.StageRef, record func(ref proto.StageRef)) (input func(rank int, h NodeHandle) func(string) ([]byte, bool), publish func(string, []byte) error) {
 	byName := make(map[string]string, len(refs))
 	for _, ref := range refs {
 		byName[ref.Name] = ref.Hash
 	}
-	input := func(name string) ([]byte, bool) {
-		hash, ok := byName[name]
-		if !ok {
-			return nil, false
+	input = func(rank int, h NodeHandle) func(string) ([]byte, bool) {
+		var (
+			mu    sync.Mutex
+			views []stage.View
+		)
+		return func(name string) ([]byte, bool) {
+			v, ok := p.store.Open(byName[name]) // an unknown name has no hash
+			if !ok {
+				return nil, false
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			if views = append(views, v); len(views) == 1 {
+				go func() {
+					_ = h.Wait(p.ctx, appID, rank) // the rank's own error; its group's waiter reports it
+					if p.ctx.Err() != nil {
+						return // stopping: the process may still be running
+					}
+					mu.Lock()
+					defer mu.Unlock()
+					for _, v := range views {
+						v.Close()
+					}
+					views = nil
+				}()
+			}
+			return v.Bytes(), true
 		}
-		return p.store.Get(hash)
 	}
-	publish := func(name string, data []byte) error {
+	publish = func(name string, data []byte) error {
 		if name == "" {
 			return fmt.Errorf("core: publish with empty name")
 		}
@@ -168,7 +191,7 @@ func (p *Proxy) inlineOutputs(refs []proto.StageRef) []proto.InlineOutput {
 		if carried[ref.Hash] || total+ref.Size > proto.MaxInlineOutputs {
 			continue
 		}
-		data, ok := p.store.Get(ref.Hash)
+		data, ok := p.store.Get(ref.Hash) // a copy: the report outlives a pin
 		if !ok || int64(len(data)) != ref.Size {
 			continue
 		}

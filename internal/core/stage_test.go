@@ -350,6 +350,51 @@ func TestLaunchRefusedWithoutStagedBlob(t *testing.T) {
 	}
 }
 
+// TestStagedInputPinnedUntilRankReturns: a rank's staged input evicted
+// while the rank still reads it keeps its bytes, and leaves the store's
+// memory once the rank's process is over.
+func TestStagedInputPinnedUntilRankReturns(t *testing.T) {
+	tb := newStagedGrid(t, nil, stage.Config{MaxBytes: 1 << 20}, 1)
+	origin := tb.Sites[0].Proxy
+	store := origin.Store()
+	input := seededBlob(30, 512<<10)
+	ref := store.Put(input)
+	read, evicted := make(chan struct{}), make(chan struct{})
+	tb.RegisterProgram("slow-reader", func(ctx context.Context, env node.Env) error {
+		data, ok := env.StagedInput("input")
+		close(read)
+		<-evicted
+		if !ok || !bytes.Equal(data, input) {
+			return fmt.Errorf("staged input missing or changed after its eviction")
+		}
+		return nil
+	})
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	launch, err := origin.LaunchMPI(ctx, core.LaunchSpec{
+		Owner:   "admin",
+		Program: "slow-reader",
+		Procs:   1,
+		StageIn: []proto.StageRef{{Name: "input", Hash: ref.Hash, Size: ref.Size}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-read
+	store.Put(seededBlob(31, 1<<20))
+	if store.Has(ref.Hash) {
+		t.Fatal("the input was not evicted")
+	}
+	if bytes, pins := store.Outstanding(); bytes < ref.Size || pins != 1 {
+		t.Errorf("while the rank reads its evicted input: %d bytes beyond the store, %d pins", bytes, pins)
+	}
+	close(evicted)
+	if err := launch.Wait(ctx); err != nil {
+		t.Fatal(err)
+	}
+	waitQuiet(t, store)
+}
+
 // TestStagedLaunchRestampsClientSizes: a submit arriving through the gate
 // carries whatever sizes the client wrote. The origin's store is the
 // authority: refs saying 0 bytes or the wrong number stage correctly,

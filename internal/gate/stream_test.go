@@ -264,6 +264,10 @@ func TestAbandonedUploadLeavesNothing(t *testing.T) {
 	if store.Blobs() != 0 || store.Has(hashOf(blob)) {
 		t.Errorf("store holds %d blobs after two uploads that never finished", store.Blobs())
 	}
+	waitFor(t, 10*time.Second, "the dropped uploads' buffers to be given back", func() bool {
+		bytes, pins := store.Outstanding()
+		return bytes == 0 && pins == 0
+	})
 }
 
 // TestUploadSurvivesSessionRenewal: the proxy-side session of the pooled

@@ -15,6 +15,7 @@ import (
 	"gridproxy/internal/grid"
 	"gridproxy/internal/metrics"
 	"gridproxy/internal/proto"
+	"gridproxy/internal/stage"
 	"gridproxy/internal/wire"
 )
 
@@ -38,6 +39,23 @@ func loggedIn(t *testing.T, f *fixture) (*grid.Client, context.Context) {
 		t.Fatal(err)
 	}
 	return c, ctx
+}
+
+// waitQuiet waits until store's arena holds nothing beyond the blobs the
+// store keeps: every upload that ended without a blob gave its buffer back.
+func waitQuiet(t *testing.T, store *stage.Store) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		bytes, pins := store.Outstanding()
+		if bytes == 0 && pins == 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("store holds %d bytes beyond its blobs and %d pins", bytes, pins)
+		}
+		time.Sleep(time.Millisecond)
+	}
 }
 
 func waitGauge(t *testing.T, reg *metrics.Registry, name string, want int64) {
@@ -167,6 +185,7 @@ func TestUploadDiesWithItsConnection(t *testing.T) {
 	if store.Blobs() != 0 || store.Has(hashOf(blob)) {
 		t.Fatalf("store holds %d blobs after an upload that never finished", store.Blobs())
 	}
+	waitQuiet(t, store)
 }
 
 // TestFailedSourceAbortsUpload: when the source fails part-way the proxy
@@ -185,6 +204,7 @@ func TestFailedSourceAbortsUpload(t *testing.T) {
 	if store.Blobs() != 0 {
 		t.Fatalf("store holds %d blobs after an aborted upload", store.Blobs())
 	}
+	waitQuiet(t, store)
 	// A source that ends before the size it was announced with is an
 	// error too, not a shorter blob.
 	if _, err := c.PutFrom(ctx, "short.bin", bytes.NewReader(blob[:100]), 200); !errors.Is(err, io.ErrUnexpectedEOF) {
@@ -193,6 +213,7 @@ func TestFailedSourceAbortsUpload(t *testing.T) {
 	if ref, err := c.Put(ctx, "whole.bin", blob); err != nil || ref.Hash != hashOf(blob) {
 		t.Fatalf("put after an aborted upload: %+v, %v", ref, err)
 	}
+	waitQuiet(t, store)
 }
 
 type iotestErrReader struct{ err error }

@@ -361,6 +361,9 @@ const (
 	StageBytesStored = "gauge.stage.bytes_stored"
 	// StageBlobs gauges how many distinct blobs the store holds.
 	StageBlobs = "gauge.stage.blobs"
+	// StageArenaBytes gauges the blob buffer bytes a store has mapped
+	// outside the Go heap (stored, in flight, pinned, or spare).
+	StageArenaBytes = "gauge.stage.arena_bytes"
 	// StagePuts counts blobs written into a store (client puts, completed
 	// pulls, and published outputs).
 	StagePuts = "stage.puts"

@@ -87,7 +87,8 @@ type Env struct {
 }
 
 // StagedInput resolves a staged input file by name; ok is false when the
-// name was not staged in (or the launch had no data plane).
+// name was not staged in (or the launch had no data plane). The bytes are
+// read-only and valid until the rank returns.
 func (e Env) StagedInput(name string) ([]byte, bool) {
 	if e.Input == nil {
 		return nil, false

@@ -303,6 +303,12 @@ func ReadMessage(r *wire.Reader) (Message, error) {
 	if err != nil {
 		return Message{}, err
 	}
+	return FrameMessage(frame)
+}
+
+// FrameMessage decodes the control message frame carries. Its Payload
+// aliases the frame's.
+func FrameMessage(frame wire.Frame) (Message, error) {
 	if frame.Type != frameTypeControl {
 		return Message{}, fmt.Errorf("proto: unexpected frame type %#x", frame.Type)
 	}

@@ -142,6 +142,7 @@ func FuzzServeRequests(f *testing.F) {
 				t.Fatalf("blob %d: err %v, in store %v, exact %v", i, err, ok, bytes.Equal(got, blobs[i]))
 			}
 		}
+		wantQuiet(t, dst)
 	})
 }
 

@@ -152,6 +152,16 @@ func wantBlob(t *testing.T, dst *Store, ref FileRef, data []byte) {
 	}
 }
 
+// wantQuiet fails the test unless the store's arena holds nothing beyond
+// its blobs and no View or ChunkLoan is outstanding: every buffer a Writer
+// or a pull took has been stored or given back.
+func wantQuiet(t *testing.T, s *Store) {
+	t.Helper()
+	if bytes, pins := s.Outstanding(); bytes != 0 || pins != 0 {
+		t.Errorf("store holds %d bytes beyond its blobs and %d pins", bytes, pins)
+	}
+}
+
 func wantCounter(t *testing.T, reg *metrics.Registry, name string, want int64) {
 	t.Helper()
 	if got := reg.Counter(name).Value(); got != want {
@@ -419,6 +429,7 @@ func TestPullAllRecoversAcrossBlobs(t *testing.T) {
 	wantCounter(t, reg, metrics.StageChunkRetries, 2) // A's bad chunk, B's unread tail
 	wantCounter(t, reg, metrics.StageStreamsDialed, 2)
 	wantCounter(t, reg, metrics.StageBytesReceived, 1<<20) // nothing verified twice
+	wantQuiet(t, dst)
 }
 
 // poisonConn flips a byte in every chunk frame that carries one chunk's
@@ -469,6 +480,7 @@ func TestPullAllOneBlobFailsOthersWhole(t *testing.T) {
 	}
 	wantCounter(t, reg, metrics.StagePulls, 1)
 	wantCounter(t, reg, metrics.StageResumes, 1)
+	wantQuiet(t, dst)
 }
 
 // TestPullAllSizeMismatchNamed: a ref whose size is not the serving
@@ -492,6 +504,7 @@ func TestPullAllSizeMismatchNamed(t *testing.T) {
 	if dst.Has(refs[0].Hash) {
 		t.Fatal("wrong-size blob entered the store")
 	}
+	wantQuiet(t, dst)
 }
 
 // TestPullAllMissingBlobFailsAlone: a blob the serving store lacks fails

@@ -23,6 +23,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"gridproxy/internal/metrics"
@@ -117,6 +118,10 @@ func Hash(data []byte) string {
 
 // Store is a content-addressed, size-capped blob cache. All methods are
 // safe for concurrent use.
+//
+// Blob bytes live in the store's arena, reference counted: one reference
+// while the blob is linked, one per View or ChunkLoan. Eviction unlinks a
+// blob at once; the last release frees its buffer.
 type Store struct {
 	mu    sync.Mutex
 	dir   string
@@ -126,12 +131,15 @@ type Store struct {
 	blobs map[string]*blob
 	lru   *list.List // front = most recently used; values are *blob
 	reg   *metrics.Registry
+	arena *arena
+	pins  atomic.Int64 // Views and ChunkLoans not yet released
 }
 
 type blob struct {
 	hash string
 	data []byte
 	elem *list.Element
+	refs atomic.Int32
 }
 
 // NewStore builds a store from cfg. With Dir set, blobs already on disk
@@ -146,6 +154,7 @@ func NewStore(cfg Config, reg *metrics.Registry) (*Store, error) {
 		blobs: make(map[string]*blob),
 		lru:   list.New(),
 		reg:   reg,
+		arena: newArena(reg),
 	}
 	if s.dir != "" {
 		if err := os.MkdirAll(s.dir, 0o755); err != nil {
@@ -181,35 +190,36 @@ func (s *Store) load() error {
 			os.Remove(path)
 			continue
 		}
-		b := &blob{hash: e.Name(), data: data}
+		b := &blob{hash: e.Name(), data: s.copyIn(data)}
+		b.refs.Store(1)
 		b.elem = s.lru.PushBack(b)
 		s.blobs[b.hash] = b
 		s.cur += int64(len(data))
 	}
 	// load runs before the store is shared, so no lock is held and the
 	// victims' files can be removed inline.
-	s.removeFiles(s.evictLocked(nil))
+	s.drop(s.evictLocked(nil))
 	s.gaugeLocked()
 	return nil
 }
 
-// Put stores data under its content hash and returns the ref (with an
-// empty Name). Storing the same content twice is a no-op beyond an LRU
-// touch.
+// Put stores a copy of data under its content hash and returns the ref
+// (with an empty Name). Storing the same content twice is a no-op beyond
+// an LRU touch.
 func (s *Store) Put(data []byte) FileRef {
 	h := s.hash(data)
-	s.put(h, data)
+	s.put(h, s.copyIn(data))
 	return FileRef{Hash: h, Size: int64(len(data))}
 }
 
-// PutHashed stores data that is claimed to hash to hash, verifying the
-// claim first. Transfer receive paths use it so a corrupted blob can
-// never enter the store under a clean name.
+// PutHashed stores a copy of data that is claimed to hash to hash,
+// verifying the claim first, so a corrupted blob can never enter the store
+// under a clean name.
 func (s *Store) PutHashed(hash string, data []byte) error {
 	if got := s.hash(data); got != hash {
 		return fmt.Errorf("stage: content hashes to %s, not %s", got, hash)
 	}
-	s.put(hash, data)
+	s.put(hash, s.copyIn(data))
 	return nil
 }
 
@@ -220,14 +230,32 @@ func (s *Store) hash(data []byte) string {
 	return Hash(data)
 }
 
+// copyIn copies data into the arena, or onto the heap when the system
+// cannot map that much: the store never links bytes it does not own.
+func (s *Store) copyIn(data []byte) []byte {
+	buf, err := s.arena.alloc(len(data))
+	if err != nil {
+		return append([]byte(nil), data...)
+	}
+	copy(buf, data)
+	return buf
+}
+
+// put links data, which the store owns from here on, under hash. If the
+// blob is already held data goes back to the arena.
 func (s *Store) put(hash string, data []byte) {
 	s.mu.Lock()
 	if b, ok := s.blobs[hash]; ok {
 		s.lru.MoveToFront(b.elem)
 		s.mu.Unlock()
+		s.arena.free(data)
 		return
 	}
 	b := &blob{hash: hash, data: data}
+	b.refs.Store(1)
+	if s.dir != "" {
+		b.refs.Add(1) // the disk write's pin
+	}
 	b.elem = s.lru.PushFront(b)
 	s.blobs[hash] = b
 	s.cur += int64(len(data))
@@ -237,7 +265,7 @@ func (s *Store) put(hash string, data []byte) {
 	s.mu.Unlock()
 
 	// Disk persistence runs outside the lock: a multi-megabyte blob on a
-	// slow disk must not stall every concurrent Get and Put (lockhold).
+	// slow disk must not stall every concurrent Open and Put (lockhold).
 	// The on-disk layer is a best-effort cache reconciled by load(), so
 	// a racing put/evict of the same hash at worst loses a cache file,
 	// never serves wrong content: the name-is-hash contract is verified
@@ -249,21 +277,21 @@ func (s *Store) put(hash string, data []byte) {
 		if err := os.WriteFile(tmp, data, 0o644); err == nil {
 			os.Rename(tmp, filepath.Join(s.dir, hash))
 		}
-		s.removeFiles(victims)
+		s.release(b)
 	}
+	s.drop(victims)
 }
 
-// evictLocked drops least-recently-used blobs until the store fits its
-// cap, returning the evicted hashes so the caller can delete their disk
-// files after releasing the lock. keep, if non-nil, is never evicted
-// (the blob just added: a blob larger than the whole cap is stored alone
-// rather than rejected, so an oversized job input still works at the
-// cost of cache capacity).
-func (s *Store) evictLocked(keep *blob) []string {
+// evictLocked unlinks least-recently-used blobs until the store fits its
+// cap and returns them, for the caller to drop after releasing the lock.
+// keep, if non-nil, is never evicted (the blob just added: a blob larger
+// than the whole cap is stored alone rather than rejected, so an oversized
+// job input still works at the cost of cache capacity).
+func (s *Store) evictLocked(keep *blob) []*blob {
 	if s.max < 0 {
 		return nil
 	}
-	var victims []string
+	var victims []*blob
 	for s.cur > s.max && s.lru.Len() > 0 {
 		elem := s.lru.Back()
 		victim := elem.Value.(*blob)
@@ -273,21 +301,28 @@ func (s *Store) evictLocked(keep *blob) []string {
 		s.lru.Remove(elem)
 		delete(s.blobs, victim.hash)
 		s.cur -= int64(len(victim.data))
-		victims = append(victims, victim.hash)
+		victims = append(victims, victim)
 		s.reg.Counter(metrics.StageEvictions).Inc()
 	}
 	return victims
 }
 
-// removeFiles deletes the disk files of evicted blobs. Callers must not
-// hold s.mu. With DiskSpill the files are the spill tier, so eviction
-// keeps them.
-func (s *Store) removeFiles(hashes []string) {
-	if s.spill {
-		return
+// drop gives up the store's reference to evicted blobs and deletes their
+// disk files. Callers must not hold s.mu. With DiskSpill the files are the
+// spill tier, so eviction keeps them.
+func (s *Store) drop(victims []*blob) {
+	for _, b := range victims {
+		if s.dir != "" && !s.spill {
+			os.Remove(filepath.Join(s.dir, b.hash))
+		}
+		s.release(b)
 	}
-	for _, hash := range hashes {
-		os.Remove(filepath.Join(s.dir, hash))
+}
+
+// release drops one reference to b; the last frees its buffer.
+func (s *Store) release(b *blob) {
+	if b.refs.Add(-1) == 0 {
+		s.arena.free(b.data)
 	}
 }
 
@@ -296,17 +331,44 @@ func (s *Store) gaugeLocked() {
 	s.reg.Gauge(metrics.StageBlobs).Set(int64(s.lru.Len()))
 }
 
-// Get returns the blob stored under hash. The returned slice is shared
-// and must be treated as read-only.
-func (s *Store) Get(hash string) ([]byte, bool) {
+// View is a pinned, read-only view of one stored blob: its bytes stay
+// valid, even across an eviction, until its one Close.
+type View struct {
+	s *Store
+	b *blob
+}
+
+// Open pins the memory-resident blob stored under hash.
+func (s *Store) Open(hash string) (View, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	b, ok := s.blobs[hash]
 	if !ok {
-		return nil, false
+		return View{}, false
 	}
 	s.lru.MoveToFront(b.elem)
-	return b.data, true
+	b.refs.Add(1)
+	s.pins.Add(1)
+	return View{s, b}, true
+}
+
+// Bytes returns the blob. The slice is shared and read-only.
+func (v View) Bytes() []byte { return v.b.data }
+
+// Close releases the pin.
+func (v View) Close() {
+	v.s.pins.Add(-1)
+	v.s.release(v.b)
+}
+
+// Get returns a copy of the memory-resident blob stored under hash.
+func (s *Store) Get(hash string) ([]byte, bool) {
+	v, ok := s.Open(hash)
+	if !ok {
+		return nil, false
+	}
+	defer v.Close()
+	return append([]byte(nil), v.Bytes()...), true
 }
 
 // Stat reports whether hash is stored and its size, without touching
@@ -348,45 +410,59 @@ func (s *Store) Blobs() int {
 	return s.lru.Len()
 }
 
+// Outstanding reports the arena bytes beyond the blobs the store keeps
+// (buffers being filled, evicted blobs still pinned) and the unreleased
+// Views and ChunkLoans: (0, 0) when nothing is in flight.
+func (s *Store) Outstanding() (int64, int64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.arena.mu.Lock()
+	defer s.arena.mu.Unlock()
+	n := s.arena.liveBytes
+	for _, b := range s.blobs {
+		if cap(b.data) >= arenaMin { // 0 below for a blob copyIn put on the heap
+			n -= int64(len(s.arena.live[&b.data[:1][0]]))
+		}
+	}
+	return n, s.pins.Load()
+}
+
 // ChunkLoan is a leased read-only view of one chunk of a stored blob.
-// For a memory-resident blob Data aliases the blob itself — no copy
-// anywhere between the store and the wire; for a spilled blob it is a
-// pooled buffer filled from disk. Either way the caller must Release
-// exactly once, after the bytes have been written out.
+// For a memory-resident blob Data aliases the blob itself, which the loan
+// pins — no copy anywhere between the store and the wire; for a spilled
+// blob it is a pooled buffer filled from disk. Either way the caller must
+// Release exactly once, after the bytes have been written out.
 type ChunkLoan struct {
 	Data   []byte
+	view   View
 	pooled bool
 }
 
-// Release returns a pooled loan's buffer; for memory-backed loans it is
-// a no-op. Callers release unconditionally.
+// Release ends the loan. Callers release unconditionally.
 func (l ChunkLoan) Release() {
 	if l.pooled {
 		wire.PutPayload(l.Data)
+	} else if l.view.b != nil {
+		l.view.Close()
 	}
 }
 
-// LoanChunk leases bytes [off, off+n) of the blob stored under hash.
-// The memory path is zero-copy: the loan aliases the blob's backing
-// array, which stays valid even across a concurrent eviction (the loan
-// keeps it reachable). The spill path opens the blob's file per chunk —
-// one open per 256 KiB is noise next to the disk read itself — and
-// fills a pooled buffer the loan's Release returns.
+// LoanChunk leases bytes [off, off+n) of the blob stored under hash. The
+// memory path is zero-copy: the loan aliases the blob's buffer and pins
+// it. The spill path opens the blob's file per chunk — one open per
+// 256 KiB is noise next to the disk read itself — and fills a pooled
+// buffer the loan's Release returns.
 func (s *Store) LoanChunk(hash string, off, n int64) (ChunkLoan, bool) {
 	if off < 0 || n < 0 {
 		return ChunkLoan{}, false
 	}
-	s.mu.Lock()
-	if b, ok := s.blobs[hash]; ok {
-		s.lru.MoveToFront(b.elem)
-		data := b.data
-		s.mu.Unlock()
-		if off+n > int64(len(data)) {
+	if v, ok := s.Open(hash); ok {
+		if off+n > int64(len(v.b.data)) {
+			v.Close()
 			return ChunkLoan{}, false
 		}
-		return ChunkLoan{Data: data[off : off+n]}, true
+		return ChunkLoan{Data: v.b.data[off : off+n], view: v}, true
 	}
-	s.mu.Unlock()
 	if !s.spill || len(hash) != sha256.Size*2 {
 		return ChunkLoan{}, false
 	}

@@ -129,7 +129,7 @@ func TestStorePersistence(t *testing.T) {
 // TestWriterHashesAsItGoes: a blob written chunk by chunk lands under the
 // same name as the blob put whole, whatever size was announced for it,
 // each byte is hashed once, and its buffer is its length; a Writer that is
-// dropped leaves the store as it was.
+// aborted leaves the store as it was, its buffer included.
 func TestWriterHashesAsItGoes(t *testing.T) {
 	data := seededBlob(5, 300<<10)
 	for _, announced := range []int64{int64(len(data)), -1, 10, 1 << 30} {
@@ -137,6 +137,7 @@ func TestWriterHashesAsItGoes(t *testing.T) {
 		s, _ := NewStore(Config{}, reg)
 		dropped := s.NewWriter(announced)
 		dropped.Append(data[:1000])
+		dropped.Abort()
 
 		w := s.NewWriter(announced)
 		for off := 0; off < len(data); off += 64 << 10 {
@@ -149,13 +150,15 @@ func TestWriterHashesAsItGoes(t *testing.T) {
 		if ref.Hash != Hash(data) || ref.Size != int64(len(data)) {
 			t.Fatalf("announced %d: ref = %+v, want %s", announced, ref, Hash(data))
 		}
-		got, ok := s.Get(ref.Hash)
-		if !ok || !bytes.Equal(got, data) || s.Blobs() != 1 {
-			t.Fatalf("announced %d: stored %d blobs, exact %v", announced, s.Blobs(), bytes.Equal(got, data))
+		view, ok := s.Open(ref.Hash)
+		if !ok || !bytes.Equal(view.Bytes(), data) || s.Blobs() != 1 {
+			t.Fatalf("announced %d: stored %d blobs, exact %v", announced, s.Blobs(), ok && bytes.Equal(view.Bytes(), data))
 		}
-		if cap(got) > len(got)+len(got)/8 {
+		if got := view.Bytes(); cap(got) > len(got)+len(got)/8 {
 			t.Errorf("announced %d: the store holds %d bytes of capacity for %d of blob", announced, cap(got), len(got))
 		}
+		view.Close()
+		wantQuiet(t, s)
 		if hashed := reg.Counter(metrics.StageHashedBytes).Value(); hashed != int64(len(data))+1000 {
 			t.Errorf("announced %d: stage.hashed_bytes = %d, want %d", announced, hashed, len(data)+1000)
 		}

@@ -31,7 +31,7 @@ import (
 // checksum is CRC-32C: it is there to find which chunk a faulty link or
 // buffer damaged, so that only that span moves again, and the hardware
 // computes it at memory speed. What a blob is trusted on is the SHA-256 of
-// the whole of it, checked once when it enters the store (PutHashed).
+// the whole of it, checked once before it enters the store (finish).
 const (
 	opGet = 1
 
@@ -267,10 +267,16 @@ func (b *pullBlob) failure() error {
 	return b.err
 }
 
-func (b *pullBlob) setSize(size int64) {
-	b.size = size
-	b.buf = make([]byte, size)
+// setSize sizes the blob and its buffer. The size comes from a peer: one
+// the system cannot map fails the blob, not the process.
+func (b *pullBlob) setSize(size int64, dst *Store) error {
+	buf, err := dst.arena.alloc(int(size))
+	if err != nil {
+		return err
+	}
+	b.size, b.buf = size, buf
 	b.left.Store(size)
+	return nil
 }
 
 // pullPlan is the state one PullAll shares between its streams.
@@ -339,23 +345,25 @@ func PullAll(ctx context.Context, dial Dialer, refs []FileRef, dst *Store, cfg C
 			continue
 		}
 		b := &pullBlob{hash: ref.Hash, refs: []int{i}, size: -1}
-		lead := int64(cfg.ChunkSize)
-		if ref.Size > 0 {
-			b.setSize(ref.Size)
-			lead = ref.Size
-		}
 		if byHash == nil {
 			byHash = make(map[string]*pullBlob)
 		}
 		byHash[ref.Hash] = b
 		blobs = append(blobs, b)
+		lead := int64(cfg.ChunkSize)
+		if ref.Size > 0 {
+			if err := b.setSize(ref.Size, dst); err != nil {
+				b.fail(err)
+				continue
+			}
+			lead = ref.Size
+		}
 		wave = append(wave, span{b, 0, lead})
 	}
 
-	if len(wave) == 0 {
+	if len(blobs) == 0 {
 		return errs
 	}
-
 	pl := &pullPlan{dial: dial, dst: dst, cfg: cfg, reg: reg}
 	// Streams stay open between waves: the one that learned a size also
 	// carries its share of the remainder.
@@ -379,6 +387,7 @@ func PullAll(ctx context.Context, dial Dialer, refs []FileRef, dst *Store, cfg C
 		}
 	}
 	for _, b := range blobs {
+		dst.arena.free(b.buf) // nil once the store has it
 		if err := b.failure(); err != nil {
 			for _, i := range b.refs {
 				errs[i] = fmt.Errorf("stage: pull %s: %w", short(b.hash), err)
@@ -566,7 +575,10 @@ func (pl *pullPlan) readResponse(conn net.Conn, sp span) (missing []span, got in
 	case b.size < 0:
 		// The leading span of a blob of unknown size: its header is
 		// where the size comes from.
-		b.setSize(size)
+		if err := b.setSize(size, pl.dst); err != nil {
+			b.fail(err) // and the chunks that follow have nowhere to go
+			return nil, 0, err
+		}
 		if size == 0 {
 			pl.finish(b)
 		}
@@ -611,13 +623,16 @@ func (pl *pullPlan) readResponse(conn net.Conn, sp span) (missing []span, got in
 	return missing, got, nil
 }
 
-// finish moves a fully received blob into the store, on the stream that
-// read its last byte, so one blob's hashing overlaps the others' bytes.
+// finish hands a fully received blob's buffer to the store if its hash is
+// its name, on the stream that read its last byte, so one blob's hashing
+// overlaps the others' bytes.
 func (pl *pullPlan) finish(b *pullBlob) {
-	if err := pl.dst.PutHashed(b.hash, b.buf); err != nil {
-		b.fail(err)
+	if got := pl.dst.hash(b.buf); got != b.hash {
+		b.fail(fmt.Errorf("stage: content hashes to %s, not %s", got, b.hash))
 		return
 	}
+	pl.dst.put(b.hash, b.buf)
+	b.buf = nil
 	pl.reg.Counter(metrics.StagePulls).Inc()
 }
 

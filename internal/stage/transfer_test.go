@@ -110,6 +110,7 @@ func TestPullRetriesCorruptChunk(t *testing.T) {
 	if n := reg.Counter(metrics.StageChunkRetries).Value(); n < 1 {
 		t.Fatalf("chunk retries = %d, want >= 1", n)
 	}
+	wantQuiet(t, dst)
 }
 
 // cutConn severs the connection after a write budget is spent,

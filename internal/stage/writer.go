@@ -16,8 +16,8 @@ const maxPrealloc = 64 << 20
 // Writer assembles one blob for a store from chunks that arrive in order,
 // hashing them as they arrive: when the last chunk is in, the blob's name
 // is already known and Commit stores it without another pass. A Writer
-// that is dropped before Commit leaves nothing behind. It is not safe for
-// concurrent use.
+// ends in Commit or Abort, and either gives up its buffer. It is not safe
+// for concurrent use.
 type Writer struct {
 	store *Store
 	sum   hash.Hash
@@ -27,19 +27,28 @@ type Writer struct {
 // NewWriter starts a blob of the announced size; size < 0 means unknown.
 // The size only sizes the buffer: a blob may turn out shorter or longer.
 func (s *Store) NewWriter(size int64) *Writer {
-	return &Writer{store: s, sum: sha256.New(), buf: make([]byte, 0, max(0, min(size, maxPrealloc)))}
+	buf, _ := s.arena.alloc(int(max(0, min(size, maxPrealloc)))) // else Append grows one
+	return &Writer{store: s, sum: sha256.New(), buf: buf[:0]}
 }
 
-// Append adds p to the end of the blob.
-func (w *Writer) Append(p []byte) {
+// Append adds p to the end of the blob, or fails, leaving the blob as it
+// was, when its buffer cannot grow to hold p.
+func (w *Writer) Append(p []byte) error {
 	if need := len(w.buf) + len(p); need > cap(w.buf) {
 		// Doubling keeps the copies of a blob of unknown size under its
 		// length in total; append's 1.25x would recopy it per chunk.
-		w.buf = append(make([]byte, 0, max(need, 2*cap(w.buf))), w.buf...)
+		grown, err := w.store.arena.alloc(max(need, 2*cap(w.buf)))
+		if err != nil {
+			return err
+		}
+		grown = grown[:copy(grown, w.buf)]
+		w.store.arena.free(w.buf)
+		w.buf = grown
 	}
 	w.buf = append(w.buf, p...)
 	w.sum.Write(p)
 	w.store.reg.Counter(metrics.StageHashedBytes).Add(int64(len(p)))
+	return nil
 }
 
 // Len returns the bytes written so far.
@@ -51,9 +60,20 @@ func (w *Writer) Commit() FileRef {
 	if cap(w.buf)-len(w.buf) > len(w.buf)/8 {
 		// The buffer was grown on a wrong or missing size; the store holds
 		// blobs for a long time and accounts them by length.
-		w.buf = append(make([]byte, 0, len(w.buf)), w.buf...)
+		if exact, err := w.store.arena.alloc(len(w.buf)); err == nil {
+			copy(exact, w.buf)
+			w.store.arena.free(w.buf)
+			w.buf = exact
+		}
 	}
-	h := hex.EncodeToString(w.sum.Sum(nil))
-	w.store.put(h, w.buf)
-	return FileRef{Hash: h, Size: int64(len(w.buf))}
+	ref := FileRef{Hash: hex.EncodeToString(w.sum.Sum(nil)), Size: int64(len(w.buf))}
+	w.store.put(ref.Hash, w.buf)
+	return ref
+}
+
+// Abort drops the blob (nil-safe). The Writer must not be used afterwards.
+func (w *Writer) Abort() {
+	if w != nil {
+		w.store.arena.free(w.buf)
+	}
 }

@@ -44,7 +44,9 @@ func TestServeGetWarmChunksZeroCopy(t *testing.T) {
 	src, _ := NewStore(Config{}, nil)
 	data := randBlob(t, 256<<10)
 	ref := src.Put(data)
-	blob, _ := src.Get(ref.Hash)
+	view, _ := src.Open(ref.Hash)
+	defer view.Close()
+	blob := view.Bytes()
 
 	gc := &gatherConn{}
 	// Negative IdleTimeout disables deadline arming: the fake conn has

@@ -14,9 +14,16 @@ func TestPayloadPoolSizes(t *testing.T) {
 		}
 		PutPayload(p)
 	}
-	big := GetPayload(pooledPayloadCap + 1)
-	if len(big) != pooledPayloadCap+1 {
-		t.Fatalf("oversize lease: len %d", len(big))
+	for _, n := range []int{pooledPayloadCap + 1, 1 << 20, largePayloadCap} {
+		p := GetPayload(n)
+		if len(p) != n || cap(p) != largePayloadCap {
+			t.Fatalf("GetPayload(%d): len %d cap %d", n, len(p), cap(p))
+		}
+		PutPayload(p)
+	}
+	big := GetPayload(largePayloadCap + 1)
+	if len(big) != largePayloadCap+1 || cap(big) == largePayloadCap {
+		t.Fatalf("oversize lease: len %d cap %d", len(big), cap(big))
 	}
 	// Oversize fallbacks and foreign slices are dropped, not pooled.
 	PutPayload(big)

@@ -76,7 +76,7 @@ func (r *Reader) Raw() io.Reader { return r.br }
 // ReadFrame reads the next frame. The returned payload is freshly
 // allocated and owned by the caller.
 func (r *Reader) ReadFrame() (Frame, error) {
-	return r.readFrame(false)
+	return r.readFrame(math.MaxInt)
 }
 
 // ReadFramePooled reads the next frame into a payload buffer leased from
@@ -86,10 +86,17 @@ func (r *Reader) ReadFrame() (Frame, error) {
 // including on decode-and-drop paths. After PutPayload the slice contents
 // may be overwritten by an unrelated frame at any time.
 func (r *Reader) ReadFramePooled() (Frame, error) {
-	return r.readFrame(true)
+	return r.readFrame(0)
 }
 
-func (r *Reader) readFrame(pooled bool) (Frame, error) {
+// ReadFramePooledFrom reads the next frame as ReadFramePooled does when
+// its payload is at least min bytes long, and as ReadFrame does otherwise.
+// PutPayload accepts either.
+func (r *Reader) ReadFramePooledFrom(min int) (Frame, error) {
+	return r.readFrame(min)
+}
+
+func (r *Reader) readFrame(poolFrom int) (Frame, error) {
 	if _, err := io.ReadFull(r.br, r.hdr[:]); err != nil {
 		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
 			return Frame{}, io.EOF
@@ -103,6 +110,7 @@ func (r *Reader) readFrame(pooled bool) (Frame, error) {
 	if length > MaxPayload {
 		return Frame{}, ErrFrameTooLarge
 	}
+	pooled := int(length) >= poolFrom
 	var payload []byte
 	if pooled {
 		payload = GetPayload(int(length))
