@@ -9,7 +9,8 @@
 //	gridctl ... wait -job <id>
 //	gridctl ... cancel <id>
 //	gridctl ... jobs
-//	gridctl ... resources -kind node
+//	gridctl ... resources -kind node           # this site's nodes, as it reports them
+//	gridctl ... resources -site siteb          # another site's, answered by that site
 //	gridctl ... ping
 //	gridctl ... tunnel -app tun1 -site siteb -target legacy-echo:7000 -listen 127.0.0.1:9000
 //
@@ -348,23 +349,20 @@ func run() error {
 	case "resources":
 		fs := flag.NewFlagSet("resources", flag.ContinueOnError)
 		kind := fs.String("kind", "node", "resource kind")
+		site := fs.String("site", "", "site to ask (default: the proxy's own)")
 		if err := fs.Parse(args[1:]); err != nil {
 			return err
 		}
 		if err := login(); err != nil {
 			return err
 		}
-		resources, err := client.Resources(ctx, *kind, nil)
+		resources, err := client.Resources(ctx, *site, *kind)
 		if err != nil {
 			return err
 		}
 		fmt.Printf("%-10s %-12s %-10s %s\n", "SITE", "NAME", "KIND", "ATTRS")
 		for _, r := range resources {
-			var attrs []string
-			for k, v := range r.Attrs {
-				attrs = append(attrs, k+"="+v)
-			}
-			fmt.Printf("%-10s %-12s %-10s %s\n", r.Site, r.Name, r.Kind, strings.Join(attrs, " "))
+			fmt.Printf("%-10s %-12s %-10s %s\n", r.Site, r.Name, r.Kind, strings.Join(r.Attrs, " "))
 		}
 		return nil
 

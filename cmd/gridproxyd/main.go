@@ -29,7 +29,6 @@
 //	                                 # host (match its ticket_skew)
 //	nodes       = 4                 # hosted node agents on this proxy host
 //	node_speed  = 1.0
-//	announce    = 30s               # inventory re-announce interval
 //
 // Control-plane timing knobs (all optional; see internal/peerlink defaults):
 //
@@ -280,24 +279,6 @@ func run() error {
 			}
 		}
 	}
-
-	// Periodic inventory re-announce.
-	announceEvery, err := cfg.Duration("announce", 30*time.Second)
-	if err != nil {
-		return err
-	}
-	go func() {
-		ticker := time.NewTicker(announceEvery)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-ticker.C:
-				proxy.AnnounceAll(ctx)
-			case <-ctx.Done():
-				return
-			}
-		}
-	}()
 
 	// Web interface. The handler itself is unauthenticated, so it either
 	// stays loopback-only behind a gridgate (which serves it under /ui/

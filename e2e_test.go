@@ -99,7 +99,7 @@ nodes = 2
 	startDaemon("siteb.conf")
 	waitPort(t, localB)
 
-	// Give the peering + inventory exchange a moment.
+	// Give the peering and status exchange a moment.
 	deadline := time.Now().Add(15 * time.Second)
 	var statusOut string
 	for time.Now().Before(deadline) {
@@ -132,13 +132,21 @@ nodes = 2
 		t.Fatalf("submit output:\n%s", submitOut)
 	}
 
-	// Resource listing sees both sites' nodes.
+	// Resource listing: the proxy's own nodes, and another site's,
+	// answered by that site.
 	resOut := run("gridctl",
 		"-proxy", fmt.Sprintf("127.0.0.1:%d", localB),
 		"-user", "alice", "-password", "secret",
 		"resources")
-	if !strings.Contains(resOut, "sitea") || !strings.Contains(resOut, "siteb-n0") {
+	if !strings.Contains(resOut, "siteb-n0") || strings.Contains(resOut, "sitea") {
 		t.Errorf("resources output:\n%s", resOut)
+	}
+	resOut = run("gridctl",
+		"-proxy", fmt.Sprintf("127.0.0.1:%d", localB),
+		"-user", "alice", "-password", "secret",
+		"resources", "-site", "sitea")
+	if !strings.Contains(resOut, "sitea-n0") {
+		t.Errorf("resources -site sitea output:\n%s", resOut)
 	}
 }
 

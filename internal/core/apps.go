@@ -135,10 +135,10 @@ func (p *Proxy) addressSpace(appID string) (*addressSpace, error) {
 
 // appRegistrationWindow bounds how long an inbound stream waits for its
 // application's address space. Application launch is not synchronized
-// across sites: the origin's local ranks start (and may send cross-site)
-// while the SpawnRequest that registers the app at this site is still in
-// flight, so a short wait closes the race. Streams for genuinely unknown
-// apps are dropped when the window expires.
+// across sites: a rank elsewhere may start, and dial across sites, before
+// this site's prepare has recorded the application, so a short wait closes
+// the race. Streams for genuinely unknown apps are dropped when the window
+// expires.
 const appRegistrationWindow = 15 * time.Second
 
 // waitAddressSpace is addressSpace with a registration grace period.
@@ -218,9 +218,10 @@ func (as *addressSpace) serveVirtualSlave(ln net.Listener, rank int) {
 }
 
 // forwardToSite opens a tunnel stream to the target site's proxy and
-// splices conn onto it. A rank rescheduled onto this very site is dialed
-// directly: processes keep using the virtual-slave address from their
-// original rank table, and the proxy shortcuts the tunnel.
+// splices conn onto it. The stream names the rank; the node it runs on is
+// the target site's business. A rank rescheduled onto this very site is
+// dialed directly: processes keep using the virtual-slave address from
+// their original rank table, and the proxy shortcuts the tunnel.
 func (p *Proxy) forwardToSite(conn net.Conn, appID string, loc rankLoc, rank int) error {
 	if loc.site == p.site {
 		local, err := p.dialLocal(node.EndpointAddr(loc.node, appID, rank))
@@ -237,12 +238,7 @@ func (p *Proxy) forwardToSite(conn net.Conn, appID string, loc rankLoc, rank int
 	// The checkout covers the stream-open window only; once the stream
 	// exists its lifetime is the splice's problem, not the cache's.
 	defer p.releasePeer(pr)
-	open := &proto.StreamOpen{
-		AppID:      appID,
-		TargetNode: loc.node,
-		TargetAddr: node.EndpointAddr(loc.node, appID, rank),
-		Kind:       proto.StreamMPI,
-	}
+	open := &proto.StreamOpen{AppID: appID, Rank: uint32(rank), Kind: proto.StreamMPI}
 	stream, err := pr.session.Open(p.ctx, open.Encode(nil))
 	if err != nil {
 		return fmt.Errorf("core: open tunnel stream to %s: %w", loc.site, err)
@@ -252,9 +248,10 @@ func (p *Proxy) forwardToSite(conn net.Conn, appID string, loc rankLoc, rank int
 }
 
 // handleInboundStream serves a spliced stream arriving from a peer proxy:
-// it decodes the StreamOpen metadata, validates it, dials the local target
-// and splices. Validation at the destination proxy is the paper's
-// "[permissions] validated at the originating and destination proxies".
+// it decodes the StreamOpen metadata, resolves it to a target inside this
+// site, dials the target and splices. Resolution at the destination proxy
+// is the paper's "[permissions] validated at the originating and
+// destination proxies".
 func (p *Proxy) handleInboundStream(pr *peer, stream *tunnel.Stream) {
 	var open proto.StreamOpen
 	if err := open.Decode(wire.NewBuffer(stream.Meta())); err != nil {
@@ -272,46 +269,42 @@ func (p *Proxy) handleInboundStream(pr *peer, stream *tunnel.Stream) {
 		}
 		return
 	}
-	if err := p.validateInboundStream(&open); err != nil {
+	target, err := p.inboundTarget(&open)
+	if err != nil {
 		p.log.Warn("inbound stream rejected", "peer", pr.site, "app", open.AppID, "err", err)
 		_ = stream.Close()
 		return
 	}
-	local, err := p.dialLocal(open.TargetAddr)
+	local, err := p.dialLocal(target)
 	if err != nil {
-		p.log.Warn("inbound stream: local dial failed",
-			"target", open.TargetAddr, "err", err)
+		p.log.Warn("inbound stream: local dial failed", "target", target, "err", err)
 		_ = stream.Close()
 		return
 	}
 	p.splice(stream, local)
 }
 
-// validateInboundStream enforces that MPI streams reference a registered
-// application address space and a node of this site; generic data streams
-// require the owner to hold the "tunnel" permission (checked when the app
-// was registered by RegisterTunnelApp).
-func (p *Proxy) validateInboundStream(open *proto.StreamOpen) error {
+// inboundTarget resolves where an inbound stream goes inside this site.
+// An MPI stream names a rank this site hosts; its address comes from the
+// application's address space here, never from the peer. A data stream
+// names its address, which registered tunnel apps may reach (their
+// registration checked the owner's "tunnel" permission).
+func (p *Proxy) inboundTarget(open *proto.StreamOpen) (string, error) {
 	as, err := p.waitAddressSpace(open.AppID)
 	if err != nil {
-		return err
+		return "", err
 	}
 	switch open.Kind {
 	case proto.StreamMPI:
-		// The target must be a rank this site hosts.
-		for rank, loc := range as.locationsSnapshot() {
-			if loc.site == p.site && loc.node == open.TargetNode &&
-				node.EndpointAddr(loc.node, open.AppID, rank) == open.TargetAddr {
-				return nil
-			}
+		rank := int(open.Rank)
+		if loc, ok := as.lookup(rank); ok && loc.site == p.site && loc.node != "" {
+			return node.EndpointAddr(loc.node, open.AppID, rank), nil
 		}
-		return fmt.Errorf("core: app %q has no local rank at %s", open.AppID, open.TargetAddr)
+		return "", fmt.Errorf("core: app %q has no rank %d at site %s", open.AppID, rank, p.site)
 	case proto.StreamData:
-		// Target freedom inside the site is granted to registered
-		// tunnel apps; the grant recorded the owner's permission.
-		return nil
+		return open.TargetAddr, nil
 	default:
-		return fmt.Errorf("core: unknown stream kind %d", open.Kind)
+		return "", fmt.Errorf("core: unknown stream kind %d", open.Kind)
 	}
 }
 

@@ -2,7 +2,10 @@ package core_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"net"
+	"slices"
 	"testing"
 	"time"
 
@@ -16,8 +19,11 @@ import (
 	"gridproxy/internal/mpirun"
 	"gridproxy/internal/node"
 	"gridproxy/internal/peerlink"
+	"gridproxy/internal/proto"
 	"gridproxy/internal/site"
 	"gridproxy/internal/transport"
+	"gridproxy/internal/tunnel"
+	"gridproxy/internal/wire"
 )
 
 // handGrid assembles proxies one at a time over a shared in-memory WAN,
@@ -56,6 +62,13 @@ func newHandGrid(t *testing.T, name string) *handGrid {
 // cfg supplies the knobs; identity, networks and users are filled in.
 func (g *handGrid) start(name string, wanNet transport.Network, nodes int, programs map[string]node.ProgramFunc, cfg core.Config) *core.Proxy {
 	g.t.Helper()
+	proxy, _ := g.startAgents(name, wanNet, nodes, programs, cfg)
+	return proxy
+}
+
+// startAgents is start, also returning the site's node agents.
+func (g *handGrid) startAgents(name string, wanNet transport.Network, nodes int, programs map[string]node.ProgramFunc, cfg core.Config) (*core.Proxy, []*node.Agent) {
+	g.t.Helper()
 	cred, err := g.authority.IssueHost("proxy." + name)
 	if err != nil {
 		g.t.Fatal(err)
@@ -88,7 +101,7 @@ func (g *handGrid) start(name string, wanNet transport.Network, nodes int, progr
 			agent.Stop()
 		}
 	})
-	return proxy
+	return proxy, agents
 }
 
 // memberOf returns site's row in p's directory.
@@ -308,10 +321,9 @@ func TestHungHostingSiteIsRescheduled(t *testing.T) {
 }
 
 // TestPlacementSkipsDeadSiteWithoutTunnel: the directory convicts siteb
-// while sitea holds no tunnel to it. Only watchPeer purges an announced
-// inventory, and sitea's tunnel to siteb ended as an idle close, so
-// siteb's nodes are still in sitea's registry; the directory's verdict
-// alone must keep them out of placement. Picking them would refuse the
+// while sitea holds no tunnel to it (the last one ended as an idle close,
+// so no tunnel death ever told sitea anything). The directory's verdict
+// alone must keep siteb out of placement: picking it would refuse the
 // whole launch with ErrUnknownPeer instead of running it on the live
 // sites.
 func TestPlacementSkipsDeadSiteWithoutTunnel(t *testing.T) {
@@ -421,5 +433,190 @@ func TestBusyTunnelOutlivesIdleClose(t *testing.T) {
 	}
 	if err := launch.Wait(ctx); err != nil {
 		t.Fatalf("job whose ranks talk across sites for %v failed with idle_close=%v: %v", 100*2*idleClose, idleClose, err)
+	}
+}
+
+// TestConnectIsHelloPlusStatus: the dialer's side of a connect is two
+// control calls, Hello and a status query; what sites exist and how loaded
+// they are travels in summaries, so nothing else needs exchanging before
+// the tunnel is usable. A fake acceptor records every request the
+// dialer's Connect sends it.
+func TestConnectIsHelloPlusStatus(t *testing.T) {
+	g := newHandGrid(t, "connectcalls")
+	a := g.start("sitea", g.wan, 1, nil, core.Config{Gossip: core.GossipConfig{Interval: -1}})
+	cred, err := g.authority.IssueHost("proxy.siteb")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := transport.NewTLS(g.wan, cred, g.authority.CertPool(), nil).Listen("wan.siteb")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = ln.Close() })
+	codes := make(chan proto.Code, 16)
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		session := tunnel.Server(conn, tunnel.Config{})
+		defer session.Close()
+		ctrl, err := session.Accept(context.Background())
+		if err != nil {
+			return
+		}
+		r, w := wire.NewReader(ctrl), wire.NewWriter(ctrl)
+		for {
+			msg, err := proto.ReadMessage(r)
+			if err != nil {
+				return
+			}
+			codes <- msg.Code
+			var reply proto.Body = &proto.ErrorBody{Status: proto.StatusBadRequest, Text: "unexpected"}
+			switch msg.Code {
+			case proto.CodeHello:
+				reply = &proto.HelloAck{Site: "siteb", Version: proto.Version, BondConns: 1}
+			case proto.CodeStatusQuery:
+				reply = &proto.StatusReport{Sites: []proto.SiteStatus{{Site: "siteb", Nodes: 1, NodesUp: 1, Speed: 1}}}
+			}
+			if err := proto.WriteMessage(w, proto.Marshal(msg.Corr, reply)); err != nil {
+				return
+			}
+		}
+	}()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := a.Connect(ctx, "siteb", "wan.siteb"); err != nil {
+		t.Fatal(err)
+	}
+	var got []proto.Code
+	for len(codes) > 0 {
+		got = append(got, <-codes)
+	}
+	if want := []proto.Code{proto.CodeHello, proto.CodeStatusQuery}; !slices.Equal(got, want) {
+		t.Fatalf("Connect sent %v, want %v (Hello, StatusQuery)", got, want)
+	}
+	if n := candidatesAt(a, "siteb"); n != 1 {
+		t.Fatalf("siteb offers %d candidates after its status reply, want 1", n)
+	}
+}
+
+// refuseDialsTo is a WAN that cannot dial one address: a site behind it
+// never opens a tunnel to the site listening there.
+type refuseDialsTo struct {
+	transport.Network
+	addr string
+}
+
+func (r refuseDialsTo) Dial(ctx context.Context, addr string) (net.Conn, error) {
+	if addr == r.addr {
+		return nil, errors.New("no route")
+	}
+	return r.Network.Dial(ctx, addr)
+}
+
+// TestPlacementSeesLoadWithoutTunnel: placement reads the directory, so the
+// origin sees a remote site's load change one summary later although it
+// never holds a tunnel to that site. sitea does not gossip and siteb cannot
+// dial it; sitec relays siteb's summaries. Bound stated here: siteb's next
+// publication (SummaryEvery) plus a few 10 ms gossip rounds.
+func TestPlacementSeesLoadWithoutTunnel(t *testing.T) {
+	const summaryEvery = 500 * time.Millisecond
+	g := newHandGrid(t, "loadnotunnel")
+	gossip := core.GossipConfig{Interval: 10 * time.Millisecond, SummaryEvery: summaryEvery}
+	a := g.start("sitea", g.wan, 1, nil, core.Config{Gossip: core.GossipConfig{Interval: -1}})
+	b, agents := g.startAgents("siteb", refuseDialsTo{g.wan, "wan.sitea"}, 1, map[string]node.ProgramFunc{"block": blockProgram()}, core.Config{Gossip: gossip})
+	c := g.start("sitec", g.wan, 1, nil, core.Config{Gossip: gossip})
+
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := a.Connect(ctx, "sitec", "wan.sitec"); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Connect(ctx, "siteb", "wan.siteb"); err != nil {
+		t.Fatal(err)
+	}
+	noTunnel := func() {
+		t.Helper()
+		if slices.Contains(a.Peers(), "siteb") || slices.Contains(b.Peers(), "sitea") {
+			t.Fatalf("a tunnel between sitea and siteb: %v, %v", a.Peers(), b.Peers())
+		}
+	}
+	runningAtB := func() int {
+		for _, cand := range a.Candidates() {
+			if cand.Site == "siteb" {
+				return cand.Running
+			}
+		}
+		return -1
+	}
+	waitFor(t, 10*time.Second, func() bool { noTunnel(); return runningAtB() == 0 })
+
+	for rank := 0; rank < 2; rank++ {
+		if _, err := agents[0].Spawn(ctx, node.SpawnSpec{AppID: "load", Program: "block", Rank: rank, WorldSize: 2}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	start := time.Now()
+	waitFor(t, 10*time.Second, func() bool { noTunnel(); return runningAtB() == 2 })
+	if elapsed, bound := time.Since(start), summaryEvery+250*time.Millisecond; elapsed > bound {
+		t.Fatalf("siteb's load reached sitea's placement after %v, want within %v", elapsed, bound)
+	}
+	noTunnel()
+}
+
+// TestGossipRoundIsNotHeldByAHungTarget: a round contacts its sampled
+// targets concurrently, so with one of three hung (connected, silent) the
+// two healthy exchanges are merged at once, not after the hung one's
+// RPCTimeout. Each round gossips at all three (Fanout 3).
+func TestGossipRoundIsNotHeldByAHungTarget(t *testing.T) {
+	const rpcTimeout = time.Second
+	g := newHandGrid(t, "gossipfan")
+	cfg := core.Config{
+		Lifecycle: peerlink.Config{RPCTimeout: rpcTimeout},
+		// No loop: the test runs the rounds.
+		Gossip: core.GossipConfig{Interval: -1, Fanout: 3, ProbeFanout: -1},
+	}
+	a := g.start("sitea", g.wan, 1, nil, cfg)
+	healthy := []*core.Proxy{g.start("siteb", g.wan, 1, nil, cfg), g.start("sitec", g.wan, 1, nil, cfg)}
+	flakyD := failure.New(g.wan)
+	g.start("sited", flakyD, 1, nil, cfg)
+	t.Cleanup(flakyD.Heal) // runs first, so sited can close
+
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	for _, site := range []string{"siteb", "sitec", "sited"} {
+		if err := a.Connect(ctx, site, "wan."+site); err != nil {
+			t.Fatal(err)
+		}
+	}
+	flakyD.Hang()
+
+	for round := 0; round < 2; round++ {
+		want := map[string]uint64{}
+		for _, p := range healthy {
+			p.PublishSummary()
+			self, _ := memberOf(p, p.Site())
+			want[p.Site()] = self.Version
+		}
+		done := make(chan struct{})
+		start := time.Now()
+		go func() {
+			defer close(done)
+			a.GossipRound()
+		}()
+		waitFor(t, 10*time.Second, func() bool {
+			for site, version := range want {
+				if m, _ := memberOf(a, site); m.Version < version {
+					return false
+				}
+			}
+			return true
+		})
+		if elapsed := time.Since(start); elapsed > rpcTimeout/4 {
+			t.Fatalf("round %d: healthy exchanges merged after %v, behind a hung target's %v timeout", round, elapsed, rpcTimeout)
+		}
+		<-done
 	}
 }

@@ -96,6 +96,48 @@ func TestCandidatesSeeAllSites(t *testing.T) {
 	}
 }
 
+// TestCandidatesLeaveOutOwnRanks: a remote site's summary counts every
+// process it runs, but the origin's candidates for that site count only
+// what others put there. The origin's own ranks at siteb (reported by
+// siteb under Hosted) are left out; a process siteb runs for itself is in.
+func TestCandidatesLeaveOutOwnRanks(t *testing.T) {
+	tb := newGrid(t, nil, 1, 1)
+	tb.RegisterProgram("block", blockProgram())
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	a := tb.Sites[0].Proxy
+	launch, err := a.LaunchMPI(ctx, core.LaunchSpec{Owner: "admin", Program: "block", Procs: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = a.Cancel(ctx, launch.AppID) }()
+	if launch.Locations[0].Site == launch.Locations[1].Site {
+		t.Fatalf("both ranks at one site: %+v", launch.Locations)
+	}
+	runningAtB := func() (summary, candidate int) {
+		// A direct query puts siteb's current summary in the directory.
+		sums, err := a.FreshStatus(ctx, []string{"siteb"})
+		if err != nil || len(sums) != 1 {
+			t.Fatalf("siteb's summary: %+v, %v", sums, err)
+		}
+		for _, c := range a.Candidates() {
+			if c.Site == "siteb" {
+				candidate = c.Running
+			}
+		}
+		return sums[0].RunningProcs, candidate
+	}
+	if summary, candidate := runningAtB(); summary != 1 || candidate != 0 {
+		t.Fatalf("siteb runs %d (the origin's rank); its candidate counts %d, want 1 and 0", summary, candidate)
+	}
+	if _, err := tb.Sites[1].Nodes[0].Spawn(ctx, node.SpawnSpec{AppID: "local", Program: "block"}); err != nil {
+		t.Fatal(err)
+	}
+	if summary, candidate := runningAtB(); summary != 2 || candidate != 1 {
+		t.Fatalf("siteb runs %d; its candidate counts %d, want 2 and 1 (its own process)", summary, candidate)
+	}
+}
+
 // sumRanksProgram allreduces each rank's rank id and checks the total.
 func sumRanksProgram(result chan<- float64) node.ProgramFunc {
 	return mpirun.Program(func(ctx context.Context, w *mpi.World, env node.Env) error {
@@ -271,20 +313,47 @@ func TestUnknownProgramFailsLaunch(t *testing.T) {
 	}
 }
 
+// TestPlacementSpreadsLoad: under least-loaded, 8 ranks on 2 sites of 2
+// idle nodes split 4/4 between the sites at the origin, and each site
+// spreads its share 2/2 over its own nodes — at siteb that is siteb's own
+// placement, recorded in its hosted application.
 func TestPlacementSpreadsLoad(t *testing.T) {
 	tb := newGrid(t, nil, 2, 2)
-	locations, err := tb.Sites[0].Proxy.Placement(8)
+	tb.RegisterProgram("block", blockProgram())
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	origin := tb.Sites[0].Proxy
+	launch, err := origin.LaunchMPI(ctx, core.LaunchSpec{Owner: "admin", Program: "block", Procs: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	counts := map[string]int{}
-	for _, loc := range locations {
-		_ = loc
+	defer func() { _ = origin.Cancel(ctx, launch.AppID) }()
+
+	perSite := map[string]int{}
+	originNodes := map[int]string{}
+	for rank, loc := range launch.Locations {
+		perSite[loc.Site]++
+		if loc.Site == "sitea" {
+			originNodes[rank] = loc.Node
+		}
 	}
-	if len(locations) != 8 {
-		t.Fatalf("placement size = %d", len(locations))
+	if perSite["sitea"] != 4 || perSite["siteb"] != 4 {
+		t.Fatalf("ranks per site = %v, want 4 each", perSite)
 	}
-	_ = counts
+	for _, nodes := range []map[int]string{originNodes, tb.Sites[1].Proxy.HostedNodes(launch.AppID)} {
+		perNode := map[string]int{}
+		for _, n := range nodes {
+			perNode[n]++
+		}
+		if len(perNode) != 2 {
+			t.Errorf("ranks per node = %v, want 2 on each of 2 nodes", perNode)
+		}
+		for n, c := range perNode {
+			if c != 2 {
+				t.Errorf("node %q runs %d ranks, want 2 (all: %v)", n, c, perNode)
+			}
+		}
+	}
 }
 
 func TestPeerFailureContainment(t *testing.T) {

@@ -15,3 +15,27 @@ func (p *Proxy) HeldCommits() int {
 	}
 	return n
 }
+
+// GossipRound runs one gossip round now, as the gossip loop does every
+// Interval.
+func (p *Proxy) GossipRound() { p.gossipRound(p.ctx) }
+
+// PublishSummary republishes this site's summary into its directory, as
+// the gossip loop does every SummaryEvery.
+func (p *Proxy) PublishSummary() { p.members.SetLocalSummary(p.LocalSummary().ToStatus()) }
+
+// HostedNodes reports the node this site placed each of its ranks of a
+// hosted application on; nil when it hosts no such application.
+func (p *Proxy) HostedNodes(appID string) map[int]string {
+	ha, ok := p.lookupHosted(appID)
+	if !ok {
+		return nil
+	}
+	out := make(map[int]string)
+	for rank, loc := range ha.as.locationsSnapshot() {
+		if loc.site == p.site {
+			out[rank] = loc.node
+		}
+	}
+	return out
+}

@@ -22,7 +22,8 @@ import (
 )
 
 // fenceNode is a NodeHandle fake: Spawn records the rank, Wait blocks
-// until Kill (or ctx), Kill closes the rank's done channel and counts.
+// until Kill (or ctx), Kill closes the done channel of the rank's latest
+// copy and counts.
 type fenceNode struct {
 	name string
 
@@ -51,10 +52,10 @@ func (f *fenceNode) Spawn(_ context.Context, spec node.SpawnSpec) (string, error
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.spawns++
+	// Each copy of a rank is its own process: a copy spawned after an
+	// earlier one was killed is alive, not born dead.
 	key := rankKey(spec.AppID, spec.Rank)
-	if _, ok := f.done[key]; !ok {
-		f.done[key] = make(chan struct{})
-	}
+	f.done[key] = make(chan struct{})
 	return key, nil
 }
 
@@ -131,8 +132,8 @@ func newFenceProxy(t *testing.T) (*Proxy, *fenceNode, *metrics.Registry) {
 	return p, fake, reg
 }
 
-// prepare sends a PrepareSpawn for the given ranks (all placed on the
-// fake node) at the given epoch and returns the reply.
+// prepare sends a PrepareSpawn for the given ranks at the given epoch and
+// returns the reply; the proxy places them on its one (fake) node.
 func prepare(t *testing.T, p *Proxy, appID string, epoch uint64, ranks ...int) *proto.PrepareSpawnReply {
 	t.Helper()
 	req := &proto.PrepareSpawn{
@@ -144,8 +145,8 @@ func prepare(t *testing.T, p *Proxy, appID string, epoch uint64, ranks ...int) *
 		Epoch:     epoch,
 	}
 	for _, r := range ranks {
-		req.Ranks = append(req.Ranks, proto.RankAssignment{Rank: uint32(r), Node: "n0"})
-		req.Locations = append(req.Locations, proto.RankLocation{Rank: uint32(r), Site: "dst", Node: "n0"})
+		req.Ranks = append(req.Ranks, uint32(r))
+		req.Locations = append(req.Locations, proto.RankLocation{Rank: uint32(r), Site: "dst"})
 	}
 	body, err := p.handlePrepareSpawn(context.Background(), req)
 	if err != nil {
@@ -275,6 +276,37 @@ func TestFenceNoticeKillsStaleRanks(t *testing.T) {
 	same := p.handleFenceNotice(&proto.FenceNotice{AppID: "app1", Epoch: 1, Ranks: []uint32{1}})
 	if same.Killed != 0 {
 		t.Fatalf("same-epoch fence killed %d ranks, want 0", same.Killed)
+	}
+}
+
+// TestStreamOpenNamesAHostedRank: an MPI stream names a rank, and the
+// destination resolves it through the application's address space here —
+// to the node its own prepare placed the rank on. A rank this site does
+// not host is refused, whatever address the peer puts beside it.
+func TestStreamOpenNamesAHostedRank(t *testing.T) {
+	p, _, _ := newFenceProxy(t)
+	req := &proto.PrepareSpawn{
+		AppID: "app1", Origin: "org", Owner: "alice", Program: "noop", WorldSize: 2, Epoch: 1,
+		Ranks:     []uint32{1},
+		Locations: []proto.RankLocation{{Rank: 0, Site: "org"}, {Rank: 1, Site: "dst"}},
+	}
+	body, err := p.handlePrepareSpawn(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := body.(*proto.PrepareSpawnReply); !r.OK {
+		t.Fatalf("prepare refused: %s", r.Reason)
+	}
+	hosted := node.EndpointAddr("n0", "app1", 1)
+	target, err := p.inboundTarget(&proto.StreamOpen{AppID: "app1", Rank: 1, Kind: proto.StreamMPI})
+	if err != nil || target != hosted {
+		t.Fatalf("stream to hosted rank 1 resolves to %q (%v), want %q", target, err, hosted)
+	}
+	for _, rank := range []uint32{0, 7} {
+		open := &proto.StreamOpen{AppID: "app1", Rank: rank, Kind: proto.StreamMPI, TargetAddr: hosted}
+		if target, err := p.inboundTarget(open); err == nil {
+			t.Errorf("stream to rank %d, which dst does not host, resolves to %q", rank, target)
+		}
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 
 	"gridproxy/internal/membership"
 	"gridproxy/internal/metrics"
+	"gridproxy/internal/peerlink"
 	"gridproxy/internal/proto"
 )
 
@@ -168,7 +169,9 @@ func (p *Proxy) gossipLoop() {
 // Fanout random targets, push hot rumors at each (attaching a full
 // digest when membership.ShouldDigest says so — the bootstrap pull on
 // early first contacts, the AntiEntropyFactor/N lottery after), and
-// merge whatever comes back.
+// merge whatever comes back. The targets are contacted concurrently and
+// each delta is merged as it arrives, so a hung target costs the round
+// its own RPCTimeout and delays no other exchange.
 func (p *Proxy) gossipRound(ctx context.Context) {
 	p.reg.Counter(metrics.GossipRounds).Inc()
 	p.members.Sweep()
@@ -183,15 +186,24 @@ func (p *Proxy) gossipRound(ctx context.Context) {
 	dead := p.members.DeadProbeTargets(1)
 	if len(targets)+len(dead) > 0 {
 		push := p.members.HotPush()
-		for _, target := range targets {
+		bySite := make(map[string]membership.Entry, len(targets))
+		sites := make([]string, len(targets))
+		for i, target := range targets {
+			bySite[target.Site] = target
+			sites[i] = target.Site
+		}
+		// No deadline of the fan-out's own: the dial and the exchange are
+		// each bounded by RPCTimeout already.
+		peerlink.FanOut(ctx, sites, 0, func(ctx context.Context, site string) (struct{}, error) {
 			sync := &proto.GossipSync{From: p.site, Addr: p.wanAddr, Entries: push}
-			if p.members.ShouldDigest(target.Site) {
+			if p.members.ShouldDigest(site) {
 				sync.HasDigest = true
 				sync.Digest = p.members.Digest()
 				p.reg.Counter(metrics.GossipAntiEntropy).Inc()
 			}
-			p.gossipTo(ctx, target, sync)
-		}
+			p.gossipTo(ctx, bySite[site], sync)
+			return struct{}{}, nil
+		})
 		for _, target := range dead {
 			p.deadProbe(ctx, target, push)
 		}

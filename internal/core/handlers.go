@@ -7,7 +7,6 @@ import (
 
 	"gridproxy/internal/membership"
 	"gridproxy/internal/proto"
-	"gridproxy/internal/registry"
 )
 
 // handleSessionControl wraps handleControl with the identity of the
@@ -51,24 +50,14 @@ func (p *Proxy) handleControl(ctx context.Context, msg proto.Message) (proto.Bod
 		return p.handleStatusQuery(req), nil
 	case *proto.GossipSync:
 		return p.handleGossipSync(req), nil
-	case *proto.RegistryAnnounce:
-		if err := p.handleRegistryAnnounce(req); err != nil {
-			return nil, err
-		}
-		// Reply with our own inventory: announcements are exchanges,
-		// so one round trip leaves both proxies with each other's
-		// node lists (deterministic scheduling state after Connect).
-		return p.inventoryAnnouncement(), nil
 	case *proto.RegistryQuery:
-		return p.handleRegistryQuery(req)
+		return &proto.RegistryReply{Resources: p.localResources(req.Kind, req.Attrs)}, nil
 	case *proto.PrepareSpawn:
 		return p.handlePrepareSpawn(ctx, req)
 	case *proto.CommitSpawn:
 		return p.handleCommitSpawn(ctx, req)
 	case *proto.AbortSpawn:
 		return p.handleAbortSpawn(req), nil
-	case *proto.SpawnRequest:
-		return nil, badRequest("single-phase spawn superseded by prepare/commit")
 	case *proto.JobUpdate:
 		p.handleJobUpdate(ctx, req)
 		return nil, nil
@@ -113,70 +102,6 @@ func (p *Proxy) handleStatusQuery(req *proto.StatusQuery) *proto.StatusReport {
 		report.Sites = append(report.Sites, p.LocalSummary().ToStatus())
 	}
 	return report
-}
-
-// inventoryAnnouncement renders this site's inventory as an announcement
-// body.
-func (p *Proxy) inventoryAnnouncement() *proto.RegistryAnnounce {
-	inventory := p.localInventory()
-	out := &proto.RegistryAnnounce{Site: p.site}
-	for _, r := range inventory {
-		out.Resources = append(out.Resources, r.ToProto())
-	}
-	return out
-}
-
-func (p *Proxy) handleRegistryAnnounce(req *proto.RegistryAnnounce) error {
-	if req.Site == p.site {
-		return badRequest("peer announced resources for our own site")
-	}
-	resources := make([]registry.Resource, 0, len(req.Resources))
-	for _, r := range req.Resources {
-		res := registry.FromProto(r)
-		if res.Site != req.Site {
-			return badRequest("resource %q claims site %q in announcement from %q", res.Name, res.Site, req.Site)
-		}
-		resources = append(resources, res)
-	}
-	if err := p.resources.Announce(req.Site, resources); err != nil {
-		return badRequest("%v", err)
-	}
-	return nil
-}
-
-func (p *Proxy) handleRegistryQuery(req *proto.RegistryQuery) (proto.Body, error) {
-	attrs, err := registry.ParseConstraints(req.Attrs)
-	if err != nil {
-		return nil, badRequest("%v", err)
-	}
-	// Answer with local resources only — the live inventory, since
-	// p.resources holds only what peers announced; grid-wide lookup is
-	// the requester compiling per-site answers, mirroring status queries.
-	q := registry.Query{Kind: req.Kind, Attrs: attrs}
-	reply := &proto.RegistryReply{}
-	for _, r := range p.localInventory() {
-		if q.Matches(r) {
-			reply.Resources = append(reply.Resources, r.ToProto())
-		}
-	}
-	return reply, nil
-}
-
-// clientRegistryQuery answers a local client with the proxy's whole
-// resource view (own inventory plus peer announcements).
-func (p *Proxy) clientRegistryQuery(req *proto.RegistryQuery) (proto.Body, error) {
-	attrs, err := registry.ParseConstraints(req.Attrs)
-	if err != nil {
-		return nil, badRequest("%v", err)
-	}
-	q := registry.Query{Kind: req.Kind, Attrs: attrs}
-	reply := &proto.RegistryReply{}
-	for _, r := range p.AllResources(req.Kind) {
-		if q.Matches(r) {
-			reply.Resources = append(reply.Resources, r.ToProto())
-		}
-	}
-	return reply, nil
 }
 
 // handleJobUpdate records a remote site's completion report for an app we

@@ -246,8 +246,10 @@ func (p *Proxy) dropHosted(appID string) {
 // handlePrepareSpawn serves launch phase one at a destination: validate
 // the owner (the paper validates permissions at originating AND
 // destination proxies), record the application with its address space,
-// stage the job's input blobs into the site store, and record the rank
-// assignments — without starting anything. Staging inside prepare means
+// stage the job's input blobs into the site store, and place this site's
+// ranks on its own nodes — without starting anything. The origin chose
+// only the site; which node runs a rank is decided here, with this site's
+// policy and its nodes' stats as of now. Staging inside prepare means
 // the data plane runs strictly between PrepareSpawn and CommitSpawn: the
 // origin only fans out commits once every site holds every input, and a
 // site that already holds the blobs (warm cache) transfers nothing. The
@@ -272,6 +274,14 @@ func (p *Proxy) prepareSpawn(ctx context.Context, req *proto.PrepareSpawn) *prot
 		return refuse(fmt.Sprintf("owner %q not permitted at site %s", req.Owner, p.site))
 	}
 	locations := locationsFromWire(req.Locations)
+	ranks := make([]int, 0, len(req.Ranks))
+	for _, r := range req.Ranks {
+		if locations[int(r)].site != p.site {
+			return refuse(fmt.Sprintf("rank %d is not placed at site %s", r, p.site))
+		}
+		ranks = append(ranks, int(r))
+	}
+	sort.Ints(ranks)
 	ha, created, err := p.hostedFor(req, locations)
 	if err != nil {
 		return refuse(err.Error())
@@ -282,11 +292,13 @@ func (p *Proxy) prepareSpawn(ctx context.Context, req *proto.PrepareSpawn) *prot
 		}
 		return refuse(err.Error())
 	}
-	ranks := make([]int, 0, len(req.Ranks))
-	for _, ra := range req.Ranks {
-		ranks = append(ranks, int(ra.Rank))
+	placed, err := p.assign(p.localCandidates(), len(ranks))
+	if err != nil {
+		if created {
+			p.reapHosted(ha, "placement failed")
+		}
+		return refuse(err.Error())
 	}
-	sort.Ints(ranks)
 
 	epoch := req.Epoch
 	ha.mu.Lock()
@@ -313,6 +325,21 @@ func (p *Proxy) prepareSpawn(ctx context.Context, req *proto.PrepareSpawn) *prot
 	ha.worldSize = int(req.WorldSize)
 	ha.program, ha.args = req.Program, req.Args
 	ha.stageIn, ha.stageOut = req.StageIn, req.StageOut
+	// The origin's sites, with a node for each rank here (placed now or by
+	// an earlier prepare), change with the pending ranks: a commit never
+	// spawns a rank whose node is not set yet.
+	here := ha.as.locationsSnapshot()
+	merged := make(map[int]rankLoc, len(locations))
+	for rank, loc := range locations {
+		if prev := here[rank]; loc.site == p.site && prev.site == p.site {
+			loc = prev
+		}
+		merged[rank] = loc
+	}
+	for i, rank := range ranks {
+		merged[rank] = placed[i]
+	}
+	ha.as.setLocations(merged)
 	ha.mu.Unlock()
 	if newEpoch {
 		// A newer epoch assigning ranks this site still runs from an
@@ -321,13 +348,23 @@ func (p *Proxy) prepareSpawn(ctx context.Context, req *proto.PrepareSpawn) *prot
 		// and die now, before the new ones are committed.
 		p.fenceStaleRanks(ha, epoch, ranks)
 	}
-	ha.as.setLocations(locations)
 	p.reg.Counter(metrics.JobPrepares).Inc()
 	return &proto.PrepareSpawnReply{AppID: req.AppID, OK: true}
 }
 
 func staleEpoch(epoch, current uint64) string {
 	return fmt.Sprintf("stale launch epoch %d (current %d)", epoch, current)
+}
+
+// hostedApps snapshots the applications this site hosts.
+func (p *Proxy) hostedApps() []*hostedApp {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	out := make([]*hostedApp, 0, len(p.hosted))
+	for _, ha := range p.hosted {
+		out = append(out, ha)
+	}
+	return out
 }
 
 // hostedFor returns the record of the application a prepare names,
@@ -825,12 +862,7 @@ func (p *Proxy) orphanReaper() {
 		case <-ticker.C:
 		}
 		now := p.clock()
-		p.mu.Lock()
-		hosted := make([]*hostedApp, 0, len(p.hosted))
-		for _, ha := range p.hosted {
-			hosted = append(hosted, ha)
-		}
-		p.mu.Unlock()
+		hosted := p.hostedApps()
 		var reap []*hostedApp
 		// Origin liveness comes from the membership directory, not from
 		// "do I hold a tunnel": with on-demand dialing, an idle-closed

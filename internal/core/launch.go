@@ -44,7 +44,8 @@ type LaunchSpec struct {
 	StageOut []string
 }
 
-// RankPlacement is the public view of where one rank runs.
+// RankPlacement is the public view of where one rank runs. Only the site
+// running a rank knows its Node: it placed the rank itself.
 type RankPlacement struct {
 	Site string
 	Node string
@@ -139,15 +140,22 @@ func (p *Proxy) placement(procs int) (map[int]rankLoc, error) {
 	return locations, nil
 }
 
-// pickNodes chooses a node for each of n processes among the current
-// candidates outside site exclude ("" excludes none), with the proxy's
-// placement policy. Initial placement and rank rescheduling both place
-// through it.
+// pickNodes places each of n processes among the current candidates
+// outside site exclude ("" excludes none), with the proxy's placement
+// policy. Initial placement and rank rescheduling both place through it.
+// A rank placed at another site carries only the site: that site picks
+// the node when it prepares (prepareSpawn).
 func (p *Proxy) pickNodes(n int, exclude string) ([]rankLoc, error) {
 	candidates := slices.DeleteFunc(p.Candidates(), func(c balance.NodeInfo) bool { return c.Site == exclude })
 	if len(candidates) == 0 {
 		return nil, errors.New("core: no candidate nodes in the grid")
 	}
+	return p.assign(candidates, n)
+}
+
+// assign distributes n processes over candidates with the placement
+// policy.
+func (p *Proxy) assign(candidates []balance.NodeInfo, n int) ([]rankLoc, error) {
 	idxs, err := balance.Assign(p.policy, candidates, n)
 	if err != nil {
 		return nil, fmt.Errorf("core: placement: %w", err)
@@ -333,16 +341,6 @@ func (p *Proxy) launchAt(ctx context.Context, spec LaunchSpec, locations map[int
 	return launch, nil
 }
 
-// rankAssignments renders one site's rank->node share.
-func rankAssignments(ranks []int, locations map[int]rankLoc) []proto.RankAssignment {
-	out := make([]proto.RankAssignment, 0, len(ranks))
-	for _, rank := range ranks {
-		out = append(out, proto.RankAssignment{Rank: uint32(rank), Node: locations[rank].node})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Rank < out[j].Rank })
-	return out
-}
-
 // spawnLocalRanks starts this site's share of an application on its nodes.
 // On failure the ranks already started are killed, so a half-spawned group
 // never outlives its launch. stageIn and record wire the processes to the
@@ -440,10 +438,12 @@ func (p *Proxy) waitLocalRanks(appID string, locations map[int]rankLoc, ranks []
 	return firstErr
 }
 
+// locationsToWire renders the site of every rank; nodes stay with the
+// sites that chose them.
 func locationsToWire(locations map[int]rankLoc) []proto.RankLocation {
 	out := make([]proto.RankLocation, 0, len(locations))
 	for rank, loc := range locations {
-		out = append(out, proto.RankLocation{Rank: uint32(rank), Site: loc.site, Node: loc.node})
+		out = append(out, proto.RankLocation{Rank: uint32(rank), Site: loc.site})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Rank < out[j].Rank })
 	return out
@@ -452,7 +452,7 @@ func locationsToWire(locations map[int]rankLoc) []proto.RankLocation {
 func locationsFromWire(locs []proto.RankLocation) map[int]rankLoc {
 	out := make(map[int]rankLoc, len(locs))
 	for _, l := range locs {
-		out[int(l.Rank)] = rankLoc{site: l.Site, node: l.Node}
+		out[int(l.Rank)] = rankLoc{site: l.Site}
 	}
 	return out
 }
@@ -568,6 +568,11 @@ func (l *Launch) Wait(ctx context.Context) error {
 // prepareFor renders the PrepareSpawn that lands ranks of the launch at
 // one site, under the placement and launch epoch given.
 func (l *Launch) prepareFor(ranks []int, locations map[int]rankLoc, epoch uint64) *proto.PrepareSpawn {
+	share := make([]uint32, len(ranks))
+	for i, rank := range ranks {
+		share[i] = uint32(rank)
+	}
+	slices.Sort(share)
 	return &proto.PrepareSpawn{
 		AppID:     l.AppID,
 		Origin:    l.proxy.site,
@@ -575,7 +580,7 @@ func (l *Launch) prepareFor(ranks []int, locations map[int]rankLoc, epoch uint64
 		Program:   l.spec.Program,
 		Args:      l.spec.Args,
 		WorldSize: uint32(len(locations)),
-		Ranks:     rankAssignments(ranks, locations),
+		Ranks:     share,
 		Locations: locationsToWire(locations),
 		StageIn:   l.spec.StageIn,
 		StageOut:  l.spec.StageOut,

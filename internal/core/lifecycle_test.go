@@ -73,7 +73,7 @@ func TestProxyRestartRecovers(t *testing.T) {
 		t.Fatalf("peered again with no new dial (peer.dials_on_demand %d -> %d)", dialsBefore, got)
 	}
 
-	// Inventory: the fresh site's nodes come back into the registry.
+	// Placement: the fresh site's summary offers its nodes again.
 	waitFor(t, 15*time.Second, func() bool { return len(a.Candidates()) == 4 })
 
 	// Scheduling: a job spanning both sites runs end to end.

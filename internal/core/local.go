@@ -195,10 +195,11 @@ func (cs *clientSession) handle(ctx context.Context, msg proto.Message) (proto.B
 		if err := cs.requirePermission("status", "grid"); err != nil {
 			return nil, err
 		}
-		// Unlike the proxy-to-proxy query (which answers locally so
-		// the requester compiles the grid view), a client asks its
-		// own proxy for the full picture.
-		return p.clientRegistryQuery(req)
+		resources, err := p.Resources(ctx, req.Site, req.Kind, req.Attrs)
+		if err != nil {
+			return nil, err
+		}
+		return &proto.RegistryReply{Resources: resources}, nil
 	default:
 		return nil, badRequest("unsupported client message %T", body)
 	}

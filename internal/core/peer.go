@@ -83,8 +83,8 @@ func (p *Proxy) Connect(ctx context.Context, site, wanAddr string) error {
 	return nil
 }
 
-// connectOnce performs one dial + Hello exchange + inventory and status
-// exchange and returns the new peer, unregistered: the connection cache
+// connectOnce performs one dial, a Hello exchange and a status query, and
+// returns the new peer, unregistered: the connection cache
 // inserts it together with the caller's checkout, so it is never cached at
 // zero references where LRU pressure from a concurrent fan-out could
 // close it mid-handshake. The whole connect is one control round trip as
@@ -180,11 +180,8 @@ func (p *Proxy) connectOnce(ctx context.Context, site, wanAddr string) (*peer, e
 	p.wg.Add(1)
 	go p.watchPeer(pr)
 
-	// Announce our inventory so the remote scheduler can place work
-	// here, and pull theirs.
-	if err := p.announceTo(ctx, pr); err != nil {
-		p.log.Warn("inventory announce failed", "peer", pr.site, "err", err)
-	}
+	// Pull the remote's summary into the directory, where placement reads
+	// it; the remote has pulled ours by the time it answers.
 	if _, err := p.queryPeerStatus(ctx, pr); err != nil {
 		p.log.Warn("initial status query failed", "peer", pr.site, "err", err)
 	}
@@ -274,7 +271,7 @@ func (p *Proxy) admitSession(conn net.Conn, session *tunnel.Session) {
 	}
 	// The Hello arrives as the first request on the control channel;
 	// the pending peer's handler registers the peer on receipt.
-	pending := &pendingPeer{proxy: p, conn: conn, session: session}
+	pending := &pendingPeer{proxy: p, conn: conn, session: session, pulled: make(chan struct{})}
 	ctrl := newRPC(p.ctx, ctrlStream, roleAcceptor, pending.handle, p.log.Named("ctrl.inbound"), p.reg)
 	pending.ctrl = ctrl
 	ctrl.arrival = func(msg proto.Message) servedBy {
@@ -316,6 +313,9 @@ type pendingPeer struct {
 	// once: when the dialer's connect exchange is over, or when
 	// admitSession stops waiting for that.
 	released sync.Once
+	// pulled is closed once this side's query for the dialer's summary
+	// has ended, however it ended.
+	pulled chan struct{}
 }
 
 func (pp *pendingPeer) release() {
@@ -332,12 +332,19 @@ func (pp *pendingPeer) established() *peer {
 
 func (pp *pendingPeer) handle(ctx context.Context, msg proto.Message) (proto.Body, error) {
 	if established := pp.established(); established != nil {
-		reply, err := pp.proxy.handleSessionControl(ctx, established, msg)
-		if msg.Code == proto.CodeStatusQuery {
-			// connectOnce ends with a status query: the dialer's
-			// connect exchange is over.
-			pp.release()
+		if msg.Code != proto.CodeStatusQuery {
+			return pp.proxy.handleSessionControl(ctx, established, msg)
 		}
+		// connectOnce ends with a status query, which is answered once
+		// this side holds the dialer's summary too: when the dialer's
+		// Connect returns, each side can place ranks on the other. Then
+		// the dialer's connect exchange is over.
+		select {
+		case <-pp.pulled:
+		case <-ctx.Done():
+		}
+		reply, err := pp.proxy.handleSessionControl(ctx, established, msg)
+		pp.release()
 		return reply, err
 	}
 	body, err := proto.Unmarshal(msg)
@@ -398,6 +405,7 @@ func (pp *pendingPeer) handle(ctx context.Context, msg proto.Message) (proto.Bod
 	pp.proxy.wg.Add(1)
 	go func() {
 		defer pp.proxy.wg.Done()
+		defer close(pp.pulled)
 		if _, err := pp.proxy.queryPeerStatus(pp.proxy.ctx, pr); err != nil {
 			pp.proxy.log.Debug("accept-side status query failed", "peer", pr.site, "err", err)
 		}
@@ -408,8 +416,6 @@ func (pp *pendingPeer) handle(ctx context.Context, msg proto.Message) (proto.Bod
 	// no registry entry would be refused.
 	granted := min(int(hello.BondConns), max(pp.proxy.tunnelcfg.BondConns, 1))
 	pp.proxy.bondReg.Expect(tunnel.BondID(hello.BondID), pp.session, granted-1)
-	// The dialer follows its Hello with an inventory exchange, which
-	// gives both sides each other's node lists; nothing more to do here.
 	return &proto.HelloAck{Site: pp.proxy.site, Version: proto.Version, BondConns: uint8(granted)}, nil
 }
 
@@ -437,12 +443,13 @@ func (p *Proxy) evictPeer(site string, pr *peer) {
 // expected: the site remains a live directory member and only the tunnel
 // goes away. Anything else is evidence of site failure: the directory
 // marks it dead (the rumor gossips out), which takes its summary out of
-// Status and its nodes out of Candidates; its announced resources are
-// dropped and affected launches are rescheduled — the failure-containment
-// behaviour of E7: losing one proxy costs the grid only that site. A
-// tunnel this proxy killed because the directory had already given the
-// site up (closeDeadTunnels) ends here too, as the unannounced close it
-// is.
+// Status and its nodes out of Candidates, and affected launches are
+// rescheduled — the failure-containment behaviour of E7: losing one
+// proxy costs the grid only that site. The verdict is recorded before
+// the tunnel leaves the cache, so nobody sees the tunnel gone and the
+// site's nodes still offered. A tunnel this proxy killed because the
+// directory had already given the site up (closeDeadTunnels) ends here
+// too, as the unannounced close it is.
 func (p *Proxy) watchPeer(pr *peer) {
 	defer p.wg.Done()
 	select {
@@ -450,12 +457,15 @@ func (p *Proxy) watchPeer(pr *peer) {
 	case <-p.ctx.Done():
 		return
 	}
+	evicted := pr.evicted.Load()
+	if !evicted {
+		p.members.ObserveDead(pr.site)
+	}
 	p.cache.DropIf(pr.site, pr)
-	if pr.evicted.Load() {
+	if evicted {
 		p.log.Debug("peer tunnel released", "site", pr.site)
 		return
 	}
-	p.members.ObserveDead(pr.site)
 	// Jobs still waiting on that site will never get its completion
 	// report. Hand each affected launch to the rescheduler: within the
 	// configured budget the lost ranks are respawned on survivors;
@@ -469,7 +479,6 @@ func (p *Proxy) watchPeer(pr *peer) {
 		}
 	}
 	p.mu.Unlock()
-	p.resources.RemoveSite(pr.site)
 	for _, launch := range affected {
 		launch := launch
 		p.wg.Add(1)
@@ -561,49 +570,6 @@ func (c *peerCall) reply(ctx context.Context) (proto.Body, error) {
 		c.reg.Counter(metrics.ControlRPCTimeouts).Inc()
 	}
 	return reply, err
-}
-
-// announceTo exchanges inventories with one peer: it announces this
-// site's nodes and merges the peer's reply, so both schedulers see each
-// other's resources after a single round trip.
-func (p *Proxy) announceTo(ctx context.Context, pr *peer) error {
-	reply, err := p.callPeer(ctx, pr, p.inventoryAnnouncement())
-	if err != nil {
-		return err
-	}
-	theirs, ok := reply.(*proto.RegistryAnnounce)
-	if !ok {
-		return fmt.Errorf("core: inventory exchange with %s: unexpected reply %T", pr.site, reply)
-	}
-	return p.handleRegistryAnnounce(theirs)
-}
-
-// AnnounceAll re-announces inventory to every peer a tunnel is held to
-// (called after node attach/detach and periodically by the daemon).
-// Announcements fan out concurrently with a per-peer deadline, so one
-// slow peer delays nothing.
-func (p *Proxy) AnnounceAll(ctx context.Context) {
-	targets, byName := p.connectedPeers()
-	results := peerlink.FanOut(ctx, targets, p.lifecycle.RPCTimeout, func(ctx context.Context, site string) (struct{}, error) {
-		return struct{}{}, p.announceTo(ctx, byName[site])
-	})
-	for _, res := range results {
-		if res.Err != nil {
-			p.log.Warn("announce failed", "peer", res.Target, "err", res.Err)
-		}
-	}
-}
-
-// connectedPeers snapshots the live-tunnel peers: sorted names plus a
-// lookup map.
-func (p *Proxy) connectedPeers() ([]string, map[string]*peer) {
-	byName := p.cache.Snapshot()
-	targets := make([]string, 0, len(byName))
-	for site := range byName {
-		targets = append(targets, site)
-	}
-	sort.Strings(targets)
-	return targets, byName
 }
 
 // PingPeer round-trips a liveness probe to one connected peer. The

@@ -12,8 +12,10 @@
 //     checks at both the originating and destination proxies. Intra-site
 //     traffic stays in the clear by default;
 //   - L3 control and monitoring: per-site status collection compiled on
-//     demand, a resource registry, and load-balanced rank placement
-//     (package balance);
+//     demand and spread by gossip, resource location answered by each
+//     site for itself, and load-balanced rank placement in two levels:
+//     the origin splits ranks across sites from their summaries, and
+//     each site places its share on its own nodes (package balance);
 //   - L4 MPI support: per-application address spaces with virtual-slave
 //     endpoints that multiplex MPI rank traffic through the tunnels,
 //     giving unmodified applications the illusion of one virtual cluster.
@@ -24,6 +26,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -37,7 +40,7 @@ import (
 	"gridproxy/internal/monitor"
 	"gridproxy/internal/node"
 	"gridproxy/internal/peerlink"
-	"gridproxy/internal/registry"
+	"gridproxy/internal/proto"
 	"gridproxy/internal/stage"
 	"gridproxy/internal/ticket"
 	"gridproxy/internal/transport"
@@ -72,7 +75,7 @@ type NodeHandle interface {
 }
 
 // Capabilities this build announces in Hello.
-var defaultCapabilities = []string{"mpi", "ticket", "registry"}
+var defaultCapabilities = []string{"mpi", "ticket"}
 
 // Config assembles a Proxy.
 type Config struct {
@@ -155,7 +158,6 @@ type Proxy struct {
 	log       *logging.Logger
 
 	collector *monitor.Collector
-	resources *registry.Registry
 	policy    balance.Policy
 	lifecycle peerlink.Config
 	gossipcfg GossipConfig
@@ -235,7 +237,6 @@ func New(cfg Config) (*Proxy, error) {
 		reg:       cfg.Metrics,
 		log:       cfg.Logger.Named("proxy." + cfg.Site),
 		collector: monitor.NewCollector(cfg.Site),
-		resources: registry.New(),
 		policy:    policy,
 		lifecycle: cfg.Lifecycle.WithDefaults(),
 		gossipcfg: cfg.Gossip.WithDefaults(),
@@ -399,7 +400,8 @@ func (p *Proxy) nodeHandle(name string) (NodeHandle, error) {
 
 // LocalSummary re-samples every attached node into the collector — the
 // proxy "responsible for the collection and control of the site where it
-// is located" — and compiles this site's current status.
+// is located" — and compiles this site's current status, with the ranks
+// it runs counted by origin.
 func (p *Proxy) LocalSummary() monitor.SiteSummary {
 	p.mu.Lock()
 	handles := make([]NodeHandle, 0, len(p.nodes))
@@ -410,18 +412,32 @@ func (p *Proxy) LocalSummary() monitor.SiteSummary {
 	for _, h := range handles {
 		p.collector.Report(h.Stats())
 	}
-	return p.collector.Summary()
+	sum := p.collector.Summary()
+	sum.Hosted = p.hostedProcs()
+	return sum
 }
 
-// Candidates lists the nodes placement may choose from: fresh local node
-// stats plus the last-announced inventory of every peer site the
-// directory counts as up. A site the directory holds dead is skipped
-// whether or not a tunnel to it is held — only watchPeer purges an
-// inventory, so a site convicted by gossip while its tunnel was closed
-// would otherwise stay a candidate and fail every launch that picked it.
-func (p *Proxy) Candidates() []balance.NodeInfo {
-	var out []balance.NodeInfo
+// hostedProcs counts the running ranks this site hosts for each origin.
+func (p *Proxy) hostedProcs() []proto.HostedProcs {
+	var out []proto.HostedProcs
+	for _, ha := range p.hostedApps() {
+		ha.mu.Lock()
+		n := uint32(len(ha.running))
+		ha.mu.Unlock()
+		i := slices.IndexFunc(out, func(h proto.HostedProcs) bool { return h.Origin == ha.origin })
+		if i < 0 {
+			i, out = len(out), append(out, proto.HostedProcs{Origin: ha.origin})
+		}
+		out[i].Procs += n
+	}
+	return out
+}
+
+// localCandidates lists this site's nodes with fresh stats, sorted by
+// name: what the site places its own share of a job on.
+func (p *Proxy) localCandidates() []balance.NodeInfo {
 	p.mu.Lock()
+	out := make([]balance.NodeInfo, 0, len(p.nodes))
 	for _, h := range p.nodes {
 		stats := h.Stats()
 		out = append(out, balance.NodeInfo{
@@ -434,78 +450,97 @@ func (p *Proxy) Candidates() []balance.NodeInfo {
 		})
 	}
 	p.mu.Unlock()
-	for _, res := range p.resources.Lookup(registry.Query{Kind: "node"}) {
-		if res.Site == p.site || !p.siteUp(res.Site) {
+	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	return out
+}
+
+// Candidates lists what placement chooses from, sorted by site: this
+// site's nodes with fresh stats, and for every other site the directory
+// holds up and has a summary of, NodesUp candidates with that site's mean
+// speed and the running processes and load others put there. Our own
+// ranks there are left out: they churn faster than summaries are
+// published, and a snapshot of them would steer placement by jobs already
+// ended. Which node runs a rank is that site's choice (prepareSpawn), so
+// its candidates have no name. A site the directory holds dead offers
+// nothing, tunnel or no tunnel.
+func (p *Proxy) Candidates() []balance.NodeInfo {
+	out := p.localCandidates()
+	for _, e := range p.members.Entries() {
+		s := e.Summary
+		if e.Site == p.site || e.State == membership.Dead || !e.HasSummary || s.NodesUp == 0 {
 			continue
 		}
-		out = append(out, nodeInfoFromResource(res))
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Site != out[j].Site {
-			return out[i].Site < out[j].Site
+		others := int(s.RunningProcs)
+		for _, h := range s.Hosted {
+			if h.Origin == p.site {
+				others = max(others-int(h.Procs), 0)
+			}
 		}
-		return out[i].Name < out[j].Name
-	})
+		load := s.Load1
+		if s.RunningProcs > 0 {
+			load *= float64(others) / float64(s.RunningProcs)
+		}
+		up := int(s.NodesUp)
+		running, extra := others/up, others%up
+		for i := 0; i < up; i++ {
+			c := balance.NodeInfo{
+				Site:      e.Site,
+				Speed:     s.Speed / float64(up),
+				Running:   running,
+				RAMFreeMB: s.RAMFreeMB / int64(up),
+				Load1:     load,
+			}
+			if i < extra {
+				c.Running++
+			}
+			out = append(out, c)
+		}
+	}
+	sort.SliceStable(out, func(i, j int) bool { return out[i].Site < out[j].Site })
 	return out
 }
 
-// localInventory renders this site's nodes as registry resources for
-// announcement to peers.
-func (p *Proxy) localInventory() []registry.Resource {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	out := make([]registry.Resource, 0, len(p.nodes))
-	for _, h := range p.nodes {
-		stats := h.Stats()
-		out = append(out, registry.Resource{
-			Name: h.Name(),
-			Kind: "node",
-			Site: p.site,
-			Attrs: map[string]string{
-				"speed":   fmt.Sprintf("%g", h.Speed()),
-				"ram_mb":  fmt.Sprintf("%d", stats.RAMFreeMB),
-				"load1":   fmt.Sprintf("%g", stats.Load1),
-				"running": fmt.Sprintf("%d", stats.Procs),
-			},
-		})
+// Resources lists the resources of one site ("" means this one) as that
+// site reports them from its own nodes; kind and "key=value" attrs filter.
+func (p *Proxy) Resources(ctx context.Context, site, kind string, attrs []string) ([]proto.Resource, error) {
+	if site == "" || site == p.site {
+		return p.localResources(kind, attrs), nil
 	}
-	return out
+	pr, err := p.peerFor(ctx, site)
+	if err != nil {
+		return nil, err
+	}
+	defer p.releasePeer(pr)
+	reply, err := p.callPeer(ctx, pr, &proto.RegistryQuery{Kind: kind, Attrs: attrs})
+	if err != nil {
+		return nil, err
+	}
+	rr, ok := reply.(*proto.RegistryReply)
+	if !ok {
+		return nil, fmt.Errorf("core: resource query to %s: unexpected reply %T", site, reply)
+	}
+	return rr.Resources, nil
 }
 
-// nodeInfoFromResource parses an announced node resource back into
-// placement input.
-func nodeInfoFromResource(res registry.Resource) balance.NodeInfo {
-	info := balance.NodeInfo{Name: res.Name, Site: res.Site, Speed: 1}
-	if v, ok := res.Attrs["speed"]; ok {
-		_, _ = fmt.Sscanf(v, "%g", &info.Speed)
+// localResources renders this site's nodes as resources of kind "node",
+// keeping those that match kind ("" for any) and carry every attr.
+func (p *Proxy) localResources(kind string, attrs []string) []proto.Resource {
+	if kind != "" && kind != "node" {
+		return nil
 	}
-	if v, ok := res.Attrs["ram_mb"]; ok {
-		_, _ = fmt.Sscanf(v, "%d", &info.RAMFreeMB)
-	}
-	if v, ok := res.Attrs["load1"]; ok {
-		_, _ = fmt.Sscanf(v, "%g", &info.Load1)
-	}
-	if v, ok := res.Attrs["running"]; ok {
-		_, _ = fmt.Sscanf(v, "%d", &info.Running)
-	}
-	return info
-}
-
-// AllResources returns this proxy's full resource view: its own live node
-// inventory plus everything peers announced, sorted.
-func (p *Proxy) AllResources(kind string) []registry.Resource {
-	out := p.resources.Lookup(registry.Query{Kind: kind})
-	for _, r := range p.localInventory() {
-		if kind == "" || r.Kind == kind {
-			out = append(out, r)
+	var out []proto.Resource
+	for _, c := range p.localCandidates() {
+		res := proto.Resource{Name: c.Name, Kind: "node", Site: p.site, Attrs: []string{
+			fmt.Sprintf("load1=%g", c.Load1),
+			fmt.Sprintf("ram_mb=%d", c.RAMFreeMB),
+			fmt.Sprintf("running=%d", c.Running),
+			fmt.Sprintf("speed=%g", c.Speed),
+		}}
+		missing := func(kv string) bool { return !slices.Contains(res.Attrs, kv) }
+		if !slices.ContainsFunc(attrs, missing) {
+			out = append(out, res)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Site != out[j].Site {
-			return out[i].Site < out[j].Site
-		}
-		return out[i].Name < out[j].Name
-	})
 	return out
 }
 

@@ -263,6 +263,12 @@ type pendingCall struct {
 // cannot hold the caller past its deadline.
 func (r *rpc) send(ctx context.Context, body proto.Body) *pendingCall {
 	c := &pendingCall{r: r, corr: r.newCorr(), ch: make(chan proto.Message, 1)}
+	if err := ctx.Err(); err != nil {
+		// Not even started: a shutting-down proxy's PeerBye must not
+		// reach the wire and pass a crash off as an announced close.
+		c.sendErr = err
+		return c
+	}
 	r.mu.Lock()
 	if r.closed {
 		r.mu.Unlock()

@@ -31,7 +31,6 @@ import (
 	"gridproxy/internal/membership"
 	"gridproxy/internal/monitor"
 	"gridproxy/internal/proto"
-	"gridproxy/internal/registry"
 	"gridproxy/internal/transport"
 	"gridproxy/internal/wire"
 )
@@ -820,13 +819,11 @@ func (c *Client) Jobs(ctx context.Context, owner string, before uint64) ([]JobRe
 	return out, jl.Next, nil
 }
 
-// Resources queries the proxy's local resource inventory.
-func (c *Client) Resources(ctx context.Context, kind string, constraints map[string]string) ([]registry.Resource, error) {
-	var attrs []string
-	for k, v := range constraints {
-		attrs = append(attrs, k+"="+v)
-	}
-	reply, err := c.call(ctx, &proto.RegistryQuery{Kind: kind, Attrs: attrs})
+// Resources lists the resources of one site ("" for the proxy's own) of
+// the given kind ("" for any). The site answers from its own nodes; the
+// proxy forwards the query to it.
+func (c *Client) Resources(ctx context.Context, site, kind string) ([]proto.Resource, error) {
+	reply, err := c.call(ctx, &proto.RegistryQuery{Kind: kind, Site: site})
 	if err != nil {
 		return nil, err
 	}
@@ -834,11 +831,7 @@ func (c *Client) Resources(ctx context.Context, kind string, constraints map[str
 	if !ok {
 		return nil, fmt.Errorf("grid: unexpected registry reply %T", reply)
 	}
-	out := make([]registry.Resource, len(rr.Resources))
-	for i, r := range rr.Resources {
-		out[i] = registry.FromProto(r)
-	}
-	return out, nil
+	return rr.Resources, nil
 }
 
 // Ping round-trips the control channel.

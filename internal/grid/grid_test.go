@@ -452,19 +452,31 @@ func TestFailingJobReported(t *testing.T) {
 }
 
 func TestResourcesQuery(t *testing.T) {
-	f := newFixture(t, 3)
+	f := newFixture(t, 3, 2)
 	c := f.dial(t, 0)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	if err := c.Login(ctx, "alice", "secret"); err != nil {
 		t.Fatal(err)
 	}
-	resources, err := c.Resources(ctx, "node", nil)
-	if err != nil {
-		t.Fatal(err)
+	// The proxy's own site, then one it forwards the query to: each
+	// answers with its own nodes.
+	for site, want := range map[string]int{"": 3, "sitea": 3, "siteb": 2} {
+		resources, err := c.Resources(ctx, site, "node")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(resources) != want {
+			t.Errorf("resources of %q = %+v, want %d", site, resources, want)
+		}
+		for _, r := range resources {
+			if site != "" && r.Site != site {
+				t.Errorf("resource of %q reports site %q", site, r.Site)
+			}
+		}
 	}
-	if len(resources) != 3 {
-		t.Errorf("resources = %+v", resources)
+	if _, err := c.Resources(ctx, "nosuchsite", "node"); err == nil {
+		t.Error("resources of an unknown site answered")
 	}
 }
 

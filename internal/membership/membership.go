@@ -12,7 +12,9 @@
 //     < dead) wins so a rumor of failure is not lost to reordering.
 //   - Only a site itself increments its incarnation. It does so to refuteLocked
 //     rumors: on hearing itself called suspect or dead at incarnation i,
-//     it re-announces as alive at incarnation i+1.
+//     it re-announces as alive at incarnation i+1. An alive copy of itself
+//     numbered past its own (direct contact revives and re-stamps a site)
+//     it catches up with, so its next summary outranks every copy.
 //   - Changed entries become "hot" and are pushed to sampled peers for a
 //     retransmit budget of RetransmitFactor·⌈log₂N⌉ rounds, which is what
 //     gives rumors O(log N) convergence.
@@ -601,7 +603,8 @@ func (d *Directory) wireEntry(e *entry, now time.Time) proto.GossipEntry {
 // Merge folds gossiped entries into the directory, returning how many
 // were accepted (strictly newer than the local copy). Rumors about the
 // local site that are not "alive" are refuted: the local incarnation
-// jumps past the rumor's and the refutation becomes hot.
+// jumps past the rumor's and the refutation becomes hot. An "alive" copy
+// of the local site numbered past the local one is caught up with.
 func (d *Directory) Merge(entries []proto.GossipEntry) int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -703,7 +706,17 @@ func (d *Directory) adopt(local *entry, ge *proto.GossipEntry, now time.Time) {
 // d.mu.
 func (d *Directory) refuteLocked(ge *proto.GossipEntry, now time.Time) {
 	self := d.entries[d.cfg.Site]
-	if State(ge.State) == Alive || ge.Incarnation < self.incarnation {
+	if State(ge.State) == Alive {
+		// Direct contact (ObserveAlive, ObserveSummary) numbers the
+		// observer's copy of us past our own. Catch up, or the next
+		// summary we publish would lose to that copy and be dropped
+		// wherever it is held: placement elsewhere reads our summaries.
+		if newer(ge.Incarnation, ge.Version, ge.State, self.incarnation, self.version, uint8(self.state)) {
+			self.incarnation, self.version = ge.Incarnation, ge.Version
+		}
+		return
+	}
+	if ge.Incarnation < self.incarnation {
 		return
 	}
 	// Someone is spreading that we are suspect or dead at an incarnation

@@ -140,6 +140,26 @@ func TestRefuteRumorAboutSelf(t *testing.T) {
 	}
 }
 
+// TestDirectContactDoesNotHideNextSummary: an observer that queried siteb
+// directly holds a copy numbered past siteb's own. Once that copy reaches
+// siteb, siteb catches up, so the summary it publishes next is newer than
+// the copy and the observer takes it: a summary is never lost to a
+// version someone else minted.
+func TestDirectContactDoesNotHideNextSummary(t *testing.T) {
+	c := newFakeClock()
+	observer, owner := newDir("sitea", c), newDir("siteb", c)
+	owner.SetLocalSummary(proto.SiteStatus{Site: "siteb", RunningProcs: 1})
+	observer.ObserveSummary("siteb", "wan.siteb", proto.SiteStatus{Site: "siteb", RunningProcs: 1})
+	observer.ObserveSummary("siteb", "wan.siteb", proto.SiteStatus{Site: "siteb", RunningProcs: 1})
+	owner.Merge(observer.HotPush())
+
+	owner.SetLocalSummary(proto.SiteStatus{Site: "siteb", RunningProcs: 2})
+	observer.Merge(owner.HotPush())
+	if e, _ := observer.Lookup("siteb"); e.Summary.RunningProcs != 2 {
+		t.Fatalf("observer holds siteb's summary %+v at (%d, %d), want the one published last", e.Summary, e.Incarnation, e.Version)
+	}
+}
+
 func TestSuspicionSweepLifecycle(t *testing.T) {
 	c := newFakeClock()
 	d := New(Config{

@@ -33,6 +33,7 @@ type NodeStats struct {
 	Load1      float64
 	Procs      int
 	Collected  time.Time
+	Speed      float64 // relative compute speed
 }
 
 // ToReport converts stats to its wire form.
@@ -63,7 +64,7 @@ func StatsFromReport(r *proto.NodeReport) NodeStats {
 
 // SiteSummary is the compiled status of one site: counts plus aggregate
 // resource availability. CPUFreePct and Load1 are averages over live
-// nodes; RAM and disk are sums.
+// nodes; RAM, disk and Speed are sums.
 type SiteSummary struct {
 	Site         string
 	Nodes        int
@@ -73,7 +74,10 @@ type SiteSummary struct {
 	DiskFreeMB   int64
 	Load1        float64
 	RunningProcs int
-	Collected    time.Time
+	Speed        float64
+	// Hosted counts the ranks the site runs for each origin site.
+	Hosted    []proto.HostedProcs
+	Collected time.Time
 	// Age is how long ago the summary was collected, as accounted by the
 	// proxy that served it (gossip hops included) — the staleness marker
 	// consumers check instead of trusting Collected across skewed
@@ -101,6 +105,8 @@ func (s SiteSummary) ToStatus() proto.SiteStatus {
 		AgeMillis:     s.Age.Milliseconds(),
 		Incarnation:   s.Incarnation,
 		Member:        uint8(s.Member),
+		Speed:         s.Speed,
+		Hosted:        s.Hosted,
 	}
 }
 
@@ -119,6 +125,8 @@ func SummaryFromStatus(s proto.SiteStatus) SiteSummary {
 		Age:          time.Duration(s.AgeMillis) * time.Millisecond,
 		Incarnation:  s.Incarnation,
 		Member:       membership.State(s.Member),
+		Speed:        s.Speed,
+		Hosted:       s.Hosted,
 	}
 }
 
@@ -219,6 +227,7 @@ func (c *Collector) Summary() SiteSummary {
 		sum.RAMFreeMB += s.RAMFreeMB
 		sum.DiskFreeMB += s.DiskFreeMB
 		sum.RunningProcs += s.Procs
+		sum.Speed += s.Speed
 	}
 	if sum.NodesUp > 0 {
 		sum.CPUFreePct = cpuTotal / float64(sum.NodesUp)

@@ -1,6 +1,7 @@
 package monitor
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
@@ -104,10 +105,11 @@ func TestWireRoundTrips(t *testing.T) {
 
 	sum := SiteSummary{
 		Site: "a", Nodes: 4, NodesUp: 3, CPUFreePct: 50, RAMFreeMB: 100,
-		DiskFreeMB: 200, Load1: 0.5, RunningProcs: 2, Collected: time.Unix(1_700_000_000, 0),
+		DiskFreeMB: 200, Load1: 0.5, RunningProcs: 2, Speed: 3.5, Collected: time.Unix(1_700_000_000, 0),
+		Hosted: []proto.HostedProcs{{Origin: "b", Procs: 1}},
 	}
 	back2 := SummaryFromStatus(sum.ToStatus())
-	if back2 != sum {
+	if !reflect.DeepEqual(back2, sum) {
 		t.Errorf("SiteSummary round trip:\n got %+v\nwant %+v", back2, sum)
 	}
 }

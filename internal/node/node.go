@@ -405,6 +405,7 @@ func (a *Agent) Stats() monitor.NodeStats {
 		Load1:      load,
 		Procs:      running,
 		Collected:  a.clock(),
+		Speed:      a.hw.Speed,
 	}
 }
 

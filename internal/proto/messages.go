@@ -25,11 +25,9 @@ func init() {
 	registerCore(CodeJobSubmit, func() Body { return &JobSubmit{} })
 	registerCore(CodeJobUpdate, func() Body { return &JobUpdate{} })
 	registerCore(CodeJobQuery, func() Body { return &JobQuery{} })
-	registerCore(CodeSpawnRequest, func() Body { return &SpawnRequest{} })
 	registerCore(CodeSpawnReply, func() Body { return &SpawnReply{} })
 	registerCore(CodeStreamOpen, func() Body { return &StreamOpen{} })
 	registerCore(CodeStreamOpenReply, func() Body { return &StreamOpenReply{} })
-	registerCore(CodeRegistryAnnounce, func() Body { return &RegistryAnnounce{} })
 	registerCore(CodeRegistryQuery, func() Body { return &RegistryQuery{} })
 	registerCore(CodeRegistryReply, func() Body { return &RegistryReply{} })
 	registerCore(CodePrepareSpawn, func() Body { return &PrepareSpawn{} })
@@ -409,7 +407,10 @@ func (m *StatusQuery) Decode(buf *wire.Buffer) error {
 // AgeMillis, Incarnation and Member stamp how the answering proxy knows
 // the summary: how long ago its view received it, under which membership
 // incarnation, and in which membership state the site currently is —
-// so a consumer can tell a fresh answer from a stale cached one.
+// so a consumer can tell a fresh answer from a stale cached one. Speed
+// is the summed relative speed of the site's up nodes, and Hosted breaks
+// RunningProcs down by the origin sites whose ranks the site runs: what
+// placement at other sites needs.
 type SiteStatus struct {
 	Site          string
 	Nodes         uint32
@@ -423,6 +424,14 @@ type SiteStatus struct {
 	AgeMillis     int64
 	Incarnation   uint64
 	Member        uint8
+	Speed         float64
+	Hosted        []HostedProcs
+}
+
+// HostedProcs counts the running ranks a site hosts for one origin.
+type HostedProcs struct {
+	Origin string
+	Procs  uint32
 }
 
 func (s *SiteStatus) encode(b []byte) []byte {
@@ -438,6 +447,12 @@ func (s *SiteStatus) encode(b []byte) []byte {
 	b = wire.AppendInt64(b, s.AgeMillis)
 	b = wire.AppendUint64(b, s.Incarnation)
 	b = append(b, s.Member)
+	b = wire.AppendFloat64(b, s.Speed)
+	b = wire.AppendUint32(b, uint32(len(s.Hosted)))
+	for _, h := range s.Hosted {
+		b = wire.AppendString(b, h.Origin)
+		b = wire.AppendUint32(b, h.Procs)
+	}
 	return b
 }
 
@@ -454,6 +469,19 @@ func (s *SiteStatus) decode(buf *wire.Buffer) {
 	s.AgeMillis = buf.Int64()
 	s.Incarnation = buf.Uint64()
 	s.Member = buf.Uint8()
+	s.Speed = buf.Float64()
+	n := int(buf.Uint32())
+	if n > buf.Remaining() {
+		buf.View(n) // marks the buffer truncated
+		return
+	}
+	if n > 0 {
+		s.Hosted = make([]HostedProcs, n)
+	}
+	for i := range s.Hosted {
+		s.Hosted[i].Origin = buf.String()
+		s.Hosted[i].Procs = buf.Uint32()
+	}
 }
 
 // StatusReport carries one or more site status summaries.
@@ -733,95 +761,11 @@ func (m *JobQuery) Decode(buf *wire.Buffer) error {
 	return buf.Err()
 }
 
-// RankAssignment maps one MPI rank to a node of the receiving site.
-type RankAssignment struct {
-	Rank uint32
-	Node string
-}
-
-// RankLocation places one rank in the grid; the full location map lets
-// every participating proxy build rank tables and virtual-slave address
-// spaces for its site.
+// RankLocation places one rank of an application at a site. Only the
+// site that runs a rank knows its node: it places its share itself.
 type RankLocation struct {
 	Rank uint32
 	Site string
-	Node string
-}
-
-// SpawnRequest asks a proxy to start application processes on its nodes.
-type SpawnRequest struct {
-	// AppID identifies the application's address space on the proxies.
-	AppID string
-	// Owner is the submitting user; the destination proxy re-validates
-	// the owner's permission (paper: "validated at the originating and
-	// destination proxies").
-	Owner     string
-	Program   string
-	Args      []string
-	WorldSize uint32
-	// Ranks lists the ranks the receiving proxy must spawn locally.
-	Ranks []RankAssignment
-	// Locations places every rank of the application.
-	Locations []RankLocation
-}
-
-// Code implements Body.
-func (*SpawnRequest) Code() Code { return CodeSpawnRequest }
-
-// Encode implements Body.
-func (m *SpawnRequest) Encode(b []byte) []byte {
-	b = wire.AppendString(b, m.AppID)
-	b = wire.AppendString(b, m.Owner)
-	b = wire.AppendString(b, m.Program)
-	b = wire.AppendStringSlice(b, m.Args)
-	b = wire.AppendUint32(b, m.WorldSize)
-	b = wire.AppendUint32(b, uint32(len(m.Ranks)))
-	for _, ra := range m.Ranks {
-		b = wire.AppendUint32(b, ra.Rank)
-		b = wire.AppendString(b, ra.Node)
-	}
-	b = wire.AppendUint32(b, uint32(len(m.Locations)))
-	for _, loc := range m.Locations {
-		b = wire.AppendUint32(b, loc.Rank)
-		b = wire.AppendString(b, loc.Site)
-		b = wire.AppendString(b, loc.Node)
-	}
-	return b
-}
-
-// Decode implements Body.
-func (m *SpawnRequest) Decode(buf *wire.Buffer) error {
-	m.AppID = buf.String()
-	m.Owner = buf.String()
-	m.Program = buf.String()
-	m.Args = buf.StringSlice()
-	m.WorldSize = buf.Uint32()
-	n := int(buf.Uint32())
-	if err := buf.Err(); err != nil {
-		return err
-	}
-	if n > buf.Remaining() {
-		return wire.ErrTruncated
-	}
-	m.Ranks = make([]RankAssignment, n)
-	for i := range m.Ranks {
-		m.Ranks[i].Rank = buf.Uint32()
-		m.Ranks[i].Node = buf.String()
-	}
-	nl := int(buf.Uint32())
-	if err := buf.Err(); err != nil {
-		return err
-	}
-	if nl > buf.Remaining() {
-		return wire.ErrTruncated
-	}
-	m.Locations = make([]RankLocation, nl)
-	for i := range m.Locations {
-		m.Locations[i].Rank = buf.Uint32()
-		m.Locations[i].Site = buf.String()
-		m.Locations[i].Node = buf.String()
-	}
-	return buf.Err()
 }
 
 // RankEndpoint reports where a spawned rank is listening.
@@ -830,7 +774,7 @@ type RankEndpoint struct {
 	Addr string
 }
 
-// SpawnReply acknowledges a SpawnRequest.
+// SpawnReply answers a CommitSpawn.
 type SpawnReply struct {
 	AppID     string
 	OK        bool
@@ -875,8 +819,8 @@ func (m *SpawnReply) Decode(buf *wire.Buffer) error {
 }
 
 // PrepareSpawn reserves an application at a destination site: the proxy
-// validates the owner, creates the address space, and records the rank
-// assignments, but starts nothing. Processes only run after a
+// validates the owner, creates the address space, and places its ranks on
+// its own nodes, but starts nothing. Processes only run after a
 // CommitSpawn, so a launch that fails at any site can be aborted without
 // stranding ranks anywhere. Re-preparing a hosted application (same
 // origin) replaces its pending ranks and location map — the rescheduling
@@ -894,9 +838,10 @@ type PrepareSpawn struct {
 	Program   string
 	Args      []string
 	WorldSize uint32
-	// Ranks lists the ranks the receiving proxy must spawn on commit.
-	Ranks []RankAssignment
-	// Locations places every rank of the application.
+	// Ranks lists the ranks the receiving proxy places on its own nodes
+	// and spawns on commit.
+	Ranks []uint32
+	// Locations names the site of every rank of the application.
 	Locations []RankLocation
 	// StageIn references input blobs the receiving proxy must hold
 	// before commit; it pulls the ones missing from its store back from
@@ -924,15 +869,13 @@ func (m *PrepareSpawn) Encode(b []byte) []byte {
 	b = wire.AppendStringSlice(b, m.Args)
 	b = wire.AppendUint32(b, m.WorldSize)
 	b = wire.AppendUint32(b, uint32(len(m.Ranks)))
-	for _, ra := range m.Ranks {
-		b = wire.AppendUint32(b, ra.Rank)
-		b = wire.AppendString(b, ra.Node)
+	for _, rank := range m.Ranks {
+		b = wire.AppendUint32(b, rank)
 	}
 	b = wire.AppendUint32(b, uint32(len(m.Locations)))
 	for _, loc := range m.Locations {
 		b = wire.AppendUint32(b, loc.Rank)
 		b = wire.AppendString(b, loc.Site)
-		b = wire.AppendString(b, loc.Node)
 	}
 	b = appendStageRefs(b, m.StageIn)
 	b = wire.AppendStringSlice(b, m.StageOut)
@@ -955,10 +898,9 @@ func (m *PrepareSpawn) Decode(buf *wire.Buffer) error {
 	if n > buf.Remaining() {
 		return wire.ErrTruncated
 	}
-	m.Ranks = make([]RankAssignment, n)
+	m.Ranks = make([]uint32, n)
 	for i := range m.Ranks {
-		m.Ranks[i].Rank = buf.Uint32()
-		m.Ranks[i].Node = buf.String()
+		m.Ranks[i] = buf.Uint32()
 	}
 	nl := int(buf.Uint32())
 	if err := buf.Err(); err != nil {
@@ -971,7 +913,6 @@ func (m *PrepareSpawn) Decode(buf *wire.Buffer) error {
 	for i := range m.Locations {
 		m.Locations[i].Rank = buf.Uint32()
 		m.Locations[i].Site = buf.String()
-		m.Locations[i].Node = buf.String()
 	}
 	var err error
 	if m.StageIn, err = decodeStageRefs(buf); err != nil {
@@ -1229,17 +1170,19 @@ const (
 )
 
 // StreamOpen asks a proxy to splice a stream. Between proxies it is the
-// tunnel-stream metadata naming the target endpoint inside the receiving
-// site. From a local client to its own proxy it additionally names the
-// destination site and carries the client's session token.
+// tunnel-stream metadata naming the target inside the receiving site: an
+// MPI stream names a rank, which the receiving proxy resolves to one of
+// its nodes through the application's address space; a data stream names
+// an address. From a local client to its own proxy it additionally names
+// the destination site and carries the client's session token.
 type StreamOpen struct {
 	AppID string
 	// TargetSite is the destination site (local splice requests only;
 	// empty between proxies, where the stream itself implies the site).
 	TargetSite string
-	// TargetNode is the destination node name; TargetAddr its service
-	// address inside the site.
-	TargetNode string
+	// Rank is the target rank of an MPI stream.
+	Rank uint32
+	// TargetAddr is the target address of a data stream.
 	TargetAddr string
 	Kind       StreamKind
 	// Token authenticates a local splice request.
@@ -1253,7 +1196,7 @@ func (*StreamOpen) Code() Code { return CodeStreamOpen }
 func (m *StreamOpen) Encode(b []byte) []byte {
 	b = wire.AppendString(b, m.AppID)
 	b = wire.AppendString(b, m.TargetSite)
-	b = wire.AppendString(b, m.TargetNode)
+	b = wire.AppendUint32(b, m.Rank)
 	b = wire.AppendString(b, m.TargetAddr)
 	b = append(b, byte(m.Kind))
 	b = wire.AppendBytes(b, m.Token)
@@ -1264,7 +1207,7 @@ func (m *StreamOpen) Encode(b []byte) []byte {
 func (m *StreamOpen) Decode(buf *wire.Buffer) error {
 	m.AppID = buf.String()
 	m.TargetSite = buf.String()
-	m.TargetNode = buf.String()
+	m.Rank = buf.Uint32()
 	m.TargetAddr = buf.String()
 	m.Kind = StreamKind(buf.Uint8())
 	m.Token = buf.Bytes()
@@ -1537,7 +1480,7 @@ func (m *StreamOpenReply) Decode(buf *wire.Buffer) error {
 	return buf.Err()
 }
 
-// Resource is the wire form of a registry entry.
+// Resource is one resource a site reports about itself, such as a node.
 type Resource struct {
 	Name string
 	Kind string
@@ -1561,47 +1504,15 @@ func (r *Resource) decode(buf *wire.Buffer) {
 	r.Attrs = buf.StringSlice()
 }
 
-// RegistryAnnounce advertises resources owned by a site.
-type RegistryAnnounce struct {
-	Site      string
-	Resources []Resource
-}
-
-// Code implements Body.
-func (*RegistryAnnounce) Code() Code { return CodeRegistryAnnounce }
-
-// Encode implements Body.
-func (m *RegistryAnnounce) Encode(b []byte) []byte {
-	b = wire.AppendString(b, m.Site)
-	b = wire.AppendUint32(b, uint32(len(m.Resources)))
-	for i := range m.Resources {
-		b = m.Resources[i].encode(b)
-	}
-	return b
-}
-
-// Decode implements Body.
-func (m *RegistryAnnounce) Decode(buf *wire.Buffer) error {
-	m.Site = buf.String()
-	n := int(buf.Uint32())
-	if err := buf.Err(); err != nil {
-		return err
-	}
-	if n > buf.Remaining() {
-		return wire.ErrTruncated
-	}
-	m.Resources = make([]Resource, n)
-	for i := range m.Resources {
-		m.Resources[i].decode(buf)
-	}
-	return buf.Err()
-}
-
-// RegistryQuery looks up resources across the grid.
+// RegistryQuery asks for the resources of one site. Site was appended:
+// empty (or a payload that ends before it) means the answering proxy's
+// own site; a client's proxy forwards any other site's query there, and
+// that site answers from its own nodes.
 type RegistryQuery struct {
 	Kind string
 	// Attrs are "key=value" constraints; all must match.
 	Attrs []string
+	Site  string
 }
 
 // Code implements Body.
@@ -1611,13 +1522,16 @@ func (*RegistryQuery) Code() Code { return CodeRegistryQuery }
 func (m *RegistryQuery) Encode(b []byte) []byte {
 	b = wire.AppendString(b, m.Kind)
 	b = wire.AppendStringSlice(b, m.Attrs)
-	return b
+	return wire.AppendString(b, m.Site)
 }
 
 // Decode implements Body.
 func (m *RegistryQuery) Decode(buf *wire.Buffer) error {
 	m.Kind = buf.String()
 	m.Attrs = buf.StringSlice()
+	if buf.Err() == nil && buf.Remaining() > 0 {
+		m.Site = buf.String()
+	}
 	return buf.Err()
 }
 

@@ -69,15 +69,14 @@ const (
 	// CodeJobUpdate reports job state transitions.
 	CodeJobUpdate
 
-	// CodeSpawnRequest asks a proxy to start application processes on
-	// nodes of its site (used by the MPI launcher).
-	CodeSpawnRequest
-	// CodeSpawnReply acknowledges a spawn, listing the endpoints of the
+	_ // retired in protocol 6 (single-phase spawn); number kept reserved
+	// CodeSpawnReply answers a CommitSpawn, listing the endpoints of the
 	// started processes.
 	CodeSpawnReply
 
 	// CodeStreamOpen asks the peer proxy to splice a new tunnel stream
-	// to a node endpoint inside its site.
+	// to a rank (or, for a tunnel application, an endpoint) inside its
+	// site.
 	CodeStreamOpen
 	// CodeStreamOpenReply confirms or refuses the splice.
 	CodeStreamOpenReply
@@ -86,9 +85,9 @@ const (
 	// CodeJobUpdate.
 	CodeJobQuery
 
-	// CodeRegistryAnnounce advertises resources owned by a site.
-	CodeRegistryAnnounce
-	// CodeRegistryQuery looks resources up across the grid.
+	_ // retired in protocol 6 (inventory announcement); number kept reserved
+	// CodeRegistryQuery asks a proxy for the resources of one site, which
+	// that site's proxy answers from its own nodes.
 	CodeRegistryQuery
 	// CodeRegistryReply answers a registry query.
 	CodeRegistryReply
@@ -174,8 +173,10 @@ const (
 // MemberInfo; 4 moves blobs between client and proxy in chunks (StagePut,
 // StageGetReply) and checks transfer chunks with CRC-32C; 5 lets a
 // CommitSpawn say it left unconfirmed, behind its prepare, and a JobUpdate
-// carry small outputs inline.
-const Version uint16 = 5
+// carry small outputs inline; 6 drops the inventory announcement, lets
+// each site place its own ranks (PrepareSpawn and an MPI StreamOpen name
+// ranks, not nodes) and adds speed and hosted ranks to SiteStatus.
+const Version uint16 = 6
 
 // Message is one control-protocol exchange unit.
 type Message struct {

@@ -36,7 +36,8 @@ func allBodies() []Body {
 		&StatusReport{Sites: []SiteStatus{{
 			Site: "a", Nodes: 16, NodesUp: 15, CPUFreePct: 42.5,
 			RAMFreeMB: 2048, DiskFreeMB: 100000, Load1: 0.7,
-			RunningProcs: 12, CollectedUnix: 1720000000,
+			RunningProcs: 12, CollectedUnix: 1720000000, Speed: 15.5,
+			Hosted: []HostedProcs{{Origin: "b", Procs: 3}, {Origin: "c", Procs: 1}},
 		}}},
 		&NodeReport{Node: "n1", CPUFreePct: 99, RAMFreeMB: 512, DiskFreeMB: 1000, Load1: 0.1, Procs: 3, UnixNano: 42},
 		&JobSubmit{JobID: "j1", Owner: "alice", Program: "pi", Args: []string{"-n", "1e6"}, Procs: 8, Requirements: []string{"min_ram_mb=256"}},
@@ -51,22 +52,15 @@ func allBodies() []Body {
 			Outputs: []StageRef{{Name: "empty", Hash: "e3b0"}, {Name: "big", Hash: "cd34", Size: 1 << 20}, {Name: "small", Hash: "ef56", Size: 3}},
 			Inline:  []InlineOutput{{Ref: 0}, {Ref: 2, Data: []byte("sml")}},
 		},
-		&SpawnRequest{
-			AppID: "app-1", Owner: "alice", Program: "pi", Args: []string{"x"}, WorldSize: 4,
-			Ranks: []RankAssignment{{Rank: 1, Node: "n1"}, {Rank: 2, Node: "n2"}},
-			Locations: []RankLocation{
-				{Rank: 0, Site: "a", Node: "n0"},
-				{Rank: 1, Site: "b", Node: "n1"},
-			},
-		},
 		&JobQuery{JobID: "j1"},
 		&SpawnReply{AppID: "app-1", OK: true, Endpoints: []RankEndpoint{{Rank: 1, Addr: "n1:7001"}}},
 		&PrepareSpawn{
 			AppID: "app-2", Origin: "a", Owner: "alice", Program: "pi", Args: []string{"y"}, WorldSize: 3,
-			Ranks: []RankAssignment{{Rank: 2, Node: "n2"}},
+			Ranks: []uint32{1, 2},
 			Locations: []RankLocation{
-				{Rank: 0, Site: "a", Node: "n0"},
-				{Rank: 2, Site: "b", Node: "n2"},
+				{Rank: 0, Site: "a"},
+				{Rank: 1, Site: "b"},
+				{Rank: 2, Site: "b"},
 			},
 		},
 		&PrepareSpawnReply{AppID: "app-2", OK: false, Reason: "duplicate app id"},
@@ -79,10 +73,11 @@ func allBodies() []Body {
 		&JobList{Owner: "alice", Before: 4711},
 		&JobListReply{Jobs: []JobRecord{{JobID: "j1", State: "cancelled", Detail: "canceled by operator"}}},
 		&JobListReply{Jobs: []JobRecord{{JobID: "j2", State: "done", Detail: "completed"}}, Next: 4711},
-		&StreamOpen{AppID: "app-1", TargetNode: "n1", TargetAddr: "n1:7001", Kind: StreamMPI},
+		&StreamOpen{AppID: "app-1", Rank: 3, Kind: StreamMPI},
+		&StreamOpen{AppID: "tun-1", TargetSite: "b", TargetAddr: "legacy-echo", Kind: StreamData, Token: []byte("t")},
 		&StreamOpenReply{OK: true},
-		&RegistryAnnounce{Site: "a", Resources: []Resource{{Name: "n1", Kind: "node", Site: "a", Attrs: []string{"ram_mb=1024"}}}},
 		&RegistryQuery{Kind: "node", Attrs: []string{"ram_mb=1024"}},
+		&RegistryQuery{Kind: "node", Site: "b"},
 		&RegistryReply{Resources: []Resource{{Name: "n1", Kind: "node", Site: "a"}}},
 		&StagePut{Upload: 7, Offset: 1 << 20, Size: 3 << 20, Step: PutMore, Name: "params.bin", Data: []byte("chunk bytes")},
 		&StagePut{Upload: 8, Size: -1, Step: PutLast, Name: "empty"},
@@ -167,6 +162,20 @@ func TestUnpagedJobListDecodes(t *testing.T) {
 	want := &JobListReply{Jobs: []JobRecord{{JobID: "j1", State: "done", Detail: "completed"}}}
 	if !reflect.DeepEqual(body, want) {
 		t.Errorf("unpaged reply decoded as %+v, want %+v", body, want)
+	}
+}
+
+// TestRegistryQueryWithoutSiteDecodes: Site was appended, so a query from
+// a client that predates it still decodes, as a query about the answering
+// proxy's own site.
+func TestRegistryQueryWithoutSiteDecodes(t *testing.T) {
+	payload := wire.AppendStringSlice(wire.AppendString(nil, "node"), []string{"speed=1"})
+	body, err := Unmarshal(Message{Code: CodeRegistryQuery, Corr: 1, Payload: payload})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := (&RegistryQuery{Kind: "node", Attrs: []string{"speed=1"}}); !reflect.DeepEqual(body, want) {
+		t.Errorf("query without a site decoded as %+v, want %+v", body, want)
 	}
 }
 
@@ -385,8 +394,8 @@ func TestDuplicateRegistrationPanics(t *testing.T) {
 
 func TestDecodeCorruptPayloadsNeverPanic(t *testing.T) {
 	codes := []Code{
-		CodeHello, CodeAuthRequest, CodeStatusReport, CodeSpawnRequest,
-		CodeRegistryAnnounce, CodeJobSubmit, CodeSpawnReply, CodeRegistryReply,
+		CodeHello, CodeAuthRequest, CodeStatusReport, CodeStreamOpen,
+		CodeRegistryQuery, CodeJobSubmit, CodeSpawnReply, CodeRegistryReply,
 		CodePrepareSpawn, CodeAbortSpawn, CodeJobListReply,
 	}
 	f := func(raw []byte, pick uint8) bool {

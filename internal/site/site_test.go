@@ -189,12 +189,16 @@ func TestRealTCPGrid(t *testing.T) {
 	if len(summaries) != 2 {
 		t.Fatalf("summaries over TCP = %+v", summaries)
 	}
-	resources, err := client.Resources(ctx, "node", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(resources) != 4 { // both sites' node inventories
-		t.Fatalf("resources over TCP = %+v", resources)
+	// Each site reports its own nodes; the other one is asked through
+	// the tunnel.
+	for _, s := range []string{"", "siteb"} {
+		resources, err := client.Resources(ctx, s, "node")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(resources) != 2 {
+			t.Fatalf("resources of %q over TCP = %+v", s, resources)
+		}
 	}
 	if err := client.Ping(ctx); err != nil {
 		t.Fatal(err)

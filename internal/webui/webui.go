@@ -94,9 +94,18 @@ func (h *Handler) apiJobs(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, jobs)
 }
 
+// apiResources lists one site's resources (?site=, default this one), as
+// that site reports them.
 func (h *Handler) apiResources(w http.ResponseWriter, r *http.Request) {
-	kind := r.URL.Query().Get("kind")
-	writeJSON(w, h.proxy.AllResources(kind))
+	ctx, cancel := context.WithTimeout(r.Context(), statusTimeout)
+	defer cancel()
+	q := r.URL.Query()
+	resources, err := h.proxy.Resources(ctx, q.Get("site"), q.Get("kind"), nil)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadGateway)
+		return
+	}
+	writeJSON(w, resources)
 }
 
 func (h *Handler) apiPeers(w http.ResponseWriter, r *http.Request) {

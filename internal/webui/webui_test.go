@@ -157,19 +157,21 @@ func TestAPIGridCompilesAPIStatus(t *testing.T) {
 
 func TestAPIResourcesAndPeers(t *testing.T) {
 	server, _ := newServer(t)
-	code, body := get(t, server.URL+"/api/resources?kind=node")
-	if code != http.StatusOK {
-		t.Fatalf("resources status = %d", code)
-	}
-	var resources []map[string]any
-	if err := json.Unmarshal(body, &resources); err != nil {
-		t.Fatal(err)
-	}
-	if len(resources) != 5 {
-		t.Errorf("resources = %d", len(resources))
+	for query, want := range map[string]int{"kind=node": 2, "kind=node&site=siteb": 3} {
+		code, body := get(t, server.URL+"/api/resources?"+query)
+		if code != http.StatusOK {
+			t.Fatalf("resources?%s status = %d", query, code)
+		}
+		var resources []map[string]any
+		if err := json.Unmarshal(body, &resources); err != nil {
+			t.Fatal(err)
+		}
+		if len(resources) != want {
+			t.Errorf("resources?%s = %d, want %d", query, len(resources), want)
+		}
 	}
 
-	code, body = get(t, server.URL+"/api/peers")
+	code, body := get(t, server.URL+"/api/peers")
 	if code != http.StatusOK {
 		t.Fatalf("peers status = %d", code)
 	}
