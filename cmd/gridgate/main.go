@@ -20,10 +20,6 @@
 //	tgt_ttl       = 10h              # sign-on lifetime
 //	ticket_ttl    = 1h               # service-ticket lifetime
 //	ticket_skew   = 0s               # clock-skew tolerance for expiry checks
-//	webui_addr    = 127.0.0.1:7300   # proxy's web interface: served at /ui/
-//	                                 # behind the session check, forwarding
-//	                                 # the session's ticket to its web_auth
-//	                                 # gate ("" disables)
 //
 // Admission and fairness knobs (all optional; see internal/gate
 // defaults):
@@ -39,7 +35,7 @@
 //	pool_clients  = 64               # pooled proxy connections cap
 //	pool_idle     = 2m               # close pooled clients idle this long
 //	timeout_login = 10s              # per-route deadlines
-//	timeout_submit= 60s
+//	timeout_submit = 60s
 //	timeout_query = 10s
 //	timeout_data  = 30s
 //	max_body      = 8388608          # request-body cap (file puts)
@@ -51,8 +47,6 @@ import (
 	"flag"
 	"fmt"
 	"net/http"
-	"net/http/httputil"
-	"net/url"
 	"os"
 	"os/signal"
 	"syscall"
@@ -143,13 +137,6 @@ func run() error {
 	gcfg.TGS = tgs
 	gcfg.Metrics = reg
 	gcfg.Logger = log
-	// The proxy's web interface, served at /ui/ behind the session
-	// check: the gateway reverse-proxies to gridproxyd's web listener,
-	// re-presenting the session's service ticket as the bearer
-	// credential its web_auth gate validates.
-	if webAddr := cfg.Get("webui_addr", ""); webAddr != "" {
-		gcfg.WebUI = httputil.NewSingleHostReverseProxy(&url.URL{Scheme: "http", Host: webAddr})
-	}
 
 	gateway, err := gate.New(gcfg)
 	if err != nil {

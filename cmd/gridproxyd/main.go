@@ -1,7 +1,7 @@
 // Command gridproxyd runs a site's border proxy: the TLS-tunneled
 // inter-site endpoint, the site-local client/node/splice services, the
-// status collector, rank placement, and (optionally) the web interface and
-// the ticket-granting service.
+// status collector, rank placement, and (optionally) the ticket-granting
+// service. It serves no HTTP: the grid's web interface is gridgate's.
 //
 // Configuration ("key = value" file, see -config):
 //
@@ -14,10 +14,6 @@
 //	users       = users.conf        # users/permissions file
 //	peers       = siteb=10.0.0.2:7100,sitec=10.0.0.3:7100
 //	policy      = least-loaded      # round-robin|least-loaded|weighted-speed|random
-//	web_addr    = 127.0.0.1:7300    # web interface ("" disables)
-//	web_auth    = false             # require a service ticket on the web
-//	                                 # interface (needs ticket_secret); keep
-//	                                 # web_addr loopback-only when false
 //	ticket_secret = gate.secret     # shared-secret file: run the TGS with
 //	                                 # deterministic keys so a gridgate
 //	                                 # started from the same secret can
@@ -96,7 +92,6 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"net/http"
 	"os"
 	"os/signal"
 	"strings"
@@ -107,7 +102,6 @@ import (
 	"gridproxy/internal/ca"
 	"gridproxy/internal/config"
 	"gridproxy/internal/core"
-	"gridproxy/internal/gate"
 	"gridproxy/internal/logging"
 	"gridproxy/internal/metrics"
 	"gridproxy/internal/node"
@@ -117,7 +111,6 @@ import (
 	"gridproxy/internal/ticket"
 	"gridproxy/internal/transport"
 	"gridproxy/internal/tunnel"
-	"gridproxy/internal/webui"
 )
 
 func main() {
@@ -278,36 +271,6 @@ func run() error {
 				log.Warn("peer connect failed (gossip rounds keep retrying the address)", "site", name, "err", err)
 			}
 		}
-	}
-
-	// Web interface. The handler itself is unauthenticated, so it either
-	// stays loopback-only behind a gridgate (which serves it under /ui/
-	// behind the session check) or gets gated here with the ticket
-	// validator when web_auth is on.
-	if webAddr := cfg.Get("web_addr", ""); webAddr != "" {
-		webAuth, err := cfg.Bool("web_auth", false)
-		if err != nil {
-			return err
-		}
-		var handler http.Handler = webui.New(proxy)
-		if webAuth {
-			if tgs == nil || ticketKey == nil {
-				return fmt.Errorf("config: web_auth requires ticket_secret")
-			}
-			handler = gate.TicketAuth(ticket.NewValidator(core.ServiceName(siteName), ticketKey, reg).WithValidatorSkew(ticketSkew), handler)
-		}
-		server := &http.Server{
-			Addr:              webAddr,
-			Handler:           handler,
-			ReadHeaderTimeout: 10 * time.Second,
-		}
-		go func() {
-			if err := server.ListenAndServe(); err != nil && err != http.ErrServerClosed {
-				log.Error("web interface failed", "err", err)
-			}
-		}()
-		defer server.Close()
-		log.Info("web interface listening", "addr", webAddr)
 	}
 
 	log.Info("gridproxyd running", "site", siteName)

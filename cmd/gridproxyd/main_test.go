@@ -10,19 +10,25 @@ import (
 	"testing"
 )
 
-// TestDocumentedKeysAreTheKeysRead keeps the key inventory in main.go's
+// TestDocumentedKeysAreTheKeysRead keeps the key inventory in each daemon's
 // header comment honest: every "key = value" line documented there must
-// be a key some cfg accessor in this file reads, and the other way
-// round. A knob added without a line of documentation, or removed with
-// its line left behind, fails here.
+// be a key some cfg accessor in that file reads, and the other way round.
+// A knob added without a line of documentation, or removed with its line
+// left behind, fails here.
 func TestDocumentedKeysAreTheKeysRead(t *testing.T) {
+	for daemon, path := range map[string]string{"gridproxyd": "main.go", "gridgate": "../gridgate/main.go"} {
+		t.Run(daemon, func(t *testing.T) { checkKeyInventory(t, path) })
+	}
+}
+
+func checkKeyInventory(t *testing.T, path string) {
 	fset := token.NewFileSet()
-	file, err := parser.ParseFile(fset, "main.go", nil, parser.ParseComments)
+	file, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if file.Doc == nil {
-		t.Fatal("main.go has no header comment")
+		t.Fatalf("%s has no header comment", path)
 	}
 
 	documented := map[string]bool{}
@@ -33,20 +39,31 @@ func TestDocumentedKeysAreTheKeysRead(t *testing.T) {
 	read := map[string]bool{}
 	accessors := map[string]bool{"Get": true, "Has": true, "Int": true, "Bool": true, "Duration": true}
 	ast.Inspect(file, func(n ast.Node) bool {
+		if fn, ok := n.(*ast.FuncDecl); ok && fn.Name.Name == "floatKey" {
+			// Its key is a parameter; its callers name the key instead.
+			return false
+		}
 		call, ok := n.(*ast.CallExpr)
-		if !ok || len(call.Args) == 0 {
+		if !ok {
 			return true
 		}
-		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok || !accessors[sel.Sel.Name] {
+		var keyArg ast.Expr
+		switch fun := call.Fun.(type) {
+		case *ast.SelectorExpr:
+			if recv, ok := fun.X.(*ast.Ident); ok && recv.Name == "cfg" && accessors[fun.Sel.Name] && len(call.Args) > 0 {
+				keyArg = call.Args[0]
+			}
+		case *ast.Ident:
+			if fun.Name == "floatKey" && len(call.Args) > 1 {
+				keyArg = call.Args[1]
+			}
+		}
+		if keyArg == nil {
 			return true
 		}
-		if recv, ok := sel.X.(*ast.Ident); !ok || recv.Name != "cfg" {
-			return true
-		}
-		lit, ok := call.Args[0].(*ast.BasicLit)
+		lit, ok := keyArg.(*ast.BasicLit)
 		if !ok || lit.Kind != token.STRING {
-			t.Errorf("%s: cfg.%s with a computed key; the inventory check cannot see it", fset.Position(call.Pos()), sel.Sel.Name)
+			t.Errorf("%s: a config read with a computed key; the inventory check cannot see it", fset.Position(call.Pos()))
 			return true
 		}
 		key, err := strconv.Unquote(lit.Value)
@@ -62,7 +79,7 @@ func TestDocumentedKeysAreTheKeysRead(t *testing.T) {
 	}
 	for _, key := range sortedKeys(read) {
 		if !documented[key] {
-			t.Errorf("key %q is read by gridproxyd but missing from the header comment", key)
+			t.Errorf("key %q is read but missing from the header comment", key)
 		}
 	}
 	for _, key := range sortedKeys(documented) {

@@ -1,25 +1,28 @@
 // monitoring: watch the distributed status collection at work. Each proxy
 // compiles its own site; the origin proxy assembles the grid view with one
 // control exchange per site. A burst of work visibly moves the load
-// numbers, and the web interface serves the same data over HTTP.
+// numbers, and the grid's web interface (the gate, behind a login session)
+// serves the same data over HTTP.
 //
 //	go run ./examples/monitoring
 package main
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"log"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"time"
 
 	"gridproxy/internal/core"
+	"gridproxy/internal/gate"
 	"gridproxy/internal/metrics"
 	"gridproxy/internal/programs"
 	"gridproxy/internal/site"
-	"gridproxy/internal/webui"
 )
 
 func main() {
@@ -96,10 +99,40 @@ func run() error {
 		return err
 	}
 
-	// The same compiled view over the web interface.
-	server := httptest.NewServer(webui.New(origin))
+	// The same compiled view through the grid's front door: log in as the
+	// testbed's admin, then read /api/grid with the session.
+	gw, err := gate.New(gate.Config{
+		Site:      tb.Sites[0].Name,
+		ProxyAddr: tb.Sites[0].LocalAddr(),
+		Network:   tb.Sites[0].Local,
+		TGS:       tb.TGS,
+		Metrics:   reg,
+	})
+	if err != nil {
+		return err
+	}
+	defer gw.Drain(ctx)
+	server := httptest.NewServer(gw)
 	defer server.Close()
-	resp, err := http.Get(server.URL + "/api/grid")
+	resp, err := http.Post(server.URL+"/api/login", "application/json",
+		strings.NewReader(`{"user":"admin","password":"admin"}`))
+	if err != nil {
+		return err
+	}
+	var login struct {
+		Token string `json:"token"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&login)
+	resp.Body.Close()
+	if err != nil || login.Token == "" {
+		return fmt.Errorf("login: %s: %v", resp.Status, err)
+	}
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, server.URL+"/api/grid", nil)
+	if err != nil {
+		return err
+	}
+	req.Header.Set("Authorization", "Bearer "+login.Token)
+	resp, err = http.DefaultClient.Do(req)
 	if err != nil {
 		return err
 	}
@@ -109,5 +142,8 @@ func run() error {
 		return err
 	}
 	fmt.Printf("\nGET /api/grid → %s\n%s", resp.Status, body)
+	if resp.StatusCode != http.StatusOK {
+		return fmt.Errorf("GET /api/grid: %s", resp.Status)
+	}
 	return nil
 }

@@ -1,11 +1,11 @@
 // Package gate is the grid's multi-tenant HTTP front door — the paper's
 // "Web Access Interface" (L3) grown into a production-shaped gateway. It
 // fronts the internal/grid client API with a REST surface (login,
-// submit, status, jobs, cancel, files, outputs, members), authenticates
-// once per session via the internal/ticket TGT flow, and carries the
-// user's service ticket inside an opaque HMAC-sealed session token so
-// every later request is one cheap HMAC — no password or public-key
-// operation per request.
+// submit, status, jobs, cancel, files, outputs, members, resources) and
+// an HTML overview page, authenticates once per session via the
+// internal/ticket TGT flow, and carries the user's service ticket inside
+// an opaque HMAC-sealed session token so every later request is one
+// cheap HMAC — no password or public-key operation per request.
 //
 // Around that core sit the parts that let one gateway face heavy
 // traffic:
@@ -110,10 +110,6 @@ type Config struct {
 	Timeouts RouteTimeouts
 	// Pool carries the grid-client pool knobs.
 	Pool PoolConfig
-	// WebUI, if set, is served under /ui/ behind the session check —
-	// the unauthenticated internal/webui handler must never face the
-	// open network directly (see DESIGN §18).
-	WebUI http.Handler
 	// MaxBodyBytes caps request bodies (file puts). Default 8 MiB.
 	MaxBodyBytes int64
 	// Clock overrides the time source (tests). Nil means time.Now.
@@ -194,18 +190,20 @@ func New(cfg Config) (*Gateway, error) {
 		reg:      cfg.Metrics,
 		log:      cfg.Logger.Named("gate." + cfg.Site),
 	}
-	g.mux = g.routes(cfg.WebUI)
+	g.mux = g.routes()
 	return g, nil
 }
 
 // routes builds the REST surface. Authenticated routes are wrapped by
 // requireSession, which also applies the per-user/per-group buckets.
-func (g *Gateway) routes(webui http.Handler) *http.ServeMux {
+func (g *Gateway) routes() *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /api/login", g.handleLogin)
 	mux.Handle("POST /api/logout", g.requireSession(http.HandlerFunc(g.handleLogout)))
+	mux.Handle("GET /{$}", g.requireSession(http.HandlerFunc(g.handleIndex)))
 	mux.Handle("GET /api/grid", g.requireSession(http.HandlerFunc(g.handleGrid)))
 	mux.Handle("GET /api/members", g.requireSession(http.HandlerFunc(g.handleMembers)))
+	mux.Handle("GET /api/resources", g.requireSession(http.HandlerFunc(g.handleResources)))
 	mux.Handle("GET /api/jobs", g.requireSession(http.HandlerFunc(g.handleJobs)))
 	mux.Handle("POST /api/jobs", g.requireSession(http.HandlerFunc(g.handleSubmit)))
 	mux.Handle("GET /api/jobs/{id}", g.requireSession(http.HandlerFunc(g.handleJob)))
@@ -214,9 +212,6 @@ func (g *Gateway) routes(webui http.Handler) *http.ServeMux {
 	mux.Handle("POST /api/files", g.requireSession(http.HandlerFunc(g.handleFilePut)))
 	mux.Handle("GET /api/files/{hash}", g.requireSession(http.HandlerFunc(g.handleFileGet)))
 	mux.Handle("GET /api/files/{hash}/stat", g.requireSession(http.HandlerFunc(g.handleFileStat)))
-	if webui != nil {
-		mux.Handle("/ui/", http.StripPrefix("/ui", g.requireSession(g.forwardTicket(webui))))
-	}
 	return mux
 }
 
@@ -452,7 +447,7 @@ func (w *statusWriter) Write(p []byte) (int, error) {
 }
 
 // Unwrap lets http.ResponseController reach the underlying writer, so
-// flushing (SSE, the /ui/ reverse proxy) works through the wrapper.
+// handleFilePut's SetReadDeadline works through the wrapper.
 func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
 
 func (w *statusWriter) status() int {

@@ -2,7 +2,6 @@ package gate_test
 
 import (
 	"context"
-	"encoding/base64"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -376,13 +375,6 @@ func TestJobQuotaAndCancel(t *testing.T) {
 }
 
 func TestAdmissionShedsFastUnderOverload(t *testing.T) {
-	entered := make(chan struct{}, 16)
-	release := make(chan struct{})
-	blocked := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		entered <- struct{}{}
-		<-release
-		w.WriteHeader(http.StatusOK)
-	})
 	f := newFixture(t, func(cfg *gate.Config) {
 		cfg.Admission = gate.AdmissionConfig{
 			MaxInFlight: 1,
@@ -390,14 +382,17 @@ func TestAdmissionShedsFastUnderOverload(t *testing.T) {
 			QueueWait:   2 * time.Second,
 			RetryAfter:  3 * time.Second,
 		}
-		cfg.WebUI = blocked
 	})
 	token := f.login(t, "alice", "secret")
 
-	// Request 1 takes the only slot and parks in the handler.
+	// Request 1 takes the only slot: an upload whose body stops arriving.
+	loris := &failure.SlowLoris{Chunk: 8}
+	loris.Stall()
 	done1 := make(chan int, 1)
-	go func() { done1 <- f.do(http.MethodGet, "/ui/hold", token, nil).Code }()
-	<-entered
+	go func() {
+		done1 <- f.do(http.MethodPost, "/api/files?name=parked", token, loris.Body([]byte("a parked upload"))).Code
+	}()
+	waitFor(t, 5*time.Second, "parked upload", func() bool { return f.gw.InFlight() == 1 })
 
 	// Request 2 saturates the queue.
 	done2 := make(chan int, 1)
@@ -424,9 +419,9 @@ func TestAdmissionShedsFastUnderOverload(t *testing.T) {
 		t.Errorf("shed count = %d", n)
 	}
 
-	close(release)
-	if code := <-done1; code != http.StatusOK {
-		t.Errorf("blocked request = %d", code)
+	loris.Heal()
+	if code := <-done1; code != http.StatusCreated {
+		t.Errorf("parked upload = %d", code)
 	}
 	if code := <-done2; code != http.StatusOK {
 		t.Errorf("queued request = %d", code)
@@ -600,63 +595,6 @@ func TestSessionExpiryAndTransparentRenewal(t *testing.T) {
 	}
 	if dials := f.reg.Counter(metrics.GatePoolDials).Value(); dials != 1 {
 		t.Errorf("pool dials = %d, want 1 (renewal must reuse the connection)", dials)
-	}
-}
-
-func TestWebUIBehindSession(t *testing.T) {
-	ui := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		fmt.Fprintf(w, "webui:%s", r.URL.Path)
-	})
-	f := newFixture(t, func(cfg *gate.Config) { cfg.WebUI = ui })
-
-	if rr := f.do(http.MethodGet, "/ui/status", "", nil); rr.Code != http.StatusUnauthorized {
-		t.Fatalf("unauthenticated webui = %d", rr.Code)
-	}
-	token := f.login(t, "alice", "secret")
-	rr := f.do(http.MethodGet, "/ui/status", token, nil)
-	if rr.Code != http.StatusOK || rr.Body.String() != "webui:/status" {
-		t.Errorf("webui = %d: %q", rr.Code, rr.Body)
-	}
-}
-
-func TestTicketAuthGatesHandlers(t *testing.T) {
-	f := newFixture(t, nil)
-	key, err := f.tb.TGS.RegisterService("proxy:sitea")
-	if err != nil {
-		t.Fatal(err)
-	}
-	v := ticket.NewValidator("proxy:sitea", key, nil).WithValidatorClock(f.clock.Now)
-	handler := gate.TicketAuth(v, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.WriteHeader(http.StatusOK)
-	}))
-
-	rr := httptest.NewRecorder()
-	handler.ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/", nil))
-	if rr.Code != http.StatusUnauthorized {
-		t.Fatalf("no ticket = %d", rr.Code)
-	}
-
-	tgt, err := f.tb.TGS.SignOnPassword("alice", "secret")
-	if err != nil {
-		t.Fatal(err)
-	}
-	tick, err := f.tb.TGS.GrantTicket(tgt, "proxy:sitea")
-	if err != nil {
-		t.Fatal(err)
-	}
-	req := httptest.NewRequest(http.MethodGet, "/", nil)
-	req.Header.Set("Authorization", "Bearer "+base64.RawURLEncoding.EncodeToString(tick))
-	rr = httptest.NewRecorder()
-	handler.ServeHTTP(rr, req)
-	if rr.Code != http.StatusOK {
-		t.Fatalf("valid ticket = %d", rr.Code)
-	}
-
-	f.clock.Advance(ticket.DefaultTicketLifetime + time.Minute)
-	rr = httptest.NewRecorder()
-	handler.ServeHTTP(rr, req)
-	if rr.Code != http.StatusUnauthorized {
-		t.Errorf("expired ticket = %d", rr.Code)
 	}
 }
 

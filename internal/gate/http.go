@@ -1,15 +1,20 @@
 package gate
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"html"
 	"io"
 	"net/http"
 	"os"
 	"strconv"
+	"strings"
 
 	"gridproxy/internal/grid"
 	"gridproxy/internal/metrics"
+	"gridproxy/internal/monitor"
 	"gridproxy/internal/proto"
 )
 
@@ -139,28 +144,70 @@ func (g *Gateway) withClient(w http.ResponseWriter, r *http.Request, fn func(sc 
 	}
 }
 
+// siteRow is one site's summary as /api/grid and the overview page show it.
+type siteRow struct {
+	Site         string  `json:"site"`
+	Nodes        int     `json:"nodes"`
+	NodesUp      int     `json:"nodes_up"`
+	CPUFreePct   float64 `json:"cpu_free_pct"`
+	RAMFreeMB    int64   `json:"ram_free_mb"`
+	DiskFreeMB   int64   `json:"disk_free_mb"`
+	Load1        float64 `json:"load1"`
+	RunningProcs int     `json:"running_procs"`
+}
+
+// siteRows fetches the per-site summaries, and their grid totals from the
+// same answer, with one status call.
+func siteRows(ctx context.Context, c *grid.Client) ([]siteRow, monitor.GridStatus, error) {
+	summaries, err := c.Status(ctx)
+	if err != nil {
+		return nil, monitor.GridStatus{}, err
+	}
+	rows := make([]siteRow, len(summaries))
+	for i, s := range summaries {
+		rows[i] = siteRow{
+			Site: s.Site, Nodes: s.Nodes, NodesUp: s.NodesUp,
+			CPUFreePct: s.CPUFreePct, RAMFreeMB: s.RAMFreeMB, DiskFreeMB: s.DiskFreeMB,
+			Load1: s.Load1, RunningProcs: s.RunningProcs,
+		}
+	}
+	return rows, monitor.Compile(summaries), nil
+}
+
 func (g *Gateway) handleGrid(w http.ResponseWriter, r *http.Request) {
 	g.withClient(w, r, func(sc sessionClaims, c *grid.Client) error {
-		summaries, err := c.Status(r.Context())
+		rows, totals, err := siteRows(r.Context(), c)
 		if err != nil {
 			return err
 		}
-		type site struct {
-			Site       string  `json:"site"`
-			Nodes      int     `json:"nodes"`
-			NodesUp    int     `json:"nodes_up"`
-			CPUFreePct float64 `json:"cpu_free_pct"`
-			RAMFreeMB  int64   `json:"ram_free_mb"`
-			Load1      float64 `json:"load1"`
+		writeJSON(w, http.StatusOK, struct {
+			Sites  []siteRow          `json:"sites"`
+			Totals monitor.GridStatus `json:"totals"`
+		}{rows, totals})
+		return nil
+	})
+}
+
+// handleResources lists one site's resources (?site=, default the fronted
+// proxy's) of one kind (?kind=, default any), as that site reports them.
+func (g *Gateway) handleResources(w http.ResponseWriter, r *http.Request) {
+	q := r.URL.Query()
+	g.withClient(w, r, func(sc sessionClaims, c *grid.Client) error {
+		resources, err := c.Resources(r.Context(), q.Get("site"), q.Get("kind"))
+		if err != nil {
+			return err
 		}
-		out := make([]site, len(summaries))
-		for i, s := range summaries {
-			out[i] = site{
-				Site: s.Site, Nodes: s.Nodes, NodesUp: s.NodesUp,
-				CPUFreePct: s.CPUFreePct, RAMFreeMB: s.RAMFreeMB, Load1: s.Load1,
-			}
+		type resource struct {
+			Name  string   `json:"name"`
+			Kind  string   `json:"kind"`
+			Site  string   `json:"site"`
+			Attrs []string `json:"attrs"`
 		}
-		writeJSON(w, http.StatusOK, map[string]any{"sites": out})
+		out := make([]resource, len(resources))
+		for i, res := range resources {
+			out[i] = resource{Name: res.Name, Kind: res.Kind, Site: res.Site, Attrs: res.Attrs}
+		}
+		writeJSON(w, http.StatusOK, map[string]any{"resources": out})
 		return nil
 	})
 }
@@ -221,6 +268,84 @@ func (g *Gateway) handleJobs(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, page)
 		return nil
 	})
+}
+
+// handleIndex serves the overview page: the fronted site, the sites it
+// holds a tunnel to, every site's summary and the session user's newest
+// jobs.
+func (g *Gateway) handleIndex(w http.ResponseWriter, r *http.Request) {
+	g.withClient(w, r, func(sc sessionClaims, c *grid.Client) error {
+		rows, _, err := siteRows(r.Context(), c)
+		if err != nil {
+			return err
+		}
+		members, err := c.Members(r.Context())
+		if err != nil {
+			return err
+		}
+		jobs, _, err := c.Jobs(r.Context(), sc.User, 0)
+		if err != nil {
+			return err
+		}
+		var peers []string
+		for _, m := range members {
+			if m.Tunnel && m.Site != g.site {
+				peers = append(peers, m.Site)
+			}
+		}
+		w.Header().Set("Content-Type", "text/html; charset=utf-8")
+		_, _ = io.WriteString(w, indexPage(g.site, sc.User, peers, rows, jobs))
+		return nil
+	})
+}
+
+// indexPage renders the overview. Every string in it comes from the grid,
+// so each is escaped.
+func indexPage(site, user string, peers []string, rows []siteRow, jobs []grid.JobRecord) string {
+	esc := html.EscapeString
+	var b strings.Builder
+	fmt.Fprintf(&b, `<!DOCTYPE html>
+<html>
+<head><title>gridproxy — %[1]s</title>
+<style>
+body { font-family: sans-serif; margin: 2em; }
+table { border-collapse: collapse; margin-bottom: 2em; }
+th, td { border: 1px solid #999; padding: 0.3em 0.8em; text-align: right; }
+th { background: #eee; }
+td:first-child, th:first-child { text-align: left; }
+</style>
+</head>
+<body>
+<h1>Grid proxy — site %[1]s</h1>
+<p>Connected peers:`, esc(site))
+	if len(peers) == 0 {
+		b.WriteString(" none")
+	}
+	for _, p := range peers {
+		b.WriteString(" " + esc(p))
+	}
+	b.WriteString(`</p>
+
+<h2>Site status (compiled per site)</h2>
+<table>
+<tr><th>Site</th><th>Nodes</th><th>Up</th><th>CPU free %</th><th>RAM free MB</th><th>Disk free MB</th><th>Load</th><th>Procs</th></tr>
+`)
+	for _, s := range rows {
+		fmt.Fprintf(&b, "<tr><td>%s</td><td>%d</td><td>%d</td><td>%.1f</td><td>%d</td><td>%d</td><td>%.2f</td><td>%d</td></tr>\n",
+			esc(s.Site), s.Nodes, s.NodesUp, s.CPUFreePct, s.RAMFreeMB, s.DiskFreeMB, s.Load1, s.RunningProcs)
+	}
+	fmt.Fprintf(&b, "</table>\n\n<h2>Jobs of %s (newest first)</h2>\n", esc(user))
+	if len(jobs) == 0 {
+		b.WriteString("<p>No jobs.</p>\n")
+	} else {
+		b.WriteString("<table>\n<tr><th>Job</th><th>State</th><th>Detail</th></tr>\n")
+		for _, j := range jobs {
+			fmt.Fprintf(&b, "<tr><td>%s</td><td>%s</td><td>%s</td></tr>\n", esc(j.ID), esc(j.State), esc(j.Detail))
+		}
+		b.WriteString("</table>\n")
+	}
+	b.WriteString("</body>\n</html>\n")
+	return b.String()
 }
 
 // jobRequest is the submission body.

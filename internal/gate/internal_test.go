@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"strings"
 	"testing"
 	"time"
 
@@ -37,6 +38,23 @@ func TestHTTPStatusFor(t *testing.T) {
 	for _, c := range cases {
 		if got := httpStatusFor(c.err); got != c.want {
 			t.Errorf("httpStatusFor(%v) = %d, want %d", c.err, got, c.want)
+		}
+	}
+}
+
+// TestIndexPageEscapes: every string the overview page shows comes from
+// the grid, and none of it can inject markup.
+func TestIndexPageEscapes(t *testing.T) {
+	page := indexPage("a<b", "u&v", []string{`<img src="x">`}, []siteRow{{Site: "<s>"}},
+		[]grid.JobRecord{{ID: "j'1", State: "failed", Detail: `<script>alert("x")</script>`}})
+	for _, raw := range []string{"a<b", "u&v", "<img", "<s>", "j'1", "<script>"} {
+		if strings.Contains(page, raw) {
+			t.Errorf("page holds %q unescaped", raw)
+		}
+	}
+	for _, escaped := range []string{"a&lt;b", "u&amp;v", "&lt;img src=&#34;x&#34;&gt;", "&lt;s&gt;", "j&#39;1", "&lt;script&gt;"} {
+		if !strings.Contains(page, escaped) {
+			t.Errorf("page lacks %q", escaped)
 		}
 	}
 }

@@ -7,11 +7,9 @@ import (
 	"crypto/sha256"
 	"encoding/base64"
 	"fmt"
-	"net/http"
 	"sync"
 	"time"
 
-	"gridproxy/internal/ticket"
 	"gridproxy/internal/wire"
 )
 
@@ -148,43 +146,4 @@ func sessionFrom(ctx context.Context) (sessionClaims, string, bool) {
 		return sessionClaims{}, "", false
 	}
 	return v.claims, v.token, true
-}
-
-// forwardTicket replaces the request's gateway session credential with
-// the session's service ticket (base64url bearer) before invoking h.
-// A WebUI handler that reverse-proxies to gridproxyd's ticket-gated
-// web listener (web_auth) thereby presents a credential the backend
-// validates; the opaque session token never leaves the gateway.
-func (g *Gateway) forwardTicket(h http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if sc, _, ok := sessionFrom(r.Context()); ok {
-			r.Header.Set("Authorization",
-				"Bearer "+base64.RawURLEncoding.EncodeToString(sc.Ticket))
-		}
-		h.ServeHTTP(w, r)
-	})
-}
-
-// TicketAuth wraps h so it only serves requests presenting a valid
-// service ticket for this validator's service, base64url-encoded in
-// "Authorization: Bearer". gridproxyd uses it to gate the local web UI
-// when it must be exposed without a full gateway in front.
-func TicketAuth(v *ticket.Validator, h http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		raw := bearerToken(r)
-		if raw == "" {
-			http.Error(w, "service ticket required", http.StatusUnauthorized)
-			return
-		}
-		tick, err := base64.RawURLEncoding.DecodeString(raw)
-		if err != nil {
-			http.Error(w, "malformed ticket", http.StatusUnauthorized)
-			return
-		}
-		if _, err := v.Validate(tick); err != nil {
-			http.Error(w, "invalid or expired ticket", http.StatusUnauthorized)
-			return
-		}
-		h.ServeHTTP(w, r)
-	})
 }

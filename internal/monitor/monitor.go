@@ -238,12 +238,12 @@ func (c *Collector) Summary() SiteSummary {
 
 // GridStatus is the compiled grid-wide totals.
 type GridStatus struct {
-	Sites        int
-	Nodes        int
-	NodesUp      int
-	RAMFreeMB    int64
-	DiskFreeMB   int64
-	RunningProcs int
+	Sites        int   `json:"sites"`
+	Nodes        int   `json:"nodes"`
+	NodesUp      int   `json:"nodes_up"`
+	RAMFreeMB    int64 `json:"ram_free_mb"`
+	DiskFreeMB   int64 `json:"disk_free_mb"`
+	RunningProcs int   `json:"running_procs"`
 }
 
 // Compile totals site summaries into the grid's status ("The global

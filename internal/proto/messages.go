@@ -62,7 +62,7 @@ type Hello struct {
 	Site string
 	// Version is the protocol version the sender speaks.
 	Version uint16
-	// Capabilities lists optional features ("mpi", "ticket", "webui").
+	// Capabilities lists optional features ("mpi", "ticket").
 	Capabilities []string
 	// WANAddr is the announcing proxy's own inter-site listen address,
 	// so the accepting side learns a dialable address for the membership
