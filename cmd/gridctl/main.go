@@ -416,11 +416,23 @@ func runForwarder(client *grid.Client, proxyAddr, listen, app, targetSite, targe
 			}
 			defer remote.Close()
 			done := make(chan struct{}, 2)
-			go func() { _, _ = io.Copy(remote, local); done <- struct{}{} }()
-			go func() { _, _ = io.Copy(local, remote); done <- struct{}{} }()
+			go func() { forward(remote, local); done <- struct{}{} }()
+			go func() { forward(local, remote); done <- struct{}{} }()
+			<-done
 			<-done
 		}()
 	}
+}
+
+// forward copies src to dst, then half-closes dst so the far end reads
+// EOF and can still answer. If dst cannot half-close, or the copy failed,
+// both ends are closed so the other direction unblocks.
+func forward(dst, src net.Conn) {
+	if _, err := io.Copy(dst, src); err == nil && transport.CloseWrite(dst) == nil {
+		return
+	}
+	_ = dst.Close()
+	_ = src.Close()
 }
 
 // allJobs lists every owner's jobs, newest first, following the proxy's

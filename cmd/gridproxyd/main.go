@@ -182,6 +182,9 @@ func run() error {
 
 	reg := metrics.NewRegistry()
 	local := transport.NewLabelTCP()
+	// Deferred before the proxy's Close, so it runs after it: the shared
+	// label listener closes once the proxy has let go of its labels.
+	defer local.Close()
 	wan := transport.NewTLS(transport.TCP{}, cred, authority.CertPool(), reg)
 
 	// With a shared ticket secret, this proxy runs the TGS with

@@ -150,21 +150,36 @@ nodes = 2
 	}
 }
 
-// freePorts reserves n distinct TCP ports and releases them.
+// freePorts reserves n distinct TCP ports and releases them. Each comes
+// with the two ports above it free as well, because a local_addr also
+// claims port+1 and port+2: a port picked alone can have a neighbour some
+// other process holds.
 func freePorts(t *testing.T, n int) []int {
 	t.Helper()
-	var listeners []net.Listener
+	var held []net.Listener
+	defer func() {
+		for _, ln := range held {
+			_ = ln.Close()
+		}
+	}()
 	var ports []int
-	for i := 0; i < n; i++ {
+	for len(ports) < n {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
-		listeners = append(listeners, ln)
-		ports = append(ports, ln.Addr().(*net.TCPAddr).Port)
-	}
-	for _, ln := range listeners {
-		_ = ln.Close()
+		held = append(held, ln)
+		port := ln.Addr().(*net.TCPAddr).Port
+		free := true
+		for next := port + 1; next <= port+2 && free; next++ {
+			nextLn, err := net.Listen("tcp", fmt.Sprintf("127.0.0.1:%d", next))
+			if free = err == nil; free {
+				held = append(held, nextLn)
+			}
+		}
+		if free {
+			ports = append(ports, port)
+		}
 	}
 	return ports
 }

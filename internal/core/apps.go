@@ -12,6 +12,7 @@ import (
 	"gridproxy/internal/node"
 	"gridproxy/internal/proto"
 	"gridproxy/internal/stage"
+	"gridproxy/internal/transport"
 	"gridproxy/internal/tunnel"
 	"gridproxy/internal/wire"
 )
@@ -405,8 +406,7 @@ func (c *countedConn) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// closeWriter is implemented by connections supporting half-close.
-type closeWriter interface{ CloseWrite() error }
+func (c *countedConn) CloseWrite() error { return transport.CloseWrite(c.Conn) }
 
 // splice copies bidirectionally between a and b, propagating half-closes
 // when supported, and closes both when done. Copy buffers are leased from
@@ -420,8 +420,7 @@ func (p *Proxy) splice(a, b net.Conn) {
 		buf := wire.GetPayload(64 << 10)
 		defer wire.PutPayload(buf)
 		_, err := io.CopyBuffer(dst, src, buf)
-		if cw, ok := dst.(closeWriter); ok && err == nil {
-			_ = cw.CloseWrite()
+		if err == nil && transport.CloseWrite(dst) == nil {
 			return
 		}
 		// No half-close support (or error): tear both down so the

@@ -15,6 +15,7 @@ import (
 	"gridproxy/internal/monitor"
 	"gridproxy/internal/proto"
 	"gridproxy/internal/stage"
+	"gridproxy/internal/transport"
 	"gridproxy/internal/wire"
 )
 
@@ -630,6 +631,8 @@ type rawConn struct {
 }
 
 func (c *rawConn) Read(p []byte) (int, error) { return c.r.Read(p) }
+
+func (c *rawConn) CloseWrite() error { return transport.CloseWrite(c.Conn) }
 
 // newAuthChallenge returns a fresh signature challenge.
 func newAuthChallenge() ([]byte, error) {

@@ -904,3 +904,5 @@ type rawConn struct {
 }
 
 func (c *rawConn) Read(p []byte) (int, error) { return c.r.Read(p) }
+
+func (c *rawConn) CloseWrite() error { return transport.CloseWrite(c.Conn) }

@@ -117,10 +117,11 @@ func TestRealTCPGrid(t *testing.T) {
 			t.Fatal(err)
 		}
 		wan := transport.NewTLS(transport.TCP{}, cred, authority.CertPool(), nil)
-		// LabelTCP binds labeled endpoints (rank listeners, virtual
-		// slaves) to real ephemeral ports while the configured
-		// host:port services stay on their fixed addresses.
+		// LabelTCP serves labeled endpoints (rank listeners, virtual
+		// slaves) through one shared ephemeral port while the
+		// configured host:port services stay on their fixed addresses.
 		local := transport.NewLabelTCP()
+		t.Cleanup(func() { _ = local.Close() })
 		proxy, err := core.New(core.Config{
 			Site:      name,
 			WANAddr:   wanAddr,

@@ -40,6 +40,20 @@ type Network interface {
 // ErrClosed is returned by transport operations after Close.
 var ErrClosed = errors.New("transport: closed")
 
+// errNoHalfClose is returned by CloseWrite for a connection that cannot
+// half-close.
+var errNoHalfClose = errors.New("transport: connection cannot half-close")
+
+// CloseWrite half-closes conn if it supports it (TCP, TLS, tunnel
+// streams, and wrappers that forward the call): the peer reads EOF while
+// the other direction stays open.
+func CloseWrite(conn net.Conn) error {
+	if cw, ok := conn.(interface{ CloseWrite() error }); ok {
+		return cw.CloseWrite()
+	}
+	return errNoHalfClose
+}
+
 // --- TCP -----------------------------------------------------------------
 
 // TCP is the plain TCP network. The zero value is ready to use.
