@@ -12,9 +12,9 @@
 //     be controlled individually or by user groups"), validated at both
 //     the originating and destination proxies.
 //
-// Short-lived HMAC-sealed session tokens let a proxy avoid re-running the
-// expensive verification on every request inside one session; package
-// ticket provides the full Kerberos-style replacement the paper foresees.
+// The package holds identity and access rights only. The sealed
+// credentials that let a session skip the expensive verification —
+// tickets and session tokens — are package ticket's.
 package auth
 
 import (
@@ -28,7 +28,6 @@ import (
 	"fmt"
 	"strings"
 	"sync"
-	"time"
 
 	"gridproxy/internal/metrics"
 )
@@ -41,8 +40,6 @@ var (
 	// ErrDenied indicates an authenticated user without the required
 	// permission.
 	ErrDenied = errors.New("auth: permission denied")
-	// ErrTokenInvalid indicates a malformed, forged, or expired token.
-	ErrTokenInvalid = errors.New("auth: invalid or expired token")
 	// ErrUserExists is returned by AddUser for duplicates.
 	ErrUserExists = errors.New("auth: user already exists")
 	// ErrNoSuchUser is returned by mutation calls on unknown users.
@@ -57,9 +54,6 @@ const (
 	saltSize         = 16
 	keySize          = 32
 )
-
-// DefaultTokenLifetime is how long issued session tokens stay valid.
-const DefaultTokenLifetime = 8 * time.Hour
 
 // Permission is one (action, resource) capability. Both fields support the
 // "*" wildcard. Resources follow "kind:name" naming, e.g. "site:ufscar".
@@ -100,19 +94,11 @@ type Store struct {
 	mu         sync.RWMutex
 	users      map[string]*user
 	groupPerms map[string][]Permission
-	tokenKey   []byte
-	clock      func() time.Time
 	reg        *metrics.Registry
-	tokenTTL   time.Duration
 }
 
 // StoreOption configures a Store.
 type StoreOption func(*Store)
-
-// WithClock overrides the Store's time source (tests).
-func WithClock(clock func() time.Time) StoreOption {
-	return func(s *Store) { s.clock = clock }
-}
 
 // WithMetrics wires a metrics registry into the store so expensive
 // operations are counted (experiment E5).
@@ -120,23 +106,12 @@ func WithMetrics(reg *metrics.Registry) StoreOption {
 	return func(s *Store) { s.reg = reg }
 }
 
-// WithTokenLifetime overrides DefaultTokenLifetime.
-func WithTokenLifetime(d time.Duration) StoreOption {
-	return func(s *Store) { s.tokenTTL = d }
-}
-
-// NewStore creates an empty store with a random token-sealing key.
+// NewStore creates an empty store. It never fails; the error result is
+// kept for existing callers.
 func NewStore(opts ...StoreOption) (*Store, error) {
-	key := make([]byte, keySize)
-	if _, err := rand.Read(key); err != nil {
-		return nil, fmt.Errorf("auth: generate token key: %w", err)
-	}
 	s := &Store{
 		users:      make(map[string]*user),
 		groupPerms: make(map[string][]Permission),
-		tokenKey:   key,
-		clock:      time.Now,
-		tokenTTL:   DefaultTokenLifetime,
 	}
 	for _, opt := range opts {
 		opt(s)
@@ -314,69 +289,6 @@ func (s *Store) Allowed(name, action, resource string) error {
 		}
 	}
 	return fmt.Errorf("%w: user %q action %q resource %q", ErrDenied, name, action, resource)
-}
-
-// --- session tokens -------------------------------------------------------
-
-// Token layout: user-length-prefixed name, expiry (unix seconds, 8 bytes),
-// HMAC-SHA256 over the preceding bytes.
-
-// IssueToken returns a sealed session token binding the user name to an
-// expiry. Validation is cheap (one HMAC), so proxies use it to skip
-// re-authentication within a session.
-func (s *Store) IssueToken(name string) ([]byte, time.Time, error) {
-	s.mu.RLock()
-	_, ok := s.users[name]
-	s.mu.RUnlock()
-	if !ok {
-		return nil, time.Time{}, ErrNoSuchUser
-	}
-	expiry := s.clock().Add(s.tokenTTL)
-	tok := sealToken(s.tokenKey, name, expiry)
-	return tok, expiry, nil
-}
-
-// ValidateToken verifies a token's seal and expiry, returning the user
-// name. Counted under metrics.TicketOps (the cheap path of E5).
-func (s *Store) ValidateToken(tok []byte) (string, error) {
-	s.reg.Counter(metrics.TicketOps).Inc()
-	name, expiry, err := openToken(s.tokenKey, tok)
-	if err != nil {
-		return "", err
-	}
-	if s.clock().After(expiry) {
-		return "", ErrTokenInvalid
-	}
-	return name, nil
-}
-
-func sealToken(key []byte, name string, expiry time.Time) []byte {
-	body := make([]byte, 0, 4+len(name)+8)
-	body = binary.BigEndian.AppendUint32(body, uint32(len(name)))
-	body = append(body, name...)
-	body = binary.BigEndian.AppendUint64(body, uint64(expiry.Unix()))
-	mac := hmac.New(sha256.New, key)
-	mac.Write(body)
-	return mac.Sum(body)
-}
-
-func openToken(key, tok []byte) (string, time.Time, error) {
-	if len(tok) < 4+8+sha256.Size {
-		return "", time.Time{}, ErrTokenInvalid
-	}
-	body, sum := tok[:len(tok)-sha256.Size], tok[len(tok)-sha256.Size:]
-	mac := hmac.New(sha256.New, key)
-	mac.Write(body)
-	if !hmac.Equal(mac.Sum(nil), sum) {
-		return "", time.Time{}, ErrTokenInvalid
-	}
-	nameLen := binary.BigEndian.Uint32(body[:4])
-	if int(nameLen) != len(body)-4-8 {
-		return "", time.Time{}, ErrTokenInvalid
-	}
-	name := string(body[4 : 4+nameLen])
-	expiry := time.Unix(int64(binary.BigEndian.Uint64(body[4+nameLen:])), 0)
-	return name, expiry, nil
 }
 
 // pbkdf2Key derives a key from password and salt with HMAC-SHA256

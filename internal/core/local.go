@@ -15,6 +15,7 @@ import (
 	"gridproxy/internal/monitor"
 	"gridproxy/internal/proto"
 	"gridproxy/internal/stage"
+	"gridproxy/internal/ticket"
 	"gridproxy/internal/transport"
 	"gridproxy/internal/wire"
 )
@@ -206,9 +207,13 @@ func (cs *clientSession) handle(ctx context.Context, msg proto.Message) (proto.B
 	}
 }
 
+// sessionLifetime bounds the session one Auth opens.
+const sessionLifetime = 8 * time.Hour
+
 // handleAuth runs the paper's first-phase authentication (userid/password
 // and digital signatures) plus the ticket extension. On success the reply
-// carries a session token.
+// carries a session token: a Session claim sealed with this process's
+// key, which the splice service opens.
 func (cs *clientSession) handleAuth(req *proto.AuthRequest) (proto.Body, error) {
 	p := cs.proxy
 	var ticketExpiry time.Time
@@ -246,6 +251,10 @@ func (cs *clientSession) handleAuth(req *proto.AuthRequest) (proto.Body, error) 
 		if claims.User != req.User {
 			return &proto.AuthReply{OK: false, Reason: "ticket user mismatch"}, nil
 		}
+		if p.users.Groups(req.User) == nil {
+			// The granting service knows a user this site does not.
+			return &proto.AuthReply{OK: false, Reason: "unknown user"}, nil
+		}
 		ticketExpiry = claims.Expiry
 	default:
 		return nil, badRequest("unknown auth method %d", req.Method)
@@ -255,15 +264,13 @@ func (cs *clientSession) handleAuth(req *proto.AuthRequest) (proto.Body, error) 
 		cs.dropUploads()
 	}
 	cs.user = req.User
-	token, expiry, err := p.users.IssueToken(req.User)
-	if err != nil {
-		return nil, err
-	}
+	expiry := p.clock().Add(sessionLifetime)
 	// A ticket-opened session cannot outlive the ticket it presented.
 	if !ticketExpiry.IsZero() && ticketExpiry.Before(expiry) {
 		expiry = ticketExpiry
 	}
 	cs.expiry = expiry
+	token := ticket.Seal(p.sessionKey, ticket.Claims{Purpose: ticket.Session, User: req.User, Expiry: expiry})
 	return &proto.AuthReply{OK: true, Token: token, ExpiresUnix: expiry.Unix()}, nil
 }
 
@@ -602,14 +609,15 @@ func (p *Proxy) serveSplice(conn net.Conn) error {
 	}
 	// Authenticate the requesting user by session token and validate
 	// the tunnel permission at the origin.
-	user, err := p.users.ValidateToken(open.Token)
+	p.reg.Counter(metrics.TicketOps).Inc()
+	session, err := ticket.Open(p.sessionKey, ticket.Session, open.Token, p.clock())
 	if err != nil {
 		return refuse("invalid session token")
 	}
 	if open.TargetSite == "" || open.TargetAddr == "" {
 		return refuse("target site and address required")
 	}
-	stream, err := p.OpenTunnel(p.ctx, user, open.AppID, open.TargetSite, open.TargetAddr)
+	stream, err := p.OpenTunnel(p.ctx, session.User, open.AppID, open.TargetSite, open.TargetAddr)
 	if err != nil {
 		return refuse(err.Error())
 	}

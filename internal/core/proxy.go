@@ -153,9 +153,12 @@ type Proxy struct {
 	users     *auth.Store
 	tgs       *ticket.GrantingService
 	validator *ticket.Validator
-	clock     func() time.Time
-	reg       *metrics.Registry
-	log       *logging.Logger
+	// sessionKey seals the Session tokens Auth hands out. It is random
+	// per process, so a restart ends every session.
+	sessionKey []byte
+	clock      func() time.Time
+	reg        *metrics.Registry
+	log        *logging.Logger
 
 	collector *monitor.Collector
 	policy    balance.Policy
@@ -278,12 +281,15 @@ func New(cfg Config) (*Proxy, error) {
 			WithValidatorClock(clock).
 			WithValidatorSkew(cfg.TicketSkew)
 	}
-	store, err := stage.NewStore(p.stagecfg, cfg.Metrics)
-	if err != nil {
+	var err error
+	if p.sessionKey, err = ticket.NewKey(); err != nil {
 		cancel()
 		return nil, err
 	}
-	p.store = store
+	if p.store, err = stage.NewStore(p.stagecfg, cfg.Metrics); err != nil {
+		cancel()
+		return nil, err
+	}
 	return p, nil
 }
 

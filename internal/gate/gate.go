@@ -24,6 +24,7 @@ package gate
 
 import (
 	"context"
+	"encoding/base64"
 	"errors"
 	"net/http"
 	"strconv"
@@ -99,9 +100,6 @@ type Config struct {
 	// SessionTTL bounds a login session; it is further capped by the
 	// granted ticket's lifetime. Default 1h.
 	SessionTTL time.Duration
-	// SessionKey seals session tokens. Nil generates a random key
-	// (sessions then die with the process, which is the safe default).
-	SessionKey []byte
 	// Admission carries the load-shedding knobs.
 	Admission AdmissionConfig
 	// Limits carries rate-limit and quota knobs.
@@ -125,7 +123,6 @@ type Gateway struct {
 	site     string
 	service  string
 	tgs      *ticket.GrantingService
-	sessions *sessionStore
 	admit    *admission
 	users    *limiter
 	groups   *limiter
@@ -138,6 +135,12 @@ type Gateway struct {
 	reg      *metrics.Registry
 	log      *logging.Logger
 	mux      *http.ServeMux
+
+	// sessionKey seals session tokens; it is random per process (see
+	// revocations).
+	sessionKey []byte
+	sessionTTL time.Duration
+	revoked    *revocations
 
 	draining atomic.Bool
 	inflight atomic.Int64
@@ -164,7 +167,7 @@ func New(cfg Config) (*Gateway, error) {
 		// A session must not outlive the ticket it carries.
 		sessionTTL = t
 	}
-	sessions, err := newSessionStore(cfg.SessionKey, sessionTTL, clock)
+	sessionKey, err := ticket.NewKey()
 	if err != nil {
 		return nil, err
 	}
@@ -177,7 +180,6 @@ func New(cfg Config) (*Gateway, error) {
 		site:     cfg.Site,
 		service:  core.ServiceName(cfg.Site),
 		tgs:      cfg.TGS,
-		sessions: sessions,
 		admit:    newAdmission(cfg.Admission, cfg.Metrics),
 		users:    newLimiter(limits.UserRate, limits.UserBurst, clock),
 		groups:   newLimiter(limits.GroupRate, limits.GroupBurst, clock),
@@ -189,6 +191,10 @@ func New(cfg Config) (*Gateway, error) {
 		clock:    clock,
 		reg:      cfg.Metrics,
 		log:      cfg.Logger.Named("gate." + cfg.Site),
+
+		sessionKey: sessionKey,
+		sessionTTL: sessionTTL,
+		revoked:    newRevocations(),
 	}
 	g.mux = g.routes()
 	return g, nil
@@ -298,7 +304,7 @@ func (g *Gateway) requireSession(next http.Handler) http.Handler {
 			writeError(w, http.StatusUnauthorized, "no session: POST /api/login first")
 			return
 		}
-		sc, err := g.sessions.open(token)
+		sc, sealed, err := g.openSession(token)
 		if err != nil {
 			g.reg.Counter(metrics.GateAuthFailures).Inc()
 			writeError(w, http.StatusUnauthorized, "invalid or expired session")
@@ -325,8 +331,39 @@ func (g *Gateway) requireSession(next http.Handler) http.Handler {
 				return
 			}
 		}
-		next.ServeHTTP(w, r.WithContext(withSession(r.Context(), sc, token)))
+		next.ServeHTTP(w, r.WithContext(withSession(r.Context(), sc, sealed)))
 	})
+}
+
+// mintSession seals a login's Session claim, carrying the service ticket
+// the gateway presents to the proxy on the user's behalf, as a base64url
+// token for the cookie and the Authorization header.
+func (g *Gateway) mintSession(user string, groups []string, tick []byte) (string, time.Time) {
+	expiry := g.clock().Add(g.sessionTTL)
+	sealed := ticket.Seal(g.sessionKey, ticket.Claims{
+		Purpose: ticket.Session,
+		User:    user,
+		Groups:  groups,
+		Expiry:  expiry,
+		Inner:   tick,
+	})
+	return base64.RawURLEncoding.EncodeToString(sealed), expiry
+}
+
+// openSession opens a token as a Session claim and returns it with the
+// sealed bytes it decoded to. Forged, malformed, expired and revoked
+// tokens all fail alike. The decoding is strict, so a token has one
+// spelling.
+func (g *Gateway) openSession(token string) (ticket.Claims, []byte, error) {
+	sealed, err := base64.RawURLEncoding.Strict().DecodeString(token)
+	if err != nil {
+		return ticket.Claims{}, nil, ErrNoSession
+	}
+	sc, err := ticket.Open(g.sessionKey, ticket.Session, sealed, g.clock())
+	if err != nil || g.revoked.has(sealed) {
+		return ticket.Claims{}, nil, ErrNoSession
+	}
+	return sc, sealed, nil
 }
 
 // bearerToken extracts the session token from the Authorization header
@@ -352,7 +389,7 @@ func (g *Gateway) Run(ctx context.Context) {
 			return
 		case <-tick.C:
 			now := g.clock()
-			g.sessions.prune(now)
+			g.revoked.prune(now)
 			g.users.prune(now)
 			g.groups.prune(now)
 			g.logins.prune(now)
@@ -390,8 +427,8 @@ func (g *Gateway) InFlight() int64 { return g.inflight.Load() }
 
 // client checks a pooled grid client out for the session user, dialing
 // and ticket-authenticating on first use.
-func (g *Gateway) client(ctx context.Context, sc sessionClaims) (*grid.Client, func(), error) {
-	return g.pool.checkout(ctx, sc.User, sc.Ticket)
+func (g *Gateway) client(ctx context.Context, sc ticket.Claims) (*grid.Client, func(), error) {
+	return g.pool.checkout(ctx, sc.User, sc.Inner)
 }
 
 // httpStatusFor maps backend errors to HTTP statuses, preserving the

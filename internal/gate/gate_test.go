@@ -249,6 +249,34 @@ func TestLoginSessionsAndLogout(t *testing.T) {
 	}
 }
 
+// TestLogoutHoldsForEverySpelling: a logged-out token stays refused
+// however its last character is spelled. Unpadded base64 leaves the low
+// bits of a token's last character unused, so a lenient decoder reads
+// several spellings as the same sealed bytes; three name lengths give
+// the three lengths a sealed token can have modulo 3.
+func TestLogoutHoldsForEverySpelling(t *testing.T) {
+	f := newFixtureOn(t, func(cfg *site.TestbedConfig) {
+		for _, user := range []string{"ali", "alic"} {
+			if err := cfg.Users.AddUser(user, "secret"); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}, nil)
+	const alphabet = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789-_"
+	for _, user := range []string{"ali", "alic", "alice"} {
+		token := f.login(t, user, "secret")
+		if rr := f.do(http.MethodPost, "/api/logout", token, nil); rr.Code != http.StatusNoContent {
+			t.Fatalf("%s: logout = %d", user, rr.Code)
+		}
+		for i := range alphabet {
+			variant := token[:len(token)-1] + alphabet[i:i+1]
+			if rr := f.do(http.MethodGet, "/api/grid", variant, nil); rr.Code != http.StatusUnauthorized {
+				t.Errorf("%s: logged-out token ending in %q = %d", user, alphabet[i], rr.Code)
+			}
+		}
+	}
+}
+
 func TestJobAndFileSurface(t *testing.T) {
 	f := newFixture(t, nil)
 	f.tb.RegisterProgram("quick", func(ctx context.Context, env node.Env) error {

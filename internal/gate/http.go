@@ -16,6 +16,7 @@ import (
 	"gridproxy/internal/metrics"
 	"gridproxy/internal/monitor"
 	"gridproxy/internal/proto"
+	"gridproxy/internal/ticket"
 )
 
 // writeJSON writes a JSON response body.
@@ -95,7 +96,7 @@ func (g *Gateway) handleLogin(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadGateway, "ticket grant failed: "+err.Error())
 		return
 	}
-	token, expiry := g.sessions.mint(req.User, claims.Groups, tick, g.clock().Add(g.tgs.TicketLifetime()))
+	token, expiry := g.mintSession(req.User, claims.Groups, tick)
 	g.reg.Counter(metrics.GateLogins).Inc()
 	http.SetCookie(w, &http.Cookie{
 		Name:     SessionCookie,
@@ -115,19 +116,19 @@ func (g *Gateway) handleLogin(w http.ResponseWriter, r *http.Request) {
 
 // handleLogout revokes the presented session token.
 func (g *Gateway) handleLogout(w http.ResponseWriter, r *http.Request) {
-	sc, token, ok := sessionFrom(r.Context())
+	sc, sealed, ok := sessionFrom(r.Context())
 	if !ok {
 		writeError(w, http.StatusUnauthorized, "no session")
 		return
 	}
-	g.sessions.revoke(token, sc.Expiry)
+	g.revoked.add(sealed, sc.Expiry)
 	g.reg.Counter(metrics.GateSessionsRevoked).Inc()
 	http.SetCookie(w, &http.Cookie{Name: SessionCookie, Value: "", Path: "/", MaxAge: -1})
 	w.WriteHeader(http.StatusNoContent)
 }
 
 // withClient runs fn with the session user's pooled grid client.
-func (g *Gateway) withClient(w http.ResponseWriter, r *http.Request, fn func(sc sessionClaims, c *grid.Client) error) {
+func (g *Gateway) withClient(w http.ResponseWriter, r *http.Request, fn func(sc ticket.Claims, c *grid.Client) error) {
 	sc, _, ok := sessionFrom(r.Context())
 	if !ok {
 		writeError(w, http.StatusUnauthorized, "no session")
@@ -175,7 +176,7 @@ func siteRows(ctx context.Context, c *grid.Client) ([]siteRow, monitor.GridStatu
 }
 
 func (g *Gateway) handleGrid(w http.ResponseWriter, r *http.Request) {
-	g.withClient(w, r, func(sc sessionClaims, c *grid.Client) error {
+	g.withClient(w, r, func(sc ticket.Claims, c *grid.Client) error {
 		rows, totals, err := siteRows(r.Context(), c)
 		if err != nil {
 			return err
@@ -192,7 +193,7 @@ func (g *Gateway) handleGrid(w http.ResponseWriter, r *http.Request) {
 // proxy's) of one kind (?kind=, default any), as that site reports them.
 func (g *Gateway) handleResources(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
-	g.withClient(w, r, func(sc sessionClaims, c *grid.Client) error {
+	g.withClient(w, r, func(sc ticket.Claims, c *grid.Client) error {
 		resources, err := c.Resources(r.Context(), q.Get("site"), q.Get("kind"))
 		if err != nil {
 			return err
@@ -213,7 +214,7 @@ func (g *Gateway) handleResources(w http.ResponseWriter, r *http.Request) {
 }
 
 func (g *Gateway) handleMembers(w http.ResponseWriter, r *http.Request) {
-	g.withClient(w, r, func(sc sessionClaims, c *grid.Client) error {
+	g.withClient(w, r, func(sc ticket.Claims, c *grid.Client) error {
 		members, err := c.Members(r.Context())
 		if err != nil {
 			return err
@@ -245,7 +246,7 @@ func (g *Gateway) handleJobs(w http.ResponseWriter, r *http.Request) {
 		}
 		before = n
 	}
-	g.withClient(w, r, func(sc sessionClaims, c *grid.Client) error {
+	g.withClient(w, r, func(sc ticket.Claims, c *grid.Client) error {
 		jobs, next, err := c.Jobs(r.Context(), sc.User, before)
 		if err != nil {
 			return err
@@ -274,7 +275,7 @@ func (g *Gateway) handleJobs(w http.ResponseWriter, r *http.Request) {
 // holds a tunnel to, every site's summary and the session user's newest
 // jobs.
 func (g *Gateway) handleIndex(w http.ResponseWriter, r *http.Request) {
-	g.withClient(w, r, func(sc sessionClaims, c *grid.Client) error {
+	g.withClient(w, r, func(sc ticket.Claims, c *grid.Client) error {
 		rows, _, err := siteRows(r.Context(), c)
 		if err != nil {
 			return err
@@ -417,7 +418,7 @@ func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 func (g *Gateway) handleJob(w http.ResponseWriter, r *http.Request) {
 	jobID := r.PathValue("id")
-	g.withClient(w, r, func(sc sessionClaims, c *grid.Client) error {
+	g.withClient(w, r, func(sc ticket.Claims, c *grid.Client) error {
 		state, detail, err := c.JobState(r.Context(), jobID)
 		if err != nil {
 			return err
@@ -434,7 +435,7 @@ func (g *Gateway) handleJob(w http.ResponseWriter, r *http.Request) {
 
 func (g *Gateway) handleCancel(w http.ResponseWriter, r *http.Request) {
 	jobID := r.PathValue("id")
-	g.withClient(w, r, func(sc sessionClaims, c *grid.Client) error {
+	g.withClient(w, r, func(sc ticket.Claims, c *grid.Client) error {
 		if err := c.Cancel(r.Context(), jobID); err != nil {
 			return err
 		}
@@ -446,7 +447,7 @@ func (g *Gateway) handleCancel(w http.ResponseWriter, r *http.Request) {
 
 func (g *Gateway) handleOutputs(w http.ResponseWriter, r *http.Request) {
 	jobID := r.PathValue("id")
-	g.withClient(w, r, func(sc sessionClaims, c *grid.Client) error {
+	g.withClient(w, r, func(sc ticket.Claims, c *grid.Client) error {
 		refs, err := c.JobOutputs(r.Context(), jobID)
 		if err != nil {
 			return err
@@ -500,7 +501,7 @@ func (g *Gateway) handleFilePut(w http.ResponseWriter, r *http.Request) {
 		_ = http.NewResponseController(w).SetReadDeadline(deadline)
 	}
 	body := &bodyReader{r: http.MaxBytesReader(w, r.Body, g.maxBody)}
-	g.withClient(w, r, func(sc sessionClaims, c *grid.Client) error {
+	g.withClient(w, r, func(sc ticket.Claims, c *grid.Client) error {
 		ref, err := c.PutFrom(r.Context(), name, body, r.ContentLength)
 		var tooBig *http.MaxBytesError
 		switch {
@@ -549,7 +550,7 @@ func (d *download) Write(p []byte) (int, error) { return d.w.Write(p) }
 // ends short.
 func (g *Gateway) handleFileGet(w http.ResponseWriter, r *http.Request) {
 	hash := r.PathValue("hash")
-	g.withClient(w, r, func(sc sessionClaims, c *grid.Client) error {
+	g.withClient(w, r, func(sc ticket.Claims, c *grid.Client) error {
 		dst := &download{w: w}
 		n, err := c.GetTo(r.Context(), hash, dst)
 		if err != nil && dst.announced {
@@ -563,7 +564,7 @@ func (g *Gateway) handleFileGet(w http.ResponseWriter, r *http.Request) {
 
 func (g *Gateway) handleFileStat(w http.ResponseWriter, r *http.Request) {
 	hash := r.PathValue("hash")
-	g.withClient(w, r, func(sc sessionClaims, c *grid.Client) error {
+	g.withClient(w, r, func(sc ticket.Claims, c *grid.Client) error {
 		size, present, err := c.Stat(r.Context(), hash)
 		if err != nil {
 			return err

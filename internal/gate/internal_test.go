@@ -9,10 +9,12 @@ import (
 	"testing"
 	"time"
 
+	"gridproxy/internal/auth"
 	"gridproxy/internal/grid"
 	"gridproxy/internal/logging"
 	"gridproxy/internal/metrics"
 	"gridproxy/internal/proto"
+	"gridproxy/internal/ticket"
 	"gridproxy/internal/transport"
 )
 
@@ -59,55 +61,66 @@ func TestIndexPageEscapes(t *testing.T) {
 	}
 }
 
+// TestSessionStoreRoundtrip: a session token opens to what was sealed
+// into it, cannot outlive the ticket it carries, and stops opening once
+// forged, revoked or expired.
 func TestSessionStoreRoundtrip(t *testing.T) {
 	now := time.Unix(1_700_000_000, 0)
 	clock := func() time.Time { return now }
-	s, err := newSessionStore([]byte("shared-secret"), time.Hour, clock)
+	users, err := auth.NewStore()
 	if err != nil {
 		t.Fatal(err)
 	}
+	tgs, err := ticket.NewGrantingService(users, ticket.WithClock(clock), ticket.WithLifetimes(10*time.Hour, 30*time.Minute))
+	if err != nil {
+		t.Fatal(err)
+	}
+	newGateway := func() *Gateway {
+		g, err := New(Config{Site: "sitea", ProxyAddr: "proxy", Network: transport.NewMemNetwork(),
+			TGS: tgs, SessionTTL: time.Hour, Clock: clock})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+	g := newGateway()
 	tick := []byte("opaque-service-ticket")
-	token, expiry := s.mint("alice", []string{"researchers"}, tick, now.Add(30*time.Minute))
+	token, expiry := g.mintSession("alice", []string{"researchers"}, tick)
 	if !expiry.Equal(now.Add(30 * time.Minute)) {
 		t.Errorf("expiry = %v (session must not outlive its ticket)", expiry)
 	}
-	sc, err := s.open(token)
+	sc, sealed, err := g.openSession(token)
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
-	if sc.User != "alice" || len(sc.Groups) != 1 || string(sc.Ticket) != string(tick) {
+	if sc.User != "alice" || len(sc.Groups) != 1 || string(sc.Inner) != string(tick) {
 		t.Errorf("claims = %+v", sc)
 	}
 
-	// A second store built from the same key opens the token: sessions
-	// survive a gateway restart given a configured key.
-	s2, err := newSessionStore([]byte("shared-secret"), time.Hour, clock)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s2.open(token); err != nil {
-		t.Errorf("open with same key: %v", err)
-	}
-	// A different key does not.
-	s3, _ := newSessionStore([]byte("other-secret"), time.Hour, clock)
-	if _, err := s3.open(token); !errors.Is(err, ErrNoSession) {
+	// Forgeries: another gateway's key, and a tampered token.
+	if _, _, err := newGateway().openSession(token); !errors.Is(err, ErrNoSession) {
 		t.Errorf("open with other key = %v", err)
+	}
+	flipped := []byte(token)
+	flipped[len(flipped)/2] ^= 'A' ^ 'B'
+	if _, _, err := g.openSession(string(flipped)); !errors.Is(err, ErrNoSession) {
+		t.Errorf("tampered open = %v", err)
 	}
 
 	// Revocation and expiry.
-	s.revoke(token, sc.Expiry)
-	if _, err := s.open(token); !errors.Is(err, ErrNoSession) {
+	g.revoked.add(sealed, sc.Expiry)
+	if _, _, err := g.openSession(token); !errors.Is(err, ErrNoSession) {
 		t.Errorf("revoked open = %v", err)
 	}
-	s.prune(now.Add(31 * time.Minute))
-	s.mu.Lock()
-	left := len(s.revoked)
-	s.mu.Unlock()
+	g.revoked.prune(now.Add(31 * time.Minute))
+	g.revoked.mu.Lock()
+	left := len(g.revoked.revoked)
+	g.revoked.mu.Unlock()
 	if left != 0 {
 		t.Errorf("revocations after prune = %d", left)
 	}
 	now = now.Add(31 * time.Minute)
-	if _, err := s.open(token); !errors.Is(err, ErrNoSession) {
+	if _, _, err := g.openSession(token); !errors.Is(err, ErrNoSession) {
 		t.Errorf("expired open = %v", err)
 	}
 }

@@ -1,20 +1,28 @@
-// Package ticket implements the Kerberos-style single-sign-on the paper
-// foresees as the replacement for per-request authentication: "a
-// recognized authentication standard such as Kerberos, which requires a
-// single authentication per session, with the access rights stored safely
-// in a ticket and reused transparently, without the need for user
-// intervention."
+// Package ticket is the grid's only sealed credential, and with it the
+// Kerberos-style single sign-on the paper foresees as the replacement for
+// per-request authentication: "a recognized authentication standard such
+// as Kerberos, which requires a single authentication per session, with
+// the access rights stored safely in a ticket and reused transparently,
+// without the need for user intervention."
 //
-// The model follows Kerberos in miniature, built from stdlib HMAC:
+// Every credential in the tree is one Claims value sealed by Seal and
+// opened by Open: a purpose byte, the claims, and an HMAC-SHA256 tag
+// over both. The purpose says what the credential is for, and Open
+// refuses any other, so a credential of one purpose never passes for
+// another even under the same key:
 //
-//   - The Granting Service (TGS) authenticates a user once (password or
-//     signature via an auth.Store) and issues a Ticket-Granting Ticket
-//     (TGT) sealed with the TGS master key.
-//   - Holding a TGT, the client requests Session Tickets for named
-//     services ("proxy:siteB"). Each session ticket is sealed with that
-//     service's key, carries the user's name, groups, and expiry, and is
-//     validated by the service with one HMAC — no user interaction and no
-//     expensive public-key or password operation.
+//   - TGT: the Granting Service (TGS) authenticates a user once
+//     (password or signature via an auth.Store) and seals a
+//     ticket-granting ticket with its master key.
+//   - Service: holding a TGT, the client asks for service tickets for
+//     named services ("proxy:siteB"), each sealed with that service's
+//     key and checked by the service's Validator with one HMAC — no
+//     user interaction and no expensive public-key or password
+//     operation.
+//   - Session: a proxy, after Auth, and a gateway, after login, seal
+//     the session they opened under a per-process random key; a
+//     gateway's session carries the service ticket it presents to the
+//     proxy as its inner credential.
 package ticket
 
 import (
@@ -42,7 +50,8 @@ const (
 
 // Package errors.
 var (
-	// ErrInvalidTicket covers forged, malformed, and expired tickets.
+	// ErrInvalidTicket covers forged, malformed, expired and
+	// wrong-purpose credentials.
 	ErrInvalidTicket = errors.New("ticket: invalid or expired ticket")
 	// ErrUnknownService indicates a ticket request for an unregistered
 	// service.
@@ -52,12 +61,32 @@ var (
 	ErrWrongService = errors.New("ticket: ticket issued for a different service")
 )
 
-// Claims is the authenticated identity a ticket conveys.
+// Purpose says what a sealed credential is for. It leads the sealed
+// body, under the tag.
+type Purpose byte
+
+// The purposes of a sealed credential.
+const (
+	// TGT is a ticket-granting ticket, sealed with the TGS master key.
+	TGT Purpose = iota + 1
+	// Service is a service ticket, sealed with the named service's key.
+	Service
+	// Session is a session token, sealed with the per-process key of
+	// the proxy or gateway that opened the session.
+	Session
+)
+
+// Claims is the authenticated identity a credential conveys.
 type Claims struct {
+	Purpose Purpose
 	User    string
 	Groups  []string
+	// Service names the service a Service ticket is for.
 	Service string
 	Expiry  time.Time
+	// Inner is one sealed credential the claim carries: a gateway's
+	// Session holds the Service ticket it presents to the proxy.
+	Inner []byte
 }
 
 // GrantingService is the grid's TGS. One instance runs alongside a
@@ -66,7 +95,6 @@ type Claims struct {
 type GrantingService struct {
 	mu          sync.RWMutex
 	masterKey   []byte
-	derive      bool
 	serviceKeys map[string][]byte
 	users       *auth.Store
 	clock       func() time.Time
@@ -89,7 +117,7 @@ func WithMetrics(reg *metrics.Registry) Option {
 	return func(g *GrantingService) { g.reg = reg }
 }
 
-// WithLifetimes overrides the TGT and session-ticket lifetimes.
+// WithLifetimes overrides the TGT and service-ticket lifetimes.
 func WithLifetimes(tgt, ticket time.Duration) Option {
 	return func(g *GrantingService) {
 		g.tgtTTL = tgt
@@ -105,24 +133,22 @@ func WithSkew(d time.Duration) Option {
 }
 
 // WithMasterKey replaces the random master key with one derived from
-// secret, and switches RegisterService to deterministic per-service key
-// derivation (HMAC of the master key over the service name). Two
-// processes constructed from the same secret — e.g. a gridgate gateway
-// and the gridproxyd it fronts — then agree on every service key without
-// any out-of-band key exchange.
+// secret. Service keys derive from the master key, so two processes
+// constructed from the same secret — e.g. a gridgate gateway and the
+// gridproxyd it fronts — agree on every service key without any
+// out-of-band key exchange.
 func WithMasterKey(secret []byte) Option {
 	return func(g *GrantingService) {
 		sum := sha256.Sum256(secret)
 		g.masterKey = sum[:]
-		g.derive = true
 	}
 }
 
 // NewGrantingService creates a TGS that authenticates users against store.
 func NewGrantingService(store *auth.Store, opts ...Option) (*GrantingService, error) {
-	master := make([]byte, keySize)
-	if _, err := rand.Read(master); err != nil {
-		return nil, fmt.Errorf("ticket: generate master key: %w", err)
+	master, err := NewKey()
+	if err != nil {
+		return nil, err
 	}
 	g := &GrantingService{
 		masterKey:   master,
@@ -138,30 +164,20 @@ func NewGrantingService(store *auth.Store, opts ...Option) (*GrantingService, er
 	return g, nil
 }
 
-// RegisterService creates (or returns the existing) key for a service. The
-// returned key is handed to the service's Validator.
+// RegisterService enters a service and returns its key, the HMAC of the
+// master key over the service name. The key is handed to the service's
+// Validator. The error is always nil.
 func (g *GrantingService) RegisterService(service string) ([]byte, error) {
+	mac := hmac.New(sha256.New, g.masterKey)
+	mac.Write([]byte("service-key:" + service))
+	key := mac.Sum(nil)
 	g.mu.Lock()
-	defer g.mu.Unlock()
-	if key, ok := g.serviceKeys[service]; ok {
-		return key, nil
-	}
-	var key []byte
-	if g.derive {
-		mac := hmac.New(sha256.New, g.masterKey)
-		mac.Write([]byte("service-key:" + service))
-		key = mac.Sum(nil)
-	} else {
-		key = make([]byte, keySize)
-		if _, err := rand.Read(key); err != nil {
-			return nil, fmt.Errorf("ticket: generate service key: %w", err)
-		}
-	}
 	g.serviceKeys[service] = key
+	g.mu.Unlock()
 	return key, nil
 }
 
-// TicketLifetime reports the configured session-ticket lifetime, so a
+// TicketLifetime reports the configured service-ticket lifetime, so a
 // gateway can cap its own session expiry at the carried ticket's.
 func (g *GrantingService) TicketLifetime() time.Duration { return g.ticketTTL }
 
@@ -169,14 +185,7 @@ func (g *GrantingService) TicketLifetime() time.Duration { return g.ticketTTL }
 // without granting anything. A gateway uses it after sign-on to learn
 // the user's groups for quota and rate-limit bucketing.
 func (g *GrantingService) TGTClaims(tgt []byte) (Claims, error) {
-	claims, err := open(g.masterKey, tgt)
-	if err != nil {
-		return Claims{}, err
-	}
-	if claims.Service != "krbtgt" || g.clock().After(claims.Expiry.Add(g.skew)) {
-		return Claims{}, ErrInvalidTicket
-	}
-	return claims, nil
+	return Open(g.masterKey, TGT, tgt, g.clock().Add(-g.skew))
 }
 
 // SignOnPassword performs the single expensive authentication of a session
@@ -197,26 +206,22 @@ func (g *GrantingService) SignOnSignature(user string, challenge, sig []byte) ([
 }
 
 func (g *GrantingService) issueTGT(user string) ([]byte, error) {
-	claims := Claims{
+	return Seal(g.masterKey, Claims{
+		Purpose: TGT,
 		User:    user,
 		Groups:  g.users.Groups(user),
-		Service: "krbtgt",
 		Expiry:  g.clock().Add(g.tgtTTL),
-	}
-	return seal(g.masterKey, claims), nil
+	}), nil
 }
 
-// GrantTicket exchanges a valid TGT for a session ticket for service. This
+// GrantTicket exchanges a valid TGT for a service ticket for service. This
 // is the cheap, repeatable operation of E5: one HMAC to validate, one to
 // seal.
 func (g *GrantingService) GrantTicket(tgt []byte, service string) ([]byte, error) {
 	g.reg.Counter(metrics.TicketOps).Inc()
-	claims, err := open(g.masterKey, tgt)
+	claims, err := g.TGTClaims(tgt)
 	if err != nil {
 		return nil, err
-	}
-	if claims.Service != "krbtgt" || g.clock().After(claims.Expiry.Add(g.skew)) {
-		return nil, ErrInvalidTicket
 	}
 	g.mu.RLock()
 	key, ok := g.serviceKeys[service]
@@ -224,16 +229,16 @@ func (g *GrantingService) GrantTicket(tgt []byte, service string) ([]byte, error
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownService, service)
 	}
-	ticketClaims := Claims{
+	return Seal(key, Claims{
+		Purpose: Service,
 		User:    claims.User,
 		Groups:  claims.Groups,
 		Service: service,
 		Expiry:  g.clock().Add(g.ticketTTL),
-	}
-	return seal(key, ticketClaims), nil
+	}), nil
 }
 
-// Validator checks session tickets on the service side.
+// Validator checks service tickets on the service side.
 type Validator struct {
 	service string
 	key     []byte
@@ -263,39 +268,52 @@ func (v *Validator) WithValidatorSkew(d time.Duration) *Validator {
 	return &clone
 }
 
-// Validate opens a session ticket and returns its claims. One HMAC, no
+// Validate opens a service ticket and returns its claims. One HMAC, no
 // user store involved — the property the paper wants from Kerberos.
 func (v *Validator) Validate(ticket []byte) (Claims, error) {
 	v.reg.Counter(metrics.TicketOps).Inc()
-	claims, err := open(v.key, ticket)
+	claims, err := Open(v.key, Service, ticket, v.clock().Add(-v.skew))
 	if err != nil {
 		return Claims{}, err
 	}
 	if claims.Service != v.service {
 		return Claims{}, ErrWrongService
 	}
-	if v.clock().After(claims.Expiry.Add(v.skew)) {
-		return Claims{}, ErrInvalidTicket
-	}
 	return claims, nil
 }
 
 // --- sealing ---------------------------------------------------------------
 
-// seal encodes claims and appends an HMAC-SHA256 tag.
-func seal(key []byte, claims Claims) []byte {
-	body := wire.AppendString(nil, claims.User)
-	body = wire.AppendStringSlice(body, claims.Groups)
-	body = wire.AppendString(body, claims.Service)
-	body = wire.AppendInt64(body, claims.Expiry.Unix())
+// NewKey returns a fresh random sealing key.
+func NewKey() ([]byte, error) {
+	key := make([]byte, keySize)
+	if _, err := rand.Read(key); err != nil {
+		return nil, fmt.Errorf("ticket: generate key: %w", err)
+	}
+	return key, nil
+}
+
+// Seal encodes claims behind their purpose byte and appends an
+// HMAC-SHA256 tag over both.
+func Seal(key []byte, c Claims) []byte {
+	body := append([]byte(nil), byte(c.Purpose))
+	body = wire.AppendString(body, c.User)
+	body = wire.AppendStringSlice(body, c.Groups)
+	body = wire.AppendString(body, c.Service)
+	body = wire.AppendInt64(body, c.Expiry.Unix())
+	body = wire.AppendBytes(body, c.Inner)
 	mac := hmac.New(sha256.New, key)
 	mac.Write(body)
 	return mac.Sum(body)
 }
 
-// open verifies the tag and decodes claims.
-func open(key, sealed []byte) (Claims, error) {
-	if len(sealed) < sha256.Size {
+// Open verifies a sealed credential and decodes its claims. A forged or
+// malformed credential, one sealed for a purpose other than want, and
+// one whose expiry lies before now are all refused with
+// ErrInvalidTicket; a caller that tolerates clock skew passes its clock
+// minus the skew.
+func Open(key []byte, want Purpose, sealed []byte, now time.Time) (Claims, error) {
+	if len(sealed) < 1+sha256.Size || Purpose(sealed[0]) != want {
 		return Claims{}, ErrInvalidTicket
 	}
 	body, sum := sealed[:len(sealed)-sha256.Size], sealed[len(sealed)-sha256.Size:]
@@ -304,15 +322,17 @@ func open(key, sealed []byte) (Claims, error) {
 	if !hmac.Equal(mac.Sum(nil), sum) {
 		return Claims{}, ErrInvalidTicket
 	}
-	buf := wire.NewBuffer(body)
-	claims := Claims{
+	buf := wire.NewBuffer(body[1:])
+	c := Claims{
+		Purpose: want,
 		User:    buf.String(),
 		Groups:  buf.StringSlice(),
 		Service: buf.String(),
+		Expiry:  time.Unix(buf.Int64(), 0),
+		Inner:   buf.Bytes(),
 	}
-	claims.Expiry = time.Unix(buf.Int64(), 0)
-	if buf.Err() != nil {
+	if buf.Err() != nil || buf.Remaining() != 0 || now.After(c.Expiry) {
 		return Claims{}, ErrInvalidTicket
 	}
-	return claims, nil
+	return c, nil
 }

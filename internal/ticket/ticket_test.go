@@ -24,7 +24,7 @@ func newFixture(t *testing.T) *fixture {
 	now := time.Unix(1_700_000_000, 0)
 	f := &fixture{now: &now}
 	clock := func() time.Time { return *f.now }
-	store, err := auth.NewStore(auth.WithClock(clock))
+	store, err := auth.NewStore()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +226,7 @@ func TestTicketOpsCounted(t *testing.T) {
 	now := time.Unix(1_700_000_000, 0)
 	clock := func() time.Time { return now }
 	reg := metrics.NewRegistry()
-	store, err := auth.NewStore(auth.WithClock(clock), auth.WithMetrics(reg))
+	store, err := auth.NewStore(auth.WithMetrics(reg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +280,7 @@ func generateKey(t *testing.T) *ecdsa.PrivateKey {
 func TestClockSkewTolerance(t *testing.T) {
 	now := time.Unix(1_700_000_000, 0)
 	clock := func() time.Time { return now }
-	store, err := auth.NewStore(auth.WithClock(clock))
+	store, err := auth.NewStore()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,7 +340,7 @@ func TestClockSkewTolerance(t *testing.T) {
 func TestMasterKeyDerivation(t *testing.T) {
 	now := time.Unix(1_700_000_000, 0)
 	clock := func() time.Time { return now }
-	store, err := auth.NewStore(auth.WithClock(clock))
+	store, err := auth.NewStore()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -397,5 +397,27 @@ func TestMasterKeyDerivation(t *testing.T) {
 	vOther := NewValidator("proxy:sitea", other, nil).WithValidatorClock(clock)
 	if _, err := vOther.Validate(tick); !errors.Is(err, ErrInvalidTicket) {
 		t.Errorf("wrong-secret validate = %v", err)
+	}
+}
+
+// TestPurposeBinding: a credential opens only as the purpose it was
+// sealed for. Every pair shares one key, so the refusal rests on the
+// purpose, not on key separation.
+func TestPurposeBinding(t *testing.T) {
+	key := []byte("one key for every purpose")
+	now := time.Unix(1_700_000_000, 0)
+	purposes := map[Purpose]string{TGT: "TGT", Service: "Service", Session: "Session"}
+	for sealedAs, sealedName := range purposes {
+		sealed := Seal(key, Claims{Purpose: sealedAs, User: "alice", Groups: []string{"researchers"},
+			Service: "proxy:sitea", Expiry: now.Add(time.Hour), Inner: []byte("inner")})
+		for openAs, openName := range purposes {
+			c, err := Open(key, openAs, sealed, now)
+			switch {
+			case openAs != sealedAs && !errors.Is(err, ErrInvalidTicket):
+				t.Errorf("%s opened as %s: %+v, %v", sealedName, openName, c, err)
+			case openAs == sealedAs && (err != nil || c.Purpose != sealedAs || c.User != "alice" || string(c.Inner) != "inner"):
+				t.Errorf("%s round trip: %+v, %v", sealedName, c, err)
+			}
+		}
 	}
 }
