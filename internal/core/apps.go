@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -23,54 +25,73 @@ type rankLoc struct {
 	node string
 }
 
-// addressSpace is the paper's per-application namespace on a proxy: "For
-// each MPI application started in the grid, a new address space associated
-// to this application is created in the proxy."
-//
-// For every rank hosted at another site, the address space runs a
-// virtual-slave listener on the site-local network. Local processes dial
-// it exactly as they would dial a local rank; the proxy forwards the
+// app is this site's one record of an application, in Proxy.records under
+// the application's id. Its placement and virtual slaves are the paper's
+// per-application namespace: "For each MPI application started in the
+// grid, a new address space associated to this application is created in
+// the proxy." For every rank hosted at another site a virtual-slave
+// listener runs on the site-local network; local processes dial it
+// exactly as they would dial a local rank, and the proxy forwards the
 // connection through the inter-site tunnel to the rank's real node — "the
 // virtual slaves thus constitute the abstraction that provides the
 // illusion of the virtual cluster".
-type addressSpace struct {
-	proxy *Proxy
-	appID string
-	owner string
+//
+// Up to three parts hold a record: the origin part (jobPart) while this
+// site keeps the job of a launch it made, the host part while it runs
+// ranks for a remote origin, and a tunnel registration. The spec, the
+// placement and the virtual slaves belong to the part that runs; no two
+// run at once. open creates a record or adds a part; settle deletes it.
+type app struct {
+	id string
 
-	mu sync.Mutex
-	// locations is the app's current rank placement. Rescheduling
-	// replaces entries, so virtual slaves look a rank's location up per
-	// accepted connection rather than capturing it at creation.
-	locations map[int]rankLoc
+	// Guarded by Proxy.mu.
+	tunnel bool
+	host   *hostPart
+	jobPart
 	listeners []net.Listener
-	closed    bool
+
+	// mu guards the fields below and those of the record's Launch and
+	// host part.
+	mu   sync.Mutex
+	spec LaunchSpec
+	// locations is the current placement. A placement map is never
+	// changed once set: a reschedule or a prepare sets a new one, which
+	// re-routes the virtual slaves too, as they look a rank up per
+	// accepted connection.
+	locations map[int]rankLoc
+	// outputs are the refs of the output blobs published so far, in name
+	// order: at an origin by its ranks and in completion reports, at a
+	// host by its ranks, for its report.
+	outputs []proto.StageRef
 }
 
-// lookup returns a rank's current location.
-func (as *addressSpace) lookup(rank int) (rankLoc, bool) {
-	as.mu.Lock()
-	defer as.mu.Unlock()
-	loc, ok := as.locations[rank]
-	return loc, ok
+// runs reports whether a part of the record runs: a tunnel registration,
+// a launch, or hosted ranks. Callers hold Proxy.mu.
+func (a *app) runs() bool { return a.tunnel || a.launch != nil || a.host != nil }
+
+// placement returns the record's current placement, which the caller may
+// keep: placement maps are never changed once set.
+func (a *app) placement() map[int]rankLoc {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.locations
 }
 
-// locationsSnapshot copies the current placement.
-func (as *addressSpace) locationsSnapshot() map[int]rankLoc {
-	as.mu.Lock()
-	defer as.mu.Unlock()
-	out := make(map[int]rankLoc, len(as.locations))
-	for rank, loc := range as.locations {
-		out[rank] = loc
+// recordOutput registers one published output blob under the spec's
+// StageOut filter, in name order. A re-publish under the same name
+// replaces the ref.
+func (a *app) recordOutput(ref proto.StageRef) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if !wantOutput(a.spec.StageOut, ref.Name) {
+		return
 	}
-	return out
-}
-
-// setLocations replaces the placement (rank rescheduling).
-func (as *addressSpace) setLocations(locations map[int]rankLoc) {
-	as.mu.Lock()
-	as.locations = locations
-	as.mu.Unlock()
+	i, found := slices.BinarySearchFunc(a.outputs, ref.Name, func(have proto.StageRef, name string) int { return strings.Compare(have.Name, name) })
+	if found {
+		a.outputs[i] = ref
+	} else {
+		a.outputs = slices.Insert(a.outputs, i, ref)
+	}
 }
 
 // vsAddr is the site-local address of the virtual slave for (app, rank).
@@ -78,112 +99,124 @@ func (p *Proxy) vsAddr(appID string, rank int) string {
 	return fmt.Sprintf("proxy.%s/vs/%s/r%d", p.site, appID, rank)
 }
 
-// createAddressSpace installs an address space and starts virtual-slave
-// listeners for every remote rank.
-func (p *Proxy) createAddressSpace(appID, owner string, locations map[int]rankLoc) (*addressSpace, error) {
-	as := &addressSpace{
-		proxy:     p,
-		appID:     appID,
-		owner:     owner,
-		locations: locations,
-	}
+// open returns the record of application id with a part added: the
+// origin part of launch l, the host part h, or — both nil — a tunnel
+// registration. It creates the record when the site holds none, and
+// keeps the id-collision rules: an origin launch needs an id the site
+// holds no record under, finished or not; a host part or a tunnel
+// registration may join only a record whose one part is a finished job.
+// A prepare that finds a host part there gets that one back, to merge
+// into. A part that joins brings the spec and the placement, and the
+// virtual slaves of its ranks at other sites start listening.
+func (p *Proxy) open(id string, spec LaunchSpec, locations map[int]rankLoc, l *Launch, h *hostPart) (*app, *hostPart, error) {
 	p.mu.Lock()
-	if p.stopped {
+	a, found := p.records[id]
+	switch {
+	case p.stopped:
 		p.mu.Unlock()
-		return nil, ErrStopped
-	}
-	if _, dup := p.apps[appID]; dup {
+		return nil, nil, ErrStopped
+	case found && h != nil && a.host != nil:
 		p.mu.Unlock()
-		return nil, errDuplicateApp(appID)
+		return a, a.host, nil
+	case found && (l != nil || a.runs()):
+		p.mu.Unlock()
+		return nil, nil, fmt.Errorf("core: duplicate app id %q", id)
+	case !found:
+		a = &app{id: id}
 	}
-	p.apps[appID] = as
+	a.mu.Lock()
+	a.spec, a.locations, a.outputs = spec, locations, nil
+	a.mu.Unlock()
+	switch {
+	case l != nil:
+		l.app = a
+		a.jobPart = jobPart{launch: l, owner: spec.Owner, state: proto.JobQueued, detail: "preparing"}
+		p.jobs.add(a)
+	case h != nil:
+		h.app = a
+		a.host = h
+	default:
+		a.tunnel = true
+	}
+	p.records[id] = a
 	p.mu.Unlock()
 
 	for rank, loc := range locations {
 		if loc.site == p.site {
 			continue
 		}
-		ln, err := p.local.Listen(p.vsAddr(appID, rank))
+		ln, err := p.local.Listen(p.vsAddr(id, rank))
 		if err != nil {
-			as.close()
-			p.dropAddressSpace(appID)
-			return nil, fmt.Errorf("core: virtual slave for rank %d: %w", rank, err)
+			if l != nil {
+				p.unregisterJob(a)
+			} else {
+				p.reapHosted(h, "virtual slave failed")
+			}
+			return nil, nil, fmt.Errorf("core: virtual slave for rank %d: %w", rank, err)
 		}
-		as.mu.Lock()
-		as.listeners = append(as.listeners, ln)
-		as.mu.Unlock()
-		p.wg.Add(1)
-		go as.serveVirtualSlave(ln, rank)
+		p.mu.Lock()
+		kept := !p.stopped && (l != nil || a.host == h) // an abort may have ended the host part
+		if kept {
+			a.listeners = append(a.listeners, ln)
+			p.wg.Add(1)
+			go p.serveVirtualSlave(a, ln, rank)
+		}
+		p.mu.Unlock()
+		if !kept {
+			_ = ln.Close()
+		}
 	}
-	return as, nil
+	return a, h, nil
 }
 
-func (p *Proxy) dropAddressSpace(appID string) {
+// settle lets go of what no part of a record needs any more: the host part
+// ended (nil for none), the virtual slaves once no part runs, and the
+// record itself once no part holds it. It is the one place a record leaves
+// Proxy.records.
+func (p *Proxy) settle(a *app, ended *hostPart) {
 	p.mu.Lock()
-	defer p.mu.Unlock()
-	delete(p.apps, appID)
-}
-
-func (p *Proxy) addressSpace(appID string) (*addressSpace, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	as, ok := p.apps[appID]
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrUnknownApp, appID)
+	if a.host == ended {
+		a.host = nil
 	}
-	return as, nil
+	var idle []net.Listener
+	if !a.runs() {
+		idle, a.listeners = a.listeners, nil
+		if (a.seq == 0 || a.gone) && p.records[a.id] == a {
+			delete(p.records, a.id)
+		}
+	}
+	p.mu.Unlock()
+	for _, ln := range idle {
+		_ = ln.Close()
+	}
 }
 
 // appRegistrationWindow bounds how long an inbound stream waits for its
-// application's address space. Application launch is not synchronized
-// across sites: a rank elsewhere may start, and dial across sites, before
-// this site's prepare has recorded the application, so a short wait closes
-// the race. Streams for genuinely unknown apps are dropped when the window
+// application's record. Application launch is not synchronized across
+// sites: a rank elsewhere may start, and dial across sites, before this
+// site's prepare has recorded the application, so a short wait closes the
+// race. Streams for genuinely unknown apps are dropped when the window
 // expires.
 const appRegistrationWindow = 15 * time.Second
 
-// waitAddressSpace is addressSpace with a registration grace period.
+// retry calls try until it succeeds, the proxy stops or window has passed,
+// backing off from 2 ms to 100 ms, and returns try's last error.
 //
-//lint:allow-wallclock waits on a real in-flight RPC; the injected clock cannot advance it
-func (p *Proxy) waitAddressSpace(appID string) (*addressSpace, error) {
-	deadline := time.Now().Add(appRegistrationWindow)
-	delay := 2 * time.Millisecond
-	for {
-		as, err := p.addressSpace(appID)
-		if err == nil {
-			return as, nil
-		}
-		if p.ctx.Err() != nil {
-			return nil, p.ctx.Err()
-		}
-		if time.Now().After(deadline) {
-			return nil, err
+//lint:allow-wallclock waits on real in-flight work (an RPC, a process binding its listener); the injected clock cannot advance it
+func (p *Proxy) retry(window time.Duration, try func() error) error {
+	deadline := time.Now().Add(window)
+	for delay := 2 * time.Millisecond; ; delay = min(delay+2*time.Millisecond, 100*time.Millisecond) {
+		err := try()
+		if err == nil || time.Now().After(deadline) {
+			return err
 		}
 		timer := time.NewTimer(delay)
 		select {
 		case <-timer.C:
 		case <-p.ctx.Done():
 			timer.Stop()
-			return nil, p.ctx.Err()
+			return p.ctx.Err()
 		}
-		if delay < 100*time.Millisecond {
-			delay += 2 * time.Millisecond
-		}
-	}
-}
-
-func (as *addressSpace) close() {
-	as.mu.Lock()
-	if as.closed {
-		as.mu.Unlock()
-		return
-	}
-	as.closed = true
-	listeners := as.listeners
-	as.listeners = nil
-	as.mu.Unlock()
-	for _, ln := range listeners {
-		_ = ln.Close()
 	}
 }
 
@@ -191,8 +224,7 @@ func (as *addressSpace) close() {
 // node through the tunnel to its site's proxy. The location is resolved
 // per accepted connection so rescheduled ranks are reached at their new
 // home without restarting the listener.
-func (as *addressSpace) serveVirtualSlave(ln net.Listener, rank int) {
-	p := as.proxy
+func (p *Proxy) serveVirtualSlave(a *app, ln net.Listener, rank int) {
 	defer p.wg.Done()
 	for {
 		conn, err := ln.Accept()
@@ -202,16 +234,16 @@ func (as *addressSpace) serveVirtualSlave(ln net.Listener, rank int) {
 		p.wg.Add(1)
 		go func(conn net.Conn) {
 			defer p.wg.Done()
-			loc, ok := as.lookup(rank)
+			loc, ok := a.placement()[rank]
 			if !ok {
 				p.log.Warn("virtual slave has no location for rank",
-					"app", as.appID, "rank", rank)
+					"app", a.id, "rank", rank)
 				_ = conn.Close()
 				return
 			}
-			if err := p.forwardToSite(conn, as.appID, loc, rank); err != nil {
+			if err := p.forwardToSite(conn, a.id, loc, rank); err != nil {
 				p.log.Warn("virtual slave forward failed",
-					"app", as.appID, "rank", rank, "site", loc.site, "err", err)
+					"app", a.id, "rank", rank, "site", loc.site, "err", err)
 				_ = conn.Close()
 			}
 		}(conn)
@@ -285,24 +317,39 @@ func (p *Proxy) handleInboundStream(pr *peer, stream *tunnel.Stream) {
 	p.splice(stream, local)
 }
 
-// inboundTarget resolves where an inbound stream goes inside this site.
-// An MPI stream names a rank this site hosts; its address comes from the
-// application's address space here, never from the peer. A data stream
-// names its address, which registered tunnel apps may reach (their
-// registration checked the owner's "tunnel" permission).
+// inboundTarget resolves where an inbound stream goes inside this site,
+// once a part of the application's record runs here. An MPI stream names
+// a rank this site hosts; its address comes from the application's
+// placement here, never from the peer. A data stream names its address,
+// which only a tunnel registration may reach (it checked the owner's
+// "tunnel" permission); the ranks of a job never open one.
 func (p *Proxy) inboundTarget(open *proto.StreamOpen) (string, error) {
-	as, err := p.waitAddressSpace(open.AppID)
-	if err != nil {
+	var (
+		a      *app
+		tunnel bool
+	)
+	if err := p.retry(appRegistrationWindow, func() error {
+		p.mu.Lock()
+		defer p.mu.Unlock()
+		if a = p.records[open.AppID]; a == nil || !a.runs() {
+			return fmt.Errorf("%w: %q", ErrUnknownApp, open.AppID)
+		}
+		tunnel = a.tunnel
+		return nil
+	}); err != nil {
 		return "", err
 	}
 	switch open.Kind {
 	case proto.StreamMPI:
 		rank := int(open.Rank)
-		if loc, ok := as.lookup(rank); ok && loc.site == p.site && loc.node != "" {
+		if loc, ok := a.placement()[rank]; ok && loc.site == p.site && loc.node != "" {
 			return node.EndpointAddr(loc.node, open.AppID, rank), nil
 		}
 		return "", fmt.Errorf("core: app %q has no rank %d at site %s", open.AppID, rank, p.site)
 	case proto.StreamData:
+		if !tunnel {
+			return "", fmt.Errorf("core: app %q is not a registered tunnel at site %s", open.AppID, p.site)
+		}
 		return open.TargetAddr, nil
 	default:
 		return "", fmt.Errorf("core: unknown stream kind %d", open.Kind)
@@ -318,7 +365,7 @@ func (p *Proxy) RegisterTunnelApp(user, appID string) error {
 	if err := p.users.Allowed(user, "tunnel", "site:"+p.site); err != nil {
 		return err
 	}
-	_, err := p.createAddressSpace(appID, user, map[int]rankLoc{})
+	_, _, err := p.open(appID, LaunchSpec{Owner: user}, map[int]rankLoc{}, nil, nil)
 	return err
 }
 
@@ -354,34 +401,15 @@ const dialLocalStartupWindow = 15 * time.Second
 
 // dialLocal dials inside the site (with startup retry), counting the
 // bytes as local (clear) traffic.
-//
-//lint:allow-wallclock waits on a real process binding its listener; the injected clock cannot advance it
 func (p *Proxy) dialLocal(addr string) (net.Conn, error) {
-	deadline := time.Now().Add(dialLocalStartupWindow)
-	delay := 2 * time.Millisecond
-	for {
-		conn, err := p.local.Dial(p.ctx, addr)
-		if err == nil {
-			counter := p.reg.Counter(metrics.BytesLocal)
-			return instrumented(conn, counter), nil
-		}
-		if p.ctx.Err() != nil {
-			return nil, p.ctx.Err()
-		}
-		if time.Now().After(deadline) {
-			return nil, err
-		}
-		timer := time.NewTimer(delay)
-		select {
-		case <-timer.C:
-		case <-p.ctx.Done():
-			timer.Stop()
-			return nil, p.ctx.Err()
-		}
-		if delay < 100*time.Millisecond {
-			delay += 2 * time.Millisecond
-		}
+	var conn net.Conn
+	if err := p.retry(dialLocalStartupWindow, func() (err error) {
+		conn, err = p.local.Dial(p.ctx, addr)
+		return err
+	}); err != nil {
+		return nil, err
 	}
+	return instrumented(conn, p.reg.Counter(metrics.BytesLocal)), nil
 }
 
 // instrumented wraps a conn counting both directions into one counter.

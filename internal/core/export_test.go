@@ -32,7 +32,7 @@ func (p *Proxy) HostedNodes(appID string) map[int]string {
 		return nil
 	}
 	out := make(map[int]string)
-	for rank, loc := range ha.as.locationsSnapshot() {
+	for rank, loc := range ha.placement() {
 		if loc.site == p.site {
 			out[rank] = loc.node
 		}

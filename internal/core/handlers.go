@@ -112,9 +112,9 @@ func (p *Proxy) handleStatusQuery(req *proto.StatusQuery) *proto.StatusReport {
 // Only refs whose blobs are here are recorded, and one that could not be
 // pulled turns the site's report into a failure naming it.
 func (p *Proxy) handleJobUpdate(ctx context.Context, req *proto.JobUpdate) {
-	js, ok := p.job(req.JobID)
-	if !ok || js.launch == nil {
-		return // not ours, or finished
+	a, j, ok := p.job(req.JobID)
+	if !ok || j.launch == nil || !j.launch.awaitsSite(req.Site) {
+		return // not ours, finished, or from a site it no longer waits on
 	}
 	var err error
 	if req.State == proto.JobFailed {
@@ -130,10 +130,10 @@ func (p *Proxy) handleJobUpdate(ctx context.Context, req *proto.JobUpdate) {
 			}
 		}
 		for _, ref := range here {
-			js.launch.recordOutput(ref)
+			a.recordOutput(ref)
 		}
 	}
-	js.launch.remoteDone(req.Site, err)
+	j.launch.groupDone(req.Site, err)
 }
 
 // handlePermCheck validates a permission for a peer (the destination-side

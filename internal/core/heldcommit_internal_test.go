@@ -240,7 +240,7 @@ func TestCorruptInlinedOutputIsPulled(t *testing.T) {
 	published := []byte("what the remote rank published")
 	ref := dest.Store().Put(published)
 	launch := &Launch{AppID: "app1", proxy: origin, remote: map[string]int{"dst": 1}, done: make(chan struct{})}
-	if err := origin.registerJob("app1", launch); err != nil {
+	if _, _, err := origin.open("app1", LaunchSpec{}, nil, launch, nil); err != nil {
 		t.Fatal(err)
 	}
 	damaged := append([]byte(nil), published...)

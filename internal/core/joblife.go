@@ -4,8 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
-	"sync"
 	"time"
 
 	"gridproxy/internal/metrics"
@@ -90,31 +91,31 @@ func (p *Proxy) jobsJanitor() {
 // ErrCanceled. Cancelling an already-cancelled job is a no-op; jobs still
 // in their launch phases or already finished are refused.
 func (p *Proxy) Cancel(ctx context.Context, appID string) error {
-	js, ok := p.job(appID)
+	a, j, ok := p.job(appID)
 	if !ok {
 		return notFound("no job %q", appID)
 	}
-	l := js.launch
+	l := j.launch
 	if l == nil {
 		return badRequest("job %q already finished", appID)
 	}
 	//lint:allow-wallclock monotonic cancel-latency measurement for metrics; injected clocks have no monotonic reading
 	start := time.Now()
 
-	l.mu.Lock()
+	a.mu.Lock()
 	if l.finished {
-		l.mu.Unlock()
+		a.mu.Unlock()
 		return badRequest("job %q already finished", appID)
 	}
 	if !l.committed {
-		l.mu.Unlock()
+		a.mu.Unlock()
 		return badRequest("job %q is still launching; retry", appID)
 	}
 	if l.canceled {
-		l.mu.Unlock()
+		a.mu.Unlock()
 		return nil
 	}
-	// Claim the finished transition here: the watchers' maybeFinish then
+	// Claim the finished transition here: the watchers' groupDone then
 	// becomes a no-op, so exactly one goroutine (this one) runs finish.
 	l.canceled = true
 	l.finished = true
@@ -125,17 +126,15 @@ func (p *Proxy) Cancel(ctx context.Context, appID string) error {
 		sites = append(sites, site)
 	}
 	l.remote = map[string]int{}
-	locations := copyLocations(l.locations)
-	l.mu.Unlock()
+	locations := a.locations
+	a.mu.Unlock()
 	sort.Strings(sites)
 
-	var localRanks []int
-	for rank, loc := range locations {
-		if loc.site == p.site {
-			localRanks = append(localRanks, rank)
-		}
+	ranks := make([]int, 0, len(locations))
+	for rank := range locations {
+		ranks = append(ranks, rank) // reapLocalRanks skips the remote ones
 	}
-	p.reapLocalRanks(appID, locations, localRanks)
+	p.reapLocalRanks(appID, locations, ranks)
 	p.abortRemote(ctx, appID, sites, "canceled by operator")
 	l.finish(ErrCanceled, true)
 
@@ -146,41 +145,33 @@ func (p *Proxy) Cancel(ctx context.Context, appID string) error {
 	return nil
 }
 
-func copyLocations(locations map[int]rankLoc) map[int]rankLoc {
-	out := make(map[int]rankLoc, len(locations))
-	for rank, loc := range locations {
-		out[rank] = loc
-	}
-	return out
-}
-
 // ActiveApps returns how many application address spaces this proxy
-// currently holds (origin-side and hosted). Tests assert it reaches zero
+// holds: records with a part that runs. Tests assert it reaches zero
 // after aborts, cancellations, and completions: no leaked address spaces.
 func (p *Proxy) ActiveApps() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return len(p.apps)
+	n := 0
+	for _, a := range p.records {
+		if a.runs() {
+			n++
+		}
+	}
+	return n
 }
 
-// hostedApp is the destination-side record of an application this site
-// runs ranks for on behalf of a remote origin proxy. It exists from the
-// moment a PrepareSpawn starts staging until the last rank group finishes
-// or the app is aborted or reaped.
-type hostedApp struct {
-	appID     string
-	origin    string
-	owner     string
-	program   string
-	args      []string
-	worldSize int
-	as        *addressSpace
+// hostPart is the host part of an application's record: this site runs
+// ranks of it for a remote origin, from the moment a PrepareSpawn starts
+// staging until the last rank group finishes or the application is
+// aborted or reaped. Its fields are guarded by the record's mu.
+type hostPart struct {
+	*app
+	origin string
 
-	mu      sync.Mutex
 	pending []int           // ranks prepared but not yet committed
 	running map[int]rankRun // rank -> placement+epoch, committed and not yet done
 	groups  int             // committed rank groups still being watched
-	aborted bool
+	aborted bool            // the part is over: aborted, reaped or released
 	// epoch is the highest launch epoch accepted in a prepare; prepares
 	// and commits below it are stale leftovers of a reschedule this site
 	// missed (it was partitioned away) and are refused. pendingEpoch
@@ -191,13 +182,6 @@ type hostedApp struct {
 	// retried after a lost reply re-reports the first outcome instead of
 	// double-spawning the group.
 	commits map[string]*proto.SpawnReply
-	// stageIn and stageOut carry the launch's data-plane manifest; the
-	// blobs themselves were pulled into the site store during prepare.
-	stageIn  []proto.StageRef
-	stageOut []string
-	// outputs are the refs local ranks published, reported to the origin
-	// in the completion JobUpdate.
-	outputs []proto.StageRef
 
 	// originLost is when the reaper first saw the origin's link down;
 	// touched only by the orphanReaper goroutine.
@@ -213,34 +197,15 @@ type rankRun struct {
 	epoch uint64
 }
 
-// recordOutput registers one published output blob under the app's
-// StageOut filter. A re-publish under the same name replaces the ref.
-func (ha *hostedApp) recordOutput(ref proto.StageRef) {
-	ha.mu.Lock()
-	defer ha.mu.Unlock()
-	if !wantOutput(ha.stageOut, ref.Name) {
-		return
-	}
-	for i, have := range ha.outputs {
-		if have.Name == ref.Name {
-			ha.outputs[i] = ref
-			return
-		}
-	}
-	ha.outputs = append(ha.outputs, ref)
-}
-
-func (p *Proxy) lookupHosted(appID string) (*hostedApp, bool) {
+// lookupHosted returns the host part of an application's record, if this
+// site runs ranks of it for a remote origin.
+func (p *Proxy) lookupHosted(appID string) (*hostPart, bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	ha, ok := p.hosted[appID]
-	return ha, ok
-}
-
-func (p *Proxy) dropHosted(appID string) {
-	p.mu.Lock()
-	delete(p.hosted, appID)
-	p.mu.Unlock()
+	if a, ok := p.records[appID]; ok && a.host != nil {
+		return a.host, true
+	}
+	return nil, false
 }
 
 // handlePrepareSpawn serves launch phase one at a destination: validate
@@ -282,19 +247,22 @@ func (p *Proxy) prepareSpawn(ctx context.Context, req *proto.PrepareSpawn) *prot
 		ranks = append(ranks, int(r))
 	}
 	sort.Ints(ranks)
-	ha, created, err := p.hostedFor(req, locations)
+	// A later prepare lands rescheduled ranks of the same launch: the spec stays.
+	spec := LaunchSpec{Owner: req.Owner, Program: req.Program, Args: req.Args, Procs: int(req.WorldSize), StageIn: req.StageIn, StageOut: req.StageOut}
+	fresh := &hostPart{origin: req.Origin, running: make(map[int]rankRun), epoch: req.Epoch, commits: make(map[string]*proto.SpawnReply)}
+	_, ha, err := p.open(req.AppID, spec, locations, nil, fresh)
 	if err != nil {
 		return refuse(err.Error())
 	}
 	if err := p.stageIn(ctx, req.Origin, req.StageIn); err != nil {
-		if created {
+		if ha == fresh {
 			p.reapHosted(ha, "stage-in failed")
 		}
 		return refuse(err.Error())
 	}
 	placed, err := p.assign(p.localCandidates(), len(ranks))
 	if err != nil {
-		if created {
+		if ha == fresh {
 			p.reapHosted(ha, "placement failed")
 		}
 		return refuse(err.Error())
@@ -322,16 +290,12 @@ func (p *Proxy) prepareSpawn(ctx context.Context, req *proto.PrepareSpawn) *prot
 	}
 	ha.pending = ranks
 	ha.pendingEpoch = epoch
-	ha.worldSize = int(req.WorldSize)
-	ha.program, ha.args = req.Program, req.Args
-	ha.stageIn, ha.stageOut = req.StageIn, req.StageOut
 	// The origin's sites, with a node for each rank here (placed now or by
 	// an earlier prepare), change with the pending ranks: a commit never
 	// spawns a rank whose node is not set yet.
-	here := ha.as.locationsSnapshot()
 	merged := make(map[int]rankLoc, len(locations))
 	for rank, loc := range locations {
-		if prev := here[rank]; loc.site == p.site && prev.site == p.site {
+		if prev := ha.locations[rank]; loc.site == p.site && prev.site == p.site {
 			loc = prev
 		}
 		merged[rank] = loc
@@ -339,7 +303,7 @@ func (p *Proxy) prepareSpawn(ctx context.Context, req *proto.PrepareSpawn) *prot
 	for i, rank := range ranks {
 		merged[rank] = placed[i]
 	}
-	ha.as.setLocations(merged)
+	ha.locations = merged
 	ha.mu.Unlock()
 	if newEpoch {
 		// A newer epoch assigning ranks this site still runs from an
@@ -354,43 +318,6 @@ func (p *Proxy) prepareSpawn(ctx context.Context, req *proto.PrepareSpawn) *prot
 
 func staleEpoch(epoch, current uint64) string {
 	return fmt.Sprintf("stale launch epoch %d (current %d)", epoch, current)
-}
-
-// hostedApps snapshots the applications this site hosts.
-func (p *Proxy) hostedApps() []*hostedApp {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	out := make([]*hostedApp, 0, len(p.hosted))
-	for _, ha := range p.hosted {
-		out = append(out, ha)
-	}
-	return out
-}
-
-// hostedFor returns the record of the application a prepare names,
-// creating it — with its address space, at the prepare's epoch and with
-// no ranks yet — if this site does not host the application.
-func (p *Proxy) hostedFor(req *proto.PrepareSpawn, locations map[int]rankLoc) (_ *hostedApp, created bool, _ error) {
-	if ha, ok := p.lookupHosted(req.AppID); ok {
-		return ha, false, nil
-	}
-	as, err := p.createAddressSpace(req.AppID, req.Owner, locations)
-	if err != nil {
-		return nil, false, err
-	}
-	ha := &hostedApp{
-		appID:   req.AppID,
-		origin:  req.Origin,
-		owner:   req.Owner,
-		as:      as,
-		running: make(map[int]rankRun),
-		epoch:   req.Epoch,
-		commits: make(map[string]*proto.SpawnReply),
-	}
-	p.mu.Lock()
-	p.hosted[req.AppID] = ha
-	p.mu.Unlock()
-	return ha, true, nil
 }
 
 // handleCommitSpawn serves launch phase two. A commit the origin sent
@@ -532,7 +459,7 @@ func (p *Proxy) awaitPrepare(ctx context.Context, req *proto.CommitSpawn, h *hel
 // still to wait for: not when the commit body would answer it as things
 // stand — a replayed token, an aborted application, a newer epoch, ranks
 // pending at its epoch.
-func (ha *hostedApp) awaitsPrepare(req *proto.CommitSpawn) bool {
+func (ha *hostPart) awaitsPrepare(req *proto.CommitSpawn) bool {
 	ha.mu.Lock()
 	defer ha.mu.Unlock()
 	if _, replay := ha.commits[req.Token]; replay || ha.aborted || req.Epoch < ha.epoch {
@@ -615,12 +542,10 @@ func (p *Proxy) commitSpawn(ctx context.Context, req *proto.CommitSpawn) *proto.
 	epoch := ha.pendingEpoch
 	ha.pending = nil
 	ha.groups++
-	program, args, worldSize := ha.program, ha.args, ha.worldSize
-	stageIn := ha.stageIn
+	spec, locations := ha.spec, ha.locations
 	ha.mu.Unlock()
 
-	locations := ha.as.locationsSnapshot()
-	if err := p.spawnLocalRanks(ctx, req.AppID, ha.owner, program, args, worldSize, locations, ranks, stageIn, ha.recordOutput); err != nil {
+	if err := p.spawnLocalRanks(ctx, req.AppID, spec, locations, ranks, ha.recordOutput); err != nil {
 		p.releaseHostedGroup(ha, nil)
 		return refuse(err.Error())
 	}
@@ -637,6 +562,7 @@ func (p *Proxy) commitSpawn(ctx context.Context, req *proto.CommitSpawn) *proto.
 		ha.running[rank] = rankRun{node: locations[rank].node, epoch: epoch}
 	}
 	ha.mu.Unlock()
+	p.countHosted(ha.origin, len(ranks))
 	p.reg.Counter(metrics.JobCommits).Inc()
 
 	p.wg.Add(1)
@@ -655,9 +581,6 @@ func (p *Proxy) commitSpawn(ctx context.Context, req *proto.CommitSpawn) *proto.
 	}
 	if req.Token != "" {
 		ha.mu.Lock()
-		if ha.commits == nil {
-			ha.commits = make(map[string]*proto.SpawnReply)
-		}
 		ha.commits[req.Token] = reply
 		ha.mu.Unlock()
 	}
@@ -669,34 +592,25 @@ func (p *Proxy) commitSpawn(ctx context.Context, req *proto.CommitSpawn) *proto.
 // the fence's, returning how many died. The kills surface through the
 // normal group watchers — waitLocalRanks observes the deaths and
 // releases the groups — so no bookkeeping happens here. Idempotent.
-func (p *Proxy) fenceStaleRanks(ha *hostedApp, epoch uint64, ranks []int) int {
+func (p *Proxy) fenceStaleRanks(ha *hostPart, epoch uint64, ranks []int) int {
 	ha.mu.Lock()
 	victims := make(map[int]string)
-	if len(ranks) == 0 {
-		for rank, run := range ha.running {
-			if run.epoch < epoch {
-				victims[rank] = run.node
-			}
-		}
-	} else {
-		for _, rank := range ranks {
-			if run, ok := ha.running[rank]; ok && run.epoch < epoch {
-				victims[rank] = run.node
-			}
+	for rank, run := range ha.running {
+		if run.epoch < epoch && (len(ranks) == 0 || slices.Contains(ranks, rank)) {
+			victims[rank] = run.node
 		}
 	}
 	ha.mu.Unlock()
 	for rank, nodeName := range victims {
 		if h, err := p.nodeHandle(nodeName); err == nil {
-			_ = h.Kill(ha.appID, rank)
+			_ = h.Kill(ha.id, rank)
 		}
 	}
-	if n := len(victims); n > 0 {
-		p.reg.Counter(metrics.JobFencedRanks).Add(int64(n))
-		p.log.Info("fenced stale ranks", "app", ha.appID, "epoch", epoch, "killed", n)
-		return n
+	if len(victims) > 0 {
+		p.reg.Counter(metrics.JobFencedRanks).Add(int64(len(victims)))
+		p.log.Info("fenced stale ranks", "app", ha.id, "epoch", epoch, "killed", len(victims))
 	}
-	return 0
+	return len(victims)
 }
 
 // handleFenceNotice serves a split-brain fence from an origin: every
@@ -718,20 +632,20 @@ func (p *Proxy) handleFenceNotice(req *proto.FenceNotice) *proto.FenceReply {
 }
 
 // releaseHostedGroup undoes one group increment without a completion
-// report (failed or aborted commit), tearing the app down if nothing else
-// references it.
-func (p *Proxy) releaseHostedGroup(ha *hostedApp, ranks []int) {
+// report (failed or aborted commit), releasing the host part if nothing
+// else references it.
+func (p *Proxy) releaseHostedGroup(ha *hostPart, ranks []int) {
 	ha.mu.Lock()
 	for _, rank := range ranks {
 		delete(ha.running, rank)
 	}
 	ha.groups--
 	last := ha.groups == 0 && len(ha.pending) == 0
+	ha.aborted = ha.aborted || last
 	ha.mu.Unlock()
+	p.countHosted(ha.origin, -len(ranks))
 	if last {
-		p.dropHosted(ha.appID)
-		ha.as.close()
-		p.dropAddressSpace(ha.appID)
+		p.settle(ha.app, ha)
 	}
 }
 
@@ -739,10 +653,10 @@ func (p *Proxy) releaseHostedGroup(ha *hostedApp, ranks []int) {
 // it to the origin (unless the app was aborted — then the origin asked
 // for the teardown or is gone) and release the app when it was the last
 // group.
-func (p *Proxy) finishHostedGroup(ha *hostedApp, ranks []int, err error) {
+func (p *Proxy) finishHostedGroup(ha *hostPart, ranks []int, err error) {
 	ha.mu.Lock()
 	aborted := ha.aborted
-	outputs := append([]proto.StageRef(nil), ha.outputs...)
+	outputs := slices.Clone(ha.outputs)
 	ha.mu.Unlock()
 	p.releaseHostedGroup(ha, ranks)
 	if aborted {
@@ -759,7 +673,7 @@ func (p *Proxy) finishHostedGroup(ha *hostedApp, ranks []int, err error) {
 	// The update advertises the refs of every output published here so
 	// far, and carries the small ones; the origin pulls the rest over the
 	// data plane before it counts this group done.
-	update := &proto.JobUpdate{JobID: ha.appID, State: proto.JobDone, Detail: p.site, Site: p.site, Outputs: outputs, Inline: p.inlineOutputs(outputs)}
+	update := &proto.JobUpdate{JobID: ha.id, State: proto.JobDone, Detail: p.site, Site: p.site, Outputs: outputs, Inline: p.inlineOutputs(outputs)}
 	if err != nil {
 		update.State = proto.JobFailed
 		update.Detail = fmt.Sprintf("%s: %v", p.site, err)
@@ -797,24 +711,23 @@ func (p *Proxy) handleAbortSpawn(req *proto.AbortSpawn) proto.Body {
 	if !ok {
 		return &proto.AbortSpawnReply{AppID: req.AppID, OK: true}
 	}
-	ha.mu.Lock()
-	killed := uint32(len(ha.running))
-	ha.mu.Unlock()
-	if p.reapHosted(ha, req.Reason) {
+	killed, reaped := p.reapHosted(ha, req.Reason)
+	if reaped {
 		p.reg.Counter(metrics.JobAbortsServed).Inc()
 	}
-	return &proto.AbortSpawnReply{AppID: req.AppID, OK: true, Killed: killed}
+	return &proto.AbortSpawnReply{AppID: req.AppID, OK: true, Killed: uint32(killed)}
 }
 
 // reapHosted aborts a hosted app: pending ranks are forgotten, running
 // ranks killed (their group watchers observe the deaths and release the
-// app), and an idle app is torn down immediately. Returns whether this
-// call performed the abort.
-func (p *Proxy) reapHosted(ha *hostedApp, reason string) bool {
+// app), and an idle app is torn down immediately. Returns how many ranks
+// were running and whether this call performed the abort.
+func (p *Proxy) reapHosted(ha *hostPart, reason string) (running int, reaped bool) {
 	ha.mu.Lock()
+	running = len(ha.running)
 	if ha.aborted {
 		ha.mu.Unlock()
-		return false
+		return running, false
 	}
 	ha.aborted = true
 	ha.pending = nil
@@ -827,16 +740,14 @@ func (p *Proxy) reapHosted(ha *hostedApp, reason string) bool {
 
 	for rank, nodeName := range victims {
 		if h, err := p.nodeHandle(nodeName); err == nil {
-			_ = h.Kill(ha.appID, rank)
+			_ = h.Kill(ha.id, rank)
 		}
 	}
 	if groups == 0 {
-		p.dropHosted(ha.appID)
-		ha.as.close()
-		p.dropAddressSpace(ha.appID)
+		p.settle(ha.app, ha)
 	}
-	p.log.Info("hosted application aborted", "app", ha.appID, "reason", reason)
-	return true
+	p.log.Info("hosted application aborted", "app", ha.id, "reason", reason)
+	return running, true
 }
 
 // orphanReaper autonomously reaps hosted applications whose origin proxy
@@ -862,8 +773,14 @@ func (p *Proxy) orphanReaper() {
 		case <-ticker.C:
 		}
 		now := p.clock()
-		hosted := p.hostedApps()
-		var reap []*hostedApp
+		var hosted, reap []*hostPart
+		p.mu.Lock()
+		for _, a := range p.records {
+			if a.host != nil {
+				hosted = append(hosted, a.host)
+			}
+		}
+		p.mu.Unlock()
 		// Origin liveness comes from the membership directory, not from
 		// "do I hold a tunnel": with on-demand dialing, an idle-closed
 		// tunnel to a healthy origin must not start the orphan clock.
@@ -882,8 +799,8 @@ func (p *Proxy) orphanReaper() {
 			}
 		}
 		for _, ha := range reap {
-			p.log.Warn("reaping orphaned application", "app", ha.appID, "origin", ha.origin)
-			if p.reapHosted(ha, fmt.Sprintf("origin proxy %s lost", ha.origin)) {
+			p.log.Warn("reaping orphaned application", "app", ha.id, "origin", ha.origin)
+			if _, reaped := p.reapHosted(ha, fmt.Sprintf("origin proxy %s lost", ha.origin)); reaped {
 				p.reg.Counter(metrics.OrphanReaps).Inc()
 			}
 		}
@@ -895,41 +812,38 @@ func (p *Proxy) orphanReaper() {
 // respawned (restart from scratch — surviving ranks keep running; see
 // DESIGN.md for the model's limits), bounded by the reschedule budget.
 func (p *Proxy) rescheduleSite(l *Launch, deadSite string) {
-	disconnect := fmt.Errorf("core: proxy of site %s disconnected", deadSite)
-	l.mu.Lock()
+	a := l.app
+	a.mu.Lock()
 	if l.finished || l.canceled || !l.committed {
 		// Uncommitted launches handle peer failure in their own phase
 		// error paths; finished/cancelled ones have nothing to recover.
-		l.mu.Unlock()
+		a.mu.Unlock()
 		return
 	}
 	if _, ok := l.remote[deadSite]; !ok {
-		l.mu.Unlock()
+		a.mu.Unlock()
 		return
 	}
 	delete(l.remote, deadSite)
 	budget := p.jobcfg.RescheduleBudget
 	if budget <= 0 || l.reschedules >= budget {
-		if l.failed == nil {
-			l.failed = disconnect
-		}
-		l.mu.Unlock()
-		l.maybeFinish()
+		a.mu.Unlock()
+		l.groupDone("", fmt.Errorf("core: proxy of site %s disconnected", deadSite))
 		return
 	}
 	l.reschedules++
 	l.epoch++
 	epoch := l.epoch
 	var lost []int
-	for rank, loc := range l.locations {
+	for rank, loc := range a.locations {
 		if loc.site == deadSite {
 			lost = append(lost, rank)
 		}
 	}
 	sort.Ints(lost)
-	l.mu.Unlock()
+	a.mu.Unlock()
 	if len(lost) == 0 {
-		l.maybeFinish()
+		l.groupDone("", nil)
 		return
 	}
 
@@ -944,22 +858,25 @@ func (p *Proxy) rescheduleSite(l *Launch, deadSite string) {
 
 	chosen, err := p.pickNodes(len(lost), deadSite)
 	if err != nil {
-		l.fail(fmt.Errorf("core: reschedule %s after %s died: %w", l.AppID, deadSite, err))
+		l.groupDone("", fmt.Errorf("core: reschedule %s after %s died: %w", l.AppID, deadSite, err))
 		return
 	}
 
 	newSites := map[string][]int{}
-	l.mu.Lock()
+	a.mu.Lock()
 	if l.finished || l.canceled {
-		l.mu.Unlock()
+		a.mu.Unlock()
 		return
 	}
+	// One write re-routes the launch and the virtual slaves alike.
+	locations := maps.Clone(a.locations)
 	for i, rank := range lost {
 		loc := chosen[i]
-		l.locations[rank] = loc
+		locations[rank] = loc
 		newSites[loc.site] = append(newSites[loc.site], rank)
 	}
-	locations := copyLocations(l.locations)
+	a.locations = locations
+	spec := a.spec
 	// Register the outstanding groups before any spawn so a
 	// lightning-fast replacement cannot finish the launch early.
 	var localRanks []int
@@ -973,52 +890,40 @@ func (p *Proxy) rescheduleSite(l *Launch, deadSite string) {
 			remoteSites = append(remoteSites, site)
 		}
 	}
-	l.mu.Unlock()
+	a.mu.Unlock()
 	sort.Strings(remoteSites)
 
-	// Re-route the origin's virtual slaves to the new placements.
-	if as, err := p.addressSpace(l.AppID); err == nil {
-		as.setLocations(locations)
-	}
-
-	spec := l.spec
 	if len(localRanks) > 0 {
-		if err := p.spawnLocalRanks(p.ctx, l.AppID, spec.Owner, spec.Program, spec.Args, len(locations), locations, localRanks, spec.StageIn, l.recordOutput); err != nil {
-			l.localDone(err)
+		if err := p.spawnLocalRanks(p.ctx, l.AppID, spec, locations, localRanks, a.recordOutput); err != nil {
+			l.groupDone(p.site, err)
 		} else {
 			p.wg.Add(1)
 			go func() {
 				defer p.wg.Done()
-				l.localDone(p.waitLocalRanks(l.AppID, locations, localRanks))
+				l.groupDone(p.site, p.waitLocalRanks(l.AppID, locations, localRanks))
 			}()
 		}
 	}
+	// Replacement sites do not wait for each other (the surviving ranks
+	// are running already), so each takes the pipelined form.
 	if len(remoteSites) > 0 {
 		results := peerlink.FanOut(p.ctx, remoteSites, p.lifecycle.RPCTimeout, func(ctx context.Context, site string) (struct{}, error) {
-			return struct{}{}, p.spawnAtSite(ctx, l, site, newSites[site], locations, epoch)
+			return struct{}{}, p.spawnAt(ctx, site, l.prepareFor(spec, newSites[site], locations, epoch), func() error { return nil })
 		})
 		for _, res := range results {
 			if res.Err != nil {
-				l.remoteDone(res.Target, res.Err)
+				l.groupDone(res.Target, res.Err)
 			}
 		}
 	}
 	// If a cancel raced with the respawn, the replacement sites missed
 	// the abort fan-out; re-abort them.
-	l.mu.Lock()
+	a.mu.Lock()
 	canceled := l.canceled
-	l.mu.Unlock()
+	a.mu.Unlock()
 	if canceled && len(remoteSites) > 0 {
 		p.abortRemote(p.ctx, l.AppID, remoteSites, "canceled by operator")
 	}
 	p.reg.Counter(metrics.RanksRescheduled).Add(int64(len(lost)))
-	l.maybeFinish()
-}
-
-// spawnAtSite lands a reschedule's ranks at one site, stamped with the
-// reschedule's launch epoch. Replacement sites do not wait for each other
-// (the surviving ranks are running already), so each takes the pipelined
-// form.
-func (p *Proxy) spawnAtSite(ctx context.Context, l *Launch, site string, ranks []int, locations map[int]rankLoc, epoch uint64) error {
-	return p.spawnAt(ctx, site, l.prepareFor(ranks, locations, epoch), func() error { return nil })
+	l.groupDone("", nil)
 }

@@ -13,87 +13,68 @@ import (
 // JobPage is the most records one job listing returns.
 const JobPage = 100
 
-// jobState is one entry of the origin proxy's job table.
-type jobState struct {
-	appID string
-	owner string
+// jobPart is the origin part of an application's record: the job this
+// proxy launched, kept for queries and listings until the janitor prunes
+// it. Guarded by Proxy.mu.
+type jobPart struct {
+	// launch drives the job while it runs. A terminal job drops it and
+	// keeps only what a query answers: owner, state, detail and final.
+	launch *Launch
+	owner  string
 	// seq is the job's place in this proxy's submission order, from 1; a
-	// listing's cursor names one.
-	seq uint64
-	// launch drives the job while it runs. A terminal record drops it and
-	// keeps only what a query answers: state, detail and outputs.
-	launch  *Launch
-	state   proto.JobState
-	detail  string
-	outputs []proto.StageRef // the output refs, once terminal
+	// listing's cursor names one. 0 means the record has no origin part.
+	seq    uint64
+	state  proto.JobState
+	detail string
+	final  []proto.StageRef // the output refs, once terminal
 	// terminalAt is when the job reached a terminal state; zero while it
-	// is queued or running. The janitor prunes entries older than the
+	// is queued or running. The janitor prunes jobs older than the
 	// configured TTL.
 	terminalAt time.Time
-	// gone is set when the record leaves the table; the logs forget it
-	// lazily.
+	// gone is set when the origin part lets go of the record; the logs
+	// forget it lazily.
 	gone bool
 }
 
-// outputRefs returns the job's output refs, in name order, for the caller
-// to keep: the launch's so far while it runs, the record's once terminal.
-func (js *jobState) outputRefs() []proto.StageRef {
-	if js.launch != nil {
-		return js.launch.Outputs()
-	}
-	return slices.Clone(js.outputs)
+// jobLogs index the origin parts of this proxy's records, guarded by
+// Proxy.mu: two logs in submission order — one of all owners' jobs, one
+// per owner — so that a listing reads one page of one log and nothing
+// else. Each origin part is in each of its two logs once; one that lets
+// go is marked gone and its log entries are dropped lazily (see jobLog).
+type jobLogs struct {
+	all     jobLog
+	owners  map[string]*jobLog
+	seq     uint64
+	tracked *metrics.Gauge // origin parts in the logs
 }
 
-// jobTable is the origin proxy's job table, guarded by Proxy.mu: every
-// record by app id, and two logs over the same records in submission
-// order — one of all owners' jobs, one per owner — so that a listing
-// reads one page of one log and nothing else. Each record is in the table
-// once and in each of its two logs once; a record taken out of the table
-// is marked gone and its log entries are dropped lazily (see jobLog).
-type jobTable struct {
-	byID   map[string]*jobState
-	all    jobLog
-	owners map[string]*jobLog
-	seq    uint64
-}
-
-func newJobTable() jobTable {
-	return jobTable{byID: make(map[string]*jobState), owners: make(map[string]*jobLog)}
-}
-
-// add enters a new record at the newest end of its logs. An id the table
-// still tracks is refused, finished or not.
-func (t *jobTable) add(js *jobState) bool {
-	if _, dup := t.byID[js.appID]; dup {
-		return false
-	}
+// add enters a record's new origin part at the newest end of its logs.
+func (t *jobLogs) add(a *app) {
 	t.seq++
-	js.seq = t.seq
-	t.byID[js.appID] = js
-	t.all.add(js)
-	own := t.owners[js.owner]
+	a.seq = t.seq
+	t.all.add(a)
+	own := t.owners[a.owner]
 	if own == nil {
 		own = &jobLog{}
-		t.owners[js.owner] = own
+		t.owners[a.owner] = own
 	}
-	own.add(js)
-	return true
+	own.add(a)
+	t.tracked.Set(int64(len(t.all.recs) - t.all.gone))
 }
 
-// remove takes a record out of the table and its logs.
-func (t *jobTable) remove(appID string) {
-	js, ok := t.byID[appID]
-	if !ok {
+// remove takes a record's origin part out of its logs.
+func (t *jobLogs) remove(a *app) {
+	if a.seq == 0 || a.gone {
 		return
 	}
-	delete(t.byID, appID)
-	js.gone = true
+	a.gone = true
 	t.all.drop()
-	own := t.owners[js.owner]
+	own := t.owners[a.owner]
 	own.drop()
 	if len(own.recs) == 0 {
-		delete(t.owners, js.owner)
+		delete(t.owners, a.owner)
 	}
+	t.tracked.Set(int64(len(t.all.recs) - t.all.gone))
 }
 
 // jobLog is a submission-ordered log of job records, oldest first. Records
@@ -104,11 +85,11 @@ func (t *jobTable) remove(appID string) {
 // once, so dropping costs O(1) amortised, and a page walks past at most
 // as many gone entries as the log holds live ones.
 type jobLog struct {
-	recs []*jobState // ascending seq
-	gone int         // entries of recs whose record is gone
+	recs []*app // ascending seq
+	gone int    // entries of recs whose origin part is gone
 }
 
-func (l *jobLog) add(js *jobState) { l.recs = append(l.recs, js) }
+func (l *jobLog) add(a *app) { l.recs = append(l.recs, a) }
 
 // drop accounts for one of the log's records having been marked gone.
 func (l *jobLog) drop() {
@@ -124,9 +105,9 @@ func (l *jobLog) drop() {
 	}
 	if 2*l.gone > len(l.recs) {
 		live := l.recs[:0]
-		for _, js := range l.recs {
-			if !js.gone {
-				live = append(live, js)
+		for _, a := range l.recs {
+			if !a.gone {
+				live = append(live, a)
 			}
 		}
 		clear(l.recs[len(live):])
@@ -145,15 +126,15 @@ func (l *jobLog) page(before uint64, out []JobInfo) ([]JobInfo, uint64) {
 	}
 	var last uint64
 	for i--; i >= 0; i-- {
-		js := l.recs[i]
-		if js.gone {
+		a := l.recs[i]
+		if a.gone {
 			continue
 		}
 		if len(out) == JobPage {
 			return out, last
 		}
-		out = append(out, JobInfo{AppID: js.appID, State: jobStateName(js.state), Detail: js.detail})
-		last = js.seq
+		out = append(out, JobInfo{AppID: a.id, State: jobStateName(a.state), Detail: a.detail})
+		last = a.seq
 	}
 	return out, 0
 }
@@ -199,92 +180,81 @@ func jobStateName(s proto.JobState) string {
 	}
 }
 
-func errDuplicateApp(appID string) error {
-	return fmt.Errorf("core: duplicate app id %q", appID)
-}
-
-// registerJob installs a job-table entry before the launch can produce
-// any completion report, so even an instantly-finishing remote group
-// finds it. An id the table still tracks is refused: a finished job's
-// record and outputs belong to whoever ran it until the janitor prunes it.
-func (p *Proxy) registerJob(appID string, l *Launch) error {
-	p.mu.Lock()
-	ok := p.jobs.add(&jobState{appID: appID, owner: l.spec.Owner, launch: l, state: proto.JobQueued, detail: "preparing"})
-	n := len(p.jobs.byID)
-	p.mu.Unlock()
-	if !ok {
-		return errDuplicateApp(appID)
-	}
-	p.reg.Gauge(metrics.JobsTracked).Set(int64(n))
-	return nil
-}
-
-// setJobRunning marks a job running unless it already reached a terminal
-// state (an all-remote job can finish before the launcher gets here).
-func (p *Proxy) setJobRunning(appID string) {
-	p.mu.Lock()
-	if js, ok := p.jobs.byID[appID]; ok && js.terminalAt.IsZero() {
-		js.state = proto.JobRunning
-		js.detail = "running"
-	}
-	p.mu.Unlock()
-}
-
 // setJobTerminal records a job's terminal state and outputs, stamps it for
 // the janitor, and lets the launch go.
-func (p *Proxy) setJobTerminal(appID string, state proto.JobState, detail string, outputs []proto.StageRef) {
+func (p *Proxy) setJobTerminal(a *app, state proto.JobState, detail string) {
 	p.mu.Lock()
-	if js, ok := p.jobs.byID[appID]; ok && js.terminalAt.IsZero() {
-		js.state, js.detail, js.terminalAt = state, detail, p.clock()
-		js.outputs, js.launch = outputs, nil
+	if a.launch != nil {
+		// What a finished job keeps: its outputs here, its placement with
+		// its Launch; the record lets both go.
+		a.mu.Lock()
+		a.final, a.outputs = a.outputs, nil
+		a.launch.placed, a.locations = a.locations, nil
+		a.mu.Unlock()
+		a.state, a.detail, a.terminalAt, a.launch = state, detail, p.clock(), nil
 	}
 	p.mu.Unlock()
+	p.settle(a, nil)
 }
 
-// unregisterJob removes a job-table entry (aborted launches).
-func (p *Proxy) unregisterJob(appID string) {
+// unregisterJob takes an aborted launch's origin part out of its record.
+func (p *Proxy) unregisterJob(a *app) {
 	p.mu.Lock()
-	p.jobs.remove(appID)
-	n := len(p.jobs.byID)
+	p.jobs.remove(a)
+	a.launch = nil
 	p.mu.Unlock()
-	p.reg.Gauge(metrics.JobsTracked).Set(int64(n))
+	p.settle(a, nil)
 }
 
-// pruneJobs drops the terminal records older than the TTL at now.
+// pruneJobs takes the origin parts that turned terminal longer than the
+// TTL before now out of their records.
 func (p *Proxy) pruneJobs(now time.Time) {
-	ttl := p.jobcfg.TerminalTTL
-	pruned := 0
+	var pruned []*app
 	p.mu.Lock()
-	for id, js := range p.jobs.byID {
-		if !js.terminalAt.IsZero() && now.Sub(js.terminalAt) >= ttl {
-			p.jobs.remove(id)
-			pruned++
+	for _, a := range p.records {
+		if a.seq != 0 && !a.gone && !a.terminalAt.IsZero() && now.Sub(a.terminalAt) >= p.jobcfg.TerminalTTL {
+			p.jobs.remove(a)
+			pruned = append(pruned, a)
 		}
 	}
-	n := len(p.jobs.byID)
 	p.mu.Unlock()
-	if pruned > 0 {
-		p.reg.Counter(metrics.JobsPruned).Add(int64(pruned))
-		p.reg.Gauge(metrics.JobsTracked).Set(int64(n))
+	for _, a := range pruned {
+		p.settle(a, nil)
 	}
+	p.reg.Counter(metrics.JobsPruned).Add(int64(len(pruned)))
 }
 
-// job returns a copy of a job's record, read under one lock.
-func (p *Proxy) job(appID string) (jobState, bool) {
+// job returns the record of a job launched from this proxy and a copy of
+// its origin part, read under one lock.
+func (p *Proxy) job(appID string) (*app, jobPart, bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	js, ok := p.jobs.byID[appID]
-	if !ok {
-		return jobState{}, false
+	a, ok := p.records[appID]
+	if !ok || a.seq == 0 || a.gone {
+		return nil, jobPart{}, false
 	}
-	return *js, true
+	return a, a.jobPart, true
+}
+
+// outputRefs returns a job's output refs, in name order, for the caller
+// to keep: those published so far while it runs, the final ones once
+// terminal.
+func (p *Proxy) outputRefs(a *app) []proto.StageRef {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if a.launch == nil {
+		return slices.Clone(a.final)
+	}
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return slices.Clone(a.outputs)
 }
 
 // JobStatus reports a job's state by app id.
 func (p *Proxy) JobStatus(appID string) (proto.JobState, string, error) {
-	js, ok := p.job(appID)
+	_, j, ok := p.job(appID)
 	if !ok {
 		return 0, "", notFound("no job %q", appID)
 	}
-	return js.state, js.detail, nil
+	return j.state, j.detail, nil
 }

@@ -1,7 +1,7 @@
 package core
 
 // White-box tests for the job table's logs: a listing is one page of one
-// submission-ordered log, so these drive registerJob, setJobTerminal,
+// submission-ordered log, so these drive open, setJobTerminal,
 // unregisterJob and pruneJobs directly on a proxy that was never started
 // (no janitor of its own) under a clock the test moves.
 
@@ -68,14 +68,26 @@ func jobID(i int) string { return fmt.Sprintf("job-%06d", i) }
 
 func register(t testing.TB, p *Proxy, i int, owner string) {
 	t.Helper()
-	id := jobID(i)
-	if err := p.registerJob(id, &Launch{AppID: id, spec: LaunchSpec{Owner: owner}}); err != nil {
+	if err := p.registerJob(jobID(i), owner); err != nil {
 		t.Fatal(err)
 	}
 }
 
+// registerJob enters the origin part of a launch that never runs.
+func (p *Proxy) registerJob(id, owner string) error {
+	_, _, err := p.open(id, LaunchSpec{Owner: owner}, nil, &Launch{AppID: id, proxy: p}, nil)
+	return err
+}
+
+// record returns the record of id; nil when the site holds none.
+func (p *Proxy) record(id string) *app {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.records[id]
+}
+
 func finish(p *Proxy, i int) {
-	p.setJobTerminal(jobID(i), proto.JobDone, "completed", nil)
+	p.setJobTerminal(p.record(jobID(i)), proto.JobDone, "completed")
 }
 
 // checkJobIndex asserts the table's invariant: every record is in the
@@ -86,26 +98,26 @@ func checkJobIndex(t *testing.T, p *Proxy) {
 	t.Helper()
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	seen := make(map[*jobState]int)
+	seen := make(map[*app]int)
 	check := func(name string, l *jobLog, owner string, all bool) {
 		var prev uint64
 		gone := 0
-		for _, js := range l.recs {
-			if js.seq <= prev {
-				t.Errorf("log %s: seq %d after %d", name, js.seq, prev)
+		for _, a := range l.recs {
+			if a.seq <= prev {
+				t.Errorf("log %s: seq %d after %d", name, a.seq, prev)
 			}
-			prev = js.seq
-			if js.gone {
+			prev = a.seq
+			if a.gone {
 				gone++
 				continue
 			}
-			if p.jobs.byID[js.appID] != js {
-				t.Errorf("log %s: %s is not a record of the table", name, js.appID)
+			if p.records[a.id] != a {
+				t.Errorf("log %s: %s is not a record of the table", name, a.id)
 			}
-			if !all && js.owner != owner {
-				t.Errorf("log %s holds %s of %q", name, js.appID, js.owner)
+			if !all && a.owner != owner {
+				t.Errorf("log %s holds %s of %q", name, a.id, a.owner)
 			}
-			seen[js]++
+			seen[a]++
 		}
 		if gone != l.gone {
 			t.Errorf("log %s: %d gone entries, counted %d", name, gone, l.gone)
@@ -124,9 +136,9 @@ func checkJobIndex(t *testing.T, p *Proxy) {
 	for owner, l := range p.jobs.owners {
 		check("owner "+owner, l, owner, false)
 	}
-	for id, js := range p.jobs.byID {
-		if seen[js] != 2 {
-			t.Errorf("record %s is in %d log entries, want 2", id, seen[js])
+	for id, a := range p.records {
+		if a.seq != 0 && !a.gone && seen[a] != 2 {
+			t.Errorf("record %s is in %d log entries, want 2", id, seen[a])
 		}
 	}
 }
@@ -155,7 +167,7 @@ func TestJobsPageListsNewestFirstWhilePruned(t *testing.T) {
 				register(t, p, i, ownerOf[i])
 				switch r := rng.Intn(10); {
 				case r == 0:
-					p.unregisterJob(jobID(i)) // a rejected launch
+					p.unregisterJob(p.record(jobID(i))) // a rejected launch
 				case r < 7:
 					finish(p, i)
 				}
@@ -198,7 +210,7 @@ func TestJobsPageListsNewestFirstWhilePruned(t *testing.T) {
 				now := clock.advance(300 * time.Millisecond)
 				if id, ok := p.idAt(next); ok {
 					clock.set(now.Add(-2 * ttl))
-					p.setJobTerminal(id, proto.JobDone, "completed", nil)
+					p.setJobTerminal(p.record(id), proto.JobDone, "completed")
 					clock.set(now)
 				}
 				p.pruneJobs(now)
@@ -215,7 +227,7 @@ func TestJobsPageListsNewestFirstWhilePruned(t *testing.T) {
 				listed[i] = true
 			}
 			for i, owner := range ownerOf {
-				if _, ok := p.job(jobID(i)); ok && (who == "" || owner == who) && !listed[i] {
+				if _, _, ok := p.job(jobID(i)); ok && (who == "" || owner == who) && !listed[i] {
 					t.Errorf("%s of %q is in the table but was not listed", jobID(i), owner)
 				}
 			}
@@ -228,8 +240,8 @@ func TestJobsPageListsNewestFirstWhilePruned(t *testing.T) {
 func (p *Proxy) idAt(seq uint64) (string, bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for id, js := range p.jobs.byID {
-		if js.seq == seq {
+	for id, a := range p.records {
+		if a.seq == seq && !a.gone {
 			return id, true
 		}
 	}
@@ -276,13 +288,12 @@ func TestJobIndexUnderConcurrentChurn(t *testing.T) {
 		defer wg.Done()
 		defer close(finished)
 		for i := 0; i < n; i++ {
-			id := jobID(i)
-			if err := p.registerJob(id, &Launch{AppID: id, spec: LaunchSpec{Owner: owners[i%len(owners)]}}); err != nil {
+			if err := p.registerJob(jobID(i), owners[i%len(owners)]); err != nil {
 				t.Error(err)
 				return
 			}
 			if i%10 == 0 {
-				p.unregisterJob(jobID(i))
+				p.unregisterJob(p.record(jobID(i)))
 				continue
 			}
 			finished <- i
@@ -349,15 +360,15 @@ func TestJobIndexUnderConcurrentChurn(t *testing.T) {
 func TestJobIndexRefusesTrackedID(t *testing.T) {
 	p, clock := newJobProxy(t, time.Minute)
 	register(t, p, 1, "alice")
-	if err := p.registerJob(jobID(1), &Launch{spec: LaunchSpec{Owner: "bob"}}); err == nil {
+	if err := p.registerJob(jobID(1), "bob"); err == nil {
 		t.Fatal("a running job's id was registered twice")
 	}
 	finish(p, 1)
-	if err := p.registerJob(jobID(1), &Launch{spec: LaunchSpec{Owner: "bob"}}); err == nil {
+	if err := p.registerJob(jobID(1), "bob"); err == nil {
 		t.Fatal("a finished job's id was registered again")
 	}
-	if js, _ := p.job(jobID(1)); js.owner != "alice" || js.state != proto.JobDone {
-		t.Errorf("record after the refusals: owner %q, state %v", js.owner, js.state)
+	if _, j, _ := p.job(jobID(1)); j.owner != "alice" || j.state != proto.JobDone {
+		t.Errorf("record after the refusals: owner %q, state %v", j.owner, j.state)
 	}
 	checkJobIndex(t, p)
 	p.pruneJobs(clock.advance(2 * time.Minute))

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"sync"
 	"time"
 
 	"gridproxy/internal/balance"
@@ -59,10 +58,10 @@ type Launch struct {
 	Locations map[int]RankPlacement
 
 	proxy *Proxy
-	spec  LaunchSpec
+	// app is the application's record here: its mu guards the fields
+	// below, and its placement is the launch's current one.
+	app *app
 
-	mu        sync.Mutex
-	locations map[int]rankLoc // current placement (reschedules update it)
 	// localPending counts outstanding local rank watcher groups (the
 	// initial spawn plus one per local reschedule).
 	localPending int
@@ -81,39 +80,12 @@ type Launch struct {
 	done      chan struct{}
 	failed    error
 	finished  bool
-	// outputs accumulates the refs of published output blobs: local
-	// ranks record directly, remote sites report theirs via
-	// JobUpdate.Outputs (pulled into the origin store on arrival).
-	outputs []proto.StageRef
-}
-
-// recordOutput registers one published output blob, applying the spec's
-// StageOut filter. A re-publish under the same name replaces the ref.
-func (l *Launch) recordOutput(ref proto.StageRef) {
-	if !wantOutput(l.spec.StageOut, ref.Name) {
-		return
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	for i, have := range l.outputs {
-		if have.Name == ref.Name {
-			l.outputs[i] = ref
-			return
-		}
-	}
-	l.outputs = append(l.outputs, ref)
+	placed    map[int]rankLoc // the final placement, handed over by the record
 }
 
 // Outputs returns the refs of the job's output blobs staged back to the
-// origin store so far; complete once Wait has returned. Read the bytes
-// with Proxy.Store().Get(ref.Hash).
-func (l *Launch) Outputs() []proto.StageRef {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := append([]proto.StageRef(nil), l.outputs...)
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
+// origin store so far (all once Wait has returned): Proxy.Store().Open reads one.
+func (l *Launch) Outputs() []proto.StageRef { return l.proxy.outputRefs(l.app) }
 
 // Placement computes where each rank would run without launching —
 // exposed for the scheduling experiments and dry runs.
@@ -244,8 +216,6 @@ func (p *Proxy) launchAt(ctx context.Context, spec LaunchSpec, locations map[int
 		AppID:     appID,
 		Locations: exportLocations(locations),
 		proxy:     p,
-		spec:      spec,
-		locations: locations,
 		remote:    make(map[string]int, len(remoteSites)),
 		epoch:     1,
 		done:      make(chan struct{}),
@@ -257,22 +227,12 @@ func (p *Proxy) launchAt(ctx context.Context, spec LaunchSpec, locations map[int
 		launch.remote[site] = 1
 	}
 
-	// Register the job before any site can report completion, so even an
+	// Enter the record before any site can report completion, so even an
 	// instantly-finishing remote rank group finds its launch.
-	if err := p.registerJob(appID, launch); err != nil {
-		return nil, err
-	}
-	as, err := p.createAddressSpace(appID, spec.Owner, locations)
+	spec.Procs = len(locations)
+	a, _, err := p.open(appID, spec, locations, launch, nil)
 	if err != nil {
-		p.unregisterJob(appID)
 		return nil, err
-	}
-
-	abort := func(reason string) {
-		p.abortRemote(ctx, appID, remoteSites, reason)
-		as.close()
-		p.dropAddressSpace(appID)
-		p.unregisterJob(appID)
 	}
 
 	// The origin's own commit: its ranks start once every remote prepare
@@ -281,13 +241,13 @@ func (p *Proxy) launchAt(ctx context.Context, spec LaunchSpec, locations map[int
 	// straight back into it.
 	localUp := false
 	spawnLocal := func() error {
-		err := p.spawnLocalRanks(ctx, appID, spec.Owner, spec.Program, spec.Args, len(locations), locations, localRanks, spec.StageIn, launch.recordOutput)
+		err := p.spawnLocalRanks(ctx, appID, spec, locations, localRanks, a.recordOutput)
 		localUp = err == nil
 		return err
 	}
 	prepares := make(map[string]*proto.PrepareSpawn, len(remoteSites))
 	for _, site := range remoteSites {
-		prepares[site] = launch.prepareFor(sites[site], locations, 1)
+		prepares[site] = launch.prepareFor(spec, sites[site], locations, 1)
 	}
 	switch len(remoteSites) {
 	case 0:
@@ -304,22 +264,28 @@ func (p *Proxy) launchAt(ctx context.Context, spec LaunchSpec, locations map[int
 		if localUp {
 			p.reapLocalRanks(appID, locations, localRanks)
 		}
-		abort(err.Error())
+		p.abortRemote(ctx, appID, remoteSites, err.Error())
+		p.unregisterJob(a)
 		return nil, err
 	}
 
-	launch.mu.Lock()
+	// The job runs unless it already reached a terminal state: an
+	// all-remote job can finish before the launcher gets here.
+	p.mu.Lock()
+	a.mu.Lock()
 	launch.committed = true
-	launch.mu.Unlock()
-	p.setJobRunning(appID)
+	a.mu.Unlock()
+	if a.launch != nil {
+		a.state, a.detail = proto.JobRunning, "running"
+	}
+	p.mu.Unlock()
 
 	// Completion watcher for local ranks.
 	if len(localRanks) > 0 {
 		p.wg.Add(1)
 		go func() {
 			defer p.wg.Done()
-			err := p.waitLocalRanks(appID, locations, localRanks)
-			launch.localDone(err)
+			launch.groupDone(p.site, p.waitLocalRanks(appID, locations, localRanks))
 		}()
 	}
 
@@ -329,7 +295,6 @@ func (p *Proxy) launchAt(ctx context.Context, spec LaunchSpec, locations map[int
 	// deaths are handled exactly once.
 	for _, site := range remoteSites {
 		if !p.siteUp(site) {
-			site := site
 			p.wg.Add(1)
 			go func() {
 				defer p.wg.Done()
@@ -337,31 +302,28 @@ func (p *Proxy) launchAt(ctx context.Context, spec LaunchSpec, locations map[int
 			}()
 		}
 	}
-	launch.maybeFinish()
+	launch.groupDone("", nil)
 	return launch, nil
 }
 
 // spawnLocalRanks starts this site's share of an application on its nodes.
 // On failure the ranks already started are killed, so a half-spawned group
-// never outlives its launch. stageIn and record wire the processes to the
-// data plane: staged inputs resolve out of this site's store, published
-// outputs land in it and their refs flow to record (nil for none).
-func (p *Proxy) spawnLocalRanks(ctx context.Context, appID, owner, program string, args []string, worldSize int, locations map[int]rankLoc, ranks []int, stageIn []proto.StageRef, record func(proto.StageRef)) error {
+// never outlives its launch. The spec's StageIn and record wire the
+// processes to the data plane: staged inputs resolve out of this site's
+// store, published outputs land in it and their refs flow to record.
+func (p *Proxy) spawnLocalRanks(ctx context.Context, appID string, spec LaunchSpec, locations map[int]rankLoc, ranks []int, record func(proto.StageRef)) error {
 	table := p.buildRankTable(appID, locations)
-	if record == nil {
-		record = func(proto.StageRef) {}
-	}
-	input, publish := p.stageEnv(appID, stageIn, record)
+	input, publish := p.stageEnv(appID, spec.StageIn, record)
 	for i, rank := range ranks {
 		loc := locations[rank]
 		handle, err := p.nodeHandle(loc.node)
 		if err == nil {
 			_, err = handle.Spawn(ctx, node.SpawnSpec{
 				AppID:     appID,
-				Program:   program,
-				Args:      args,
+				Program:   spec.Program,
+				Args:      spec.Args,
 				Rank:      rank,
-				WorldSize: worldSize,
+				WorldSize: spec.Procs,
 				RankTable: table,
 				Input:     input(rank, handle),
 				Publish:   publish,
@@ -372,7 +334,6 @@ func (p *Proxy) spawnLocalRanks(ctx context.Context, appID, owner, program strin
 			return fmt.Errorf("core: spawn rank %d on %s: %w", rank, loc.node, err)
 		}
 	}
-	_ = owner // origin validated; destination validation happens in handlePrepareSpawn
 	return nil
 }
 
@@ -460,86 +421,63 @@ func locationsFromWire(locs []proto.RankLocation) map[int]rankLoc {
 // CurrentPlacement returns where each rank runs right now, reflecting any
 // rescheduling since the launch.
 func (l *Launch) CurrentPlacement() map[int]RankPlacement {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return exportLocations(l.locations)
-}
-
-// localDone records one local rank group's completion.
-func (l *Launch) localDone(err error) {
-	l.mu.Lock()
-	if l.localPending > 0 {
-		l.localPending--
+	l.app.mu.Lock()
+	defer l.app.mu.Unlock()
+	if l.placed == nil {
+		return exportLocations(l.app.locations)
 	}
-	if err != nil && l.failed == nil {
-		l.failed = err
-	}
-	l.mu.Unlock()
-	l.maybeFinish()
+	return exportLocations(l.placed)
 }
 
 // awaitsSite reports whether the launch still waits on a site's
 // completion report.
 func (l *Launch) awaitsSite(site string) bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
+	l.app.mu.Lock()
+	defer l.app.mu.Unlock()
 	return l.remote[site] > 0
 }
 
-// remoteDone records a remote site's completion report (one per committed
-// rank group). Reports from sites the launch no longer tracks — for
-// example after their ranks were rescheduled away — are ignored.
-func (l *Launch) remoteDone(site string, err error) {
-	l.mu.Lock()
-	n, ok := l.remote[site]
-	if !ok {
-		l.mu.Unlock()
+// groupDone records the end of a rank group the launch waits on — the
+// local one when site is this one, else a remote site's completion report
+// (one per committed group) — and finishes the launch once none is
+// outstanding. Reports from sites the launch no longer tracks, for
+// example after their ranks were rescheduled away, are ignored. Site ""
+// records only err: a launch-level failure (e.g. no capacity left for
+// rescheduling), or with none, a check whether the launch is through.
+func (l *Launch) groupDone(site string, err error) {
+	l.app.mu.Lock()
+	switch n := l.remote[site]; {
+	case site == l.proxy.site:
+		l.localPending = max(l.localPending-1, 0)
+		site = ""
+	case site == "":
+	case n == 0:
+		l.app.mu.Unlock()
 		return
-	}
-	if n <= 1 {
+	case n == 1:
 		delete(l.remote, site)
-	} else {
+	default:
 		l.remote[site] = n - 1
 	}
-	if err != nil && l.failed == nil {
-		l.failed = fmt.Errorf("site %s: %w", site, err)
+	if err != nil && site != "" {
+		err = fmt.Errorf("site %s: %w", site, err)
 	}
-	l.mu.Unlock()
-	l.maybeFinish()
-}
-
-// fail records a launch-level failure that is not attributable to one
-// outstanding report (e.g. no capacity left for rescheduling).
-func (l *Launch) fail(err error) {
-	l.mu.Lock()
-	if l.failed == nil {
+	if err != nil && l.failed == nil {
 		l.failed = err
 	}
-	l.mu.Unlock()
-	l.maybeFinish()
-}
-
-func (l *Launch) maybeFinish() {
-	l.mu.Lock()
-	if l.finished || l.localPending != 0 || len(l.remote) != 0 {
-		l.mu.Unlock()
-		return
-	}
-	l.finished = true
+	through := !l.finished && l.localPending == 0 && len(l.remote) == 0
+	l.finished = l.finished || through
 	failed, canceled := l.failed, l.canceled
-	l.mu.Unlock()
-	l.finish(failed, canceled)
+	l.app.mu.Unlock()
+	if through {
+		l.finish(failed, canceled)
+	}
 }
 
-// finish closes the origin address space, records the terminal job state,
-// and releases waiters. Exactly one goroutine reaches it (the one that
-// flips finished).
+// finish records the terminal job state, which lets the launch's virtual
+// slaves go, and releases waiters. Exactly one goroutine reaches it (the
+// one that flips finished).
 func (l *Launch) finish(failed error, canceled bool) {
-	p := l.proxy
-	if as, err := p.addressSpace(l.AppID); err == nil {
-		as.close()
-		p.dropAddressSpace(l.AppID)
-	}
 	state, detail := proto.JobDone, "completed"
 	switch {
 	case canceled:
@@ -547,7 +485,7 @@ func (l *Launch) finish(failed error, canceled bool) {
 	case failed != nil:
 		state, detail = proto.JobFailed, failed.Error()
 	}
-	p.setJobTerminal(l.AppID, state, detail, l.Outputs())
+	l.proxy.setJobTerminal(l.app, state, detail)
 	close(l.done)
 }
 
@@ -557,8 +495,8 @@ func (l *Launch) finish(failed error, canceled bool) {
 func (l *Launch) Wait(ctx context.Context) error {
 	select {
 	case <-l.done:
-		l.mu.Lock()
-		defer l.mu.Unlock()
+		l.app.mu.Lock()
+		defer l.app.mu.Unlock()
 		return l.failed
 	case <-ctx.Done():
 		return ctx.Err()
@@ -566,8 +504,8 @@ func (l *Launch) Wait(ctx context.Context) error {
 }
 
 // prepareFor renders the PrepareSpawn that lands ranks of the launch at
-// one site, under the placement and launch epoch given.
-func (l *Launch) prepareFor(ranks []int, locations map[int]rankLoc, epoch uint64) *proto.PrepareSpawn {
+// one site, under the spec, placement and launch epoch given.
+func (l *Launch) prepareFor(spec LaunchSpec, ranks []int, locations map[int]rankLoc, epoch uint64) *proto.PrepareSpawn {
 	share := make([]uint32, len(ranks))
 	for i, rank := range ranks {
 		share[i] = uint32(rank)
@@ -576,14 +514,14 @@ func (l *Launch) prepareFor(ranks []int, locations map[int]rankLoc, epoch uint64
 	return &proto.PrepareSpawn{
 		AppID:     l.AppID,
 		Origin:    l.proxy.site,
-		Owner:     l.spec.Owner,
-		Program:   l.spec.Program,
-		Args:      l.spec.Args,
+		Owner:     spec.Owner,
+		Program:   spec.Program,
+		Args:      spec.Args,
 		WorldSize: uint32(len(locations)),
 		Ranks:     share,
 		Locations: locationsToWire(locations),
-		StageIn:   l.spec.StageIn,
-		StageOut:  l.spec.StageOut,
+		StageIn:   spec.StageIn,
+		StageOut:  spec.StageOut,
 		Epoch:     epoch,
 	}
 }

@@ -479,31 +479,31 @@ func (cs *clientSession) handleJobSubmit(ctx context.Context, req *proto.JobSubm
 
 // ownJob looks a job up for the session user: its owner may always act on
 // it; anyone else needs the given grid permission (operators).
-func (cs *clientSession) ownJob(jobID, action string) (jobState, error) {
+func (cs *clientSession) ownJob(jobID, action string) (*app, jobPart, error) {
 	p := cs.proxy
 	if err := cs.checkSession(); err != nil {
-		return jobState{}, err
+		return nil, jobPart{}, err
 	}
-	js, ok := p.job(jobID)
+	a, j, ok := p.job(jobID)
 	if !ok {
-		return jobState{}, notFound("no job %q", jobID)
+		return nil, jobPart{}, notFound("no job %q", jobID)
 	}
-	if js.owner != cs.user {
+	if j.owner != cs.user {
 		if err := p.users.Allowed(cs.user, action, "grid"); err != nil {
-			return jobState{}, denied("job %q belongs to %q: %v", jobID, js.owner, err)
+			return nil, jobPart{}, denied("job %q belongs to %q: %v", jobID, j.owner, err)
 		}
 	}
-	return js, nil
+	return a, j, nil
 }
 
 // handleJobQuery reports a job's state and outputs to its owner, or to a
 // user with the "status" grid permission.
 func (cs *clientSession) handleJobQuery(req *proto.JobQuery) (proto.Body, error) {
-	js, err := cs.ownJob(req.JobID, "status")
+	a, j, err := cs.ownJob(req.JobID, "status")
 	if err != nil {
 		return nil, err
 	}
-	return &proto.JobUpdate{JobID: req.JobID, State: js.state, Detail: js.detail, Outputs: js.outputRefs()}, nil
+	return &proto.JobUpdate{JobID: req.JobID, State: j.state, Detail: j.detail, Outputs: cs.proxy.outputRefs(a)}, nil
 }
 
 // handleJobCancel cancels a job for the session user: the job's owner may
@@ -512,7 +512,7 @@ func (cs *clientSession) handleJobQuery(req *proto.JobQuery) (proto.Body, error)
 // cancellation took effect.
 func (cs *clientSession) handleJobCancel(ctx context.Context, req *proto.JobCancel) (proto.Body, error) {
 	p := cs.proxy
-	if _, err := cs.ownJob(req.JobID, "cancel"); err != nil {
+	if _, _, err := cs.ownJob(req.JobID, "cancel"); err != nil {
 		return nil, err
 	}
 	if err := p.Cancel(ctx, req.JobID); err != nil {

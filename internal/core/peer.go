@@ -472,21 +472,16 @@ func (p *Proxy) watchPeer(pr *peer) {
 	// beyond it the launch fails so waiters unblock (the paper's
 	// "recovery of users' applications").
 	p.mu.Lock()
-	var affected []*Launch
-	for _, js := range p.jobs.byID {
-		if js.launch != nil && js.launch.awaitsSite(pr.site) {
-			affected = append(affected, js.launch)
+	for _, a := range p.records {
+		if l := a.launch; l != nil && l.awaitsSite(pr.site) {
+			p.wg.Add(1)
+			go func() {
+				defer p.wg.Done()
+				p.rescheduleSite(l, pr.site)
+			}()
 		}
 	}
 	p.mu.Unlock()
-	for _, launch := range affected {
-		launch := launch
-		p.wg.Add(1)
-		go func() {
-			defer p.wg.Done()
-			p.rescheduleSite(launch, pr.site)
-		}()
-	}
 	p.log.Warn("peer disconnected", "site", pr.site)
 }
 

@@ -182,15 +182,18 @@ type Proxy struct {
 	nodesListener  net.Listener
 	spliceListener net.Listener
 
-	mu      sync.Mutex
-	nodes   map[string]NodeHandle
-	apps    map[string]*addressSpace
-	jobs    jobTable
-	hosted  map[string]*hostedApp
-	held    map[string][]*heldCommit
-	probing map[string]bool // sites with an indirect probe in flight
-	fences  []*pendingFence // undelivered split-brain fences
-	stopped bool
+	mu    sync.Mutex
+	nodes map[string]NodeHandle
+	// records holds this site's one record per application id; jobs indexes
+	// the records' origin parts for listings.
+	records map[string]*app
+	jobs    jobLogs
+	// hostedRanks counts ranks committed here and not yet ended, by origin.
+	hostedRanks map[string]int
+	held        map[string][]*heldCommit
+	probing     map[string]bool // sites with an indirect probe in flight
+	fences      []*pendingFence // undelivered split-brain fences
+	stopped     bool
 
 	appSeq atomic.Uint64
 	wg     sync.WaitGroup
@@ -229,32 +232,32 @@ func New(cfg Config) (*Proxy, error) {
 	// and Close cancels it.
 	ctx, cancel := context.WithCancel(context.Background())
 	p := &Proxy{
-		site:      cfg.Site,
-		wanAddr:   cfg.WANAddr,
-		localAddr: cfg.LocalAddr,
-		wan:       cfg.WAN,
-		local:     cfg.Local,
-		users:     cfg.Users,
-		tgs:       cfg.TGS,
-		clock:     clock,
-		reg:       cfg.Metrics,
-		log:       cfg.Logger.Named("proxy." + cfg.Site),
-		collector: monitor.NewCollector(cfg.Site),
-		policy:    policy,
-		lifecycle: cfg.Lifecycle.WithDefaults(),
-		gossipcfg: cfg.Gossip.WithDefaults(),
-		jobcfg:    cfg.Jobs.WithDefaults(),
-		stagecfg:  cfg.Stage.WithDefaults(),
-		tunnelcfg: tunnelcfg,
-		bondReg:   tunnel.NewBondRegistry(),
-		nodes:     make(map[string]NodeHandle),
-		apps:      make(map[string]*addressSpace),
-		jobs:      newJobTable(),
-		hosted:    make(map[string]*hostedApp),
-		held:      make(map[string][]*heldCommit),
-		probing:   make(map[string]bool),
-		ctx:       ctx,
-		cancel:    cancel,
+		site:        cfg.Site,
+		wanAddr:     cfg.WANAddr,
+		localAddr:   cfg.LocalAddr,
+		wan:         cfg.WAN,
+		local:       cfg.Local,
+		users:       cfg.Users,
+		tgs:         cfg.TGS,
+		clock:       clock,
+		reg:         cfg.Metrics,
+		log:         cfg.Logger.Named("proxy." + cfg.Site),
+		collector:   monitor.NewCollector(cfg.Site),
+		policy:      policy,
+		lifecycle:   cfg.Lifecycle.WithDefaults(),
+		gossipcfg:   cfg.Gossip.WithDefaults(),
+		jobcfg:      cfg.Jobs.WithDefaults(),
+		stagecfg:    cfg.Stage.WithDefaults(),
+		tunnelcfg:   tunnelcfg,
+		bondReg:     tunnel.NewBondRegistry(),
+		nodes:       make(map[string]NodeHandle),
+		records:     make(map[string]*app),
+		hostedRanks: make(map[string]int),
+		jobs:        jobLogs{owners: make(map[string]*jobLog), tracked: cfg.Metrics.Gauge(metrics.JobsTracked)},
+		held:        make(map[string][]*heldCommit),
+		probing:     make(map[string]bool),
+		ctx:         ctx,
+		cancel:      cancel,
 	}
 	p.members = membership.New(membership.Config{
 		Site:              cfg.Site,
@@ -364,22 +367,19 @@ func (p *Proxy) Close() error {
 		return nil
 	}
 	p.stopped = true
-	apps := make([]*addressSpace, 0, len(p.apps))
-	for _, as := range p.apps {
-		apps = append(apps, as)
+	listeners := []net.Listener{p.wanListener, p.localListener, p.nodesListener, p.spliceListener}
+	for _, a := range p.records {
+		listeners = append(listeners, a.listeners...)
 	}
 	p.mu.Unlock()
 
 	p.cancel()
-	for _, ln := range []net.Listener{p.wanListener, p.localListener, p.nodesListener, p.spliceListener} {
+	for _, ln := range listeners {
 		if ln != nil {
 			_ = ln.Close()
 		}
 	}
 	p.cache.CloseAll()
-	for _, as := range apps {
-		as.close()
-	}
 	p.wg.Wait()
 	p.log.Info("proxy stopped")
 	return nil
@@ -423,20 +423,25 @@ func (p *Proxy) LocalSummary() monitor.SiteSummary {
 	return sum
 }
 
-// hostedProcs counts the running ranks this site hosts for each origin.
+// hostedProcs reports the running ranks this site hosts for each origin.
 func (p *Proxy) hostedProcs() []proto.HostedProcs {
-	var out []proto.HostedProcs
-	for _, ha := range p.hostedApps() {
-		ha.mu.Lock()
-		n := uint32(len(ha.running))
-		ha.mu.Unlock()
-		i := slices.IndexFunc(out, func(h proto.HostedProcs) bool { return h.Origin == ha.origin })
-		if i < 0 {
-			i, out = len(out), append(out, proto.HostedProcs{Origin: ha.origin})
-		}
-		out[i].Procs += n
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	out := make([]proto.HostedProcs, 0, len(p.hostedRanks))
+	for origin, n := range p.hostedRanks {
+		out = append(out, proto.HostedProcs{Origin: origin, Procs: uint32(n)})
 	}
 	return out
+}
+
+// countHosted adds n committed ranks (negative: ended) to an origin's
+// count: a summary reads it without walking every record.
+func (p *Proxy) countHosted(origin string, n int) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.hostedRanks[origin] += n; p.hostedRanks[origin] <= 0 {
+		delete(p.hostedRanks, origin)
+	}
 }
 
 // localCandidates lists this site's nodes with fresh stats, sorted by

@@ -165,11 +165,10 @@ func wantOutput(filter []string, name string) bool {
 // JobOutputs returns the output refs recorded so far for a job launched
 // from this proxy (empty for unknown jobs — job state has its own API).
 func (p *Proxy) JobOutputs(appID string) []proto.StageRef {
-	js, ok := p.job(appID)
-	if !ok {
-		return nil
+	if a, _, ok := p.job(appID); ok {
+		return p.outputRefs(a)
 	}
-	return js.outputRefs()
+	return nil
 }
 
 // inlineOutputs picks the outputs a completion report carries itself: in

@@ -442,7 +442,12 @@ func TestGatePutGetAllocBudget(t *testing.T) {
 }
 
 func BenchmarkGatePutGet8MiB(b *testing.B) {
-	f := newFixture(b, nil)
+	// The fixture's clock never refills a rate bucket, so the buckets are
+	// made deep enough for any -benchtime, as gridmark does.
+	f := newFixture(b, func(cfg *gate.Config) {
+		cfg.Limits.UserRate, cfg.Limits.UserBurst = 1e9, 1e9
+		cfg.Limits.GroupRate, cfg.Limits.GroupBurst = 1e9, 1e9
+	})
 	srv := f.serve(b)
 	token := f.login(b, "alice", "secret")
 	blob := seededBlob(97, 8<<20)

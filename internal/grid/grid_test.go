@@ -497,34 +497,7 @@ func TestSecureTunnelEndToEnd(t *testing.T) {
 
 	// An echo service listening inside siteb, NOT part of the grid.
 	sb := f.tb.Sites[1]
-	ln, err := sb.Local.Listen("legacy-echo")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go func() {
-				defer conn.Close()
-				buf := make([]byte, 1024)
-				for {
-					n, err := conn.Read(buf)
-					if n > 0 {
-						if _, werr := conn.Write(buf[:n]); werr != nil {
-							return
-						}
-					}
-					if err != nil {
-						return
-					}
-				}
-			}()
-		}
-	}()
+	serveEcho(t, sb, "legacy-echo")
 
 	// Register the tunnel app at the destination proxy (the explicit
 	// secure-channel call).
@@ -553,6 +526,80 @@ func TestSecureTunnelEndToEnd(t *testing.T) {
 	}
 	if string(got) != string(msg) {
 		t.Errorf("echo = %q", got)
+	}
+}
+
+// serveEcho runs an echo service at addr inside a site, outside the grid.
+func serveEcho(t *testing.T, s *site.Site, addr string) {
+	t.Helper()
+	ln, err := s.Local.Listen(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = ln.Close() })
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer conn.Close()
+				buf := make([]byte, 1024)
+				for {
+					n, err := conn.Read(buf)
+					if n > 0 {
+						if _, werr := conn.Write(buf[:n]); werr != nil {
+							return
+						}
+					}
+					if err != nil {
+						return
+					}
+				}
+			}()
+		}
+	}()
+}
+
+// TestTunnelNeedsARegistration: a data stream reaches an address inside
+// siteb only under a tunnel registration there, which checked the
+// owner's "tunnel" permission at siteb. The id of a job with a rank at
+// siteb is not one: naming it opens nothing.
+func TestTunnelNeedsARegistration(t *testing.T) {
+	f := newFixture(t, 0, 1) // sitea has no nodes: every rank runs at siteb
+	f.tb.RegisterProgram("forever", func(ctx context.Context, env node.Env) error {
+		<-ctx.Done()
+		return ctx.Err()
+	})
+	sa, sb := f.tb.Sites[0], f.tb.Sites[1]
+	serveEcho(t, sb, "legacy-echo")
+	c := f.dial(t, 0)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := c.Login(ctx, "alice", "secret"); err != nil {
+		t.Fatal(err)
+	}
+	jobID, err := c.SubmitMPI(ctx, "forever", nil, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := sb.Proxy.ActiveApps(); n != 1 {
+		t.Fatalf("siteb holds %d applications, want the job's", n)
+	}
+	if conn, err := c.Tunnel(ctx, core.SpliceAddr(sa.LocalAddr()), jobID, "siteb", "legacy-echo"); err == nil {
+		defer conn.Close()
+		_ = conn.SetDeadline(time.Now().Add(10 * time.Second))
+		msg := []byte("through a job's id")
+		got := make([]byte, len(msg))
+		if _, err := conn.Write(msg); err == nil {
+			if _, err := io.ReadFull(conn, got); err == nil {
+				t.Errorf("a job's id opened a tunnel to siteb: echo %q", got)
+			}
+		}
+	}
+	if err := c.Cancel(ctx, jobID); err != nil {
+		t.Fatal(err)
 	}
 }
 
