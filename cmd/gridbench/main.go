@@ -124,7 +124,7 @@ var runners = []struct {
 }
 
 func run() error {
-	exp := flag.String("exp", "all", "experiment to run: e1..e10, comma-separated, or all")
+	exp := flag.String("exp", "all", "experiment to run: e1..e13, comma-separated, or all")
 	list := flag.Bool("list", false, "list available experiments and exit")
 	flag.Parse()
 
@@ -159,7 +159,7 @@ func run() error {
 		ran++
 	}
 	if ran == 0 {
-		return fmt.Errorf("no experiment matched %q (use -list to see e1..e11)", *exp)
+		return fmt.Errorf("no experiment matched %q (use -list to see e1..e13)", *exp)
 	}
 	return nil
 }

@@ -32,14 +32,14 @@
 //	group_rate    = 200              # requests/s per group
 //	login_rate    = 1                # sign-on attempts/s per user name
 //	max_jobs      = 16               # concurrent jobs per user
-//	pool_clients  = 64               # pooled proxy connections cap
-//	pool_idle     = 2m               # close pooled clients idle this long
 //	timeout_login = 10s              # per-route deadlines
 //	timeout_submit = 60s
 //	timeout_query = 10s
 //	timeout_data  = 30s
 //	max_body      = 8388608          # request-body cap (file puts)
 //	drain_timeout = 30s              # SIGTERM: in-flight completion budget
+//
+// A key the daemon does not read is refused at start-up, by name.
 package main
 
 import (
@@ -87,19 +87,11 @@ func run() error {
 	if siteName == "" {
 		return fmt.Errorf("config: site is required")
 	}
-	users, err := config.LoadUsers(cfg.Get("users", "users.conf"))
-	if err != nil {
-		return err
-	}
+	usersPath := cfg.Get("users", "users.conf")
 	secretPath := cfg.Get("ticket_secret", "")
 	if secretPath == "" {
 		return fmt.Errorf("config: ticket_secret is required (shared with gridproxyd)")
 	}
-	secret, err := os.ReadFile(secretPath)
-	if err != nil {
-		return fmt.Errorf("read ticket secret: %w", err)
-	}
-
 	tgtTTL, err := cfg.Duration("tgt_ttl", ticket.DefaultTGTLifetime)
 	if err != nil {
 		return err
@@ -111,6 +103,28 @@ func run() error {
 	skew, err := cfg.Duration("ticket_skew", 0)
 	if err != nil {
 		return err
+	}
+	gcfg, err := gateConfigFrom(cfg)
+	if err != nil {
+		return err
+	}
+	gcfg.ProxyAddr = cfg.Get("proxy_addr", "127.0.0.1:7200")
+	gateAddr := cfg.Get("gate_addr", "127.0.0.1:7400")
+	drainTimeout, err := cfg.Duration("drain_timeout", 30*time.Second)
+	if err != nil {
+		return err
+	}
+	if err := cfg.Unread(); err != nil {
+		return err
+	}
+
+	users, err := config.LoadUsers(usersPath)
+	if err != nil {
+		return err
+	}
+	secret, err := os.ReadFile(secretPath)
+	if err != nil {
+		return fmt.Errorf("read ticket secret: %w", err)
 	}
 	reg := metrics.NewRegistry()
 	tgs, err := ticket.NewGrantingService(users,
@@ -127,12 +141,7 @@ func run() error {
 		return err
 	}
 
-	gcfg, err := gateConfigFrom(cfg)
-	if err != nil {
-		return err
-	}
 	gcfg.Site = siteName
-	gcfg.ProxyAddr = cfg.Get("proxy_addr", "127.0.0.1:7200")
 	gcfg.Network = transport.NewLabelTCP()
 	gcfg.TGS = tgs
 	gcfg.Metrics = reg
@@ -147,7 +156,6 @@ func run() error {
 	defer stop()
 	go gateway.Run(ctx)
 
-	gateAddr := cfg.Get("gate_addr", "127.0.0.1:7400")
 	server := &http.Server{
 		Addr:              gateAddr,
 		Handler:           gateway,
@@ -170,10 +178,6 @@ func run() error {
 	// Graceful drain: refuse new work (503 + Connection: close), let
 	// in-flight requests finish, close the pooled grid clients, then
 	// shut the HTTP server down.
-	drainTimeout, err := cfg.Duration("drain_timeout", 30*time.Second)
-	if err != nil {
-		return err
-	}
 	log.Info("draining", "timeout", drainTimeout)
 	//lint:allow-background the signal context is already done; the drain
 	// deadline is the process's last clock.
@@ -190,7 +194,7 @@ func run() error {
 	return nil
 }
 
-// gateConfigFrom reads the admission, limit, timeout, and pool knobs.
+// gateConfigFrom reads the admission, limit and timeout knobs.
 // Absent keys stay zero so the gate defaults apply.
 func gateConfigFrom(cfg *config.Config) (gate.Config, error) {
 	var g gate.Config
@@ -220,12 +224,6 @@ func gateConfigFrom(cfg *config.Config) (gate.Config, error) {
 		return g, err
 	}
 	if g.Limits.MaxJobsPerUser, err = cfg.Int("max_jobs", 0); err != nil {
-		return g, err
-	}
-	if g.Pool.MaxClients, err = cfg.Int("pool_clients", 0); err != nil {
-		return g, err
-	}
-	if g.Pool.IdleClose, err = cfg.Duration("pool_idle", 0); err != nil {
 		return g, err
 	}
 	if g.Timeouts.Login, err = cfg.Duration("timeout_login", 0); err != nil {

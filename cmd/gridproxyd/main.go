@@ -32,33 +32,18 @@
 //	                                 # whole connect (dial, TLS, Hello)
 //	hello_timeout     = 10s         # inbound session identification deadline
 //
-// Membership/gossip knobs (all optional; see core.GossipConfig and
-// peerlink.CacheConfig defaults). With gossip on, `peers` only needs ONE
-// bootstrap entry: the directory learns every other site epidemically
-// and tunnels are dialed on demand. Every `peers` address is a seed: it
-// is retried by gossip rounds for as long as the daemon runs (paced by
-// the breaker_* windows) and never forgotten, so a peer that is down at
-// start-up is joined when it comes up.
+// Membership/gossip knobs (all optional; see core.GossipConfig
+// defaults). With gossip on, `peers` only needs ONE bootstrap entry: the
+// directory learns every other site epidemically and tunnels are dialed
+// on demand through the connection cache (peerlink.CacheConfig
+// defaults). Every `peers` address is a seed: it is retried by gossip
+// rounds for as long as the daemon runs (paced by the cache's dial
+// breaker, 500ms doubling to 30s) and never forgotten, so a peer that is
+// down at start-up is joined when it comes up.
 //
 //	gossip_interval   = 1s          # gossip round period (negative disables)
 //	summary_every     = 15s         # local status republication cadence
-//	gossip_fanout     = 3           # targets per round
-//	suspect_after     = 60s         # silence before an entry turns suspect
 //	dead_after        = 30s         # unrefuted suspicion before dead
-//	dead_retention    = 5m          # how long dead entries keep gossiping
-//	probe_fanout      = 2           # confirmers asked before a failed
-//	                                 # contact escalates (negative: none)
-//	vouch_window      = 30s         # direct contact this fresh overrides
-//	                                 # a death rumor (negative disables)
-//	health_max        = 8           # Lifeguard local-health cap; timeouts
-//	                                 # stretch by (1 + score)
-//	max_tunnels       = 32          # live-tunnel LRU cap (negative unlimited)
-//	idle_close        = 2m          # close tunnels idle this long
-//	                                 # (negative disables)
-//	breaker_threshold = 3           # consecutive dial failures that open a
-//	                                 # peer's circuit (negative disables)
-//	breaker_min_open  = 500ms       # first open window, doubled per reopen
-//	breaker_max_open  = 30s         # open-window cap
 //
 // Job-lifecycle knobs (all optional; see internal/core defaults):
 //
@@ -86,6 +71,8 @@
 // the internal/tunnel defaults:
 //
 //	bond_conns        = 1           # parallel connections per peer tunnel
+//
+// A key the daemon does not read is refused at start-up, by name.
 package main
 
 import (
@@ -114,16 +101,19 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "gridproxyd:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
-	configPath := flag.String("config", "gridproxy.conf", "configuration file")
-	logLevel := flag.String("log", "info", "log level (debug|info|warn|error)")
-	flag.Parse()
+func run(args []string) error {
+	flags := flag.NewFlagSet("gridproxyd", flag.ExitOnError)
+	configPath := flags.String("config", "gridproxy.conf", "configuration file")
+	logLevel := flags.String("log", "info", "log level (debug|info|warn|error)")
+	if err := flags.Parse(args); err != nil {
+		return err
+	}
 
 	level, err := logging.ParseLevel(*logLevel)
 	if err != nil {
@@ -141,6 +131,51 @@ func run() error {
 	}
 	caDir := cfg.Get("ca_dir", "certs")
 	certName := cfg.Get("cert", "proxy."+siteName)
+	usersPath := cfg.Get("users", "users.conf")
+	policyName := cfg.Get("policy", "least-loaded")
+	lifecycle, err := lifecycleFromConfig(cfg)
+	if err != nil {
+		return err
+	}
+	jobs, err := jobsFromConfig(cfg)
+	if err != nil {
+		return err
+	}
+	gossip, err := gossipFromConfig(cfg)
+	if err != nil {
+		return err
+	}
+	stagecfg, err := stageFromConfig(cfg)
+	if err != nil {
+		return err
+	}
+	bondConns, err := cfg.Int("bond_conns", 0)
+	if err != nil {
+		return err
+	}
+	ticketSkew, err := cfg.Duration("ticket_skew", 0)
+	if err != nil {
+		return err
+	}
+	secretPath := cfg.Get("ticket_secret", "")
+	wanAddr := cfg.Get("wan_addr", "0.0.0.0:7100")
+	localAddr := cfg.Get("local_addr", "127.0.0.1:7200")
+	// Hosted node agents: the simplest deployment runs the site's
+	// compute agents inside the proxy host.
+	nodes, err := cfg.Int("nodes", 0)
+	if err != nil {
+		return err
+	}
+	speed := 1.0
+	if cfg.Has("node_speed") {
+		if _, err := fmt.Sscanf(cfg.Get("node_speed", "1.0"), "%g", &speed); err != nil {
+			return fmt.Errorf("config: node_speed: %w", err)
+		}
+	}
+	peers := cfg.Get("peers", "")
+	if err := cfg.Unread(); err != nil {
+		return err
+	}
 
 	authority, err := ca.Load(caDir)
 	if err != nil {
@@ -150,32 +185,11 @@ func run() error {
 	if err != nil {
 		return fmt.Errorf("load host credential: %w", err)
 	}
-	users, err := config.LoadUsers(cfg.Get("users", "users.conf"))
+	users, err := config.LoadUsers(usersPath)
 	if err != nil {
 		return err
 	}
-	policy, err := balance.New(cfg.Get("policy", "least-loaded"), time.Now().UnixNano())
-	if err != nil {
-		return err
-	}
-
-	lifecycle, err := lifecycleFromConfig(cfg)
-	if err != nil {
-		return err
-	}
-	jobs, err := jobsFromConfig(cfg)
-	if err != nil {
-		return err
-	}
-	gossip, peerCache, err := gossipFromConfig(cfg)
-	if err != nil {
-		return err
-	}
-	stagecfg, err := stageFromConfig(cfg)
-	if err != nil {
-		return err
-	}
-	bondConns, err := cfg.Int("bond_conns", 0)
+	policy, err := balance.New(policyName, time.Now().UnixNano())
 	if err != nil {
 		return err
 	}
@@ -193,11 +207,7 @@ func run() error {
 	// with no key exchange beyond the secret file itself.
 	var tgs *ticket.GrantingService
 	var ticketKey []byte
-	ticketSkew, err := cfg.Duration("ticket_skew", 0)
-	if err != nil {
-		return err
-	}
-	if secretPath := cfg.Get("ticket_secret", ""); secretPath != "" {
+	if secretPath != "" {
 		secret, err := os.ReadFile(secretPath)
 		if err != nil {
 			return fmt.Errorf("read ticket secret: %w", err)
@@ -213,8 +223,8 @@ func run() error {
 
 	proxy, err := core.New(core.Config{
 		Site:       siteName,
-		WANAddr:    cfg.Get("wan_addr", "0.0.0.0:7100"),
-		LocalAddr:  cfg.Get("local_addr", "127.0.0.1:7200"),
+		WANAddr:    wanAddr,
+		LocalAddr:  localAddr,
 		WAN:        wan,
 		Local:      local,
 		Users:      users,
@@ -224,7 +234,6 @@ func run() error {
 		Policy:     policy,
 		Lifecycle:  lifecycle,
 		Gossip:     gossip,
-		PeerCache:  peerCache,
 		Jobs:       jobs,
 		Stage:      stagecfg,
 		Tunnel:     tunnel.Config{BondConns: bondConns},
@@ -235,18 +244,6 @@ func run() error {
 		return err
 	}
 
-	// Hosted node agents: the simplest deployment runs the site's
-	// compute agents inside the proxy host.
-	nodes, err := cfg.Int("nodes", 0)
-	if err != nil {
-		return err
-	}
-	speed := 1.0
-	if cfg.Has("node_speed") {
-		if _, err := fmt.Sscanf(cfg.Get("node_speed", "1.0"), "%g", &speed); err != nil {
-			return fmt.Errorf("config: node_speed: %w", err)
-		}
-	}
 	for i := 0; i < nodes; i++ {
 		agent := node.New(fmt.Sprintf("%s-n%d", siteName, i), siteName, local,
 			node.WithHW(node.HWProfile{Speed: speed, RAMMB: 2048, DiskMB: 64 << 10, RAMPerProcMB: 64}),
@@ -264,7 +261,7 @@ func run() error {
 	defer stop()
 
 	// Connect to configured peers.
-	if peers := cfg.Get("peers", ""); peers != "" {
+	if peers != "" {
 		for _, entry := range strings.Split(peers, ",") {
 			name, addr, ok := strings.Cut(strings.TrimSpace(entry), "=")
 			if !ok {
@@ -297,56 +294,22 @@ func lifecycleFromConfig(cfg *config.Config) (peerlink.Config, error) {
 	return lc, nil
 }
 
-// gossipFromConfig reads the membership-gossip and connection-cache
-// knobs. Absent keys stay zero so the GossipConfig / CacheConfig
-// defaults apply; negative values disable the mechanism.
-func gossipFromConfig(cfg *config.Config) (core.GossipConfig, peerlink.CacheConfig, error) {
+// gossipFromConfig reads the membership-gossip knobs. Absent keys stay
+// zero so the GossipConfig defaults apply; a negative gossip_interval
+// disables the loop.
+func gossipFromConfig(cfg *config.Config) (core.GossipConfig, error) {
 	var gc core.GossipConfig
-	var cc peerlink.CacheConfig
 	var err error
 	if gc.Interval, err = cfg.Duration("gossip_interval", 0); err != nil {
-		return gc, cc, err
+		return gc, err
 	}
 	if gc.SummaryEvery, err = cfg.Duration("summary_every", 0); err != nil {
-		return gc, cc, err
-	}
-	if gc.Fanout, err = cfg.Int("gossip_fanout", 0); err != nil {
-		return gc, cc, err
-	}
-	if gc.SuspectAfter, err = cfg.Duration("suspect_after", 0); err != nil {
-		return gc, cc, err
+		return gc, err
 	}
 	if gc.DeadAfter, err = cfg.Duration("dead_after", 0); err != nil {
-		return gc, cc, err
+		return gc, err
 	}
-	if gc.DeadRetention, err = cfg.Duration("dead_retention", 0); err != nil {
-		return gc, cc, err
-	}
-	if gc.ProbeFanout, err = cfg.Int("probe_fanout", 0); err != nil {
-		return gc, cc, err
-	}
-	if gc.VouchWindow, err = cfg.Duration("vouch_window", 0); err != nil {
-		return gc, cc, err
-	}
-	if gc.HealthMax, err = cfg.Int("health_max", 0); err != nil {
-		return gc, cc, err
-	}
-	if cc.MaxTunnels, err = cfg.Int("max_tunnels", 0); err != nil {
-		return gc, cc, err
-	}
-	if cc.IdleClose, err = cfg.Duration("idle_close", 0); err != nil {
-		return gc, cc, err
-	}
-	if cc.BreakerThreshold, err = cfg.Int("breaker_threshold", 0); err != nil {
-		return gc, cc, err
-	}
-	if cc.BreakerMinOpen, err = cfg.Duration("breaker_min_open", 0); err != nil {
-		return gc, cc, err
-	}
-	if cc.BreakerMaxOpen, err = cfg.Duration("breaker_max_open", 0); err != nil {
-		return gc, cc, err
-	}
-	return gc, cc, nil
+	return gc, nil
 }
 
 // stageFromConfig reads the data-plane knobs. Absent keys stay zero so

@@ -4,9 +4,12 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"os"
+	"path/filepath"
 	"regexp"
 	"sort"
 	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -97,4 +100,17 @@ func sortedKeys(m map[string]bool) []string {
 	}
 	sort.Strings(out)
 	return out
+}
+
+// TestUnknownKeyIsRefused: a key the daemon does not read (here one this
+// daemon used to read) stops it, named, before it loads a certificate.
+func TestUnknownKeyIsRefused(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "site.conf")
+	if err := os.WriteFile(path, []byte("site = sitea\nmax_tunnels = 8\n"), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	err := run([]string{"-config", path})
+	if err == nil || !strings.Contains(err.Error(), "max_tunnels") {
+		t.Fatalf("run = %v, want max_tunnels refused by name", err)
+	}
 }

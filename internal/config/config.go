@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -16,15 +17,18 @@ import (
 	"gridproxy/internal/auth"
 )
 
-// Config is a parsed key/value configuration.
+// Config is a parsed key/value configuration. It remembers which keys
+// its accessors were asked for, so a daemon can refuse keys it does not
+// read (see Unread).
 type Config struct {
 	values map[string]string
+	read   map[string]bool
 }
 
 // Parse reads "key = value" lines from r. Blank lines and lines starting
 // with '#' are ignored; later keys override earlier ones.
 func Parse(r io.Reader) (*Config, error) {
-	cfg := &Config{values: make(map[string]string)}
+	cfg := &Config{values: make(map[string]string), read: make(map[string]bool)}
 	scanner := bufio.NewScanner(r)
 	lineNo := 0
 	for scanner.Scan() {
@@ -59,9 +63,34 @@ func LoadFile(path string) (*Config, error) {
 	return Parse(f)
 }
 
+// lookup returns key's value and whether it is set, and marks key read.
+func (c *Config) lookup(key string) (string, bool) {
+	c.read[key] = true
+	v, ok := c.values[key]
+	return v, ok
+}
+
+// Unread returns an error naming every key the file sets that no
+// accessor has asked for, or nil. A daemon calls it once it has read all
+// its keys: a misspelt or retired key must not fall back to its default
+// without a word.
+func (c *Config) Unread() error {
+	var unread []string
+	for key := range c.values {
+		if !c.read[key] {
+			unread = append(unread, key)
+		}
+	}
+	if len(unread) == 0 {
+		return nil
+	}
+	sort.Strings(unread)
+	return fmt.Errorf("config: unknown key(s): %s", strings.Join(unread, ", "))
+}
+
 // Get returns the value for key, or def when absent.
 func (c *Config) Get(key, def string) string {
-	if v, ok := c.values[key]; ok {
+	if v, ok := c.lookup(key); ok {
 		return v
 	}
 	return def
@@ -69,13 +98,13 @@ func (c *Config) Get(key, def string) string {
 
 // Has reports whether key is set.
 func (c *Config) Has(key string) bool {
-	_, ok := c.values[key]
+	_, ok := c.lookup(key)
 	return ok
 }
 
 // Int returns an integer value, or def when absent.
 func (c *Config) Int(key string, def int) (int, error) {
-	v, ok := c.values[key]
+	v, ok := c.lookup(key)
 	if !ok {
 		return def, nil
 	}
@@ -88,7 +117,7 @@ func (c *Config) Int(key string, def int) (int, error) {
 
 // Bool returns a boolean value ("true"/"false"/"1"/"0"), or def.
 func (c *Config) Bool(key string, def bool) (bool, error) {
-	v, ok := c.values[key]
+	v, ok := c.lookup(key)
 	if !ok {
 		return def, nil
 	}
@@ -101,7 +130,7 @@ func (c *Config) Bool(key string, def bool) (bool, error) {
 
 // Duration returns a time.Duration value ("30s", "5m"), or def.
 func (c *Config) Duration(key string, def time.Duration) (time.Duration, error) {
-	v, ok := c.values[key]
+	v, ok := c.lookup(key)
 	if !ok {
 		return def, nil
 	}

@@ -48,6 +48,35 @@ empty =
 	}
 }
 
+// TestUnreadNamesEveryKeyNotAskedFor: a key is read once any accessor
+// asks for it, present or not; the keys nobody asked for are named.
+func TestUnreadNamesEveryKeyNotAskedFor(t *testing.T) {
+	cfg, err := Parse(strings.NewReader("site = a\nnodes = 2\nmax_tunnels = 8\nbreaker_max_open = 1s\nverbose = true\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Get("site", "")
+	cfg.Has("verbose")
+	if _, err := cfg.Int("nodes", 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cfg.Duration("absent", 0); err != nil {
+		t.Fatal(err)
+	}
+	err = cfg.Unread()
+	if err == nil || !strings.Contains(err.Error(), "breaker_max_open, max_tunnels") {
+		t.Fatalf("Unread = %v, want both unread keys named", err)
+	}
+	if strings.Contains(err.Error(), "nodes") || strings.Contains(err.Error(), "verbose") {
+		t.Fatalf("Unread = %v names a key that was read", err)
+	}
+	_, _ = cfg.Int("max_tunnels", 0)
+	_, _ = cfg.Duration("breaker_max_open", 0)
+	if err := cfg.Unread(); err != nil {
+		t.Fatalf("Unread after every key was read = %v", err)
+	}
+}
+
 func TestParseDefaults(t *testing.T) {
 	cfg, err := Parse(strings.NewReader(""))
 	if err != nil {

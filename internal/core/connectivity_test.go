@@ -576,7 +576,7 @@ func TestGossipRoundIsNotHeldByAHungTarget(t *testing.T) {
 	cfg := core.Config{
 		Lifecycle: peerlink.Config{RPCTimeout: rpcTimeout},
 		// No loop: the test runs the rounds.
-		Gossip: core.GossipConfig{Interval: -1, Fanout: 3, ProbeFanout: -1},
+		Gossip: core.GossipConfig{Interval: -1, ProbeFanout: -1},
 	}
 	a := g.start("sitea", g.wan, 1, nil, cfg)
 	healthy := []*core.Proxy{g.start("siteb", g.wan, 1, nil, cfg), g.start("sitec", g.wan, 1, nil, cfg)}

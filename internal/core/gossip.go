@@ -33,28 +33,20 @@ type GossipConfig struct {
 	// publishing bumps the entry's version and makes it hot, so doing it
 	// per round would make rumor traffic O(N) per proxy. Default 15s.
 	SummaryEvery time.Duration
-	// Fanout is how many peers each round gossips to. Default 3.
-	Fanout int
 	// ProbeFanout is how many confirmers an indirect probe asks before a
 	// failed direct contact escalates into suspicion (see probe.go).
 	// Default 2; negative escalates immediately (the pre-probe
 	// behaviour).
 	ProbeFanout int
-	// PushLimit, RetransmitFactor, AntiEntropyFactor, BootstrapDigests,
-	// SuspectAfter, DeadAfter, DeadRetention, VouchWindow, HealthMax and
-	// Seed pass through to membership.Config; zero values take the
-	// membership defaults.
-	PushLimit         int
-	RetransmitFactor  int
-	AntiEntropyFactor float64
-	BootstrapDigests  int
-	SuspectAfter      time.Duration
-	DeadAfter         time.Duration
-	DeadRetention     time.Duration
-	VouchWindow       time.Duration
-	HealthMax         int
-	Seed              int64
+	// SuspectAfter, DeadAfter and VouchWindow pass through to
+	// membership.Config; zero values take the membership defaults.
+	SuspectAfter time.Duration
+	DeadAfter    time.Duration
+	VouchWindow  time.Duration
 }
+
+// gossipFanout is how many peers each round gossips to.
+const gossipFanout = 3
 
 // WithDefaults fills zero fields with defaults.
 func (c GossipConfig) WithDefaults() GossipConfig {
@@ -63,9 +55,6 @@ func (c GossipConfig) WithDefaults() GossipConfig {
 	}
 	if c.SummaryEvery == 0 {
 		c.SummaryEvery = 15 * time.Second
-	}
-	if c.Fanout <= 0 {
-		c.Fanout = 3
 	}
 	if c.ProbeFanout == 0 {
 		c.ProbeFanout = 2
@@ -175,7 +164,7 @@ func (p *Proxy) gossipLoop() {
 func (p *Proxy) gossipRound(ctx context.Context) {
 	p.reg.Counter(metrics.GossipRounds).Inc()
 	p.members.Sweep()
-	targets := p.members.Sample(p.gossipcfg.Fanout)
+	targets := p.members.Sample(gossipFanout)
 	// Resurrection probe: Sample excludes dead entries, so after a
 	// partition long enough for mutual death verdicts nobody would ever
 	// gossip across the healed boundary again. One direct probe per

@@ -260,21 +260,14 @@ func New(cfg Config) (*Proxy, error) {
 		cancel:      cancel,
 	}
 	p.members = membership.New(membership.Config{
-		Site:              cfg.Site,
-		Addr:              cfg.WANAddr,
-		Fanout:            p.gossipcfg.Fanout,
-		PushLimit:         p.gossipcfg.PushLimit,
-		RetransmitFactor:  p.gossipcfg.RetransmitFactor,
-		AntiEntropyFactor: p.gossipcfg.AntiEntropyFactor,
-		BootstrapDigests:  p.gossipcfg.BootstrapDigests,
-		SuspectAfter:      p.gossipcfg.SuspectAfter,
-		DeadAfter:         p.gossipcfg.DeadAfter,
-		DeadRetention:     p.gossipcfg.DeadRetention,
-		VouchWindow:       p.gossipcfg.VouchWindow,
-		HealthMax:         p.gossipcfg.HealthMax,
-		Seed:              p.gossipcfg.Seed,
-		Metrics:           cfg.Metrics,
-		Logger:            cfg.Logger.Named("member." + cfg.Site),
+		Site:         cfg.Site,
+		Addr:         cfg.WANAddr,
+		Fanout:       gossipFanout,
+		SuspectAfter: p.gossipcfg.SuspectAfter,
+		DeadAfter:    p.gossipcfg.DeadAfter,
+		VouchWindow:  p.gossipcfg.VouchWindow,
+		Metrics:      cfg.Metrics,
+		Logger:       cfg.Logger.Named("member." + cfg.Site),
 	})
 	cachecfg := cfg.PeerCache
 	cachecfg.Metrics = cfg.Metrics

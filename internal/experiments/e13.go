@@ -33,7 +33,9 @@ import (
 //     is fast work) while shed requests fail in <10ms with 429 +
 //     Retry-After — overload answers in microseconds, not after a
 //     queueing delay;
-//  4. graceful drain drops nothing: uploads parked mid-body by a
+//  4. the sweep dials one pooled proxy connection per user, not one
+//     per client;
+//  5. graceful drain drops nothing: uploads parked mid-body by a
 //     slow-loris injector all complete with 201 while new arrivals get
 //     503, and Drain returns clean.
 
@@ -147,7 +149,7 @@ func E13(cfg E13Config) ([]E13Row, error) {
 		Limits: gate.LimitConfig{
 			UserRate: -1, GroupRate: -1, LoginRate: -1, MaxJobsPerUser: -1,
 		},
-		Pool: gate.PoolConfig{MaxClients: cfg.Users},
+		PoolClients: cfg.Users,
 	})
 	if err != nil {
 		return nil, err
@@ -207,6 +209,11 @@ func E13(cfg E13Config) ([]E13Row, error) {
 			return nil, fmt.Errorf("e13: shed p99 %v at %dx exceeds fast-fail budget %v",
 				last.ShedP99, last.Multiplier, cfg.ShedP99Budget)
 		}
+	}
+
+	// One pooled proxy connection per user, not one per client.
+	if dials := reg.Counter(metrics.GatePoolDials).Value(); dials != int64(cfg.Users) {
+		return nil, fmt.Errorf("e13: %d pooled proxy dials for %d users — want one per user", dials, cfg.Users)
 	}
 
 	if err := e13Drain(gw, reg, tokens[0], cfg.DrainUploads); err != nil {

@@ -18,14 +18,16 @@
 //   - per-route timeouts, so a stuck backend call cannot pin a slot;
 //   - graceful drain: stop accepting, finish in-flight, close grid
 //     clients;
-//   - a pooled, multiplexed set of grid.Client connections keyed by
-//     user, so 100k HTTP clients do not mean 100k proxy dials.
+//   - one pooled, multiplexed grid.Client per user, held in a
+//     peerlink.Cache keyed by user name, so 100k HTTP clients do not
+//     mean 100k proxy dials.
 package gate
 
 import (
 	"context"
 	"encoding/base64"
 	"errors"
+	"fmt"
 	"net/http"
 	"strconv"
 	"strings"
@@ -36,6 +38,7 @@ import (
 	"gridproxy/internal/grid"
 	"gridproxy/internal/logging"
 	"gridproxy/internal/metrics"
+	"gridproxy/internal/peerlink"
 	"gridproxy/internal/proto"
 	"gridproxy/internal/ticket"
 	"gridproxy/internal/transport"
@@ -106,8 +109,9 @@ type Config struct {
 	Limits LimitConfig
 	// Timeouts carries the per-route deadline knobs.
 	Timeouts RouteTimeouts
-	// Pool carries the grid-client pool knobs.
-	Pool PoolConfig
+	// PoolClients caps the pooled grid clients, one per user; past it
+	// the least recently used idle client is closed. Default 64.
+	PoolClients int
 	// MaxBodyBytes caps request bodies (file puts). Default 8 MiB.
 	MaxBodyBytes int64
 	// Clock overrides the time source (tests). Nil means time.Now.
@@ -128,7 +132,9 @@ type Gateway struct {
 	groups   *limiter
 	logins   *limiter
 	quota    *quota
-	pool     *pool
+	clients  *peerlink.Cache[*pooledClient]
+	network  transport.Network
+	proxy    string
 	timeouts RouteTimeouts
 	maxBody  int64
 	clock    func() time.Time
@@ -185,7 +191,8 @@ func New(cfg Config) (*Gateway, error) {
 		groups:   newLimiter(limits.GroupRate, limits.GroupBurst, clock),
 		logins:   newLimiter(limits.LoginRate, limits.LoginBurst, clock),
 		quota:    newQuota(limits.MaxJobsPerUser),
-		pool:     newPool(cfg.Pool, cfg.Network, cfg.ProxyAddr, cfg.Metrics, cfg.Logger.Named("gate.pool"), clock),
+		network:  cfg.Network,
+		proxy:    cfg.ProxyAddr,
 		timeouts: cfg.Timeouts.WithDefaults(),
 		maxBody:  maxBody,
 		clock:    clock,
@@ -196,6 +203,18 @@ func New(cfg Config) (*Gateway, error) {
 		sessionTTL: sessionTTL,
 		revoked:    newRevocations(),
 	}
+	poolClients := cfg.PoolClients
+	if poolClients <= 0 {
+		poolClients = 64
+	}
+	g.clients = peerlink.NewCache(peerlink.CacheConfig{
+		MaxTunnels: poolClients,
+		// A failed login is one user's bad or expired ticket, not news
+		// about the proxy: it must not fast-fail that user's next
+		// request.
+		BreakerThreshold: -1,
+		Now:              clock,
+	}, g.dialClient, g.evictClient)
 	g.mux = g.routes()
 	return g, nil
 }
@@ -379,7 +398,8 @@ func bearerToken(r *http.Request) string {
 }
 
 // Run starts the gateway's janitors (session denylist pruning, rate
-// bucket pruning, pool idle sweep) and blocks until ctx is done.
+// bucket pruning, pooled-client idle sweep) and blocks until ctx is
+// done.
 func (g *Gateway) Run(ctx context.Context) {
 	tick := time.NewTicker(30 * time.Second)
 	defer tick.Stop()
@@ -393,7 +413,7 @@ func (g *Gateway) Run(ctx context.Context) {
 			g.users.prune(now)
 			g.groups.prune(now)
 			g.logins.prune(now)
-			g.pool.sweep(now)
+			g.clients.Sweep()
 		}
 	}
 }
@@ -417,7 +437,7 @@ wait:
 		case <-tick.C:
 		}
 	}
-	g.pool.closeAll()
+	g.clients.CloseAll()
 	return err
 }
 
@@ -425,10 +445,77 @@ wait:
 // diagnostics).
 func (g *Gateway) InFlight() int64 { return g.inflight.Load() }
 
-// client checks a pooled grid client out for the session user, dialing
-// and ticket-authenticating on first use.
+// pooledClient is one user's grid client in the gateway's cache.
+type pooledClient struct {
+	*grid.Client
+	// ticket is the freshest service ticket any checkout presented for
+	// this user; the renewal hook re-authenticates with it when the
+	// proxy-side session expires mid-connection.
+	ticket atomic.Value // []byte
+}
+
+// client checks the session user's pooled grid client out, dialing and
+// ticket-authenticating on first use. The release func hands it back.
 func (g *Gateway) client(ctx context.Context, sc ticket.Claims) (*grid.Client, func(), error) {
-	return g.pool.checkout(ctx, sc.User, sc.Inner)
+	for {
+		pc, err := g.clients.Get(ctx, sc.User)
+		if err != nil {
+			if errors.Is(err, context.Canceled) && g.draining.Load() {
+				return nil, nil, ErrDraining // the cache is closed
+			}
+			return nil, nil, err
+		}
+		if !pc.Closed() {
+			pc.ticket.Store(sc.Inner)
+			return pc.Client, func() { g.clients.Release(sc.User, pc) }, nil
+		}
+		// The connection died underneath the cache: drop it and redial.
+		g.clients.Release(sc.User, pc)
+		if g.clients.DropIf(sc.User, pc) {
+			g.reg.Gauge(metrics.GatePooledClients).Add(-1)
+		}
+	}
+}
+
+// dialClient is the cache's dial func: it connects a fresh client for
+// user and logs in with the service ticket of the session that asked
+// (the request context carries it), then arms the renewal hook.
+func (g *Gateway) dialClient(ctx context.Context, user string) (*pooledClient, error) {
+	sc, _, ok := sessionFrom(ctx)
+	if !ok {
+		return nil, ErrNoSession
+	}
+	client, err := grid.Dial(ctx, g.network, g.proxy)
+	if err != nil {
+		return nil, fmt.Errorf("gate: dial proxy for %q: %w", user, err)
+	}
+	if err := client.LoginWithTicket(ctx, user, sc.Inner); err != nil {
+		_ = client.Close()
+		return nil, err
+	}
+	g.reg.Counter(metrics.GatePoolDials).Inc()
+	g.reg.Gauge(metrics.GatePooledClients).Add(1)
+	pc := &pooledClient{Client: client}
+	pc.ticket.Store(sc.Inner)
+	client.OnAuthExpired(func(ctx context.Context) error {
+		// If the freshest ticket has itself expired the renewal fails
+		// and the caller sees 401: time to log in again.
+		if err := client.LoginWithTicket(ctx, user, pc.ticket.Load().([]byte)); err != nil {
+			return err
+		}
+		g.reg.Counter(metrics.GateRenewals).Inc()
+		return nil
+	})
+	return pc, nil
+}
+
+// evictClient is the cache's evict hook: it runs for every client the
+// cache closes (LRU, idle, drain). A drain is not an eviction.
+func (g *Gateway) evictClient(string, *pooledClient) {
+	g.reg.Gauge(metrics.GatePooledClients).Add(-1)
+	if !g.draining.Load() {
+		g.reg.Counter(metrics.GatePoolEvictions).Inc()
+	}
 }
 
 // httpStatusFor maps backend errors to HTTP statuses, preserving the
@@ -456,6 +543,8 @@ func httpStatusFor(err error) int {
 		return http.StatusGatewayTimeout
 	case errors.Is(err, grid.ErrAuthFailed):
 		return http.StatusUnauthorized
+	case errors.Is(err, ErrDraining):
+		return http.StatusServiceUnavailable
 	}
 	return http.StatusBadGateway
 }

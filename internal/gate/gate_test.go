@@ -705,7 +705,7 @@ func TestJobListingIsTheCallersNewestPage(t *testing.T) {
 // victim and closed before first use (which redialed forever).
 func TestPoolEvictionSparesFreshClients(t *testing.T) {
 	f := newFixture(t, func(cfg *gate.Config) {
-		cfg.Pool.MaxClients = 1
+		cfg.PoolClients = 1
 	})
 	aliceTok := f.login(t, "alice", "secret")
 	bobTok := f.login(t, "bob", "hunter2")

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net"
 	"net/http"
 	"strings"
 	"testing"
@@ -35,6 +36,7 @@ func TestHTTPStatusFor(t *testing.T) {
 		{fmt.Errorf("call: %w", grid.ErrTicketExpired), http.StatusUnauthorized},
 		{context.DeadlineExceeded, http.StatusGatewayTimeout},
 		{grid.ErrAuthFailed, http.StatusUnauthorized},
+		{ErrDraining, http.StatusServiceUnavailable},
 		{errors.New("boom"), http.StatusBadGateway},
 	}
 	for _, c := range cases {
@@ -281,73 +283,145 @@ func TestQuotaLifecycle(t *testing.T) {
 // TestPoolSweepUsesInjectedClock is a regression test for the pool
 // stamping entries with time.Now() while the sweeper compared against
 // the injected clock: with a fake clock far from wall time,
-// now.Sub(e.last) was hugely negative and idle clients leaked forever.
-// Both sides must read the same injected clock.
+// now.Sub(last) was hugely negative and idle clients leaked forever.
+// The gateway's cache must stamp and sweep with the gateway's clock.
 func TestPoolSweepUsesInjectedClock(t *testing.T) {
 	now := time.Unix(1_700_000_000, 0) // far from wall time on purpose
 	clock := func() time.Time { return now }
+	network, _ := acceptingProxy(t)
+	g := newTestGateway(t, network, clock)
+	add := func(user string) *pooledClient {
+		t.Helper()
+		c, err := grid.Dial(context.Background(), network, "proxy")
+		if err != nil {
+			t.Fatal(err)
+		}
+		pc := &pooledClient{Client: c}
+		if !g.clients.Add(user, pc) {
+			t.Fatalf("Add %s refused", user)
+		}
+		return pc
+	}
+	idle := add("alice")
+	g.clients.Release("alice", idle)
+	busy := add("bob") // still checked out: bob is mid-request
+
+	// Nothing is idle yet; the sweep must not touch either client.
+	g.clients.Sweep()
+	if n := len(g.clients.Sites()); n != 2 {
+		t.Fatalf("premature sweep: %d clients", n)
+	}
+
+	// Three fake minutes later (past the 2m idle close) the idle client
+	// goes, the busy one stays.
+	now = now.Add(3 * time.Minute)
+	g.clients.Sweep()
+	if g.clients.Has("alice") || !g.clients.Has("bob") {
+		t.Fatalf("after idle sweep: alice=%v bob=%v, want swept/kept", g.clients.Has("alice"), g.clients.Has("bob"))
+	}
+	if !idle.Closed() {
+		t.Error("swept client not closed")
+	}
+
+	// Releasing restamps with the injected clock, so the released client
+	// survives a sweep at the same instant and goes one idle close later.
+	g.clients.Release("bob", busy)
+	g.clients.Sweep()
+	if busy.Closed() {
+		t.Error("just-released client swept")
+	}
+	now = now.Add(3 * time.Minute)
+	g.clients.Sweep()
+	if !busy.Closed() {
+		t.Error("idle released client survived the sweep")
+	}
+}
+
+// TestDeadPooledClientIsRedialed: a pooled client whose connection died
+// is dropped and a fresh one dialed; the dead one is never handed out.
+func TestDeadPooledClientIsRedialed(t *testing.T) {
+	network, accepted := acceptingProxy(t)
+	g := newTestGateway(t, network, time.Now)
+	c, err := grid.Dial(context.Background(), network, "proxy")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dead := &pooledClient{Client: c}
+	g.clients.Add("alice", dead)
+	g.clients.Release("alice", dead)
+	(<-accepted).Close() // the proxy end goes away
+	<-dead.Done()
+
+	// The fake proxy never answers a login, so the redial runs into the
+	// deadline: what matters is that it was tried.
+	sc := ticket.Claims{User: "alice", Inner: []byte("service-ticket")}
+	ctx, cancel := context.WithTimeout(withSession(context.Background(), sc, nil), 50*time.Millisecond)
+	defer cancel()
+	if client, _, err := g.client(ctx, sc); err == nil {
+		t.Fatalf("client = %p, want the redial's error", client)
+	}
+	if g.clients.Has("alice") {
+		t.Error("the dead client is still pooled")
+	}
+	select {
+	case <-accepted:
+	default:
+		t.Error("no redial reached the proxy")
+	}
+}
+
+// TestCheckoutAfterDrainIsErrDraining: once the drain has closed the
+// cache, a checkout fails as ErrDraining (503), not as a cancellation.
+func TestCheckoutAfterDrainIsErrDraining(t *testing.T) {
+	network, _ := acceptingProxy(t)
+	g := newTestGateway(t, network, time.Now)
+	if err := g.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	sc := ticket.Claims{User: "alice", Inner: []byte("service-ticket")}
+	if _, _, err := g.client(withSession(context.Background(), sc, nil), sc); !errors.Is(err, ErrDraining) {
+		t.Fatalf("checkout after drain = %v, want ErrDraining", err)
+	}
+}
+
+// acceptingProxy listens at "proxy" on a mem network, accepts every
+// connection and hands it to the test, never answering.
+func acceptingProxy(t *testing.T) (transport.Network, <-chan net.Conn) {
+	t.Helper()
 	network := transport.NewMemNetwork()
 	ln, err := network.Listen("proxy")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ln.Close()
+	t.Cleanup(func() { ln.Close() })
+	accepted := make(chan net.Conn, 8) // more than any test dials
 	go func() {
 		for {
-			if _, err := ln.Accept(); err != nil {
+			conn, err := ln.Accept()
+			if err != nil {
 				return
 			}
+			accepted <- conn
 		}
 	}()
+	return network, accepted
+}
 
-	p := newPool(PoolConfig{MaxClients: 4, IdleClose: time.Minute},
-		network, "proxy", metrics.NewRegistry(), logging.Discard(), clock)
-	ctx := context.Background()
-	add := func(user string, refs int) *poolEntry {
-		t.Helper()
-		c, err := grid.Dial(ctx, network, "proxy")
-		if err != nil {
-			t.Fatal(err)
-		}
-		e := &poolEntry{client: c, user: user, refs: refs, last: p.clock()}
-		p.mu.Lock()
-		p.entries[user] = e
-		p.mu.Unlock()
-		return e
+func newTestGateway(t *testing.T, network transport.Network, clock func() time.Time) *Gateway {
+	t.Helper()
+	users, err := auth.NewStore()
+	if err != nil {
+		t.Fatal(err)
 	}
-	idle := add("alice", 0)
-	busy := add("bob", 1)
-
-	// Nothing is idle yet; the sweep must not touch either entry.
-	p.sweep(clock())
-	if len(p.entries) != 2 {
-		t.Fatalf("premature sweep: %d entries", len(p.entries))
+	tgs, err := ticket.NewGrantingService(users, ticket.WithClock(clock))
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	// Two fake minutes later the idle entry goes, the busy one stays.
-	now = now.Add(2 * time.Minute)
-	p.sweep(clock())
-	p.mu.Lock()
-	_, idleLeft := p.entries["alice"]
-	_, busyLeft := p.entries["bob"]
-	p.mu.Unlock()
-	if idleLeft || !busyLeft {
-		t.Fatalf("after idle sweep: alice=%v bob=%v, want swept/kept", idleLeft, busyLeft)
+	g, err := New(Config{Site: "sitea", ProxyAddr: "proxy", Network: network, TGS: tgs, Clock: clock,
+		Logger: logging.Discard(), Metrics: metrics.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !idle.client.Closed() {
-		t.Error("swept client not closed")
-	}
-
-	// Releasing restamps with the injected clock, so the released entry
-	// survives a sweep at the same instant and goes one IdleClose later.
-	p.release(busy)
-	p.sweep(clock())
-	if busy.client.Closed() {
-		t.Error("just-released client swept")
-	}
-	now = now.Add(2 * time.Minute)
-	p.sweep(clock())
-	if !busy.client.Closed() {
-		t.Error("idle released client survived the sweep")
-	}
+	t.Cleanup(g.clients.CloseAll)
+	return g
 }

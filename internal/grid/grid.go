@@ -236,6 +236,10 @@ func (c *Client) Close() error {
 	return err
 }
 
+// Done is closed once the client's read loop has exited: the
+// connection is gone. With Close it makes a Client a peerlink.Session.
+func (c *Client) Done() <-chan struct{} { return c.readerDone }
+
 // Closed reports whether the client's connection is gone (read-loop
 // death included). Connection pools use it to discard dead entries
 // before checkout instead of handing callers an ErrClosed.

@@ -50,15 +50,14 @@ func (c *Cache[T]) breakerAllowLocked(site string) error {
 	return fmt.Errorf("%w: %s until %s", ErrCircuitOpen, site, b.openUntil.Format(time.RFC3339))
 }
 
-// breakerRecord feeds a dial outcome to site's breaker. Successes clear
-// it; the BreakerThreshold'th consecutive failure opens it for
+// breakerRecordLocked feeds a dial outcome to site's breaker. Successes
+// clear it; the BreakerThreshold'th consecutive failure opens it for
 // BreakerMinOpen doubled per consecutive open, capped at BreakerMaxOpen.
-func (c *Cache[T]) breakerRecord(site string, ok bool) {
+// Caller holds c.mu.
+func (c *Cache[T]) breakerRecordLocked(site string, ok bool) {
 	if c.cfg.BreakerThreshold < 0 {
 		return
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if ok {
 		delete(c.breakers, site)
 		return

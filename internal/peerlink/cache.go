@@ -20,8 +20,6 @@ type CacheConfig struct {
 	// IdleClose closes sessions unused for this long (default 2m;
 	// negative disables).
 	IdleClose time.Duration
-	// SweepEvery is the idle janitor's period (default IdleClose/4).
-	SweepEvery time.Duration
 	// BreakerThreshold is how many consecutive dial failures to a site
 	// open its circuit breaker (default 3; negative disables breakers).
 	BreakerThreshold int
@@ -52,13 +50,6 @@ func (c CacheConfig) WithDefaults() CacheConfig {
 	}
 	if c.IdleClose == 0 {
 		c.IdleClose = DefaultIdleClose
-	}
-	if c.SweepEvery <= 0 {
-		if c.IdleClose > 0 {
-			c.SweepEvery = c.IdleClose / 4
-		} else {
-			c.SweepEvery = 30 * time.Second
-		}
 	}
 	if c.BreakerThreshold == 0 {
 		c.BreakerThreshold = DefaultBreakerThreshold
@@ -199,54 +190,58 @@ func (c *Cache[T]) Get(ctx context.Context, site string) (T, error) {
 
 	c.cfg.Metrics.Counter(metrics.PeerDialsOnDemand).Inc()
 	sess, err := c.dial(ctx, site)
-	f.sess, f.err = sess, err
-	if err == nil {
-		c.breakerRecord(site, true)
-	} else if ctx.Err() == nil {
-		// A canceled caller says nothing about the site; every other
-		// dial failure counts toward opening the breaker.
-		c.breakerRecord(site, false)
-	}
 
 	var victims []evicted[T]
 	c.mu.Lock()
 	delete(c.inflight, site)
-	if err == nil {
+	if err != nil {
+		if e, ok := c.live[site]; ok {
+			// The site's own dial crossed ours and was adopted (Add) while
+			// ours ran, and ours was refused as its duplicate: hand out the
+			// session that won. The refusal says nothing against the site,
+			// so the breaker does not hear of it.
+			e.refs++
+			e.lastUse = c.cfg.Now()
+			sess, err = e.sess, nil
+		} else if ctx.Err() == nil {
+			// A canceled caller says nothing about the site; every other
+			// dial failure counts toward opening the breaker.
+			c.breakerRecordLocked(site, false)
+		}
+	} else {
+		c.breakerRecordLocked(site, true)
 		select {
 		case <-sess.Done():
 			// Died during its own handshake. The owner's watcher has
 			// already come by and found nothing to drop, so inserting
 			// it now would cache a corpse nobody removes.
 			err = errSessionDied
-			f.sess, f.err = zero, err
 			victims = append(victims, evicted[T]{site: site, sess: sess})
 		default:
-		}
-	}
-	if err == nil {
-		if c.closed {
-			// Lost the race with CloseAll: the new session must not
-			// outlive the cache.
-			err = context.Canceled
-			f.sess, f.err = zero, err
-			victims = append(victims, evicted[T]{site: site, sess: sess})
-		} else if e, ok := c.live[site]; ok {
-			// A crossing insert (an accepted inbound tunnel, or a dial
-			// func returning a session it already holds) registered this
-			// site while we dialed. Keep the cached session, take our
-			// checkout on it, and discard any duplicate we just built —
-			// through the evict hook, so its teardown reads as expected.
-			if any(e.sess) != any(sess) {
+			if c.closed {
+				// Lost the race with CloseAll: the new session must not
+				// outlive the cache.
+				err = context.Canceled
 				victims = append(victims, evicted[T]{site: site, sess: sess})
-				sess = e.sess
-				f.sess = sess
+			} else if e, ok := c.live[site]; ok {
+				// A crossing insert (an accepted inbound tunnel, or a dial
+				// func returning a session it already holds) registered
+				// this site while we dialed. Keep the cached session, take
+				// our checkout on it, and discard any duplicate we just
+				// built — through the evict hook, so its teardown reads as
+				// expected.
+				if any(e.sess) != any(sess) {
+					victims = append(victims, evicted[T]{site: site, sess: sess})
+					sess = e.sess
+				}
+				e.refs++
+				e.lastUse = c.cfg.Now()
+			} else {
+				victims = c.insertLocked(site, sess) // with the dialer's checkout
 			}
-			e.refs++
-			e.lastUse = c.cfg.Now()
-		} else {
-			victims = c.insertLocked(site, sess) // with the dialer's checkout
 		}
 	}
+	f.sess, f.err = sess, err
 	c.mu.Unlock()
 	close(f.done)
 	c.closeEvicted(victims)
@@ -461,10 +456,14 @@ func (c *Cache[T]) Sweep() {
 	c.closeEvicted(victims)
 }
 
-// Run drives the idle janitor until ctx is cancelled, then closes every
-// remaining session.
+// Run drives the idle janitor, sweeping every IdleClose/4, until ctx is
+// cancelled, then closes every remaining session.
 func (c *Cache[T]) Run(ctx context.Context) {
-	ticker := time.NewTicker(c.cfg.SweepEvery)
+	every := c.cfg.IdleClose / 4
+	if every <= 0 {
+		every = 30 * time.Second
+	}
+	ticker := time.NewTicker(every)
 	defer ticker.Stop()
 	for {
 		select {

@@ -371,6 +371,51 @@ func TestCacheDialFailureNotCached(t *testing.T) {
 	}
 }
 
+// TestCacheCrossingDialAdoptsTheWinner: the site's own dial reaches us
+// while ours runs and is adopted with Add, and ours is then refused as
+// its duplicate. Get must hand out the adopted session, checked out, and
+// the refusal must not count toward the breaker.
+func TestCacheCrossingDialAdoptsTheWinner(t *testing.T) {
+	inbound := newCacheSession("siteb")
+	refused := errors.New("peer siteb already connected")
+	var c *Cache[*cacheSession]
+	dials := 0
+	dial := func(context.Context, string) (*cacheSession, error) {
+		dials++
+		if dials > 1 {
+			return newCacheSession("siteb"), nil
+		}
+		if !c.Add("siteb", inbound) {
+			t.Error("Add refused the inbound session")
+		}
+		c.Release("siteb", inbound) // the inbound connect exchange is over
+		return nil, refused
+	}
+	c = NewCache[*cacheSession](CacheConfig{MaxTunnels: 1, BreakerThreshold: 1}, dial, nil)
+	ctx := context.Background()
+	got, err := c.Get(ctx, "siteb")
+	if err != nil || got != inbound {
+		t.Fatalf("Get = %v, %v; want the adopted session", got, err)
+	}
+	// Checked out: a second site past MaxTunnels must not evict it.
+	if !c.Add("sitec", newCacheSession("sitec")) {
+		t.Fatal("Add sitec refused")
+	}
+	if inbound.closed.Load() || !c.Has("siteb") {
+		t.Fatal("the adopted session was evicted while checked out")
+	}
+	// With a threshold of one, a counted refusal would have opened the
+	// breaker and this Get would fail fast without dialing.
+	c.Release("siteb", inbound)
+	c.DropIf("siteb", inbound)
+	if _, err := c.Get(ctx, "siteb"); err != nil {
+		t.Fatalf("Get after the drop = %v, want a fresh dial", err)
+	}
+	if dials != 2 {
+		t.Fatalf("dials = %d, want 2", dials)
+	}
+}
+
 func TestCacheCloseAllRefusesInserts(t *testing.T) {
 	d := newCountingDialer()
 	c := NewCache[*cacheSession](CacheConfig{}, d.dial, nil)

@@ -1,14 +1,15 @@
 // Package peerlink is the connectivity half of the membership split: the
 // directory (internal/membership) knows every site and judges which are
 // alive; this package holds the live tunnels to the few in active use.
-// Cache is the single owner of every proxy-to-proxy session — it dials
-// on demand, shares one dial among concurrent callers, backs off a site
-// whose dials keep failing (the circuit breaker), evicts by LRU past a
-// cap and closes what sits idle. FanOut runs one call per site
-// concurrently under a per-target deadline.
+// Cache is a keyed connection cache: it dials on demand, shares one dial
+// among concurrent callers, backs off a key whose dials keep failing
+// (the circuit breaker), evicts by LRU past a cap and closes what sits
+// idle. A proxy keeps its peer tunnels in one, keyed by site; the gate
+// keeps its per-user grid clients in another, keyed by user. FanOut runs
+// one call per site concurrently under a per-target deadline.
 //
-// The package knows nothing about the proxy: the owner supplies the dial
-// function and the sessions, so the cache is testable with fakes.
+// The package knows nothing about either owner: the owner supplies the
+// dial function and the sessions, so the cache is testable with fakes.
 package peerlink
 
 import "time"
