@@ -1,7 +1,7 @@
 // Package gridproxy_test holds the repository-level benchmark harness:
-// one testing.B benchmark per experiment table (E1–E8, see DESIGN.md §5
-// and EXPERIMENTS.md) plus micro-benchmarks of the hot substrates the
-// experiments rest on. Regenerate everything with:
+// one testing.B sub-benchmark per experiment of the registry (E1–E13,
+// see DESIGN.md §5 and EXPERIMENTS.md) plus micro-benchmarks of the hot
+// substrates the experiments rest on. Regenerate everything with:
 //
 //	go test -bench=. -benchmem .
 package gridproxy_test
@@ -28,83 +28,17 @@ import (
 	"gridproxy/internal/wire"
 )
 
-// --- per-experiment benchmarks (one table per op) --------------------------
-
-func BenchmarkE1_MPIPingPong(b *testing.B) {
-	cfg := experiments.E1Config{MsgSizes: []int{4096}, Rounds: 20}
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.E1(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkE2_EdgeVsPerNodeCrypto(b *testing.B) {
-	cfg := experiments.E2Config{
-		Sites: 2, NodesPerSite: 2, Flows: 12, BytesPerFlow: 8 << 10,
-		IntraFracs: []float64{0.5}, Seed: 1,
-	}
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.E2(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkE3_SchedulingPolicies(b *testing.B) {
-	cfg := experiments.E3Config{
-		Sites: 2, NodesPerSite: 8, Tasks: 256, TaskSkew: 4,
-		NodeSkews: []float64{4},
-		Policies:  []string{"round-robin", "least-loaded"},
-		Seed:      1,
-	}
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.E3(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkE4_StatusCollection(b *testing.B) {
-	cfg := experiments.E4Config{Shapes: [][2]int{{3, 4}}}
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.E4(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkE5_AuthSchemes(b *testing.B) {
-	cfg := experiments.E5Config{RequestCounts: []int{50}}
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.E5(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkE6_DeploymentFootprint(b *testing.B) {
-	cfg := experiments.DefaultE6()
-	for i := 0; i < b.N; i++ {
-		_ = experiments.E6(cfg)
-	}
-}
-
-func BenchmarkE7_FailureContainment(b *testing.B) {
-	cfg := experiments.E7Config{Shapes: [][2]int{{3, 2}}}
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.E7(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkE8_TunnelMultiplexing(b *testing.B) {
-	cfg := experiments.E8Config{StreamCounts: []int{16}, BytesEach: 16 << 10}
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.E8(cfg); err != nil {
-			b.Fatal(err)
-		}
+// BenchmarkExperiments times every registry entry at its small scale,
+// one sub-benchmark per experiment.
+func BenchmarkExperiments(b *testing.B) {
+	for _, e := range experiments.All {
+		b.Run(e.Name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := e.Run(true); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
@@ -395,20 +329,6 @@ func BenchmarkMetricsCounter(b *testing.B) {
 			c.Inc()
 		}
 	})
-}
-
-// BenchmarkE1CrossSiteLatency isolates the latency the proxy pair adds on
-// one shaped WAN link (the headline Figure 3 comparison at bench speed).
-func BenchmarkE1CrossSiteLatency(b *testing.B) {
-	row, err := experiments.E1(experiments.E1Config{
-		MsgSizes: []int{1024},
-		Rounds:   b.N + 1,
-		WAN:      transport.LinkParams{OneWay: 50 * time.Microsecond},
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	_ = row
 }
 
 // --- ablation benchmarks (design choices called out in DESIGN.md §7) --------

@@ -262,7 +262,6 @@ func New(cfg Config) (*Proxy, error) {
 	p.members = membership.New(membership.Config{
 		Site:         cfg.Site,
 		Addr:         cfg.WANAddr,
-		Fanout:       gossipFanout,
 		SuspectAfter: p.gossipcfg.SuspectAfter,
 		DeadAfter:    p.gossipcfg.DeadAfter,
 		VouchWindow:  p.gossipcfg.VouchWindow,

@@ -14,9 +14,9 @@ import (
 	"gridproxy/internal/transport"
 )
 
-// E1Row is one (mode, message size) measurement of MPI ping-pong through
+// e1Row is one (mode, message size) measurement of MPI ping-pong through
 // the architecture.
-type E1Row struct {
+type e1Row struct {
 	Mode          string // "local" (Fig 3a) or "proxy" (Fig 3b)
 	MsgBytes      int
 	Rounds        int
@@ -25,8 +25,8 @@ type E1Row struct {
 	TunnelBytes   int64 // bytes that crossed the encrypted tunnel
 }
 
-// E1Config parameterizes experiment E1.
-type E1Config struct {
+// e1Config parameterizes experiment E1.
+type e1Config struct {
 	// MsgSizes are the ping-pong payload sizes.
 	MsgSizes []int
 	// Rounds per size.
@@ -36,35 +36,43 @@ type E1Config struct {
 	WAN transport.LinkParams
 }
 
-// DefaultE1 returns the parameters used in EXPERIMENTS.md.
-func DefaultE1() E1Config {
-	return E1Config{
-		MsgSizes: []int{1 << 10, 16 << 10, 64 << 10},
-		Rounds:   50,
-	}
-}
-
-// E1 measures MPI ping-pong between two ranks placed (a) on two nodes of
+// e1 measures MPI ping-pong between two ranks placed (a) on two nodes of
 // one site (Figure 3a: direct local communication, no proxy involvement)
 // and (b) on nodes of two different sites (Figure 3b: traffic multiplexed
 // by the proxies through the TLS tunnel). The reproduction criterion: the
 // proxy path carries identical payloads (correctness) at a modest latency
 // premium, and ONLY the proxy path shows tunnel bytes.
-func E1(cfg E1Config) ([]E1Row, error) {
-	var rows []E1Row
+func e1(cfg e1Config) (Table, error) {
+	t := Table{
+		Title:  "E1 — MPI via proxy multiplexing (paper Fig. 3a vs 3b)",
+		Claim:  "MPI runs unmodified across sites; only inter-site traffic crosses the tunnel",
+		Header: []string{"mode", "msg_bytes", "rounds", "rtt", "MB/s", "tunnel_bytes"},
+	}
+	rows := map[string][]e1Row{}
 	for _, mode := range []string{"local", "proxy"} {
 		for _, size := range cfg.MsgSizes {
-			row, err := runE1Case(mode, size, cfg)
+			r, err := runE1Case(mode, size, cfg)
 			if err != nil {
-				return nil, fmt.Errorf("e1 %s/%d: %w", mode, size, err)
+				return Table{}, fmt.Errorf("e1 %s/%d: %w", mode, size, err)
 			}
-			rows = append(rows, row)
+			rows[mode] = append(rows[mode], r)
+			t.Rows = append(t.Rows, []string{
+				r.Mode, itoa(r.MsgBytes), itoa(r.Rounds), dur(r.RTT), f2(r.ThroughputMBs), i64(r.TunnelBytes),
+			})
 		}
 	}
-	return rows, nil
+	tunnel := func(r e1Row) int64 { return r.TunnelBytes }
+	rtt := func(r e1Row) time.Duration { return r.RTT }
+	t.Bars = []Bar{
+		check("rows", len(t.Rows), "==", 2*len(cfg.MsgSizes)),
+		check("local tunnel_bytes, max", most(rows["local"], tunnel), "==", 0),
+		check("proxy tunnel_bytes, min", least(rows["proxy"], tunnel), ">", 0),
+		check("rtt, min", min(least(rows["local"], rtt), least(rows["proxy"], rtt)), ">", 0),
+	}
+	return t, nil
 }
 
-func runE1Case(mode string, msgBytes int, cfg E1Config) (E1Row, error) {
+func runE1Case(mode string, msgBytes int, cfg e1Config) (e1Row, error) {
 	reg := metrics.NewRegistry()
 	tbCfg := site.TestbedConfig{GridName: "e1", Metrics: reg}
 	switch mode {
@@ -77,17 +85,17 @@ func runE1Case(mode string, msgBytes int, cfg E1Config) (E1Row, error) {
 		}
 		tbCfg.WAN = cfg.WAN
 	default:
-		return E1Row{}, fmt.Errorf("unknown mode %q", mode)
+		return e1Row{}, fmt.Errorf("unknown mode %q", mode)
 	}
 	tb, err := site.NewTestbed(tbCfg)
 	if err != nil {
-		return E1Row{}, err
+		return e1Row{}, err
 	}
 	defer tb.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
 	if err := tb.ConnectAll(ctx); err != nil {
-		return E1Row{}, err
+		return e1Row{}, err
 	}
 
 	rttCh := make(chan time.Duration, 1)
@@ -135,12 +143,12 @@ func runE1Case(mode string, msgBytes int, cfg E1Config) (E1Row, error) {
 		Program: "pingpong",
 		Procs:   2,
 	}); err != nil {
-		return E1Row{}, err
+		return e1Row{}, err
 	}
 	rtt := <-rttCh
 	bytesPerRound := float64(2 * msgBytes) // there and back
 	throughput := bytesPerRound / rtt.Seconds() / (1 << 20)
-	return E1Row{
+	return e1Row{
 		Mode:          mode,
 		MsgBytes:      msgBytes,
 		Rounds:        cfg.Rounds,
@@ -148,19 +156,4 @@ func runE1Case(mode string, msgBytes int, cfg E1Config) (E1Row, error) {
 		ThroughputMBs: throughput,
 		TunnelBytes:   reg.Counter(metrics.BytesTunneled).Value(),
 	}, nil
-}
-
-// E1Table renders E1 rows.
-func E1Table(rows []E1Row) Table {
-	t := Table{
-		Title:  "E1 — MPI via proxy multiplexing (paper Fig. 3a vs 3b)",
-		Claim:  "MPI runs unmodified across sites; only inter-site traffic crosses the tunnel",
-		Header: []string{"mode", "msg_bytes", "rounds", "rtt", "MB/s", "tunnel_bytes"},
-	}
-	for _, r := range rows {
-		t.Rows = append(t.Rows, []string{
-			r.Mode, itoa(r.MsgBytes), itoa(r.Rounds), dur(r.RTT), f2(r.ThroughputMBs), i64(r.TunnelBytes),
-		})
-	}
-	return t
 }

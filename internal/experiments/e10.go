@@ -13,10 +13,10 @@ import (
 	"gridproxy/internal/tunnel"
 )
 
-// E10Row is one data-plane staging measurement: a blob pulled cold
+// e10Row is one data-plane staging measurement: a blob pulled cold
 // across a shaped WAN link with a given stripe count, then pulled again
 // warm.
-type E10Row struct {
+type e10Row struct {
 	Stripes int
 	// Bond is the tunnel connection fan-out between the two proxies (1 =
 	// the classic single connection).
@@ -34,8 +34,8 @@ type E10Row struct {
 	CacheHits int64
 }
 
-// E10Config parameterizes experiment E10.
-type E10Config struct {
+// e10Config parameterizes experiment E10.
+type e10Config struct {
 	// BlobBytes is the staged payload size.
 	BlobBytes int
 	// ChunkSize is the transfer chunk size.
@@ -49,45 +49,49 @@ type E10Config struct {
 	WAN transport.LinkParams
 }
 
-// DefaultE10 returns the parameters used in EXPERIMENTS.md.
-func DefaultE10() E10Config {
-	return E10Config{
-		BlobBytes:    8 << 20,
-		ChunkSize:    128 << 10,
-		StripeCounts: []int{1, 2, 4, 8},
-		BondConns:    []int{1, 4},
-		// gridmark's bulk_wan link, so cold MB/s reads against its
-		// tunnel.link_utilisation.
-		WAN: transport.LinkParams{OneWay: 10 * time.Millisecond, Rate: 125e6},
-	}
-}
-
-// E10 measures the content-addressed data plane: one blob is staged from
+// e10 measures the content-addressed data plane: one blob is staged from
 // an origin site to a destination over dedicated tunnel data streams,
 // cold (empty destination store) and warm (already held). The sweep over
 // stripe counts and bond widths shows what they do to a cold pull on a
 // link whose rate they share; the warm pull is a pure cache hit and moves
 // zero payload bytes: the dedupe the job launch path relies on for fast
 // relaunches.
-func E10(cfg E10Config) ([]E10Row, error) {
+func e10(cfg e10Config) (Table, error) {
+	t := Table{
+		Title:  "E10 — data plane: striped cross-site staging, cold vs warm",
+		Claim:  "a warm (content-addressed) restage moves zero payload bytes; cold, stripes add windows on a link whose rate bond members share",
+		Header: []string{"stripes", "bond", "blob_mb", "chunk_kb", "cold_time", "cold_MB/s", "cold_bytes", "warm_time", "warm_bytes", "cache_hits"},
+	}
 	bonds := cfg.BondConns
 	if len(bonds) == 0 {
 		bonds = []int{1}
 	}
-	var rows []E10Row
+	var rows []e10Row
 	for _, bond := range bonds {
 		for _, stripes := range cfg.StripeCounts {
-			row, err := runE10Stripes(cfg, stripes, bond)
+			r, err := runE10Stripes(cfg, stripes, bond)
 			if err != nil {
-				return nil, fmt.Errorf("e10 stripes=%d bond=%d: %w", stripes, bond, err)
+				return Table{}, fmt.Errorf("e10 stripes=%d bond=%d: %w", stripes, bond, err)
 			}
-			rows = append(rows, row)
+			rows = append(rows, r)
+			t.Rows = append(t.Rows, []string{
+				itoa(r.Stripes), itoa(r.Bond), f1(r.BlobMB), itoa(r.ChunkKB),
+				dur(r.ColdTime), f1(r.ColdMBps), i64(r.ColdBytes),
+				dur(r.WarmTime), i64(r.WarmBytes), i64(r.CacheHits),
+			})
 		}
 	}
-	return rows, nil
+	// The warm pull is a content-addressed cache hit: nothing moves.
+	t.Bars = []Bar{
+		check("rows with cold_bytes = blob size", count(rows, func(r e10Row) bool { return r.ColdBytes == int64(cfg.BlobBytes) }), "==", len(rows)),
+		check("warm_bytes, max", most(rows, func(r e10Row) int64 { return r.WarmBytes }), "==", 0),
+		check("cache_hits, min", least(rows, func(r e10Row) int64 { return r.CacheHits }), ">=", 1),
+		check("rows with warm_time < cold_time", count(rows, func(r e10Row) bool { return r.WarmTime < r.ColdTime }), "==", len(rows)),
+	}
+	return t, nil
 }
 
-func runE10Stripes(cfg E10Config, stripes, bond int) (E10Row, error) {
+func runE10Stripes(cfg e10Config, stripes, bond int) (e10Row, error) {
 	reg := metrics.NewRegistry()
 	tb, err := site.NewTestbed(site.TestbedConfig{
 		GridName: "e10",
@@ -104,13 +108,13 @@ func runE10Stripes(cfg E10Config, stripes, bond int) (E10Row, error) {
 		},
 	})
 	if err != nil {
-		return E10Row{}, err
+		return e10Row{}, err
 	}
 	defer tb.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
 	if err := tb.ConnectAll(ctx); err != nil {
-		return E10Row{}, err
+		return e10Row{}, err
 	}
 
 	blob := make([]byte, cfg.BlobBytes)
@@ -118,7 +122,7 @@ func runE10Stripes(cfg E10Config, stripes, bond int) (E10Row, error) {
 	ref := tb.Sites[0].Proxy.Store().Put(blob)
 	dest := tb.Sites[1].Proxy
 
-	row := E10Row{
+	row := e10Row{
 		Stripes: stripes,
 		Bond:    bond,
 		BlobMB:  float64(cfg.BlobBytes) / (1 << 20),
@@ -127,7 +131,7 @@ func runE10Stripes(cfg E10Config, stripes, bond int) (E10Row, error) {
 
 	start := time.Now()
 	if err := dest.PullBlob(ctx, "origin", ref.Hash); err != nil {
-		return E10Row{}, fmt.Errorf("cold pull: %w", err)
+		return e10Row{}, fmt.Errorf("cold pull: %w", err)
 	}
 	row.ColdTime = time.Since(start)
 	row.ColdBytes = reg.Counter(metrics.StageBytesReceived).Value()
@@ -135,27 +139,10 @@ func runE10Stripes(cfg E10Config, stripes, bond int) (E10Row, error) {
 
 	start = time.Now()
 	if err := dest.PullBlob(ctx, "origin", ref.Hash); err != nil {
-		return E10Row{}, fmt.Errorf("warm pull: %w", err)
+		return e10Row{}, fmt.Errorf("warm pull: %w", err)
 	}
 	row.WarmTime = time.Since(start)
 	row.WarmBytes = reg.Counter(metrics.StageBytesReceived).Value() - row.ColdBytes
 	row.CacheHits = reg.Counter(metrics.StageCacheHits).Value()
 	return row, nil
-}
-
-// E10Table renders E10 rows.
-func E10Table(rows []E10Row) Table {
-	t := Table{
-		Title:  "E10 — data plane: striped cross-site staging, cold vs warm",
-		Claim:  "a warm (content-addressed) restage moves zero payload bytes; cold, stripes add windows on a link whose rate bond members share",
-		Header: []string{"stripes", "bond", "blob_mb", "chunk_kb", "cold_time", "cold_MB/s", "cold_bytes", "warm_time", "warm_bytes", "cache_hits"},
-	}
-	for _, r := range rows {
-		t.Rows = append(t.Rows, []string{
-			itoa(r.Stripes), itoa(r.Bond), f1(r.BlobMB), itoa(r.ChunkKB),
-			dur(r.ColdTime), f1(r.ColdMBps), i64(r.ColdBytes),
-			dur(r.WarmTime), i64(r.WarmBytes), i64(r.CacheHits),
-		})
-	}
-	return t
 }

@@ -7,8 +7,8 @@ import (
 	"gridproxy/internal/sim"
 )
 
-// E11Row is one (scheme, grid size) control-plane scaling measurement.
-type E11Row struct {
+// e11Row is one (scheme, grid size) control-plane scaling measurement.
+type e11Row struct {
 	Scheme string // "gossip" or "all-pairs"
 	Sites  int
 	// Rounds is how many gossip rounds full status convergence took
@@ -29,8 +29,8 @@ type E11Row struct {
 	Tunnels string
 }
 
-// E11Config parameterizes experiment E11.
-type E11Config struct {
+// e11Config parameterizes experiment E11.
+type e11Config struct {
 	// Ns lists the grid sizes swept; the steady-state traffic of every
 	// size must stay within FlatFactor× of the smallest.
 	Ns []int
@@ -45,55 +45,41 @@ type E11Config struct {
 	Seed       int64
 }
 
-// DefaultE11 returns the parameters used in EXPERIMENTS.md: the
-// acceptance run comparing N=100 against N=1000.
-func DefaultE11() E11Config {
-	return E11Config{
-		Ns:           []int{100, 1000},
-		BudgetC:      4,
-		SteadyWindow: 25,
-		MaxRounds:    400,
-		FlatFactor:   2,
-		Seed:         1,
-	}
-}
-
-// E11 measures how the gossip control plane scales against the all-pairs
+// e11 measures how the gossip control plane scales against the all-pairs
 // status fan-out it replaced. For each N it simulates the single-
 // bootstrap worst case (every site initially knows only site 0) over
 // real membership directories and real wire encodings, and records:
 //
-//   - rounds until every directory holds every site's summary, asserted
-//     against the c·⌈log₂N⌉ budget (the run FAILS if exceeded, which is
-//     what the CI smoke step leans on);
-//   - per-proxy bytes/round during convergence — bounded by
-//     Fanout·PushLimit, not by N, so it stays roughly flat as the grid
-//     grows 10×;
-//   - per-proxy bytes/round at steady state, asserted flat within
-//     FlatFactor across Ns (empty syncs plus the AntiEntropyFactor/N
-//     digest lottery, whose expected cost is N-independent);
+//   - rounds until every directory holds every site's summary, barred
+//     by the c·⌈log₂N⌉ budget;
+//   - per-proxy bytes/round during convergence — bounded by the gossip
+//     fanout times membership's push limit, not by N, so it stays
+//     roughly flat as the grid grows 10×;
+//   - per-proxy bytes/round at steady state, barred flat within
+//     FlatFactor across Ns (empty syncs plus the anti-entropy digest
+//     lottery at 1/N a round, whose expected cost is N-independent);
 //   - the all-pairs baseline measured in the same run from the same
 //     summaries: one StatusQuery/StatusReport round trip per peer,
 //     per proxy, per refresh, over N-1 standing tunnels.
-func E11(cfg E11Config) ([]E11Row, error) {
-	var rows []E11Row
-	var baseline []E11Row
-	var steadies []int64
+func e11(cfg e11Config) (Table, error) {
+	t := Table{
+		Title:  "E11 — control-plane scaling: gossip directory vs all-pairs status fan-out",
+		Claim:  "single-bootstrap status convergence in O(log N) rounds with per-proxy bytes/round flat in N; the all-pairs baseline pays O(N) per proxy per refresh over N-1 tunnels",
+		Header: []string{"scheme", "sites", "rounds", "budget", "conv_B/proxy/rd", "steady_B/proxy/rd", "steady_msgs", "tunnels"},
+	}
+	var rows, baseline []e11Row
+	var maxPending int
 	for _, n := range cfg.Ns {
 		g, err := sim.NewGossipGrid(sim.GossipGridConfig{Sites: n, Seed: cfg.Seed})
 		if err != nil {
-			return nil, fmt.Errorf("e11 n=%d: %w", n, err)
+			return Table{}, fmt.Errorf("e11 n=%d: %w", n, err)
 		}
 		budget := cfg.BudgetC * int(math.Ceil(math.Log2(float64(n))))
 
-		// Phase 1: converge, within budget or fail.
+		// Phase 1: converge.
 		var convBytes int64
 		rounds := 0
-		for g.Converged() < n {
-			if rounds >= budget {
-				return nil, fmt.Errorf("e11 n=%d: convergence took more than the %d-round budget (%d/%d directories complete)",
-					n, budget, g.Converged(), n)
-			}
+		for g.Converged() < n && rounds < cfg.MaxRounds {
 			st := g.Step()
 			rounds++
 			convBytes += st.Bytes
@@ -102,14 +88,10 @@ func E11(cfg E11Config) ([]E11Row, error) {
 		// Phase 2: drain the rumor mill (retransmit budgets running out)
 		// so the steady window measures maintenance traffic, not the
 		// tail of the initial flood.
-		total := rounds
-		for g.PendingRumors() > 0 {
-			if total >= cfg.MaxRounds {
-				return nil, fmt.Errorf("e11 n=%d: rumor mill not drained after %d rounds", n, total)
-			}
+		for total := rounds; g.PendingRumors() > 0 && total < cfg.MaxRounds; total++ {
 			g.Step()
-			total++
 		}
+		maxPending = max(maxPending, g.PendingRumors())
 
 		// Phase 3: steady state.
 		var steadyBytes, steadyMsgs int64
@@ -119,9 +101,7 @@ func E11(cfg E11Config) ([]E11Row, error) {
 			steadyMsgs += st.Msgs
 		}
 		steady := steadyBytes / int64(cfg.SteadyWindow*n)
-		steadies = append(steadies, steady)
-
-		rows = append(rows, E11Row{
+		gossip := e11Row{
 			Scheme:      "gossip",
 			Sites:       n,
 			Rounds:      rounds,
@@ -130,11 +110,12 @@ func E11(cfg E11Config) ([]E11Row, error) {
 			SteadyBytes: steady,
 			SteadyMsgs:  float64(steadyMsgs) / float64(cfg.SteadyWindow*n),
 			Tunnels:     "cache-bounded",
-		})
+		}
+		rows = append(rows, gossip)
 
 		// The baseline, from the same run's summaries.
 		apBytes, apMsgs := g.AllPairsRefresh()
-		baseline = append(baseline, E11Row{
+		ap := e11Row{
 			Scheme:      "all-pairs",
 			Sites:       n,
 			Rounds:      1,
@@ -143,32 +124,30 @@ func E11(cfg E11Config) ([]E11Row, error) {
 			SteadyBytes: apBytes,
 			SteadyMsgs:  float64(apMsgs),
 			Tunnels:     itoa(n - 1),
-		})
-	}
+		}
+		baseline = append(baseline, ap)
 
-	// The flatness assertion: steady-state per-proxy traffic must not
-	// grow beyond FlatFactor× across the swept grid sizes.
-	for i, s := range steadies {
-		if float64(s) > cfg.FlatFactor*float64(steadies[0]) {
-			return nil, fmt.Errorf("e11: steady traffic %dB/proxy/round at N=%d exceeds %.1fx the N=%d figure (%dB)",
-				s, cfg.Ns[i], cfg.FlatFactor, cfg.Ns[0], steadies[0])
+		// Steady-state gossip must be far below the baseline's recurring
+		// per-refresh cost, which is one round trip per peer.
+		t.Bars = append(t.Bars,
+			check(fmt.Sprintf("N=%d convergence rounds", n), rounds, "<=", budget),
+			check(fmt.Sprintf("N=%d gossip steady_B x 4", n), gossip.SteadyBytes*4, "<=", ap.SteadyBytes),
+			check(fmt.Sprintf("N=%d all-pairs steady_msgs", n), ap.SteadyMsgs, "==", float64(2*(n-1))))
+		// Steady-state per-proxy traffic must not grow beyond
+		// FlatFactor× across the swept grid sizes.
+		if len(rows) > 1 {
+			t.Bars = append(t.Bars, check(fmt.Sprintf("N=%d steady_B, at most %.0fx N=%d's", n, cfg.FlatFactor, cfg.Ns[0]),
+				steady, "<=", int64(cfg.FlatFactor*float64(rows[0].SteadyBytes))))
 		}
 	}
-	return append(rows, baseline...), nil
-}
-
-// E11Table renders E11 rows.
-func E11Table(rows []E11Row) Table {
-	t := Table{
-		Title:  "E11 — control-plane scaling: gossip directory vs all-pairs status fan-out",
-		Claim:  "single-bootstrap status convergence in O(log N) rounds with per-proxy bytes/round flat in N; the all-pairs baseline pays O(N) per proxy per refresh over N-1 tunnels",
-		Header: []string{"scheme", "sites", "rounds", "budget", "conv_B/proxy/rd", "steady_B/proxy/rd", "steady_msgs", "tunnels"},
-	}
-	for _, r := range rows {
+	t.Bars = append(t.Bars,
+		check("gossip convergence rounds, min", least(rows, func(r e11Row) int { return r.Rounds }), ">=", 1),
+		check("rumors pending after the drain, max", maxPending, "==", 0))
+	for _, r := range append(rows, baseline...) {
 		t.Rows = append(t.Rows, []string{
 			r.Scheme, itoa(r.Sites), itoa(r.Rounds), itoa(r.Budget),
 			i64(r.ConvBytes), i64(r.SteadyBytes), f2(r.SteadyMsgs), r.Tunnels,
 		})
 	}
-	return t
+	return t, nil
 }

@@ -7,25 +7,8 @@ import (
 	"gridproxy/internal/sim"
 )
 
-// E12 is the partition-tolerance acceptance run: an N-site simulated
-// grid (real membership directories, real wire encodings, the seeded
-// failure.Chaos matrix) is driven through a majority/minority
-// partition, a gray (lossy but routed) site, and a link flap, then
-// healed. The run FAILS — an error, not a table row — unless the
-// control plane meets four bars:
-//
-//  1. zero false-dead verdicts between sites the script never cut
-//     (the gray site must not be convicted; indirect probing and
-//     Lifeguard health absorb its losses);
-//  2. the scenario forces split-brain double-execution during the
-//     partition (otherwise the fencing bar below proves nothing);
-//  3. after the heal, every directory re-learns every site within
-//     HealBudget gossip rounds (resurrection probes + refutation);
-//  4. after fences deliver, zero ranks run at two sites — and the
-//     whole run replays bit-for-bit from the printed seed.
-
-// E12Config parameterizes experiment E12.
-type E12Config struct {
+// e12Config parameterizes experiment E12.
+type e12Config struct {
 	// Sites is the grid size N; Minority is how many sites the script
 	// partitions away from the rest.
 	Sites    int
@@ -48,24 +31,8 @@ type E12Config struct {
 	Seed         int64
 }
 
-// DefaultE12 returns the acceptance-run parameters: N=50 with a
-// 10-site minority, a 30%-lossy gray site, and the 4-round
-// reconvergence budget.
-func DefaultE12() E12Config {
-	return E12Config{
-		Sites:           50,
-		Minority:        10,
-		GrayLoss:        0.3,
-		ConvergeBudget:  80,
-		PartitionRounds: 30,
-		HealBudget:      4,
-		SettleRounds:    8,
-		Seed:            1,
-	}
-}
-
-// E12Row is one phase of the scenario with the counters it ended at.
-type E12Row struct {
+// e12Row is one phase of the scenario with the counters it ended at.
+type e12Row struct {
 	Phase      string
 	Rounds     int // rounds this phase took
 	FalseDead  int // cumulative false-dead verdicts (bar: 0)
@@ -76,33 +43,55 @@ type E12Row struct {
 	Vetoes     int // cumulative indirect-probe vetoes of suspicion
 }
 
-// e12Result is one full run: its table rows plus the fingerprint the
-// determinism bar compares across two runs from the same seed.
+// e12Result is one full run: its table rows, its bars, and the
+// fingerprint the determinism bar compares across two runs from the same
+// seed.
 type e12Result struct {
-	rows        []E12Row
+	rows        []e12Row
+	bars        []Bar
 	fingerprint string
 }
 
-// E12 runs the scenario twice from the same seed and enforces all
-// acceptance bars, including that both runs are identical.
-func E12(cfg E12Config) ([]E12Row, error) {
+// e12 is the partition-tolerance run: an N-site simulated grid (real
+// membership directories, real wire encodings, the seeded failure.Chaos
+// matrix) is driven through a majority/minority partition, a gray (lossy
+// but routed) site, and a link flap, then healed — twice from the same
+// seed. Its bars:
+//
+//  1. zero false-dead verdicts between sites the script never cut
+//     (the gray site must not be convicted; indirect probing and
+//     Lifeguard health absorb its losses);
+//  2. the scenario forces split-brain double-execution during the
+//     partition (otherwise the fencing bar below proves nothing);
+//  3. after the heal, every directory re-learns every site within
+//     HealBudget gossip rounds (resurrection probes + refutation);
+//  4. after fences deliver, zero ranks run at two sites — and the
+//     second run replays the first bit-for-bit.
+func e12(cfg e12Config) (Table, error) {
 	first, err := e12Run(cfg)
 	if err != nil {
-		return nil, err
+		return Table{}, err
 	}
 	second, err := e12Run(cfg)
 	if err != nil {
-		return nil, err
+		return Table{}, err
 	}
-	if first.fingerprint != second.fingerprint {
-		return nil, fmt.Errorf("e12: run not reproducible from seed %d:\n  first:  %s\n  second: %s",
-			cfg.Seed, first.fingerprint, second.fingerprint)
+	t := Table{
+		Title:  "E12: partition tolerance — false-dead, reconvergence, split-brain fencing",
+		Claim:  "under partition+gray+flap, no mutually-reachable site is declared dead, the grid reconverges within 4 rounds of the heal, and epoch fences end every double-run",
+		Header: []string{"phase", "rounds", "false-dead", "dead-trans", "double-runs", "resched", "fences", "probe-vetoes"},
+		Bars: append(first.bars, holds(fmt.Sprintf("second run from seed %d replays the first", cfg.Seed),
+			first.fingerprint == second.fingerprint)),
 	}
-	return first.rows, nil
+	for _, r := range first.rows {
+		t.Rows = append(t.Rows, []string{r.Phase, itoa(r.Rounds), itoa(r.FalseDead), itoa(r.DeadTrans),
+			itoa(r.DoubleRuns), itoa(r.Resched), itoa(r.Fences), itoa(r.Vetoes)})
+	}
+	return t, nil
 }
 
-// e12Run executes one full scenario and checks every per-run bar.
-func e12Run(cfg E12Config) (*e12Result, error) {
+// e12Run executes one full scenario and measures every per-run bar.
+func e12Run(cfg e12Config) (*e12Result, error) {
 	if cfg.Minority < 1 || cfg.Minority >= cfg.Sites/2 {
 		return nil, fmt.Errorf("e12: minority %d must be 1..N/2-1 of %d sites", cfg.Minority, cfg.Sites)
 	}
@@ -114,17 +103,16 @@ func e12Run(cfg E12Config) (*e12Result, error) {
 
 	// Phase 1: converge. Directories know all sites from round 0 but
 	// summaries still spread by gossip; faults wait for a quiet grid.
+	// Rounds past the budget read as budget+1.
 	converged := 0
-	for r := 1; r <= cfg.ConvergeBudget; r++ {
+	for converged <= cfg.ConvergeBudget {
 		g.Step()
+		converged++
 		if g.Converged() {
-			converged = r
 			break
 		}
 	}
-	if converged == 0 {
-		return nil, fmt.Errorf("e12: no summary convergence within %d rounds (seed %d)", cfg.ConvergeBudget, cfg.Seed)
-	}
+	res.bars = append(res.bars, check("rounds to summary convergence", converged, "<=", cfg.ConvergeBudget))
 	res.snap(g, "converge", converged)
 
 	// Script the fault schedule. The minority is the top Minority site
@@ -180,25 +168,20 @@ func e12Run(cfg E12Config) (*e12Result, error) {
 		}
 	}
 	res.snap(g, "partition", cfg.PartitionRounds)
-	if maxDouble == 0 {
-		return nil, fmt.Errorf("e12: partition forced no double-run ranks (seed %d) — scenario too weak to test fencing", cfg.Seed)
-	}
+	res.bars = append(res.bars, check("double-runs the partition forced, max", maxDouble, ">=", 1))
 
 	// Phase 3: heal. The heal event fires on the first step of this
 	// phase; every directory must drop its last Dead verdict within
-	// HealBudget rounds of it.
+	// HealBudget rounds of it. Rounds past the budget read as budget+1.
 	healRounds := 0
-	for r := 1; r <= cfg.HealBudget; r++ {
+	for healRounds <= cfg.HealBudget {
 		g.Step()
+		healRounds++
 		if g.DeadLinks() == 0 {
-			healRounds = r
 			break
 		}
 	}
-	if healRounds == 0 {
-		return nil, fmt.Errorf("e12: %d Dead verdicts still held %d rounds after heal (seed %d), budget %d",
-			g.DeadLinks(), cfg.HealBudget, cfg.Seed, cfg.HealBudget)
-	}
+	res.bars = append(res.bars, check("rounds from the heal to no Dead verdict", healRounds, "<=", cfg.HealBudget))
 	res.snap(g, "reconverge", healRounds)
 
 	// Phase 4: settle. Fences deliver across the healed links and the
@@ -207,21 +190,16 @@ func e12Run(cfg E12Config) (*e12Result, error) {
 		g.Step()
 	}
 	res.snap(g, "settle", cfg.SettleRounds)
-	if g.FalseDead != 0 {
-		return nil, fmt.Errorf("e12: %d false-dead verdicts between never-cut sites (seed %d)", g.FalseDead, cfg.Seed)
-	}
-	if d := g.DoubleRuns(); d != 0 {
-		return nil, fmt.Errorf("e12: %d ranks still running at two sites after heal+fences (seed %d)", d, cfg.Seed)
-	}
-	if pf := g.PendingFences(); pf != 0 {
-		return nil, fmt.Errorf("e12: %d fences undelivered after settle (seed %d)", pf, cfg.Seed)
-	}
+	res.bars = append(res.bars,
+		check("false-dead verdicts between never-cut sites", g.FalseDead, "==", 0),
+		check("ranks at two sites after heal and fences", g.DoubleRuns(), "==", 0),
+		check("fences undelivered after settle", g.PendingFences(), "==", 0))
 	return res, nil
 }
 
 // snap appends a phase row and extends the determinism fingerprint.
 func (r *e12Result) snap(g *sim.ChaosGrid, phase string, rounds int) {
-	row := E12Row{
+	row := e12Row{
 		Phase:      phase,
 		Rounds:     rounds,
 		FalseDead:  g.FalseDead,
@@ -234,26 +212,4 @@ func (r *e12Result) snap(g *sim.ChaosGrid, phase string, rounds int) {
 	r.rows = append(r.rows, row)
 	r.fingerprint += fmt.Sprintf("[%s r%d fd%d dt%d dr%d rs%d fn%d vt%d esc%d]",
 		phase, rounds, row.FalseDead, row.DeadTrans, row.DoubleRuns, row.Resched, row.Fences, row.Vetoes, g.Escalations)
-}
-
-// E12Table renders the phase table for EXPERIMENTS.md.
-func E12Table(rows []E12Row) Table {
-	t := Table{
-		Title:  "E12: partition tolerance — false-dead, reconvergence, split-brain fencing",
-		Claim:  "under partition+gray+flap, no mutually-reachable site is declared dead, the grid reconverges within 4 rounds of the heal, and epoch fences end every double-run",
-		Header: []string{"phase", "rounds", "false-dead", "dead-trans", "double-runs", "resched", "fences", "probe-vetoes"},
-	}
-	for _, r := range rows {
-		t.Rows = append(t.Rows, []string{
-			r.Phase,
-			fmt.Sprintf("%d", r.Rounds),
-			fmt.Sprintf("%d", r.FalseDead),
-			fmt.Sprintf("%d", r.DeadTrans),
-			fmt.Sprintf("%d", r.DoubleRuns),
-			fmt.Sprintf("%d", r.Resched),
-			fmt.Sprintf("%d", r.Fences),
-			fmt.Sprintf("%d", r.Vetoes),
-		})
-	}
-	return t
 }

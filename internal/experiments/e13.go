@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -17,30 +18,8 @@ import (
 	"gridproxy/internal/site"
 )
 
-// E13 is the gateway load-shedding acceptance run: one gridgate gateway
-// fronting a small real grid (real proxies, nodes, tickets, wire
-// protocol — only the HTTP transport is simulated by driving ServeHTTP
-// in-process) takes ≥100k simulated clients at 1×, 4×, and 16× its
-// admission capacity. The run FAILS — an error, not a table row —
-// unless the gateway meets the bars:
-//
-//  1. every request is answered and accounted: served + shed == offered
-//     in every phase, with zero transport/handler errors;
-//  2. at 1× capacity nothing is shed — admission control must be
-//     invisible until there is something to shed;
-//  3. at 16× overload the p99 of ADMITTED requests stays within budget
-//     (bounded queueing: the queue is short and timed, so accepted work
-//     is fast work) while shed requests fail in <10ms with 429 +
-//     Retry-After — overload answers in microseconds, not after a
-//     queueing delay;
-//  4. the sweep dials one pooled proxy connection per user, not one
-//     per client;
-//  5. graceful drain drops nothing: uploads parked mid-body by a
-//     slow-loris injector all complete with 201 while new arrivals get
-//     503, and Drain returns clean.
-
-// E13Config parameterizes experiment E13.
-type E13Config struct {
+// e13Config parameterizes experiment E13.
+type e13Config struct {
 	// Capacity is the gateway's MaxInFlight (MaxQueue matches it).
 	Capacity int
 	// QueueWait bounds how long a queued request may wait for a slot.
@@ -67,24 +46,8 @@ type E13Config struct {
 	DrainUploads int
 }
 
-// DefaultE13 returns the acceptance-run parameters: 102k clients
-// against a 64-slot gateway over a 2-site grid.
-func DefaultE13() E13Config {
-	return E13Config{
-		Capacity:          64,
-		QueueWait:         200 * time.Millisecond,
-		LANLatency:        time.Millisecond,
-		Clients:           34_000,
-		Users:             64,
-		Multipliers:       []int{1, 4, 16},
-		AdmittedP99Budget: 500 * time.Millisecond,
-		ShedP99Budget:     10 * time.Millisecond,
-		DrainUploads:      32,
-	}
-}
-
-// E13Row is one load phase.
-type E13Row struct {
+// e13Row is one load phase.
+type e13Row struct {
 	Multiplier int
 	Offered    int
 	Served     int
@@ -96,20 +59,38 @@ type E13Row struct {
 	ShedP99    time.Duration
 }
 
-// E13 stands the gateway up, runs the multiplier sweep, then the drain
-// phase, enforcing every bar.
-func E13(cfg E13Config) ([]E13Row, error) {
+// e13 is the gateway load-shedding run: one gridgate gateway fronting a
+// small real grid (real proxies, nodes, tickets, wire protocol — only the
+// HTTP transport is simulated by driving ServeHTTP in-process) takes
+// ≥100k simulated clients at 1×, 4×, and 16× its admission capacity,
+// then drains. Its bars:
+//
+//  1. every request is answered and accounted: served + shed == offered
+//     in every phase, with zero transport/handler errors;
+//  2. at 1× capacity nothing is shed — admission control must be
+//     invisible until there is something to shed;
+//  3. at 16× overload the p99 of ADMITTED requests stays within budget
+//     (bounded queueing: the queue is short and timed, so accepted work
+//     is fast work) while shed requests fail in <10ms with 429 +
+//     Retry-After — overload answers in microseconds, not after a
+//     queueing delay;
+//  4. the sweep dials one pooled proxy connection per user, not one
+//     per client;
+//  5. graceful drain drops nothing: uploads parked mid-body by a
+//     slow-loris injector all complete with 201 while new arrivals get
+//     503, and Drain returns clean.
+func e13(cfg e13Config) (Table, error) {
 	users, err := auth.NewStore()
 	if err != nil {
-		return nil, err
+		return Table{}, err
 	}
 	for i := 0; i < cfg.Users; i++ {
 		name := fmt.Sprintf("u%03d", i)
 		if err := users.AddUser(name, "pw"); err != nil {
-			return nil, err
+			return Table{}, err
 		}
 		if err := users.GrantUser(name, auth.Permission{Action: "*", Resource: "*"}); err != nil {
-			return nil, err
+			return Table{}, err
 		}
 	}
 	reg := metrics.NewRegistry()
@@ -124,13 +105,13 @@ func E13(cfg E13Config) ([]E13Row, error) {
 		},
 	})
 	if err != nil {
-		return nil, err
+		return Table{}, err
 	}
 	defer tb.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
 	defer cancel()
 	if err := tb.ConnectAll(ctx); err != nil {
-		return nil, err
+		return Table{}, err
 	}
 	gw, err := gate.New(gate.Config{
 		Site:      "sitea",
@@ -152,7 +133,7 @@ func E13(cfg E13Config) ([]E13Row, error) {
 		PoolClients: cfg.Users,
 	})
 	if err != nil {
-		return nil, err
+		return Table{}, err
 	}
 
 	// One sign-on per user — the sessions the simulated clients share.
@@ -161,65 +142,50 @@ func E13(cfg E13Config) ([]E13Row, error) {
 		body := fmt.Sprintf(`{"user":"u%03d","password":"pw"}`, i)
 		rr := httptest.NewRecorder()
 		gw.ServeHTTP(rr, httptest.NewRequest(http.MethodPost, "/api/login", strings.NewReader(body)))
-		if rr.Code != http.StatusOK {
-			return nil, fmt.Errorf("e13: login u%03d = %d: %s", i, rr.Code, rr.Body)
+		if tokens[i], err = loginToken(rr); err != nil {
+			return Table{}, fmt.Errorf("e13: login u%03d: %w", i, err)
 		}
-		tok := rr.Body.String()
-		const marker = `"token":"`
-		start := strings.Index(tok, marker)
-		end := strings.Index(tok[start+len(marker):], `"`)
-		if start < 0 || end < 0 {
-			return nil, fmt.Errorf("e13: login reply without token: %s", tok)
-		}
-		tokens[i] = tok[start+len(marker) : start+len(marker)+end]
 	}
 
-	var rows []E13Row
+	t := Table{
+		Title:  "E13: gateway admission control — served/queued/shed under overload",
+		Claim:  "at 16x admission capacity the gateway bounds admitted-request p99, sheds the excess in <10ms with 429+Retry-After, and accounts for every offered request",
+		Header: []string{"load", "offered", "served", "queued", "shed", "errors", "p50", "p99", "shed-p99"},
+	}
+	var rows []e13Row
 	for _, m := range cfg.Multipliers {
-		row, err := e13Phase(gw, reg, tokens, cfg, m)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, *row)
-	}
-
-	// Bars over the sweep.
-	for _, r := range rows {
-		if r.Errors != 0 {
-			return nil, fmt.Errorf("e13: %d errored requests at %dx", r.Errors, r.Multiplier)
-		}
-		if r.Served+r.Shed != r.Offered {
-			return nil, fmt.Errorf("e13: accounting hole at %dx: served %d + shed %d != offered %d",
-				r.Multiplier, r.Served, r.Shed, r.Offered)
-		}
+		r := e13Phase(gw, reg, tokens, cfg, m)
+		rows = append(rows, r)
+		t.Rows = append(t.Rows, []string{fmt.Sprintf("%dx", r.Multiplier), itoa(r.Offered), itoa(r.Served),
+			i64(r.Queued), itoa(r.Shed), itoa(r.Errors), dur(r.P50), dur(r.P99), dur(r.ShedP99)})
 	}
 	first, last := rows[0], rows[len(rows)-1]
-	if first.Multiplier == 1 && first.Shed != 0 {
-		return nil, fmt.Errorf("e13: %d requests shed at 1x capacity — admission control must be invisible unloaded", first.Shed)
+	t.Bars = []Bar{
+		check("errored requests, max", most(rows, func(r e13Row) int { return r.Errors }), "==", 0),
+		check("phases where served + shed = offered", count(rows, func(r e13Row) bool { return r.Served+r.Shed == r.Offered }), "==", len(rows)),
+		check(fmt.Sprintf("shed at %dx", first.Multiplier), first.Shed, "==", 0),
+		check(fmt.Sprintf("shed at %dx", last.Multiplier), last.Shed, ">", 0),
+		check(fmt.Sprintf("admitted p99 at %dx", last.Multiplier), last.P99, "<=", cfg.AdmittedP99Budget),
+		check(fmt.Sprintf("shed p99 at %dx", last.Multiplier), last.ShedP99, "<=", cfg.ShedP99Budget),
+		// One pooled proxy connection per user, not one per client.
+		check("pooled proxy dials", reg.Counter(metrics.GatePoolDials).Value(), "==", int64(cfg.Users)),
 	}
-	if last.Multiplier > 1 {
-		if last.Shed == 0 {
-			return nil, fmt.Errorf("e13: nothing shed at %dx overload — the experiment exercised no admission control", last.Multiplier)
-		}
-		if last.P99 > cfg.AdmittedP99Budget {
-			return nil, fmt.Errorf("e13: admitted p99 %v at %dx exceeds budget %v",
-				last.P99, last.Multiplier, cfg.AdmittedP99Budget)
-		}
-		if last.ShedP99 > cfg.ShedP99Budget {
-			return nil, fmt.Errorf("e13: shed p99 %v at %dx exceeds fast-fail budget %v",
-				last.ShedP99, last.Multiplier, cfg.ShedP99Budget)
-		}
-	}
+	t.Bars = append(t.Bars, e13Drain(gw, tokens[0], cfg.DrainUploads)...)
+	return t, nil
+}
 
-	// One pooled proxy connection per user, not one per client.
-	if dials := reg.Counter(metrics.GatePoolDials).Value(); dials != int64(cfg.Users) {
-		return nil, fmt.Errorf("e13: %d pooled proxy dials for %d users — want one per user", dials, cfg.Users)
+// loginToken takes the session token out of a login reply.
+func loginToken(rr *httptest.ResponseRecorder) (string, error) {
+	if rr.Code != http.StatusOK {
+		return "", fmt.Errorf("status %d: %s", rr.Code, rr.Body)
 	}
-
-	if err := e13Drain(gw, reg, tokens[0], cfg.DrainUploads); err != nil {
-		return nil, err
+	var reply struct {
+		Token string `json:"token"`
 	}
-	return rows, nil
+	if err := json.Unmarshal(rr.Body.Bytes(), &reply); err != nil || reply.Token == "" {
+		return "", fmt.Errorf("reply without token: %q", rr.Body)
+	}
+	return reply.Token, nil
 }
 
 // e13Phase offers ~cfg.Clients requests at multiplier×Capacity
@@ -229,7 +195,7 @@ func E13(cfg E13Config) ([]E13Row, error) {
 // thundering-herd arrival pattern admission control exists for. A
 // free-running open loop would let the scheduler drain sub-millisecond
 // requests faster than it starts them and never fill the queue.
-func e13Phase(gw *gate.Gateway, reg *metrics.Registry, tokens []string, cfg E13Config, multiplier int) (*E13Row, error) {
+func e13Phase(gw *gate.Gateway, reg *metrics.Registry, tokens []string, cfg e13Config, multiplier int) e13Row {
 	concurrency := multiplier * cfg.Capacity
 	waves := cfg.Clients / concurrency
 	if waves < 1 {
@@ -273,7 +239,7 @@ func e13Phase(gw *gate.Gateway, reg *metrics.Registry, tokens []string, cfg E13C
 		wg.Wait()
 	}
 
-	row := &E13Row{Multiplier: multiplier, Offered: waves * concurrency}
+	row := e13Row{Multiplier: multiplier, Offered: waves * concurrency}
 	var servedLat, shedLat []time.Duration
 	for i := range outcomes {
 		row.Served += outcomes[i].served
@@ -286,13 +252,13 @@ func e13Phase(gw *gate.Gateway, reg *metrics.Registry, tokens []string, cfg E13C
 	row.P50 = percentile(servedLat, 50)
 	row.P99 = percentile(servedLat, 99)
 	row.ShedP99 = percentile(shedLat, 99)
-	return row, nil
+	return row
 }
 
 // e13Drain parks uploads mid-body with a slow-loris injector, drains the
-// gateway, and requires every admitted upload to complete — the
+// gateway, and bars its outcome: every admitted upload completes — the
 // zero-dropped-in-flight bar for SIGTERM handling.
-func e13Drain(gw *gate.Gateway, reg *metrics.Registry, token string, uploads int) error {
+func e13Drain(gw *gate.Gateway, token string, uploads int) []Bar {
 	loris := &failure.SlowLoris{Chunk: 16}
 	loris.Stall()
 	codes := make(chan int, uploads)
@@ -308,12 +274,10 @@ func e13Drain(gw *gate.Gateway, reg *metrics.Registry, token string, uploads int
 		}(i)
 	}
 	deadline := time.Now().Add(10 * time.Second)
-	for gw.InFlight() < int64(uploads) {
-		if time.Now().After(deadline) {
-			return fmt.Errorf("e13: only %d/%d uploads in flight before drain", gw.InFlight(), uploads)
-		}
+	for gw.InFlight() < int64(uploads) && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
+	inFlight := gw.InFlight()
 
 	drainCtx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -322,19 +286,14 @@ func e13Drain(gw *gate.Gateway, reg *metrics.Registry, token string, uploads int
 
 	// New arrivals must be refused while the uploads are still parked.
 	refused := false
-	for time.Now().Before(deadline) {
+	for !refused && time.Now().Before(deadline) {
 		req := httptest.NewRequest(http.MethodGet, "/api/jobs", nil)
 		req.Header.Set("Authorization", "Bearer "+token)
 		rr := httptest.NewRecorder()
 		gw.ServeHTTP(rr, req)
-		if rr.Code == http.StatusServiceUnavailable {
-			refused = true
-			break
+		if refused = rr.Code == http.StatusServiceUnavailable; !refused {
+			time.Sleep(time.Millisecond)
 		}
-		time.Sleep(time.Millisecond)
-	}
-	if !refused {
-		return fmt.Errorf("e13: draining gateway still accepting new requests")
 	}
 
 	loris.Heal()
@@ -344,13 +303,12 @@ func e13Drain(gw *gate.Gateway, reg *metrics.Registry, token string, uploads int
 			dropped++
 		}
 	}
-	if err := <-drainDone; err != nil {
-		return fmt.Errorf("e13: drain did not complete: %w", err)
+	return []Bar{
+		check("uploads in flight before drain", inFlight, ">=", int64(uploads)),
+		holds("draining gateway refuses new requests", refused),
+		holds("drain completes", <-drainDone == nil),
+		check("in-flight uploads dropped by drain", dropped, "==", 0),
 	}
-	if dropped != 0 {
-		return fmt.Errorf("e13: drain dropped %d of %d in-flight uploads", dropped, uploads)
-	}
-	return nil
 }
 
 // percentile returns the p-th percentile of lats (nearest-rank); zero
@@ -365,27 +323,4 @@ func percentile(lats []time.Duration, p int) time.Duration {
 		idx--
 	}
 	return lats[idx]
-}
-
-// E13Table renders the sweep for EXPERIMENTS.md.
-func E13Table(rows []E13Row) Table {
-	t := Table{
-		Title:  "E13: gateway admission control — served/queued/shed under overload",
-		Claim:  "at 16x admission capacity the gateway bounds admitted-request p99, sheds the excess in <10ms with 429+Retry-After, and accounts for every offered request",
-		Header: []string{"load", "offered", "served", "queued", "shed", "errors", "p50", "p99", "shed-p99"},
-	}
-	for _, r := range rows {
-		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("%dx", r.Multiplier),
-			itoa(r.Offered),
-			itoa(r.Served),
-			i64(r.Queued),
-			itoa(r.Shed),
-			itoa(r.Errors),
-			dur(r.P50),
-			dur(r.P99),
-			dur(r.ShedP99),
-		})
-	}
-	return t
 }

@@ -16,10 +16,9 @@ import (
 	"gridproxy/internal/transport"
 )
 
-// E2Row is one (architecture, intra-site traffic fraction) measurement.
-type E2Row struct {
+// e2Row is one (architecture, intra-site traffic fraction) measurement.
+type e2Row struct {
 	Arch           string // "proxy" or "per-node"
-	IntraFrac      float64
 	Flows          int
 	PayloadBytes   int64
 	CryptoBytes    int64 // ciphertext volume across the whole grid
@@ -28,8 +27,8 @@ type E2Row struct {
 	Handshakes     int64
 }
 
-// E2Config parameterizes experiment E2.
-type E2Config struct {
+// e2Config parameterizes experiment E2.
+type e2Config struct {
 	Sites        int
 	NodesPerSite int
 	Flows        int
@@ -38,19 +37,7 @@ type E2Config struct {
 	Seed         int64
 }
 
-// DefaultE2 returns the parameters used in EXPERIMENTS.md.
-func DefaultE2() E2Config {
-	return E2Config{
-		Sites:        3,
-		NodesPerSite: 4,
-		Flows:        60,
-		BytesPerFlow: 32 << 10,
-		IntraFracs:   []float64{0.1, 0.5, 0.9},
-		Seed:         7,
-	}
-}
-
-// E2 replays identical traffic matrices over the proxy architecture
+// e2 replays identical traffic matrices over the proxy architecture
 // (intra-site plaintext, inter-site through the border TLS tunnels) and
 // over the per-node baseline (every byte TLS-encrypted end to end at
 // every node). The paper's claim: "the overhead generated by control and
@@ -58,25 +45,42 @@ func DefaultE2() E2Config {
 // few nodes rather than in all of them", and the proxy's crypto cost
 // should fall as traffic becomes more site-local while the baseline's
 // stays proportional to total traffic.
-func E2(cfg E2Config) ([]E2Row, error) {
-	var rows []E2Row
+func e2(cfg e2Config) (Table, error) {
+	t := Table{
+		Title:  "E2 — crypto cost: site-edge tunneling vs per-node security",
+		Claim:  "security overhead lands on a few border nodes, and tracks only inter-site traffic",
+		Header: []string{"arch", "intra_frac", "flows", "payload_B", "crypto_B", "crypto_entities", "plain_B", "handshakes"},
+	}
+	var fewerBytes, fewerEntities int
 	for _, frac := range cfg.IntraFracs {
 		flows := sim.MixedTraffic(cfg.Sites, cfg.NodesPerSite, cfg.Flows, frac, cfg.BytesPerFlow, cfg.Seed)
 		proxyRow, err := runE2Proxy(cfg, flows)
 		if err != nil {
-			return nil, fmt.Errorf("e2 proxy frac %.2f: %w", frac, err)
+			return Table{}, fmt.Errorf("e2 proxy frac %.2f: %w", frac, err)
 		}
-		proxyRow.IntraFrac = frac
-		rows = append(rows, proxyRow)
-
 		baseRow, err := runE2Baseline(cfg, flows)
 		if err != nil {
-			return nil, fmt.Errorf("e2 baseline frac %.2f: %w", frac, err)
+			return Table{}, fmt.Errorf("e2 baseline frac %.2f: %w", frac, err)
 		}
-		baseRow.IntraFrac = frac
-		rows = append(rows, baseRow)
+		for _, r := range []e2Row{proxyRow, baseRow} {
+			t.Rows = append(t.Rows, []string{
+				r.Arch, f2(frac), itoa(r.Flows), i64(r.PayloadBytes),
+				i64(r.CryptoBytes), itoa(r.CryptoEntities), i64(r.PlainBytes), i64(r.Handshakes),
+			})
+		}
+		if proxyRow.CryptoBytes < baseRow.CryptoBytes {
+			fewerBytes++
+		}
+		if proxyRow.CryptoEntities < baseRow.CryptoEntities {
+			fewerEntities++
+		}
 	}
-	return rows, nil
+	t.Bars = []Bar{
+		check("rows", len(t.Rows), "==", 2*len(cfg.IntraFracs)),
+		check("intra_fracs where proxy crypto_B < per-node", fewerBytes, "==", len(cfg.IntraFracs)),
+		check("intra_fracs where proxy crypto_entities < per-node", fewerEntities, "==", len(cfg.IntraFracs)),
+	}
+	return t, nil
 }
 
 // sinkService drains bytes on a listener, counting them.
@@ -97,7 +101,7 @@ func sinkService(ln net.Listener, received *atomic.Int64, wg *sync.WaitGroup) {
 	}
 }
 
-func runE2Proxy(cfg E2Config, flows []sim.Flow) (E2Row, error) {
+func runE2Proxy(cfg e2Config, flows []sim.Flow) (e2Row, error) {
 	reg := metrics.NewRegistry()
 	tbCfg := site.TestbedConfig{GridName: "e2", Metrics: reg}
 	for s := 0; s < cfg.Sites; s++ {
@@ -108,13 +112,13 @@ func runE2Proxy(cfg E2Config, flows []sim.Flow) (E2Row, error) {
 	}
 	tb, err := site.NewTestbed(tbCfg)
 	if err != nil {
-		return E2Row{}, err
+		return e2Row{}, err
 	}
 	defer tb.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
 	if err := tb.ConnectAll(ctx); err != nil {
-		return E2Row{}, err
+		return e2Row{}, err
 	}
 
 	// One sink per node, on the site-local network, plus the tunnel app
@@ -126,14 +130,14 @@ func runE2Proxy(cfg E2Config, flows []sim.Flow) (E2Row, error) {
 		for n := range st.Nodes {
 			ln, err := st.Local.Listen(sinkAddr(s, n))
 			if err != nil {
-				return E2Row{}, err
+				return e2Row{}, err
 			}
 			listeners = append(listeners, ln)
 			sinks.Add(1)
 			go sinkService(ln, &received, &sinks)
 		}
 		if err := st.Proxy.RegisterTunnelApp("admin", "e2"); err != nil {
-			return E2Row{}, err
+			return e2Row{}, err
 		}
 	}
 	defer func() {
@@ -154,7 +158,7 @@ func runE2Proxy(cfg E2Config, flows []sim.Flow) (E2Row, error) {
 			// LAN — the proxy is not involved at all.
 			raw, err := fromSite.Local.Dial(ctx, sinkAddr(flow.To.Site, flow.To.Node))
 			if err != nil {
-				return E2Row{}, err
+				return e2Row{}, err
 			}
 			conn = transport.Instrument(raw, nil, plainCounter)
 		} else {
@@ -162,13 +166,13 @@ func runE2Proxy(cfg E2Config, flows []sim.Flow) (E2Row, error) {
 			c, err := fromSite.Proxy.OpenTunnel(ctx, "admin", "e2",
 				fmt.Sprintf("site%d", flow.To.Site), sinkAddr(flow.To.Site, flow.To.Node))
 			if err != nil {
-				return E2Row{}, err
+				return e2Row{}, err
 			}
 			conn = c
 		}
 		if _, err := conn.Write(payload[:flow.Bytes]); err != nil {
 			_ = conn.Close()
-			return E2Row{}, err
+			return e2Row{}, err
 		}
 		_ = conn.Close()
 	}
@@ -178,10 +182,10 @@ func runE2Proxy(cfg E2Config, flows []sim.Flow) (E2Row, error) {
 		time.Sleep(time.Millisecond)
 	}
 	if received.Load() < total {
-		return E2Row{}, fmt.Errorf("delivered %d of %d bytes", received.Load(), total)
+		return e2Row{}, fmt.Errorf("delivered %d of %d bytes", received.Load(), total)
 	}
 
-	return E2Row{
+	return e2Row{
 		Arch:         "proxy",
 		Flows:        len(flows),
 		PayloadBytes: total,
@@ -197,7 +201,7 @@ func sinkAddr(siteIdx, nodeIdx int) string {
 	return fmt.Sprintf("sink.s%d.n%d", siteIdx, nodeIdx)
 }
 
-func runE2Baseline(cfg E2Config, flows []sim.Flow) (E2Row, error) {
+func runE2Baseline(cfg e2Config, flows []sim.Flow) (e2Row, error) {
 	backbone := transport.NewMemNetwork()
 	defer backbone.Close()
 	nodes := make(map[string]string, cfg.Sites*cfg.NodesPerSite)
@@ -208,7 +212,7 @@ func runE2Baseline(cfg E2Config, flows []sim.Flow) (E2Row, error) {
 	}
 	grid, err := baseline.New("e2-baseline", backbone, nodes)
 	if err != nil {
-		return E2Row{}, err
+		return e2Row{}, err
 	}
 	defer grid.Close()
 
@@ -221,17 +225,17 @@ func runE2Baseline(cfg E2Config, flows []sim.Flow) (E2Row, error) {
 		from := grid.Nodes[baseNodeName(flow.From.Site, flow.From.Node)]
 		to := grid.Nodes[baseNodeName(flow.To.Site, flow.To.Node)]
 		if err := from.Send(ctx, to, payload[:flow.Bytes]); err != nil {
-			return E2Row{}, err
+			return e2Row{}, err
 		}
 	}
 	if err := grid.WaitDelivered(total, time.Minute); err != nil {
-		return E2Row{}, err
+		return e2Row{}, err
 	}
 	var handshakes int64
 	for _, n := range grid.Nodes {
 		handshakes += n.Handshakes()
 	}
-	return E2Row{
+	return e2Row{
 		Arch:           "per-node",
 		Flows:          len(flows),
 		PayloadBytes:   total,
@@ -244,20 +248,4 @@ func runE2Baseline(cfg E2Config, flows []sim.Flow) (E2Row, error) {
 
 func baseNodeName(siteIdx, nodeIdx int) string {
 	return fmt.Sprintf("s%dn%d", siteIdx, nodeIdx)
-}
-
-// E2Table renders E2 rows.
-func E2Table(rows []E2Row) Table {
-	t := Table{
-		Title:  "E2 — crypto cost: site-edge tunneling vs per-node security",
-		Claim:  "security overhead lands on a few border nodes, and tracks only inter-site traffic",
-		Header: []string{"arch", "intra_frac", "flows", "payload_B", "crypto_B", "crypto_entities", "plain_B", "handshakes"},
-	}
-	for _, r := range rows {
-		t.Rows = append(t.Rows, []string{
-			r.Arch, f2(r.IntraFrac), itoa(r.Flows), i64(r.PayloadBytes),
-			i64(r.CryptoBytes), itoa(r.CryptoEntities), i64(r.PlainBytes), i64(r.Handshakes),
-		})
-	}
-	return t
 }

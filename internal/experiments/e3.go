@@ -7,8 +7,8 @@ import (
 	"gridproxy/internal/sim"
 )
 
-// E3Row is one (policy, node heterogeneity) scheduling measurement.
-type E3Row struct {
+// e3Row is one (policy, node heterogeneity) scheduling measurement.
+type e3Row struct {
 	Policy        string
 	Skew          float64 // max/min node speed
 	Tasks         int
@@ -21,8 +21,8 @@ type E3Row struct {
 	SpeedupVsRR float64
 }
 
-// E3Config parameterizes experiment E3.
-type E3Config struct {
+// e3Config parameterizes experiment E3.
+type e3Config struct {
 	Sites        int
 	NodesPerSite int
 	Tasks        int
@@ -34,27 +34,19 @@ type E3Config struct {
 	Seed      int64
 }
 
-// DefaultE3 returns the parameters used in EXPERIMENTS.md.
-func DefaultE3() E3Config {
-	return E3Config{
-		Sites:        4,
-		NodesPerSite: 8,
-		Tasks:        512,
-		TaskSkew:     4,
-		NodeSkews:    []float64{1, 2, 4, 8},
-		Policies:     []string{"round-robin", "random", "weighted-speed", "least-loaded"},
-		Seed:         11,
-	}
-}
-
-// E3 sweeps placement policies against node heterogeneity. The paper:
+// e3 sweeps placement policies against node heterogeneity. The paper:
 // "In its original form, the MPI uses the round-robin method to
 // distribute the processes among the nodes" and proposes proxy-side load
 // balancing to "ensure the best possible use and optimization of the
 // available resources". Expected shape: load-aware policies beat
 // round-robin, and the gap widens with heterogeneity.
-func E3(cfg E3Config) ([]E3Row, error) {
-	var rows []E3Row
+func e3(cfg e3Config) (Table, error) {
+	t := Table{
+		Title:  "E3 — placement policy vs node heterogeneity (makespan)",
+		Claim:  "proxy load balancing beats MPI's default round-robin; gap widens with heterogeneity",
+		Header: []string{"policy", "node_skew", "tasks", "nodes", "makespan", "avg_completion", "util", "speedup_vs_rr"},
+	}
+	var rows []e3Row
 	for _, skew := range cfg.NodeSkews {
 		nodes := sim.HeterogeneousNodes(cfg.Sites, cfg.NodesPerSite, skew, cfg.Seed)
 		tasks := sim.SkewedTasks(cfg.Tasks, cfg.Seed+1, 1, cfg.TaskSkew)
@@ -62,16 +54,16 @@ func E3(cfg E3Config) ([]E3Row, error) {
 		for _, policyName := range cfg.Policies {
 			policy, err := balance.New(policyName, cfg.Seed)
 			if err != nil {
-				return nil, err
+				return Table{}, err
 			}
 			result, err := sim.Simulate(nodes, tasks, policy)
 			if err != nil {
-				return nil, fmt.Errorf("e3 %s skew %.0f: %w", policyName, skew, err)
+				return Table{}, fmt.Errorf("e3 %s skew %.0f: %w", policyName, skew, err)
 			}
 			if policyName == "round-robin" {
 				rrMakespan = result.Makespan
 			}
-			row := E3Row{
+			row := e3Row{
 				Policy:        policyName,
 				Skew:          skew,
 				Tasks:         cfg.Tasks,
@@ -84,23 +76,25 @@ func E3(cfg E3Config) ([]E3Row, error) {
 				row.SpeedupVsRR = rrMakespan / result.Makespan
 			}
 			rows = append(rows, row)
+			t.Rows = append(t.Rows, []string{
+				row.Policy, f1(row.Skew), itoa(row.Tasks), itoa(row.Nodes),
+				f2(row.Makespan), f2(row.AvgCompletion), f2(row.Utilization), f2(row.SpeedupVsRR),
+			})
 		}
 	}
-	return rows, nil
-}
-
-// E3Table renders E3 rows.
-func E3Table(rows []E3Row) Table {
-	t := Table{
-		Title:  "E3 — placement policy vs node heterogeneity (makespan)",
-		Claim:  "proxy load balancing beats MPI's default round-robin; gap widens with heterogeneity",
-		Header: []string{"policy", "node_skew", "tasks", "nodes", "makespan", "avg_completion", "util", "speedup_vs_rr"},
-	}
-	for _, r := range rows {
-		t.Rows = append(t.Rows, []string{
-			r.Policy, f1(r.Skew), itoa(r.Tasks), itoa(r.Nodes),
-			f2(r.Makespan), f2(r.AvgCompletion), f2(r.Utilization), f2(r.SpeedupVsRR),
+	// least-loaded's speedup on a homogeneous grid (round-robin is
+	// already fine there) and at 8x node skew (it must clearly win).
+	speedup := func(skew float64) float64 {
+		return most(rows, func(r e3Row) float64 {
+			if r.Policy == "least-loaded" && r.Skew == skew {
+				return r.SpeedupVsRR
+			}
+			return 0
 		})
 	}
-	return t
+	t.Bars = []Bar{
+		check("least-loaded speedup at skew 1", speedup(1), ">=", 0.95),
+		check("least-loaded speedup at skew 8", speedup(8), ">=", 1.2),
+	}
+	return t, nil
 }

@@ -10,8 +10,8 @@ import (
 	"gridproxy/internal/site"
 )
 
-// E4Row is one (scheme, grid shape) control-traffic measurement.
-type E4Row struct {
+// e4Row is one (scheme, grid shape) control-traffic measurement.
+type e4Row struct {
 	Scheme       string // "site-compiled", "central-poll", or "site-cached"
 	Sites        int
 	NodesPerSite int
@@ -21,18 +21,13 @@ type E4Row struct {
 	ControlBytes int64
 }
 
-// E4Config parameterizes experiment E4.
-type E4Config struct {
+// e4Config parameterizes experiment E4.
+type e4Config struct {
 	// Shapes lists (sites, nodesPerSite) pairs to sweep.
 	Shapes [][2]int
 }
 
-// DefaultE4 returns the parameters used in EXPERIMENTS.md.
-func DefaultE4() E4Config {
-	return E4Config{Shapes: [][2]int{{2, 4}, {4, 8}, {4, 16}, {8, 16}}}
-}
-
-// E4 measures the inter-site control traffic of one full grid status read
+// e4 measures the inter-site control traffic of one full grid status read
 // under three schemes, all over the same proxies and tunnels:
 //
 //   - "site-compiled": the paper's distributed collection ("each proxy
@@ -44,20 +39,42 @@ func DefaultE4() E4Config {
 //   - "site-cached": the proxy's gossiped global view — a read costs
 //     zero control messages; the summaries arrived with the connects and
 //     keep arriving with gossip, whoever reads.
-func E4(cfg E4Config) ([]E4Row, error) {
-	var rows []E4Row
+func e4(cfg e4Config) (Table, error) {
+	t := Table{
+		Title:  "E4 — control traffic: site-compiled status vs per-node central polling vs the gossiped directory",
+		Claim:  "distributed per-site collection reduces control communication (O(sites) vs O(nodes)); reading the gossiped directory costs zero control messages",
+		Header: []string{"scheme", "sites", "nodes/site", "ctrl_msgs", "ctrl_bytes"},
+	}
+	var shapes [][3]e4Row
 	for _, shape := range cfg.Shapes {
 		sites, nodes := shape[0], shape[1]
-		pair, err := runE4Shape(sites, nodes)
+		rows, err := runE4Shape(sites, nodes)
 		if err != nil {
-			return nil, fmt.Errorf("e4 %dx%d: %w", sites, nodes, err)
+			return Table{}, fmt.Errorf("e4 %dx%d: %w", sites, nodes, err)
 		}
-		rows = append(rows, pair...)
+		shapes = append(shapes, rows)
+		for _, r := range rows {
+			t.Rows = append(t.Rows, []string{
+				r.Scheme, itoa(r.Sites), itoa(r.NodesPerSite), i64(r.ControlMsgs), i64(r.ControlBytes),
+			})
+		}
 	}
-	return rows, nil
+	// Per shape: distributed, central, cached. Central polling is at
+	// least one message per node; a warm cached read sends none.
+	t.Bars = []Bar{
+		check("rows", len(t.Rows), "==", 3*len(cfg.Shapes)),
+		check("shapes where site-compiled msgs < central-poll msgs", count(shapes, func(s [3]e4Row) bool {
+			return s[0].ControlMsgs < s[1].ControlMsgs
+		}), "==", len(shapes)),
+		check("shapes where central-poll msgs >= sites x nodes/site", count(shapes, func(s [3]e4Row) bool {
+			return s[1].ControlMsgs >= int64(s[1].Sites*s[1].NodesPerSite)
+		}), "==", len(shapes)),
+		check("site-cached msgs, max", most(shapes, func(s [3]e4Row) int64 { return s[2].ControlMsgs }), "==", 0),
+	}
+	return t, nil
 }
 
-func runE4Shape(sitesCount, nodesPerSite int) ([]E4Row, error) {
+func runE4Shape(sitesCount, nodesPerSite int) ([3]e4Row, error) {
 	reg := metrics.NewRegistry()
 	tbCfg := site.TestbedConfig{
 		GridName: "e4",
@@ -75,13 +92,13 @@ func runE4Shape(sitesCount, nodesPerSite int) ([]E4Row, error) {
 	}
 	tb, err := site.NewTestbed(tbCfg)
 	if err != nil {
-		return nil, err
+		return [3]e4Row{}, err
 	}
 	defer tb.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
 	if err := tb.ConnectAll(ctx); err != nil {
-		return nil, err
+		return [3]e4Row{}, err
 	}
 	origin := tb.Sites[0].Proxy
 
@@ -91,9 +108,9 @@ func runE4Shape(sitesCount, nodesPerSite int) ([]E4Row, error) {
 	// so the row measures the true per-request cost.
 	reg.Reset()
 	if _, err := origin.FreshStatus(ctx, nil); err != nil {
-		return nil, err
+		return [3]e4Row{}, err
 	}
-	distributed := E4Row{
+	distributed := e4Row{
 		Scheme:       "site-compiled",
 		Sites:        sitesCount,
 		NodesPerSite: nodesPerSite,
@@ -108,11 +125,11 @@ func runE4Shape(sitesCount, nodesPerSite int) ([]E4Row, error) {
 	for _, s := range tb.Sites[1:] {
 		for range s.Nodes {
 			if err := origin.PingPeer(ctx, s.Name); err != nil {
-				return nil, err
+				return [3]e4Row{}, err
 			}
 		}
 	}
-	central := E4Row{
+	central := e4Row{
 		Scheme:       "central-poll",
 		Sites:        sitesCount,
 		NodesPerSite: nodesPerSite,
@@ -125,29 +142,14 @@ func runE4Shape(sitesCount, nodesPerSite int) ([]E4Row, error) {
 	// entirely from local state.
 	reg.Reset()
 	if _, err := origin.Status(ctx, nil); err != nil {
-		return nil, err
+		return [3]e4Row{}, err
 	}
-	cached := E4Row{
+	cached := e4Row{
 		Scheme:       "site-cached",
 		Sites:        sitesCount,
 		NodesPerSite: nodesPerSite,
 		ControlMsgs:  reg.Counter(metrics.ControlMessages).Value(),
 		ControlBytes: reg.Counter(metrics.ControlBytes).Value(),
 	}
-	return []E4Row{distributed, central, cached}, nil
-}
-
-// E4Table renders E4 rows.
-func E4Table(rows []E4Row) Table {
-	t := Table{
-		Title:  "E4 — control traffic: site-compiled status vs per-node central polling vs the gossiped directory",
-		Claim:  "distributed per-site collection reduces control communication (O(sites) vs O(nodes)); reading the gossiped directory costs zero control messages",
-		Header: []string{"scheme", "sites", "nodes/site", "ctrl_msgs", "ctrl_bytes"},
-	}
-	for _, r := range rows {
-		t.Rows = append(t.Rows, []string{
-			r.Scheme, itoa(r.Sites), itoa(r.NodesPerSite), i64(r.ControlMsgs), i64(r.ControlBytes),
-		})
-	}
-	return t
+	return [3]e4Row{distributed, central, cached}, nil
 }

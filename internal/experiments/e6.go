@@ -4,51 +4,41 @@ import (
 	"gridproxy/internal/baseline"
 )
 
-// E6Row is one (architecture, grid shape) deployment-footprint row.
-type E6Row struct {
+// e6Row is one (architecture, grid shape) deployment-footprint row.
+type e6Row struct {
 	Arch         string
 	Sites        int
 	NodesPerSite int
 	Footprint    baseline.DeploymentFootprint
 }
 
-// E6Config parameterizes experiment E6.
-type E6Config struct {
+// e6Config parameterizes experiment E6.
+type e6Config struct {
 	Shapes [][2]int
 }
 
-// DefaultE6 returns the parameters used in EXPERIMENTS.md.
-func DefaultE6() E6Config {
-	return E6Config{Shapes: [][2]int{{2, 8}, {4, 16}, {8, 32}, {16, 64}}}
-}
-
-// E6 quantifies the paper's deployability claim: "The strong points of
+// e6 quantifies the paper's deployability claim: "The strong points of
 // the architecture are its transparency, simple use and low interference
 // in the installed base" and "apart from the MPI and the introduction of
 // a proxy server at the sites, the installation of an additional module
 // at the client is unnecessary". The proxy architecture installs one
 // module and one certificate per site; the per-node baseline needs one of
 // each on every node.
-func E6(cfg E6Config) []E6Row {
-	var rows []E6Row
-	for _, shape := range cfg.Shapes {
-		sites, nodes := shape[0], shape[1]
-		rows = append(rows,
-			E6Row{Arch: "proxy", Sites: sites, NodesPerSite: nodes,
-				Footprint: baseline.ProxyFootprint(sites, nodes)},
-			E6Row{Arch: "per-node", Sites: sites, NodesPerSite: nodes,
-				Footprint: baseline.BaselineFootprint(sites, nodes)},
-		)
-	}
-	return rows
-}
-
-// E6Table renders E6 rows.
-func E6Table(rows []E6Row) Table {
+func e6(cfg e6Config) (Table, error) {
 	t := Table{
 		Title:  "E6 — deployment footprint (installed modules, certificates, config touchpoints)",
 		Claim:  "low interference in the installed base: grid software only at site borders",
 		Header: []string{"arch", "sites", "nodes/site", "modules", "certs", "config_touchpoints"},
+	}
+	var rows []e6Row
+	for _, shape := range cfg.Shapes {
+		sites, nodes := shape[0], shape[1]
+		rows = append(rows,
+			e6Row{Arch: "proxy", Sites: sites, NodesPerSite: nodes,
+				Footprint: baseline.ProxyFootprint(sites, nodes)},
+			e6Row{Arch: "per-node", Sites: sites, NodesPerSite: nodes,
+				Footprint: baseline.BaselineFootprint(sites, nodes)},
+		)
 	}
 	for _, r := range rows {
 		t.Rows = append(t.Rows, []string{
@@ -58,5 +48,16 @@ func E6Table(rows []E6Row) Table {
 			itoa(r.Footprint.ConfigTouchpoints),
 		})
 	}
-	return t
+	// One module per site for the proxy, one per node for the baseline.
+	t.Bars = []Bar{
+		check("rows", len(rows), "==", 2*len(cfg.Shapes)),
+		check("rows with modules = sites (proxy) or sites x nodes/site (per-node)", count(rows, func(r e6Row) bool {
+			want := r.Sites
+			if r.Arch == "per-node" {
+				want *= r.NodesPerSite
+			}
+			return r.Footprint.ModulesInstalled == want
+		}), "==", len(rows)),
+	}
+	return t, nil
 }

@@ -3,14 +3,15 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"math"
 	"time"
 
 	"gridproxy/internal/core"
 	"gridproxy/internal/site"
 )
 
-// E7Row is one failure-containment measurement.
-type E7Row struct {
+// e7Row is one failure-containment measurement.
+type e7Row struct {
 	Sites        int
 	NodesPerSite int
 	// NodesBefore/After are the schedulable candidates seen by a
@@ -37,36 +38,52 @@ type E7Row struct {
 	RecoveredOK bool
 }
 
-// E7Config parameterizes experiment E7.
-type E7Config struct {
+// e7Config parameterizes experiment E7.
+type e7Config struct {
 	Shapes [][2]int
 }
 
-// DefaultE7 returns the parameters used in EXPERIMENTS.md.
-func DefaultE7() E7Config {
-	return E7Config{Shapes: [][2]int{{2, 4}, {3, 4}, {5, 4}}}
-}
-
-// E7 kills one site's proxy and measures what the rest of the grid loses,
+// e7 kills one site's proxy and measures what the rest of the grid loses,
 // then restarts the site and measures how long unattended recovery
 // takes. The paper: "This distributed control reduces the effect of
 // failures on a given site or proxy." Expected shape: the surviving
 // fraction of schedulable nodes equals (sites-1)/sites, new placements
 // keep succeeding, and after the restart the survivors' gossip rounds
 // re-dial the site and restore the full grid without operator action.
-func E7(cfg E7Config) ([]E7Row, error) {
-	var rows []E7Row
-	for _, shape := range cfg.Shapes {
-		row, err := runE7Shape(shape[0], shape[1])
-		if err != nil {
-			return nil, fmt.Errorf("e7 %dx%d: %w", shape[0], shape[1], err)
-		}
-		rows = append(rows, row)
+func e7(cfg e7Config) (Table, error) {
+	t := Table{
+		Title:  "E7 — failure containment: one proxy dies, then restarts",
+		Claim:  "distributed control limits a proxy failure to its own site's resources; gossip rounds re-dial the site and restore the grid unattended",
+		Header: []string{"sites", "nodes/site", "nodes_before", "nodes_after", "surviving_frac", "expected_frac", "detection", "placement_ok", "reconnect", "recovered_ok"},
 	}
-	return rows, nil
+	var rows []e7Row
+	for _, shape := range cfg.Shapes {
+		r, err := runE7Shape(shape[0], shape[1])
+		if err != nil {
+			return Table{}, fmt.Errorf("e7 %dx%d: %w", shape[0], shape[1], err)
+		}
+		rows = append(rows, r)
+		t.Rows = append(t.Rows, []string{
+			itoa(r.Sites), itoa(r.NodesPerSite), itoa(r.NodesBefore), itoa(r.NodesAfter),
+			f2(r.SurvivingFrac), f2(r.ExpectedFrac), dur(r.Detection), fmt.Sprintf("%v", r.PlacementOK),
+			dur(r.Reconnect), fmt.Sprintf("%v", r.RecoveredOK),
+		})
+	}
+	reconnect := func(r e7Row) time.Duration { return r.Reconnect }
+	t.Bars = []Bar{
+		check("|surviving_frac - expected_frac|, max", most(rows, func(r e7Row) float64 {
+			return math.Abs(r.SurvivingFrac - r.ExpectedFrac)
+		}), "<=", 0.01),
+		check("rows with placement_ok", count(rows, func(r e7Row) bool { return r.PlacementOK }), "==", len(rows)),
+		check("detection, max", most(rows, func(r e7Row) time.Duration { return r.Detection }), "<=", 10*time.Second),
+		check("rows with recovered_ok", count(rows, func(r e7Row) bool { return r.RecoveredOK }), "==", len(rows)),
+		check("reconnect, min", least(rows, reconnect), ">", 0),
+		check("reconnect, max", most(rows, reconnect), "<=", 30*time.Second),
+	}
+	return t, nil
 }
 
-func runE7Shape(sitesCount, nodesPerSite int) (E7Row, error) {
+func runE7Shape(sitesCount, nodesPerSite int) (e7Row, error) {
 	tbCfg := site.TestbedConfig{
 		GridName: "e7",
 		// The survivor reaches the restarted site again on a gossip
@@ -84,13 +101,13 @@ func runE7Shape(sitesCount, nodesPerSite int) (E7Row, error) {
 	}
 	tb, err := site.NewTestbed(tbCfg)
 	if err != nil {
-		return E7Row{}, err
+		return e7Row{}, err
 	}
 	defer tb.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
 	if err := tb.ConnectAll(ctx); err != nil {
-		return E7Row{}, err
+		return e7Row{}, err
 	}
 	survivor := tb.Sites[0].Proxy
 	before := len(survivor.Candidates())
@@ -135,7 +152,7 @@ func runE7Shape(sitesCount, nodesPerSite int) (E7Row, error) {
 		reconnect = time.Since(restart)
 	}
 
-	row := E7Row{
+	row := e7Row{
 		Sites:        sitesCount,
 		NodesPerSite: nodesPerSite,
 		NodesBefore:  before,
@@ -150,21 +167,4 @@ func runE7Shape(sitesCount, nodesPerSite int) (E7Row, error) {
 		row.SurvivingFrac = float64(after) / float64(before)
 	}
 	return row, nil
-}
-
-// E7Table renders E7 rows.
-func E7Table(rows []E7Row) Table {
-	t := Table{
-		Title:  "E7 — failure containment: one proxy dies, then restarts",
-		Claim:  "distributed control limits a proxy failure to its own site's resources; gossip rounds re-dial the site and restore the grid unattended",
-		Header: []string{"sites", "nodes/site", "nodes_before", "nodes_after", "surviving_frac", "expected_frac", "detection", "placement_ok", "reconnect", "recovered_ok"},
-	}
-	for _, r := range rows {
-		t.Rows = append(t.Rows, []string{
-			itoa(r.Sites), itoa(r.NodesPerSite), itoa(r.NodesBefore), itoa(r.NodesAfter),
-			f2(r.SurvivingFrac), f2(r.ExpectedFrac), dur(r.Detection), fmt.Sprintf("%v", r.PlacementOK),
-			dur(r.Reconnect), fmt.Sprintf("%v", r.RecoveredOK),
-		})
-	}
-	return t
 }

@@ -15,8 +15,8 @@ import (
 	"gridproxy/internal/tunnel"
 )
 
-// E8Row is one (scheme, concurrency) tunnel-multiplexing measurement.
-type E8Row struct {
+// e8Row is one (scheme, concurrency) tunnel-multiplexing measurement.
+type e8Row struct {
 	Scheme        string // "multiplexed" or "conn-per-stream"
 	Streams       int
 	BytesEach     int
@@ -25,38 +25,49 @@ type E8Row struct {
 	ThroughputMBs float64
 }
 
-// E8Config parameterizes experiment E8.
-type E8Config struct {
+// e8Config parameterizes experiment E8.
+type e8Config struct {
 	StreamCounts []int
 	BytesEach    int
 }
 
-// DefaultE8 returns the parameters used in EXPERIMENTS.md.
-func DefaultE8() E8Config {
-	return E8Config{StreamCounts: []int{1, 8, 32, 128}, BytesEach: 64 << 10}
-}
-
-// E8 compares the proxy's stream multiplexing — all inter-site traffic
+// e8 compares the proxy's stream multiplexing — all inter-site traffic
 // sharing ONE TLS connection per peer ("the proxy acts as a multiplexer
 // of the communication") — against opening a TLS connection per
 // application stream. Expected shape: the multiplexed tunnel performs a
 // constant number of handshakes regardless of concurrency, while
 // connection-per-stream handshakes scale linearly.
-func E8(cfg E8Config) ([]E8Row, error) {
-	var rows []E8Row
+func e8(cfg e8Config) (Table, error) {
+	t := Table{
+		Title:  "E8 — one multiplexed tunnel vs TLS connection per stream",
+		Claim:  "the proxy multiplexes all inter-site streams over one secured connection",
+		Header: []string{"scheme", "streams", "bytes_each", "handshakes", "duration", "MB/s"},
+	}
+	var muxes, pers []e8Row
 	for _, streams := range cfg.StreamCounts {
 		mux, err := runE8Mux(streams, cfg.BytesEach)
 		if err != nil {
-			return nil, fmt.Errorf("e8 mux %d: %w", streams, err)
+			return Table{}, fmt.Errorf("e8 mux %d: %w", streams, err)
 		}
-		rows = append(rows, mux)
 		per, err := runE8PerConn(streams, cfg.BytesEach)
 		if err != nil {
-			return nil, fmt.Errorf("e8 per-conn %d: %w", streams, err)
+			return Table{}, fmt.Errorf("e8 per-conn %d: %w", streams, err)
 		}
-		rows = append(rows, per)
+		muxes, pers = append(muxes, mux), append(pers, per)
+		for _, r := range []e8Row{mux, per} {
+			t.Rows = append(t.Rows, []string{
+				r.Scheme, itoa(r.Streams), itoa(r.BytesEach), i64(r.Handshakes), dur(r.Duration), f2(r.ThroughputMBs),
+			})
+		}
 	}
-	return rows, nil
+	// One handshake per side for the tunnel, whatever the concurrency;
+	// one per side per stream without it.
+	n := len(cfg.StreamCounts)
+	t.Bars = []Bar{
+		check("multiplexed runs with 2 handshakes", count(muxes, func(r e8Row) bool { return r.Handshakes == 2 }), "==", n),
+		check("conn-per-stream runs with 2 x streams handshakes", count(pers, func(r e8Row) bool { return r.Handshakes == int64(2*r.Streams) }), "==", n),
+	}
+	return t, nil
 }
 
 // e8Env is the shared TLS plumbing for both schemes.
@@ -101,10 +112,10 @@ func payloadOf(n int) ([]byte, error) {
 
 // runE8Mux pushes N concurrent streams through one tunnel session over a
 // single TLS connection.
-func runE8Mux(streams, bytesEach int) (E8Row, error) {
+func runE8Mux(streams, bytesEach int) (e8Row, error) {
 	env, err := newE8Env()
 	if err != nil {
-		return E8Row{}, err
+		return e8Row{}, err
 	}
 	defer env.mem.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
@@ -112,7 +123,7 @@ func runE8Mux(streams, bytesEach int) (E8Row, error) {
 
 	ln, err := env.peer.Listen("peer")
 	if err != nil {
-		return E8Row{}, err
+		return e8Row{}, err
 	}
 	defer ln.Close()
 	serverErr := make(chan error, 1)
@@ -143,14 +154,14 @@ func runE8Mux(streams, bytesEach int) (E8Row, error) {
 
 	conn, err := env.network.Dial(ctx, "peer")
 	if err != nil {
-		return E8Row{}, err
+		return e8Row{}, err
 	}
 	session := tunnel.Client(conn, tunnel.Config{Metrics: env.reg})
 	defer session.Close()
 
 	payload, err := payloadOf(bytesEach)
 	if err != nil {
-		return E8Row{}, err
+		return e8Row{}, err
 	}
 	start := time.Now()
 	var wg sync.WaitGroup
@@ -175,7 +186,7 @@ func runE8Mux(streams, bytesEach int) (E8Row, error) {
 	close(errs)
 	for err := range errs {
 		if err != nil {
-			return E8Row{}, err
+			return e8Row{}, err
 		}
 	}
 	// The session stays open until the server has drained every stream:
@@ -183,16 +194,16 @@ func runE8Mux(streams, bytesEach int) (E8Row, error) {
 	// before the acceptor has accepted, and closing under it fails the
 	// acceptor's session.
 	if err := <-serverErr; err != nil {
-		return E8Row{}, err
+		return e8Row{}, err
 	}
-	return e8Row("multiplexed", streams, bytesEach, env, time.Since(start)), nil
+	return measureE8(env, "multiplexed", streams, bytesEach, time.Since(start)), nil
 }
 
 // runE8PerConn opens one TLS connection per stream (no multiplexer).
-func runE8PerConn(streams, bytesEach int) (E8Row, error) {
+func runE8PerConn(streams, bytesEach int) (e8Row, error) {
 	env, err := newE8Env()
 	if err != nil {
-		return E8Row{}, err
+		return e8Row{}, err
 	}
 	defer env.mem.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
@@ -200,7 +211,7 @@ func runE8PerConn(streams, bytesEach int) (E8Row, error) {
 
 	ln, err := env.peer.Listen("peer")
 	if err != nil {
-		return E8Row{}, err
+		return e8Row{}, err
 	}
 	defer ln.Close()
 	var acceptWG sync.WaitGroup
@@ -223,7 +234,7 @@ func runE8PerConn(streams, bytesEach int) (E8Row, error) {
 
 	payload, err := payloadOf(bytesEach)
 	if err != nil {
-		return E8Row{}, err
+		return e8Row{}, err
 	}
 	start := time.Now()
 	var wg sync.WaitGroup
@@ -249,18 +260,18 @@ func runE8PerConn(streams, bytesEach int) (E8Row, error) {
 	close(errs)
 	for err := range errs {
 		if err != nil {
-			return E8Row{}, err
+			return e8Row{}, err
 		}
 	}
 	elapsed := time.Since(start)
 	_ = ln.Close()
 	acceptWG.Wait()
-	return e8Row("conn-per-stream", streams, bytesEach, env, elapsed), nil
+	return measureE8(env, "conn-per-stream", streams, bytesEach, elapsed), nil
 }
 
-func e8Row(scheme string, streams, bytesEach int, env *e8Env, elapsed time.Duration) E8Row {
+func measureE8(env *e8Env, scheme string, streams, bytesEach int, elapsed time.Duration) e8Row {
 	total := float64(streams*bytesEach) / (1 << 20)
-	return E8Row{
+	return e8Row{
 		Scheme:        scheme,
 		Streams:       streams,
 		BytesEach:     bytesEach,
@@ -268,19 +279,4 @@ func e8Row(scheme string, streams, bytesEach int, env *e8Env, elapsed time.Durat
 		Duration:      elapsed,
 		ThroughputMBs: total / elapsed.Seconds(),
 	}
-}
-
-// E8Table renders E8 rows.
-func E8Table(rows []E8Row) Table {
-	t := Table{
-		Title:  "E8 — one multiplexed tunnel vs TLS connection per stream",
-		Claim:  "the proxy multiplexes all inter-site streams over one secured connection",
-		Header: []string{"scheme", "streams", "bytes_each", "handshakes", "duration", "MB/s"},
-	}
-	for _, r := range rows {
-		t.Rows = append(t.Rows, []string{
-			r.Scheme, itoa(r.Streams), itoa(r.BytesEach), i64(r.Handshakes), dur(r.Duration), f2(r.ThroughputMBs),
-		})
-	}
-	return t
 }

@@ -11,9 +11,9 @@ import (
 	"gridproxy/internal/site"
 )
 
-// E9Row is one job-survival measurement: a multi-site MPI launch whose
+// e9Row is one job-survival measurement: a multi-site MPI launch whose
 // hosting site is killed mid-run.
-type E9Row struct {
+type e9Row struct {
 	Sites        int
 	NodesPerSite int
 	Procs        int
@@ -29,8 +29,8 @@ type E9Row struct {
 	Survived bool
 }
 
-// E9Config parameterizes experiment E9.
-type E9Config struct {
+// e9Config parameterizes experiment E9.
+type e9Config struct {
 	// Shapes are (sites, nodes per site, procs) triples.
 	Shapes [][3]int
 	// Work is how long each rank computes; it must comfortably exceed
@@ -38,33 +38,44 @@ type E9Config struct {
 	Work time.Duration
 }
 
-// DefaultE9 returns the parameters used in EXPERIMENTS.md.
-func DefaultE9() E9Config {
-	return E9Config{
-		Shapes: [][3]int{{3, 2, 6}, {4, 2, 8}, {5, 2, 10}},
-		Work:   1500 * time.Millisecond,
-	}
-}
-
-// E9 launches a grid-wide MPI application, kills one hosting site's
+// e9 launches a grid-wide MPI application, kills one hosting site's
 // proxy mid-run, and measures whether the job survives: the origin must
 // consult the scheduler for replacement placements and respawn the lost
 // ranks on the survivors (restart-from-scratch for those ranks), within
 // the retry budget. This closes the loop E7 opened — there the *link*
 // recovered in tens of milliseconds; here the *job* riding on it does.
-func E9(cfg E9Config) ([]E9Row, error) {
-	var rows []E9Row
-	for _, shape := range cfg.Shapes {
-		row, err := runE9Shape(shape[0], shape[1], shape[2], cfg.Work)
-		if err != nil {
-			return nil, fmt.Errorf("e9 %dx%dx%d: %w", shape[0], shape[1], shape[2], err)
-		}
-		rows = append(rows, row)
+func e9(cfg e9Config) (Table, error) {
+	t := Table{
+		Title:  "E9 — job survival: one hosting site dies mid-run",
+		Claim:  "the origin proxy reschedules the lost ranks onto survivors and the application completes",
+		Header: []string{"sites", "nodes/site", "procs", "ranks_lost", "reschedules", "time_to_resched", "job_runtime", "survived"},
 	}
-	return rows, nil
+	var rows []e9Row
+	for _, shape := range cfg.Shapes {
+		r, err := runE9Shape(shape[0], shape[1], shape[2], cfg.Work)
+		if err != nil {
+			return Table{}, fmt.Errorf("e9 %dx%dx%d: %w", shape[0], shape[1], shape[2], err)
+		}
+		rows = append(rows, r)
+		t.Rows = append(t.Rows, []string{
+			itoa(r.Sites), itoa(r.NodesPerSite), itoa(r.Procs), itoa(r.RanksLost),
+			itoa(r.Reschedules), dur(r.TimeToReschedule), dur(r.JobRuntime),
+			fmt.Sprintf("%v", r.Survived),
+		})
+	}
+	// Recovery must be control-plane fast, far below the rank runtime.
+	resched := func(r e9Row) time.Duration { return r.TimeToReschedule }
+	t.Bars = []Bar{
+		check("ranks_lost, min", least(rows, func(r e9Row) int { return r.RanksLost }), ">=", 1),
+		check("rows with survived", count(rows, func(r e9Row) bool { return r.Survived }), "==", len(rows)),
+		check("reschedules, min", least(rows, func(r e9Row) int { return r.Reschedules }), ">=", 1),
+		check("time_to_resched, min", least(rows, resched), ">", 0),
+		check("time_to_resched, max", most(rows, resched), "<=", 10*time.Second),
+	}
+	return t, nil
 }
 
-func runE9Shape(sitesCount, nodesPerSite, procs int, work time.Duration) (E9Row, error) {
+func runE9Shape(sitesCount, nodesPerSite, procs int, work time.Duration) (e9Row, error) {
 	reg := metrics.NewRegistry()
 	tbCfg := site.TestbedConfig{
 		GridName: "e9",
@@ -78,13 +89,13 @@ func runE9Shape(sitesCount, nodesPerSite, procs int, work time.Duration) (E9Row,
 	}
 	tb, err := site.NewTestbed(tbCfg)
 	if err != nil {
-		return E9Row{}, err
+		return e9Row{}, err
 	}
 	defer tb.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
 	if err := tb.ConnectAll(ctx); err != nil {
-		return E9Row{}, err
+		return e9Row{}, err
 	}
 
 	// Each rank computes for `work`, or aborts when killed.
@@ -103,7 +114,7 @@ func runE9Shape(sitesCount, nodesPerSite, procs int, work time.Duration) (E9Row,
 		Owner: "admin", Program: "e9work", Procs: procs,
 	})
 	if err != nil {
-		return E9Row{}, err
+		return e9Row{}, err
 	}
 
 	// Kill the non-origin site hosting the most ranks, mid-run.
@@ -117,7 +128,7 @@ func runE9Shape(sitesCount, nodesPerSite, procs int, work time.Duration) (E9Row,
 			victim, lost = s, n
 		}
 	}
-	row := E9Row{Sites: sitesCount, NodesPerSite: nodesPerSite, Procs: procs, RanksLost: lost}
+	row := e9Row{Sites: sitesCount, NodesPerSite: nodesPerSite, Procs: procs, RanksLost: lost}
 	if victim == "" {
 		// Placement kept everything local: nothing to kill, job trivially
 		// survives.
@@ -148,21 +159,4 @@ func runE9Shape(sitesCount, nodesPerSite, procs int, work time.Duration) (E9Row,
 	row.JobRuntime = time.Since(started)
 	row.Reschedules = int(reg.Counter(metrics.JobReschedules).Value())
 	return row, nil
-}
-
-// E9Table renders E9 rows.
-func E9Table(rows []E9Row) Table {
-	t := Table{
-		Title:  "E9 — job survival: one hosting site dies mid-run",
-		Claim:  "the origin proxy reschedules the lost ranks onto survivors and the application completes",
-		Header: []string{"sites", "nodes/site", "procs", "ranks_lost", "reschedules", "time_to_resched", "job_runtime", "survived"},
-	}
-	for _, r := range rows {
-		t.Rows = append(t.Rows, []string{
-			itoa(r.Sites), itoa(r.NodesPerSite), itoa(r.Procs), itoa(r.RanksLost),
-			itoa(r.Reschedules), dur(r.TimeToReschedule), dur(r.JobRuntime),
-			fmt.Sprintf("%v", r.Survived),
-		})
-	}
-	return t
 }

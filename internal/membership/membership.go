@@ -16,7 +16,7 @@
 //     numbered past its own (direct contact revives and re-stamps a site)
 //     it catches up with, so its next summary outranks every copy.
 //   - Changed entries become "hot" and are pushed to sampled peers for a
-//     retransmit budget of RetransmitFactor·⌈log₂N⌉ rounds, which is what
+//     retransmit budget of retransmitFactor·⌈log₂N⌉ rounds, which is what
 //     gives rumors O(log N) convergence.
 //   - A slow push-pull anti-entropy (a digest of the full directory, the
 //     peer answering with everything it knows better) repairs anything
@@ -41,6 +41,26 @@ import (
 	"gridproxy/internal/logging"
 	"gridproxy/internal/metrics"
 	"gridproxy/internal/proto"
+)
+
+// The dissemination constants.
+const (
+	// pushLimit caps the hot entries carried by one GossipSync.
+	pushLimit = 128
+	// retransmitFactor scales the per-change retransmit budget of
+	// retransmitFactor·⌈log₂N⌉ hot pushes.
+	retransmitFactor = 3
+	// antiEntropyFactor sets the per-round probability of a full-digest
+	// push-pull exchange to antiEntropyFactor/N, keeping the amortized
+	// anti-entropy traffic per proxy flat as the grid grows.
+	antiEntropyFactor = 1.0
+	// bootstrapDigests is how many first-contact exchanges carry a full
+	// digest unconditionally (the bootstrap pull). After the budget is
+	// spent only the antiEntropyFactor/N lottery triggers digests: without
+	// a budget, every first contact in a 1000-site grid would carry an
+	// O(N) digest until the random mesh saturates, and steady-state
+	// traffic would stop being flat in N.
+	bootstrapDigests = 3
 )
 
 // State is a directory entry's liveness state.
@@ -141,19 +161,6 @@ type Config struct {
 	// alive at incarnation 1.
 	Site string
 	Addr string
-	// Fanout is how many peers Sample returns per gossip round.
-	// Default 3.
-	Fanout int
-	// PushLimit caps the hot entries carried by one GossipSync.
-	// Default 128.
-	PushLimit int
-	// RetransmitFactor scales the per-change retransmit budget of
-	// RetransmitFactor·⌈log₂N⌉ hot pushes. Default 3.
-	RetransmitFactor int
-	// AntiEntropyFactor sets the per-round probability of a full-digest
-	// push-pull exchange to AntiEntropyFactor/N, keeping the amortized
-	// anti-entropy traffic per proxy flat as the grid grows. Default 1.
-	AntiEntropyFactor float64
 	// SuspectAfter is how long an alive entry may go unheard-from before
 	// the sweep marks it suspect. Default 60s.
 	SuspectAfter time.Duration
@@ -163,13 +170,6 @@ type Config struct {
 	// DeadRetention is how long a dead entry is remembered (so the death
 	// rumor keeps spreading) before it is pruned. Default 5m.
 	DeadRetention time.Duration
-	// BootstrapDigests is how many first-contact exchanges carry a full
-	// digest unconditionally (the bootstrap pull). After the budget is
-	// spent only the AntiEntropyFactor/N lottery triggers digests: without
-	// a budget, every first contact in a 1000-site grid would carry an
-	// O(N) digest until the random mesh saturates, and steady-state
-	// traffic would stop being flat in N. Default 3.
-	BootstrapDigests int
 	// VouchWindow is how recently the local proxy must have heard from a
 	// site to vouch for it against an incoming suspect/dead rumor:
 	// instead of adopting the rumor, the entry is revived past the
@@ -198,18 +198,6 @@ type Config struct {
 
 // withDefaults fills zero fields.
 func (c Config) withDefaults() Config {
-	if c.Fanout <= 0 {
-		c.Fanout = 3
-	}
-	if c.PushLimit <= 0 {
-		c.PushLimit = 128
-	}
-	if c.RetransmitFactor <= 0 {
-		c.RetransmitFactor = 3
-	}
-	if c.AntiEntropyFactor <= 0 {
-		c.AntiEntropyFactor = 1
-	}
 	if c.SuspectAfter <= 0 {
 		c.SuspectAfter = 60 * time.Second
 	}
@@ -218,9 +206,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.DeadRetention <= 0 {
 		c.DeadRetention = 5 * time.Minute
-	}
-	if c.BootstrapDigests <= 0 {
-		c.BootstrapDigests = 3
 	}
 	if c.VouchWindow == 0 {
 		c.VouchWindow = c.SuspectAfter / 2
@@ -284,7 +269,7 @@ func New(cfg Config) *Directory {
 	return d
 }
 
-// markHotLocked gives e a fresh retransmit budget of RetransmitFactor·⌈log₂N⌉.
+// markHotLocked gives e a fresh retransmit budget of retransmitFactor·⌈log₂N⌉.
 // An unmet seed has nothing to spread and stays cold. Callers hold d.mu.
 func (d *Directory) markHotLocked(e *entry) {
 	if e.unmet() {
@@ -294,7 +279,7 @@ func (d *Directory) markHotLocked(e *entry) {
 	if n < 2 {
 		n = 2
 	}
-	e.retransmit = d.cfg.RetransmitFactor * int(math.Ceil(math.Log2(float64(n))))
+	e.retransmit = retransmitFactor * int(math.Ceil(math.Log2(float64(n))))
 }
 
 // setStateLocked moves e between states, maintaining gauge counts and
@@ -433,7 +418,7 @@ func (d *Directory) Sample(k int) []Entry {
 }
 
 // WantAntiEntropy reports whether this round should carry a full digest.
-// The probability is AntiEntropyFactor/N, so the amortized anti-entropy
+// The probability is antiEntropyFactor/N, so the amortized anti-entropy
 // cost per proxy stays flat as the grid grows.
 func (d *Directory) WantAntiEntropy() bool {
 	d.mu.Lock()
@@ -442,7 +427,7 @@ func (d *Directory) WantAntiEntropy() bool {
 	if n <= 1 {
 		return true
 	}
-	p := d.cfg.AntiEntropyFactor / float64(n)
+	p := antiEntropyFactor / float64(n)
 	if p > 1 {
 		p = 1
 	}
@@ -451,13 +436,13 @@ func (d *Directory) WantAntiEntropy() bool {
 
 // ShouldDigest reports whether a sync to peer should carry a full
 // directory digest. Two triggers: a never-before-contacted peer while
-// the BootstrapDigests budget lasts — the bootstrap pull that lets a
+// the bootstrapDigests budget lasts — the bootstrap pull that lets a
 // fresh proxy learn the whole grid from its single configured peer in
 // one round — and the WantAntiEntropy lottery that repairs anything
 // rumor-mongering missed.
 func (d *Directory) ShouldDigest(peer string) bool {
 	d.mu.Lock()
-	if !d.introduced[peer] && len(d.introduced) < d.cfg.BootstrapDigests {
+	if !d.introduced[peer] && len(d.introduced) < bootstrapDigests {
 		d.introduced[peer] = true
 		d.mu.Unlock()
 		return true
@@ -497,7 +482,7 @@ func (d *Directory) PendingRumors() int {
 	return n
 }
 
-// HotPush returns up to PushLimit hot entries in wire form, decrementing
+// HotPush returns up to pushLimit hot entries in wire form, decrementing
 // their retransmit budgets.
 func (d *Directory) HotPush() []proto.GossipEntry {
 	d.mu.Lock()
@@ -513,7 +498,7 @@ func (d *Directory) HotPush() []proto.GossipEntry {
 	}
 	sort.Strings(sites)
 	for _, site := range sites {
-		if len(out) >= d.cfg.PushLimit {
+		if len(out) >= pushLimit {
 			break
 		}
 		e := d.entries[site]

@@ -34,70 +34,36 @@ import (
 // only modelled state is the job ledger (which ranks run where, at what
 // epoch) — exactly the state the fencing protocol exists to protect.
 
+// ChaosGrid's scenario constants. The suspicion timeouts are four
+// rounds each, and HealthMax and DeadRetention differ from production's
+// on purpose: E12's bars are measured on these values.
+const (
+	// probeFanout is how many confirmers are asked before a failed
+	// exchange escalates to suspicion.
+	probeFanout = 2
+	// summaryEvery republishes every site's local summary each this many
+	// rounds. Republish is what keeps heardAt fresh across the grid in
+	// production; without it every entry eventually goes stale and the
+	// suspicion sweep convicts healthy sites.
+	summaryEvery      = 3
+	chaosSuspectAfter = 4 * roundEvery
+	chaosDeadAfter    = 4 * roundEvery
+	// chaosDeadRetention keeps dead entries around for resurrection
+	// probes: longer than any scenario.
+	chaosDeadRetention = time.Hour
+	// chaosHealthMax caps the Lifeguard local-health score.
+	chaosHealthMax = 4
+	// chaosRanks is the simulated job's world size, assigned across
+	// sites 1..Sites-1 from origin site 0.
+	chaosRanks = 16
+)
+
 // ChaosGridConfig parameterizes a simulated partition scenario.
 type ChaosGridConfig struct {
 	// Sites is the grid size N (minimum 3: prober, target, confirmer).
 	Sites int
-	// Fanout is gossip targets per round (default 3, as in core).
-	Fanout int
-	// ProbeFanout is how many confirmers are asked before a failed
-	// exchange escalates to suspicion (default 2; negative escalates
-	// immediately, the pre-probe behaviour).
-	ProbeFanout int
-	// SummaryEvery republishes every site's local summary each this many
-	// rounds (default 3). Republish is what keeps heardAt fresh across
-	// the grid in production; without it every entry eventually goes
-	// stale and the suspicion sweep convicts healthy sites.
-	SummaryEvery int
-	// RoundEvery is the logical time one round advances (default 1s).
-	RoundEvery time.Duration
-	// SuspectAfter/DeadAfter drive the failure-detection sweep (defaults
-	// 4 and 4 rounds' worth); DeadRetention keeps dead entries around
-	// for resurrection probes (default 1h — longer than any scenario).
-	SuspectAfter  time.Duration
-	DeadAfter     time.Duration
-	DeadRetention time.Duration
-	// HealthMax caps the Lifeguard local-health score (default 4).
-	HealthMax int
-	// Ranks is the simulated job's world size (default 16), assigned
-	// round-robin across sites 1..Sites-1 from origin site 0.
-	Ranks int
 	// Seed makes the run reproducible; 0 is replaced by 1.
 	Seed int64
-}
-
-func (c ChaosGridConfig) withDefaults() ChaosGridConfig {
-	if c.Fanout <= 0 {
-		c.Fanout = 3
-	}
-	if c.ProbeFanout == 0 {
-		c.ProbeFanout = 2
-	}
-	if c.SummaryEvery <= 0 {
-		c.SummaryEvery = 3
-	}
-	if c.RoundEvery <= 0 {
-		c.RoundEvery = time.Second
-	}
-	if c.SuspectAfter <= 0 {
-		c.SuspectAfter = 4 * c.RoundEvery
-	}
-	if c.DeadAfter <= 0 {
-		c.DeadAfter = 4 * c.RoundEvery
-	}
-	if c.DeadRetention <= 0 {
-		c.DeadRetention = time.Hour
-	}
-	if c.HealthMax <= 0 {
-		c.HealthMax = 4
-	}
-	if c.Ranks <= 0 {
-		c.Ranks = 16
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	return c
 }
 
 // chaosFence is the simulator's pendingFence: site must kill its copies
@@ -150,7 +116,9 @@ type ChaosGrid struct {
 // not initial dissemination — E12 still waits for summary convergence
 // before injecting faults).
 func NewChaosGrid(cfg ChaosGridConfig) (*ChaosGrid, error) {
-	cfg = cfg.withDefaults()
+	if cfg.Seed == 0 {
+		cfg.Seed = 1
+	}
 	if cfg.Sites < 3 {
 		return nil, fmt.Errorf("sim: chaos grid needs at least 3 sites, got %d", cfg.Sites)
 	}
@@ -171,11 +139,10 @@ func NewChaosGrid(cfg ChaosGridConfig) (*ChaosGrid, error) {
 		d := membership.New(membership.Config{
 			Site:          g.names[i],
 			Addr:          "wan." + g.names[i],
-			Fanout:        cfg.Fanout,
-			SuspectAfter:  cfg.SuspectAfter,
-			DeadAfter:     cfg.DeadAfter,
-			DeadRetention: cfg.DeadRetention,
-			HealthMax:     cfg.HealthMax,
+			SuspectAfter:  chaosSuspectAfter,
+			DeadAfter:     chaosDeadAfter,
+			DeadRetention: chaosDeadRetention,
+			HealthMax:     chaosHealthMax,
 			Seed:          cfg.Seed*131 + int64(i) + 1,
 			Now:           func() time.Time { return g.clock },
 		})
@@ -187,12 +154,12 @@ func NewChaosGrid(cfg ChaosGridConfig) (*ChaosGrid, error) {
 		}
 		g.dirs = append(g.dirs, d)
 	}
-	// Job: Ranks ranks spaced evenly across the non-origin sites (so a
+	// Job: chaosRanks ranks spaced evenly across the non-origin sites (so a
 	// partition of any contiguous site range strands some of them),
 	// epoch 1 — the initial two-phase launch, before any faults.
 	g.epoch = 1
-	for r := 0; r < cfg.Ranks; r++ {
-		site := 1 + r*(cfg.Sites-1)/cfg.Ranks
+	for r := 0; r < chaosRanks; r++ {
+		site := 1 + r*(cfg.Sites-1)/chaosRanks
 		g.assign = append(g.assign, site)
 		g.copies = append(g.copies, map[int]uint64{site: 1})
 	}
@@ -232,12 +199,12 @@ func (g *ChaosGrid) summaryFor(i int) proto.SiteStatus {
 // account Dead transitions. Deterministic given the seed.
 func (g *ChaosGrid) Step() {
 	g.round++
-	g.clock = g.clock.Add(g.cfg.RoundEvery)
+	g.clock = g.clock.Add(roundEvery)
 	g.chaos.AdvanceTo(g.round)
 	g.noteCuts()
 	g.originControl()
 	g.deliverFences()
-	republish := g.round%g.cfg.SummaryEvery == 0
+	republish := g.round%summaryEvery == 0
 	for i, d := range g.dirs {
 		if republish {
 			d.SetLocalSummary(g.summaryFor(i))
@@ -268,7 +235,7 @@ func (g *ChaosGrid) noteCuts() {
 func (g *ChaosGrid) siteRound(i int) {
 	d := g.dirs[i]
 	d.Sweep()
-	targets := d.Sample(g.cfg.Fanout)
+	targets := d.Sample(gossipFanout)
 	push := d.HotPush()
 	for _, t := range targets {
 		j := g.index[t.Site]
@@ -324,14 +291,11 @@ func (g *ChaosGrid) exchange(i, j int, push []proto.GossipEntry, digest bool) {
 }
 
 // confirmUnreachable emulates (*Proxy).confirmUnreachable: ask up to
-// ProbeFanout confirmers; true means nobody reached the target and
+// probeFanout confirmers; true means nobody reached the target and
 // suspicion is warranted. A confirmation needs both the prober→confirmer
 // exchange and the confirmer→target probe to succeed.
 func (g *ChaosGrid) confirmUnreachable(i, j int) bool {
-	if g.cfg.ProbeFanout < 0 {
-		return true
-	}
-	confirmers := g.dirs[i].Confirmers(g.names[j], g.cfg.ProbeFanout)
+	confirmers := g.dirs[i].Confirmers(g.names[j], probeFanout)
 	if len(confirmers) == 0 {
 		return true
 	}

@@ -20,59 +20,42 @@ import (
 // every site starts knowing only site 0, and must learn the other N-1
 // sites (addresses, liveness, status summaries) purely through gossip.
 
+// The gossip simulators' constants. Fanout is core's; a round is one
+// logical second.
+const (
+	gossipFanout = 3
+	roundEvery   = time.Second
+)
+
+// gossipSuspectAfter is the suspicion timeout of GossipGrid's sweep: an
+// hour, effectively off, because this simulator studies dissemination of
+// one status snapshot (nothing republishes summaries, so production's
+// summary-refresh heartbeat that keeps entries fresh is absent;
+// membership's own tests exercise the suspicion state machine).
+const gossipSuspectAfter = time.Hour
+
 // GossipGridConfig parameterizes a simulated gossip control plane.
 type GossipGridConfig struct {
 	// Sites is the grid size N (minimum 2).
 	Sites int
-	// Fanout is gossip targets per round. Default 3, as in core.
-	Fanout int
-	// PushLimit, RetransmitFactor, AntiEntropyFactor and
-	// BootstrapDigests pass through to membership.Config; zero values
-	// take the membership defaults.
-	PushLimit         int
-	RetransmitFactor  int
-	AntiEntropyFactor float64
-	BootstrapDigests  int
 	// Seed makes runs reproducible; 0 lets each directory derive its
 	// seed from its site name (also deterministic).
 	Seed int64
-	// RoundEvery is the logical time one round advances. Default 1s.
-	RoundEvery time.Duration
-	// SuspectAfter passes through to the failure-detection sweep. The
-	// default here is 1h — effectively off, because this simulator
-	// studies dissemination of one status snapshot (nothing republishes
-	// summaries, so production's summary-refresh heartbeat that keeps
-	// entries fresh is absent; membership's own tests exercise the
-	// suspicion state machine).
-	SuspectAfter time.Duration
-	// DeadAfter passes through to the sweep as well: since death rumors
+	// DeadAfter passes through to the sweep: since death rumors
 	// demote to locally-timed suspicion (membership §17 demotion), each
 	// directory convicts a rumored-dead site only after its own
 	// DeadAfter clock runs out. Defaults to the membership default.
 	DeadAfter time.Duration
 	// VouchWindow passes through to the vouching override (zero takes
 	// the membership default of SuspectAfter/2, negative disables). Note
-	// the interaction with this simulator's 1h SuspectAfter default: the
-	// derived window is 30 logical minutes, and every site here exchanges
-	// with a large fraction of the grid every few rounds, so essentially
+	// the interaction with this simulator's 1h SuspectAfter: the derived
+	// window is 30 logical minutes, and every site here exchanges with a
+	// large fraction of the grid every few rounds, so essentially
 	// everyone holds recent direct contact with any given site and a
 	// death rumor is vouched back down grid-wide for the whole window.
 	// Dissemination tests disable vouching outright (membership's own
 	// tests exercise the vouch machinery).
 	VouchWindow time.Duration
-}
-
-func (c GossipGridConfig) withDefaults() GossipGridConfig {
-	if c.Fanout <= 0 {
-		c.Fanout = 3
-	}
-	if c.RoundEvery <= 0 {
-		c.RoundEvery = time.Second
-	}
-	if c.SuspectAfter <= 0 {
-		c.SuspectAfter = time.Hour
-	}
-	return c
 }
 
 // GossipRoundStats summarizes one simulated round across all proxies.
@@ -111,7 +94,6 @@ type GossipGrid struct {
 // directory holds itself (with a fresh status summary) and the single
 // bootstrap peer, site 0.
 func NewGossipGrid(cfg GossipGridConfig) (*GossipGrid, error) {
-	cfg = cfg.withDefaults()
 	if cfg.Sites < 2 {
 		return nil, fmt.Errorf("sim: gossip grid needs at least 2 sites, got %d", cfg.Sites)
 	}
@@ -135,18 +117,13 @@ func NewGossipGrid(cfg GossipGridConfig) (*GossipGrid, error) {
 			seed = seed*131 + int64(i) + 1
 		}
 		d := membership.New(membership.Config{
-			Site:              g.names[i],
-			Addr:              g.addrs[i],
-			Fanout:            cfg.Fanout,
-			PushLimit:         cfg.PushLimit,
-			RetransmitFactor:  cfg.RetransmitFactor,
-			AntiEntropyFactor: cfg.AntiEntropyFactor,
-			BootstrapDigests:  cfg.BootstrapDigests,
-			SuspectAfter:      cfg.SuspectAfter,
-			DeadAfter:         cfg.DeadAfter,
-			VouchWindow:       cfg.VouchWindow,
-			Seed:              seed,
-			Now:               func() time.Time { return g.clock },
+			Site:         g.names[i],
+			Addr:         g.addrs[i],
+			SuspectAfter: gossipSuspectAfter,
+			DeadAfter:    cfg.DeadAfter,
+			VouchWindow:  cfg.VouchWindow,
+			Seed:         seed,
+			Now:          func() time.Time { return g.clock },
 		})
 		d.SetLocalSummary(proto.SiteStatus{
 			Site:          g.names[i],
@@ -192,20 +169,20 @@ func (g *GossipGrid) PendingRumors() int {
 
 // Step advances the logical clock and runs one gossip round for every
 // site, mirroring core.(*Proxy).gossipRound / handleGossipSync exactly:
-// sweep, sample Fanout targets, push one HotPush batch at each (with a
+// sweep, sample gossipFanout targets, push one HotPush batch at each (with a
 // digest when membership.ShouldDigest says so), and merge the pulled
 // delta. Sites run sequentially in index order — deterministic given
 // the seeds.
 func (g *GossipGrid) Step() GossipRoundStats {
 	g.round++
-	g.clock = g.clock.Add(g.cfg.RoundEvery)
+	g.clock = g.clock.Add(roundEvery)
 	st := GossipRoundStats{Round: g.round}
 	for i, d := range g.dirs {
 		if g.stopped[i] {
 			continue
 		}
 		d.Sweep()
-		targets := d.Sample(g.cfg.Fanout)
+		targets := d.Sample(gossipFanout)
 		if len(targets) == 0 {
 			continue
 		}
@@ -277,7 +254,7 @@ func (g *GossipGrid) Converged() int { return g.nConverged }
 // carrying its local summary. The same real encodings (and each site's
 // actual summary) are used, so the comparison is honest — and the
 // baseline pays this O(N) cost per proxy on every refresh, over N-1
-// standing tunnels, where gossip's steady rounds cost O(Fanout).
+// standing tunnels, where gossip's steady rounds cost O(gossipFanout).
 func (g *GossipGrid) AllPairsRefresh() (bytes, msgs int64) {
 	query := int64(len((&proto.StatusQuery{}).Encode(nil)))
 	for j, d := range g.dirs {
