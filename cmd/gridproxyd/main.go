@@ -26,11 +26,10 @@
 //	nodes       = 4                 # hosted node agents on this proxy host
 //	node_speed  = 1.0
 //
-// Control-plane timing knobs (all optional; see internal/peerlink defaults):
+// Control-plane timing knob (optional; see internal/peerlink defaults):
 //
 //	rpc_timeout       = 10s         # deadline of one control RPC, and of one
 //	                                 # whole connect (dial, TLS, Hello)
-//	hello_timeout     = 10s         # inbound session identification deadline
 //
 // Membership/gossip knobs (all optional; see core.GossipConfig
 // defaults). With gossip on, `peers` only needs ONE bootstrap entry: the
@@ -53,9 +52,6 @@
 //	                                 # (negative disables)
 //	reschedule_budget = 2           # site deaths survived per job before
 //	                                 # the launch fails (negative disables)
-//	fence_retry       = 2s          # redelivery cadence for split-brain
-//	                                 # fences to sites still unreachable
-//	                                 # (negative disables the deliverer)
 //
 // Data-plane knobs (all optional; see internal/stage defaults):
 //
@@ -279,19 +275,12 @@ func run(args []string) error {
 	return nil
 }
 
-// lifecycleFromConfig reads the control-plane timing knobs. Absent keys
-// stay zero so peerlink's defaults apply; a negative rpc_timeout disables
-// the default deadline.
+// lifecycleFromConfig reads the control-plane timing knob. An absent key
+// stays zero so peerlink's default applies; a negative rpc_timeout
+// disables the default deadline.
 func lifecycleFromConfig(cfg *config.Config) (peerlink.Config, error) {
-	var lc peerlink.Config
-	var err error
-	if lc.RPCTimeout, err = cfg.Duration("rpc_timeout", 0); err != nil {
-		return lc, err
-	}
-	if lc.HelloTimeout, err = cfg.Duration("hello_timeout", 0); err != nil {
-		return lc, err
-	}
-	return lc, nil
+	rpcTimeout, err := cfg.Duration("rpc_timeout", 0)
+	return peerlink.Config{RPCTimeout: rpcTimeout}, err
 }
 
 // gossipFromConfig reads the membership-gossip knobs. Absent keys stay
@@ -343,9 +332,6 @@ func jobsFromConfig(cfg *config.Config) (core.JobConfig, error) {
 		return jc, err
 	}
 	if jc.RescheduleBudget, err = cfg.Int("reschedule_budget", 0); err != nil {
-		return jc, err
-	}
-	if jc.FenceRetry, err = cfg.Duration("fence_retry", 0); err != nil {
 		return jc, err
 	}
 	return jc, nil

@@ -102,15 +102,18 @@ func sortedKeys(m map[string]bool) []string {
 	return out
 }
 
-// TestUnknownKeyIsRefused: a key the daemon does not read (here one this
+// TestUnknownKeyIsRefused: a key the daemon does not read (here ones this
 // daemon used to read) stops it, named, before it loads a certificate.
 func TestUnknownKeyIsRefused(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "site.conf")
-	if err := os.WriteFile(path, []byte("site = sitea\nmax_tunnels = 8\n"), 0o600); err != nil {
-		t.Fatal(err)
-	}
-	err := run([]string{"-config", path})
-	if err == nil || !strings.Contains(err.Error(), "max_tunnels") {
-		t.Fatalf("run = %v, want max_tunnels refused by name", err)
+	for _, line := range []string{"max_tunnels = 8", "fence_retry = 2s", "hello_timeout = 10s"} {
+		key := strings.Fields(line)[0]
+		path := filepath.Join(t.TempDir(), "site.conf")
+		if err := os.WriteFile(path, []byte("site = sitea\n"+line+"\n"), 0o600); err != nil {
+			t.Fatal(err)
+		}
+		err := run([]string{"-config", path})
+		if err == nil || !strings.Contains(err.Error(), key) {
+			t.Errorf("run = %v, want %s refused by name", err, key)
+		}
 	}
 }

@@ -272,7 +272,7 @@ func (p *Proxy) forwardToSite(conn net.Conn, appID string, loc rankLoc, rank int
 	// exists its lifetime is the splice's problem, not the cache's.
 	defer p.releasePeer(pr)
 	open := &proto.StreamOpen{AppID: appID, Rank: uint32(rank), Kind: proto.StreamMPI}
-	stream, err := pr.session.Open(p.ctx, open.Encode(nil))
+	stream, err := pr.session.Open(p.ctx, proto.Append(nil, open))
 	if err != nil {
 		return fmt.Errorf("core: open tunnel stream to %s: %w", loc.site, err)
 	}
@@ -287,7 +287,7 @@ func (p *Proxy) forwardToSite(conn net.Conn, appID string, loc rankLoc, rank int
 // destination proxies".
 func (p *Proxy) handleInboundStream(pr *peer, stream *tunnel.Stream) {
 	var open proto.StreamOpen
-	if err := open.Decode(wire.NewBuffer(stream.Meta())); err != nil {
+	if err := proto.DecodeInto(&open, stream.Meta()); err != nil {
 		p.log.Warn("inbound stream: bad metadata", "peer", pr.site, "err", err)
 		_ = stream.Close()
 		return
@@ -386,7 +386,7 @@ func (p *Proxy) OpenTunnel(ctx context.Context, user, appID, targetSite, targetA
 		TargetAddr: targetAddr,
 		Kind:       proto.StreamData,
 	}
-	stream, err := pr.session.Open(ctx, open.Encode(nil))
+	stream, err := pr.session.Open(ctx, proto.Append(nil, open))
 	if err != nil {
 		return nil, fmt.Errorf("core: open tunnel to %s: %w", targetSite, err)
 	}

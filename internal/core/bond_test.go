@@ -156,9 +156,9 @@ func waitSessionDone(t *testing.T, s *tunnel.Session, what string) {
 // reaps the session.
 func TestOldVersionHelloRefused(t *testing.T) {
 	hello := &proto.Hello{Site: "old", Version: 1, WANAddr: "wan.old", BondConns: 1, BondID: make([]byte, 16)}
-	full := hello.Encode(nil)
+	full := proto.Append(nil, hello)
 	hello.Version = proto.Version - 1
-	previous := hello.Encode(nil)
+	previous := proto.Append(nil, hello)
 	// Version 4 by number: its CommitSpawn and JobUpdate end a field
 	// before this build's.
 	hello.Version = 4
@@ -166,7 +166,7 @@ func TestOldVersionHelloRefused(t *testing.T) {
 		"v1 full":  full,
 		"v1 short": full[:len(full)-18],
 		"previous": previous,
-		"v4":       hello.Encode(nil),
+		"v4":       proto.Append(nil, hello),
 	} {
 		t.Run(name, func(t *testing.T) {
 			proxy, wan := versionProxy(t)

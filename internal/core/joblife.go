@@ -30,11 +30,6 @@ type JobConfig struct {
 	// disables rescheduling (a site death fails the job, the pre-existing
 	// behaviour).
 	RescheduleBudget int
-	// FenceRetry is how often undelivered split-brain fences are
-	// retried against sites that rejoined the directory (see probe.go).
-	// Negative disables fencing — a healed site's stale ranks then run
-	// until its own orphan reaper or the job's natural end.
-	FenceRetry time.Duration
 }
 
 // Job-lifecycle defaults.
@@ -42,7 +37,6 @@ const (
 	DefaultOrphanGrace      = 45 * time.Second
 	DefaultTerminalTTL      = 15 * time.Minute
 	DefaultRescheduleBudget = 2
-	DefaultFenceRetry       = 2 * time.Second
 )
 
 // WithDefaults fills zero fields with defaults.
@@ -55,9 +49,6 @@ func (c JobConfig) WithDefaults() JobConfig {
 	}
 	if c.RescheduleBudget == 0 {
 		c.RescheduleBudget = DefaultRescheduleBudget
-	}
-	if c.FenceRetry == 0 {
-		c.FenceRetry = DefaultFenceRetry
 	}
 	return c
 }

@@ -148,9 +148,6 @@ type pendingFence struct {
 
 // addFence records a fence for later delivery.
 func (p *Proxy) addFence(appID, site string, epoch uint64, ranks []int) {
-	if p.jobcfg.FenceRetry < 0 {
-		return
-	}
 	f := &pendingFence{appID: appID, site: site, epoch: epoch}
 	for _, r := range ranks {
 		f.ranks = append(f.ranks, uint32(r))
@@ -160,14 +157,18 @@ func (p *Proxy) addFence(appID, site string, epoch uint64, ranks []int) {
 	p.mu.Unlock()
 }
 
-// fenceDeliverer retries pending fences every FenceRetry until each is
+// fenceRetry is how often undelivered split-brain fences are retried
+// against sites that rejoined the directory.
+const fenceRetry = 2 * time.Second
+
+// fenceDeliverer retries pending fences every fenceRetry until each is
 // acknowledged. A fence for a site the directory has pruned entirely
 // (dead past retention) is dropped: if that site ever returns it does so
 // as a fresh join, and its orphan reaper — having lost its origin for
 // the whole partition — has long since killed the stale ranks.
 func (p *Proxy) fenceDeliverer() {
 	defer p.wg.Done()
-	ticker := time.NewTicker(p.jobcfg.FenceRetry)
+	ticker := time.NewTicker(fenceRetry)
 	defer ticker.Stop()
 	for {
 		select {

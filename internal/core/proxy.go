@@ -343,10 +343,8 @@ func (p *Proxy) Start() error {
 		p.wg.Add(1)
 		go p.jobsJanitor()
 	}
-	if p.jobcfg.FenceRetry > 0 {
-		p.wg.Add(1)
-		go p.fenceDeliverer()
-	}
+	p.wg.Add(1)
+	go p.fenceDeliverer()
 	p.log.Info("proxy started", "wan", p.wanAddr, "local", p.localAddr)
 	return nil
 }

@@ -26,7 +26,7 @@ func (p *Proxy) stageDialer(site string) stage.Dialer {
 		}
 		defer p.releasePeer(pr)
 		open := &proto.StreamOpen{Kind: proto.StreamStage}
-		stream, err := pr.session.Open(ctx, open.Encode(nil))
+		stream, err := pr.session.Open(ctx, proto.Append(nil, open))
 		if err != nil {
 			return nil, fmt.Errorf("core: open stage stream to %s: %w", site, err)
 		}

@@ -65,7 +65,7 @@ func (c *rawClient) reply() proto.Body {
 
 func (c *rawClient) call(body proto.Body) proto.Body {
 	c.t.Helper()
-	c.send(body.Code(), body.Encode(nil))
+	c.send(body.Code(), proto.Append(nil, body))
 	return c.reply()
 }
 

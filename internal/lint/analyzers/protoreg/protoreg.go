@@ -1,35 +1,26 @@
 // Package protoreg implements the gridlint analyzer that keeps the
-// expandable control protocol's code registry sound.
+// control protocol's dispatch sound.
 //
-// The paper's protocol (DESIGN §3) is code-based and open: every message
-// is a (Code, Corr, Payload) triple, and proto.Unmarshal can only produce
-// bodies whose code has a registered decode factory. The compiler cannot
-// see the registry, so four conventions are enforced here instead:
+// The paper's protocol (DESIGN §3) is code-based: every message is a
+// (Code, Corr, Payload) triple, and proto.Unmarshal produces only the
+// bodies that a row of the proto package's table builds. That the table
+// covers every code, and each row the body of its own code, is pinned by
+// the package's own test (TestTableCoversEveryCode). What the compiler
+// and that test cannot see is how other packages use the bodies, so two
+// checks remain here:
 //
-//  1. every core Code constant (below ExtensionBase, except CodeInvalid)
-//     has a registered factory — an unregistered code is a message that
-//     can be sent but never decoded;
-//  2. a registration's factory returns a body whose Code() method names
-//     the same constant — a copy-paste mismatch here silently routes one
-//     message type onto another's wire code;
-//  3. every type implementing proto.Body is registered — an unregistered
-//     body is a message type that can never arrive;
-//  4. dispatch arms (`case *proto.T:` over a proto.Body, and type
-//     assertions on one) name registered bodies — an arm for an
-//     unregistered body is dead, Unmarshal never produces it.
-//
-// Whole-program (standalone gridlint only), a fifth check flags dead
-// protocol codes: registered bodies that no package in scope dispatches
-// or constructs. Extension codes at or above proto.ExtensionBase are the
-// protocol's sanctioned expansion surface and are exempt from all checks.
+//  1. dispatch arms (`case *proto.T:` over a proto.Body, and type
+//     assertions on one) name bodies the table builds — an arm for any
+//     other type is dead, Unmarshal never produces it;
+//  2. whole-program (standalone gridlint only), a row of the table whose
+//     body no package in scope dispatches or constructs is flagged as a
+//     dead protocol code.
 package protoreg
 
 import (
 	"go/ast"
-	"go/constant"
 	"go/token"
 	"go/types"
-	"sort"
 
 	"gridproxy/internal/lint/analysis"
 	"gridproxy/internal/lint/lintutil"
@@ -38,15 +29,15 @@ import (
 // Analyzer is the protoreg analyzer.
 var Analyzer = &analysis.Analyzer{
 	Name:       "protoreg",
-	Doc:        "every core proto.Code must have a registered factory, a consistent Code() method, and a live dispatch arm",
+	Doc:        "dispatch arms must name bodies the proto table builds, and every code in the table must be used",
 	Run:        run,
 	ProgramRun: programRun,
 	FactTypes:  []analysis.Fact{(*RegisteredBodies)(nil)},
 }
 
 // RegisteredBodies is the package fact the proto package exports: which
-// body types have a registered decode factory, and under which code
-// constant. Importing packages use it to validate dispatch arms.
+// body types a row of its table builds, and under which code constant.
+// Importing packages use it to validate dispatch arms.
 type RegisteredBodies struct {
 	// Bodies maps body type name to the registered code constant name.
 	Bodies map[string]string
@@ -55,11 +46,13 @@ type RegisteredBodies struct {
 // AFact marks RegisteredBodies as a fact type.
 func (*RegisteredBodies) AFact() {}
 
-// registration records one Register/registerCore call.
+// registration records one row of the table,
+// `CodeX: func() Body { return &X{} }`.
 type registration struct {
-	code string // code constant name
-	body string // body type name ("" if the factory shape was opaque)
-	pos  token.Pos
+	code    string // code constant name
+	body    string // body type name ("" if the factory shape was opaque)
+	pos     token.Pos
+	factory span // the row's factory, where constructing a body does not make it alive
 }
 
 // result feeds the whole-program dead-code check.
@@ -67,7 +60,7 @@ type result struct {
 	isProto   bool
 	protoPath string               // importers: path of the proto package seen
 	codes     map[string]token.Pos // proto: code constant declarations
-	regs      []registration       // proto: registrations
+	regs      []registration       // proto: the rows of the table
 	alive     map[string]bool      // body types dispatched, asserted or constructed here
 }
 
@@ -78,112 +71,28 @@ func run(pass *analysis.Pass) (interface{}, error) {
 	return runImporter(pass)
 }
 
-// runProto checks the registry inside the proto package itself.
+// runProto reads the table inside the proto package itself.
 func runProto(pass *analysis.Pass) (interface{}, error) {
-	scope := pass.Pkg.Scope()
-	codeObj, _ := scope.Lookup("Code").(*types.TypeName)
-	extObj, _ := scope.Lookup("ExtensionBase").(*types.Const)
-	bodyObj, _ := scope.Lookup("Body").(*types.TypeName)
-	if codeObj == nil || extObj == nil {
-		return &result{}, nil
-	}
-	extBase, _ := constant.Int64Val(extObj.Val())
-
 	res := &result{isProto: true, codes: map[string]token.Pos{}, alive: map[string]bool{}}
-
-	// Core code constants: typed Code, below ExtensionBase, nonzero.
-	// Constants at or above ExtensionBase are extension codes, the
-	// protocol's sanctioned expansion surface: exempt from every check.
-	coreCodes := map[string]token.Pos{}
-	extCodes := map[string]bool{}
-	for _, name := range scope.Names() {
-		c, ok := scope.Lookup(name).(*types.Const)
-		if !ok || c == extObj || !types.Identical(c.Type(), codeObj.Type()) {
-			continue
-		}
-		v, ok := constant.Int64Val(c.Val())
-		if !ok {
-			continue
-		}
-		res.codes[name] = c.Pos()
-		if v > 0 && v < extBase {
-			coreCodes[name] = c.Pos()
-		} else if v >= extBase {
-			extCodes[name] = true
+	codeObj := pass.Pkg.Scope().Lookup("Code").(*types.TypeName)
+	for _, name := range pass.Pkg.Scope().Names() {
+		if c, ok := pass.Pkg.Scope().Lookup(name).(*types.Const); ok && types.Identical(c.Type(), codeObj.Type()) {
+			res.codes[name] = c.Pos()
 		}
 	}
-
-	// Registrations and each body's Code() return value.
-	regs := collectRegistrations(pass, pass.Pkg)
-	returns := collectCodeReturns(pass)
+	res.regs = collectRegistrations(pass, pass.Pkg)
 	registered := map[string]string{} // body -> code
-	registeredCodes := map[string]bool{}
-	for _, r := range regs {
-		registeredCodes[r.code] = true
+	var factories []span
+	for _, r := range res.regs {
 		if r.body != "" {
 			registered[r.body] = r.code
 		}
-		if !extCodes[r.code] {
-			res.regs = append(res.regs, r)
-		}
+		factories = append(factories, r.factory)
 	}
-
-	// Check 1: unregistered core codes.
-	names := make([]string, 0, len(coreCodes))
-	for name := range coreCodes {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		if !registeredCodes[name] {
-			pass.Reportf(coreCodes[name],
-				"proto code %s has no registered decode factory — messages carrying it can be sent but never decoded", name)
-		}
-	}
-
-	// Check 2: factory/Code() mismatches. Extension registrations are
-	// exempt: their factories live outside the core registry's contract.
-	for _, r := range regs {
-		if r.body == "" || extCodes[r.code] {
-			continue
-		}
-		if ret, ok := returns[r.body]; ok && ret != r.code {
-			pass.Reportf(r.pos,
-				"factory for %s returns *%s, whose Code() method returns %s — the registration and the body disagree",
-				r.code, r.body, ret)
-		}
-	}
-
-	// Check 3: body types never registered.
-	if bodyObj != nil {
-		iface, _ := bodyObj.Type().Underlying().(*types.Interface)
-		if iface != nil {
-			for _, name := range scope.Names() {
-				tn, ok := scope.Lookup(name).(*types.TypeName)
-				if !ok || tn == bodyObj || tn.IsAlias() {
-					continue
-				}
-				if _, isIface := tn.Type().Underlying().(*types.Interface); isIface {
-					continue
-				}
-				if !types.Implements(types.NewPointer(tn.Type()), iface) {
-					continue
-				}
-				if extCodes[returns[name]] {
-					continue // extension body: registered by its extension
-				}
-				if _, ok := registered[name]; !ok {
-					pass.Reportf(tn.Pos(),
-						"message body type %s implements Body but is never registered — it can never arrive from the wire", name)
-				}
-			}
-		}
-	}
-
-	// A composite literal inside a registration's factory does not make a
-	// body alive — every factory constructs its body by definition, so
+	// A composite literal inside a row's factory does not make a body
+	// alive — every factory constructs its body by definition, so
 	// counting them would blind the whole-program dead-code check.
-	collectConstructed(pass, pass.Pkg, res.alive, factorySpans(pass, pass.Pkg))
+	collectConstructed(pass, pass.Pkg, res.alive, factories)
 	pass.ExportPackageFact(&RegisteredBodies{Bodies: registered})
 	return res, nil
 }
@@ -218,7 +127,7 @@ func runImporter(pass *analysis.Pass) (interface{}, error) {
 		res.alive[name] = true
 		if haveFact && fact.Bodies[name] == "" && !lintutil.InTestFile(pass, te.Pos()) {
 			pass.Reportf(te.Pos(),
-				"dispatch arm for %s.%s, which has no registered decode factory — Unmarshal can never produce it, so this arm is dead",
+				"dispatch arm for %s.%s, which no row of the proto table builds — Unmarshal can never produce it, so this arm is dead",
 				protoPkg.Name(), name)
 		}
 	}
@@ -268,8 +177,8 @@ func runImporter(pass *analysis.Pass) (interface{}, error) {
 	return res, nil
 }
 
-// programRun flags registered codes no package in scope dispatches or
-// constructs — dead protocol surface.
+// programRun flags rows of the table whose body no package in scope
+// dispatches or constructs — dead protocol surface.
 func programRun(prog *analysis.Program, report func(analysis.Diagnostic)) {
 	var proto *result
 	alive := map[string]bool{}
@@ -302,47 +211,41 @@ func programRun(prog *analysis.Program, report func(analysis.Diagnostic)) {
 		report(analysis.Diagnostic{
 			Pos: pos,
 			Message: "protocol code " + r.code + " (body " + r.body +
-				") is registered but never dispatched or constructed anywhere in scope — dead protocol code",
+				") is in the table but never dispatched or constructed anywhere in scope — dead protocol code",
 		})
 	}
 }
 
-// collectRegistrations finds Register/registerCore calls to regPkg's
-// functions and decodes their (code constant, body type) arguments.
+// collectRegistrations finds the rows of regPkg's table: keyed elements
+// of a composite literal whose key is a Code constant and whose value is
+// a factory function literal.
 func collectRegistrations(pass *analysis.Pass, regPkg *types.Package) []registration {
 	var regs []registration
 	for _, file := range pass.Files {
-		// Tests register deliberately broken bodies (duplicate codes,
-		// mismatched factories) to exercise the registry's own checks;
-		// only production registrations feed the invariant.
 		if lintutil.InTestFile(pass, file.Pos()) {
 			continue
 		}
 		ast.Inspect(file, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok || len(call.Args) != 2 {
+			kv, ok := n.(*ast.KeyValueExpr)
+			if !ok {
 				return true
 			}
-			fn := lintutil.Callee(pass.TypesInfo, call)
-			if fn == nil || fn.Pkg() != regPkg {
+			id, ok := ast.Unparen(kv.Key).(*ast.Ident)
+			if !ok {
 				return true
 			}
-			if fn.Name() != "Register" && fn.Name() != "registerCore" {
+			c, ok := pass.TypesInfo.Uses[id].(*types.Const)
+			if !ok || c.Pkg() != regPkg {
 				return true
 			}
-			var codeName string
-			if id, ok := ast.Unparen(call.Args[0]).(*ast.Ident); ok {
-				if c, ok := pass.TypesInfo.Uses[id].(*types.Const); ok && c.Pkg() == regPkg {
-					codeName = c.Name()
-				}
-			}
-			if codeName == "" {
-				return true // extension registering its own constant, or computed
+			if _, isFunc := ast.Unparen(kv.Value).(*ast.FuncLit); !isFunc {
+				return true
 			}
 			regs = append(regs, registration{
-				code: codeName,
-				body: factoryBodyType(call.Args[1]),
-				pos:  call.Pos(),
+				code:    c.Name(),
+				body:    factoryBodyType(kv.Value),
+				pos:     kv.Pos(),
+				factory: span{kv.Value.Pos(), kv.Value.End()},
 			})
 			return true
 		})
@@ -374,64 +277,9 @@ func factoryBodyType(arg ast.Expr) string {
 	return ""
 }
 
-// collectCodeReturns maps each body type name to the constant its Code()
-// method returns.
-func collectCodeReturns(pass *analysis.Pass) map[string]string {
-	returns := map[string]string{}
-	for _, file := range pass.Files {
-		for _, decl := range file.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Recv == nil || fd.Name.Name != "Code" || fd.Body == nil {
-				continue
-			}
-			recv := fd.Recv.List[0].Type
-			if star, ok := recv.(*ast.StarExpr); ok {
-				recv = star.X
-			}
-			id, ok := recv.(*ast.Ident)
-			if !ok || len(fd.Body.List) != 1 {
-				continue
-			}
-			ret, ok := fd.Body.List[0].(*ast.ReturnStmt)
-			if !ok || len(ret.Results) != 1 {
-				continue
-			}
-			if rid, ok := ast.Unparen(ret.Results[0]).(*ast.Ident); ok {
-				if c, ok := pass.TypesInfo.Uses[rid].(*types.Const); ok {
-					returns[id.Name] = c.Name()
-				}
-			}
-		}
-	}
-	return returns
-}
-
 // span is a half-open position range [from, to] used to exclude factory
 // literals from liveness collection.
 type span struct{ from, to token.Pos }
-
-// factorySpans returns the source ranges of every registration's factory
-// argument.
-func factorySpans(pass *analysis.Pass, regPkg *types.Package) []span {
-	var spans []span
-	for _, file := range pass.Files {
-		ast.Inspect(file, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok || len(call.Args) != 2 {
-				return true
-			}
-			fn := lintutil.Callee(pass.TypesInfo, call)
-			if fn == nil || fn.Pkg() != regPkg {
-				return true
-			}
-			if fn.Name() == "Register" || fn.Name() == "registerCore" {
-				spans = append(spans, span{call.Args[1].Pos(), call.Args[1].End()})
-			}
-			return true
-		})
-	}
-	return spans
-}
 
 // collectConstructed records composite literals of protoPkg body types,
 // skipping literals inside the given spans.
@@ -461,13 +309,13 @@ func collectConstructed(pass *analysis.Pass, protoPkg *types.Package, alive map[
 }
 
 // isProtoPackage identifies the protocol package structurally: named
-// "proto", declaring a Code type and the ExtensionBase constant. Fixture
-// packages in analyzer tests qualify exactly like internal/proto.
+// "proto", declaring a Code type and a Body type. Fixture packages in
+// analyzer tests qualify exactly like internal/proto.
 func isProtoPackage(pkg *types.Package) bool {
 	if pkg == nil || pkg.Name() != "proto" {
 		return false
 	}
 	_, hasCode := pkg.Scope().Lookup("Code").(*types.TypeName)
-	_, hasBase := pkg.Scope().Lookup("ExtensionBase").(*types.Const)
-	return hasCode && hasBase
+	_, hasBody := pkg.Scope().Lookup("Body").(*types.TypeName)
+	return hasCode && hasBody
 }

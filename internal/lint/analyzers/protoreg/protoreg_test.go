@@ -7,13 +7,9 @@ import (
 	"gridproxy/internal/lint/analyzers/protoreg"
 )
 
-// TestProtoreg exercises all five registry checks on a fixture modelled
-// on internal/proto: unregistered core codes, factory/Code() mismatches,
-// unregistered Body implementers, dead dispatch arms in an importing
-// package, and the whole-program dead-code check. The fixture's
-// extension codes (at or above ExtensionBase) are registered with a
-// mismatched factory, or not registered and never dispatched — and must
-// produce no diagnostics.
+// TestProtoreg exercises both checks on a fixture modelled on
+// internal/proto: a dead dispatch arm in an importing package, and the
+// whole-program check for a code in the table that nothing uses.
 func TestProtoreg(t *testing.T) {
 	analysistest.Run(t, "testdata", protoreg.Analyzer, "protouser")
 }

@@ -1,74 +1,44 @@
-// Fixture modelled on internal/proto: a code-based registry with an
-// extension surface. protoreg identifies it structurally (package proto,
-// Code type, ExtensionBase constant).
+// Fixture modelled on internal/proto: one table of message bodies indexed
+// by code. protoreg identifies it structurally (package proto, Code type,
+// Body type).
 package proto
 
 type Code uint16
 
-// ExtensionBase is where site-local extension codes start.
-const ExtensionBase Code = 0x1000
-
 const (
 	CodeInvalid Code = iota
 	CodeHello
-	CodeOrphan // want `proto code CodeOrphan has no registered decode factory`
-	CodeMismatch
-	CodeDead // want `protocol code CodeDead \(body Dead\) is registered but never dispatched or constructed`
+	CodeDead // want `protocol code CodeDead \(body Dead\) is in the table but never dispatched or constructed`
 )
 
-// Extension codes: the sanctioned expansion surface, exempt from every
-// registry check — registered or not, dispatched or not.
-const (
-	CodeExt      Code = ExtensionBase + 1
-	CodeExtLocal Code = ExtensionBase + 2
-)
-
-// Body is the message-body contract.
+// Body is the message-body contract; its unexported method keeps every
+// body inside this package.
 type Body interface {
 	Code() Code
+	fields()
 }
 
-var registry = map[Code]func() Body{}
+var table = [...]func() Body{
+	CodeHello: func() Body { return &Hello{} },
+	CodeDead:  func() Body { return &Dead{} },
+}
 
-// Register installs a decode factory for a code.
-func Register(c Code, f func() Body) { registry[c] = f }
+// NewBody returns the body of a code.
+func NewBody(c Code) Body { return table[c]() }
 
 type Hello struct{}
 
 func (*Hello) Code() Code { return CodeHello }
-
-// Mismatch implements Body, but its registration's factory returns the
-// wrong type, so no registration actually covers it.
-type Mismatch struct{} // want `message body type Mismatch implements Body but is never registered`
-
-func (*Mismatch) Code() Code { return CodeMismatch }
+func (*Hello) fields()    {}
 
 type Dead struct{}
 
 func (*Dead) Code() Code { return CodeDead }
+func (*Dead) fields()    {}
 
-// Never implements Body and nothing registers it at all.
-type Never struct{} // want `message body type Never implements Body but is never registered`
+// Never is a body no row of the table builds (the real package's own
+// test refuses one); a dispatch arm naming it is dead.
+type Never struct{}
 
 func (*Never) Code() Code { return CodeInvalid }
-
-// Ext is a registered extension body that is never dispatched; ExtLocal
-// is an extension body with no registration in this program at all (an
-// extension package would register it at runtime). Neither may be
-// flagged.
-type Ext struct{}
-
-func (*Ext) Code() Code { return CodeExt }
-
-type ExtLocal struct{}
-
-func (*ExtLocal) Code() Code { return CodeExtLocal }
-
-func init() {
-	Register(CodeHello, func() Body { return &Hello{} })
-	Register(CodeMismatch, func() Body { return &Hello{} }) // want `the registration and the body disagree`
-	Register(CodeDead, func() Body { return &Dead{} })
-	// A deliberately sloppy extension registration: wrong factory type,
-	// never dispatched. Extensions are exempt, so nothing is reported.
-	Register(CodeExt, func() Body { return &Hello{} })
-}
+func (*Never) fields()    {}

@@ -4,56 +4,55 @@ import (
 	"gridproxy/internal/wire"
 )
 
-// init registers the decoders of all core message bodies. Registration is
-// deterministic and has no side effects beyond populating the code
-// registry, which must be complete before any message is decoded.
-func init() {
-	registerCore(CodeHello, func() Body { return &Hello{} })
-	registerCore(CodeHelloAck, func() Body { return &HelloAck{} })
-	registerCore(CodeError, func() Body { return &ErrorBody{} })
-	registerCore(CodePing, func() Body { return &Ping{} })
-	registerCore(CodePong, func() Body { return &Pong{} })
-	registerCore(CodeAuthRequest, func() Body { return &AuthRequest{} })
-	registerCore(CodeAuthReply, func() Body { return &AuthReply{} })
-	registerCore(CodePermCheck, func() Body { return &PermCheck{} })
-	registerCore(CodePermReply, func() Body { return &PermReply{} })
-	registerCore(CodeTicketRequest, func() Body { return &TicketRequest{} })
-	registerCore(CodeTicketReply, func() Body { return &TicketReply{} })
-	registerCore(CodeStatusQuery, func() Body { return &StatusQuery{} })
-	registerCore(CodeStatusReport, func() Body { return &StatusReport{} })
-	registerCore(CodeNodeReport, func() Body { return &NodeReport{} })
-	registerCore(CodeJobSubmit, func() Body { return &JobSubmit{} })
-	registerCore(CodeJobUpdate, func() Body { return &JobUpdate{} })
-	registerCore(CodeJobQuery, func() Body { return &JobQuery{} })
-	registerCore(CodeSpawnReply, func() Body { return &SpawnReply{} })
-	registerCore(CodeStreamOpen, func() Body { return &StreamOpen{} })
-	registerCore(CodeStreamOpenReply, func() Body { return &StreamOpenReply{} })
-	registerCore(CodeRegistryQuery, func() Body { return &RegistryQuery{} })
-	registerCore(CodeRegistryReply, func() Body { return &RegistryReply{} })
-	registerCore(CodePrepareSpawn, func() Body { return &PrepareSpawn{} })
-	registerCore(CodePrepareSpawnReply, func() Body { return &PrepareSpawnReply{} })
-	registerCore(CodeCommitSpawn, func() Body { return &CommitSpawn{} })
-	registerCore(CodeAbortSpawn, func() Body { return &AbortSpawn{} })
-	registerCore(CodeAbortSpawnReply, func() Body { return &AbortSpawnReply{} })
-	registerCore(CodeJobCancel, func() Body { return &JobCancel{} })
-	registerCore(CodeJobList, func() Body { return &JobList{} })
-	registerCore(CodeJobListReply, func() Body { return &JobListReply{} })
-	registerCore(CodeStagePut, func() Body { return &StagePut{} })
-	registerCore(CodeStagePutReply, func() Body { return &StagePutReply{} })
-	registerCore(CodeStageGet, func() Body { return &StageGet{} })
-	registerCore(CodeStageGetReply, func() Body { return &StageGetReply{} })
-	registerCore(CodeStageStat, func() Body { return &StageStat{} })
-	registerCore(CodeStageStatReply, func() Body { return &StageStatReply{} })
-	registerCore(CodeGossipSync, func() Body { return &GossipSync{} })
-	registerCore(CodeGossipDelta, func() Body { return &GossipDelta{} })
-	registerCore(CodeMemberList, func() Body { return &MemberList{} })
-	registerCore(CodeMemberListReply, func() Body { return &MemberListReply{} })
-	registerCore(CodePeerBye, func() Body { return &PeerBye{} })
-	registerCore(CodePeerByeAck, func() Body { return &PeerByeAck{} })
-	registerCore(CodeProbeRequest, func() Body { return &ProbeRequest{} })
-	registerCore(CodeProbeReply, func() Body { return &ProbeReply{} })
-	registerCore(CodeFenceNotice, func() Body { return &FenceNotice{} })
-	registerCore(CodeFenceReply, func() Body { return &FenceReply{} })
+// table holds the body of every message code, indexed by code. A new
+// code is one more constant and one more row here.
+var table = [...]func() Body{
+	CodeHello:             func() Body { return &Hello{} },
+	CodeHelloAck:          func() Body { return &HelloAck{} },
+	CodeError:             func() Body { return &ErrorBody{} },
+	CodePing:              func() Body { return &Ping{} },
+	CodePong:              func() Body { return &Pong{} },
+	CodeAuthRequest:       func() Body { return &AuthRequest{} },
+	CodeAuthReply:         func() Body { return &AuthReply{} },
+	CodePermCheck:         func() Body { return &PermCheck{} },
+	CodePermReply:         func() Body { return &PermReply{} },
+	CodeTicketRequest:     func() Body { return &TicketRequest{} },
+	CodeTicketReply:       func() Body { return &TicketReply{} },
+	CodeStatusQuery:       func() Body { return &StatusQuery{} },
+	CodeStatusReport:      func() Body { return &StatusReport{} },
+	CodeNodeReport:        func() Body { return &NodeReport{} },
+	CodeJobSubmit:         func() Body { return &JobSubmit{} },
+	CodeJobUpdate:         func() Body { return &JobUpdate{} },
+	CodeSpawnReply:        func() Body { return &SpawnReply{} },
+	CodeStreamOpen:        func() Body { return &StreamOpen{} },
+	CodeStreamOpenReply:   func() Body { return &StreamOpenReply{} },
+	CodeJobQuery:          func() Body { return &JobQuery{} },
+	CodeRegistryQuery:     func() Body { return &RegistryQuery{} },
+	CodeRegistryReply:     func() Body { return &RegistryReply{} },
+	CodePrepareSpawn:      func() Body { return &PrepareSpawn{} },
+	CodePrepareSpawnReply: func() Body { return &PrepareSpawnReply{} },
+	CodeCommitSpawn:       func() Body { return &CommitSpawn{} },
+	CodeAbortSpawn:        func() Body { return &AbortSpawn{} },
+	CodeAbortSpawnReply:   func() Body { return &AbortSpawnReply{} },
+	CodeJobCancel:         func() Body { return &JobCancel{} },
+	CodeJobList:           func() Body { return &JobList{} },
+	CodeJobListReply:      func() Body { return &JobListReply{} },
+	CodeStagePut:          func() Body { return &StagePut{} },
+	CodeStagePutReply:     func() Body { return &StagePutReply{} },
+	CodeStageGet:          func() Body { return &StageGet{} },
+	CodeStageGetReply:     func() Body { return &StageGetReply{} },
+	CodeStageStat:         func() Body { return &StageStat{} },
+	CodeStageStatReply:    func() Body { return &StageStatReply{} },
+	CodeGossipSync:        func() Body { return &GossipSync{} },
+	CodeGossipDelta:       func() Body { return &GossipDelta{} },
+	CodeMemberList:        func() Body { return &MemberList{} },
+	CodeMemberListReply:   func() Body { return &MemberListReply{} },
+	CodePeerBye:           func() Body { return &PeerBye{} },
+	CodePeerByeAck:        func() Body { return &PeerByeAck{} },
+	CodeProbeRequest:      func() Body { return &ProbeRequest{} },
+	CodeProbeReply:        func() Body { return &ProbeReply{} },
+	CodeFenceNotice:       func() Body { return &FenceNotice{} },
+	CodeFenceReply:        func() Body { return &FenceReply{} },
 }
 
 // Hello opens a proxy-to-proxy session.
@@ -77,26 +76,13 @@ type Hello struct {
 // Code implements Body.
 func (*Hello) Code() Code { return CodeHello }
 
-// Encode implements Body.
-func (m *Hello) Encode(b []byte) []byte {
-	b = wire.AppendString(b, m.Site)
-	b = wire.AppendUint16(b, m.Version)
-	b = wire.AppendStringSlice(b, m.Capabilities)
-	b = wire.AppendString(b, m.WANAddr)
-	b = append(b, m.BondConns)
-	b = wire.AppendBytes(b, m.BondID)
-	return b
-}
-
-// Decode implements Body.
-func (m *Hello) Decode(buf *wire.Buffer) error {
-	m.Site = buf.String()
-	m.Version = buf.Uint16()
-	m.Capabilities = buf.StringSlice()
-	m.WANAddr = buf.String()
-	m.BondConns = buf.Uint8()
-	m.BondID = buf.Bytes()
-	return buf.Err()
+func (m *Hello) fields(c *codec) {
+	c.String(&m.Site)
+	c.Uint16(&m.Version)
+	c.Strings(&m.Capabilities)
+	c.String(&m.WANAddr)
+	c.Uint8(&m.BondConns)
+	c.Bytes(&m.BondID)
 }
 
 // HelloAck accepts a Hello.
@@ -112,20 +98,10 @@ type HelloAck struct {
 // Code implements Body.
 func (*HelloAck) Code() Code { return CodeHelloAck }
 
-// Encode implements Body.
-func (m *HelloAck) Encode(b []byte) []byte {
-	b = wire.AppendString(b, m.Site)
-	b = wire.AppendUint16(b, m.Version)
-	b = append(b, m.BondConns)
-	return b
-}
-
-// Decode implements Body.
-func (m *HelloAck) Decode(buf *wire.Buffer) error {
-	m.Site = buf.String()
-	m.Version = buf.Uint16()
-	m.BondConns = buf.Uint8()
-	return buf.Err()
+func (m *HelloAck) fields(c *codec) {
+	c.String(&m.Site)
+	c.Uint16(&m.Version)
+	c.Uint8(&m.BondConns)
 }
 
 // ErrorBody reports a protocol-level failure.
@@ -153,18 +129,9 @@ const (
 // Code implements Body.
 func (*ErrorBody) Code() Code { return CodeError }
 
-// Encode implements Body.
-func (m *ErrorBody) Encode(b []byte) []byte {
-	b = wire.AppendUint16(b, m.Status)
-	b = wire.AppendString(b, m.Text)
-	return b
-}
-
-// Decode implements Body.
-func (m *ErrorBody) Decode(buf *wire.Buffer) error {
-	m.Status = buf.Uint16()
-	m.Text = buf.String()
-	return buf.Err()
+func (m *ErrorBody) fields(c *codec) {
+	c.Uint16(&m.Status)
+	c.String(&m.Text)
 }
 
 // Ping probes peer liveness.
@@ -173,14 +140,7 @@ type Ping struct{ Nonce uint64 }
 // Code implements Body.
 func (*Ping) Code() Code { return CodePing }
 
-// Encode implements Body.
-func (m *Ping) Encode(b []byte) []byte { return wire.AppendUint64(b, m.Nonce) }
-
-// Decode implements Body.
-func (m *Ping) Decode(buf *wire.Buffer) error {
-	m.Nonce = buf.Uint64()
-	return buf.Err()
-}
+func (m *Ping) fields(c *codec) { c.Uint64(&m.Nonce) }
 
 // Pong answers a Ping, echoing its nonce.
 type Pong struct{ Nonce uint64 }
@@ -188,14 +148,7 @@ type Pong struct{ Nonce uint64 }
 // Code implements Body.
 func (*Pong) Code() Code { return CodePong }
 
-// Encode implements Body.
-func (m *Pong) Encode(b []byte) []byte { return wire.AppendUint64(b, m.Nonce) }
-
-// Decode implements Body.
-func (m *Pong) Decode(buf *wire.Buffer) error {
-	m.Nonce = buf.Uint64()
-	return buf.Err()
-}
+func (m *Pong) fields(c *codec) { c.Uint64(&m.Nonce) }
 
 // AuthMethod selects how an AuthRequest proves identity.
 type AuthMethod uint8
@@ -226,26 +179,13 @@ type AuthRequest struct {
 // Code implements Body.
 func (*AuthRequest) Code() Code { return CodeAuthRequest }
 
-// Encode implements Body.
-func (m *AuthRequest) Encode(b []byte) []byte {
-	b = wire.AppendString(b, m.User)
-	b = append(b, byte(m.Method))
-	b = wire.AppendBytes(b, m.PasswordProof)
-	b = wire.AppendBytes(b, m.Challenge)
-	b = wire.AppendBytes(b, m.Signature)
-	b = wire.AppendBytes(b, m.Ticket)
-	return b
-}
-
-// Decode implements Body.
-func (m *AuthRequest) Decode(buf *wire.Buffer) error {
-	m.User = buf.String()
-	m.Method = AuthMethod(buf.Uint8())
-	m.PasswordProof = buf.Bytes()
-	m.Challenge = buf.Bytes()
-	m.Signature = buf.Bytes()
-	m.Ticket = buf.Bytes()
-	return buf.Err()
+func (m *AuthRequest) fields(c *codec) {
+	c.String(&m.User)
+	c.Uint8((*uint8)(&m.Method))
+	c.Bytes(&m.PasswordProof)
+	c.Bytes(&m.Challenge)
+	c.Bytes(&m.Signature)
+	c.Bytes(&m.Ticket)
 }
 
 // AuthReply reports an authentication verdict.
@@ -262,22 +202,11 @@ type AuthReply struct {
 // Code implements Body.
 func (*AuthReply) Code() Code { return CodeAuthReply }
 
-// Encode implements Body.
-func (m *AuthReply) Encode(b []byte) []byte {
-	b = wire.AppendBool(b, m.OK)
-	b = wire.AppendString(b, m.Reason)
-	b = wire.AppendBytes(b, m.Token)
-	b = wire.AppendInt64(b, m.ExpiresUnix)
-	return b
-}
-
-// Decode implements Body.
-func (m *AuthReply) Decode(buf *wire.Buffer) error {
-	m.OK = buf.Bool()
-	m.Reason = buf.String()
-	m.Token = buf.Bytes()
-	m.ExpiresUnix = buf.Int64()
-	return buf.Err()
+func (m *AuthReply) fields(c *codec) {
+	c.Bool(&m.OK)
+	c.String(&m.Reason)
+	c.Bytes(&m.Token)
+	c.Int64(&m.ExpiresUnix)
 }
 
 // PermCheck asks a proxy to validate an access permission.
@@ -291,22 +220,11 @@ type PermCheck struct {
 // Code implements Body.
 func (*PermCheck) Code() Code { return CodePermCheck }
 
-// Encode implements Body.
-func (m *PermCheck) Encode(b []byte) []byte {
-	b = wire.AppendString(b, m.User)
-	b = wire.AppendString(b, m.Action)
-	b = wire.AppendString(b, m.Resource)
-	b = wire.AppendBytes(b, m.Token)
-	return b
-}
-
-// Decode implements Body.
-func (m *PermCheck) Decode(buf *wire.Buffer) error {
-	m.User = buf.String()
-	m.Action = buf.String()
-	m.Resource = buf.String()
-	m.Token = buf.Bytes()
-	return buf.Err()
+func (m *PermCheck) fields(c *codec) {
+	c.String(&m.User)
+	c.String(&m.Action)
+	c.String(&m.Resource)
+	c.Bytes(&m.Token)
 }
 
 // PermReply answers a PermCheck.
@@ -318,18 +236,9 @@ type PermReply struct {
 // Code implements Body.
 func (*PermReply) Code() Code { return CodePermReply }
 
-// Encode implements Body.
-func (m *PermReply) Encode(b []byte) []byte {
-	b = wire.AppendBool(b, m.Allowed)
-	b = wire.AppendString(b, m.Reason)
-	return b
-}
-
-// Decode implements Body.
-func (m *PermReply) Decode(buf *wire.Buffer) error {
-	m.Allowed = buf.Bool()
-	m.Reason = buf.String()
-	return buf.Err()
+func (m *PermReply) fields(c *codec) {
+	c.Bool(&m.Allowed)
+	c.String(&m.Reason)
 }
 
 // TicketRequest asks the ticket-granting service for a session ticket.
@@ -343,18 +252,9 @@ type TicketRequest struct {
 // Code implements Body.
 func (*TicketRequest) Code() Code { return CodeTicketRequest }
 
-// Encode implements Body.
-func (m *TicketRequest) Encode(b []byte) []byte {
-	b = wire.AppendBytes(b, m.TGT)
-	b = wire.AppendString(b, m.Service)
-	return b
-}
-
-// Decode implements Body.
-func (m *TicketRequest) Decode(buf *wire.Buffer) error {
-	m.TGT = buf.Bytes()
-	m.Service = buf.String()
-	return buf.Err()
+func (m *TicketRequest) fields(c *codec) {
+	c.Bytes(&m.TGT)
+	c.String(&m.Service)
 }
 
 // TicketReply returns a session ticket.
@@ -367,20 +267,10 @@ type TicketReply struct {
 // Code implements Body.
 func (*TicketReply) Code() Code { return CodeTicketReply }
 
-// Encode implements Body.
-func (m *TicketReply) Encode(b []byte) []byte {
-	b = wire.AppendBool(b, m.OK)
-	b = wire.AppendString(b, m.Reason)
-	b = wire.AppendBytes(b, m.Ticket)
-	return b
-}
-
-// Decode implements Body.
-func (m *TicketReply) Decode(buf *wire.Buffer) error {
-	m.OK = buf.Bool()
-	m.Reason = buf.String()
-	m.Ticket = buf.Bytes()
-	return buf.Err()
+func (m *TicketReply) fields(c *codec) {
+	c.Bool(&m.OK)
+	c.String(&m.Reason)
+	c.Bytes(&m.Ticket)
 }
 
 // StatusQuery asks a proxy for compiled site status. An empty Sites slice
@@ -394,14 +284,7 @@ type StatusQuery struct {
 // Code implements Body.
 func (*StatusQuery) Code() Code { return CodeStatusQuery }
 
-// Encode implements Body.
-func (m *StatusQuery) Encode(b []byte) []byte { return wire.AppendStringSlice(b, m.Sites) }
-
-// Decode implements Body.
-func (m *StatusQuery) Decode(buf *wire.Buffer) error {
-	m.Sites = buf.StringSlice()
-	return buf.Err()
-}
+func (m *StatusQuery) fields(c *codec) { c.Strings(&m.Sites) }
 
 // SiteStatus is the wire form of one site's compiled status summary.
 // AgeMillis, Incarnation and Member stamp how the answering proxy knows
@@ -428,60 +311,32 @@ type SiteStatus struct {
 	Hosted        []HostedProcs
 }
 
+func (m *SiteStatus) fields(c *codec) {
+	c.String(&m.Site)
+	c.Uint32(&m.Nodes)
+	c.Uint32(&m.NodesUp)
+	c.Float64(&m.CPUFreePct)
+	c.Int64(&m.RAMFreeMB)
+	c.Int64(&m.DiskFreeMB)
+	c.Float64(&m.Load1)
+	c.Uint32(&m.RunningProcs)
+	c.Int64(&m.CollectedUnix)
+	c.Int64(&m.AgeMillis)
+	c.Uint64(&m.Incarnation)
+	c.Uint8(&m.Member)
+	c.Float64(&m.Speed)
+	slice(c, &m.Hosted, (*HostedProcs).fields)
+}
+
 // HostedProcs counts the running ranks a site hosts for one origin.
 type HostedProcs struct {
 	Origin string
 	Procs  uint32
 }
 
-func (s *SiteStatus) encode(b []byte) []byte {
-	b = wire.AppendString(b, s.Site)
-	b = wire.AppendUint32(b, s.Nodes)
-	b = wire.AppendUint32(b, s.NodesUp)
-	b = wire.AppendFloat64(b, s.CPUFreePct)
-	b = wire.AppendInt64(b, s.RAMFreeMB)
-	b = wire.AppendInt64(b, s.DiskFreeMB)
-	b = wire.AppendFloat64(b, s.Load1)
-	b = wire.AppendUint32(b, s.RunningProcs)
-	b = wire.AppendInt64(b, s.CollectedUnix)
-	b = wire.AppendInt64(b, s.AgeMillis)
-	b = wire.AppendUint64(b, s.Incarnation)
-	b = append(b, s.Member)
-	b = wire.AppendFloat64(b, s.Speed)
-	b = wire.AppendUint32(b, uint32(len(s.Hosted)))
-	for _, h := range s.Hosted {
-		b = wire.AppendString(b, h.Origin)
-		b = wire.AppendUint32(b, h.Procs)
-	}
-	return b
-}
-
-func (s *SiteStatus) decode(buf *wire.Buffer) {
-	s.Site = buf.String()
-	s.Nodes = buf.Uint32()
-	s.NodesUp = buf.Uint32()
-	s.CPUFreePct = buf.Float64()
-	s.RAMFreeMB = buf.Int64()
-	s.DiskFreeMB = buf.Int64()
-	s.Load1 = buf.Float64()
-	s.RunningProcs = buf.Uint32()
-	s.CollectedUnix = buf.Int64()
-	s.AgeMillis = buf.Int64()
-	s.Incarnation = buf.Uint64()
-	s.Member = buf.Uint8()
-	s.Speed = buf.Float64()
-	n := int(buf.Uint32())
-	if n > buf.Remaining() {
-		buf.View(n) // marks the buffer truncated
-		return
-	}
-	if n > 0 {
-		s.Hosted = make([]HostedProcs, n)
-	}
-	for i := range s.Hosted {
-		s.Hosted[i].Origin = buf.String()
-		s.Hosted[i].Procs = buf.Uint32()
-	}
+func (m *HostedProcs) fields(c *codec) {
+	c.String(&m.Origin)
+	c.Uint32(&m.Procs)
 }
 
 // StatusReport carries one or more site status summaries.
@@ -492,30 +347,7 @@ type StatusReport struct {
 // Code implements Body.
 func (*StatusReport) Code() Code { return CodeStatusReport }
 
-// Encode implements Body.
-func (m *StatusReport) Encode(b []byte) []byte {
-	b = wire.AppendUint32(b, uint32(len(m.Sites)))
-	for i := range m.Sites {
-		b = m.Sites[i].encode(b)
-	}
-	return b
-}
-
-// Decode implements Body.
-func (m *StatusReport) Decode(buf *wire.Buffer) error {
-	n := int(buf.Uint32())
-	if err := buf.Err(); err != nil {
-		return err
-	}
-	if n > buf.Remaining() {
-		return wire.ErrTruncated
-	}
-	m.Sites = make([]SiteStatus, n)
-	for i := range m.Sites {
-		m.Sites[i].decode(buf)
-	}
-	return buf.Err()
-}
+func (m *StatusReport) fields(c *codec) { slice(c, &m.Sites, (*SiteStatus).fields) }
 
 // NodeReport carries one node's raw statistics to its site proxy.
 type NodeReport struct {
@@ -531,28 +363,14 @@ type NodeReport struct {
 // Code implements Body.
 func (*NodeReport) Code() Code { return CodeNodeReport }
 
-// Encode implements Body.
-func (m *NodeReport) Encode(b []byte) []byte {
-	b = wire.AppendString(b, m.Node)
-	b = wire.AppendFloat64(b, m.CPUFreePct)
-	b = wire.AppendInt64(b, m.RAMFreeMB)
-	b = wire.AppendInt64(b, m.DiskFreeMB)
-	b = wire.AppendFloat64(b, m.Load1)
-	b = wire.AppendUint32(b, m.Procs)
-	b = wire.AppendInt64(b, m.UnixNano)
-	return b
-}
-
-// Decode implements Body.
-func (m *NodeReport) Decode(buf *wire.Buffer) error {
-	m.Node = buf.String()
-	m.CPUFreePct = buf.Float64()
-	m.RAMFreeMB = buf.Int64()
-	m.DiskFreeMB = buf.Int64()
-	m.Load1 = buf.Float64()
-	m.Procs = buf.Uint32()
-	m.UnixNano = buf.Int64()
-	return buf.Err()
+func (m *NodeReport) fields(c *codec) {
+	c.String(&m.Node)
+	c.Float64(&m.CPUFreePct)
+	c.Int64(&m.RAMFreeMB)
+	c.Int64(&m.DiskFreeMB)
+	c.Float64(&m.Load1)
+	c.Uint32(&m.Procs)
+	c.Int64(&m.UnixNano)
 }
 
 // StageRef is the wire form of a staged-file reference: the name ranks
@@ -564,31 +382,10 @@ type StageRef struct {
 	Size int64
 }
 
-func appendStageRefs(b []byte, refs []StageRef) []byte {
-	b = wire.AppendUint32(b, uint32(len(refs)))
-	for _, r := range refs {
-		b = wire.AppendString(b, r.Name)
-		b = wire.AppendString(b, r.Hash)
-		b = wire.AppendInt64(b, r.Size)
-	}
-	return b
-}
-
-func decodeStageRefs(buf *wire.Buffer) ([]StageRef, error) {
-	n := int(buf.Uint32())
-	if err := buf.Err(); err != nil {
-		return nil, err
-	}
-	if n > buf.Remaining() {
-		return nil, wire.ErrTruncated
-	}
-	refs := make([]StageRef, n)
-	for i := range refs {
-		refs[i].Name = buf.String()
-		refs[i].Hash = buf.String()
-		refs[i].Size = buf.Int64()
-	}
-	return refs, buf.Err()
+func (m *StageRef) fields(c *codec) {
+	c.String(&m.Name)
+	c.String(&m.Hash)
+	c.Int64(&m.Size)
 }
 
 // JobSubmit submits a job for scheduling.
@@ -612,33 +409,15 @@ type JobSubmit struct {
 // Code implements Body.
 func (*JobSubmit) Code() Code { return CodeJobSubmit }
 
-// Encode implements Body.
-func (m *JobSubmit) Encode(b []byte) []byte {
-	b = wire.AppendString(b, m.JobID)
-	b = wire.AppendString(b, m.Owner)
-	b = wire.AppendString(b, m.Program)
-	b = wire.AppendStringSlice(b, m.Args)
-	b = wire.AppendUint32(b, m.Procs)
-	b = wire.AppendStringSlice(b, m.Requirements)
-	b = appendStageRefs(b, m.StageIn)
-	b = wire.AppendStringSlice(b, m.StageOut)
-	return b
-}
-
-// Decode implements Body.
-func (m *JobSubmit) Decode(buf *wire.Buffer) error {
-	m.JobID = buf.String()
-	m.Owner = buf.String()
-	m.Program = buf.String()
-	m.Args = buf.StringSlice()
-	m.Procs = buf.Uint32()
-	m.Requirements = buf.StringSlice()
-	var err error
-	if m.StageIn, err = decodeStageRefs(buf); err != nil {
-		return err
-	}
-	m.StageOut = buf.StringSlice()
-	return buf.Err()
+func (m *JobSubmit) fields(c *codec) {
+	c.String(&m.JobID)
+	c.String(&m.Owner)
+	c.String(&m.Program)
+	c.Strings(&m.Args)
+	c.Uint32(&m.Procs)
+	c.Strings(&m.Requirements)
+	slice(c, &m.StageIn, (*StageRef).fields)
+	c.Strings(&m.StageOut)
 }
 
 // JobState enumerates job lifecycle states on the wire.
@@ -668,6 +447,11 @@ type InlineOutput struct {
 	Data []byte
 }
 
+func (m *InlineOutput) fields(c *codec) {
+	c.Uint32(&m.Ref)
+	c.Bytes(&m.Data)
+}
+
 // JobUpdate reports a job state transition.
 //
 //	job str | state u8 | detail str | site str | refs | n u32 | n × (ref u32 | bytes)
@@ -692,49 +476,23 @@ type JobUpdate struct {
 // Code implements Body.
 func (*JobUpdate) Code() Code { return CodeJobUpdate }
 
-// Encode implements Body.
-func (m *JobUpdate) Encode(b []byte) []byte {
-	b = wire.AppendString(b, m.JobID)
-	b = append(b, byte(m.State))
-	b = wire.AppendString(b, m.Detail)
-	b = wire.AppendString(b, m.Site)
-	b = appendStageRefs(b, m.Outputs)
-	b = wire.AppendUint32(b, uint32(len(m.Inline)))
-	for _, in := range m.Inline {
-		b = wire.AppendUint32(b, in.Ref)
-		b = wire.AppendBytes(b, in.Data)
-	}
-	return b
+func (m *JobUpdate) fields(c *codec) {
+	c.String(&m.JobID)
+	c.Uint8((*uint8)(&m.State))
+	c.String(&m.Detail)
+	c.String(&m.Site)
+	slice(c, &m.Outputs, (*StageRef).fields)
+	slice(c, &m.Inline, (*InlineOutput).fields)
 }
 
-// Decode implements Body.
-func (m *JobUpdate) Decode(buf *wire.Buffer) error {
-	m.JobID = buf.String()
-	m.State = JobState(buf.Uint8())
-	m.Detail = buf.String()
-	m.Site = buf.String()
-	var err error
-	if m.Outputs, err = decodeStageRefs(buf); err != nil {
-		return err
-	}
-	n := int(buf.Uint32())
-	if err := buf.Err(); err != nil {
-		return err
-	}
-	if n > len(m.Outputs) {
+// check refuses inline outputs that do not name the report's refs in
+// ascending order, or exceed MaxInlineOutputs in total.
+func (m *JobUpdate) check() error {
+	if len(m.Inline) > len(m.Outputs) {
 		return ErrMalformed
 	}
-	if n > 0 {
-		m.Inline = make([]InlineOutput, n)
-	}
 	total := 0
-	for i := range m.Inline {
-		in := &m.Inline[i]
-		in.Ref = buf.Uint32()
-		in.Data = buf.Bytes()
-		if err := buf.Err(); err != nil {
-			return err
-		}
+	for i, in := range m.Inline {
 		total += len(in.Data)
 		ascending := i == 0 || in.Ref > m.Inline[i-1].Ref
 		if !ascending || int(in.Ref) >= len(m.Outputs) || total > MaxInlineOutputs {
@@ -752,14 +510,7 @@ type JobQuery struct {
 // Code implements Body.
 func (*JobQuery) Code() Code { return CodeJobQuery }
 
-// Encode implements Body.
-func (m *JobQuery) Encode(b []byte) []byte { return wire.AppendString(b, m.JobID) }
-
-// Decode implements Body.
-func (m *JobQuery) Decode(buf *wire.Buffer) error {
-	m.JobID = buf.String()
-	return buf.Err()
-}
+func (m *JobQuery) fields(c *codec) { c.String(&m.JobID) }
 
 // RankLocation places one rank of an application at a site. Only the
 // site that runs a rank knows its node: it places its share itself.
@@ -768,10 +519,20 @@ type RankLocation struct {
 	Site string
 }
 
+func (m *RankLocation) fields(c *codec) {
+	c.Uint32(&m.Rank)
+	c.String(&m.Site)
+}
+
 // RankEndpoint reports where a spawned rank is listening.
 type RankEndpoint struct {
 	Rank uint32
 	Addr string
+}
+
+func (m *RankEndpoint) fields(c *codec) {
+	c.Uint32(&m.Rank)
+	c.String(&m.Addr)
 }
 
 // SpawnReply answers a CommitSpawn.
@@ -785,37 +546,11 @@ type SpawnReply struct {
 // Code implements Body.
 func (*SpawnReply) Code() Code { return CodeSpawnReply }
 
-// Encode implements Body.
-func (m *SpawnReply) Encode(b []byte) []byte {
-	b = wire.AppendString(b, m.AppID)
-	b = wire.AppendBool(b, m.OK)
-	b = wire.AppendString(b, m.Reason)
-	b = wire.AppendUint32(b, uint32(len(m.Endpoints)))
-	for _, ep := range m.Endpoints {
-		b = wire.AppendUint32(b, ep.Rank)
-		b = wire.AppendString(b, ep.Addr)
-	}
-	return b
-}
-
-// Decode implements Body.
-func (m *SpawnReply) Decode(buf *wire.Buffer) error {
-	m.AppID = buf.String()
-	m.OK = buf.Bool()
-	m.Reason = buf.String()
-	n := int(buf.Uint32())
-	if err := buf.Err(); err != nil {
-		return err
-	}
-	if n > buf.Remaining() {
-		return wire.ErrTruncated
-	}
-	m.Endpoints = make([]RankEndpoint, n)
-	for i := range m.Endpoints {
-		m.Endpoints[i].Rank = buf.Uint32()
-		m.Endpoints[i].Addr = buf.String()
-	}
-	return buf.Err()
+func (m *SpawnReply) fields(c *codec) {
+	c.String(&m.AppID)
+	c.Bool(&m.OK)
+	c.String(&m.Reason)
+	slice(c, &m.Endpoints, (*RankEndpoint).fields)
 }
 
 // PrepareSpawn reserves an application at a destination site: the proxy
@@ -860,67 +595,18 @@ type PrepareSpawn struct {
 // Code implements Body.
 func (*PrepareSpawn) Code() Code { return CodePrepareSpawn }
 
-// Encode implements Body.
-func (m *PrepareSpawn) Encode(b []byte) []byte {
-	b = wire.AppendString(b, m.AppID)
-	b = wire.AppendString(b, m.Origin)
-	b = wire.AppendString(b, m.Owner)
-	b = wire.AppendString(b, m.Program)
-	b = wire.AppendStringSlice(b, m.Args)
-	b = wire.AppendUint32(b, m.WorldSize)
-	b = wire.AppendUint32(b, uint32(len(m.Ranks)))
-	for _, rank := range m.Ranks {
-		b = wire.AppendUint32(b, rank)
-	}
-	b = wire.AppendUint32(b, uint32(len(m.Locations)))
-	for _, loc := range m.Locations {
-		b = wire.AppendUint32(b, loc.Rank)
-		b = wire.AppendString(b, loc.Site)
-	}
-	b = appendStageRefs(b, m.StageIn)
-	b = wire.AppendStringSlice(b, m.StageOut)
-	b = wire.AppendUint64(b, m.Epoch)
-	return b
-}
-
-// Decode implements Body.
-func (m *PrepareSpawn) Decode(buf *wire.Buffer) error {
-	m.AppID = buf.String()
-	m.Origin = buf.String()
-	m.Owner = buf.String()
-	m.Program = buf.String()
-	m.Args = buf.StringSlice()
-	m.WorldSize = buf.Uint32()
-	n := int(buf.Uint32())
-	if err := buf.Err(); err != nil {
-		return err
-	}
-	if n > buf.Remaining() {
-		return wire.ErrTruncated
-	}
-	m.Ranks = make([]uint32, n)
-	for i := range m.Ranks {
-		m.Ranks[i] = buf.Uint32()
-	}
-	nl := int(buf.Uint32())
-	if err := buf.Err(); err != nil {
-		return err
-	}
-	if nl > buf.Remaining() {
-		return wire.ErrTruncated
-	}
-	m.Locations = make([]RankLocation, nl)
-	for i := range m.Locations {
-		m.Locations[i].Rank = buf.Uint32()
-		m.Locations[i].Site = buf.String()
-	}
-	var err error
-	if m.StageIn, err = decodeStageRefs(buf); err != nil {
-		return err
-	}
-	m.StageOut = buf.StringSlice()
-	m.Epoch = buf.Uint64()
-	return buf.Err()
+func (m *PrepareSpawn) fields(c *codec) {
+	c.String(&m.AppID)
+	c.String(&m.Origin)
+	c.String(&m.Owner)
+	c.String(&m.Program)
+	c.Strings(&m.Args)
+	c.Uint32(&m.WorldSize)
+	slice(c, &m.Ranks, u32)
+	slice(c, &m.Locations, (*RankLocation).fields)
+	slice(c, &m.StageIn, (*StageRef).fields)
+	c.Strings(&m.StageOut)
+	c.Uint64(&m.Epoch)
 }
 
 // PrepareSpawnReply answers a PrepareSpawn.
@@ -933,20 +619,10 @@ type PrepareSpawnReply struct {
 // Code implements Body.
 func (*PrepareSpawnReply) Code() Code { return CodePrepareSpawnReply }
 
-// Encode implements Body.
-func (m *PrepareSpawnReply) Encode(b []byte) []byte {
-	b = wire.AppendString(b, m.AppID)
-	b = wire.AppendBool(b, m.OK)
-	b = wire.AppendString(b, m.Reason)
-	return b
-}
-
-// Decode implements Body.
-func (m *PrepareSpawnReply) Decode(buf *wire.Buffer) error {
-	m.AppID = buf.String()
-	m.OK = buf.Bool()
-	m.Reason = buf.String()
-	return buf.Err()
+func (m *PrepareSpawnReply) fields(c *codec) {
+	c.String(&m.AppID)
+	c.Bool(&m.OK)
+	c.String(&m.Reason)
 }
 
 // CommitSpawn starts the ranks reserved by a PrepareSpawn. The reply is
@@ -975,29 +651,11 @@ type CommitSpawn struct {
 // Code implements Body.
 func (*CommitSpawn) Code() Code { return CodeCommitSpawn }
 
-// Encode implements Body.
-func (m *CommitSpawn) Encode(b []byte) []byte {
-	b = wire.AppendString(b, m.AppID)
-	b = wire.AppendUint64(b, m.Epoch)
-	b = wire.AppendString(b, m.Token)
-	b = wire.AppendBool(b, m.Unconfirmed)
-	return b
-}
-
-// Decode implements Body.
-func (m *CommitSpawn) Decode(buf *wire.Buffer) error {
-	m.AppID = buf.String()
-	m.Epoch = buf.Uint64()
-	m.Token = buf.String()
-	flag := buf.Uint8()
-	if err := buf.Err(); err != nil {
-		return err
-	}
-	if flag > 1 {
-		return ErrMalformed
-	}
-	m.Unconfirmed = flag == 1
-	return nil
+func (m *CommitSpawn) fields(c *codec) {
+	c.String(&m.AppID)
+	c.Uint64(&m.Epoch)
+	c.String(&m.Token)
+	c.Flag(&m.Unconfirmed)
 }
 
 // AbortSpawn tears a prepared or running application down at a
@@ -1013,18 +671,9 @@ type AbortSpawn struct {
 // Code implements Body.
 func (*AbortSpawn) Code() Code { return CodeAbortSpawn }
 
-// Encode implements Body.
-func (m *AbortSpawn) Encode(b []byte) []byte {
-	b = wire.AppendString(b, m.AppID)
-	b = wire.AppendString(b, m.Reason)
-	return b
-}
-
-// Decode implements Body.
-func (m *AbortSpawn) Decode(buf *wire.Buffer) error {
-	m.AppID = buf.String()
-	m.Reason = buf.String()
-	return buf.Err()
+func (m *AbortSpawn) fields(c *codec) {
+	c.String(&m.AppID)
+	c.String(&m.Reason)
 }
 
 // AbortSpawnReply answers an AbortSpawn.
@@ -1038,20 +687,10 @@ type AbortSpawnReply struct {
 // Code implements Body.
 func (*AbortSpawnReply) Code() Code { return CodeAbortSpawnReply }
 
-// Encode implements Body.
-func (m *AbortSpawnReply) Encode(b []byte) []byte {
-	b = wire.AppendString(b, m.AppID)
-	b = wire.AppendBool(b, m.OK)
-	b = wire.AppendUint32(b, m.Killed)
-	return b
-}
-
-// Decode implements Body.
-func (m *AbortSpawnReply) Decode(buf *wire.Buffer) error {
-	m.AppID = buf.String()
-	m.OK = buf.Bool()
-	m.Killed = buf.Uint32()
-	return buf.Err()
+func (m *AbortSpawnReply) fields(c *codec) {
+	c.String(&m.AppID)
+	c.Bool(&m.OK)
+	c.Uint32(&m.Killed)
 }
 
 // JobCancel asks the origin proxy to cancel a job it launched. The reply
@@ -1063,14 +702,7 @@ type JobCancel struct {
 // Code implements Body.
 func (*JobCancel) Code() Code { return CodeJobCancel }
 
-// Encode implements Body.
-func (m *JobCancel) Encode(b []byte) []byte { return wire.AppendString(b, m.JobID) }
-
-// Decode implements Body.
-func (m *JobCancel) Decode(buf *wire.Buffer) error {
-	m.JobID = buf.String()
-	return buf.Err()
-}
+func (m *JobCancel) fields(c *codec) { c.String(&m.JobID) }
 
 // JobList asks a proxy for one page of its job table, newest first: the
 // jobs of Owner (every owner's when empty) submitted before the cursor
@@ -1085,20 +717,10 @@ type JobList struct {
 // Code implements Body.
 func (*JobList) Code() Code { return CodeJobList }
 
-// Encode implements Body.
-func (m *JobList) Encode(b []byte) []byte {
-	b = wire.AppendString(b, m.Owner)
-	return wire.AppendUint64(b, m.Before)
-}
-
-// Decode implements Body.
-func (m *JobList) Decode(buf *wire.Buffer) error {
-	if buf.Remaining() == 0 {
-		return buf.Err()
-	}
-	m.Owner = buf.String()
-	m.Before = buf.Uint64()
-	return buf.Err()
+func (m *JobList) fields(c *codec) {
+	c.Optional()
+	c.String(&m.Owner)
+	c.Uint64(&m.Before)
 }
 
 // JobRecord is one entry of a JobListReply. State is the human-readable
@@ -1107,6 +729,12 @@ type JobRecord struct {
 	JobID  string
 	State  string
 	Detail string
+}
+
+func (m *JobRecord) fields(c *codec) {
+	c.String(&m.JobID)
+	c.String(&m.State)
+	c.String(&m.Detail)
 }
 
 // JobListReply answers a JobList with one page of jobs, newest first.
@@ -1120,36 +748,10 @@ type JobListReply struct {
 // Code implements Body.
 func (*JobListReply) Code() Code { return CodeJobListReply }
 
-// Encode implements Body.
-func (m *JobListReply) Encode(b []byte) []byte {
-	b = wire.AppendUint32(b, uint32(len(m.Jobs)))
-	for _, j := range m.Jobs {
-		b = wire.AppendString(b, j.JobID)
-		b = wire.AppendString(b, j.State)
-		b = wire.AppendString(b, j.Detail)
-	}
-	return wire.AppendUint64(b, m.Next)
-}
-
-// Decode implements Body.
-func (m *JobListReply) Decode(buf *wire.Buffer) error {
-	n := int(buf.Uint32())
-	if err := buf.Err(); err != nil {
-		return err
-	}
-	if n > buf.Remaining() {
-		return wire.ErrTruncated
-	}
-	m.Jobs = make([]JobRecord, n)
-	for i := range m.Jobs {
-		m.Jobs[i].JobID = buf.String()
-		m.Jobs[i].State = buf.String()
-		m.Jobs[i].Detail = buf.String()
-	}
-	if buf.Err() == nil && buf.Remaining() > 0 {
-		m.Next = buf.Uint64()
-	}
-	return buf.Err()
+func (m *JobListReply) fields(c *codec) {
+	slice(c, &m.Jobs, (*JobRecord).fields)
+	c.Optional()
+	c.Uint64(&m.Next)
 }
 
 // StreamKind describes what a spliced tunnel stream carries.
@@ -1192,26 +794,13 @@ type StreamOpen struct {
 // Code implements Body.
 func (*StreamOpen) Code() Code { return CodeStreamOpen }
 
-// Encode implements Body.
-func (m *StreamOpen) Encode(b []byte) []byte {
-	b = wire.AppendString(b, m.AppID)
-	b = wire.AppendString(b, m.TargetSite)
-	b = wire.AppendUint32(b, m.Rank)
-	b = wire.AppendString(b, m.TargetAddr)
-	b = append(b, byte(m.Kind))
-	b = wire.AppendBytes(b, m.Token)
-	return b
-}
-
-// Decode implements Body.
-func (m *StreamOpen) Decode(buf *wire.Buffer) error {
-	m.AppID = buf.String()
-	m.TargetSite = buf.String()
-	m.Rank = buf.Uint32()
-	m.TargetAddr = buf.String()
-	m.Kind = StreamKind(buf.Uint8())
-	m.Token = buf.Bytes()
-	return buf.Err()
+func (m *StreamOpen) fields(c *codec) {
+	c.String(&m.AppID)
+	c.String(&m.TargetSite)
+	c.Uint32(&m.Rank)
+	c.String(&m.TargetAddr)
+	c.Uint8((*uint8)(&m.Kind))
+	c.Bytes(&m.Token)
 }
 
 // StageChunk is the most blob bytes one client message carries. Blobs
@@ -1220,30 +809,6 @@ func (m *StreamOpen) Decode(buf *wire.Buffer) error {
 // control channel's frames, and a blob of at most one chunk costs one
 // message each way.
 const StageChunk = 1 << 20
-
-// tailed is implemented by the two bodies that carry blob bytes. Their
-// layout ends with the bytes, so WriteBody can hand them to the frame
-// writer as a segment of their own instead of copying them behind the
-// header, and Decode can alias the frame instead of copying them out.
-type tailed interface {
-	Body
-	// encodeHead appends everything Encode does except the tail bytes.
-	encodeHead(b []byte) []byte
-	tail() []byte
-}
-
-// decodeTail reads the "n u32 | n bytes" run that ends a tailed body. The
-// run must end the payload exactly, and the returned slice aliases it.
-func decodeTail(buf *wire.Buffer) ([]byte, error) {
-	n := buf.Uint32()
-	if err := buf.Err(); err != nil {
-		return nil, err
-	}
-	if n > StageChunk || int(n) != buf.Remaining() {
-		return nil, ErrMalformed
-	}
-	return buf.View(int(n)), nil
-}
 
 // PutStep says what a StagePut does to its upload.
 type PutStep uint8
@@ -1283,31 +848,16 @@ type StagePut struct {
 // Code implements Body.
 func (*StagePut) Code() Code { return CodeStagePut }
 
-func (m *StagePut) encodeHead(b []byte) []byte {
-	b = wire.AppendUint64(b, m.Upload)
-	b = wire.AppendInt64(b, m.Offset)
-	b = wire.AppendInt64(b, m.Size)
-	b = append(b, byte(m.Step))
-	b = wire.AppendString(b, m.Name)
-	return wire.AppendUint32(b, uint32(len(m.Data)))
+func (m *StagePut) fields(c *codec) {
+	c.Uint64(&m.Upload)
+	c.Int64(&m.Offset)
+	c.Int64(&m.Size)
+	c.Uint8((*uint8)(&m.Step))
+	c.String(&m.Name)
+	c.Tail(&m.Data)
 }
 
-func (m *StagePut) tail() []byte { return m.Data }
-
-// Encode implements Body.
-func (m *StagePut) Encode(b []byte) []byte { return append(m.encodeHead(b), m.Data...) }
-
-// Decode implements Body.
-func (m *StagePut) Decode(buf *wire.Buffer) error {
-	m.Upload = buf.Uint64()
-	m.Offset = buf.Int64()
-	m.Size = buf.Int64()
-	m.Step = PutStep(buf.Uint8())
-	m.Name = buf.String()
-	var err error
-	if m.Data, err = decodeTail(buf); err != nil {
-		return err
-	}
+func (m *StagePut) check() error {
 	if m.Offset < 0 || m.Size < -1 || m.Step > PutAbort {
 		return ErrMalformed
 	}
@@ -1323,22 +873,14 @@ type StagePutReply struct {
 // Code implements Body.
 func (*StagePutReply) Code() Code { return CodeStagePutReply }
 
-// Encode implements Body.
-func (m *StagePutReply) Encode(b []byte) []byte {
-	return appendStageRefs(b, []StageRef{m.Ref})
-}
-
-// Decode implements Body.
-func (m *StagePutReply) Decode(buf *wire.Buffer) error {
-	refs, err := decodeStageRefs(buf)
-	if err != nil {
-		return err
+// The ref goes out as a counted list of one, and a count other than one
+// is truncation.
+func (m *StagePutReply) fields(c *codec) {
+	one := uint32(1)
+	if c.Uint32(&one); one != 1 {
+		c.fail(wire.ErrTruncated)
 	}
-	if len(refs) != 1 {
-		return wire.ErrTruncated
-	}
-	m.Ref = refs[0]
-	return buf.Err()
+	m.Ref.fields(c)
 }
 
 // StageGet asks the serving proxy's store for one range of a blob (client
@@ -1353,21 +895,13 @@ type StageGet struct {
 // Code implements Body.
 func (*StageGet) Code() Code { return CodeStageGet }
 
-// Encode implements Body.
-func (m *StageGet) Encode(b []byte) []byte {
-	b = wire.AppendString(b, m.Hash)
-	b = wire.AppendInt64(b, m.Offset)
-	return wire.AppendInt64(b, m.Length)
+func (m *StageGet) fields(c *codec) {
+	c.String(&m.Hash)
+	c.Int64(&m.Offset)
+	c.Int64(&m.Length)
 }
 
-// Decode implements Body.
-func (m *StageGet) Decode(buf *wire.Buffer) error {
-	m.Hash = buf.String()
-	m.Offset = buf.Int64()
-	m.Length = buf.Int64()
-	if err := buf.Err(); err != nil {
-		return err
-	}
+func (m *StageGet) check() error {
 	if m.Offset < 0 || m.Length < 0 {
 		return ErrMalformed
 	}
@@ -1389,25 +923,13 @@ type StageGetReply struct {
 // Code implements Body.
 func (*StageGetReply) Code() Code { return CodeStageGetReply }
 
-func (m *StageGetReply) encodeHead(b []byte) []byte {
-	b = wire.AppendInt64(b, m.Size)
-	b = wire.AppendInt64(b, m.Offset)
-	return wire.AppendUint32(b, uint32(len(m.Data)))
+func (m *StageGetReply) fields(c *codec) {
+	c.Int64(&m.Size)
+	c.Int64(&m.Offset)
+	c.Tail(&m.Data)
 }
 
-func (m *StageGetReply) tail() []byte { return m.Data }
-
-// Encode implements Body.
-func (m *StageGetReply) Encode(b []byte) []byte { return append(m.encodeHead(b), m.Data...) }
-
-// Decode implements Body.
-func (m *StageGetReply) Decode(buf *wire.Buffer) error {
-	m.Size = buf.Int64()
-	m.Offset = buf.Int64()
-	var err error
-	if m.Data, err = decodeTail(buf); err != nil {
-		return err
-	}
+func (m *StageGetReply) check() error {
 	if m.Offset < 0 || m.Offset+int64(len(m.Data)) > m.Size {
 		return ErrMalformed
 	}
@@ -1422,14 +944,7 @@ type StageStat struct {
 // Code implements Body.
 func (*StageStat) Code() Code { return CodeStageStat }
 
-// Encode implements Body.
-func (m *StageStat) Encode(b []byte) []byte { return wire.AppendString(b, m.Hash) }
-
-// Decode implements Body.
-func (m *StageStat) Decode(buf *wire.Buffer) error {
-	m.Hash = buf.String()
-	return buf.Err()
-}
+func (m *StageStat) fields(c *codec) { c.String(&m.Hash) }
 
 // StageStatReply answers a StageStat.
 type StageStatReply struct {
@@ -1441,20 +956,10 @@ type StageStatReply struct {
 // Code implements Body.
 func (*StageStatReply) Code() Code { return CodeStageStatReply }
 
-// Encode implements Body.
-func (m *StageStatReply) Encode(b []byte) []byte {
-	b = wire.AppendString(b, m.Hash)
-	b = wire.AppendBool(b, m.Present)
-	b = wire.AppendInt64(b, m.Size)
-	return b
-}
-
-// Decode implements Body.
-func (m *StageStatReply) Decode(buf *wire.Buffer) error {
-	m.Hash = buf.String()
-	m.Present = buf.Bool()
-	m.Size = buf.Int64()
-	return buf.Err()
+func (m *StageStatReply) fields(c *codec) {
+	c.String(&m.Hash)
+	c.Bool(&m.Present)
+	c.Int64(&m.Size)
 }
 
 // StreamOpenReply confirms or refuses a StreamOpen.
@@ -1466,18 +971,9 @@ type StreamOpenReply struct {
 // Code implements Body.
 func (*StreamOpenReply) Code() Code { return CodeStreamOpenReply }
 
-// Encode implements Body.
-func (m *StreamOpenReply) Encode(b []byte) []byte {
-	b = wire.AppendBool(b, m.OK)
-	b = wire.AppendString(b, m.Reason)
-	return b
-}
-
-// Decode implements Body.
-func (m *StreamOpenReply) Decode(buf *wire.Buffer) error {
-	m.OK = buf.Bool()
-	m.Reason = buf.String()
-	return buf.Err()
+func (m *StreamOpenReply) fields(c *codec) {
+	c.Bool(&m.OK)
+	c.String(&m.Reason)
 }
 
 // Resource is one resource a site reports about itself, such as a node.
@@ -1489,19 +985,11 @@ type Resource struct {
 	Attrs []string
 }
 
-func (r *Resource) encode(b []byte) []byte {
-	b = wire.AppendString(b, r.Name)
-	b = wire.AppendString(b, r.Kind)
-	b = wire.AppendString(b, r.Site)
-	b = wire.AppendStringSlice(b, r.Attrs)
-	return b
-}
-
-func (r *Resource) decode(buf *wire.Buffer) {
-	r.Name = buf.String()
-	r.Kind = buf.String()
-	r.Site = buf.String()
-	r.Attrs = buf.StringSlice()
+func (m *Resource) fields(c *codec) {
+	c.String(&m.Name)
+	c.String(&m.Kind)
+	c.String(&m.Site)
+	c.Strings(&m.Attrs)
 }
 
 // RegistryQuery asks for the resources of one site. Site was appended:
@@ -1518,21 +1006,11 @@ type RegistryQuery struct {
 // Code implements Body.
 func (*RegistryQuery) Code() Code { return CodeRegistryQuery }
 
-// Encode implements Body.
-func (m *RegistryQuery) Encode(b []byte) []byte {
-	b = wire.AppendString(b, m.Kind)
-	b = wire.AppendStringSlice(b, m.Attrs)
-	return wire.AppendString(b, m.Site)
-}
-
-// Decode implements Body.
-func (m *RegistryQuery) Decode(buf *wire.Buffer) error {
-	m.Kind = buf.String()
-	m.Attrs = buf.StringSlice()
-	if buf.Err() == nil && buf.Remaining() > 0 {
-		m.Site = buf.String()
-	}
-	return buf.Err()
+func (m *RegistryQuery) fields(c *codec) {
+	c.String(&m.Kind)
+	c.Strings(&m.Attrs)
+	c.Optional()
+	c.String(&m.Site)
 }
 
 // RegistryReply answers a RegistryQuery.
@@ -1543,30 +1021,7 @@ type RegistryReply struct {
 // Code implements Body.
 func (*RegistryReply) Code() Code { return CodeRegistryReply }
 
-// Encode implements Body.
-func (m *RegistryReply) Encode(b []byte) []byte {
-	b = wire.AppendUint32(b, uint32(len(m.Resources)))
-	for i := range m.Resources {
-		b = m.Resources[i].encode(b)
-	}
-	return b
-}
-
-// Decode implements Body.
-func (m *RegistryReply) Decode(buf *wire.Buffer) error {
-	n := int(buf.Uint32())
-	if err := buf.Err(); err != nil {
-		return err
-	}
-	if n > buf.Remaining() {
-		return wire.ErrTruncated
-	}
-	m.Resources = make([]Resource, n)
-	for i := range m.Resources {
-		m.Resources[i].decode(buf)
-	}
-	return buf.Err()
-}
+func (m *RegistryReply) fields(c *codec) { slice(c, &m.Resources, (*Resource).fields) }
 
 // GossipEntry is the wire form of one membership directory entry: who a
 // site is (name, dialable address), how alive the sender believes it is
@@ -1582,55 +1037,16 @@ type GossipEntry struct {
 	Summary     SiteStatus
 }
 
-func (e *GossipEntry) encode(b []byte) []byte {
-	b = wire.AppendString(b, e.Site)
-	b = wire.AppendString(b, e.Addr)
-	b = append(b, e.State)
-	b = wire.AppendUint64(b, e.Incarnation)
-	b = wire.AppendUint64(b, e.Version)
-	b = wire.AppendBool(b, e.HasSummary)
-	if e.HasSummary {
-		b = e.Summary.encode(b)
+func (m *GossipEntry) fields(c *codec) {
+	c.String(&m.Site)
+	c.String(&m.Addr)
+	c.Uint8(&m.State)
+	c.Uint64(&m.Incarnation)
+	c.Uint64(&m.Version)
+	c.Bool(&m.HasSummary)
+	if m.HasSummary {
+		m.Summary.fields(c)
 	}
-	return b
-}
-
-func (e *GossipEntry) decode(buf *wire.Buffer) {
-	e.Site = buf.String()
-	e.Addr = buf.String()
-	e.State = buf.Uint8()
-	e.Incarnation = buf.Uint64()
-	e.Version = buf.Uint64()
-	e.HasSummary = buf.Bool()
-	if e.HasSummary {
-		e.Summary.decode(buf)
-	}
-}
-
-func appendGossipEntries(b []byte, entries []GossipEntry) []byte {
-	b = wire.AppendUint32(b, uint32(len(entries)))
-	for i := range entries {
-		b = entries[i].encode(b)
-	}
-	return b
-}
-
-func decodeGossipEntries(buf *wire.Buffer) ([]GossipEntry, error) {
-	n := int(buf.Uint32())
-	if err := buf.Err(); err != nil {
-		return nil, err
-	}
-	if n > buf.Remaining() {
-		return nil, wire.ErrTruncated
-	}
-	if n == 0 {
-		return nil, nil
-	}
-	entries := make([]GossipEntry, n)
-	for i := range entries {
-		entries[i].decode(buf)
-	}
-	return entries, buf.Err()
 }
 
 // GossipDigestItem summarizes what the sender knows about one site, so
@@ -1642,19 +1058,11 @@ type GossipDigestItem struct {
 	State       uint8
 }
 
-func (d *GossipDigestItem) encode(b []byte) []byte {
-	b = wire.AppendString(b, d.Site)
-	b = wire.AppendUint64(b, d.Incarnation)
-	b = wire.AppendUint64(b, d.Version)
-	b = append(b, d.State)
-	return b
-}
-
-func (d *GossipDigestItem) decode(buf *wire.Buffer) {
-	d.Site = buf.String()
-	d.Incarnation = buf.Uint64()
-	d.Version = buf.Uint64()
-	d.State = buf.Uint8()
+func (m *GossipDigestItem) fields(c *codec) {
+	c.String(&m.Site)
+	c.Uint64(&m.Incarnation)
+	c.Uint64(&m.Version)
+	c.Uint8(&m.State)
 }
 
 // GossipSync is one membership gossip exchange: the sender pushes its hot
@@ -1677,43 +1085,12 @@ type GossipSync struct {
 // Code implements Body.
 func (*GossipSync) Code() Code { return CodeGossipSync }
 
-// Encode implements Body.
-func (m *GossipSync) Encode(b []byte) []byte {
-	b = wire.AppendString(b, m.From)
-	b = wire.AppendString(b, m.Addr)
-	b = appendGossipEntries(b, m.Entries)
-	b = wire.AppendBool(b, m.HasDigest)
-	b = wire.AppendUint32(b, uint32(len(m.Digest)))
-	for i := range m.Digest {
-		b = m.Digest[i].encode(b)
-	}
-	return b
-}
-
-// Decode implements Body.
-func (m *GossipSync) Decode(buf *wire.Buffer) error {
-	m.From = buf.String()
-	m.Addr = buf.String()
-	entries, err := decodeGossipEntries(buf)
-	if err != nil {
-		return err
-	}
-	m.Entries = entries
-	m.HasDigest = buf.Bool()
-	n := int(buf.Uint32())
-	if err := buf.Err(); err != nil {
-		return err
-	}
-	if n > buf.Remaining() {
-		return wire.ErrTruncated
-	}
-	if n > 0 {
-		m.Digest = make([]GossipDigestItem, n)
-		for i := range m.Digest {
-			m.Digest[i].decode(buf)
-		}
-	}
-	return buf.Err()
+func (m *GossipSync) fields(c *codec) {
+	c.String(&m.From)
+	c.String(&m.Addr)
+	slice(c, &m.Entries, (*GossipEntry).fields)
+	c.Bool(&m.HasDigest)
+	slice(c, &m.Digest, (*GossipDigestItem).fields)
 }
 
 // GossipDelta answers a GossipSync: the entries the receiver holds newer
@@ -1727,22 +1104,9 @@ type GossipDelta struct {
 // Code implements Body.
 func (*GossipDelta) Code() Code { return CodeGossipDelta }
 
-// Encode implements Body.
-func (m *GossipDelta) Encode(b []byte) []byte {
-	b = wire.AppendString(b, m.From)
-	b = appendGossipEntries(b, m.Entries)
-	return b
-}
-
-// Decode implements Body.
-func (m *GossipDelta) Decode(buf *wire.Buffer) error {
-	m.From = buf.String()
-	entries, err := decodeGossipEntries(buf)
-	if err != nil {
-		return err
-	}
-	m.Entries = entries
-	return buf.Err()
+func (m *GossipDelta) fields(c *codec) {
+	c.String(&m.From)
+	slice(c, &m.Entries, (*GossipEntry).fields)
 }
 
 // MemberList asks a proxy for its membership directory (client API).
@@ -1751,11 +1115,7 @@ type MemberList struct{}
 // Code implements Body.
 func (*MemberList) Code() Code { return CodeMemberList }
 
-// Encode implements Body.
-func (m *MemberList) Encode(b []byte) []byte { return b }
-
-// Decode implements Body.
-func (m *MemberList) Decode(buf *wire.Buffer) error { return buf.Err() }
+func (*MemberList) fields(*codec) {}
 
 // MemberInfo is one row of a MemberListReply.
 type MemberInfo struct {
@@ -1786,35 +1146,19 @@ type MemberInfo struct {
 	WindowBytes int64
 }
 
-func (mi *MemberInfo) encode(b []byte) []byte {
-	b = wire.AppendString(b, mi.Site)
-	b = wire.AppendString(b, mi.Addr)
-	b = append(b, mi.State)
-	b = wire.AppendUint64(b, mi.Incarnation)
-	b = wire.AppendUint64(b, mi.Version)
-	b = wire.AppendInt64(b, mi.AgeMillis)
-	b = wire.AppendBool(b, mi.Tunnel)
-	b = wire.AppendInt64(b, mi.HeardMillis)
-	b = wire.AppendInt64(b, mi.SuspectMillis)
-	b = append(b, mi.BondConns)
-	b = wire.AppendInt64(b, mi.RTTMicros)
-	b = wire.AppendInt64(b, mi.WindowBytes)
-	return b
-}
-
-func (mi *MemberInfo) decode(buf *wire.Buffer) {
-	mi.Site = buf.String()
-	mi.Addr = buf.String()
-	mi.State = buf.Uint8()
-	mi.Incarnation = buf.Uint64()
-	mi.Version = buf.Uint64()
-	mi.AgeMillis = buf.Int64()
-	mi.Tunnel = buf.Bool()
-	mi.HeardMillis = buf.Int64()
-	mi.SuspectMillis = buf.Int64()
-	mi.BondConns = buf.Uint8()
-	mi.RTTMicros = buf.Int64()
-	mi.WindowBytes = buf.Int64()
+func (m *MemberInfo) fields(c *codec) {
+	c.String(&m.Site)
+	c.String(&m.Addr)
+	c.Uint8(&m.State)
+	c.Uint64(&m.Incarnation)
+	c.Uint64(&m.Version)
+	c.Int64(&m.AgeMillis)
+	c.Bool(&m.Tunnel)
+	c.Int64(&m.HeardMillis)
+	c.Int64(&m.SuspectMillis)
+	c.Uint8(&m.BondConns)
+	c.Int64(&m.RTTMicros)
+	c.Int64(&m.WindowBytes)
 }
 
 // MemberListReply answers a MemberList with the proxy's directory.
@@ -1825,32 +1169,7 @@ type MemberListReply struct {
 // Code implements Body.
 func (*MemberListReply) Code() Code { return CodeMemberListReply }
 
-// Encode implements Body.
-func (m *MemberListReply) Encode(b []byte) []byte {
-	b = wire.AppendUint32(b, uint32(len(m.Members)))
-	for i := range m.Members {
-		b = m.Members[i].encode(b)
-	}
-	return b
-}
-
-// Decode implements Body.
-func (m *MemberListReply) Decode(buf *wire.Buffer) error {
-	n := int(buf.Uint32())
-	if err := buf.Err(); err != nil {
-		return err
-	}
-	if n > buf.Remaining() {
-		return wire.ErrTruncated
-	}
-	if n > 0 {
-		m.Members = make([]MemberInfo, n)
-		for i := range m.Members {
-			m.Members[i].decode(buf)
-		}
-	}
-	return buf.Err()
-}
+func (m *MemberListReply) fields(c *codec) { slice(c, &m.Members, (*MemberInfo).fields) }
 
 // PeerBye announces an intentional teardown of the session it arrives on
 // — the sender is about to close it for reasons that say nothing about
@@ -1866,14 +1185,7 @@ type PeerBye struct {
 // Code implements Body.
 func (*PeerBye) Code() Code { return CodePeerBye }
 
-// Encode implements Body.
-func (m *PeerBye) Encode(b []byte) []byte { return wire.AppendString(b, m.Reason) }
-
-// Decode implements Body.
-func (m *PeerBye) Decode(buf *wire.Buffer) error {
-	m.Reason = buf.String()
-	return buf.Err()
-}
+func (m *PeerBye) fields(c *codec) { c.String(&m.Reason) }
 
 // PeerByeAck answers a PeerBye so the evicting side can close knowing
 // the announcement was seen.
@@ -1882,11 +1194,7 @@ type PeerByeAck struct{}
 // Code implements Body.
 func (*PeerByeAck) Code() Code { return CodePeerByeAck }
 
-// Encode implements Body.
-func (m *PeerByeAck) Encode(b []byte) []byte { return b }
-
-// Decode implements Body.
-func (m *PeerByeAck) Decode(buf *wire.Buffer) error { return buf.Err() }
+func (*PeerByeAck) fields(*codec) {}
 
 // ProbeRequest asks the receiving proxy to confirm whether it can reach
 // Target right now. It is sent to k confirmers before a failed direct
@@ -1900,14 +1208,7 @@ type ProbeRequest struct {
 // Code implements Body.
 func (*ProbeRequest) Code() Code { return CodeProbeRequest }
 
-// Encode implements Body.
-func (m *ProbeRequest) Encode(b []byte) []byte { return wire.AppendString(b, m.Target) }
-
-// Decode implements Body.
-func (m *ProbeRequest) Decode(buf *wire.Buffer) error {
-	m.Target = buf.String()
-	return buf.Err()
-}
+func (m *ProbeRequest) fields(c *codec) { c.String(&m.Target) }
 
 // ProbeReply answers a ProbeRequest: OK reports whether the confirmer
 // reached the target.
@@ -1919,18 +1220,9 @@ type ProbeReply struct {
 // Code implements Body.
 func (*ProbeReply) Code() Code { return CodeProbeReply }
 
-// Encode implements Body.
-func (m *ProbeReply) Encode(b []byte) []byte {
-	b = wire.AppendString(b, m.Target)
-	b = wire.AppendBool(b, m.OK)
-	return b
-}
-
-// Decode implements Body.
-func (m *ProbeReply) Decode(buf *wire.Buffer) error {
-	m.Target = buf.String()
-	m.OK = buf.Bool()
-	return buf.Err()
+func (m *ProbeReply) fields(c *codec) {
+	c.String(&m.Target)
+	c.Bool(&m.OK)
 }
 
 // FenceNotice tells a destination that the listed ranks of an
@@ -1950,35 +1242,10 @@ type FenceNotice struct {
 // Code implements Body.
 func (*FenceNotice) Code() Code { return CodeFenceNotice }
 
-// Encode implements Body.
-func (m *FenceNotice) Encode(b []byte) []byte {
-	b = wire.AppendString(b, m.AppID)
-	b = wire.AppendUint64(b, m.Epoch)
-	b = wire.AppendUint32(b, uint32(len(m.Ranks)))
-	for _, r := range m.Ranks {
-		b = wire.AppendUint32(b, r)
-	}
-	return b
-}
-
-// Decode implements Body.
-func (m *FenceNotice) Decode(buf *wire.Buffer) error {
-	m.AppID = buf.String()
-	m.Epoch = buf.Uint64()
-	n := int(buf.Uint32())
-	if err := buf.Err(); err != nil {
-		return err
-	}
-	if n > buf.Remaining() {
-		return wire.ErrTruncated
-	}
-	if n > 0 {
-		m.Ranks = make([]uint32, n)
-		for i := range m.Ranks {
-			m.Ranks[i] = buf.Uint32()
-		}
-	}
-	return buf.Err()
+func (m *FenceNotice) fields(c *codec) {
+	c.String(&m.AppID)
+	c.Uint64(&m.Epoch)
+	slice(c, &m.Ranks, u32)
 }
 
 // FenceReply answers a FenceNotice; Killed counts the stale ranks the
@@ -1991,16 +1258,7 @@ type FenceReply struct {
 // Code implements Body.
 func (*FenceReply) Code() Code { return CodeFenceReply }
 
-// Encode implements Body.
-func (m *FenceReply) Encode(b []byte) []byte {
-	b = wire.AppendString(b, m.AppID)
-	b = wire.AppendUint32(b, m.Killed)
-	return b
-}
-
-// Decode implements Body.
-func (m *FenceReply) Decode(buf *wire.Buffer) error {
-	m.AppID = buf.String()
-	m.Killed = buf.Uint32()
-	return buf.Err()
+func (m *FenceReply) fields(c *codec) {
+	c.String(&m.AppID)
+	c.Uint32(&m.Killed)
 }

@@ -2,10 +2,12 @@
 //
 // The paper (Section 3) standardizes control communication "through the
 // creation of a protocol used among the proxies" whose codes "can be
-// expanded to deal with a new situation". Accordingly this package keeps an
-// open registry of message codes: every message is a (Code, CorrelationID,
-// Payload) triple framed by package wire, and new codes can be registered
-// by extensions without touching the dispatcher.
+// expanded to deal with a new situation". Accordingly every message is a
+// (Code, CorrelationID, Payload) triple framed by package wire, and the
+// codes index one table of message bodies: a new code is one more
+// constant and one more row of that table, without touching the
+// dispatcher. Each body states its layout once, as a walk over its fields
+// that encodes and decodes it (see codec).
 package proto
 
 import (
@@ -16,15 +18,10 @@ import (
 	"gridproxy/internal/wire"
 )
 
-// Code identifies a control-protocol message type. Codes below 0x1000 are
-// reserved for the core protocol; extensions register codes at or above
-// ExtensionBase.
+// Code identifies a control-protocol message type.
 type Code uint16
 
-// ExtensionBase is the first Code available to protocol extensions.
-const ExtensionBase Code = 0x1000
-
-// Core protocol codes.
+// Protocol codes. A retired code keeps its number, as "_".
 const (
 	CodeInvalid Code = iota
 	// CodeHello opens a proxy-to-proxy session: announces site name,
@@ -191,8 +188,8 @@ type Message struct {
 
 // Protocol errors.
 var (
-	// ErrUnknownCode indicates a message whose code has no registered
-	// decoder.
+	// ErrUnknownCode indicates a message whose code has no row in the
+	// table of bodies.
 	ErrUnknownCode = errors.New("proto: unknown message code")
 	// ErrVersionMismatch indicates the peer speaks an incompatible
 	// protocol version.
@@ -204,64 +201,80 @@ var (
 	ErrMalformed = errors.New("proto: malformed message body")
 )
 
-// Body is implemented by every typed message body.
+// Body is implemented by every typed message body: the types below, one
+// per code, each listed in table.
 type Body interface {
 	// Code returns the message code this body encodes as.
 	Code() Code
-	// Encode appends the body's wire form to b.
-	Encode(b []byte) []byte
-	// Decode parses the body from a wire buffer.
-	Decode(buf *wire.Buffer) error
-}
-
-// registry maps codes to factory functions for decoding. Extensions add
-// entries via Register.
-var (
-	registryMu sync.RWMutex
-	registry   = make(map[Code]func() Body)
-)
-
-// Register associates a code with a Body factory so Decode can produce
-// typed bodies. Registering a core code (below ExtensionBase) outside this
-// package panics, as does double registration: both are programmer errors.
-func Register(code Code, factory func() Body) {
-	registryMu.Lock()
-	defer registryMu.Unlock()
-	if _, dup := registry[code]; dup {
-		panic(fmt.Sprintf("proto: duplicate registration for code %#x", uint16(code)))
-	}
-	registry[code] = factory
-}
-
-func registerCore(code Code, factory func() Body) {
-	registry[code] = factory
+	// fields walks the body's fields in wire order.
+	fields(c *codec)
 }
 
 // NewBody returns an empty Body for the given code, or ErrUnknownCode.
 func NewBody(code Code) (Body, error) {
-	registryMu.RLock()
-	factory, ok := registry[code]
-	registryMu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("%w: %#x", ErrUnknownCode, uint16(code))
+	if int(code) < len(table) && table[code] != nil {
+		return table[code](), nil
 	}
-	return factory(), nil
+	return nil, fmt.Errorf("%w: %#x", ErrUnknownCode, uint16(code))
 }
+
+// Append appends body's payload to b.
+func Append(b []byte, body Body) []byte {
+	head, tail := encode(b, body)
+	return append(head, tail...)
+}
+
+// DecodeInto decodes payload into body, which should be empty: a field
+// an older layout leaves out keeps the value body held. Blob bytes the
+// body carries alias payload.
+func DecodeInto(body Body, payload []byte) error {
+	c := codecs.Get().(*codec)
+	c.b, c.decode = payload, true
+	body.fields(c)
+	err := c.err
+	*c = codec{}
+	codecs.Put(c)
+	if err == errEnded {
+		err = nil
+	}
+	if checked, ok := body.(interface{ check() error }); ok && err == nil {
+		return checked.check()
+	}
+	return err
+}
+
+// encode appends body's payload to b, all but the blob bytes a Tail
+// leaves for the end, which it returns as they are.
+func encode(b []byte, body Body) (head, tail []byte) {
+	c := codecs.Get().(*codec)
+	c.b = b
+	body.fields(c)
+	head = c.b
+	if c.tail != nil {
+		tail = *c.tail
+	}
+	*c = codec{}
+	codecs.Put(c)
+	return head, tail
+}
+
+// codecs recycles walks: a codec passed to a body's fields escapes, and
+// a control message is too small for its own allocation to be noise.
+var codecs = sync.Pool{New: func() any { return new(codec) }}
 
 // Marshal encodes a typed body into a Message with the given correlation
 // id.
 func Marshal(corr uint64, body Body) Message {
-	return Message{Code: body.Code(), Corr: corr, Payload: body.Encode(nil)}
+	return Message{Code: body.Code(), Corr: corr, Payload: Append(make([]byte, 0, 64), body)}
 }
 
-// Unmarshal decodes the payload of msg into its registered Body type.
+// Unmarshal decodes the payload of msg into its Body type.
 func Unmarshal(msg Message) (Body, error) {
 	body, err := NewBody(msg.Code)
 	if err != nil {
 		return nil, err
 	}
-	buf := wire.NewBuffer(msg.Payload)
-	if err := body.Decode(buf); err != nil {
+	if err := DecodeInto(body, msg.Payload); err != nil {
 		return nil, fmt.Errorf("proto: decode code %#x: %w", uint16(msg.Code), err)
 	}
 	return body, nil
@@ -282,19 +295,9 @@ func WriteMessage(w *wire.Writer, msg Message) error {
 // WriteBody frames body under corr and writes it, and returns the
 // payload bytes written. Blob bytes a body carries go to the frame writer
 // as a segment of their own, so they are copied once, into the writer's
-// batch, and not also behind their header; every other body goes the way
-// of WriteMessage.
+// batch, and not also behind their header.
 func WriteBody(w *wire.Writer, corr uint64, body Body) (int, error) {
-	t, ok := body.(tailed)
-	if !ok {
-		msg := Marshal(corr, body)
-		return len(msg.Payload), WriteMessage(w, msg)
-	}
-	head := make([]byte, 0, 64)
-	head = wire.AppendUint16(head, uint16(body.Code()))
-	head = wire.AppendUint64(head, corr)
-	head = t.encodeHead(head)
-	tail := t.tail()
+	head, tail := encode(wire.AppendUint64(wire.AppendUint16(make([]byte, 0, 128), uint16(body.Code())), corr), body)
 	return len(head) - 10 + len(tail), w.WriteFramev(frameTypeControl, head, tail)
 }
 

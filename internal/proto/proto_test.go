@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -150,7 +153,8 @@ func oldLaunchLayouts() map[Code][]byte {
 	update := wire.AppendString(nil, "j1")
 	update = append(update, byte(JobDone))
 	update = wire.AppendString(wire.AppendString(update, "b"), "b")
-	update = appendStageRefs(update, []StageRef{{Name: "digest-1", Hash: "ab12", Size: 5}})
+	update = wire.AppendUint32(update, 1) // one ref
+	update = wire.AppendInt64(wire.AppendString(wire.AppendString(update, "digest-1"), "ab12"), 5)
 	return map[Code][]byte{CodeCommitSpawn: commit, CodeJobUpdate: update}
 }
 
@@ -218,11 +222,11 @@ func TestRegistryQueryWithoutSiteDecodes(t *testing.T) {
 func TestInlineOutputsRejectInconsistency(t *testing.T) {
 	refs := []StageRef{{Name: "a", Hash: "01", Size: 1}, {Name: "b", Hash: "02", Size: 1}}
 	update := func(inline ...InlineOutput) []byte {
-		return (&JobUpdate{JobID: "j", State: JobDone, Site: "b", Outputs: refs, Inline: inline}).Encode(nil)
+		return Append(nil, &JobUpdate{JobID: "j", State: JobDone, Site: "b", Outputs: refs, Inline: inline})
 	}
 	full := update(InlineOutput{Ref: 0, Data: []byte("a")}, InlineOutput{Ref: 1, Data: []byte("b")})
 	half := make([]byte, MaxInlineOutputs/2)
-	flagged := (&CommitSpawn{AppID: "a"}).Encode(nil)
+	flagged := Append(nil, &CommitSpawn{AppID: "a"})
 	flagged[len(flagged)-1] = 2
 	for name, tc := range map[string]struct {
 		code    Code
@@ -248,8 +252,8 @@ func TestInlineOutputsRejectInconsistency(t *testing.T) {
 // TestChunkBodiesRejectInconsistency: the bytes a chunk carries must be
 // exactly the bytes it says it carries, within the bounds it names.
 func TestChunkBodiesRejectInconsistency(t *testing.T) {
-	put := (&StagePut{Upload: 1, Size: 10, Data: []byte("0123456789")}).Encode(nil)
-	get := (&StageGetReply{Size: 10, Data: []byte("0123456789")}).Encode(nil)
+	put := Append(nil, &StagePut{Upload: 1, Size: 10, Data: []byte("0123456789")})
+	get := Append(nil, &StageGetReply{Size: 10, Data: []byte("0123456789")})
 	for name, tc := range map[string]struct {
 		code    Code
 		payload []byte
@@ -257,13 +261,13 @@ func TestChunkBodiesRejectInconsistency(t *testing.T) {
 	}{
 		"put with a byte missing":     {CodeStagePut, put[:len(put)-1], ErrMalformed},
 		"put with a byte extra":       {CodeStagePut, append(append([]byte(nil), put...), 0), ErrMalformed},
-		"put with an unknown step":    {CodeStagePut, (&StagePut{Step: PutAbort + 1}).Encode(nil), ErrMalformed},
-		"put at a negative offset":    {CodeStagePut, (&StagePut{Offset: -1}).Encode(nil), ErrMalformed},
+		"put with an unknown step":    {CodeStagePut, Append(nil, &StagePut{Step: PutAbort + 1}), ErrMalformed},
+		"put at a negative offset":    {CodeStagePut, Append(nil, &StagePut{Offset: -1}), ErrMalformed},
 		"put cut inside its header":   {CodeStagePut, put[:20], wire.ErrTruncated},
 		"range with a byte missing":   {CodeStageGetReply, get[:len(get)-1], ErrMalformed},
-		"range past the blob's end":   {CodeStageGetReply, (&StageGetReply{Size: 5, Offset: 1, Data: []byte("01234")}).Encode(nil), ErrMalformed},
-		"get with a negative length":  {CodeStageGet, (&StageGet{Hash: "h", Length: -1}).Encode(nil), ErrMalformed},
-		"chunk beyond the chunk size": {CodeStagePut, (&StagePut{Data: make([]byte, StageChunk+1)}).Encode(nil), ErrMalformed},
+		"range past the blob's end":   {CodeStageGetReply, Append(nil, &StageGetReply{Size: 5, Offset: 1, Data: []byte("01234")}), ErrMalformed},
+		"get with a negative length":  {CodeStageGet, Append(nil, &StageGet{Hash: "h", Length: -1}), ErrMalformed},
+		"chunk beyond the chunk size": {CodeStagePut, Append(nil, &StagePut{Data: make([]byte, StageChunk+1)}), ErrMalformed},
 	} {
 		if _, err := Unmarshal(Message{Code: tc.code, Corr: 1, Payload: tc.payload}); !errors.Is(err, tc.want) {
 			t.Errorf("%s: err = %v, want %v", name, err, tc.want)
@@ -304,8 +308,12 @@ func TestWriteBodyGathersTail(t *testing.T) {
 	}
 }
 
+// TestAllBodiesRoundTrip: every sample decodes to itself, and every code
+// of the table has a sample.
 func TestAllBodiesRoundTrip(t *testing.T) {
+	sampled := map[Code]bool{}
 	for _, body := range allBodies() {
+		sampled[body.Code()] = true
 		name := reflect.TypeOf(body).Elem().Name()
 		t.Run(name, func(t *testing.T) {
 			msg := Marshal(77, body)
@@ -320,6 +328,11 @@ func TestAllBodiesRoundTrip(t *testing.T) {
 				t.Errorf("round trip mismatch:\n got %+v\nwant %+v", decoded, body)
 			}
 		})
+	}
+	for code, newBody := range table {
+		if newBody != nil && !sampled[Code(code)] {
+			t.Errorf("code %#x (%T) has no sample in allBodies", code, newBody())
+		}
 	}
 }
 
@@ -391,58 +404,70 @@ func TestUnknownCode(t *testing.T) {
 	}
 }
 
-func TestExtensionRegistration(t *testing.T) {
-	type extBody struct{ Hello } // reuse encoding, different code
-	const extCode = ExtensionBase + 42
-	Register(extCode, func() Body { return &extBody{} })
-	defer func() {
-		registryMu.Lock()
-		delete(registry, extCode)
-		registryMu.Unlock()
-	}()
-	body, err := NewBody(extCode)
-	if err != nil {
-		t.Fatalf("NewBody(ext): %v", err)
-	}
-	if _, ok := body.(*extBody); !ok {
-		t.Errorf("NewBody returned %T", body)
-	}
-}
-
-func TestDuplicateRegistrationPanics(t *testing.T) {
-	const code = ExtensionBase + 43
-	Register(code, func() Body { return &Hello{} })
-	defer func() {
-		registryMu.Lock()
-		delete(registry, code)
-		registryMu.Unlock()
-	}()
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic on duplicate registration")
-		}
-	}()
-	Register(code, func() Body { return &Hello{} })
-}
-
+// TestDecodeCorruptPayloadsNeverPanic: random payloads under every code
+// of the table decode or fail, and never panic.
 func TestDecodeCorruptPayloadsNeverPanic(t *testing.T) {
-	codes := []Code{
-		CodeHello, CodeAuthRequest, CodeStatusReport, CodeStreamOpen,
-		CodeRegistryQuery, CodeJobSubmit, CodeSpawnReply, CodeRegistryReply,
-		CodePrepareSpawn, CodeAbortSpawn, CodeJobListReply,
-	}
-	f := func(raw []byte, pick uint8) bool {
-		code := codes[int(pick)%len(codes)]
-		body, err := NewBody(code)
-		if err != nil {
-			return false
+	for code, newBody := range table {
+		if newBody == nil {
+			continue
 		}
-		// Must not panic; error is fine.
-		_ = body.Decode(wire.NewBuffer(raw))
-		return true
+		f := func(raw []byte) bool {
+			_ = DecodeInto(newBody(), raw)
+			return true
+		}
+		if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+			t.Errorf("code %#x: %v", code, err)
+		}
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Error(err)
+}
+
+// TestTableCoversEveryCode: every Code constant has a row in the table,
+// the row builds a body whose Code() is that constant, and every type
+// with a Code method (every Body, since Body has an unexported method) is
+// built by some row: no code can be sent but not decoded, no body is
+// decoded under another's code, and no body type can never arrive.
+func TestTableCoversEveryCode(t *testing.T) {
+	fset := token.NewFileSet()
+	built := map[string]bool{}
+	for code, newBody := range table {
+		if newBody == nil {
+			continue
+		}
+		body := newBody()
+		if body.Code() != Code(code) {
+			t.Errorf("the row of code %#x builds %T, whose Code() is %#x", code, body, uint16(body.Code()))
+		}
+		built[reflect.TypeOf(body).Elem().Name()] = true
+	}
+	for _, name := range []string{"proto.go", "messages.go"} {
+		file, err := parser.ParseFile(fset, name, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, decl := range file.Decls {
+			switch d := decl.(type) {
+			case *ast.GenDecl:
+				// The Code block counts up from CodeInvalid by iota;
+				// "_" holds the number of a retired code.
+				if d.Tok != token.CONST || len(d.Specs) == 0 || d.Specs[0].(*ast.ValueSpec).Names[0].Name != "CodeInvalid" {
+					continue
+				}
+				for value, spec := range d.Specs[1:] {
+					code, name := Code(value+1), spec.(*ast.ValueSpec).Names[0].Name
+					if name != "_" && (int(code) >= len(table) || table[code] == nil) {
+						t.Errorf("%s has no row in the table", name)
+					}
+				}
+			case *ast.FuncDecl:
+				if d.Recv == nil || d.Name.Name != "Code" {
+					continue
+				}
+				recv := d.Recv.List[0].Type.(*ast.StarExpr).X.(*ast.Ident).Name
+				if !built[recv] {
+					t.Errorf("%s has a Code method but no row of the table builds it", recv)
+				}
+			}
+		}
 	}
 }
 

@@ -200,7 +200,7 @@ func (g *GossipGrid) Step() GossipRoundStats {
 				sync.Digest = d.Digest()
 				st.Digests++
 			}
-			st.Bytes += int64(len(sync.Encode(nil)))
+			st.Bytes += int64(len(proto.Append(nil, sync)))
 			st.Msgs++
 
 			// Receiver side, as core.(*Proxy).handleGossipSync.
@@ -215,7 +215,7 @@ func (g *GossipGrid) Step() GossipRoundStats {
 			} else {
 				delta.Entries = peer.HotPush()
 			}
-			st.Bytes += int64(len(delta.Encode(nil)))
+			st.Bytes += int64(len(proto.Append(nil, delta)))
 			st.Msgs++
 
 			// Initiator side, as core.(*Proxy).gossipTo.
@@ -256,7 +256,7 @@ func (g *GossipGrid) Converged() int { return g.nConverged }
 // baseline pays this O(N) cost per proxy on every refresh, over N-1
 // standing tunnels, where gossip's steady rounds cost O(gossipFanout).
 func (g *GossipGrid) AllPairsRefresh() (bytes, msgs int64) {
-	query := int64(len((&proto.StatusQuery{}).Encode(nil)))
+	query := int64(len(proto.Append(nil, &proto.StatusQuery{})))
 	for j, d := range g.dirs {
 		if j == 0 {
 			continue
@@ -266,7 +266,7 @@ func (g *GossipGrid) AllPairsRefresh() (bytes, msgs int64) {
 			continue
 		}
 		report := &proto.StatusReport{Sites: []proto.SiteStatus{e.Summary}}
-		bytes += query + int64(len(report.Encode(nil)))
+		bytes += query + int64(len(proto.Append(nil, report)))
 		msgs += 2
 	}
 	return bytes, msgs

@@ -131,10 +131,11 @@ const magicByte = Magic
 
 // --- primitive encoding ------------------------------------------------
 //
-// Control-protocol payloads are encoded with the append/consume helpers
-// below: fixed-width big-endian integers and uvarint-length-prefixed byte
-// strings. Decoding uses a *Buffer cursor so message decoders read fields
-// in order and detect truncation once at the end.
+// Fixed-width big-endian integers and uvarint-length-prefixed byte
+// strings, appended by the helpers below and read back through a *Buffer
+// cursor, which detects truncation once at the end. The tunnel, staging,
+// ticket and MPI layouts use them; control messages use the same
+// primitives through package proto's codec.
 
 // AppendUint16 appends v big-endian.
 func AppendUint16(b []byte, v uint16) []byte {
@@ -286,14 +287,6 @@ func (b *Buffer) Bytes() []byte {
 	out := make([]byte, n)
 	copy(out, p)
 	return out
-}
-
-// View returns the next n bytes without copying them: the slice aliases
-// the payload the buffer was built over. It is for bulk fields of frames
-// the decoder owns (ReadFrame hands every frame to its caller); a decoder
-// over a pooled or reused payload must use Bytes.
-func (b *Buffer) View(n int) []byte {
-	return b.take(n)
 }
 
 // String decodes a uvarint-prefixed string.
