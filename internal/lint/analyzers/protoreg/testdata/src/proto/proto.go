@@ -23,9 +23,6 @@ var table = [...]func() Body{
 	CodeDead:  func() Body { return &Dead{} },
 }
 
-// NewBody returns the body of a code.
-func NewBody(c Code) Body { return table[c]() }
-
 type Hello struct{}
 
 func (*Hello) Code() Code { return CodeHello }

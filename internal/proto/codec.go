@@ -40,7 +40,7 @@ type codec struct {
 var errEnded = errors.New("proto: payload ended at an optional field")
 
 // maxPrealloc caps the elements a counted slice makes room for before
-// they decode; a longer slice grows by append.
+// they decode; a longer slice grows as they do.
 const maxPrealloc = 1024
 
 func (c *codec) fail(err error) {
@@ -220,7 +220,8 @@ func slice[T any](c *codec, s *[]T, f func(*T, *codec)) {
 
 // elements walks the n elements of a counted slice. Every element takes
 // at least a byte, so a count above the bytes left is truncation at
-// once; below that, the slice grows as elements decode.
+// once; below that, the slice doubles as elements decode, so it holds at
+// most twice the room of the elements that did.
 func elements[T any](c *codec, s *[]T, n int, f func(*T, *codec)) {
 	if !c.decode {
 		for i := range *s {
@@ -236,9 +237,13 @@ func elements[T any](c *codec, s *[]T, n int, f func(*T, *codec)) {
 		return
 	}
 	out := make([]T, 0, min(n, maxPrealloc))
-	var zero T
 	for i := 0; i < n && c.err == nil; i++ {
-		out = append(out, zero)
+		if i == cap(out) {
+			grown := make([]T, i, min(2*i, n))
+			copy(grown, out)
+			out = grown
+		}
+		out = out[:i+1]
 		f(&out[i], c)
 	}
 	*s = out

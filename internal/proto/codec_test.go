@@ -2,7 +2,9 @@ package proto
 
 import (
 	"bytes"
+	"reflect"
 	"runtime"
+	"sync"
 	"testing"
 
 	"gridproxy/internal/wire"
@@ -25,7 +27,7 @@ func TestInflatedCountAllocBudget(t *testing.T) {
 		t.Skip("allocation budgets do not hold under the race detector")
 	}
 	const size = 1 << 20
-	reply := wire.AppendString(wire.AppendBool(wire.AppendString(nil, "app-1"), false), "")
+	reply := wire.AppendString(append(wire.AppendString(nil, "app-1"), 0), "") // app, !OK, reason
 	for code, payload := range map[Code][]byte{
 		CodeGossipDelta:     inflatedCount(wire.AppendString(nil, "b"), size),
 		CodeStatusReport:    inflatedCount(nil, size),
@@ -59,4 +61,47 @@ func BenchmarkMarshalUnmarshal(b *testing.B) {
 			}
 		}
 	}
+}
+
+// TestLongSliceRoundTrips: a slice longer than the room made for it before
+// its elements decode grows to hold them all.
+func TestLongSliceRoundTrips(t *testing.T) {
+	fence := &FenceNotice{AppID: "app", Epoch: 2}
+	for r := uint32(0); r < 3*maxPrealloc+1; r++ {
+		fence.Ranks = append(fence.Ranks, r)
+	}
+	body, err := Unmarshal(Marshal(1, fence))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := body.(*FenceNotice); !reflect.DeepEqual(got, fence) {
+		t.Errorf("%d ranks decoded as %d", len(fence.Ranks), len(got.Ranks))
+	}
+}
+
+// TestConcurrentWalks: walks from a shared pool, over bodies shared by
+// several goroutines, encode every sample to its one layout.
+func TestConcurrentWalks(t *testing.T) {
+	bodies := allBodies()
+	want := make([][]byte, len(bodies))
+	for i, body := range bodies {
+		want[i] = Append(nil, body)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for round := 0; round < 20; round++ {
+				for i, body := range bodies {
+					msg := Marshal(1, body)
+					if _, err := Unmarshal(msg); err != nil || !bytes.Equal(msg.Payload, want[i]) {
+						t.Errorf("%T: %v, or %x is not %x", body, err, msg.Payload, want[i])
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

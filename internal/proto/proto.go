@@ -210,14 +210,6 @@ type Body interface {
 	fields(c *codec)
 }
 
-// NewBody returns an empty Body for the given code, or ErrUnknownCode.
-func NewBody(code Code) (Body, error) {
-	if int(code) < len(table) && table[code] != nil {
-		return table[code](), nil
-	}
-	return nil, fmt.Errorf("%w: %#x", ErrUnknownCode, uint16(code))
-}
-
 // Append appends body's payload to b.
 func Append(b []byte, body Body) []byte {
 	head, tail := encode(b, body)
@@ -270,10 +262,10 @@ func Marshal(corr uint64, body Body) Message {
 
 // Unmarshal decodes the payload of msg into its Body type.
 func Unmarshal(msg Message) (Body, error) {
-	body, err := NewBody(msg.Code)
-	if err != nil {
-		return nil, err
+	if int(msg.Code) >= len(table) || table[msg.Code] == nil {
+		return nil, fmt.Errorf("%w: %#x", ErrUnknownCode, uint16(msg.Code))
 	}
+	body := table[msg.Code]()
 	if err := DecodeInto(body, msg.Payload); err != nil {
 		return nil, fmt.Errorf("proto: decode code %#x: %w", uint16(msg.Code), err)
 	}

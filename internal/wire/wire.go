@@ -157,19 +157,6 @@ func AppendUint64(b []byte, v uint64) []byte {
 // AppendInt64 appends v big-endian (two's complement).
 func AppendInt64(b []byte, v int64) []byte { return AppendUint64(b, uint64(v)) }
 
-// AppendFloat64 appends the IEEE-754 bits of v big-endian.
-func AppendFloat64(b []byte, v float64) []byte {
-	return AppendUint64(b, math.Float64bits(v))
-}
-
-// AppendBool appends a single 0/1 byte.
-func AppendBool(b []byte, v bool) []byte {
-	if v {
-		return append(b, 1)
-	}
-	return append(b, 0)
-}
-
 // AppendBytes appends a uvarint length prefix followed by p.
 func AppendBytes(b, p []byte) []byte {
 	b = binary.AppendUvarint(b, uint64(len(p)))
@@ -266,15 +253,6 @@ func (b *Buffer) Uint64() uint64 {
 
 // Int64 decodes a big-endian int64.
 func (b *Buffer) Int64() int64 { return int64(b.Uint64()) }
-
-// Float64 decodes an IEEE-754 float64.
-func (b *Buffer) Float64() float64 { return math.Float64frombits(b.Uint64()) }
-
-// Bool decodes a single byte as a boolean (nonzero is true).
-func (b *Buffer) Bool() bool {
-	p := b.take(1)
-	return p != nil && p[0] != 0
-}
 
 // Bytes decodes a uvarint-prefixed byte string. The returned slice is a
 // copy and is owned by the caller.
