@@ -34,7 +34,6 @@ import (
 	"strings"
 	"time"
 
-	"gridproxy/internal/core"
 	"gridproxy/internal/grid"
 	"gridproxy/internal/transport"
 )
@@ -381,7 +380,7 @@ func run() error {
 		if err := login(); err != nil {
 			return err
 		}
-		return runForwarder(client, *proxyAddr, *listen, *app, *targetSite, *targetAddr)
+		return runForwarder(client, *listen, *app, *targetSite, *targetAddr)
 
 	default:
 		return fmt.Errorf("unknown subcommand %q", args[0])
@@ -391,15 +390,13 @@ func run() error {
 // runForwarder accepts local TCP connections and splices each through the
 // grid's secure tunnel to the target — "tunneling of traffic between
 // sites, regardless of the application used".
-func runForwarder(client *grid.Client, proxyAddr, listen, app, targetSite, targetAddr string) error {
+func runForwarder(client *grid.Client, listen, app, targetSite, targetAddr string) error {
 	ln, err := net.Listen("tcp", listen)
 	if err != nil {
 		return err
 	}
 	defer ln.Close()
-	spliceAddr := core.SpliceAddr(proxyAddr)
-	fmt.Printf("forwarding %s -> %s/%s (splice via %s); ctrl-c to stop\n",
-		ln.Addr(), targetSite, targetAddr, spliceAddr)
+	fmt.Printf("forwarding %s -> %s/%s; ctrl-c to stop\n", ln.Addr(), targetSite, targetAddr)
 	for {
 		local, err := ln.Accept()
 		if err != nil {
@@ -408,7 +405,7 @@ func runForwarder(client *grid.Client, proxyAddr, listen, app, targetSite, targe
 		go func() {
 			defer local.Close()
 			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-			remote, err := client.Tunnel(ctx, spliceAddr, app, targetSite, targetAddr)
+			remote, err := client.Tunnel(ctx, app, targetSite, targetAddr)
 			cancel()
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "tunnel open failed:", err)

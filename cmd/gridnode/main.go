@@ -1,6 +1,7 @@
 // Command gridnode runs a standalone node agent that participates in its
 // site's monitoring: it periodically pushes CPU/RAM/disk reports to the
-// site proxy's node service over the (trusted, plaintext) site network.
+// site proxy's local address over the (trusted, plaintext) site network,
+// as notifications on one control connection that needs no login.
 //
 // In the reference deployment the proxy hosts its site's compute agents
 // in-process (see gridproxyd's `nodes` setting); gridnode demonstrates
@@ -16,7 +17,6 @@ import (
 	"syscall"
 	"time"
 
-	"gridproxy/internal/core"
 	"gridproxy/internal/node"
 	"gridproxy/internal/proto"
 	"gridproxy/internal/transport"
@@ -33,7 +33,7 @@ func main() {
 func run() error {
 	name := flag.String("name", "node0", "node name (unique within the site)")
 	siteName := flag.String("site", "sitea", "site name")
-	proxyAddr := flag.String("proxy", "127.0.0.1:7200", "site proxy client address")
+	proxyAddr := flag.String("proxy", "127.0.0.1:7200", "site proxy local address (its local_addr)")
 	interval := flag.Duration("interval", 5*time.Second, "report interval")
 	speed := flag.Float64("speed", 1.0, "relative node speed")
 	ramMB := flag.Int64("ram", 2048, "node RAM in MB")
@@ -48,15 +48,14 @@ func run() error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	nodesAddr := core.NodesAddr(*proxyAddr)
-	conn, err := transport.TCP{}.Dial(ctx, nodesAddr)
+	conn, err := transport.TCP{}.Dial(ctx, *proxyAddr)
 	if err != nil {
-		return fmt.Errorf("dial proxy node service %s: %w", nodesAddr, err)
+		return fmt.Errorf("dial proxy %s: %w", *proxyAddr, err)
 	}
 	defer conn.Close()
 	w := wire.NewWriter(conn)
 
-	fmt.Printf("gridnode %s reporting to %s every %v\n", *name, nodesAddr, *interval)
+	fmt.Printf("gridnode %s reporting to %s every %v\n", *name, *proxyAddr, *interval)
 	ticker := time.NewTicker(*interval)
 	defer ticker.Stop()
 	for {

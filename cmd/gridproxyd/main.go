@@ -1,5 +1,5 @@
 // Command gridproxyd runs a site's border proxy: the TLS-tunneled
-// inter-site endpoint, the site-local client/node/splice services, the
+// inter-site endpoint, the site-local services on local_addr, the
 // status collector, rank placement, and (optionally) the ticket-granting
 // service. It serves no HTTP: the grid's web interface is gridgate's.
 //
@@ -7,8 +7,7 @@
 //
 //	site        = sitea              # this site's name
 //	wan_addr    = 0.0.0.0:7100      # inter-site TLS listener
-//	local_addr  = 127.0.0.1:7200    # site-local client service
-//	                                 # (node reports: port+1, splice: port+2)
+//	local_addr  = 127.0.0.1:7200    # the one site-side port: clients, node agents, splices
 //	ca_dir      = certs             # CA directory (ca.crt needed)
 //	cert        = proxy.sitea       # host credential name in ca_dir
 //	users       = users.conf        # users/permissions file

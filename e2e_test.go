@@ -13,8 +13,9 @@ import (
 
 // TestEndToEndBinaries builds the real binaries and drives a two-site
 // grid as separate OS processes: gridca issues certificates, two
-// gridproxyd daemons peer over TLS on loopback TCP, and gridctl
-// authenticates, inspects status, and runs a cross-site MPI job.
+// gridproxyd daemons peer over TLS on loopback TCP, a gridnode pushes its
+// reports to sitea's local_addr, and gridctl authenticates, inspects
+// status, and runs a cross-site MPI job.
 func TestEndToEndBinaries(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping binary e2e in -short mode")
@@ -23,7 +24,7 @@ func TestEndToEndBinaries(t *testing.T) {
 	bin := func(name string) string { return filepath.Join(dir, name) }
 
 	// Build the binaries once.
-	for _, name := range []string{"gridca", "gridproxyd", "gridctl"} {
+	for _, name := range []string{"gridca", "gridproxyd", "gridctl", "gridnode"} {
 		cmd := exec.Command("go", "build", "-o", bin(name), "./cmd/"+name)
 		cmd.Dir = "."
 		if out, err := cmd.CombinedOutput(); err != nil {
@@ -122,6 +123,31 @@ nodes = 2
 		t.Errorf("ping output: %s", pingOut)
 	}
 
+	// A node agent of its own process reports through sitea's one local
+	// port: sitea then counts its 2 hosted nodes and the pushed one.
+	agent := exec.Command(bin("gridnode"), "-name", "pushed", "-site", "sitea",
+		"-proxy", fmt.Sprintf("127.0.0.1:%d", localA), "-interval", "200ms")
+	agent.Stdout, agent.Stderr = os.Stderr, os.Stderr
+	if err := agent.Start(); err != nil {
+		t.Fatalf("start gridnode: %v", err)
+	}
+	t.Cleanup(func() {
+		_ = agent.Process.Kill()
+		_, _ = agent.Process.Wait()
+	})
+	deadline = time.Now().Add(15 * time.Second)
+	for {
+		statusOut = run("gridctl", "-proxy", fmt.Sprintf("127.0.0.1:%d", localA),
+			"-user", "alice", "-password", "secret", "status", "-sites", "sitea")
+		if fields := siteRow(statusOut, "sitea"); len(fields) > 1 && fields[1] == "3" {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("sitea never counted the pushed node:\n%s", statusOut)
+		}
+		time.Sleep(200 * time.Millisecond)
+	}
+
 	// Cross-site MPI job via the CLI (4 procs on 2+2 nodes spans both
 	// daemons).
 	submitOut := run("gridctl",
@@ -150,10 +176,17 @@ nodes = 2
 	}
 }
 
-// freePorts reserves n distinct TCP ports and releases them. Each comes
-// with the two ports above it free as well, because a local_addr also
-// claims port+1 and port+2: a port picked alone can have a neighbour some
-// other process holds.
+// siteRow returns the fields of site's row in gridctl status output.
+func siteRow(out, site string) []string {
+	for _, line := range strings.Split(out, "\n") {
+		if fields := strings.Fields(line); len(fields) > 0 && fields[0] == site {
+			return fields
+		}
+	}
+	return nil
+}
+
+// freePorts reserves n distinct TCP ports and releases them.
 func freePorts(t *testing.T, n int) []int {
 	t.Helper()
 	var held []net.Listener
@@ -169,17 +202,7 @@ func freePorts(t *testing.T, n int) []int {
 			t.Fatal(err)
 		}
 		held = append(held, ln)
-		port := ln.Addr().(*net.TCPAddr).Port
-		free := true
-		for next := port + 1; next <= port+2 && free; next++ {
-			nextLn, err := net.Listen("tcp", fmt.Sprintf("127.0.0.1:%d", next))
-			if free = err == nil; free {
-				held = append(held, nextLn)
-			}
-		}
-		if free {
-			ports = append(ports, port)
-		}
+		ports = append(ports, ln.Addr().(*net.TCPAddr).Port)
 	}
 	return ports
 }

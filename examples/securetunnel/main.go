@@ -16,7 +16,6 @@ import (
 	"strings"
 	"time"
 
-	"gridproxy/internal/core"
 	"gridproxy/internal/grid"
 	"gridproxy/internal/site"
 )
@@ -72,8 +71,7 @@ func run() error {
 	if err := client.Login(ctx, "admin", "admin"); err != nil {
 		return err
 	}
-	conn, err := client.Tunnel(ctx, core.SpliceAddr(siteA.LocalAddr()),
-		"kv-tunnel", "siteb", "legacy-kv")
+	conn, err := client.Tunnel(ctx, "kv-tunnel", "siteb", "legacy-kv")
 	if err != nil {
 		return err
 	}

@@ -144,3 +144,26 @@ func (p *Proxy) handlePermCheck(req *proto.PermCheck) *proto.PermReply {
 	}
 	return &proto.PermReply{Allowed: true}
 }
+
+// Status errors, each of the class its name says: a handler returns one
+// to choose the status of the ErrorBody its caller gets. unavailable: the
+// request is fine, the proxy cannot take it right now; authExpired: the
+// session was valid once but its lifetime lapsed, re-authenticate.
+func denied(format string, args ...any) error {
+	return proto.Errorf(proto.StatusDenied, format, args...)
+}
+func unauthorized(format string, args ...any) error {
+	return proto.Errorf(proto.StatusUnauthorized, format, args...)
+}
+func notFound(format string, args ...any) error {
+	return proto.Errorf(proto.StatusNotFound, format, args...)
+}
+func badRequest(format string, args ...any) error {
+	return proto.Errorf(proto.StatusBadRequest, format, args...)
+}
+func unavailable(format string, args ...any) error {
+	return proto.Errorf(proto.StatusUnavailable, format, args...)
+}
+func authExpired(format string, args ...any) error {
+	return proto.Errorf(proto.StatusAuthExpired, format, args...)
+}

@@ -322,14 +322,14 @@ func (p *Proxy) handleCommitSpawn(ctx context.Context, req *proto.CommitSpawn) (
 	return p.serveHeld(ctx, req, h, first), nil
 }
 
-// commitArrived is a peer link's rpc.arrival: it records an unconfirmed
+// commitArrived is a peer link's proto.RPC.Arrival: it records an unconfirmed
 // commit as held on the read loop, in arrival order, and returns what
 // serves it. The origin aborts a refused launch right after the refusal,
 // so the AbortSpawn can be read a moment after the commit and its
 // goroutine run first; the abort still finds the commit recorded and
 // refuses it, where it would otherwise wait out RPCTimeout for a verdict
 // that had already been given.
-func (p *Proxy) commitArrived(msg proto.Message) servedBy {
+func (p *Proxy) commitArrived(msg proto.Message) proto.ServedBy {
 	if msg.Code != proto.CodeCommitSpawn {
 		return nil
 	}
@@ -686,7 +686,7 @@ func (p *Proxy) reportToOrigin(origin string, update *proto.JobUpdate) {
 		return
 	}
 	defer p.releasePeer(pr)
-	if err := pr.ctrl.notify(update); err != nil && !errors.Is(err, errRPCClosed) {
+	if err := pr.ctrl.Notify(update); err != nil && !errors.Is(err, proto.ErrClosed) {
 		p.log.Debug("job update notify failed", "origin", origin, "err", err)
 	}
 }

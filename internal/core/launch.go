@@ -550,7 +550,7 @@ func (p *Proxy) spawnAt(ctx context.Context, site string, prep *proto.PrepareSpa
 	commitCall := p.sendPeer(pctx, pr, commit)
 	// On every early return the commit is no longer waited for here; the
 	// caller's abort settles it at the destination.
-	defer commitCall.forget()
+	defer commitCall.Forget()
 	if err := prepareOutcome(pctx, site, prepCall); err != nil {
 		return err
 	}
@@ -665,7 +665,7 @@ func (p *Proxy) commitAt(ctx context.Context, site string, req *proto.CommitSpaw
 			p.releasePeer(pr)
 		}
 		if err != nil {
-			var se *statusError
+			var se *proto.StatusError
 			if errors.As(err, &se) {
 				return nil, fmt.Errorf("core: commit at %s: %w", site, err)
 			}

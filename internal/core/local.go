@@ -4,10 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"net"
-	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"gridproxy/internal/auth"
@@ -20,88 +19,71 @@ import (
 	"gridproxy/internal/wire"
 )
 
-// Derived local service addresses. Three listeners keep the roles apart:
-// clients (control RPC), node agents (stats push), and splice requests
-// (the explicit secure-channel call of the paper). When the client
-// address is a real "host:port", the derived services take port+1 and
-// port+2 so external processes can reach them over TCP; label addresses
-// get path suffixes.
-
-// NodesAddr returns the site-local address node agents push reports to.
-func NodesAddr(localAddr string) string { return deriveAddr(localAddr, "/nodes", 1) }
-
-// SpliceAddr returns the site-local address splice (tunnel) requests use.
-func SpliceAddr(localAddr string) string { return deriveAddr(localAddr, "/splice", 2) }
-
-func deriveAddr(addr, suffix string, portOffset int) string {
-	if host, port, err := net.SplitHostPort(addr); err == nil {
-		if p, perr := strconv.Atoi(port); perr == nil {
-			return net.JoinHostPort(host, strconv.Itoa(p+portOffset))
-		}
-	}
-	return addr + suffix
-}
-
-// startLocalListeners binds the three site-local services.
-func (p *Proxy) startLocalListeners() error {
-	ln, err := p.local.Listen(p.localAddr)
-	if err != nil {
-		return fmt.Errorf("core: local listen: %w", err)
-	}
-	p.localListener = ln
-	p.wg.Add(1)
-	go p.acceptClients(ln)
-
-	nodesLn, err := p.local.Listen(NodesAddr(p.localAddr))
-	if err != nil {
-		_ = ln.Close()
-		return fmt.Errorf("core: nodes listen: %w", err)
-	}
-	p.nodesListener = nodesLn
-	p.wg.Add(1)
-	go p.acceptNodeReports(nodesLn)
-
-	spliceLn, err := p.local.Listen(SpliceAddr(p.localAddr))
-	if err != nil {
-		_ = ln.Close()
-		_ = nodesLn.Close()
-		return fmt.Errorf("core: splice listen: %w", err)
-	}
-	p.spliceListener = spliceLn
-	p.wg.Add(1)
-	go p.acceptSplices(spliceLn)
-	return nil
-}
-
-// acceptClients serves control RPC sessions for grid users inside the
-// site (the command line and web interfaces connect here).
-func (p *Proxy) acceptClients(ln net.Listener) {
+// acceptLoop hands each connection ln accepts to serve, on a goroutine of
+// its own so that a connection that has not said what it is for stalls
+// nothing, until ln is closed or the proxy stops. Any other Accept error
+// (out of descriptors, a failed handshake) passes: the loop pauses and
+// accepts again.
+func (p *Proxy) acceptLoop(ln net.Listener, serve func(net.Conn)) {
 	defer p.wg.Done()
 	for {
 		conn, err := ln.Accept()
 		if err != nil {
-			return
+			if errors.Is(err, net.ErrClosed) || errors.Is(err, transport.ErrClosed) {
+				return
+			}
+			p.log.Debug("accept failed", "addr", ln.Addr(), "err", err)
+			select {
+			case <-p.ctx.Done():
+				return
+			case <-time.After(10 * time.Millisecond):
+			}
+			continue
 		}
-		session := &clientSession{proxy: p}
-		session.rpc = newRPC(p.ctx, conn, roleServer, session.handle, p.log.Named("client"), p.reg)
-		session.rpc.start()
 		p.wg.Add(1)
 		go func() {
 			defer p.wg.Done()
-			select {
-			case <-session.rpc.done:
-			case <-p.ctx.Done():
-			}
-			session.rpc.close() // no request in flight opens an upload after this
-			session.dropUploads()
+			serve(conn)
 		}()
 	}
 }
 
-// clientSession is one authenticated local client connection.
+// serveLocal serves one connection from inside the site. Its first
+// message says what it is for, read from the frame header: a StreamOpen
+// asks for the paper's explicit secure channel, and the connection
+// becomes a splice; anything else opens a control session, which serves
+// grid users (the command line and web interfaces) and node agents'
+// reports alike.
+func (p *Proxy) serveLocal(conn net.Conn) {
+	stop := context.AfterFunc(p.ctx, func() { _ = conn.Close() })
+	defer stop()
+	rd := wire.NewReader(conn)
+	code, err := proto.PeekCode(rd)
+	switch {
+	case err != nil:
+		_ = conn.Close()
+	case code == proto.CodeStreamOpen:
+		if err := p.serveSplice(conn, rd); err != nil {
+			p.log.Warn("splice failed", "err", err)
+			_ = conn.Close()
+		}
+	default:
+		session := &clientSession{proxy: p}
+		session.rpc = proto.NewRPC(p.ctx, conn, rd, proto.RoleServer, session.handle, p.log.Named("client"), p.reg)
+		session.rpc.Start()
+		<-session.rpc.Done()
+		session.rpc.Close() // no request in flight opens an upload after this
+		session.dropUploads()
+	}
+}
+
+// clientSession is one local control connection: a grid user's, or a
+// node agent's.
 type clientSession struct {
 	proxy *Proxy
-	rpc   *rpc
+	rpc   *proto.RPC
+	// authed is set by the first successful authentication.
+	authed atomic.Bool
 	// user is set after successful authentication.
 	user string
 	// expiry bounds the session: after it passes, authenticated calls
@@ -131,16 +113,38 @@ func (cs *clientSession) checkSession() error {
 	return nil
 }
 
-// handle serves one client request.
+// clientCodes are the codes the client service serves; true marks those
+// it serves on a connection that has never authenticated.
+var clientCodes = map[proto.Code]bool{
+	proto.CodePing: true, proto.CodeAuthRequest: true, proto.CodeTicketRequest: true, proto.CodeNodeReport: true,
+	proto.CodeStatusQuery: false, proto.CodeMemberList: false, proto.CodeJobSubmit: false, proto.CodeJobQuery: false,
+	proto.CodeStagePut: false, proto.CodeStageGet: false, proto.CodeStageStat: false, proto.CodeJobCancel: false,
+	proto.CodeJobList: false, proto.CodeRegistryQuery: false,
+}
+
+// handle serves one client request. The code is checked before the
+// payload is decoded: what the service does not serve, or serves only
+// after a login, is refused without decoding, so no count read off the
+// wire sizes an allocation for a caller that may not send it.
 func (cs *clientSession) handle(ctx context.Context, msg proto.Message) (proto.Body, error) {
 	p := cs.proxy
+	open, served := clientCodes[msg.Code]
+	if !served {
+		return nil, badRequest("the client service does not serve code %#x", uint16(msg.Code))
+	}
+	if !open && !cs.authed.Load() {
+		return nil, unauthorized("authenticate first")
+	}
 	body, err := proto.Unmarshal(msg)
 	if err != nil {
 		return nil, badRequest("undecodable message: %v", err)
 	}
 	switch req := body.(type) {
-	case *proto.Hello:
-		return &proto.HelloAck{Site: p.site, Version: proto.Version}, nil
+	case *proto.NodeReport:
+		// Intra-site traffic is trusted, per the paper's default: a node
+		// agent's reports need no login.
+		p.collector.Report(monitor.StatsFromReport(req))
+		return nil, nil
 	case *proto.Ping:
 		return &proto.Pong{Nonce: req.Nonce}, nil
 	case *proto.AuthRequest:
@@ -225,7 +229,7 @@ func (cs *clientSession) handleAuth(req *proto.AuthRequest) (proto.Body, error) 
 	case proto.AuthSignature:
 		if len(req.Signature) == 0 {
 			// Phase 1: issue a challenge.
-			challenge, err := newAuthChallenge()
+			challenge, err := auth.NewChallenge()
 			if err != nil {
 				return nil, err
 			}
@@ -264,6 +268,7 @@ func (cs *clientSession) handleAuth(req *proto.AuthRequest) (proto.Body, error) 
 		cs.dropUploads()
 	}
 	cs.user = req.User
+	cs.authed.Store(true)
 	expiry := p.clock().Add(sessionLifetime)
 	// A ticket-opened session cannot outlive the ticket it presented.
 	if !ticketExpiry.IsZero() && ticketExpiry.Before(expiry) {
@@ -444,13 +449,13 @@ func (cs *clientSession) handleStageGet(req *proto.StageGet) (proto.Body, error)
 }
 
 // loanedReply is a StageGetReply whose bytes are on loan from the store;
-// rpc.serve releases it once the reply is written.
+// the control channel releases it once the reply is written.
 type loanedReply struct {
 	*proto.StageGetReply
 	loan stage.ChunkLoan
 }
 
-func (r *loanedReply) release() { r.loan.Release() }
+func (r *loanedReply) Release() { r.loan.Release() }
 
 // handleJobSubmit launches an MPI job for the session user.
 func (cs *clientSession) handleJobSubmit(ctx context.Context, req *proto.JobSubmit) (proto.Body, error) {
@@ -526,85 +531,23 @@ func (cs *clientSession) handleJobCancel(ctx context.Context, req *proto.JobCanc
 	return &proto.JobUpdate{JobID: req.JobID, State: state, Detail: detail}, nil
 }
 
-// acceptNodeReports ingests stats pushed by node agents over the local
-// network (no authentication: intra-site traffic is trusted, per the
-// paper's default).
-func (p *Proxy) acceptNodeReports(ln net.Listener) {
-	defer p.wg.Done()
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		p.wg.Add(1)
-		go func(conn net.Conn) {
-			defer p.wg.Done()
-			defer conn.Close()
-			r := wire.NewReader(conn)
-			for {
-				msg, err := proto.ReadMessage(r)
-				if err != nil {
-					if !errors.Is(err, io.EOF) {
-						p.log.Debug("node report read failed", "err", err)
-					}
-					return
-				}
-				body, err := proto.Unmarshal(msg)
-				if err != nil {
-					p.log.Warn("bad node report", "err", err)
-					return
-				}
-				report, ok := body.(*proto.NodeReport)
-				if !ok {
-					p.log.Warn("unexpected message on nodes channel", "type", fmt.Sprintf("%T", body))
-					return
-				}
-				p.collector.Report(monitor.StatsFromReport(report))
-			}
-		}(conn)
-	}
-}
-
-// acceptSplices serves explicit secure-channel requests from inside the
+// serveSplice serves an explicit secure-channel request from inside the
 // site: the connection opens with a StreamOpen naming a remote site and
-// endpoint; after a successful StreamOpenReply the connection becomes a
-// raw pipe spliced through the TLS tunnel.
-func (p *Proxy) acceptSplices(ln net.Listener) {
-	defer p.wg.Done()
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		p.wg.Add(1)
-		go func(conn net.Conn) {
-			defer p.wg.Done()
-			if err := p.serveSplice(conn); err != nil {
-				p.log.Warn("splice failed", "err", err)
-				_ = conn.Close()
-			}
-		}(conn)
-	}
-}
-
-func (p *Proxy) serveSplice(conn net.Conn) error {
-	r := wire.NewReader(conn)
-	w := wire.NewWriter(conn)
+// endpoint; after a successful StreamOpenReply it becomes a raw pipe
+// spliced through the TLS tunnel. It reads through rd, which has the
+// request buffered.
+func (p *Proxy) serveSplice(conn net.Conn, r *wire.Reader) error {
 	msg, err := proto.ReadMessage(r)
 	if err != nil {
 		return fmt.Errorf("core: splice open read: %w", err)
 	}
-	body, err := proto.Unmarshal(msg)
-	if err != nil {
+	open := new(proto.StreamOpen) // serveLocal read its code
+	if err := proto.DecodeInto(open, msg.Payload); err != nil {
 		return err
 	}
-	open, ok := body.(*proto.StreamOpen)
-	if !ok {
-		return badRequest("expected StreamOpen, got %T", body)
-	}
+	w := wire.NewWriter(conn)
 	refuse := func(reason string) error {
-		reply := proto.Marshal(msg.Corr, &proto.StreamOpenReply{OK: false, Reason: reason})
-		_ = proto.WriteMessage(w, reply)
+		_, _ = proto.WriteBody(w, msg.Corr, &proto.StreamOpenReply{Reason: reason})
 		return fmt.Errorf("core: splice refused: %s", reason)
 	}
 	// Authenticate the requesting user by session token and validate
@@ -621,28 +564,12 @@ func (p *Proxy) serveSplice(conn net.Conn) error {
 	if err != nil {
 		return refuse(err.Error())
 	}
-	reply := proto.Marshal(msg.Corr, &proto.StreamOpenReply{OK: true})
-	if err := proto.WriteMessage(w, reply); err != nil {
+	if _, err := proto.WriteBody(w, msg.Corr, &proto.StreamOpenReply{OK: true}); err != nil {
 		_ = stream.Close()
 		return err
 	}
 	// Splice through the handshake reader: bytes the client pipelined
 	// behind its request are in its buffer.
-	p.splice(&rawConn{Conn: conn, r: r.Raw()}, stream)
+	p.splice(transport.ReadThrough(conn, r.Raw()), stream)
 	return nil
-}
-
-// rawConn reads through a buffered handshake reader.
-type rawConn struct {
-	net.Conn
-	r io.Reader
-}
-
-func (c *rawConn) Read(p []byte) (int, error) { return c.r.Read(p) }
-
-func (c *rawConn) CloseWrite() error { return transport.CloseWrite(c.Conn) }
-
-// newAuthChallenge returns a fresh signature challenge.
-func newAuthChallenge() ([]byte, error) {
-	return auth.NewChallenge()
 }

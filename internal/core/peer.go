@@ -18,6 +18,7 @@ import (
 	"gridproxy/internal/proto"
 	"gridproxy/internal/transport"
 	"gridproxy/internal/tunnel"
+	"gridproxy/internal/wire"
 )
 
 // controlStreamMeta marks the control stream within a peer session.
@@ -33,7 +34,7 @@ type peer struct {
 	// torn down without writing to it (see abort).
 	conn    net.Conn
 	session *tunnel.Session
-	ctrl    *rpc
+	ctrl    *proto.RPC
 	// evicted marks a teardown initiated by the connection cache (LRU,
 	// idle close, or replacement) so watchPeer can tell an expected close
 	// from a site failure.
@@ -41,7 +42,7 @@ type peer struct {
 }
 
 func (pr *peer) close() {
-	pr.ctrl.close()
+	pr.ctrl.Close()
 	// The connection goes before the session: Session.Close says GOAWAY
 	// with a synchronous write, and a remote that stopped reading (hung,
 	// not dead) would hold that write, and whoever is closing, for good.
@@ -123,9 +124,9 @@ func (p *Proxy) connectOnce(ctx context.Context, site, wanAddr string) (*peer, e
 		return p.handleSessionControl(ctx, bound.Load(), msg)
 	}
 	pr := &peer{site: site, conn: conn, session: session}
-	pr.ctrl = newRPC(p.ctx, ctrlStream, roleDialer, handler, p.log.Named("ctrl."+site), p.reg)
-	pr.ctrl.arrival = p.commitArrived
-	pr.ctrl.start()
+	pr.ctrl = proto.NewRPC(p.ctx, ctrlStream, wire.NewReader(ctrlStream), proto.RoleDialer, handler, p.log.Named("ctrl."+site), p.reg)
+	pr.ctrl.Arrival = p.commitArrived
+	pr.ctrl.Start()
 
 	// Offer the configured tunnel width: the ack's BondConns caps how
 	// many extra member connections actually get dialed.
@@ -134,7 +135,7 @@ func (p *Proxy) connectOnce(ctx context.Context, site, wanAddr string) (*peer, e
 	if _, err := rand.Read(bondID[:]); err != nil {
 		offered = 1 // no id for extra connections to join under
 	}
-	reply, err := pr.ctrl.call(ctx, &proto.Hello{
+	reply, err := pr.ctrl.Call(ctx, &proto.Hello{
 		Site:         p.site,
 		Version:      proto.Version,
 		Capabilities: defaultCapabilities,
@@ -199,49 +200,28 @@ func (p *Proxy) PeerBondWidth(site string) (conns int, rtt time.Duration, ok boo
 	return pr.session.BondWidth(), pr.session.SmoothedRTT(), true
 }
 
-// acceptWAN admits inbound proxy sessions. Host authentication already
-// happened in the TLS handshake (the WAN network rejects certificates not
-// chaining to the grid CA). Accept errors are per-connection (the TLS
-// listener reports each failed handshake — a port scan, an aborted dial);
-// only listener closure ends the loop. Treating a handshake failure as
-// fatal would let one bad client kill the WAN listener for good.
-func (p *Proxy) acceptWAN(ln net.Listener) {
-	defer p.wg.Done()
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			if errors.Is(err, net.ErrClosed) || errors.Is(err, transport.ErrClosed) {
-				return
-			}
-			select {
-			case <-p.ctx.Done():
-				return
-			default:
-			}
-			p.log.Debug("wan accept failed", "err", err)
-			continue
-		}
-		if cn := transport.PeerCommonName(conn); cn != "" {
-			p.log.Debug("inbound proxy connection", "peer_cn", cn)
-		}
-		// An inbound connection is either a fresh session or a member
-		// joining an expected bond; ServerConn peeks the first frame to
-		// tell them apart, so accept must not block on it.
-		p.wg.Add(1)
-		go func(conn net.Conn) {
-			defer p.wg.Done()
-			session, err := tunnel.ServerConn(conn, p.bondReg, p.tunnelConfig(), p.lifecycle.HelloTimeout)
-			if err != nil {
-				p.log.Debug("inbound session preface failed", "err", err)
-				return
-			}
-			if session == nil {
-				return // bond member adopted into its session
-			}
-			p.wg.Add(1)
-			p.admitSession(conn, session)
-		}(conn)
+// serveWAN admits one inbound proxy connection. Host authentication
+// already happened in the TLS handshake (the WAN network rejects
+// certificates not chaining to the grid CA). The TLS listener reports
+// each failed handshake — a port scan, an aborted dial — as an Accept
+// error, which acceptLoop rides out.
+func (p *Proxy) serveWAN(conn net.Conn) {
+	if cn := transport.PeerCommonName(conn); cn != "" {
+		p.log.Debug("inbound proxy connection", "peer_cn", cn)
 	}
+	// An inbound connection is either a fresh session or a member joining
+	// an expected bond; ServerConn peeks the first frame to tell them
+	// apart, which is why each connection has a goroutine of its own.
+	session, err := tunnel.ServerConn(conn, p.bondReg, p.tunnelConfig(), p.lifecycle.HelloTimeout)
+	if err != nil {
+		p.log.Debug("inbound session preface failed", "err", err)
+		return
+	}
+	if session == nil {
+		return // bond member adopted into its session
+	}
+	p.wg.Add(1)
+	p.admitSession(conn, session)
 }
 
 // admitSession waits for the inbound session's control stream and Hello.
@@ -272,15 +252,15 @@ func (p *Proxy) admitSession(conn net.Conn, session *tunnel.Session) {
 	// The Hello arrives as the first request on the control channel;
 	// the pending peer's handler registers the peer on receipt.
 	pending := &pendingPeer{proxy: p, conn: conn, session: session, pulled: make(chan struct{})}
-	ctrl := newRPC(p.ctx, ctrlStream, roleAcceptor, pending.handle, p.log.Named("ctrl.inbound"), p.reg)
+	ctrl := proto.NewRPC(p.ctx, ctrlStream, wire.NewReader(ctrlStream), proto.RoleAcceptor, pending.handle, p.log.Named("ctrl.inbound"), p.reg)
 	pending.ctrl = ctrl
-	ctrl.arrival = func(msg proto.Message) servedBy {
+	ctrl.Arrival = func(msg proto.Message) proto.ServedBy {
 		if pending.established() == nil {
 			return nil // nothing is recorded for a session that has not said Hello
 		}
 		return p.commitArrived(msg)
 	}
-	ctrl.start()
+	ctrl.Start()
 
 	//lint:allow-wallclock bounds a real network handshake, not simulated time
 	timer := time.NewTimer(helloTimeout)
@@ -289,7 +269,7 @@ func (p *Proxy) admitSession(conn net.Conn, session *tunnel.Session) {
 	case <-timer.C:
 		if pending.established() == nil {
 			p.log.Warn("inbound session sent no Hello; reaping")
-			ctrl.close()
+			ctrl.Close()
 			_ = session.Close()
 		} else {
 			pending.release()
@@ -305,7 +285,7 @@ type pendingPeer struct {
 	proxy   *Proxy
 	conn    net.Conn
 	session *tunnel.Session
-	ctrl    *rpc
+	ctrl    *proto.RPC
 
 	mu   sync.Mutex
 	peer *peer
@@ -542,7 +522,7 @@ func (p *Proxy) rpcDeadline(ctx context.Context) (context.Context, context.Cance
 // Splitting the two is what lets a caller put a second request on the
 // control stream behind the first without waiting a round trip.
 type peerCall struct {
-	*pendingCall
+	*proto.Pending
 	reg   *metrics.Registry
 	start time.Time
 }
@@ -550,14 +530,14 @@ type peerCall struct {
 func (p *Proxy) sendPeer(ctx context.Context, pr *peer, body proto.Body) *peerCall {
 	//lint:allow-wallclock monotonic latency measurement for metrics; injected clocks have no monotonic reading
 	start := time.Now()
-	return &peerCall{pendingCall: pr.ctrl.send(ctx, body), reg: p.reg, start: start}
+	return &peerCall{Pending: pr.ctrl.Send(ctx, body), reg: p.reg, start: start}
 }
 
 // reply collects the call's reply and ends the call. A call whose reply
 // is not wanted any more is ended with forget instead.
 func (c *peerCall) reply(ctx context.Context) (proto.Body, error) {
-	defer c.forget()
-	reply, err := c.wait(ctx)
+	defer c.Forget()
+	reply, err := c.Wait(ctx)
 	c.reg.Counter(metrics.ControlRPCs).Inc()
 	//lint:allow-wallclock monotonic latency measurement for metrics; injected clocks have no monotonic reading
 	c.reg.Counter(metrics.ControlRPCMicros).Add(time.Since(c.start).Microseconds())

@@ -177,10 +177,8 @@ type Proxy struct {
 	members *membership.Directory
 	cache   *peerlink.Cache[*peer]
 
-	wanListener    net.Listener
-	localListener  net.Listener
-	nodesListener  net.Listener
-	spliceListener net.Listener
+	wanListener   net.Listener
+	localListener net.Listener
 
 	mu    sync.Mutex
 	nodes map[string]NodeHandle
@@ -312,15 +310,19 @@ func (p *Proxy) Start() error {
 		}
 		p.wanListener = ln
 		p.wg.Add(1)
-		go p.acceptWAN(ln)
+		go p.acceptLoop(ln, p.serveWAN)
 	}
 	if p.localAddr != "" {
-		if err := p.startLocalListeners(); err != nil {
+		ln, err := p.local.Listen(p.localAddr)
+		if err != nil {
 			if p.wanListener != nil {
 				_ = p.wanListener.Close()
 			}
-			return err
+			return fmt.Errorf("core: local listen: %w", err)
 		}
+		p.localListener = ln
+		p.wg.Add(1)
+		go p.acceptLoop(ln, p.serveLocal)
 	}
 	// Seed the directory with a first local summary so the very first
 	// gossip rounds already carry it; the loop republishes on a slow
@@ -357,7 +359,7 @@ func (p *Proxy) Close() error {
 		return nil
 	}
 	p.stopped = true
-	listeners := []net.Listener{p.wanListener, p.localListener, p.nodesListener, p.spliceListener}
+	listeners := []net.Listener{p.wanListener, p.localListener}
 	for _, a := range p.records {
 		listeners = append(listeners, a.listeners...)
 	}

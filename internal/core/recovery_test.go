@@ -92,7 +92,7 @@ func TestNodeReportPush(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 
-	conn, err := s.Local.Dial(ctx, core.NodesAddr(s.LocalAddr()))
+	conn, err := s.Local.Dial(ctx, s.LocalAddr())
 	if err != nil {
 		t.Fatal(err)
 	}

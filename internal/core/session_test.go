@@ -23,7 +23,7 @@ func spliceReason(t *testing.T, s *site.Site, token []byte) string {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	conn, err := s.Local.Dial(ctx, core.SpliceAddr(s.LocalAddr()))
+	conn, err := s.Local.Dial(ctx, s.LocalAddr())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"gridproxy/internal/metrics"
+	"gridproxy/internal/transport"
 )
 
 // tcpPair returns the two ends of a fresh loopback TCP connection.
@@ -40,8 +41,8 @@ func tcpPair(t *testing.T) (client, server net.Conn) {
 // TestSpliceKeepsHalfClose: a requester that sends, half-closes and waits
 // gets the reply through a splice, whichever end of it the wrapped local
 // conns sit on — the dialled endpoint (countedConn) or the splice client
-// (rawConn). A wrapper that hid CloseWrite made the splice tear both
-// directions down at the requester's half-close.
+// (transport.ReadThrough). A wrapper that hid CloseWrite made the splice
+// tear both directions down at the requester's half-close.
 func TestSpliceKeepsHalfClose(t *testing.T) {
 	p := &Proxy{}
 	counter := metrics.NewRegistry().Counter(metrics.BytesLocal)
@@ -55,7 +56,7 @@ func TestSpliceKeepsHalfClose(t *testing.T) {
 			return instrumented(resp, counter), req
 		}},
 		{"splice client", func(resp, req net.Conn) (net.Conn, net.Conn) {
-			return &rawConn{Conn: resp, r: resp}, req
+			return transport.ReadThrough(resp, resp), req
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -12,6 +12,7 @@ import (
 	"gridproxy/internal/proto"
 	"gridproxy/internal/site"
 	"gridproxy/internal/stage"
+	"gridproxy/internal/transport"
 	"gridproxy/internal/wire"
 )
 
@@ -27,18 +28,24 @@ type rawClient struct {
 
 func dialRaw(t *testing.T, s *site.Site) *rawClient {
 	t.Helper()
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	conn, err := s.Local.Dial(ctx, s.LocalAddr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { conn.Close() })
-	c := &rawClient{t: t, conn: conn, w: wire.NewWriter(conn), r: wire.NewReader(conn)}
+	c := openRaw(t, s.Local, s.LocalAddr())
 	if reply, ok := c.call(&proto.AuthRequest{User: "admin", Method: proto.AuthPassword, PasswordProof: []byte("admin")}).(*proto.AuthReply); !ok || !reply.OK {
 		t.Fatalf("login: %+v", reply)
 	}
 	return c
+}
+
+// openRaw connects a rawClient to addr without logging in.
+func openRaw(t *testing.T, network transport.Network, addr string) *rawClient {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	conn, err := network.Dial(ctx, addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	return &rawClient{t: t, conn: conn, w: wire.NewWriter(conn), r: wire.NewReader(conn)}
 }
 
 // send writes one message under a fresh correlation id.

@@ -77,68 +77,31 @@ func (e *RemoteError) Is(target error) bool {
 type Client struct {
 	network   transport.Network
 	proxyAddr string
+	rpc       *proto.RPC
 
-	conn net.Conn
-	w    *wire.Writer
-
-	nextCorr   atomic.Uint64
 	nextUpload atomic.Uint64
 
-	mu      sync.Mutex
-	pending map[uint64]chan proto.Message
-	closed  bool
-
+	mu    sync.Mutex
 	user  string
 	token []byte
 	renew func(ctx context.Context) error
-
-	readerDone chan struct{}
 }
 
-// Dial connects to the proxy's client address on the given (site-local)
+// Dial connects to the proxy's local address on the given (site-local)
 // network.
 func Dial(ctx context.Context, network transport.Network, proxyAddr string) (*Client, error) {
 	conn, err := network.Dial(ctx, proxyAddr)
 	if err != nil {
 		return nil, fmt.Errorf("grid: dial proxy %s: %w", proxyAddr, err)
 	}
+	// The connection outlives the dial's context: it lasts until Close.
 	c := &Client{
-		network:    network,
-		proxyAddr:  proxyAddr,
-		conn:       conn,
-		w:          wire.NewWriter(conn),
-		pending:    make(map[uint64]chan proto.Message),
-		readerDone: make(chan struct{}),
+		network:   network,
+		proxyAddr: proxyAddr,
+		rpc:       proto.NewRPC(context.Background(), conn, wire.NewReader(conn), proto.RoleClient, nil, nil, nil),
 	}
-	go c.readLoop()
+	c.rpc.Start()
 	return c, nil
-}
-
-func (c *Client) readLoop() {
-	defer close(c.readerDone)
-	r := wire.NewReader(c.conn)
-	for {
-		msg, err := proto.ReadMessage(r)
-		if err != nil {
-			c.mu.Lock()
-			c.closed = true
-			for corr, ch := range c.pending {
-				close(ch)
-				delete(c.pending, corr)
-			}
-			c.mu.Unlock()
-			return
-		}
-		c.mu.Lock()
-		ch, ok := c.pending[msg.Corr]
-		if ok {
-			delete(c.pending, msg.Corr)
-		}
-		c.mu.Unlock()
-		if ok {
-			ch <- msg
-		}
-	}
 }
 
 // call sends a request and waits for its typed reply. When the session
@@ -166,6 +129,19 @@ func (c *Client) call(ctx context.Context, body proto.Body) (proto.Body, error) 
 	return c.callOnce(ctx, body)
 }
 
+// callOnce sends a request and waits for its typed reply.
+func (c *Client) callOnce(ctx context.Context, body proto.Body) (proto.Body, error) {
+	reply, err := c.rpc.Call(ctx, body)
+	var se *proto.StatusError
+	switch {
+	case errors.As(err, &se):
+		return nil, &RemoteError{Status: se.Status, Text: se.Text}
+	case err != nil && ctx.Err() == nil && c.rpc.Closed():
+		return nil, ErrClosed
+	}
+	return reply, err
+}
+
 // answer is what a call came back with.
 type answer struct {
 	reply proto.Body
@@ -184,70 +160,20 @@ func (c *Client) start(ctx context.Context, body proto.Body) <-chan answer {
 	return done
 }
 
-// callOnce sends a request and waits for its typed reply.
-func (c *Client) callOnce(ctx context.Context, body proto.Body) (proto.Body, error) {
-	corr := c.nextCorr.Add(1)
-	ch := make(chan proto.Message, 1)
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return nil, ErrClosed
-	}
-	c.pending[corr] = ch
-	c.mu.Unlock()
-	defer func() {
-		c.mu.Lock()
-		delete(c.pending, corr)
-		c.mu.Unlock()
-	}()
-
-	if _, err := proto.WriteBody(c.w, corr, body); err != nil {
-		return nil, fmt.Errorf("grid: send: %w", err)
-	}
-	select {
-	case msg, ok := <-ch:
-		if !ok {
-			return nil, ErrClosed
-		}
-		reply, err := proto.Unmarshal(msg)
-		if err != nil {
-			return nil, err
-		}
-		if eb, ok := reply.(*proto.ErrorBody); ok {
-			return nil, &RemoteError{Status: eb.Status, Text: eb.Text}
-		}
-		return reply, nil
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
-}
-
 // Close shuts the client down.
 func (c *Client) Close() error {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return nil
-	}
-	c.closed = true
-	c.mu.Unlock()
-	err := c.conn.Close()
-	<-c.readerDone
-	return err
+	c.rpc.Close()
+	return nil
 }
 
-// Done is closed once the client's read loop has exited: the
-// connection is gone. With Close it makes a Client a peerlink.Session.
-func (c *Client) Done() <-chan struct{} { return c.readerDone }
+// Done is closed once the client's connection is gone. With Close it
+// makes a Client a peerlink.Session.
+func (c *Client) Done() <-chan struct{} { return c.rpc.Done() }
 
-// Closed reports whether the client's connection is gone (read-loop
-// death included). Connection pools use it to discard dead entries
-// before checkout instead of handing callers an ErrClosed.
-func (c *Client) Closed() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.closed
-}
+// Closed reports whether the client's connection is gone (closed, or
+// lost). Connection pools use it to discard dead entries before checkout
+// instead of handing callers an ErrClosed.
+func (c *Client) Closed() bool { return c.rpc.Closed() }
 
 // OnAuthExpired registers a renewal hook: when a call fails with
 // ErrTicketExpired the hook runs (typically re-running LoginWithTicket
@@ -577,7 +503,7 @@ func (c *Client) PutFrom(ctx context.Context, name string, r io.Reader, size int
 			// Tell the proxy to let go of what it holds of the blob. Sent
 			// without waiting for an answer: the context may be the reason
 			// the upload is being given up.
-			_, _ = proto.WriteBody(c.w, 0, &proto.StagePut{Upload: upload, Size: -1, Step: proto.PutAbort})
+			_ = c.rpc.Notify(&proto.StagePut{Upload: upload, Size: -1, Step: proto.PutAbort})
 			return FileRef{}, err
 		}
 		off += int64(n)
@@ -852,61 +778,44 @@ func (c *Client) Ping(ctx context.Context) error {
 
 // Tunnel opens an explicitly-secured channel to an endpoint inside a
 // remote site, through this client's site proxy and the inter-site TLS
-// tunnel. spliceAddr is the proxy's splice service address
-// (core.SpliceAddr of the proxy's local address). The returned connection
-// is a raw byte pipe to the target.
-func (c *Client) Tunnel(ctx context.Context, spliceAddr, appID, targetSite, targetAddr string) (net.Conn, error) {
+// tunnel. It dials the proxy's local address again: the connection opens
+// with a StreamOpen, so the proxy splices it rather than serving it as a
+// control session. The returned connection is a raw byte pipe to the
+// target.
+func (c *Client) Tunnel(ctx context.Context, appID, targetSite, targetAddr string) (_ net.Conn, err error) {
 	token := c.Token()
 	if len(token) == 0 {
 		return nil, ErrNotAuthenticated
 	}
-	conn, err := c.network.Dial(ctx, spliceAddr)
+	conn, err := c.network.Dial(ctx, c.proxyAddr)
 	if err != nil {
-		return nil, fmt.Errorf("grid: dial splice service: %w", err)
+		return nil, fmt.Errorf("grid: dial proxy %s for a splice: %w", c.proxyAddr, err)
 	}
-	w := wire.NewWriter(conn)
-	r := wire.NewReader(conn)
-	open := &proto.StreamOpen{
-		AppID:      appID,
-		TargetSite: targetSite,
-		TargetAddr: targetAddr,
-		Kind:       proto.StreamData,
-		Token:      token,
-	}
-	if err := proto.WriteMessage(w, proto.Marshal(1, open)); err != nil {
-		_ = conn.Close()
+	defer func() {
+		if err != nil {
+			_ = conn.Close()
+		}
+	}()
+	open := &proto.StreamOpen{AppID: appID, TargetSite: targetSite, TargetAddr: targetAddr, Kind: proto.StreamData, Token: token}
+	if _, err := proto.WriteBody(wire.NewWriter(conn), 1, open); err != nil {
 		return nil, fmt.Errorf("grid: send splice request: %w", err)
 	}
+	r := wire.NewReader(conn)
 	msg, err := proto.ReadMessage(r)
 	if err != nil {
-		_ = conn.Close()
 		return nil, fmt.Errorf("grid: read splice reply: %w", err)
 	}
 	body, err := proto.Unmarshal(msg)
 	if err != nil {
-		_ = conn.Close()
 		return nil, err
 	}
-	reply, ok := body.(*proto.StreamOpenReply)
-	if !ok {
-		_ = conn.Close()
+	switch reply, ok := body.(*proto.StreamOpenReply); {
+	case !ok:
 		return nil, fmt.Errorf("grid: unexpected splice reply %T", body)
-	}
-	if !reply.OK {
-		_ = conn.Close()
+	case !reply.OK:
 		return nil, fmt.Errorf("grid: splice refused: %s", reply.Reason)
 	}
 	// Continue reading through the handshake reader so bytes that
 	// arrived right behind the reply are not lost in its buffer.
-	return &rawConn{Conn: conn, r: r.Raw()}, nil
+	return transport.ReadThrough(conn, r.Raw()), nil
 }
-
-// rawConn reads through the buffered handshake reader.
-type rawConn struct {
-	net.Conn
-	r io.Reader
-}
-
-func (c *rawConn) Read(p []byte) (int, error) { return c.r.Read(p) }
-
-func (c *rawConn) CloseWrite() error { return transport.CloseWrite(c.Conn) }

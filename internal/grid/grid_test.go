@@ -510,8 +510,7 @@ func TestSecureTunnelEndToEnd(t *testing.T) {
 	if err := c.Login(ctx, "alice", "secret"); err != nil {
 		t.Fatal(err)
 	}
-	sa := f.tb.Sites[0]
-	conn, err := c.Tunnel(ctx, core.SpliceAddr(sa.LocalAddr()), "tunnel-1", "siteb", "legacy-echo")
+	conn, err := c.Tunnel(ctx, "tunnel-1", "siteb", "legacy-echo")
 	if err != nil {
 		t.Fatalf("Tunnel: %v", err)
 	}
@@ -572,7 +571,7 @@ func TestTunnelNeedsARegistration(t *testing.T) {
 		<-ctx.Done()
 		return ctx.Err()
 	})
-	sa, sb := f.tb.Sites[0], f.tb.Sites[1]
+	sb := f.tb.Sites[1]
 	serveEcho(t, sb, "legacy-echo")
 	c := f.dial(t, 0)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -587,7 +586,7 @@ func TestTunnelNeedsARegistration(t *testing.T) {
 	if n := sb.Proxy.ActiveApps(); n != 1 {
 		t.Fatalf("siteb holds %d applications, want the job's", n)
 	}
-	if conn, err := c.Tunnel(ctx, core.SpliceAddr(sa.LocalAddr()), jobID, "siteb", "legacy-echo"); err == nil {
+	if conn, err := c.Tunnel(ctx, jobID, "siteb", "legacy-echo"); err == nil {
 		defer conn.Close()
 		_ = conn.SetDeadline(time.Now().Add(10 * time.Second))
 		msg := []byte("through a job's id")
@@ -640,7 +639,7 @@ func TestTunnelDeniedWithoutPermission(t *testing.T) {
 	if err := c.Login(ctx, "bob", "pw"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Tunnel(ctx, core.SpliceAddr(sa.LocalAddr()), "app", "siteb", "x"); err == nil {
+	if _, err := c.Tunnel(ctx, "app", "siteb", "x"); err == nil {
 		t.Error("tunnel without permission succeeded")
 	}
 }

@@ -36,6 +36,7 @@ var GuardedPackages = map[string]bool{
 	"gate":       true,
 	"membership": true,
 	"peerlink":   true,
+	"proto":      true,
 	"stage":      true,
 	"tunnel":     true,
 }

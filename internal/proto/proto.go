@@ -302,6 +302,19 @@ func ReadMessage(r *wire.Reader) (Message, error) {
 	return FrameMessage(frame)
 }
 
+// PeekCode returns the code of the control message r holds next, without
+// consuming the message or reading its payload.
+func PeekCode(r *wire.Reader) (Code, error) {
+	typ, head, err := r.Peek(2)
+	if err != nil {
+		return CodeInvalid, err
+	}
+	if typ != frameTypeControl {
+		return CodeInvalid, fmt.Errorf("proto: unexpected frame type %#x", typ)
+	}
+	return Code(wire.NewBuffer(head).Uint16()), nil
+}
+
 // FrameMessage decodes the control message frame carries. Its Payload
 // aliases the frame's.
 func FrameMessage(frame wire.Frame) (Message, error) {

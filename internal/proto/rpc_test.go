@@ -1,4 +1,4 @@
-package core
+package proto
 
 import (
 	"context"
@@ -10,7 +10,7 @@ import (
 
 	"gridproxy/internal/logging"
 	"gridproxy/internal/metrics"
-	"gridproxy/internal/proto"
+	"gridproxy/internal/wire"
 )
 
 // TestLargeRepliesLeaveThePool: a reply big enough to be read into a
@@ -21,21 +21,21 @@ func TestLargeRepliesLeaveThePool(t *testing.T) {
 	const calls = 32
 	text := strings.Repeat("x", 100<<10)
 	a, b := net.Pipe()
-	server := newRPC(context.Background(), a, roleAcceptor, func(context.Context, proto.Message) (proto.Body, error) {
+	server := NewRPC(context.Background(), a, wire.NewReader(a), RoleAcceptor, func(context.Context, Message) (Body, error) {
 		return nil, errors.New(text)
 	}, logging.Discard(), metrics.NewRegistry())
-	client := newRPC(context.Background(), b, roleDialer, func(context.Context, proto.Message) (proto.Body, error) {
+	client := NewRPC(context.Background(), b, wire.NewReader(b), RoleDialer, func(context.Context, Message) (Body, error) {
 		return nil, nil
 	}, logging.Discard(), metrics.NewRegistry())
-	server.start()
-	client.start()
-	defer server.close()
-	defer client.close()
+	server.Start()
+	client.Start()
+	defer server.Close()
+	defer client.Close()
 
 	call := func() {
-		_, err := client.call(context.Background(), &proto.Ping{})
-		var se *statusError
-		if !errors.As(err, &se) || se.text != text {
+		_, err := client.Call(context.Background(), &Ping{})
+		var se *StatusError
+		if !errors.As(err, &se) || se.Text != text {
 			t.Fatalf("the large reply did not arrive whole: %.80v", err)
 		}
 	}

@@ -20,6 +20,7 @@ import (
 	"crypto/x509"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"time"
 
@@ -53,6 +54,20 @@ func CloseWrite(conn net.Conn) error {
 	}
 	return errNoHalfClose
 }
+
+// ReadThrough returns conn reading through r, a buffered reader of conn:
+// a protocol that turns a connection into a raw byte pipe after a framed
+// handshake keeps the bytes its reader already buffered.
+func ReadThrough(conn net.Conn, r io.Reader) net.Conn { return &readThrough{Conn: conn, r: r} }
+
+type readThrough struct {
+	net.Conn
+	r io.Reader
+}
+
+func (c *readThrough) Read(p []byte) (int, error) { return c.r.Read(p) }
+
+func (c *readThrough) CloseWrite() error { return CloseWrite(c.Conn) }
 
 // --- TCP -----------------------------------------------------------------
 

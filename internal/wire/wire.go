@@ -73,6 +73,20 @@ func NewReader(r io.Reader) *Reader {
 // it, or bytes already buffered would be lost.
 func (r *Reader) Raw() io.Reader { return r.br }
 
+// Peek returns the type of the next frame and the first n bytes of its
+// payload without consuming them, so a server can tell what a connection
+// is for before it commits a reader to it. n must not exceed the payload.
+func (r *Reader) Peek(n int) (byte, []byte, error) {
+	b, err := r.br.Peek(headerSize + n)
+	if err != nil {
+		return 0, nil, err
+	}
+	if b[0] != magicByte {
+		return 0, nil, ErrBadMagic
+	}
+	return b[1], b[headerSize:], nil
+}
+
 // ReadFrame reads the next frame. The returned payload is freshly
 // allocated and owned by the caller.
 func (r *Reader) ReadFrame() (Frame, error) {
