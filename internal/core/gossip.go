@@ -155,12 +155,11 @@ func (p *Proxy) gossipLoop() {
 }
 
 // gossipRound runs one round: advance the failure-detection sweep, pick
-// Fanout random targets, push hot rumors at each (attaching a full
-// digest when membership.ShouldDigest says so — the bootstrap pull on
-// early first contacts, the AntiEntropyFactor/N lottery after), and
-// merge whatever comes back. The targets are contacted concurrently and
-// each delta is merged as it arrives, so a hung target costs the round
-// its own RPCTimeout and delays no other exchange.
+// Fanout random targets, and run one exchange with each (the directory's
+// Offer attaches a full digest on early first contacts and on the
+// AntiEntropyFactor/N lottery). The targets are contacted concurrently
+// and each answer is absorbed as it arrives, so a hung target costs the
+// round its own RPCTimeout and delays no other exchange.
 func (p *Proxy) gossipRound(ctx context.Context) {
 	p.reg.Counter(metrics.GossipRounds).Inc()
 	p.members.Sweep()
@@ -184,49 +183,23 @@ func (p *Proxy) gossipRound(ctx context.Context) {
 		// No deadline of the fan-out's own: the dial and the exchange are
 		// each bounded by RPCTimeout already.
 		peerlink.FanOut(ctx, sites, 0, func(ctx context.Context, site string) (struct{}, error) {
-			sync := &proto.GossipSync{From: p.site, Addr: p.wanAddr, Entries: push}
-			if p.members.ShouldDigest(site) {
-				sync.HasDigest = true
-				sync.Digest = p.members.Digest()
-				p.reg.Counter(metrics.GossipAntiEntropy).Inc()
-			}
-			p.gossipTo(ctx, bySite[site], sync)
+			p.gossipTo(ctx, bySite[site], p.members.Offer(site, push, false))
 			return struct{}{}, nil
 		})
+		// The probe goes through the same cache and the same bounded
+		// connect as any other contact, so the site's circuit breaker
+		// paces it. Failure is the expected outcome: the entry is dead
+		// already.
 		for _, target := range dead {
-			p.deadProbe(ctx, target, push)
+			p.gossipTo(withDeadDialable(ctx), target, p.members.Offer(target.Site, push, true))
 		}
 	}
 	p.closeDeadTunnels()
 }
 
-// deadProbe attempts one gossip exchange with a dead-marked site, through
-// the same cache and the same bounded connect as any other contact (so
-// the site's circuit breaker paces the probes). Success revives the entry
-// (connectOnce's ObserveAlive) and the forced digest exchange repairs
-// both directories; failure is the expected outcome and changes nothing.
-func (p *Proxy) deadProbe(ctx context.Context, target membership.Entry, push []proto.GossipEntry) {
-	pr, err := p.peerFor(withDeadDialable(ctx), target.Site)
-	if err != nil {
-		return
-	}
-	defer p.releasePeer(pr)
-	sync := &proto.GossipSync{From: p.site, Addr: p.wanAddr, Entries: push,
-		HasDigest: true, Digest: p.members.Digest()}
-	p.reg.Counter(metrics.GossipSyncs).Inc()
-	p.reg.Counter(metrics.GossipAntiEntropy).Inc()
-	reply, err := p.callPeer(ctx, pr, sync)
-	if err != nil {
-		return
-	}
-	if delta, ok := reply.(*proto.GossipDelta); ok && len(delta.Entries) > 0 {
-		p.members.Merge(delta.Entries)
-	}
-	p.closeDeadTunnels()
-}
-
-// gossipTo runs one push-pull exchange with one sampled target. Both a
-// failed dial and a failed RPC are direct evidence against the target.
+// gossipTo runs one push-pull exchange with one target. A failed dial
+// is evidence against the target (dialOnDemand escalates it), and so is
+// a failed exchange.
 func (p *Proxy) gossipTo(ctx context.Context, target membership.Entry, sync *proto.GossipSync) {
 	pr, err := p.peerFor(ctx, target.Site)
 	if err != nil {
@@ -248,41 +221,13 @@ func (p *Proxy) gossipTo(ctx context.Context, target membership.Entry, sync *pro
 		p.log.Warn("gossip exchange: unexpected reply", "peer", target.Site, "reply", fmt.Sprintf("%T", reply))
 		return
 	}
-	// An exchange that worked is evidence about this proxy's own
-	// connectivity as much as a failed one is: without the credit, one
-	// hung peer failing every round pins the health score at its cap and
-	// stretches every verdict ninefold though the other exchanges succeed.
-	p.members.NoteLocalProbe(true)
-	p.members.ObserveAlive(target.Site, target.Addr)
-	if len(delta.Entries) > 0 {
-		p.members.Merge(delta.Entries)
-	}
+	p.members.Absorb(target.Site, target.Addr, delta)
 }
 
-// handleGossipSync serves one inbound gossip exchange: learn that the
-// sender is alive at its claimed address, merge its rumors, and answer
-// with a delta — everything we know better than its digest when one was
-// attached, or our own hot rumors otherwise (push-pull: replies carry
-// rumors too, doubling the spread rate per exchange).
+// handleGossipSync serves one inbound gossip exchange through the
+// directory's receiving half.
 func (p *Proxy) handleGossipSync(req *proto.GossipSync) *proto.GossipDelta {
-	if req.From != "" && req.From != p.site {
-		p.members.ObserveAlive(req.From, req.Addr)
-	}
-	if len(req.Entries) > 0 {
-		p.members.Merge(req.Entries)
-	}
-	delta := &proto.GossipDelta{From: p.site}
-	if req.HasDigest {
-		// Reconcile the digest's liveness claims BEFORE computing the
-		// delta: a conflict (their tuple newer than ours) would
-		// otherwise be dropped silently — DeltaFor sends nothing for it
-		// and Merge never sees it — which is exactly how a partition's
-		// death verdicts dodge refutation. See membership.ObserveDigest.
-		p.members.ObserveDigest(req.Digest)
-		delta.Entries = p.members.DeltaFor(req.Digest)
-	} else {
-		delta.Entries = p.members.HotPush()
-	}
+	delta := p.members.Answer(req)
 	p.closeDeadTunnels()
 	return delta
 }

@@ -82,17 +82,12 @@ func (p *Proxy) serveLocal(conn net.Conn) {
 type clientSession struct {
 	proxy *Proxy
 	rpc   *proto.RPC
-	// authed is set by the first successful authentication.
-	authed atomic.Bool
-	// user is set after successful authentication.
-	user string
-	// expiry bounds the session: after it passes, authenticated calls
-	// fail with StatusAuthExpired until the client re-authenticates.
-	// It is the session-token expiry, further capped by the ticket
-	// expiry when the session was opened with a ticket.
-	expiry time.Time
+	// login is set by each successful authentication and read by every
+	// request, each on its own goroutine: one immutable record, swapped
+	// whole, so a request sees one login's user and expiry together.
+	login atomic.Pointer[login]
 	// challenge is the outstanding signature challenge, if any.
-	challenge []byte
+	challenge atomic.Pointer[[]byte]
 
 	upMu sync.Mutex
 	// uploads holds the blobs this connection is part-way through sending,
@@ -100,17 +95,29 @@ type clientSession struct {
 	uploads map[uint64]*upload // guarded by upMu
 }
 
+// login is one successful authentication of a session.
+type login struct {
+	user string
+	// expiry bounds the session: after it passes, authenticated calls
+	// fail with StatusAuthExpired until the client re-authenticates.
+	// It is the session-token expiry, further capped by the ticket
+	// expiry when the session was opened with a ticket.
+	expiry time.Time
+}
+
 // checkSession enforces that the connection is authenticated and its
-// session lifetime has not lapsed. Expiry is distinguished from plain
-// unauthorized so clients can renew transparently.
-func (cs *clientSession) checkSession() error {
-	if cs.user == "" {
-		return unauthorized("authenticate first")
+// session lifetime has not lapsed, returning the session user. Expiry is
+// distinguished from plain unauthorized so clients can renew
+// transparently.
+func (cs *clientSession) checkSession() (string, error) {
+	l := cs.login.Load()
+	if l == nil {
+		return "", unauthorized("authenticate first")
 	}
-	if !cs.expiry.IsZero() && cs.proxy.clock().After(cs.expiry) {
-		return authExpired("session for %q expired; re-authenticate", cs.user)
+	if cs.proxy.clock().After(l.expiry) {
+		return "", authExpired("session for %q expired; re-authenticate", l.user)
 	}
-	return nil
+	return l.user, nil
 }
 
 // clientCodes are the codes the client service serves; true marks those
@@ -132,7 +139,7 @@ func (cs *clientSession) handle(ctx context.Context, msg proto.Message) (proto.B
 	if !served {
 		return nil, badRequest("the client service does not serve code %#x", uint16(msg.Code))
 	}
-	if !open && !cs.authed.Load() {
+	if !open && cs.login.Load() == nil {
 		return nil, unauthorized("authenticate first")
 	}
 	body, err := proto.Unmarshal(msg)
@@ -233,14 +240,14 @@ func (cs *clientSession) handleAuth(req *proto.AuthRequest) (proto.Body, error) 
 			if err != nil {
 				return nil, err
 			}
-			cs.challenge = challenge
+			cs.challenge.Store(&challenge)
 			return &proto.AuthReply{OK: false, Reason: "challenge", Token: challenge}, nil
 		}
 		// Phase 2: verify the signature over OUR challenge.
-		if cs.challenge == nil || string(req.Challenge) != string(cs.challenge) {
+		// Each challenge answers once.
+		if c := cs.challenge.Load(); c == nil || string(req.Challenge) != string(*c) || !cs.challenge.CompareAndSwap(c, nil) {
 			return &proto.AuthReply{OK: false, Reason: "no outstanding challenge"}, nil
 		}
-		cs.challenge = nil
 		if err := p.users.VerifySignature(req.User, req.Challenge, req.Signature); err != nil {
 			return &proto.AuthReply{OK: false, Reason: "invalid signature"}, nil
 		}
@@ -263,18 +270,15 @@ func (cs *clientSession) handleAuth(req *proto.AuthRequest) (proto.Body, error) 
 	default:
 		return nil, badRequest("unknown auth method %d", req.Method)
 	}
-	if cs.user != req.User {
-		// Half-sent blobs belong to whoever opened them.
-		cs.dropUploads()
-	}
-	cs.user = req.User
-	cs.authed.Store(true)
 	expiry := p.clock().Add(sessionLifetime)
 	// A ticket-opened session cannot outlive the ticket it presented.
 	if !ticketExpiry.IsZero() && ticketExpiry.Before(expiry) {
 		expiry = ticketExpiry
 	}
-	cs.expiry = expiry
+	if old := cs.login.Swap(&login{user: req.User, expiry: expiry}); old != nil && old.user != req.User {
+		// Half-sent blobs belong to whoever opened them.
+		cs.dropUploads()
+	}
 	token := ticket.Seal(p.sessionKey, ticket.Claims{Purpose: ticket.Session, User: req.User, Expiry: expiry})
 	return &proto.AuthReply{OK: true, Token: token, ExpiresUnix: expiry.Unix()}, nil
 }
@@ -292,10 +296,11 @@ func (cs *clientSession) handleTicketRequest(req *proto.TicketRequest) (proto.Bo
 
 // requirePermission enforces session auth plus an ACL check.
 func (cs *clientSession) requirePermission(action, resource string) error {
-	if err := cs.checkSession(); err != nil {
+	user, err := cs.checkSession()
+	if err != nil {
 		return err
 	}
-	if err := cs.proxy.users.Allowed(cs.user, action, resource); err != nil {
+	if err := cs.proxy.users.Allowed(user, action, resource); err != nil {
 		return denied("%v", err)
 	}
 	return nil
@@ -459,16 +464,17 @@ func (r *loanedReply) Release() { r.loan.Release() }
 
 // handleJobSubmit launches an MPI job for the session user.
 func (cs *clientSession) handleJobSubmit(ctx context.Context, req *proto.JobSubmit) (proto.Body, error) {
-	if err := cs.checkSession(); err != nil {
+	user, err := cs.checkSession()
+	if err != nil {
 		return nil, err
 	}
-	if req.Owner != "" && req.Owner != cs.user {
-		return nil, denied("cannot submit as %q while authenticated as %q", req.Owner, cs.user)
+	if req.Owner != "" && req.Owner != user {
+		return nil, denied("cannot submit as %q while authenticated as %q", req.Owner, user)
 	}
 	launchCtx, cancel := context.WithTimeout(ctx, time.Minute)
 	defer cancel()
 	launch, err := cs.proxy.LaunchMPI(launchCtx, LaunchSpec{
-		Owner:    cs.user,
+		Owner:    user,
 		Program:  req.Program,
 		Args:     req.Args,
 		Procs:    int(req.Procs),
@@ -486,15 +492,16 @@ func (cs *clientSession) handleJobSubmit(ctx context.Context, req *proto.JobSubm
 // it; anyone else needs the given grid permission (operators).
 func (cs *clientSession) ownJob(jobID, action string) (*app, jobPart, error) {
 	p := cs.proxy
-	if err := cs.checkSession(); err != nil {
+	user, err := cs.checkSession()
+	if err != nil {
 		return nil, jobPart{}, err
 	}
 	a, j, ok := p.job(jobID)
 	if !ok {
 		return nil, jobPart{}, notFound("no job %q", jobID)
 	}
-	if j.owner != cs.user {
-		if err := p.users.Allowed(cs.user, action, "grid"); err != nil {
+	if j.owner != user {
+		if err := p.users.Allowed(user, action, "grid"); err != nil {
 			return nil, jobPart{}, denied("job %q belongs to %q: %v", jobID, j.owner, err)
 		}
 	}

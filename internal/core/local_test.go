@@ -207,3 +207,32 @@ func TestLocalEndpointServesEveryRole(t *testing.T) {
 	}
 	waitFor(t, 10*time.Second, func() bool { return s.Proxy.LocalSummary().Nodes == 1+rounds })
 }
+
+// TestReauthPipelined: a client renewing its login while its other calls
+// are in flight (the gate's pooled connection does) sends AuthRequests
+// and StatusQueries down one connection without waiting; each is served
+// on its own goroutine, so the login one writes is read by the others at
+// the same moment. Every call must still be answered as its own.
+func TestReauthPipelined(t *testing.T) {
+	s := newGrid(t, nil, 1).Sites[0]
+	c := dialRaw(t, s)
+	if err := c.conn.SetDeadline(time.Now().Add(20 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	const pairs = 50
+	for range pairs {
+		c.send(proto.CodeAuthRequest, proto.Append(nil, adminLogin))
+		c.send(proto.CodeStatusQuery, proto.Append(nil, &proto.StatusQuery{}))
+	}
+	for range 2 * pairs {
+		switch reply := c.reply().(type) {
+		case *proto.AuthReply:
+			if !reply.OK {
+				t.Fatalf("re-login refused: %+v", reply)
+			}
+		case *proto.StatusReport:
+		default:
+			t.Fatalf("reply %T %+v, want AuthReply or StatusReport", reply, reply)
+		}
+	}
+}

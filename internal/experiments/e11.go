@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"math"
+	"time"
 
 	"gridproxy/internal/sim"
 )
@@ -70,7 +71,9 @@ func e11(cfg e11Config) (Table, error) {
 	var rows, baseline []e11Row
 	var maxPending int
 	for _, n := range cfg.Ns {
-		g, err := sim.NewGossipGrid(sim.GossipGridConfig{Sites: n, Seed: cfg.Seed})
+		// Suspicion is effectively off: nothing republishes summaries, so
+		// the run studies the spread of one status snapshot.
+		g, err := sim.NewGrid(sim.GridConfig{Sites: n, Seed: cfg.Seed, SuspectAfter: time.Hour})
 		if err != nil {
 			return Table{}, fmt.Errorf("e11 n=%d: %w", n, err)
 		}

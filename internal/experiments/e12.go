@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"time"
 
 	"gridproxy/internal/failure"
 	"gridproxy/internal/sim"
@@ -95,7 +96,12 @@ func e12Run(cfg e12Config) (*e12Result, error) {
 	if cfg.Minority < 1 || cfg.Minority >= cfg.Sites/2 {
 		return nil, fmt.Errorf("e12: minority %d must be 1..N/2-1 of %d sites", cfg.Minority, cfg.Sites)
 	}
-	g, err := sim.NewChaosGrid(sim.ChaosGridConfig{Sites: cfg.Sites, Seed: cfg.Seed})
+	// A full mesh from round 0, four-round suspicion timeouts, and
+	// summaries republished every three rounds (what keeps heardAt fresh
+	// across the grid, as in production): E12's bars are measured on
+	// these.
+	g, err := sim.NewGrid(sim.GridConfig{Sites: cfg.Sites, Seed: cfg.Seed, Mesh: true,
+		SuspectAfter: 4 * time.Second, DeadAfter: 4 * time.Second, RepublishEvery: 3})
 	if err != nil {
 		return nil, err
 	}
@@ -108,7 +114,7 @@ func e12Run(cfg e12Config) (*e12Result, error) {
 	for converged <= cfg.ConvergeBudget {
 		g.Step()
 		converged++
-		if g.Converged() {
+		if g.Converged() == cfg.Sites {
 			break
 		}
 	}
@@ -198,7 +204,7 @@ func e12Run(cfg e12Config) (*e12Result, error) {
 }
 
 // snap appends a phase row and extends the determinism fingerprint.
-func (r *e12Result) snap(g *sim.ChaosGrid, phase string, rounds int) {
+func (r *e12Result) snap(g *sim.Grid, phase string, rounds int) {
 	row := e12Row{
 		Phase:      phase,
 		Rounds:     rounds,

@@ -21,9 +21,10 @@ import (
 //     keyed by a logical step counter, so a whole scenario replays
 //     identically from one seed.
 //
-// Its consumer is the round-based simulator (internal/sim.ChaosGrid),
-// which consults the matrix via ExchangeOK/Reachable on a single
-// goroutine, where the seed makes entire runs bit-for-bit reproducible.
+// Its consumer is the round-based simulator (internal/sim.Grid, behind
+// E11 and E12), which consults the matrix via ExchangeOK/EverCut on a
+// single goroutine, where the seed makes entire runs bit-for-bit
+// reproducible.
 // Delay and rate on live connections are transport.Link's, not this
 // package's.
 
@@ -47,6 +48,8 @@ type Chaos struct {
 	rng  *rand.Rand
 	cut  map[linkKey]bool
 	loss map[linkKey]float64
+	// ever records every directed link the script has cut, healed or not.
+	ever map[linkKey]bool
 
 	script  []chaosEvent
 	applied int
@@ -65,6 +68,7 @@ func NewChaos(seed int64, reg *metrics.Registry) *Chaos {
 		reg:  reg,
 		rng:  rand.New(rand.NewSource(seed)),
 		cut:  make(map[linkKey]bool),
+		ever: make(map[linkKey]bool),
 		loss: make(map[linkKey]float64),
 	}
 }
@@ -109,7 +113,17 @@ func (c *Chaos) cutLocked(from, to string) {
 		return
 	}
 	c.cut[k] = true
+	c.ever[k] = true
 	c.reg.Counter(metrics.ChaosCuts).Inc()
+}
+
+// EverCut reports whether either direction between a and b has ever been
+// cut. A verdict between sites never cut apart is the gray-failure
+// false positive the simulator counts.
+func (c *Chaos) EverCut(a, b string) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.ever[linkKey{a, b}] || c.ever[linkKey{b, a}]
 }
 
 // HealLink restores both directions between a and b.
@@ -150,14 +164,6 @@ func (c *Chaos) SetLoss(from, to string, p float64) {
 		c.loss[k] = p
 	}
 	c.mu.Unlock()
-}
-
-// Reachable reports whether traffic from→to is currently routed (cuts
-// only; a lossy link is still reachable).
-func (c *Chaos) Reachable(from, to string) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return !c.cut[linkKey{from, to}]
 }
 
 // ExchangeOK is the simulator's per-exchange verdict for one

@@ -16,9 +16,10 @@ import (
 //     gossips "Y dead" to Z, who can reach Y fine. Vouching lets Z
 //     override the rumor instead of adopting it.
 //   - anti-entropy drops conflicts silently: a digest claiming "Y dead
-//     at (i, v+1)" against a local "Y alive at (i, v)" makes DeltaFor
-//     send nothing and Merge learn nothing. ObserveDigest resolves the
-//     conflict (refuteLocked, vouch, or adopt) before DeltaFor runs.
+//     at (i, v+1)" against a local "Y alive at (i, v)" makes the delta
+//     send nothing and Merge learn nothing. observeDigest resolves the
+//     conflict (refuteLocked, vouch, or adopt) before Answer computes
+//     the delta.
 //   - a healed split never re-merges: Sample excludes dead entries, so
 //     two sides that declared each other dead stop gossiping at each
 //     other forever. DeadProbeTargets nominates retained dead entries
@@ -93,32 +94,27 @@ func (d *Directory) demoteLocked(local *entry, ge *proto.GossipEntry, now time.T
 	}
 }
 
-// ObserveDigest folds the liveness claims of a received anti-entropy
-// digest into the directory. Digest items carry no summary or address,
-// but their (incarnation, version, state) tuples are full-fledged
-// rumors, and ignoring them loses exactly the conflicts a partition
-// creates. For each item strictly newer than the local row:
+// observeDigest folds the liveness claims of a received anti-entropy
+// digest into the directory: ignoring them would lose exactly the
+// conflicts a partition creates. A digest item carries no address and no
+// summary, so it only ever changes a row's liveness; rows themselves, and
+// alive-over-alive progress, come from full entries (Merge): a tuple
+// adopted here would make the entry that carries it "not newer" and drop
+// its address and summary. For each item strictly newer than the local
+// row:
 //
 //   - about the local site and not alive → self-refutation (the digest
 //     is how a healed proxy usually first learns the far side declared
 //     it dead);
 //   - suspect/dead about a site heard from within VouchWindow → vouch;
-//   - otherwise → adopt the liveness tuple (summary and address keep
-//     their current values; fresher ones arrive with the next full
-//     entry or summary republish).
-//
-// Call it before DeltaFor so the delta reflects the post-reconciliation
-// view.
-func (d *Directory) ObserveDigest(items []proto.GossipDigestItem) int {
+//   - suspect/dead otherwise, or alive over a local suspect/dead row →
+//     adopt (a death claim demoted to suspicion).
+func (d *Directory) observeDigest(items []proto.GossipDigestItem) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	now := d.cfg.Now()
-	changed := 0
 	for i := range items {
 		item := &items[i]
-		if item.Site == "" {
-			continue
-		}
 		if item.Site == d.cfg.Site {
 			ge := proto.GossipEntry{Site: item.Site, State: item.State,
 				Incarnation: item.Incarnation, Version: item.Version}
@@ -126,43 +122,23 @@ func (d *Directory) ObserveDigest(items []proto.GossipDigestItem) int {
 			continue
 		}
 		local, ok := d.entries[item.Site]
-		if !ok {
-			// A site we have never heard of: remember the claim so the
-			// anti-entropy delta (and future rumors) have a row to land
-			// on. No address yet — Sample skips it until one arrives.
-			local = &entry{site: item.Site, state: Alive}
-			d.entries[item.Site] = local
-			d.stateCount[Alive]++
-			ge := proto.GossipEntry{Site: item.Site, State: item.State,
-				Incarnation: item.Incarnation, Version: item.Version}
-			d.adopt(local, &ge, now)
-			changed++
+		// Skip what a digest may not change (no row, alive over alive),
+		// what is not news, and what a vouch overrides.
+		if !ok || State(item.State) == Alive && local.state == Alive ||
+			!newer(item.Incarnation, item.Version, item.State, local.incarnation, local.version, uint8(local.state)) ||
+			stickyDead(local, State(item.State), item.Incarnation) ||
+			d.vouchLocked(local, State(item.State), item.Incarnation, now) {
 			continue
 		}
-		if !newer(item.Incarnation, item.Version, item.State, local.incarnation, local.version, uint8(local.state)) {
-			continue
-		}
-		if stickyDead(local, State(item.State), item.Incarnation) {
-			continue
-		}
-		if d.vouchLocked(local, State(item.State), item.Incarnation, now) {
-			changed++
-			continue
-		}
-		ge := proto.GossipEntry{Site: item.Site, Addr: local.addr, State: item.State,
+		ge := proto.GossipEntry{Site: item.Site, State: item.State,
 			Incarnation: item.Incarnation, Version: item.Version}
 		if State(item.State) == Dead && local.state != Dead {
 			d.demoteLocked(local, &ge, now)
-			changed++
-			continue
+		} else {
+			d.adopt(local, &ge, now)
 		}
-		d.adopt(local, &ge, now)
-		changed++
 	}
-	if changed > 0 {
-		d.publishGaugesLocked()
-	}
-	return changed
+	d.publishGaugesLocked()
 }
 
 // Confirmers returns up to k alive, addressable sites (excluding the

@@ -466,6 +466,13 @@ func (d *Directory) Summaries() int {
 	return n
 }
 
+// Convicted counts entries held dead (retained, not yet pruned).
+func (d *Directory) Convicted() int {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.stateCount[Dead]
+}
+
 // PendingRumors counts entries still holding hot-push retransmit budget.
 // Zero means the rumor mill has drained: subsequent rounds carry only
 // empty syncs and the occasional anti-entropy digest. The simulator uses
@@ -533,10 +540,57 @@ func (d *Directory) Digest() []proto.GossipDigestItem {
 	return out
 }
 
-// DeltaFor answers a digest with every entry the directory knows better:
+// The two halves of one push-pull exchange. The proxy carries them over
+// its control lanes and the simulator over its chaos matrix; the order of
+// the steps inside each half is the protocol, and lives only here.
+
+// Offer builds the sync that opens an exchange with peer: this round's
+// hot rumors (one HotPush, shared by the round's targets) and a full
+// digest when forceDigest is set (a resurrection probe) or ShouldDigest
+// says so.
+func (d *Directory) Offer(peer string, push []proto.GossipEntry, forceDigest bool) *proto.GossipSync {
+	sync := &proto.GossipSync{From: d.cfg.Site, Addr: d.cfg.Addr, Entries: push}
+	if forceDigest || d.ShouldDigest(peer) {
+		sync.HasDigest = true
+		sync.Digest = d.Digest()
+		d.cfg.Metrics.Counter(metrics.GossipAntiEntropy).Inc()
+	}
+	return sync
+}
+
+// Answer serves the receiving half: the sender is alive at the address it
+// gives and its rumors merge. A digest's liveness claims are folded in
+// before the reply is computed (a conflict would otherwise be dropped
+// silently, see observeDigest), and the reply carries everything this
+// directory knows better than the digest; without a digest it carries
+// this directory's own hot rumors, so replies spread rumors too.
+func (d *Directory) Answer(sync *proto.GossipSync) *proto.GossipDelta {
+	d.ObserveAlive(sync.From, sync.Addr)
+	d.Merge(sync.Entries)
+	delta := &proto.GossipDelta{From: d.cfg.Site}
+	if sync.HasDigest {
+		d.observeDigest(sync.Digest)
+		delta.Entries = d.deltaFor(sync.Digest)
+	} else {
+		delta.Entries = d.HotPush()
+	}
+	return delta
+}
+
+// Absorb completes an exchange this directory opened with peer at addr:
+// the answer is a successful local probe and direct contact with peer,
+// and its entries merge. A hung peer failing every round must not pin the
+// health score at its cap while the other exchanges succeed.
+func (d *Directory) Absorb(peer, addr string, delta *proto.GossipDelta) {
+	d.NoteLocalProbe(true)
+	d.ObserveAlive(peer, addr)
+	d.Merge(delta.Entries)
+}
+
+// deltaFor answers a digest with every entry the directory knows better:
 // entries absent from the digest and entries the digest holds an older
 // copy of.
-func (d *Directory) DeltaFor(digest []proto.GossipDigestItem) []proto.GossipEntry {
+func (d *Directory) deltaFor(digest []proto.GossipDigestItem) []proto.GossipEntry {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	now := d.cfg.Now()

@@ -1,6 +1,8 @@
 package membership
 
 import (
+	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -91,10 +93,8 @@ func TestDeadVerdictStickyAtIncarnation(t *testing.T) {
 		State: uint8(Suspect), Incarnation: 1, Version: 7}}); n != 0 {
 		t.Fatalf("demoted echo merged (%d), want 0", n)
 	}
-	if n := d.ObserveDigest([]proto.GossipDigestItem{{Site: "victim",
-		State: uint8(Suspect), Incarnation: 1, Version: 7}}); n != 0 {
-		t.Fatalf("demoted echo observed via digest (%d), want 0", n)
-	}
+	d.observeDigest([]proto.GossipDigestItem{{Site: "victim",
+		State: uint8(Suspect), Incarnation: 1, Version: 7}})
 	if e, _ := d.Lookup("victim"); e.State != Dead || e.Version != 2 {
 		t.Fatalf("after echoes = %+v, want dead (1,2)", e)
 	}
@@ -220,7 +220,7 @@ func TestSummaryAgeSurvivesGossipHop(t *testing.T) {
 	a.ObserveSummary("sitec", "wan.sitec", proto.SiteStatus{Site: "sitec", Nodes: 2})
 	c.advance(5 * time.Second)
 	// a pushes to b; the wire entry stamps the 5s age.
-	b.Merge(a.DeltaFor(nil))
+	b.Merge(a.deltaFor(nil))
 	c.advance(3 * time.Second)
 	e, ok := b.Lookup("sitec")
 	if !ok || !e.HasSummary {
@@ -237,7 +237,7 @@ func TestDeltaForAnswersOnlyNewer(t *testing.T) {
 	b := newDir("siteb", c)
 	a.Merge([]proto.GossipEntry{{Site: "sitec", Addr: "wan.sitec", Incarnation: 2, Version: 3}})
 	b.Merge([]proto.GossipEntry{{Site: "sitec", Addr: "wan.sitec", Incarnation: 2, Version: 3}})
-	delta := a.DeltaFor(b.Digest())
+	delta := a.deltaFor(b.Digest())
 	for _, ge := range delta {
 		if ge.Site == "sitec" {
 			t.Fatal("delta includes an entry the digest already knows at equal version")
@@ -249,7 +249,7 @@ func TestDeltaForAnswersOnlyNewer(t *testing.T) {
 	// b learns something newer; now a's delta must exclude it and b's must include it.
 	b.Merge([]proto.GossipEntry{{Site: "sitec", Incarnation: 3}})
 	found := false
-	for _, ge := range b.DeltaFor(a.Digest()) {
+	for _, ge := range b.deltaFor(a.Digest()) {
 		if ge.Site == "sitec" && ge.Incarnation == 3 {
 			found = true
 		}
@@ -270,15 +270,48 @@ func TestBootstrapPullLearnsWholeGrid(t *testing.T) {
 		boot.Merge([]proto.GossipEntry{ge})
 	}
 	fresh := newDir("sitez", c)
-	// One push-pull round against the bootstrap peer: fresh sends its
-	// digest, merges the delta; boot merges fresh's hot push.
-	boot.Merge(fresh.HotPush())
-	fresh.Merge(boot.DeltaFor(fresh.Digest()))
+	// One push-pull exchange with the bootstrap peer: fresh offers its
+	// hot push and digest, boot answers with its delta.
+	fresh.Absorb("sitea", "wan.sitea", boot.Answer(fresh.Offer("sitea", fresh.HotPush(), false)))
 	if fresh.Len() != 5 {
 		t.Fatalf("after one anti-entropy round Len = %d, want 5", fresh.Len())
 	}
 	if _, ok := boot.Lookup("sitez"); !ok {
 		t.Fatal("bootstrap peer did not learn the new site")
+	}
+}
+
+// TestGossipExchangesConcurrently: a proxy contacts a round's targets
+// concurrently while it serves inbound exchanges, so both halves enter one
+// directory from many goroutines at once (run it under -race). Every
+// directory must still hold every site's summary.
+func TestGossipExchangesConcurrently(t *testing.T) {
+	c := newFakeClock()
+	const n = 6
+	dirs := make([]*Directory, n)
+	for i := range dirs {
+		dirs[i] = newDir(fmt.Sprintf("site%d", i), c)
+		dirs[i].SetLocalSummary(proto.SiteStatus{Nodes: uint32(i + 1)})
+	}
+	var wg sync.WaitGroup
+	for _, d := range dirs {
+		push := d.HotPush()
+		for _, peer := range dirs {
+			if peer == d {
+				continue
+			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				d.Absorb(peer.Site(), "wan."+peer.Site(), peer.Answer(d.Offer(peer.Site(), push, true)))
+			}()
+		}
+	}
+	wg.Wait()
+	for _, d := range dirs {
+		if got := d.Summaries(); got != n {
+			t.Errorf("%s holds %d summaries, want %d", d.Site(), got, n)
+		}
 	}
 }
 
@@ -397,7 +430,7 @@ func TestSeedNeverPrunedNeverVouchedFor(t *testing.T) {
 				return true
 			}
 		}
-		for _, ge := range d.DeltaFor(nil) {
+		for _, ge := range d.deltaFor(nil) {
 			if ge.Site == "seed" {
 				return true
 			}
