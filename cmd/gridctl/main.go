@@ -35,6 +35,7 @@ import (
 	"time"
 
 	"gridproxy/internal/grid"
+	"gridproxy/internal/proto"
 	"gridproxy/internal/transport"
 )
 
@@ -244,7 +245,7 @@ func run() error {
 		}
 		fmt.Printf("%-20s %-10s %s\n", "JOB", "STATE", "DETAIL")
 		for _, j := range jobs {
-			fmt.Printf("%-20s %-10s %s\n", j.ID, j.State, j.Detail)
+			fmt.Printf("%-20s %-10s %s\n", j.JobID, j.State, j.Detail)
 		}
 		return nil
 
@@ -434,8 +435,8 @@ func forward(dst, src net.Conn) {
 
 // allJobs lists every owner's jobs, newest first, following the proxy's
 // cursor from page to page.
-func allJobs(ctx context.Context, client *grid.Client) ([]grid.JobRecord, error) {
-	var all []grid.JobRecord
+func allJobs(ctx context.Context, client *grid.Client) ([]proto.JobRecord, error) {
+	var all []proto.JobRecord
 	var before uint64
 	for {
 		page, next, err := client.Jobs(ctx, "", before)

@@ -62,8 +62,8 @@ func TestAllJobsFollowsTheCursor(t *testing.T) {
 		t.Fatalf("listed %d jobs, want %d", len(jobs), len(submitted))
 	}
 	for i, j := range jobs {
-		if want := submitted[len(submitted)-1-i]; j.ID != want {
-			t.Fatalf("job %d is %s, want %s", i, j.ID, want)
+		if want := submitted[len(submitted)-1-i]; j.JobID != want {
+			t.Fatalf("job %d is %s, want %s", i, j.JobID, want)
 		}
 	}
 }

@@ -85,7 +85,7 @@ func TestAppIDCollisionRules(t *testing.T) {
 	if _, ok := a.lookupHosted("done"); !ok {
 		t.Error("sitea does not host siteb's rank of \"done\"")
 	}
-	if state, _, err := a.JobStatus("done"); err != nil || jobStateName(state) != "cancelled" {
+	if state, _, err := a.JobStatus("done"); err != nil || state.Name() != "cancelled" {
 		t.Errorf("sitea's finished \"done\" reads %v (%v) beside the hosted ranks", state, err)
 	}
 

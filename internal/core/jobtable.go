@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"slices"
 	"sort"
 	"time"
@@ -119,7 +118,7 @@ func (l *jobLog) drop() {
 // page appends to out the newest JobPage records submitted before the
 // cursor (every record when before is 0), newest first. The returned
 // cursor continues the listing after the page; 0 means nothing is left.
-func (l *jobLog) page(before uint64, out []JobInfo) ([]JobInfo, uint64) {
+func (l *jobLog) page(before uint64, out []proto.JobRecord) ([]proto.JobRecord, uint64) {
 	i := len(l.recs)
 	if before != 0 {
 		i = sort.Search(len(l.recs), func(k int) bool { return l.recs[k].seq >= before })
@@ -133,25 +132,18 @@ func (l *jobLog) page(before uint64, out []JobInfo) ([]JobInfo, uint64) {
 		if len(out) == JobPage {
 			return out, last
 		}
-		out = append(out, JobInfo{AppID: a.id, State: jobStateName(a.state), Detail: a.detail})
+		out = append(out, proto.JobRecord{JobID: a.id, State: a.state.Name(), Detail: a.detail})
 		last = a.seq
 	}
 	return out, 0
-}
-
-// JobInfo is a queryable job record (web/CLI interfaces).
-type JobInfo struct {
-	AppID  string
-	State  string
-	Detail string
 }
 
 // Jobs lists one page of the jobs launched from this proxy, newest first:
 // at most JobPage of owner's jobs (every owner's when owner is empty)
 // submitted before the cursor (the newest when before is 0). The cursor it
 // returns fetches the next page; 0 means this page is the last.
-func (p *Proxy) Jobs(owner string, before uint64) ([]JobInfo, uint64) {
-	out := make([]JobInfo, 0, JobPage)
+func (p *Proxy) Jobs(owner string, before uint64) ([]proto.JobRecord, uint64) {
+	out := make([]proto.JobRecord, 0, JobPage)
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	log := &p.jobs.all
@@ -161,23 +153,6 @@ func (p *Proxy) Jobs(owner string, before uint64) ([]JobInfo, uint64) {
 		}
 	}
 	return log.page(before, out)
-}
-
-func jobStateName(s proto.JobState) string {
-	switch s {
-	case proto.JobQueued:
-		return "queued"
-	case proto.JobRunning:
-		return "running"
-	case proto.JobDone:
-		return "done"
-	case proto.JobFailed:
-		return "failed"
-	case proto.JobCancelled:
-		return "cancelled"
-	default:
-		return fmt.Sprintf("state(%d)", uint8(s))
-	}
 }
 
 // setJobTerminal records a job's terminal state and outputs, stamps it for

@@ -190,15 +190,15 @@ func TestJobsPageListsNewestFirstWhilePruned(t *testing.T) {
 					t.Fatalf("page %d: %d records, next %d", pages, len(page), next)
 				}
 				for _, job := range page {
-					i, ok := index[job.AppID]
+					i, ok := index[job.JobID]
 					if !ok {
-						t.Fatalf("listed unknown job %q", job.AppID)
+						t.Fatalf("listed unknown job %q", job.JobID)
 					}
 					if who != "" && ownerOf[i] != who {
-						t.Fatalf("%s of %q listed for %q", job.AppID, ownerOf[i], who)
+						t.Fatalf("%s of %q listed for %q", job.JobID, ownerOf[i], who)
 					}
 					if k := len(order); k > 0 && i >= order[k-1] {
-						t.Fatalf("%s listed after %s: not newest first", job.AppID, jobID(order[k-1]))
+						t.Fatalf("%s listed after %s: not newest first", job.JobID, jobID(order[k-1]))
 					}
 					order = append(order, i)
 				}
@@ -336,8 +336,8 @@ func TestJobIndexUnderConcurrentChurn(t *testing.T) {
 						return
 					}
 					for k := 1; k < len(page); k++ {
-						if page[k].AppID >= page[k-1].AppID {
-							t.Errorf("%s listed after %s", page[k].AppID, page[k-1].AppID)
+						if page[k].JobID >= page[k-1].JobID {
+							t.Errorf("%s listed after %s", page[k].JobID, page[k-1].JobID)
 							return
 						}
 					}

@@ -199,11 +199,7 @@ func (cs *clientSession) handle(ctx context.Context, msg proto.Message) (proto.B
 			return nil, err
 		}
 		jobs, next := p.Jobs(req.Owner, req.Before)
-		reply := &proto.JobListReply{Jobs: make([]proto.JobRecord, len(jobs)), Next: next}
-		for i, job := range jobs {
-			reply.Jobs[i] = proto.JobRecord{JobID: job.AppID, State: job.State, Detail: job.Detail}
-		}
-		return reply, nil
+		return &proto.JobListReply{Jobs: jobs, Next: next}, nil
 	case *proto.RegistryQuery:
 		if err := cs.requirePermission("status", "grid"); err != nil {
 			return nil, err

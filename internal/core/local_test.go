@@ -105,10 +105,12 @@ func TestLocalAcceptSurvivesTransientError(t *testing.T) {
 	}
 }
 
-// TestLocalSessionAllocBudget: a connection that has not logged in cannot
-// make the proxy decode what it may not send. Each payload fills 1 MiB
+// TestLocalSessionAllocBudget: a local connection cannot make the proxy
+// decode a message into many times its size. Each payload fills 1 MiB
 // with elements it really carries; decoded, the first three took 48, 36
-// and 24 MiB. Refused undecoded, each costs about its frame.
+// and 24 MiB, and the logged-in JobSubmit 33 MiB. A connection that has
+// not logged in is refused each undecoded, and the logged-in one past the
+// message's decode budget: each costs about its frame.
 func TestLocalSessionAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation budgets do not hold under the race detector")
@@ -116,14 +118,16 @@ func TestLocalSessionAllocBudget(t *testing.T) {
 	s := newGrid(t, nil, 1).Sites[0]
 	const size = 1 << 20
 	for _, tc := range []struct {
-		name   string
-		status uint16
-		body   func(n int) proto.Body
+		name     string
+		loggedIn bool
+		status   uint16
+		body     func(n int) proto.Body
 	}{
-		{"JobListReply", proto.StatusBadRequest, func(n int) proto.Body { return &proto.JobListReply{Jobs: make([]proto.JobRecord, n)} }},
-		{"RegistryReply", proto.StatusBadRequest, func(n int) proto.Body { return &proto.RegistryReply{Resources: make([]proto.Resource, n)} }},
-		{"GossipDelta", proto.StatusBadRequest, func(n int) proto.Body { return &proto.GossipDelta{Entries: make([]proto.GossipEntry, n)} }},
-		{"JobSubmit", proto.StatusUnauthorized, func(n int) proto.Body { return &proto.JobSubmit{Args: make([]string, n)} }},
+		{"JobListReply", false, proto.StatusBadRequest, func(n int) proto.Body { return &proto.JobListReply{Jobs: make([]proto.JobRecord, n)} }},
+		{"RegistryReply", false, proto.StatusBadRequest, func(n int) proto.Body { return &proto.RegistryReply{Resources: make([]proto.Resource, n)} }},
+		{"GossipDelta", false, proto.StatusBadRequest, func(n int) proto.Body { return &proto.GossipDelta{Entries: make([]proto.GossipEntry, n)} }},
+		{"JobSubmit", false, proto.StatusUnauthorized, func(n int) proto.Body { return &proto.JobSubmit{Args: make([]string, n)} }},
+		{"logged-in JobSubmit", true, proto.StatusBadRequest, func(n int) proto.Body { return &proto.JobSubmit{Args: make([]string, n)} }},
 	} {
 		empty := len(proto.Append(nil, tc.body(0)))
 		n := (size - empty) / (len(proto.Append(nil, tc.body(1))) - empty)
@@ -132,6 +136,11 @@ func TestLocalSessionAllocBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 		c := openRaw(t, s.Local, s.LocalAddr())
+		if tc.loggedIn {
+			if reply, ok := c.call(adminLogin).(*proto.AuthReply); !ok || !reply.OK {
+				t.Fatalf("login: %+v", reply)
+			}
+		}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		if _, err := c.conn.Write(frame.Bytes()); err != nil {

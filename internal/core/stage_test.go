@@ -196,7 +196,7 @@ func TestReusedJobIDRefused(t *testing.T) {
 	if jobs, _ := origin.Jobs("bob", 0); len(jobs) != 0 {
 		t.Errorf("bob lists %+v", jobs)
 	}
-	if jobs, _ := origin.Jobs("admin", 0); len(jobs) != 1 || jobs[0].AppID != "shared-id" {
+	if jobs, _ := origin.Jobs("admin", 0); len(jobs) != 1 || jobs[0].JobID != "shared-id" {
 		t.Errorf("admin lists %+v", jobs)
 	}
 	if err := origin.Cancel(ctx, "shared-id"); err == nil || !strings.Contains(err.Error(), "already finished") {

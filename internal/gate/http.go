@@ -1,6 +1,7 @@
 package gate
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -19,18 +20,6 @@ import (
 	"gridproxy/internal/ticket"
 )
 
-// writeJSON writes a JSON response body.
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-// writeError writes the uniform error body.
-func writeError(w http.ResponseWriter, status int, msg string) {
-	writeJSON(w, status, map[string]any{"error": msg, "status": status})
-}
-
 // backendError maps a grid call failure onto the response.
 func (g *Gateway) backendError(w http.ResponseWriter, err error) {
 	status := httpStatusFor(err)
@@ -38,23 +27,6 @@ func (g *Gateway) backendError(w http.ResponseWriter, err error) {
 		g.reg.Counter(metrics.GateAuthFailures).Inc()
 	}
 	writeError(w, status, err.Error())
-}
-
-// stateName renders a job state for the API.
-func stateName(s proto.JobState) string {
-	switch s {
-	case proto.JobQueued:
-		return "queued"
-	case proto.JobRunning:
-		return "running"
-	case proto.JobDone:
-		return "done"
-	case proto.JobFailed:
-		return "failed"
-	case proto.JobCancelled:
-		return "cancelled"
-	}
-	return "unknown"
 }
 
 func terminal(s proto.JobState) bool {
@@ -251,22 +223,10 @@ func (g *Gateway) handleJobs(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return err
 		}
-		type job struct {
-			ID     string `json:"id"`
-			State  string `json:"state"`
-			Detail string `json:"detail"`
-		}
-		page := struct {
-			Jobs []job  `json:"jobs"`
-			Next string `json:"next,omitempty"`
-		}{Jobs: make([]job, len(jobs))}
-		for i, j := range jobs {
-			page.Jobs[i] = job{ID: j.ID, State: j.State, Detail: j.Detail}
-		}
-		if next != 0 {
-			page.Next = strconv.FormatUint(next, 10)
-		}
-		writeJSON(w, http.StatusOK, page)
+		buf := replies.Get().(*bytes.Buffer)
+		buf.Reset()
+		buf.Write(appendJobPage(buf.AvailableBuffer(), jobs, next))
+		send(w, http.StatusOK, buf)
 		return nil
 	})
 }
@@ -302,7 +262,7 @@ func (g *Gateway) handleIndex(w http.ResponseWriter, r *http.Request) {
 
 // indexPage renders the overview. Every string in it comes from the grid,
 // so each is escaped.
-func indexPage(site, user string, peers []string, rows []siteRow, jobs []grid.JobRecord) string {
+func indexPage(site, user string, peers []string, rows []siteRow, jobs []proto.JobRecord) string {
 	esc := html.EscapeString
 	var b strings.Builder
 	fmt.Fprintf(&b, `<!DOCTYPE html>
@@ -341,7 +301,7 @@ td:first-child, th:first-child { text-align: left; }
 	} else {
 		b.WriteString("<table>\n<tr><th>Job</th><th>State</th><th>Detail</th></tr>\n")
 		for _, j := range jobs {
-			fmt.Fprintf(&b, "<tr><td>%s</td><td>%s</td><td>%s</td></tr>\n", esc(j.ID), esc(j.State), esc(j.Detail))
+			fmt.Fprintf(&b, "<tr><td>%s</td><td>%s</td><td>%s</td></tr>\n", esc(j.JobID), esc(j.State), esc(j.Detail))
 		}
 		b.WriteString("</table>\n")
 	}
@@ -427,7 +387,7 @@ func (g *Gateway) handleJob(w http.ResponseWriter, r *http.Request) {
 			g.quota.observeTerminal(sc.User, jobID)
 		}
 		writeJSON(w, http.StatusOK, map[string]any{
-			"id": jobID, "state": stateName(state), "detail": detail,
+			"id": jobID, "state": state.Name(), "detail": detail,
 		})
 		return nil
 	})
@@ -440,7 +400,7 @@ func (g *Gateway) handleCancel(w http.ResponseWriter, r *http.Request) {
 			return err
 		}
 		g.quota.observeTerminal(sc.User, jobID)
-		writeJSON(w, http.StatusOK, map[string]any{"id": jobID, "state": "cancelled"})
+		writeJSON(w, http.StatusOK, map[string]any{"id": jobID, "state": proto.JobCancelled.Name()})
 		return nil
 	})
 }

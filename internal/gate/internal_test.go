@@ -2,8 +2,10 @@ package gate
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"math/rand"
 	"net"
 	"net/http"
 	"strings"
@@ -50,7 +52,7 @@ func TestHTTPStatusFor(t *testing.T) {
 // the grid, and none of it can inject markup.
 func TestIndexPageEscapes(t *testing.T) {
 	page := indexPage("a<b", "u&v", []string{`<img src="x">`}, []siteRow{{Site: "<s>"}},
-		[]grid.JobRecord{{ID: "j'1", State: "failed", Detail: `<script>alert("x")</script>`}})
+		[]proto.JobRecord{{JobID: "j'1", State: "failed", Detail: `<script>alert("x")</script>`}})
 	for _, raw := range []string{"a<b", "u&v", "<img", "<s>", "j'1", "<script>"} {
 		if strings.Contains(page, raw) {
 			t.Errorf("page holds %q unescaped", raw)
@@ -59,6 +61,28 @@ func TestIndexPageEscapes(t *testing.T) {
 	for _, escaped := range []string{"a&lt;b", "u&amp;v", "&lt;img src=&#34;x&#34;&gt;", "&lt;s&gt;", "j&#39;1", "&lt;script&gt;"} {
 		if !strings.Contains(page, escaped) {
 			t.Errorf("page lacks %q", escaped)
+		}
+	}
+}
+
+// TestAppendStringIsEncodingJSONs: every byte alone and between two
+// letters, the runes encoding/json escapes, and random bytes (mostly
+// invalid UTF-8) append as json.Marshal writes them.
+func TestAppendStringIsEncodingJSONs(t *testing.T) {
+	strs := []string{"", "plain", "\u2028\u2029", "\u2027\u202a", "ünïcödé \U0001F600", "\xe2\x80", "\xed\xa0\x80"}
+	for c := 0; c < 256; c++ {
+		strs = append(strs, string(rune(c)), "a"+string([]byte{byte(c)})+"z")
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 5000; i++ {
+		b := make([]byte, rng.Intn(12))
+		rng.Read(b)
+		strs = append(strs, string(b))
+	}
+	for _, s := range strs {
+		want, _ := json.Marshal(s)
+		if got := appendString([]byte("x"), s); string(got) != "x"+string(want) {
+			t.Fatalf("%q appends as %q, encoding/json writes %q", s, got[1:], want)
 		}
 	}
 }

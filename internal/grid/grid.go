@@ -722,18 +722,11 @@ func (c *Client) Cancel(ctx context.Context, jobID string) error {
 	return nil
 }
 
-// JobRecord is one entry of the proxy's job table.
-type JobRecord struct {
-	ID     string
-	State  string
-	Detail string
-}
-
 // Jobs lists one page of the jobs tracked by this client's proxy, newest
 // first: at most core.JobPage of owner's jobs (every owner's when owner is
 // empty) submitted before the cursor (the newest when before is 0). Pass
 // the returned cursor to fetch the next page; 0 means there is none.
-func (c *Client) Jobs(ctx context.Context, owner string, before uint64) ([]JobRecord, uint64, error) {
+func (c *Client) Jobs(ctx context.Context, owner string, before uint64) ([]proto.JobRecord, uint64, error) {
 	reply, err := c.call(ctx, &proto.JobList{Owner: owner, Before: before})
 	if err != nil {
 		return nil, 0, err
@@ -742,11 +735,7 @@ func (c *Client) Jobs(ctx context.Context, owner string, before uint64) ([]JobRe
 	if !ok {
 		return nil, 0, fmt.Errorf("grid: unexpected job list reply %T", reply)
 	}
-	out := make([]JobRecord, len(jl.Jobs))
-	for i, j := range jl.Jobs {
-		out[i] = JobRecord{ID: j.JobID, State: j.State, Detail: j.Detail}
-	}
-	return out, jl.Next, nil
+	return jl.Jobs, jl.Next, nil
 }
 
 // Resources lists the resources of one site ("" for the proxy's own) of

@@ -288,7 +288,7 @@ func TestCancelJobAndList(t *testing.T) {
 	}
 	found := false
 	for _, j := range jobs {
-		if j.ID == jobID {
+		if j.JobID == jobID {
 			found = true
 			if j.State != "cancelled" {
 				t.Errorf("job state = %q, want cancelled", j.State)
@@ -402,7 +402,7 @@ func TestJobsPageThroughCursor(t *testing.T) {
 				t.Fatalf("owner %q: a page of %d jobs", owner, len(jobs))
 			}
 			for _, j := range jobs {
-				got = append(got, j.ID)
+				got = append(got, j.JobID)
 			}
 			if next == 0 {
 				if pages != 2 {

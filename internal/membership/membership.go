@@ -34,6 +34,7 @@ package membership
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -241,6 +242,8 @@ type Directory struct {
 	// health is the Lifeguard-style local-health score (see
 	// Config.HealthMax and NoteLocalProbe).
 	health int
+	// hot names the entries with retransmit budget left, in name order.
+	hot []string
 }
 
 // New builds a directory holding only the local site, alive at
@@ -274,6 +277,10 @@ func New(cfg Config) *Directory {
 func (d *Directory) markHotLocked(e *entry) {
 	if e.unmet() {
 		return
+	}
+	if e.retransmit == 0 {
+		i, _ := slices.BinarySearch(d.hot, e.site)
+		d.hot = slices.Insert(d.hot, i, e.site)
 	}
 	n := len(d.entries)
 	if n < 2 {
@@ -480,38 +487,25 @@ func (d *Directory) Convicted() int {
 func (d *Directory) PendingRumors() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	n := 0
-	for _, e := range d.entries {
-		if e.retransmit > 0 {
-			n++
-		}
-	}
-	return n
+	return len(d.hot)
 }
 
-// HotPush returns up to pushLimit hot entries in wire form, decrementing
-// their retransmit budgets.
+// HotPush returns up to pushLimit hot entries in wire form, the first in
+// site name order (so simulated byte counts are reproducible),
+// decrementing their retransmit budgets.
 func (d *Directory) HotPush() []proto.GossipEntry {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	now := d.cfg.Now()
 	var out []proto.GossipEntry
-	// Deterministic order so simulated byte counts are reproducible.
-	sites := make([]string, 0, len(d.entries))
-	for site, e := range d.entries {
-		if e.retransmit > 0 {
-			sites = append(sites, site)
-		}
-	}
-	sort.Strings(sites)
-	for _, site := range sites {
-		if len(out) >= pushLimit {
-			break
-		}
+	first := d.hot[:min(pushLimit, len(d.hot))]
+	for _, site := range first {
 		e := d.entries[site]
 		e.retransmit--
 		out = append(out, d.wireEntry(e, now))
 	}
+	warm := slices.DeleteFunc(first, func(site string) bool { return d.entries[site].retransmit == 0 })
+	d.hot = append(warm, d.hot[len(first):]...)
 	return out
 }
 
@@ -945,6 +939,9 @@ func (d *Directory) Sweep() {
 		case Dead:
 			if !e.seed && now.Sub(e.deadAt) > d.cfg.DeadRetention {
 				d.stateCount[Dead]--
+				if i, hot := slices.BinarySearch(d.hot, site); hot {
+					d.hot = slices.Delete(d.hot, i, i+1)
+				}
 				delete(d.entries, site)
 				d.cfg.Metrics.Counter(metrics.MemberPrunes).Inc()
 				changed = true

@@ -2,6 +2,9 @@ package membership
 
 import (
 	"fmt"
+	"math/rand"
+	"slices"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -494,5 +497,49 @@ func TestSeedOnKnownSite(t *testing.T) {
 	d.Sweep()
 	if e, ok := d.Lookup("siteb"); !ok || e.State != Dead {
 		t.Fatalf("seeded site after retention = %+v ok=%v, want kept dead", e, ok)
+	}
+}
+
+// TestHotPushTakesTheFirstNames: as random sites join and change, turn
+// hot and cool down, every HotPush carries what sorting the names of all
+// hot entries and keeping the first pushLimit gives, in that order, and
+// PendingRumors counts the hot entries.
+func TestHotPushTakesTheFirstNames(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 20; trial++ {
+		d := newDir("self", newFakeClock())
+		version := make(map[string]uint64)
+		for step := 0; step < 80; step++ {
+			if rng.Intn(3) == 0 {
+				changed := make([]proto.GossipEntry, rng.Intn(3*pushLimit))
+				for i := range changed {
+					site := fmt.Sprintf("s%d", rng.Intn(10*pushLimit))
+					version[site]++
+					changed[i] = proto.GossipEntry{Site: site, Addr: "wan." + site, Incarnation: 1, Version: version[site]}
+				}
+				d.Merge(changed)
+			}
+			var want []string
+			d.mu.Lock()
+			for site, e := range d.entries {
+				if e.retransmit > 0 {
+					want = append(want, site)
+				}
+			}
+			d.mu.Unlock()
+			if n := d.PendingRumors(); n != len(want) {
+				t.Fatalf("trial %d step %d: %d rumors pending, %d entries hot", trial, step, n, len(want))
+			}
+			sort.Strings(want)
+			want = want[:min(len(want), pushLimit)]
+			pushed := d.HotPush()
+			got := make([]string, len(pushed))
+			for i, e := range pushed {
+				got[i] = e.Site
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("trial %d step %d: pushed %v, want %v", trial, step, got, want)
+			}
+		}
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"math"
+	"slices"
+	"unsafe"
 
 	"gridproxy/internal/wire"
 )
@@ -17,10 +19,10 @@ import (
 // several goroutines at once.
 //
 // Three layout rules live here and nowhere else:
-//   - a counted slice is a count and then each element; decoding grows
-//     the slice only as elements arrive, so a count the payload does not
-//     back fails at the first missing element instead of allocating room
-//     for all of them;
+//   - a counted slice is a count and then each element; decoding makes
+//     room for all of them at once, but only once the payload is known to
+//     hold a byte per element (else ErrTruncated) and the message's
+//     decodeBudget to cover their memory (else ErrMalformed);
 //   - a tail is "n u32 | n bytes" ending the payload exactly; decoding
 //     aliases the bytes, and WriteBody hands them to the frame writer as
 //     a segment of their own;
@@ -34,14 +36,18 @@ type codec struct {
 	// copies them behind the rest, WriteBody hands them over as they are.
 	tail   *[]byte
 	decode bool
+	budget int // decoding: the bytes of slice elements still allowed
 }
 
 // errEnded stops a decoding walk at an Optional mark the payload ends at.
 var errEnded = errors.New("proto: payload ended at an optional field")
 
-// maxPrealloc caps the elements a counted slice makes room for before
-// they decode; a longer slice grows as they do.
-const maxPrealloc = 1024
+// decodeBudget is the memory of slice elements one message may decode
+// into, 1 MiB or twice its payload: else 1 MiB of empty strings decodes
+// into 16 MiB. A 1000-site grid's largest delta takes a quarter; one of
+// over ~5 000 entries without summaries (48 B on the wire, 192 in memory)
+// is refused.
+func decodeBudget(payload int) int { return max(1<<20, 2*payload) }
 
 func (c *codec) fail(err error) {
 	if c.err == nil {
@@ -159,11 +165,23 @@ func (c *codec) length(n int) int {
 }
 
 // String walks a uvarint-prefixed string.
-func (c *codec) String(v *string) {
+func (c *codec) String(v *string) { c.Word(v, nil) }
+
+// Word walks a string that is usually one of words: decoding one of them
+// shares that word rather than allocating a copy of it.
+func (c *codec) Word(v *string, words []string) {
 	n := c.length(len(*v))
 	if !c.decode {
 		c.b = append(c.b, *v...)
-	} else if p := c.take(n); c.err == nil {
+		return
+	}
+	p := c.take(n)
+	i := slices.IndexFunc(words, func(w string) bool { return string(p) == w })
+	switch {
+	case c.err != nil:
+	case i >= 0:
+		*v = words[i]
+	default:
 		*v = string(p)
 	}
 }
@@ -219,9 +237,9 @@ func slice[T any](c *codec, s *[]T, f func(*T, *codec)) {
 }
 
 // elements walks the n elements of a counted slice. Every element takes
-// at least a byte, so a count above the bytes left is truncation at
-// once; below that, the slice doubles as elements decode, so it holds at
-// most twice the room of the elements that did.
+// at least a byte, so a count above the bytes left is truncation, and
+// one whose elements the budget does not cover is malformed, both before
+// anything is allocated.
 func elements[T any](c *codec, s *[]T, n int, f func(*T, *codec)) {
 	if !c.decode {
 		for i := range *s {
@@ -236,14 +254,15 @@ func elements[T any](c *codec, s *[]T, n int, f func(*T, *codec)) {
 		c.fail(wire.ErrTruncated)
 		return
 	}
-	out := make([]T, 0, min(n, maxPrealloc))
+	var zero T
+	size := int(unsafe.Sizeof(zero))
+	if n > c.budget/size {
+		c.fail(ErrMalformed)
+		return
+	}
+	c.budget -= n * size
+	out := make([]T, n)
 	for i := 0; i < n && c.err == nil; i++ {
-		if i == cap(out) {
-			grown := make([]T, i, min(2*i, n))
-			copy(grown, out)
-			out = grown
-		}
-		out = out[:i+1]
 		f(&out[i], c)
 	}
 	*s = out

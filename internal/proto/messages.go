@@ -432,6 +432,19 @@ const (
 	JobCancelled
 )
 
+// Name is the state's name in job listings and the gateway's API.
+func (s JobState) Name() string {
+	if s < JobQueued || s > JobCancelled {
+		return "unknown"
+	}
+	return jobWords[s-JobQueued]
+}
+
+// jobWords are the state names, in state order, and the details a proxy
+// gives a job that has not failed: a decoded JobRecord or JobUpdate shares
+// them.
+var jobWords = []string{"queued", "running", "done", "failed", "cancelled", "preparing", "completed", "canceled by operator"}
+
 // MaxInlineOutputs bounds the output bytes one JobUpdate carries inline:
 // one tunnel segment (the tunnel's maxSegment, which is also the credit
 // every stream starts with), so a report never waits for a window update
@@ -479,7 +492,7 @@ func (*JobUpdate) Code() Code { return CodeJobUpdate }
 func (m *JobUpdate) fields(c *codec) {
 	c.String(&m.JobID)
 	c.Uint8((*uint8)(&m.State))
-	c.String(&m.Detail)
+	c.Word(&m.Detail, jobWords)
 	c.String(&m.Site)
 	slice(c, &m.Outputs, (*StageRef).fields)
 	slice(c, &m.Inline, (*InlineOutput).fields)
@@ -723,8 +736,8 @@ func (m *JobList) fields(c *codec) {
 	c.Uint64(&m.Before)
 }
 
-// JobRecord is one entry of a JobListReply. State is the human-readable
-// state name ("queued", "running", "done", "failed", "cancelled").
+// JobRecord is a listed job, from the proxy's job log to the gateway's
+// JSON. State is the state's Name.
 type JobRecord struct {
 	JobID  string
 	State  string
@@ -733,8 +746,8 @@ type JobRecord struct {
 
 func (m *JobRecord) fields(c *codec) {
 	c.String(&m.JobID)
-	c.String(&m.State)
-	c.String(&m.Detail)
+	c.Word(&m.State, jobWords)
+	c.Word(&m.Detail, jobWords)
 }
 
 // JobListReply answers a JobList with one page of jobs, newest first.

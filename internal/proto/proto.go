@@ -221,7 +221,7 @@ func Append(b []byte, body Body) []byte {
 // body carries alias payload.
 func DecodeInto(body Body, payload []byte) error {
 	c := codecs.Get().(*codec)
-	c.b, c.decode = payload, true
+	c.b, c.decode, c.budget = payload, true, decodeBudget(len(payload))
 	body.fields(c)
 	err := c.err
 	*c = codec{}
@@ -277,21 +277,26 @@ const frameTypeControl byte = 0x01
 
 // WriteMessage frames and writes msg.
 func WriteMessage(w *wire.Writer, msg Message) error {
-	b := make([]byte, 0, 10+len(msg.Payload))
-	b = wire.AppendUint16(b, uint16(msg.Code))
-	b = wire.AppendUint64(b, msg.Corr)
-	b = append(b, msg.Payload...)
-	return w.WriteFrame(frameTypeControl, b)
+	head := wire.AppendUint64(wire.AppendUint16(make([]byte, 0, 10), uint16(msg.Code)), msg.Corr)
+	return w.WriteFramev(frameTypeControl, head, msg.Payload)
 }
 
 // WriteBody frames body under corr and writes it, and returns the
-// payload bytes written. Blob bytes a body carries go to the frame writer
-// as a segment of their own, so they are copied once, into the writer's
-// batch, and not also behind their header.
+// payload bytes written. The body is encoded into a pooled buffer, which
+// the frame writer copies into its batch; blob bytes a body carries go to
+// the frame writer as a segment of their own, so they are copied once,
+// into the batch, and not also behind their header.
 func WriteBody(w *wire.Writer, corr uint64, body Body) (int, error) {
-	head, tail := encode(wire.AppendUint64(wire.AppendUint16(make([]byte, 0, 128), uint16(body.Code())), corr), body)
-	return len(head) - 10 + len(tail), w.WriteFramev(frameTypeControl, head, tail)
+	buf := encodeBufs.Get().(*[]byte)
+	head, tail := encode(wire.AppendUint64(wire.AppendUint16((*buf)[:0], uint16(body.Code())), corr), body)
+	err := w.WriteFramev(frameTypeControl, head, tail)
+	if *buf = head; cap(head) <= 64<<10 { // a larger one is rare: not kept
+		encodeBufs.Put(buf)
+	}
+	return len(head) - 10 + len(tail), err
 }
+
+var encodeBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // ReadMessage reads the next control message from r.
 func ReadMessage(r *wire.Reader) (Message, error) {
