@@ -150,7 +150,7 @@ func (p *Proxy) open(id string, spec LaunchSpec, locations map[int]rankLoc, l *L
 			if l != nil {
 				p.unregisterJob(a)
 			} else {
-				p.reapHosted(h, "virtual slave failed")
+				p.stepHosted(h, event{kind: evStop})
 			}
 			return nil, nil, fmt.Errorf("core: virtual slave for rank %d: %w", rank, err)
 		}

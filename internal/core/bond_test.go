@@ -9,7 +9,6 @@ import (
 
 	"gridproxy/internal/auth"
 	"gridproxy/internal/core"
-	"gridproxy/internal/peerlink"
 	"gridproxy/internal/proto"
 	"gridproxy/internal/site"
 	"gridproxy/internal/transport"
@@ -123,16 +122,16 @@ func versionProxy(t *testing.T) (*core.Proxy, *transport.MemNetwork) {
 	wan := transport.NewMemNetwork()
 	t.Cleanup(func() { _ = wan.Close() })
 	proxy, err := core.New(core.Config{
-		Site:      "sitea",
-		WANAddr:   "wan.sitea",
-		WAN:       wan,
-		Local:     transport.NewMemNetwork(),
-		Users:     users,
-		Lifecycle: peerlink.Config{HelloTimeout: 200 * time.Millisecond},
+		Site:    "sitea",
+		WANAddr: "wan.sitea",
+		WAN:     wan,
+		Local:   transport.NewMemNetwork(),
+		Users:   users,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	core.SetHelloTimeout(proxy, 200*time.Millisecond)
 	if err := proxy.Start(); err != nil {
 		t.Fatal(err)
 	}

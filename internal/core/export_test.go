@@ -1,17 +1,23 @@
 package core
 
+import "time"
+
+// SetHelloTimeout shortens how long an inbound session of p may take to
+// say Hello. Call it before Start.
+func SetHelloTimeout(p *Proxy, d time.Duration) { p.helloWait = d }
+
 // ObserveDead records a death verdict for site in the directory — what a
 // gossiped conviction amounts to once this proxy's sweep confirms it.
 func (p *Proxy) ObserveDead(site string) { p.members.ObserveDead(site) }
 
-// HeldCommits reports how many unconfirmed commits this proxy holds that
-// have not replied yet; tests assert it returns to zero.
+// HeldCommits reports how many commits this proxy's records hold parked
+// behind a prepare that is staging; tests assert it returns to zero.
 func (p *Proxy) HeldCommits() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	n := 0
-	for _, held := range p.held {
-		n += len(held)
+	for _, ha := range p.hostedParts() {
+		ha.mu.Lock()
+		n += len(ha.st.parked)
+		ha.mu.Unlock()
 	}
 	return n
 }

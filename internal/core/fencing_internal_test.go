@@ -2,7 +2,7 @@ package core
 
 // White-box tests for the split-brain fencing protocol at a destination
 // proxy: stale-epoch refusal, FenceNotice kills, and CommitSpawn token
-// idempotency. These drive the handlers directly — the epoch rules are
+// idempotency. These drive the launch route directly — the epoch rules are
 // destination-local invariants, and exercising them through a full grid
 // would need a real partition (experiment E12 covers that end to end).
 
@@ -12,6 +12,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"gridproxy/internal/auth"
 	"gridproxy/internal/metrics"
@@ -148,22 +149,37 @@ func prepare(t *testing.T, p *Proxy, appID string, epoch uint64, ranks ...int) *
 		req.Ranks = append(req.Ranks, uint32(r))
 		req.Locations = append(req.Locations, proto.RankLocation{Rank: uint32(r), Site: "dst"})
 	}
-	body, err := p.handlePrepareSpawn(context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return body.(*proto.PrepareSpawnReply)
+	return serveLaunch(t, p, req).(*proto.PrepareSpawnReply)
 }
 
 func commit(t *testing.T, p *Proxy, appID string, epoch uint64, token string) *proto.SpawnReply {
 	t.Helper()
-	body, err := p.handleCommitSpawn(context.Background(), &proto.CommitSpawn{
-		AppID: appID, Epoch: epoch, Token: token,
-	})
+	return serveLaunch(t, p, &proto.CommitSpawn{AppID: appID, Epoch: epoch, Token: token}).(*proto.SpawnReply)
+}
+
+// serveLaunch serves one launch request as a peer link does: stepped on
+// arrival, then served.
+func serveLaunch(t *testing.T, p *Proxy, req proto.Body) proto.Body {
+	t.Helper()
+	body, err := p.launchArrived(req)(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	return body.(*proto.SpawnReply)
+	return body
+}
+
+func fence(t *testing.T, p *Proxy, req *proto.FenceNotice) *proto.FenceReply {
+	t.Helper()
+	return serveLaunch(t, p, req).(*proto.FenceReply)
+}
+
+func waitUntil(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s: not within 10s", what)
+		}
+	}
 }
 
 func TestCommitSpawnTokenIdempotent(t *testing.T) {
@@ -251,7 +267,7 @@ func TestFenceNoticeKillsStaleRanks(t *testing.T) {
 
 	// The origin rescheduled rank 0 elsewhere at epoch 2 while this site
 	// was unreachable; the fence names only that rank.
-	reply := p.handleFenceNotice(&proto.FenceNotice{AppID: "app1", Epoch: 2, Ranks: []uint32{0}})
+	reply := fence(t, p, &proto.FenceNotice{AppID: "app1", Epoch: 2, Ranks: []uint32{0}})
 	if reply.Killed != 1 {
 		t.Fatalf("fence killed %d ranks, want 1", reply.Killed)
 	}
@@ -266,14 +282,14 @@ func TestFenceNoticeKillsStaleRanks(t *testing.T) {
 	}
 
 	// Fences for applications this site never hosted are a no-op.
-	ghost := p.handleFenceNotice(&proto.FenceNotice{AppID: "nope", Epoch: 9, Ranks: []uint32{0}})
+	ghost := fence(t, p, &proto.FenceNotice{AppID: "nope", Epoch: 9, Ranks: []uint32{0}})
 	if ghost.Killed != 0 {
 		t.Fatalf("fence for unknown app killed %d", ghost.Killed)
 	}
 
 	// A fence at-or-below the running epoch kills nothing: rank 1 runs
 	// at epoch 1 and a fence AT epoch 1 is not newer.
-	same := p.handleFenceNotice(&proto.FenceNotice{AppID: "app1", Epoch: 1, Ranks: []uint32{1}})
+	same := fence(t, p, &proto.FenceNotice{AppID: "app1", Epoch: 1, Ranks: []uint32{1}})
 	if same.Killed != 0 {
 		t.Fatalf("same-epoch fence killed %d ranks, want 0", same.Killed)
 	}
@@ -290,11 +306,7 @@ func TestStreamOpenNamesAHostedRank(t *testing.T) {
 		Ranks:     []uint32{1},
 		Locations: []proto.RankLocation{{Rank: 0, Site: "org"}, {Rank: 1, Site: "dst"}},
 	}
-	body, err := p.handlePrepareSpawn(context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r := body.(*proto.PrepareSpawnReply); !r.OK {
+	if r := serveLaunch(t, p, req).(*proto.PrepareSpawnReply); !r.OK {
 		t.Fatalf("prepare refused: %s", r.Reason)
 	}
 	hosted := node.EndpointAddr("n0", "app1", 1)

@@ -52,12 +52,6 @@ func (p *Proxy) handleControl(ctx context.Context, msg proto.Message) (proto.Bod
 		return p.handleGossipSync(req), nil
 	case *proto.RegistryQuery:
 		return &proto.RegistryReply{Resources: p.localResources(req.Kind, req.Attrs)}, nil
-	case *proto.PrepareSpawn:
-		return p.handlePrepareSpawn(ctx, req)
-	case *proto.CommitSpawn:
-		return p.handleCommitSpawn(ctx, req)
-	case *proto.AbortSpawn:
-		return p.handleAbortSpawn(req), nil
 	case *proto.JobUpdate:
 		p.handleJobUpdate(ctx, req)
 		return nil, nil
@@ -65,8 +59,6 @@ func (p *Proxy) handleControl(ctx context.Context, msg proto.Message) (proto.Bod
 		return p.handlePermCheck(req), nil
 	case *proto.ProbeRequest:
 		return p.handleProbeRequest(ctx, req), nil
-	case *proto.FenceNotice:
-		return p.handleFenceNotice(req), nil
 	case *proto.Hello:
 		// A Hello on an established channel is a protocol error.
 		return nil, badRequest("unexpected Hello on established channel")

@@ -152,40 +152,46 @@ func (p *Proxy) ActiveApps() int {
 }
 
 // hostPart is the host part of an application's record: this site runs
-// ranks of it for a remote origin, from the moment a PrepareSpawn starts
-// staging until the last rank group finishes or the application is
-// aborted or reaped. Its fields are guarded by the record's mu.
+// ranks of it for a remote origin, from the moment its first PrepareSpawn
+// is stepped until step releases it. Its launch state changes only by
+// step (launchstep.go), under the record's mu.
 type hostPart struct {
 	*app
 	origin string
 
-	pending []int           // ranks prepared but not yet committed
-	running map[int]rankRun // rank -> placement+epoch, committed and not yet done
-	groups  int             // committed rank groups still being watched
-	aborted bool            // the part is over: aborted, reaped or released
-	// epoch is the highest launch epoch accepted in a prepare; prepares
-	// and commits below it are stale leftovers of a reschedule this site
-	// missed (it was partitioned away) and are refused. pendingEpoch
-	// stamps the ranks of the current pending group.
-	epoch        uint64
-	pendingEpoch uint64
-	// commits caches commit outcomes by idempotency token, so a commit
-	// retried after a lost reply re-reports the first outcome instead of
-	// double-spawning the group.
-	commits map[string]*proto.SpawnReply
+	st    hostState
+	calls map[callID]*launchCall // the requests step has not answered
+	last  callID
 
 	// originLost is when the reaper first saw the origin's link down;
 	// touched only by the orphanReaper goroutine.
 	originLost time.Time
 }
 
-// rankRun is one committed, not-yet-done rank at a destination: where it
-// runs and under which launch epoch it was committed. The epoch is what
-// a fence compares against — ranks from epochs below the fence's were
-// rescheduled elsewhere while this site was unreachable and must die.
-type rankRun struct {
-	node  string
-	epoch uint64
+// launchCall is one launch request from its arrival to its reply. Its
+// goroutine runs the effects step leaves to it; what a step on another
+// goroutine leaves it — its reply, or a parked commit's spawn — arrives
+// on inbox. A prepare's stage runs under a context that cancel ends: at
+// its answer, or RPCTimeout after it arrived, when the origin gave up.
+type launchCall struct {
+	inbox  chan effect
+	cancel context.CancelFunc
+	stage  func() error
+	sites  map[int]rankLoc // a prepare's: the site of every rank
+	placed map[int]rankLoc // and the node of each of its ranks, once staged
+}
+
+// hostedParts returns the host parts of this site's records.
+func (p *Proxy) hostedParts() []*hostPart {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	var hosted []*hostPart
+	for _, a := range p.records {
+		if a.host != nil {
+			hosted = append(hosted, a.host)
+		}
+	}
+	return hosted
 }
 
 // lookupHosted returns the host part of an application's record, if this
@@ -199,40 +205,99 @@ func (p *Proxy) lookupHosted(appID string) (*hostPart, bool) {
 	return nil, false
 }
 
-// handlePrepareSpawn serves launch phase one at a destination: validate
-// the owner (the paper validates permissions at originating AND
-// destination proxies), record the application with its address space,
-// stage the job's input blobs into the site store, and place this site's
-// ranks on its own nodes — without starting anything. The origin chose
-// only the site; which node runs a rank is decided here, with this site's
-// policy and its nodes' stats as of now. Staging inside prepare means
-// the data plane runs strictly between PrepareSpawn and CommitSpawn: the
-// origin only fans out commits once every site holds every input, and a
-// site that already holds the blobs (warm cache) transfers nothing. The
-// record exists before the staging starts, so an AbortSpawn that arrives
-// meanwhile — the origin gave up on a launch whose inputs are still in
-// flight — finds something to abort, and the prepare refuses when its
-// staging ends. A later reschedule landing more ranks on a site that
-// already hosts the app merges into the existing record.
-func (p *Proxy) handlePrepareSpawn(ctx context.Context, req *proto.PrepareSpawn) (proto.Body, error) {
-	reply := p.prepareSpawn(ctx, req)
-	// Whichever way the prepare went, a commit sent behind it may be
-	// waiting for exactly this.
-	p.settleHeld(req.AppID, req.Epoch, reply)
-	return reply, nil
+// launchRoute is a peer control channel's proto.RPC.Arrival: the four
+// launch codes are decoded and stepped on the read loop, in the order
+// they arrived, and served on their goroutines. ready, when not nil, says
+// whether the channel has said Hello; until it has, the handler answers.
+func (p *Proxy) launchRoute(ready func() bool) func(proto.Message) proto.ServedBy {
+	return func(msg proto.Message) proto.ServedBy {
+		switch msg.Code {
+		case proto.CodePrepareSpawn, proto.CodeCommitSpawn, proto.CodeAbortSpawn, proto.CodeFenceNotice:
+		default:
+			return nil
+		}
+		if ready != nil && !ready() {
+			return nil
+		}
+		body, err := proto.Unmarshal(msg)
+		if err != nil {
+			return nil // the handler says what is wrong with it
+		}
+		return p.launchArrived(body)
+	}
 }
 
-func (p *Proxy) prepareSpawn(ctx context.Context, req *proto.PrepareSpawn) *proto.PrepareSpawnReply {
-	refuse := func(reason string) *proto.PrepareSpawnReply {
-		return &proto.PrepareSpawnReply{AppID: req.AppID, OK: false, Reason: reason}
+// launchArrived steps a launch request and returns what serves it. A
+// commit, abort or fence for an application this site hosts no ranks of
+// is answered at once.
+func (p *Proxy) launchArrived(body proto.Body) proto.ServedBy {
+	var (
+		id    string
+		ev    event
+		reply func(effect) proto.Body
+	)
+	switch req := body.(type) {
+	case *proto.PrepareSpawn:
+		return p.prepareArrived(req)
+	case *proto.CommitSpawn:
+		id, ev = req.AppID, event{kind: evCommit, epoch: req.Epoch, token: req.Token}
+		reply = func(e effect) proto.Body {
+			r := &proto.SpawnReply{AppID: req.AppID, OK: e.ok, Reason: e.reason}
+			for _, rank := range e.ranks {
+				r.Endpoints = append(r.Endpoints, proto.RankEndpoint{Rank: uint32(rank), Addr: p.vsAddr(req.AppID, rank)})
+			}
+			return r
+		}
+	case *proto.AbortSpawn:
+		p.log.Debug("abort arrived", "app", req.AppID, "reason", req.Reason)
+		id, ev = req.AppID, event{kind: evAbort}
+		reply = func(e effect) proto.Body {
+			return &proto.AbortSpawnReply{AppID: req.AppID, OK: true, Killed: uint32(e.n)}
+		}
+	case *proto.FenceNotice:
+		id, ev = req.AppID, event{kind: evFence, epoch: req.Epoch}
+		for _, r := range req.Ranks {
+			ev.ranks = append(ev.ranks, int(r))
+		}
+		reply = func(e effect) proto.Body { return &proto.FenceReply{AppID: req.AppID, Killed: uint32(e.n)} }
+	default:
+		return nil
 	}
+	ha, ok := p.lookupHosted(id)
+	if !ok {
+		// Only a commit's reply reads the reason: an abort or a fence of
+		// nothing succeeds.
+		return answer(reply(effect{reason: "no prepared application"}))
+	}
+	return p.arrive(ha, &launchCall{}, ev, reply)
+}
+
+func answer(body proto.Body) proto.ServedBy {
+	return func(context.Context) (proto.Body, error) { return body, nil }
+}
+
+// prepareArrived serves launch phase one at a destination: validate the
+// owner (the paper validates permissions at originating AND destination
+// proxies), open the application's record with its address space, stage
+// the job's input blobs into the site store and place this site's ranks
+// on its own nodes — without starting anything. The origin chose only
+// the site; which node runs a rank is decided here, with this site's
+// policy and its nodes' stats once the inputs are in. A site that already
+// holds the blobs (warm cache) transfers nothing, and a later reschedule
+// landing ranks on a site that already hosts the app merges into its
+// record.
+func (p *Proxy) prepareArrived(req *proto.PrepareSpawn) proto.ServedBy {
+	reply := func(e effect) proto.Body {
+		return &proto.PrepareSpawnReply{AppID: req.AppID, OK: e.ok, Reason: e.reason}
+	}
+	refuse := func(reason string) proto.ServedBy { return answer(reply(effect{reason: reason})) }
 	if err := p.users.Allowed(req.Owner, "mpi", "site:"+p.site); err != nil {
 		return refuse(fmt.Sprintf("owner %q not permitted at site %s", req.Owner, p.site))
 	}
-	locations := locationsFromWire(req.Locations)
+	c := &launchCall{sites: locationsFromWire(req.Locations)}
 	ranks := make([]int, 0, len(req.Ranks))
 	for _, r := range req.Ranks {
-		if locations[int(r)].site != p.site {
+		if c.sites[int(r)].site != p.site {
 			return refuse(fmt.Sprintf("rank %d is not placed at site %s", r, p.site))
 		}
 		ranks = append(ranks, int(r))
@@ -240,436 +305,222 @@ func (p *Proxy) prepareSpawn(ctx context.Context, req *proto.PrepareSpawn) *prot
 	sort.Ints(ranks)
 	// A later prepare lands rescheduled ranks of the same launch: the spec stays.
 	spec := LaunchSpec{Owner: req.Owner, Program: req.Program, Args: req.Args, Procs: int(req.WorldSize), StageIn: req.StageIn, StageOut: req.StageOut}
-	fresh := &hostPart{origin: req.Origin, running: make(map[int]rankRun), epoch: req.Epoch, commits: make(map[string]*proto.SpawnReply)}
-	_, ha, err := p.open(req.AppID, spec, locations, nil, fresh)
+	_, ha, err := p.open(req.AppID, spec, c.sites, nil, &hostPart{origin: req.Origin, st: hostState{origin: req.Origin}, calls: make(map[callID]*launchCall)})
 	if err != nil {
 		return refuse(err.Error())
 	}
-	if err := p.stageIn(ctx, req.Origin, req.StageIn); err != nil {
-		if ha == fresh {
-			p.reapHosted(ha, "stage-in failed")
-		}
-		return refuse(err.Error())
-	}
-	placed, err := p.assign(p.localCandidates(), len(ranks))
-	if err != nil {
-		if ha == fresh {
-			p.reapHosted(ha, "placement failed")
-		}
-		return refuse(err.Error())
-	}
-
-	epoch := req.Epoch
-	ha.mu.Lock()
-	if ha.aborted {
-		ha.mu.Unlock()
-		return refuse("application is being aborted")
-	}
-	if ha.origin != req.Origin {
-		ha.mu.Unlock()
-		return refuse(fmt.Sprintf("application belongs to origin %q", ha.origin))
-	}
-	if epoch < ha.epoch {
-		cur := ha.epoch
-		ha.mu.Unlock()
-		p.reg.Counter(metrics.JobStaleCommits).Inc()
-		return refuse(staleEpoch(epoch, cur))
-	}
-	newEpoch := epoch > ha.epoch
-	if newEpoch {
-		ha.epoch = epoch
-	}
-	ha.pending = ranks
-	ha.pendingEpoch = epoch
-	// The origin's sites, with a node for each rank here (placed now or by
-	// an earlier prepare), change with the pending ranks: a commit never
-	// spawns a rank whose node is not set yet.
-	merged := make(map[int]rankLoc, len(locations))
-	for rank, loc := range locations {
-		if prev := ha.locations[rank]; loc.site == p.site && prev.site == p.site {
-			loc = prev
-		}
-		merged[rank] = loc
-	}
-	for i, rank := range ranks {
-		merged[rank] = placed[i]
-	}
-	ha.locations = merged
-	ha.mu.Unlock()
-	if newEpoch {
-		// A newer epoch assigning ranks this site still runs from an
-		// older one means those copies were rescheduled elsewhere and
-		// came BACK — the old copies are stale split-brain survivors
-		// and die now, before the new ones are committed.
-		p.fenceStaleRanks(ha, epoch, ranks)
-	}
-	p.reg.Counter(metrics.JobPrepares).Inc()
-	return &proto.PrepareSpawnReply{AppID: req.AppID, OK: true}
-}
-
-func staleEpoch(epoch, current uint64) string {
-	return fmt.Sprintf("stale launch epoch %d (current %d)", epoch, current)
-}
-
-// handleCommitSpawn serves launch phase two. A commit the origin sent
-// after its prepare's reply runs at once; one sent unconfirmed, behind
-// the prepare, first waits for that prepare to settle.
-func (p *Proxy) handleCommitSpawn(ctx context.Context, req *proto.CommitSpawn) (proto.Body, error) {
-	if !req.Unconfirmed {
-		return p.commitSpawn(ctx, req), nil
-	}
-	h, first := p.enterHeld(req)
-	return p.serveHeld(ctx, req, h, first), nil
-}
-
-// commitArrived is a peer link's proto.RPC.Arrival: it records an unconfirmed
-// commit as held on the read loop, in arrival order, and returns what
-// serves it. The origin aborts a refused launch right after the refusal,
-// so the AbortSpawn can be read a moment after the commit and its
-// goroutine run first; the abort still finds the commit recorded and
-// refuses it, where it would otherwise wait out RPCTimeout for a verdict
-// that had already been given.
-func (p *Proxy) commitArrived(msg proto.Message) proto.ServedBy {
-	if msg.Code != proto.CodeCommitSpawn {
-		return nil
-	}
-	body, err := proto.Unmarshal(msg)
-	if err != nil {
-		return nil // the handler says what is wrong with it
-	}
-	req := body.(*proto.CommitSpawn)
-	if !req.Unconfirmed {
-		return nil
-	}
-	h, first := p.enterHeld(req)
-	return func(ctx context.Context) (proto.Body, error) {
-		return p.serveHeld(ctx, req, h, first), nil
-	}
-}
-
-// serveHeld answers an unconfirmed commit that enterHeld has recorded.
-func (p *Proxy) serveHeld(ctx context.Context, req *proto.CommitSpawn, h *heldCommit, first bool) *proto.SpawnReply {
-	if !first {
-		// A retry under the token of an attempt that has not replied yet
-		// gets that attempt's outcome.
-		select {
-		case <-h.done:
-			return h.reply
-		case <-ctx.Done():
-			return &proto.SpawnReply{AppID: req.AppID, OK: false, Reason: ctx.Err().Error()}
-		}
-	}
-	var reply *proto.SpawnReply
-	if reason := p.awaitPrepare(ctx, req, h); reason != "" {
-		reply = &proto.SpawnReply{AppID: req.AppID, OK: false, Reason: reason}
-	} else {
-		reply = p.commitSpawn(ctx, req)
-	}
-	p.leaveHeld(req.AppID, h, reply)
-	return reply
-}
-
-// heldCommit is an unconfirmed CommitSpawn at a destination, from its
-// arrival to its reply. rpc.readLoop serves every request on its own
-// goroutine, so the commit's can run before its prepare has recorded the
-// application, while the prepare is staging, or after it is through; the
-// table of held commits (Proxy.held, by application) is where the two
-// meet whatever the order.
-type heldCommit struct {
-	epoch uint64
-	token string
-	// verdict receives the outcome of the prepare the commit was sent
-	// behind: "" when it succeeded, otherwise why the commit is refused.
-	// Buffered and written without blocking — the first verdict counts.
-	verdict chan string
-	// done is closed once reply is set, for retries under the same token.
-	done  chan struct{}
-	reply *proto.SpawnReply
-}
-
-// enterHeld records an unconfirmed commit, or finds the earlier attempt
-// under the same token that has not replied yet.
-func (p *Proxy) enterHeld(req *proto.CommitSpawn) (_ *heldCommit, first bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for _, h := range p.held[req.AppID] {
-		if req.Token != "" && h.token == req.Token {
-			return h, false
-		}
-	}
-	h := &heldCommit{epoch: req.Epoch, token: req.Token, verdict: make(chan string, 1), done: make(chan struct{})}
-	p.held[req.AppID] = append(p.held[req.AppID], h)
-	return h, true
-}
-
-func (p *Proxy) leaveHeld(appID string, h *heldCommit, reply *proto.SpawnReply) {
-	p.mu.Lock()
-	held := p.held[appID]
-	for i := range held {
-		if held[i] == h {
-			held = append(held[:i], held[i+1:]...)
-			break
-		}
-	}
-	if len(held) == 0 {
-		delete(p.held, appID)
-	} else {
-		p.held[appID] = held
-	}
-	p.mu.Unlock()
-	h.reply = reply
-	close(h.done)
-}
-
-// awaitPrepare holds an unconfirmed commit until the prepare it was sent
-// behind has settled, and returns why the commit is refused ("" to run
-// it). It blocks on the verdict that every exit of handlePrepareSpawn and
-// handleAbortSpawn deliver; a prepare that never arrives, or one that
-// refused before this commit arrived and whose origin then never aborts,
-// costs one RPCTimeout — as long as the origin itself waits.
-func (p *Proxy) awaitPrepare(ctx context.Context, req *proto.CommitSpawn, h *heldCommit) string {
-	if ha, ok := p.lookupHosted(req.AppID); ok && !ha.awaitsPrepare(req) {
-		return ""
-	}
-	p.reg.Counter(metrics.JobCommitsHeld).Inc()
-	p.log.Debug("commit held for its prepare", "app", req.AppID, "epoch", req.Epoch)
+	var ctx context.Context
 	if d := p.lifecycle.RPCTimeout; d > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, d)
-		defer cancel()
+		ctx, c.cancel = context.WithTimeout(p.ctx, d)
+	} else {
+		ctx, c.cancel = context.WithCancel(p.ctx)
 	}
-	select {
-	case reason := <-h.verdict:
-		return reason
-	case <-ctx.Done():
-		return fmt.Sprintf("no prepare settled for the commit: %v", ctx.Err())
+	c.stage = func() error {
+		if err := p.stageIn(ctx, req.Origin, req.StageIn); err != nil {
+			return err
+		}
+		placed, err := p.assign(p.localCandidates(), len(ranks))
+		c.placed = make(map[int]rankLoc, len(ranks))
+		for i := range placed {
+			c.placed[ranks[i]] = placed[i]
+		}
+		return err
 	}
+	return p.arrive(ha, c, event{kind: evPrepare, epoch: req.Epoch, origin: req.Origin, ranks: ranks}, reply)
 }
 
-// awaitsPrepare reports whether a commit at req's epoch has a prepare
-// still to wait for: not when the commit body would answer it as things
-// stand — a replayed token, an aborted application, a newer epoch, ranks
-// pending at its epoch.
-func (ha *hostPart) awaitsPrepare(req *proto.CommitSpawn) bool {
+// arrive steps the event request c opened and returns what serves c on
+// its goroutine: the effects left to it, then the reply.
+func (p *Proxy) arrive(ha *hostPart, c *launchCall, ev event, reply func(effect) proto.Body) proto.ServedBy {
 	ha.mu.Lock()
-	defer ha.mu.Unlock()
-	if _, replay := ha.commits[req.Token]; replay || ha.aborted || req.Epoch < ha.epoch {
-		return false
+	ha.last++
+	ev.call = ha.last
+	ha.calls[ev.call] = c
+	ha.mu.Unlock()
+	fx := p.apply(ha, ev)
+	return func(context.Context) (proto.Body, error) {
+		return reply(p.serveCall(ha, ev.call, c, fx)), nil
 	}
-	return ha.pendingEpoch != req.Epoch || len(ha.pending) == 0
 }
 
-// settleHeld tells the commits held for an application how the prepare at
-// epoch went: those at that epoch run or are refused with it, and a
-// prepare that succeeded makes the ones from older epochs stale.
-func (p *Proxy) settleHeld(appID string, epoch uint64, reply *proto.PrepareSpawnReply) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for _, h := range p.held[appID] {
+// apply steps ev on the host part under the record's lock, and installs
+// a staged prepare's placement there. A reply or a spawn addressed to
+// another request goes to that request's goroutine; the other effects
+// are the caller's to run.
+func (p *Proxy) apply(ha *hostPart, ev event) []effect {
+	type handoff struct {
+		c *launchCall
+		e effect
+	}
+	var (
+		sendBuf   [2]handoff
+		cancelBuf [1]context.CancelFunc
+	)
+	sends, cancels := sendBuf[:0], cancelBuf[:0]
+	ha.mu.Lock()
+	st, fx := step(ha.st, ev)
+	ha.st = st
+	mine := fx[:0]
+	for _, e := range fx {
+		c := ha.calls[e.call]
 		switch {
-		case h.epoch == epoch && reply.OK:
-			h.settle("")
-		case h.epoch == epoch:
-			h.settle("prepare refused: " + reply.Reason)
-		case h.epoch < epoch && reply.OK:
-			p.reg.Counter(metrics.JobStaleCommits).Inc()
-			h.settle(staleEpoch(h.epoch, epoch))
+		case e.kind == effPlace:
+			merged := make(map[int]rankLoc, len(c.sites))
+			for rank, loc := range c.sites {
+				if prev := ha.locations[rank]; prev.node != "" && prev.site == loc.site {
+					loc = prev // placed here by an earlier prepare
+				}
+				merged[rank] = loc
+			}
+			maps.Copy(merged, c.placed)
+			ha.locations = merged
+			continue
+		case e.kind == effReply && c != nil:
+			delete(ha.calls, e.call)
+			if c.cancel != nil {
+				cancels = append(cancels, c.cancel) // a prepare's staging ends with its answer
+			}
 		}
-	}
-}
-
-// refuseHeld refuses every commit held for an application.
-func (p *Proxy) refuseHeld(appID, reason string) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for _, h := range p.held[appID] {
-		h.settle(reason)
-	}
-}
-
-func (h *heldCommit) settle(verdict string) {
-	select {
-	case h.verdict <- verdict:
-	default:
-	}
-}
-
-// commitSpawn is the commit body: spawn the prepared ranks and watch
-// them. The reply lists the virtual-slave endpoints of the started ranks,
-// mirroring the old single-phase SpawnReply.
-func (p *Proxy) commitSpawn(ctx context.Context, req *proto.CommitSpawn) *proto.SpawnReply {
-	refuse := func(reason string) *proto.SpawnReply {
-		return &proto.SpawnReply{AppID: req.AppID, OK: false, Reason: reason}
-	}
-	ha, ok := p.lookupHosted(req.AppID)
-	if !ok {
-		return refuse("no prepared application")
-	}
-	ha.mu.Lock()
-	if req.Token != "" {
-		if cached, ok := ha.commits[req.Token]; ok {
-			// Idempotent retry: the first attempt's reply was lost in
-			// transit, not the spawn. Re-report it instead of spawning
-			// the group twice.
-			ha.mu.Unlock()
-			return cached
+		if e.call != 0 && e.call != ev.call {
+			if c != nil {
+				if c.inbox == nil {
+					c.inbox = make(chan effect, 1) // step leaves a request one effect at most
+				}
+				sends = append(sends, handoff{c, e})
+			}
+			continue
 		}
-	}
-	if ha.aborted {
-		ha.mu.Unlock()
-		return refuse("application is being aborted")
-	}
-	if req.Epoch != 0 && req.Epoch < ha.epoch {
-		cur := ha.epoch
-		ha.mu.Unlock()
-		p.reg.Counter(metrics.JobStaleCommits).Inc()
-		return refuse(staleEpoch(req.Epoch, cur))
-	}
-	if len(ha.pending) == 0 {
-		ha.mu.Unlock()
-		return refuse("no pending ranks (commit without prepare)")
-	}
-	ranks := ha.pending
-	epoch := ha.pendingEpoch
-	ha.pending = nil
-	ha.groups++
-	spec, locations := ha.spec, ha.locations
-	ha.mu.Unlock()
-
-	if err := p.spawnLocalRanks(ctx, req.AppID, spec, locations, ranks, ha.recordOutput); err != nil {
-		p.releaseHostedGroup(ha, nil)
-		return refuse(err.Error())
-	}
-
-	ha.mu.Lock()
-	if ha.aborted {
-		// An abort raced in while we were spawning; undo.
-		ha.mu.Unlock()
-		p.reapLocalRanks(req.AppID, locations, ranks)
-		p.releaseHostedGroup(ha, nil)
-		return refuse("application is being aborted")
-	}
-	for _, rank := range ranks {
-		ha.running[rank] = rankRun{node: locations[rank].node, epoch: epoch}
+		mine = append(mine, e)
 	}
 	ha.mu.Unlock()
-	p.countHosted(ha.origin, len(ranks))
-	p.reg.Counter(metrics.JobCommits).Inc()
-
-	p.wg.Add(1)
-	go func() {
-		defer p.wg.Done()
-		err := p.waitLocalRanks(req.AppID, locations, ranks)
-		p.finishHostedGroup(ha, ranks, err)
-	}()
-
-	reply := &proto.SpawnReply{AppID: req.AppID, OK: true}
-	for _, rank := range ranks {
-		reply.Endpoints = append(reply.Endpoints, proto.RankEndpoint{
-			Rank: uint32(rank),
-			Addr: p.vsAddr(req.AppID, rank),
-		})
+	for _, cancel := range cancels {
+		cancel()
 	}
-	if req.Token != "" {
+	for _, h := range sends {
+		h.c.inbox <- h.e
+	}
+	return mine
+}
+
+// serveCall runs request c's effects on its goroutine until a step has
+// answered it, and returns the answer.
+func (p *Proxy) serveCall(ha *hostPart, id callID, c *launchCall, fx []effect) effect {
+	for {
+		var reply effect
+		for i := 0; i < len(fx); i++ {
+			switch e := fx[i]; e.kind {
+			case effReply:
+				reply = e
+			case effStage:
+				ev := event{kind: evStaged, call: id, ok: true}
+				if err := c.stage(); err != nil {
+					ev.ok, ev.reason = false, err.Error()
+				}
+				fx = append(fx, p.apply(ha, ev)...)
+			case effSpawn:
+				ha.mu.Lock()
+				spec, locations := ha.spec, ha.locations
+				ha.mu.Unlock()
+				ev := event{kind: evSpawned, call: id}
+				if err := p.spawnLocalRanks(p.ctx, ha.id, spec, locations, e.ranks, ha.recordOutput); err != nil {
+					ev.reason = err.Error()
+				} else {
+					ev.ok = true
+					for _, rank := range e.ranks {
+						ev.nodes = append(ev.nodes, locations[rank].node)
+					}
+				}
+				fx = append(fx, p.apply(ha, ev)...)
+			default:
+				p.run(ha, e)
+			}
+		}
+		if reply.kind == effReply {
+			return reply
+		}
+		p.log.Debug("launch request parked", "app", ha.id)
 		ha.mu.Lock()
-		ha.commits[req.Token] = reply
+		if c.inbox == nil {
+			c.inbox = make(chan effect, 1)
+		}
+		inbox := c.inbox
 		ha.mu.Unlock()
-	}
-	return reply
-}
-
-// fenceStaleRanks kills this site's copies of the listed ranks (all
-// running ranks when the list is empty) committed under an epoch below
-// the fence's, returning how many died. The kills surface through the
-// normal group watchers — waitLocalRanks observes the deaths and
-// releases the groups — so no bookkeeping happens here. Idempotent.
-func (p *Proxy) fenceStaleRanks(ha *hostPart, epoch uint64, ranks []int) int {
-	ha.mu.Lock()
-	victims := make(map[int]string)
-	for rank, run := range ha.running {
-		if run.epoch < epoch && (len(ranks) == 0 || slices.Contains(ranks, rank)) {
-			victims[rank] = run.node
+		select {
+		case e := <-inbox:
+			fx = append(fx[:0], e)
+		case <-p.ctx.Done():
+			return effect{reason: "proxy stopping"}
 		}
 	}
-	ha.mu.Unlock()
-	for rank, nodeName := range victims {
-		if h, err := p.nodeHandle(nodeName); err == nil {
-			_ = h.Kill(ha.id, rank)
+}
+
+// stepHosted steps an event no request made and runs its effects.
+func (p *Proxy) stepHosted(ha *hostPart, ev event) {
+	for _, e := range p.apply(ha, ev) {
+		p.run(ha, e)
+	}
+}
+
+// hostedAt renders rank copies on this site's nodes as a placement, and
+// their ranks in order.
+func (p *Proxy) hostedAt(runs map[int]rankRun) (map[int]rankLoc, []int) {
+	locations := make(map[int]rankLoc, len(runs))
+	ranks := make([]int, 0, len(runs))
+	for rank, run := range runs {
+		locations[rank] = rankLoc{site: p.site, node: run.node}
+		ranks = append(ranks, rank)
+	}
+	sort.Ints(ranks)
+	return locations, ranks
+}
+
+// run carries out an effect any goroutine may run.
+func (p *Proxy) run(ha *hostPart, e effect) {
+	switch e.kind {
+	case effKill:
+		locations, ranks := p.hostedAt(e.runs)
+		if e.reap {
+			p.reapLocalRanks(ha.id, locations, ranks)
+			return
 		}
-	}
-	if len(victims) > 0 {
-		p.reg.Counter(metrics.JobFencedRanks).Add(int64(len(victims)))
-		p.log.Info("fenced stale ranks", "app", ha.id, "epoch", epoch, "killed", len(victims))
-	}
-	return len(victims)
-}
-
-// handleFenceNotice serves a split-brain fence from an origin: every
-// listed rank still running from an epoch below the notice's was
-// rescheduled elsewhere while this site was unreachable, and dies here.
-// Idempotent: unknown applications and already-gone ranks fence to zero.
-func (p *Proxy) handleFenceNotice(req *proto.FenceNotice) *proto.FenceReply {
-	reply := &proto.FenceReply{AppID: req.AppID}
-	ha, ok := p.lookupHosted(req.AppID)
-	if !ok {
-		return reply
-	}
-	ranks := make([]int, 0, len(req.Ranks))
-	for _, r := range req.Ranks {
-		ranks = append(ranks, int(r))
-	}
-	reply.Killed = uint32(p.fenceStaleRanks(ha, req.Epoch, ranks))
-	return reply
-}
-
-// releaseHostedGroup undoes one group increment without a completion
-// report (failed or aborted commit), releasing the host part if nothing
-// else references it.
-func (p *Proxy) releaseHostedGroup(ha *hostPart, ranks []int) {
-	ha.mu.Lock()
-	for _, rank := range ranks {
-		delete(ha.running, rank)
-	}
-	ha.groups--
-	last := ha.groups == 0 && len(ha.pending) == 0
-	ha.aborted = ha.aborted || last
-	ha.mu.Unlock()
-	p.countHosted(ha.origin, -len(ranks))
-	if last {
+		for _, rank := range ranks {
+			if h, err := p.nodeHandle(locations[rank].node); err == nil {
+				_ = h.Kill(ha.id, rank)
+			}
+		}
+		p.log.Info("killed hosted ranks", "app", ha.id, "ranks", ranks)
+	case effWatch:
+		locations, ranks := p.hostedAt(e.runs)
+		p.countHosted(ha.origin, len(ranks))
+		p.wg.Add(1)
+		go func() {
+			defer p.wg.Done()
+			err := p.waitLocalRanks(ha.id, locations, ranks)
+			p.countHosted(ha.origin, -len(ranks))
+			ev := event{kind: evGroupDone, epoch: e.epoch, ranks: ranks, ok: err == nil}
+			if err != nil {
+				ev.reason = err.Error()
+			}
+			p.stepHosted(ha, ev)
+		}()
+	case effReport:
+		// The update advertises the refs of every output published here
+		// so far, and carries the small ones; the origin pulls the rest
+		// over the data plane before it counts this group done.
+		ha.mu.Lock()
+		outputs := slices.Clone(ha.outputs)
+		ha.mu.Unlock()
+		update := &proto.JobUpdate{JobID: ha.id, State: proto.JobDone, Detail: p.site, Site: p.site, Outputs: outputs, Inline: p.inlineOutputs(outputs)}
+		if !e.ok {
+			update.State = proto.JobFailed
+			update.Detail = fmt.Sprintf("%s: %s", p.site, e.reason)
+		}
+		p.reportToOrigin(ha.origin, update)
+	case effRelease:
 		p.settle(ha.app, ha)
+	case effCount:
+		p.reg.Counter(e.metric).Add(int64(e.n))
 	}
-}
-
-// finishHostedGroup records one committed rank group's completion: report
-// it to the origin (unless the app was aborted — then the origin asked
-// for the teardown or is gone) and release the app when it was the last
-// group.
-func (p *Proxy) finishHostedGroup(ha *hostPart, ranks []int, err error) {
-	ha.mu.Lock()
-	aborted := ha.aborted
-	outputs := slices.Clone(ha.outputs)
-	ha.mu.Unlock()
-	p.releaseHostedGroup(ha, ranks)
-	if aborted {
-		return
-	}
-	if p.ctx.Err() != nil {
-		// The proxy itself is shutting down, so the ranks died of the
-		// teardown, not of the job. Stay silent: to the origin this site
-		// is simply dead, and its link-death rescheduling — not a
-		// spurious JobFailed racing the link teardown — decides the
-		// job's fate.
-		return
-	}
-	// The update advertises the refs of every output published here so
-	// far, and carries the small ones; the origin pulls the rest over the
-	// data plane before it counts this group done.
-	update := &proto.JobUpdate{JobID: ha.id, State: proto.JobDone, Detail: p.site, Site: p.site, Outputs: outputs, Inline: p.inlineOutputs(outputs)}
-	if err != nil {
-		update.State = proto.JobFailed
-		update.Detail = fmt.Sprintf("%s: %v", p.site, err)
-	}
-	p.reportToOrigin(ha.origin, update)
 }
 
 // reportToOrigin delivers a completion report to the proxy that launched
@@ -689,56 +540,6 @@ func (p *Proxy) reportToOrigin(origin string, update *proto.JobUpdate) {
 	if err := pr.ctrl.Notify(update); err != nil && !errors.Is(err, proto.ErrClosed) {
 		p.log.Debug("job update notify failed", "origin", origin, "err", err)
 	}
-}
-
-// handleAbortSpawn tears a prepared or running hosted application down.
-// Idempotent: aborting an unknown (or already-aborted) app succeeds, so
-// origin-side abort fan-outs can safely over-approximate.
-func (p *Proxy) handleAbortSpawn(req *proto.AbortSpawn) proto.Body {
-	// A commit may be held for an application no prepare has recorded
-	// (yet, or any more).
-	p.refuseHeld(req.AppID, "application is being aborted")
-	ha, ok := p.lookupHosted(req.AppID)
-	if !ok {
-		return &proto.AbortSpawnReply{AppID: req.AppID, OK: true}
-	}
-	killed, reaped := p.reapHosted(ha, req.Reason)
-	if reaped {
-		p.reg.Counter(metrics.JobAbortsServed).Inc()
-	}
-	return &proto.AbortSpawnReply{AppID: req.AppID, OK: true, Killed: uint32(killed)}
-}
-
-// reapHosted aborts a hosted app: pending ranks are forgotten, running
-// ranks killed (their group watchers observe the deaths and release the
-// app), and an idle app is torn down immediately. Returns how many ranks
-// were running and whether this call performed the abort.
-func (p *Proxy) reapHosted(ha *hostPart, reason string) (running int, reaped bool) {
-	ha.mu.Lock()
-	running = len(ha.running)
-	if ha.aborted {
-		ha.mu.Unlock()
-		return running, false
-	}
-	ha.aborted = true
-	ha.pending = nil
-	victims := make(map[int]string, len(ha.running))
-	for rank, run := range ha.running {
-		victims[rank] = run.node
-	}
-	groups := ha.groups
-	ha.mu.Unlock()
-
-	for rank, nodeName := range victims {
-		if h, err := p.nodeHandle(nodeName); err == nil {
-			_ = h.Kill(ha.id, rank)
-		}
-	}
-	if groups == 0 {
-		p.settle(ha.app, ha)
-	}
-	p.log.Info("hosted application aborted", "app", ha.id, "reason", reason)
-	return running, true
 }
 
 // orphanReaper autonomously reaps hosted applications whose origin proxy
@@ -764,14 +565,8 @@ func (p *Proxy) orphanReaper() {
 		case <-ticker.C:
 		}
 		now := p.clock()
-		var hosted, reap []*hostPart
-		p.mu.Lock()
-		for _, a := range p.records {
-			if a.host != nil {
-				hosted = append(hosted, a.host)
-			}
-		}
-		p.mu.Unlock()
+		var reap []*hostPart
+		hosted := p.hostedParts()
 		// Origin liveness comes from the membership directory, not from
 		// "do I hold a tunnel": with on-demand dialing, an idle-closed
 		// tunnel to a healthy origin must not start the orphan clock.
@@ -791,9 +586,7 @@ func (p *Proxy) orphanReaper() {
 		}
 		for _, ha := range reap {
 			p.log.Warn("reaping orphaned application", "app", ha.id, "origin", ha.origin)
-			if _, reaped := p.reapHosted(ha, fmt.Sprintf("origin proxy %s lost", ha.origin)); reaped {
-				p.reg.Counter(metrics.OrphanReaps).Inc()
-			}
+			p.stepHosted(ha, event{kind: evOriginDead})
 		}
 	}
 }

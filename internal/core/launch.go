@@ -116,7 +116,7 @@ func (p *Proxy) placement(procs int) (map[int]rankLoc, error) {
 // outside site exclude ("" excludes none), with the proxy's placement
 // policy. Initial placement and rank rescheduling both place through it.
 // A rank placed at another site carries only the site: that site picks
-// the node when it prepares (prepareSpawn).
+// the node when it prepares (prepareArrived).
 func (p *Proxy) pickNodes(n int, exclude string) ([]rankLoc, error) {
 	candidates := slices.DeleteFunc(p.Candidates(), func(c balance.NodeInfo) bool { return c.Site == exclude })
 	if len(candidates) == 0 {
@@ -529,12 +529,15 @@ func (l *Launch) prepareFor(spec LaunchSpec, ranks []int, locations map[int]rank
 // spawnAt prepares and commits a rank group at a remote site that is the
 // only remote participant of its step (a two-site launch, any
 // reschedule), so no other site's prepare gates the commit. PrepareSpawn
-// and an unconfirmed CommitSpawn leave back to back on one control
-// stream: the destination holds the commit until the prepare has settled
-// and answers both, so the commit's reply is one propagation delay behind
-// the prepare's where it used to be a round trip. prepared runs between
-// the two replies — the origin's own ranks start there, only after the
-// destination's prepare succeeded, but possibly after its ranks did.
+// and a CommitSpawn leave back to back on one control stream. The
+// destination's read loop steps them in that order (launchRoute): the
+// commit parks behind the prepare's staging and spawns when it is
+// through, so the commit's reply is one propagation delay behind the
+// prepare's where it used to be a round trip. prepared runs between the
+// two replies — the origin's own ranks start there, only after the
+// destination's prepare succeeded, but possibly after its ranks did. The
+// commit is flagged Unconfirmed for destinations that still hold such a
+// commit apart; this one does not look at the flag.
 func (p *Proxy) spawnAt(ctx context.Context, site string, prep *proto.PrepareSpawn, prepared func() error) error {
 	pr, err := p.peerFor(ctx, site)
 	if err != nil {

@@ -195,7 +195,7 @@ func TestStatusWithHungPeer(t *testing.T) {
 
 // TestInboundSessionWithoutHelloIsReaped opens a control stream to a
 // proxy and never sends Hello; the session must be closed after the
-// configured Hello deadline instead of leaking forever.
+// Hello deadline (shortened here) instead of leaking forever.
 func TestInboundSessionWithoutHelloIsReaped(t *testing.T) {
 	authority, err := ca.New("reaper")
 	if err != nil {
@@ -213,16 +213,16 @@ func TestInboundSessionWithoutHelloIsReaped(t *testing.T) {
 		t.Fatal(err)
 	}
 	proxy, err := core.New(core.Config{
-		Site:      "sitea",
-		WANAddr:   "wan.sitea",
-		WAN:       transport.NewTLS(wan, cred, authority.CertPool(), nil),
-		Local:     transport.NewMemNetwork(),
-		Users:     users,
-		Lifecycle: peerlink.Config{HelloTimeout: 200 * time.Millisecond},
+		Site:    "sitea",
+		WANAddr: "wan.sitea",
+		WAN:     transport.NewTLS(wan, cred, authority.CertPool(), nil),
+		Local:   transport.NewMemNetwork(),
+		Users:   users,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	core.SetHelloTimeout(proxy, 200*time.Millisecond)
 	if err := proxy.Start(); err != nil {
 		t.Fatal(err)
 	}

@@ -125,7 +125,7 @@ func (p *Proxy) connectOnce(ctx context.Context, site, wanAddr string) (*peer, e
 	}
 	pr := &peer{site: site, conn: conn, session: session}
 	pr.ctrl = proto.NewRPC(p.ctx, ctrlStream, wire.NewReader(ctrlStream), proto.RoleDialer, handler, p.log.Named("ctrl."+site), p.reg)
-	pr.ctrl.Arrival = p.commitArrived
+	pr.ctrl.Arrival = p.launchRoute(nil)
 	pr.ctrl.Start()
 
 	// Offer the configured tunnel width: the ack's BondConns caps how
@@ -212,7 +212,7 @@ func (p *Proxy) serveWAN(conn net.Conn) {
 	// An inbound connection is either a fresh session or a member joining
 	// an expected bond; ServerConn peeks the first frame to tell them
 	// apart, which is why each connection has a goroutine of its own.
-	session, err := tunnel.ServerConn(conn, p.bondReg, p.tunnelConfig(), p.lifecycle.HelloTimeout)
+	session, err := tunnel.ServerConn(conn, p.bondReg, p.tunnelConfig(), p.helloWait)
 	if err != nil {
 		p.log.Debug("inbound session preface failed", "err", err)
 		return
@@ -224,8 +224,12 @@ func (p *Proxy) serveWAN(conn net.Conn) {
 	p.admitSession(conn, session)
 }
 
+// helloTimeout is how long an inbound session may take to identify itself
+// before it is reaped.
+const helloTimeout = 10 * time.Second
+
 // admitSession waits for the inbound session's control stream and Hello.
-// A session that never identifies itself is reaped after HelloTimeout:
+// A session that never identifies itself is reaped after helloTimeout:
 // without the watchdog, an opened-but-silent control stream would pin the
 // session and its rpc forever. A session that does identify itself enters
 // the connection cache checked out, and keeps that checkout until the
@@ -235,8 +239,7 @@ func (p *Proxy) serveWAN(conn net.Conn) {
 // dialer's tunnel under its Hello.
 func (p *Proxy) admitSession(conn net.Conn, session *tunnel.Session) {
 	defer p.wg.Done()
-	helloTimeout := p.lifecycle.HelloTimeout
-	ctx, cancel := context.WithTimeout(p.ctx, helloTimeout)
+	ctx, cancel := context.WithTimeout(p.ctx, p.helloWait)
 	defer cancel()
 	ctrlStream, err := session.Accept(ctx)
 	if err != nil {
@@ -254,16 +257,12 @@ func (p *Proxy) admitSession(conn net.Conn, session *tunnel.Session) {
 	pending := &pendingPeer{proxy: p, conn: conn, session: session, pulled: make(chan struct{})}
 	ctrl := proto.NewRPC(p.ctx, ctrlStream, wire.NewReader(ctrlStream), proto.RoleAcceptor, pending.handle, p.log.Named("ctrl.inbound"), p.reg)
 	pending.ctrl = ctrl
-	ctrl.Arrival = func(msg proto.Message) proto.ServedBy {
-		if pending.established() == nil {
-			return nil // nothing is recorded for a session that has not said Hello
-		}
-		return p.commitArrived(msg)
-	}
+	// Nothing is stepped for a session that has not said Hello.
+	ctrl.Arrival = p.launchRoute(func() bool { return pending.established() != nil })
 	ctrl.Start()
 
 	//lint:allow-wallclock bounds a real network handshake, not simulated time
-	timer := time.NewTimer(helloTimeout)
+	timer := time.NewTimer(p.helloWait)
 	defer timer.Stop()
 	select {
 	case <-timer.C:

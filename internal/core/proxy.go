@@ -107,9 +107,8 @@ type Config struct {
 	TicketSkew time.Duration
 	// Policy is the placement policy; nil means balance.LeastLoaded.
 	Policy balance.Policy
-	// Lifecycle carries the control-plane timing knobs (RPC and connect
-	// deadline, Hello deadline). The zero value uses peerlink defaults;
-	// see peerlink.Config.
+	// Lifecycle carries the control-plane deadline (RPC and connect).
+	// The zero value uses peerlink defaults; see peerlink.Config.
 	Lifecycle peerlink.Config
 	// Gossip carries the membership gossip knobs (round interval,
 	// fanout, suspicion timing). The zero value uses the GossipConfig
@@ -163,6 +162,7 @@ type Proxy struct {
 	collector *monitor.Collector
 	policy    balance.Policy
 	lifecycle peerlink.Config
+	helloWait time.Duration // helloTimeout; tests shorten it
 	gossipcfg GossipConfig
 	jobcfg    JobConfig
 	stagecfg  stage.Config
@@ -188,7 +188,6 @@ type Proxy struct {
 	jobs    jobLogs
 	// hostedRanks counts ranks committed here and not yet ended, by origin.
 	hostedRanks map[string]int
-	held        map[string][]*heldCommit
 	probing     map[string]bool // sites with an indirect probe in flight
 	fences      []*pendingFence // undelivered split-brain fences
 	stopped     bool
@@ -243,6 +242,7 @@ func New(cfg Config) (*Proxy, error) {
 		collector:   monitor.NewCollector(cfg.Site),
 		policy:      policy,
 		lifecycle:   cfg.Lifecycle.WithDefaults(),
+		helloWait:   helloTimeout,
 		gossipcfg:   cfg.Gossip.WithDefaults(),
 		jobcfg:      cfg.Jobs.WithDefaults(),
 		stagecfg:    cfg.Stage.WithDefaults(),
@@ -252,7 +252,6 @@ func New(cfg Config) (*Proxy, error) {
 		records:     make(map[string]*app),
 		hostedRanks: make(map[string]int),
 		jobs:        jobLogs{owners: make(map[string]*jobLog), tracked: cfg.Metrics.Gauge(metrics.JobsTracked)},
-		held:        make(map[string][]*heldCommit),
 		probing:     make(map[string]bool),
 		ctx:         ctx,
 		cancel:      cancel,
@@ -365,6 +364,11 @@ func (p *Proxy) Close() error {
 	}
 	p.mu.Unlock()
 
+	// Before the teardown kills their ranks: a group that ends of it is
+	// not reported, and no request waits for a step that will not come.
+	for _, ha := range p.hostedParts() {
+		p.stepHosted(ha, event{kind: evStop})
+	}
 	p.cancel()
 	for _, ln := range listeners {
 		if ln != nil {
@@ -463,7 +467,7 @@ func (p *Proxy) localCandidates() []balance.NodeInfo {
 // speed and the running processes and load others put there. Our own
 // ranks there are left out: they churn faster than summaries are
 // published, and a snapshot of them would steer placement by jobs already
-// ended. Which node runs a rank is that site's choice (prepareSpawn), so
+// ended. Which node runs a rank is that site's choice (prepareArrived), so
 // its candidates have no name. A site the directory holds dead offers
 // nothing, tunnel or no tunnel.
 func (p *Proxy) Candidates() []balance.NodeInfo {

@@ -28,6 +28,13 @@ func (p *Proxy) stageDialer(site string) stage.Dialer {
 		open := &proto.StreamOpen{Kind: proto.StreamStage}
 		stream, err := pr.session.Open(ctx, proto.Append(nil, open))
 		if err != nil {
+			select {
+			case <-pr.Done():
+				// The tunnel died under the plan before its watcher
+				// dropped it: drop it here, so the next dial redials.
+				p.cache.DropIf(site, pr)
+			default:
+			}
 			return nil, fmt.Errorf("core: open stage stream to %s: %w", site, err)
 		}
 		return stream, nil

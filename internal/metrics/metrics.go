@@ -317,8 +317,8 @@ const (
 	JobPrepares = "job.prepares"
 	// JobCommits counts CommitSpawn requests that started ranks.
 	JobCommits = "job.commits"
-	// JobCommitsHeld counts unconfirmed CommitSpawn requests that reached
-	// a destination before their prepare had settled and waited for it.
+	// JobCommitsHeld counts CommitSpawn requests a destination parked
+	// behind their epoch's prepare while it staged.
 	JobCommitsHeld = "job.commits_held"
 	// JobAborts counts abort fan-outs initiated by an origin proxy
 	// (failed launch phase, cancellation).

@@ -35,25 +35,16 @@ type Config struct {
 	// arrive without one, and to one whole connect (dial, TLS, control
 	// stream, Hello). Default 10s; negative disables.
 	RPCTimeout time.Duration
-	// HelloTimeout is how long an inbound session may take to identify
-	// itself before it is reaped (default 10s).
-	HelloTimeout time.Duration
 }
 
 // Default knob values.
-const (
-	DefaultRPCTimeout   = 10 * time.Second
-	DefaultHelloTimeout = 10 * time.Second
-)
+const DefaultRPCTimeout = 10 * time.Second
 
 // WithDefaults fills zero fields with defaults. A negative RPCTimeout is
 // kept (it means "disabled").
 func (c Config) WithDefaults() Config {
 	if c.RPCTimeout == 0 {
 		c.RPCTimeout = DefaultRPCTimeout
-	}
-	if c.HelloTimeout <= 0 {
-		c.HelloTimeout = DefaultHelloTimeout
 	}
 	return c
 }

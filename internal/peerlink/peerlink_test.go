@@ -9,8 +9,8 @@ import (
 
 func TestWithDefaults(t *testing.T) {
 	c := Config{}.WithDefaults()
-	if c.RPCTimeout != DefaultRPCTimeout || c.HelloTimeout != DefaultHelloTimeout {
-		t.Errorf("timeout defaults not applied: %+v", c)
+	if c.RPCTimeout != DefaultRPCTimeout {
+		t.Errorf("timeout default not applied: %+v", c)
 	}
 	// Negative means disabled and must survive.
 	if d := (Config{RPCTimeout: -1}).WithDefaults(); d.RPCTimeout != -1 {

@@ -655,9 +655,10 @@ type CommitSpawn struct {
 	Token string
 	// Unconfirmed says the origin sent this commit behind its prepare
 	// without waiting for the prepare's reply (the site is the launch's
-	// only remote participant, so no other prepare gates it). The
-	// destination holds it until that prepare has settled, and refuses
-	// it if the prepare refused.
+	// only remote participant, so no other prepare gates it). A
+	// destination steps the two in the order they arrived and parks any
+	// commit whose prepare is still staging, so it need not read the
+	// flag; the flag stays for destinations that hold such a commit apart.
 	Unconfirmed bool
 }
 

@@ -43,7 +43,8 @@ const (
 // body, or an error rendered as an ErrorBody.
 type Handler func(ctx context.Context, msg Message) (Body, error)
 
-// ServedBy serves one request whose message its maker has already seen.
+// ServedBy serves, on the request's goroutine, a request that Arrival has
+// already taken on the read loop.
 type ServedBy func(ctx context.Context) (Body, error)
 
 // RPC speaks the control protocol over one connection (a tunnel control
@@ -67,11 +68,12 @@ type RPC struct {
 	cancel context.CancelFunc
 
 	handler Handler
-	// Arrival, if set (between NewRPC and Start), sees every request on
-	// the read loop, before the request gets its goroutine: what has to
-	// happen in the order requests arrived happens there, because the
-	// goroutines run in any order. It returns what serves the request, or
-	// nil for the handler.
+	// Arrival, if set (between NewRPC and Start), is the route of the
+	// requests that must be taken in the order they arrived: the read
+	// loop hands it every request before the request gets its goroutine,
+	// and the goroutines run in any order. Arrival takes the request
+	// there and returns what serves it on its goroutine, or nil to leave
+	// it to the handler. It must not block.
 	Arrival func(msg Message) ServedBy
 
 	nextCorr atomic.Uint64

@@ -28,7 +28,7 @@ import (
 //	indirect probe       (*Proxy).confirmUnreachable
 //	resurrection probe   gossipRound's DeadProbeTargets exchange
 //	reschedule + fence   rescheduleSite / addFence / deliverFences
-//	fence receipt        handleFenceNotice / handlePrepareSpawn fencing
+//	fence receipt        step's FenceNotice and newer-epoch PrepareSpawn rules
 //
 // The only modelled state beyond the directories is the job ledger (which ranks run where, at what epoch): exactly the state the
 // fencing protocol exists to protect.
