@@ -13,7 +13,6 @@ import (
 	"gridproxy/internal/metrics"
 	"gridproxy/internal/node"
 	"gridproxy/internal/proto"
-	"gridproxy/internal/stage"
 	"gridproxy/internal/transport"
 	"gridproxy/internal/tunnel"
 	"gridproxy/internal/wire"
@@ -296,8 +295,9 @@ func (p *Proxy) handleInboundStream(pr *peer, stream *tunnel.Stream) {
 		// Stage streams terminate at this proxy's blob store — no node
 		// dial, no splice. Peer proxies are host-authenticated by the
 		// WAN transport, and blobs are addressable only by content
-		// hash, so no further validation is needed.
-		if err := stage.Serve(stream, p.store, p.stagecfg, p.reg); err != nil {
+		// hash, so no further validation is needed. The peer's inbox
+		// streams are among them.
+		if err := p.outbox(pr.site).Serve(stream, &pr.quiet); err != nil {
 			p.log.Warn("stage stream ended with error", "peer", pr.site, "err", err)
 		}
 		return

@@ -1,10 +1,22 @@
 package core
 
-import "time"
+import (
+	"time"
+
+	"gridproxy/internal/stage"
+)
 
 // SetHelloTimeout shortens how long an inbound session of p may take to
 // say Hello. Call it before Start.
 func SetHelloTimeout(p *Proxy, d time.Duration) { p.helloWait = d }
+
+// SetInboxStreams sets how many stage streams p opens to every peer for
+// the peer to push on; 0 makes p a proxy that takes no pushes. Call it
+// before Start.
+func SetInboxStreams(p *Proxy, n int) { p.inboxStreams = n }
+
+// PushesTo returns p's pushing side towards site.
+func PushesTo(p *Proxy, site string) *stage.Outbox { return p.outbox(site) }
 
 // ObserveDead records a death verdict for site in the directory — what a
 // gossiped conviction amounts to once this proxy's sweep confirms it.

@@ -549,6 +549,7 @@ func (p *Proxy) spawnAt(ctx context.Context, site string, prep *proto.PrepareSpa
 
 	pctx, cancel := p.rpcDeadline(ctx)
 	defer cancel()
+	defer p.pushInputs(pctx, pr, prep.StageIn)()
 	prepCall := p.sendPeer(pctx, pr, prep)
 	commitCall := p.sendPeer(pctx, pr, commit)
 	// On every early return the commit is no longer waited for here; the
@@ -602,6 +603,7 @@ func (p *Proxy) prepareAt(ctx context.Context, site string, req *proto.PrepareSp
 		return err
 	}
 	defer p.releasePeer(pr)
+	defer p.pushInputs(ctx, pr, req.StageIn)()
 	return prepareOutcome(ctx, site, p.sendPeer(ctx, pr, req))
 }
 

@@ -39,6 +39,10 @@ type peer struct {
 	// idle close, or replacement) so watchPeer can tell an expected close
 	// from a site failure.
 	evicted atomic.Bool
+	// quiet counts the session's inbox streams, either end's (openInbox,
+	// stage.Outbox.Serve): they idle between pushes and keep no tunnel
+	// busy.
+	quiet atomic.Int32
 }
 
 func (pr *peer) close() {
@@ -59,12 +63,19 @@ func (pr *peer) abort() { _ = pr.conn.Close() }
 
 // Done, Close and Busy make *peer a peerlink.Session, so the connection
 // cache can hold peers directly. A tunnel is busy while it carries any
-// stream besides the control stream — a stage transfer, a spliced MPI
-// channel: work the cache's checkouts never see, because whoever opened
-// the stream released the tunnel as soon as it was open.
+// stream besides the control stream and the inbox streams — a stage
+// transfer, a spliced MPI channel: work the cache's checkouts never see,
+// because whoever opened the stream released the tunnel as soon as it
+// was open.
+//
+// The cache closes a tunnel it evicts from inside whatever call made room,
+// and that may be a control handler of the very tunnel evicted (a handler
+// that dials evicts the least recently used tunnel, which can be its
+// own): Close kills the connection and waits for no handler. The control
+// channel and its handlers see the read fail and end on their own.
 func (pr *peer) Done() <-chan struct{} { return pr.session.Done() }
-func (pr *peer) Close() error          { pr.close(); return nil }
-func (pr *peer) Busy() bool            { return pr.session.NumStreams() > 1 }
+func (pr *peer) Close() error          { pr.abort(); return pr.session.Close() }
+func (pr *peer) Busy() bool            { return pr.session.NumStreams() > 1+int(pr.quiet.Load()) }
 
 // Connect introduces a remote site by address: the address enters the
 // membership directory as a seed, and one synchronous attempt to reach it
@@ -180,6 +191,7 @@ func (p *Proxy) connectOnce(ctx context.Context, site, wanAddr string) (*peer, e
 	go p.servePeerStreams(pr)
 	p.wg.Add(1)
 	go p.watchPeer(pr)
+	p.openInbox(pr)
 
 	// Pull the remote's summary into the directory, where placement reads
 	// it; the remote has pulled ours by the time it answers.
@@ -377,6 +389,7 @@ func (pp *pendingPeer) handle(ctx context.Context, msg proto.Message) (proto.Bod
 	go pp.proxy.servePeerStreams(pr)
 	pp.proxy.wg.Add(1)
 	go pp.proxy.watchPeer(pr)
+	pp.proxy.openInbox(pr)
 	// Pull the dialer's summary so both directories hold each other's
 	// status after a connect, not just the dialer's (the dialer pulls
 	// ours right after its Hello). Async: the rpc channel is

@@ -163,12 +163,18 @@ type Proxy struct {
 	policy    balance.Policy
 	lifecycle peerlink.Config
 	helloWait time.Duration // helloTimeout; tests shorten it
-	gossipcfg GossipConfig
-	jobcfg    JobConfig
-	stagecfg  stage.Config
-	tunnelcfg tunnel.Config
-	bondReg   *tunnel.BondRegistry
-	store     *stage.Store
+	// inboxStreams is how many stage streams this proxy opens to every
+	// peer for the peer to push on: stage.DefaultStripes; tests set 0 to
+	// stand for a proxy that does not take pushes.
+	inboxStreams int
+	gossipcfg    GossipConfig
+	jobcfg       JobConfig
+	stagecfg     stage.Config
+	tunnelcfg    tunnel.Config
+	bondReg      *tunnel.BondRegistry
+	store        *stage.Store
+	outMu        sync.Mutex
+	outboxes     map[string]*stage.Outbox // by peer site; guarded by outMu
 
 	// members is the gossip-maintained directory of every site in the
 	// grid; cache holds live tunnels to the few in active use. The split
@@ -229,32 +235,34 @@ func New(cfg Config) (*Proxy, error) {
 	// and Close cancels it.
 	ctx, cancel := context.WithCancel(context.Background())
 	p := &Proxy{
-		site:        cfg.Site,
-		wanAddr:     cfg.WANAddr,
-		localAddr:   cfg.LocalAddr,
-		wan:         cfg.WAN,
-		local:       cfg.Local,
-		users:       cfg.Users,
-		tgs:         cfg.TGS,
-		clock:       clock,
-		reg:         cfg.Metrics,
-		log:         cfg.Logger.Named("proxy." + cfg.Site),
-		collector:   monitor.NewCollector(cfg.Site),
-		policy:      policy,
-		lifecycle:   cfg.Lifecycle.WithDefaults(),
-		helloWait:   helloTimeout,
-		gossipcfg:   cfg.Gossip.WithDefaults(),
-		jobcfg:      cfg.Jobs.WithDefaults(),
-		stagecfg:    cfg.Stage.WithDefaults(),
-		tunnelcfg:   tunnelcfg,
-		bondReg:     tunnel.NewBondRegistry(),
-		nodes:       make(map[string]NodeHandle),
-		records:     make(map[string]*app),
-		hostedRanks: make(map[string]int),
-		jobs:        jobLogs{owners: make(map[string]*jobLog), tracked: cfg.Metrics.Gauge(metrics.JobsTracked)},
-		probing:     make(map[string]bool),
-		ctx:         ctx,
-		cancel:      cancel,
+		site:         cfg.Site,
+		wanAddr:      cfg.WANAddr,
+		localAddr:    cfg.LocalAddr,
+		wan:          cfg.WAN,
+		local:        cfg.Local,
+		users:        cfg.Users,
+		tgs:          cfg.TGS,
+		clock:        clock,
+		reg:          cfg.Metrics,
+		log:          cfg.Logger.Named("proxy." + cfg.Site),
+		collector:    monitor.NewCollector(cfg.Site),
+		policy:       policy,
+		lifecycle:    cfg.Lifecycle.WithDefaults(),
+		helloWait:    helloTimeout,
+		inboxStreams: stage.DefaultStripes,
+		outboxes:     make(map[string]*stage.Outbox),
+		gossipcfg:    cfg.Gossip.WithDefaults(),
+		jobcfg:       cfg.Jobs.WithDefaults(),
+		stagecfg:     cfg.Stage.WithDefaults(),
+		tunnelcfg:    tunnelcfg,
+		bondReg:      tunnel.NewBondRegistry(),
+		nodes:        make(map[string]NodeHandle),
+		records:      make(map[string]*app),
+		hostedRanks:  make(map[string]int),
+		jobs:         jobLogs{owners: make(map[string]*jobLog), tracked: cfg.Metrics.Gauge(metrics.JobsTracked)},
+		probing:      make(map[string]bool),
+		ctx:          ctx,
+		cancel:       cancel,
 	}
 	p.members = membership.New(membership.Config{
 		Site:         cfg.Site,
@@ -294,11 +302,21 @@ func ServiceName(site string) string { return "proxy:" + site }
 // Site returns this proxy's site name.
 func (p *Proxy) Site() string { return p.site }
 
-// WANAddr returns the advertised inter-site address.
+// WANAddr returns the advertised inter-site address: after Start, the
+// address the listener bound when the configured one asked for any port.
 func (p *Proxy) WANAddr() string { return p.wanAddr }
 
-// LocalAddr returns the site-local service address.
+// LocalAddr returns the site-local service address, bound as WANAddr is.
 func (p *Proxy) LocalAddr() string { return p.localAddr }
+
+// boundAddr returns the address ln bound when addr asked for any port
+// ("host:0"), else addr.
+func boundAddr(addr string, ln net.Listener) string {
+	if _, port, err := net.SplitHostPort(addr); err == nil && port == "0" {
+		return ln.Addr().String()
+	}
+	return addr
+}
 
 // Start begins listening on the WAN and (if configured) local addresses.
 func (p *Proxy) Start() error {
@@ -306,6 +324,10 @@ func (p *Proxy) Start() error {
 		ln, err := p.wan.Listen(p.wanAddr)
 		if err != nil {
 			return fmt.Errorf("core: wan listen: %w", err)
+		}
+		if bound := boundAddr(p.wanAddr, ln); bound != p.wanAddr {
+			p.wanAddr = bound
+			p.members.SetAddr(bound)
 		}
 		p.wanListener = ln
 		p.wg.Add(1)
@@ -319,6 +341,7 @@ func (p *Proxy) Start() error {
 			}
 			return fmt.Errorf("core: local listen: %w", err)
 		}
+		p.localAddr = boundAddr(p.localAddr, ln)
 		p.localListener = ln
 		p.wg.Add(1)
 		go p.acceptLoop(ln, p.serveLocal)

@@ -5,6 +5,7 @@ import (
 	"context"
 	"math/rand"
 	"net"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -15,6 +16,7 @@ import (
 	"gridproxy/internal/balance"
 	"gridproxy/internal/ca"
 	"gridproxy/internal/core"
+	"gridproxy/internal/failure"
 	"gridproxy/internal/metrics"
 	"gridproxy/internal/node"
 	"gridproxy/internal/proto"
@@ -26,7 +28,7 @@ import (
 // delay line with no rate limit, so what a test times is round trips:
 // "origin", which has no node, so every rank lands on "remote", which has
 // one. The remote site checks owners against remoteUsers.
-func delayGrid(t *testing.T, ctx context.Context, rtt time.Duration, reg *metrics.Registry, remoteUsers *auth.Store, programs map[string]node.ProgramFunc) (origin, remote *core.Proxy) {
+func delayGrid(t *testing.T, ctx context.Context, rtt time.Duration, reg *metrics.Registry, remoteUsers *auth.Store, programs map[string]node.ProgramFunc, tweaks ...delayTweak) (origin, remote *core.Proxy) {
 	t.Helper()
 	authority, err := ca.New("roundtrips")
 	if err != nil {
@@ -41,7 +43,7 @@ func delayGrid(t *testing.T, ctx context.Context, rtt time.Duration, reg *metric
 			t.Fatal(err)
 		}
 		local := transport.NewMemNetwork()
-		proxy, err := core.New(core.Config{
+		cfg := core.Config{
 			Site:    name,
 			WANAddr: "wan." + name,
 			WAN:     transport.NewTLS(link.Side(side, wanBase), cred, authority.CertPool(), nil),
@@ -50,9 +52,20 @@ func delayGrid(t *testing.T, ctx context.Context, rtt time.Duration, reg *metric
 			Policy:  balance.LeastLoaded{},
 			Stage:   stage.Config{ChunkSize: 32 << 10, Stripes: 2},
 			Metrics: reg,
-		})
+		}
+		for _, tw := range tweaks {
+			if tw.site == name && tw.config != nil {
+				tw.config(&cfg)
+			}
+		}
+		proxy, err := core.New(cfg)
 		if err != nil {
 			t.Fatal(err)
+		}
+		for _, tw := range tweaks {
+			if tw.site == name && tw.proxy != nil {
+				tw.proxy(proxy)
+			}
 		}
 		for i := 0; i < nodes; i++ {
 			agent := node.New(name+"-n0", name, local)
@@ -76,37 +89,33 @@ func delayGrid(t *testing.T, ctx context.Context, rtt time.Duration, reg *metric
 	return origin, remote
 }
 
+// delayTweak adjusts one site of a delayGrid: its config before the proxy
+// is built, then the proxy before it starts.
+type delayTweak struct {
+	site   string
+	config func(*core.Config)
+	proxy  func(*core.Proxy)
+}
+
 var noopProgram = map[string]node.ProgramFunc{
 	"noop": func(context.Context, node.Env) error { return nil },
 }
 
 // TestColdStagedLaunchRoundTrips is the round-trip budget of DESIGN §12
 // as a stopwatch: over a 100 ms WAN a cold two-input launch onto another
-// site costs PrepareSpawn with CommitSpawn right behind it, and the stage
-// plan inside the prepare (stream opens and gets leave together) — two
-// round trips, where committing only after the prepare's reply made it
-// three. The counters say it is still two RPCs, that the commit waited at
-// the destination, and that the plan itself is PR 13's: one stream per
-// share, one get per blob.
+// site costs one round trip. The origin pushes the inputs on the inbox
+// streams the destination opened when it connected, PrepareSpawn and
+// CommitSpawn follow right behind, and the stage plan inside the prepare
+// waits for the pushed bytes instead of asking for them. The counters say
+// it is still two RPCs, that the commit waited at the destination, and
+// that no get went out: both blobs came by push.
 func TestColdStagedLaunchRoundTrips(t *testing.T) {
 	const rtt = 100 * time.Millisecond
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 	reg := metrics.NewRegistry()
 	origin, _ := delayGrid(t, ctx, rtt, reg, newStoreWith(t, "alice", auth.Permission{Action: "*", Resource: "*"}), noopProgram)
-
-	var stageIn []proto.StageRef
-	for _, name := range []string{"a", "b"} {
-		// Under the 64 KiB no stream's window goes below: a blob of exactly
-		// that size plus its chunk headers waits one more round trip for
-		// credit whenever the session's learned window sits at that floor
-		// (1 launch in 100-200, at the parent commit too), and this
-		// stopwatch is about the protocol's round trips.
-		blob := make([]byte, 48<<10)
-		rand.New(rand.NewSource(int64(name[0]))).Read(blob)
-		ref := origin.Store().Put(blob)
-		stageIn = append(stageIn, proto.StageRef{Name: name, Hash: ref.Hash, Size: ref.Size})
-	}
+	stageIn := coldInputs(t, origin, "a", "b")
 
 	start := time.Now()
 	launch, err := origin.LaunchMPI(ctx, core.LaunchSpec{Owner: "alice", Program: "noop", Procs: 1, StageIn: stageIn})
@@ -114,15 +123,18 @@ func TestColdStagedLaunchRoundTrips(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if took < 2*rtt || took >= 2*rtt+rtt/2 {
-		t.Errorf("cold two-input launch took %v, want 2 round trips of %v (under 2.5)", took, rtt)
+	if took < rtt || took >= rtt+rtt/2 {
+		t.Errorf("cold two-input launch took %v, want 1 round trip of %v (under 1.5)", took, rtt)
 	}
 	if err := launch.Wait(ctx); err != nil {
 		t.Fatal(err)
 	}
 	for name, want := range map[string]int64{
-		metrics.StageStreamsDialed: 2, // two 48 KiB blobs over two stripes
-		metrics.StageRequests:      2,
+		metrics.StageStreamsDialed: 0,
+		metrics.StageRequests:      0,
+		metrics.StagePushes:        2,
+		metrics.StagePulls:         2,
+		metrics.StageCacheMisses:   2,
 		metrics.JobPrepares:        1,
 		metrics.JobCommits:         1,
 		metrics.JobCommitsHeld:     1,
@@ -131,6 +143,292 @@ func TestColdStagedLaunchRoundTrips(t *testing.T) {
 			t.Errorf("%s = %d, want %d", name, got, want)
 		}
 	}
+}
+
+// coldInputs puts one random blob per name into origin's store and
+// returns their refs.
+func coldInputs(t *testing.T, origin *core.Proxy, names ...string) []proto.StageRef {
+	t.Helper()
+	var stageIn []proto.StageRef
+	for _, name := range names {
+		// Under the 64 KiB no stream's window goes below: a blob of exactly
+		// that size plus its chunk headers waits one more round trip for
+		// credit whenever the session's learned window sits at that floor,
+		// and these stopwatches are about the protocol's round trips.
+		blob := make([]byte, 48<<10)
+		rand.New(rand.NewSource(int64(name[0]))).Read(blob)
+		ref := origin.Store().Put(blob)
+		stageIn = append(stageIn, proto.StageRef{Name: name, Hash: ref.Hash, Size: ref.Size})
+	}
+	return stageIn
+}
+
+// TestWarmRelaunchMovesNoBytes: the second launch of the same inputs
+// finds them held. The origin's record says so from the first launch's
+// acks, so nothing is pushed, and the destination's plan counts two cache
+// hits and moves nothing.
+func TestWarmRelaunchMovesNoBytes(t *testing.T) {
+	const rtt = 100 * time.Millisecond
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	reg := metrics.NewRegistry()
+	origin, _ := delayGrid(t, ctx, rtt, reg, newStoreWith(t, "alice", auth.Permission{Action: "*", Resource: "*"}), noopProgram)
+	stageIn := coldInputs(t, origin, "a", "b")
+	launch := func() time.Duration {
+		start := time.Now()
+		l, err := origin.LaunchMPI(ctx, core.LaunchSpec{Owner: "alice", Program: "noop", Procs: 1, StageIn: stageIn})
+		took := time.Since(start)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Wait(ctx); err != nil {
+			t.Fatal(err)
+		}
+		return took
+	}
+	launch()
+	outbox := core.PushesTo(origin, "remote")
+	eventually(t, 10*time.Second, "the pushes are acknowledged", func() bool {
+		return outbox.Held(stageIn[0].Hash) && outbox.Held(stageIn[1].Hash)
+	})
+	counters := []string{metrics.StageBytesReceived, metrics.StageBytesSent, metrics.StagePushes, metrics.StageRequests, metrics.StageCacheHits, metrics.StageCacheMisses}
+	before := map[string]int64{}
+	for _, name := range counters {
+		before[name] = reg.Counter(name).Value()
+	}
+	if took := launch(); took >= rtt+rtt/2 {
+		t.Errorf("warm launch took %v, want under 1.5 round trips of %v", took, rtt)
+	}
+	for _, name := range counters {
+		want := int64(0)
+		if name == metrics.StageCacheHits {
+			want = 2
+		}
+		if got := reg.Counter(name).Value() - before[name]; got != want {
+			t.Errorf("%s rose by %d in the warm launch, want %d", name, got, want)
+		}
+	}
+}
+
+// TestColdLaunchFromAPeerThatTakesNoPushes: a destination that opens no
+// inbox streams (one that predates pushes) is pulled from, as before:
+// two round trips, one get per blob.
+func TestColdLaunchFromAPeerThatTakesNoPushes(t *testing.T) {
+	const rtt = 100 * time.Millisecond
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	reg := metrics.NewRegistry()
+	origin, _ := delayGrid(t, ctx, rtt, reg, newStoreWith(t, "alice", auth.Permission{Action: "*", Resource: "*"}), noopProgram,
+		delayTweak{site: "remote", proxy: func(p *core.Proxy) { core.SetInboxStreams(p, 0) }})
+	stageIn := coldInputs(t, origin, "a", "b")
+	start := time.Now()
+	launch, err := origin.LaunchMPI(ctx, core.LaunchSpec{Owner: "alice", Program: "noop", Procs: 1, StageIn: stageIn})
+	took := time.Since(start)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if took < 2*rtt || took >= 2*rtt+rtt/2 {
+		t.Errorf("cold launch by pull took %v, want 2 round trips of %v (under 2.5)", took, rtt)
+	}
+	if err := launch.Wait(ctx); err != nil {
+		t.Fatal(err)
+	}
+	for name, want := range map[string]int64{
+		metrics.StageStreamsDialed: 2,
+		metrics.StageRequests:      2,
+		metrics.StagePushes:        0,
+		metrics.StagePulls:         2,
+		metrics.StageBytesReceived: 96 << 10,
+	} {
+		if got := reg.Counter(name).Value(); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
+	}
+}
+
+// lateInbox holds back a destination's inbox streams: the first read
+// after the inbox handshake waits, longer than a plan waits for headers
+// an inbox stream holds (stage's catchUpLimit), so the prepare written
+// behind the share headers is stepped before they register.
+type lateInbox struct {
+	net.Conn
+	delay  time.Duration
+	writes int
+	reads  int
+	inbox  bool
+}
+
+func (c *lateInbox) Write(p []byte) (int, error) {
+	if c.writes++; c.writes == 1 && len(p) > 4 && p[4] == 2 { // the first frame is an inbox request
+		c.inbox = true
+	}
+	return c.Conn.Write(p)
+}
+
+func (c *lateInbox) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	if c.reads++; c.inbox && c.reads == 3 { // the share header's prefix, past the handshake
+		time.Sleep(c.delay)
+	}
+	return n, err
+}
+
+// TestPushRacingItsPrepareCrossesOnce: when the destination steps the
+// prepare before the pushed blobs register, its plan asks for them; the
+// origin answers that it pushed them, and the plan waits for the push.
+// Every input byte crosses the link once.
+func TestPushRacingItsPrepareCrossesOnce(t *testing.T) {
+	const rtt = 100 * time.Millisecond
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	reg := metrics.NewRegistry()
+	origin, _ := delayGrid(t, ctx, rtt, reg, newStoreWith(t, "alice", auth.Permission{Action: "*", Resource: "*"}), noopProgram,
+		delayTweak{site: "remote", config: func(cfg *core.Config) {
+			cfg.Stage.WrapConn = func(c net.Conn) net.Conn { return &lateInbox{Conn: c, delay: rtt / 2} }
+		}})
+	stageIn := coldInputs(t, origin, "a", "b")
+	launch, err := origin.LaunchMPI(ctx, core.LaunchSpec{Owner: "alice", Program: "noop", Procs: 1, StageIn: stageIn})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := launch.Wait(ctx); err != nil {
+		t.Fatal(err)
+	}
+	for name, want := range map[string]int64{
+		metrics.StageRequests:      2, // asked, and answered "pushed"
+		metrics.StagePushes:        2,
+		metrics.StagePulls:         2,
+		metrics.StageBytesReceived: 96 << 10,
+		metrics.StageBytesSent:     96 << 10,
+	} {
+		if got := reg.Counter(name).Value(); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
+	}
+}
+
+// TestCorruptPushedChunkIsMended: a pushed chunk that fails its checksum
+// leaves a hole the plan requests again, alone; the chunks around it and
+// the other blob are kept, so the destination still receives N bytes.
+func TestCorruptPushedChunkIsMended(t *testing.T) {
+	const rtt = 100 * time.Millisecond
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	reg := metrics.NewRegistry()
+	var corrupter failure.Corrupter
+	corrupter.Arm(1)
+	origin, _ := delayGrid(t, ctx, rtt, reg, newStoreWith(t, "alice", auth.Permission{Action: "*", Resource: "*"}), noopProgram,
+		delayTweak{site: "origin", config: func(cfg *core.Config) { cfg.Stage.WrapConn = corrupter.Wrap }})
+	stageIn := coldInputs(t, origin, "a", "b")
+	launch, err := origin.LaunchMPI(ctx, core.LaunchSpec{Owner: "alice", Program: "noop", Procs: 1, StageIn: stageIn})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := launch.Wait(ctx); err != nil {
+		t.Fatal(err)
+	}
+	for name, want := range map[string]int64{
+		metrics.StageCorruptChunks: 1,
+		metrics.StageChunkRetries:  1,
+		metrics.StageRequests:      1,
+		metrics.StagePushes:        1,
+		metrics.StagePulls:         2,
+		metrics.StageBytesReceived: 96 << 10,
+	} {
+		if got := reg.Counter(name).Value(); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
+	}
+	if corrupter.Corrupted() != 1 {
+		t.Fatalf("corrupter fired %d times, want 1", corrupter.Corrupted())
+	}
+}
+
+// TestAbortMidPushSettlesTheRecord: a launch canceled while its input is
+// still being pushed cuts the push. The destination fails the blob and
+// gives its buffer back, the origin forgets the push without recording
+// the blob as held, every inbox stream is free and in step again — the
+// next launch pushes the same input whole — and no goroutine is left.
+func TestAbortMidPushSettlesTheRecord(t *testing.T) {
+	const rtt = 20 * time.Millisecond
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	reg := metrics.NewRegistry()
+	hold := make(chan struct{})
+	var held atomic.Bool
+	origin, remote := delayGrid(t, ctx, rtt, reg, newStoreWith(t, "alice", auth.Permission{Action: "*", Resource: "*"}), noopProgram,
+		delayTweak{site: "remote", config: func(cfg *core.Config) {
+			// The destination stops reading its inbox streams after the
+			// first pushed bytes, until the test lets it go on.
+			cfg.Stage.WrapConn = func(c net.Conn) net.Conn { return &heldInbox{Conn: c, hold: hold, held: &held} }
+		}})
+	outbox := core.PushesTo(origin, "remote")
+	eventually(t, 10*time.Second, "the inbox streams are open", func() bool { return outbox.Streams() == stage.DefaultStripes })
+	base := runtime.NumGoroutine()
+	input := make([]byte, 1<<20)
+	rand.New(rand.NewSource(41)).Read(input)
+	ref := origin.Store().Put(input)
+	stageIn := []proto.StageRef{{Name: "in", Hash: ref.Hash, Size: ref.Size}}
+
+	lctx, abort := context.WithCancel(ctx)
+	failed := make(chan error, 1)
+	go func() {
+		_, err := origin.LaunchMPI(lctx, core.LaunchSpec{Owner: "alice", Program: "noop", Procs: 1, StageIn: stageIn})
+		failed <- err
+	}()
+	eventually(t, 10*time.Second, "the push stalls at the destination", held.Load)
+	abort()
+	if err := <-failed; err == nil {
+		t.Fatal("launch succeeded on a canceled context")
+	}
+	close(hold)
+	eventually(t, 10*time.Second, "the push is settled at both ends", func() bool {
+		bytes, pins := remote.Store().Outstanding()
+		return outbox.Pushing() == 0 && outbox.Streams() == stage.DefaultStripes && bytes == 0 && pins == 0 && remote.ActiveApps() == 0
+	})
+	if outbox.Held(ref.Hash) || remote.Store().Has(ref.Hash) {
+		t.Fatalf("after the abort the record holds the input %v, the destination's store %v", outbox.Held(ref.Hash), remote.Store().Has(ref.Hash))
+	}
+	eventually(t, 10*time.Second, "goroutines back to their baseline", func() bool { return runtime.NumGoroutine() <= base })
+
+	pushes := reg.Counter(metrics.StagePushes).Value()
+	launch, err := origin.LaunchMPI(ctx, core.LaunchSpec{Owner: "alice", Program: "noop", Procs: 1, StageIn: stageIn})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := launch.Wait(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if got := reg.Counter(metrics.StagePushes).Value() - pushes; got != 1 {
+		t.Errorf("the relaunch pushed %d blobs, want the input whole (requests %d, bytes %d, hits %d, corrupt %d)", got, reg.Counter(metrics.StageRequests).Value(), reg.Counter(metrics.StageBytesReceived).Value(), reg.Counter(metrics.StageCacheHits).Value(), reg.Counter(metrics.StageCorruptChunks).Value())
+	}
+}
+
+// heldInbox stops a destination's inbox stream once the first pushed
+// chunk has arrived, until hold closes.
+type heldInbox struct {
+	net.Conn
+	hold   <-chan struct{}
+	held   *atomic.Bool
+	writes int
+	reads  int
+	inbox  bool
+}
+
+func (c *heldInbox) Write(p []byte) (int, error) {
+	if c.writes++; c.writes == 1 && len(p) > 4 && p[4] == 2 {
+		c.inbox = true
+	}
+	return c.Conn.Write(p)
+}
+
+func (c *heldInbox) Read(p []byte) (int, error) {
+	c.reads++
+	if c.inbox && c.reads > 6 { // handshake, share header, first chunk header
+		c.held.Store(true)
+		<-c.hold
+	}
+	return c.Conn.Read(p)
 }
 
 // TestRemoteOutputsArriveWithTheReport: a remote rank's small output is
@@ -313,10 +611,13 @@ func TestCanceledSubmitStillAbortsDestination(t *testing.T) {
 type gatedConn struct {
 	net.Conn
 	open <-chan struct{}
+	when *atomic.Bool // nil: always gated; else only while it is set
 }
 
 func (g *gatedConn) Read(p []byte) (int, error) {
-	<-g.open
+	if g.when == nil || g.when.Load() {
+		<-g.open
+	}
 	return g.Conn.Read(p)
 }
 
@@ -392,12 +693,10 @@ func TestPipelinedCommitOnReschedule(t *testing.T) {
 	finish := make(chan struct{})
 	var gate atomic.Bool
 	tb := newStagedGrid(t, reg, stage.Config{
-		WrapConn: func(c net.Conn) net.Conn {
-			if !gate.Load() {
-				return c
-			}
-			return &gatedConn{Conn: c, open: release}
-		},
+		// Reads of every stage stream wait while the gate is set, those
+		// of the inbox streams opened at connect time too: the replacement
+		// stages its input by push.
+		WrapConn: func(c net.Conn) net.Conn { return &gatedConn{Conn: c, open: release, when: &gate} },
 	}, 0, 1, 1)
 	tb.RegisterProgram("until-told", func(ctx context.Context, _ node.Env) error {
 		select {

@@ -41,6 +41,75 @@ func (p *Proxy) stageDialer(site string) stage.Dialer {
 	}
 }
 
+// outbox returns the pushing side towards site: its inbox streams, the
+// record of what the site holds, the blobs on their way there.
+func (p *Proxy) outbox(site string) *stage.Outbox {
+	p.outMu.Lock()
+	defer p.outMu.Unlock()
+	o := p.outboxes[site]
+	if o == nil {
+		o = stage.NewOutbox(p.store, p.stagecfg, p.reg)
+		p.outboxes[site] = o
+	}
+	return o
+}
+
+// openInbox opens the stage streams a peer pushes this proxy's inputs
+// on. They are not a dial: they ride the tunnel just connected, and each
+// lives until the session or the peer ends it. A peer that does not push
+// answers each one so, and is pulled from.
+func (p *Proxy) openInbox(pr *peer) {
+	inbox := stage.NewInbox(p.store, p.stagecfg, p.reg)
+	open := proto.Append(nil, &proto.StreamOpen{Kind: proto.StreamStage})
+	for i := 0; i < p.inboxStreams; i++ {
+		stream, err := pr.session.Open(p.ctx, open)
+		if err != nil {
+			p.log.Debug("inbox stream not opened", "peer", pr.site, "err", err)
+			return
+		}
+		pr.quiet.Add(1)
+		p.wg.Add(1)
+		go func() {
+			defer p.wg.Done()
+			defer pr.quiet.Add(-1)
+			switch err := inbox.Receive(stream); {
+			case stage.IsNoInbox(err):
+				p.log.Debug("peer does not push", "peer", pr.site)
+			case err != nil:
+				p.log.Debug("inbox stream ended", "peer", pr.site, "err", err)
+			}
+		}()
+	}
+}
+
+// pushInputs starts pushing the inputs of a prepare to pr's site ahead of
+// the prepare itself: the blobs the site is not recorded as holding, on
+// the inbox streams it opened. The share headers are written when it
+// returns; the bytes follow on a goroutine until stop, which the caller
+// calls once the prepare has an answer: by then the site either has the
+// bytes or will not use them.
+func (p *Proxy) pushInputs(ctx context.Context, pr *peer, refs []proto.StageRef) (stop func()) {
+	if len(refs) == 0 {
+		return func() {}
+	}
+	want := make([]stage.FileRef, len(refs))
+	for i, ref := range refs {
+		want[i] = stage.FileRef(ref)
+	}
+	push := p.outbox(pr.site).Push(want)
+	if push == nil {
+		return func() {}
+	}
+	p.log.Debug("pushing inputs", "site", pr.site, "blobs", push.Blobs())
+	ctx, cancel := context.WithCancel(ctx)
+	p.wg.Add(1)
+	go func() {
+		defer p.wg.Done()
+		push.Run(ctx)
+	}()
+	return cancel
+}
+
 // pullRefs brings the blobs refs name from a peer site's store into this
 // proxy's store under one pull plan (stage.PullAll): blobs already held
 // are cache hits and transfer nothing, the missing ones share one set of
@@ -50,13 +119,14 @@ func (p *Proxy) pullRefs(ctx context.Context, site string, refs []proto.StageRef
 	for i, ref := range refs {
 		want[i] = stage.FileRef(ref)
 	}
-	misses := p.reg.Counter(metrics.StageCacheMisses)
-	before := misses.Value()
+	misses, requests := p.reg.Counter(metrics.StageCacheMisses), p.reg.Counter(metrics.StageRequests)
+	before, asked := misses.Value(), requests.Value()
 	errs := stage.PullAll(ctx, p.stageDialer(site), want, p.store, p.stagecfg, p.reg)
 	// No daemon exports its counters yet, so this line is how an operator
-	// tells a cold stage-in from a warm one (plans that run at the same
-	// time share the counter).
-	p.log.Debug("stage plan complete", "site", site, "refs", len(refs), "cold", misses.Value()-before)
+	// tells a cold stage-in from a warm one, and a pushed one (cold, no
+	// request) from a pulled one (plans that run at the same time share
+	// the counters).
+	p.log.Debug("stage plan complete", "site", site, "refs", len(refs), "cold", misses.Value()-before, "requests", requests.Value()-asked)
 	for i, err := range errs {
 		if err != nil {
 			p.log.Warn("stage pull failed", "site", site, "name", refs[i].Name, "hash", refs[i].Hash, "err", err)

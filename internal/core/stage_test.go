@@ -432,14 +432,19 @@ func TestStagedLaunchRestampsClientSizes(t *testing.T) {
 	if err := launch.Wait(ctx); err != nil {
 		t.Fatal(err)
 	}
-	// Both inputs came in one plan sized by the origin, two streams of
+	// Both inputs were pushed, sized by the origin, two inbox streams of
 	// 68 KiB each (the first input is cut at the boundary): no request
-	// went out only to learn a size.
-	if got := reg.Counter(metrics.StageRequests).Value(); got != 3 {
-		t.Errorf("stage.requests = %d, want 3", got)
+	// went out at all, least of all one only to learn a size. A ref left
+	// unsized would not have been pushed, and one pushed at the client's
+	// size would not have verified.
+	if got := reg.Counter(metrics.StagePushes).Value(); got != 2 {
+		t.Errorf("stage.pushes = %d, want 2", got)
 	}
-	if got := reg.Counter(metrics.StageStreamsDialed).Value(); got != 2 {
-		t.Errorf("stage.streams_dialed = %d, want 2", got)
+	if got := reg.Counter(metrics.StageRequests).Value(); got != 0 {
+		t.Errorf("stage.requests = %d, want 0", got)
+	}
+	if got := reg.Counter(metrics.StageStreamsDialed).Value(); got != 0 {
+		t.Errorf("stage.streams_dialed = %d, want 0", got)
 	}
 	if got := reg.Counter(metrics.StageBytesReceived).Value(); got != 136<<10 {
 		t.Errorf("stage.bytes_received = %d, want %d", got, 136<<10)

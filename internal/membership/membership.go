@@ -317,6 +317,18 @@ func (d *Directory) publishGaugesLocked() {
 	d.cfg.Metrics.Gauge(metrics.MembersDead).Set(int64(d.stateCount[Dead]))
 }
 
+// SetAddr sets the local site's own address, as the directory advertises
+// it: a proxy learns it when its listener binds.
+func (d *Directory) SetAddr(addr string) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.cfg.Addr = addr
+	if self := d.entries[d.cfg.Site]; self != nil {
+		self.addr = addr
+		d.markHotLocked(self)
+	}
+}
+
 // Site returns the local site name.
 func (d *Directory) Site() string { return d.cfg.Site }
 

@@ -395,6 +395,9 @@ const (
 	StageEvictions = "stage.evictions"
 	// StagePulls counts whole-blob pulls completed from a remote store.
 	StagePulls = "stage.pulls"
+	// StagePushes counts blobs a peer pushed into this store that verified
+	// and entered it; a plan that waited for one counts it a pull too.
+	StagePushes = "stage.pushes"
 	// StageOutputs counts job output blobs returned to their origin site.
 	StageOutputs = "stage.outputs"
 	// StageOutputsInlined counts job output blobs that reached their

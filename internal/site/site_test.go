@@ -147,10 +147,9 @@ func TestRealTCPGrid(t *testing.T) {
 		return proxy, agents
 	}
 
-	// Fixed ports in the dynamic range; the test fails loudly if they
-	// are occupied.
-	proxyA, agentsA := mk("sitea", "127.0.0.1:39701", "127.0.0.1:39702", 2)
-	proxyB, agentsB := mk("siteb", "127.0.0.1:39711", "127.0.0.1:39712", 2)
+	// Any free ports: the proxies report what their listeners bound.
+	proxyA, agentsA := mk("sitea", "127.0.0.1:0", "127.0.0.1:0", 2)
+	proxyB, agentsB := mk("siteb", "127.0.0.1:0", "127.0.0.1:0", 2)
 	t.Cleanup(func() {
 		_ = proxyA.Close()
 		_ = proxyB.Close()
@@ -159,7 +158,7 @@ func TestRealTCPGrid(t *testing.T) {
 		}
 	})
 
-	if err := proxyA.Connect(ctx, "siteb", "127.0.0.1:39711"); err != nil {
+	if err := proxyA.Connect(ctx, "siteb", proxyB.WANAddr()); err != nil {
 		t.Fatalf("connect: %v", err)
 	}
 
@@ -175,7 +174,7 @@ func TestRealTCPGrid(t *testing.T) {
 	}
 
 	// The grid client API over real sockets.
-	client, err := grid.Dial(ctx, transport.TCP{}, "127.0.0.1:39702")
+	client, err := grid.Dial(ctx, transport.TCP{}, proxyA.LocalAddr())
 	if err != nil {
 		t.Fatal(err)
 	}

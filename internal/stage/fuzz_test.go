@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"io"
 	"net"
+	"runtime"
 	"testing"
 	"time"
 
@@ -128,7 +129,37 @@ func FuzzServeRequests(f *testing.F) {
 		f.Add(plan, append(append([]byte(nil), header...), chunk...))
 	}
 
+	// Push scripts, answering an inbox request: a clean push of blob 0, a
+	// truncated share header, a blob over the receiving store's cap, a
+	// corrupt chunk, bytes that are not the blob's.
+	ok := wireStatus(statusOK, 0)
+	share := wireShare(1, pushedSpanWire{refs[0].Hash, 5000, 0, 5000})
+	pushed := wirePushed(blobs[0], 1<<10)
+	badCRC := append([]byte(nil), pushed...)
+	badCRC[chunkHeader+3] ^= 0x10
+	f.Add(odd, concat(ok, share, pushed))
+	f.Add(odd, concat(ok, share[:20]))
+	f.Add(odd, concat(ok, wireShare(2, pushedSpanWire{refs[0].Hash, 1 << 20, 0, 1 << 20}), pushed))
+	f.Add(odd, concat(ok, share, badCRC))
+	f.Add(odd, concat(ok, share, wirePushed(seededBlob(23, 5000), 1<<10)))
+	inboxReq := fuzzGet(nil, "", 0, 0, 0)
+	inboxReq[4] = opInbox
+	f.Add(concat(inboxReq, []byte{0, 0, 0, 3, ackStored, 0, 0}), concat(ok, share, pushed))
+
 	f.Fuzz(func(t *testing.T, requests, responses []byte) {
+		base := runtime.NumGoroutine()
+		// responses is also what a pushing peer writes on an inbox stream:
+		// whatever it says, only verified blobs enter the store.
+		inbox, _ := NewStore(Config{MaxBytes: 64 << 10}, nil)
+		_ = NewInbox(inbox, cfg, nil).Receive(&scriptConn{in: bytes.NewReader(responses)})
+		checkPushed(t, inbox)
+		// And requests serve a peer that pushes: an inbox request turns
+		// the stream into one the acks arrive on.
+		_ = NewOutbox(src, cfg, nil).Serve(&scriptConn{in: bytes.NewReader(requests)}, nil)
+		if n := runtime.NumGoroutine(); n > base {
+			t.Fatalf("%d goroutines after a push script, %d before", n, base)
+		}
+
 		conn := &scriptConn{in: bytes.NewReader(requests)}
 		_ = Serve(conn, src, cfg, nil)
 		checkServed(t, cfg, byHash, requests, conn.out.Bytes())
@@ -144,6 +175,34 @@ func FuzzServeRequests(f *testing.F) {
 		}
 		wantQuiet(t, dst)
 	})
+}
+
+func concat(parts ...[]byte) []byte {
+	var out []byte
+	for _, p := range parts {
+		out = append(out, p...)
+	}
+	return out
+}
+
+// checkPushed holds a store that took a push script to its contract:
+// every blob in it is named by its hash, and once the arrivals no plan
+// came for are let go, no buffer is left behind.
+func checkPushed(t *testing.T, s *Store) {
+	t.Helper()
+	s.mu.Lock()
+	for hash, b := range s.blobs {
+		if Hash(b.data) != hash {
+			s.mu.Unlock()
+			t.Fatalf("a pushed blob entered the store unverified as %s", short(hash))
+		}
+	}
+	settled := append([]*arrival(nil), s.unclaimed...)
+	s.mu.Unlock()
+	for _, a := range settled {
+		s.abandon(a)
+	}
+	wantQuiet(t, s)
 }
 
 // checkServed replays the request script against what Serve wrote.

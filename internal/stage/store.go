@@ -133,6 +133,13 @@ type Store struct {
 	reg   *metrics.Registry
 	arena *arena
 	pins  atomic.Int64 // Views and ChunkLoans not yet released
+
+	// arrivals are the blobs peers are pushing into the store, and those
+	// pushed for plans that have not asked yet (push.go); unclaimed holds
+	// the settled ones no plan waits on, oldest first.
+	arrivals  map[string]*arrival
+	unclaimed []*arrival
+	receivers map[*receiver]struct{} // the inbox streams feeding the store
 }
 
 type blob struct {
@@ -148,13 +155,15 @@ type blob struct {
 func NewStore(cfg Config, reg *metrics.Registry) (*Store, error) {
 	cfg = cfg.WithDefaults()
 	s := &Store{
-		dir:   cfg.Dir,
-		max:   cfg.MaxBytes,
-		spill: cfg.DiskSpill && cfg.Dir != "",
-		blobs: make(map[string]*blob),
-		lru:   list.New(),
-		reg:   reg,
-		arena: newArena(reg),
+		dir:       cfg.Dir,
+		max:       cfg.MaxBytes,
+		spill:     cfg.DiskSpill && cfg.Dir != "",
+		blobs:     make(map[string]*blob),
+		lru:       list.New(),
+		arrivals:  make(map[string]*arrival),
+		receivers: make(map[*receiver]struct{}),
+		reg:       reg,
+		arena:     newArena(reg),
 	}
 	if s.dir != "" {
 		if err := os.MkdirAll(s.dir, 0o755); err != nil {

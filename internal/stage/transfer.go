@@ -102,9 +102,14 @@ func readFrame(conn net.Conn, idle time.Duration, max int) ([]byte, error) {
 }
 
 // Serve answers transfer requests on conn out of store until the peer
-// closes the stream or stalls past the idle deadline. It is run by the
-// proxy for every inbound stage stream.
+// closes the stream or stalls past the idle deadline. It pushes nothing:
+// an inbox request is answered statusBad. Outbox.Serve is the same loop
+// for a peer that pushes.
 func Serve(conn net.Conn, store *Store, cfg Config, reg *metrics.Registry) error {
+	return serve(conn, store, nil, nil, cfg, reg)
+}
+
+func serve(conn net.Conn, store *Store, o *Outbox, inbox *atomic.Int32, cfg Config, reg *metrics.Registry) error {
 	cfg = cfg.WithDefaults()
 	if cfg.WrapConn != nil {
 		conn = cfg.WrapConn(conn)
@@ -127,11 +132,26 @@ func Serve(conn net.Conn, store *Store, cfg Config, reg *metrics.Registry) error
 		if err := buf.Err(); err != nil {
 			return writeFrame(conn, cfg.IdleTimeout, statusFrame(statusBad, 0))
 		}
-		switch op {
-		case opGet:
-			if err := serveGet(conn, store, cfg, reg, hash, offset, length, chunk); err != nil {
+		switch {
+		case op == opGet && o != nil && o.awaitPush(hash):
+			size, _ := store.Stat(hash)
+			if err := writeFrame(conn, cfg.IdleTimeout, statusFrame(statusPushed, size)); err != nil {
 				return err
 			}
+		case op == opGet || op == opMend && o != nil:
+			full, err := serveGet(conn, store, cfg, reg, hash, offset, length, chunk)
+			if err != nil {
+				return err
+			}
+			if full && o != nil {
+				o.record(hash)
+			}
+		case op == opInbox && o != nil:
+			if inbox != nil {
+				inbox.Add(1)
+				defer inbox.Add(-1)
+			}
+			return o.adopt(conn)
 		default:
 			if err := writeFrame(conn, cfg.IdleTimeout, statusFrame(statusBad, 0)); err != nil {
 				return err
@@ -158,31 +178,27 @@ type bufferWriter interface {
 // the chunk header and payload are gathered straight into the tunnel's
 // pooled frame buffers. The assembled-frame fallback exists for
 // fault-injection wrappers (which see the conn interface only) so they
-// can corrupt a chunk without desynchronizing the framing.
-func serveGet(conn net.Conn, store *Store, cfg Config, reg *metrics.Registry, hash string, offset, length int64, chunk int) error {
+// can corrupt a chunk without desynchronizing the framing. full reports
+// a response that ran to the blob's end.
+func serveGet(conn net.Conn, store *Store, cfg Config, reg *metrics.Registry, hash string, offset, length int64, chunk int) (full bool, err error) {
 	size, ok := store.Stat(hash)
 	if !ok {
-		return writeFrame(conn, cfg.IdleTimeout, statusFrame(statusNotFound, 0))
+		return false, writeFrame(conn, cfg.IdleTimeout, statusFrame(statusNotFound, 0))
 	}
 	if chunk <= 0 || chunk > maxChunkSize {
 		chunk = cfg.ChunkSize
 	}
 	if offset < 0 || offset > size {
-		return writeFrame(conn, cfg.IdleTimeout, statusFrame(statusBad, size))
+		return false, writeFrame(conn, cfg.IdleTimeout, statusFrame(statusBad, size))
 	}
 	end := size
 	if length > 0 && length < size-offset {
 		end = offset + length
 	}
 	if err := writeFrame(conn, cfg.IdleTimeout, statusFrame(statusOK, size)); err != nil {
-		return err
+		return false, err
 	}
-	bw, _ := conn.(bufferWriter)
-	var frame []byte
-	if bw == nil {
-		frame = make([]byte, 0, chunkHeader+chunk)
-	}
-	var chdr [chunkHeader]byte
+	cw := newChunkWriter(conn, chunk)
 	for pos := offset; pos < end; {
 		n := int64(chunk)
 		if pos+n > end {
@@ -194,27 +210,55 @@ func serveGet(conn net.Conn, store *Store, cfg Config, reg *metrics.Registry, ha
 			// with no spill tier). Breaking the connection mid-response
 			// is the honest signal: the puller's framing would desync on
 			// anything else, and its retry path re-stats.
-			return fmt.Errorf("stage: blob %s evicted mid-transfer", short(hash))
+			return false, fmt.Errorf("stage: blob %s evicted mid-transfer", short(hash))
 		}
-		payload := loan.Data
-		binary.BigEndian.PutUint32(chdr[:4], uint32(n))
-		binary.BigEndian.PutUint32(chdr[4:], crc32.Checksum(payload, castagnoli))
 		armWrite(conn, cfg.IdleTimeout)
-		var err error
-		if bw != nil {
-			_, err = bw.WriteBuffers(chdr[:], payload)
-		} else {
-			frame = append(append(frame[:0], chdr[:]...), payload...)
-			_, err = conn.Write(frame)
-		}
+		err := cw.write(loan.Data)
 		loan.Release()
 		if err != nil {
-			return err
+			return false, err
 		}
 		reg.Counter(metrics.StageBytesSent).Add(n)
 		pos += n
 	}
-	return nil
+	return end == size, nil
+}
+
+// chunkWriter writes chunks, each behind its length and CRC-32C. On a
+// stream with a vectored write the header and the payload are gathered
+// without a copy; otherwise, for fault-injection wrappers, they go as one
+// assembled Write so a corrupted chunk never desynchronizes the framing.
+type chunkWriter struct {
+	conn  net.Conn
+	bw    bufferWriter
+	frame []byte
+	hdr   [chunkHeader]byte
+}
+
+func newChunkWriter(conn net.Conn, chunk int) *chunkWriter {
+	cw := &chunkWriter{conn: conn}
+	if cw.bw, _ = conn.(bufferWriter); cw.bw == nil {
+		cw.frame = make([]byte, 0, chunkHeader+chunk)
+	}
+	return cw
+}
+
+// write writes data as one chunk; no data is a push's terminator.
+func (cw *chunkWriter) write(data []byte) error {
+	binary.BigEndian.PutUint32(cw.hdr[:4], uint32(len(data)))
+	sum := uint32(0)
+	if len(data) > 0 {
+		sum = crc32.Checksum(data, castagnoli)
+	}
+	binary.BigEndian.PutUint32(cw.hdr[4:], sum)
+	var err error
+	if cw.bw != nil {
+		_, err = cw.bw.WriteBuffers(cw.hdr[:], data)
+	} else {
+		cw.frame = append(append(cw.frame[:0], cw.hdr[:]...), data...)
+		_, err = cw.conn.Write(cw.frame)
+	}
+	return err
 }
 
 // Dialer opens a fresh transfer connection to the serving site. A pull
@@ -224,6 +268,23 @@ type Dialer func(ctx context.Context) (net.Conn, error)
 // ErrSizeMismatch reports that the serving store holds a blob at a
 // different size than the ref that named it.
 var ErrSizeMismatch = errors.New("stage: blob size differs from its ref")
+
+// redialBackoff is the pause before a pull stream's first redial; it
+// doubles with every round after, so a dial that fails fast does not
+// spend the whole retry budget within microseconds.
+const redialBackoff = 10 * time.Millisecond
+
+// sleep waits d or until ctx ends, and reports whether d passed.
+func sleep(ctx context.Context, d time.Duration) bool {
+	timer := time.NewTimer(d)
+	defer timer.Stop()
+	select {
+	case <-timer.C:
+		return true
+	case <-ctx.Done():
+		return false
+	}
+}
 
 // maxPipelined bounds how many requests a stream writes before it reads
 // their responses. A server answers in order and stops reading while it
@@ -245,9 +306,19 @@ type span struct {
 type pullBlob struct {
 	hash string
 	refs []int        // indices of the plan's refs that name this blob
+	want int64        // the ref's size: <= 0 is unknown
 	size int64        // -1 until known
 	buf  []byte       // spans of different streams fill disjoint ranges
 	left atomic.Int64 // bytes not yet received and verified
+
+	// arrival is a push of the blob the plan waits on instead of asking
+	// for it; counted is false when another plan is the one that counts
+	// it as pulled. pushed is set when the server answered a get for the
+	// blob statusPushed.
+	arrival *arrival
+	counted bool
+	pushed  atomic.Bool
+	mend    bool // the spans are a pushed blob's corrupt chunks: asked for with opMend
 
 	mu  sync.Mutex
 	err error // first failure; a failed blob's spans are dropped, not retried
@@ -300,15 +371,18 @@ func Pull(ctx context.Context, dial Dialer, hash string, dst *Store, cfg Config,
 
 // PullAll brings every blob refs name into dst under one plan and
 // returns one error per ref (nil where the blob is now in dst). Refs dst
-// already holds are cache hits and cost nothing. The bytes of the
-// missing blobs are laid end to end, cut into spans and dealt over at
-// most cfg.Stripes streams, all dialed at once; each stream writes the
+// already holds are cache hits and cost nothing. A blob the serving peer
+// is pushing into dst is waited for, not asked for. The bytes of the
+// other missing blobs are laid end to end, cut into spans and dealt over
+// at most cfg.Stripes streams, all dialed at once; each stream writes the
 // get requests of its spans back to back and then reads the responses
 // in order, so a plan costs one open and one request round trip however
 // many blobs it names. Every chunk checksum is verified, corrupt chunks
 // are re-requested, a dropped stream redials and resumes from the bytes
 // already received, and each reassembled blob is verified against its
 // hash before it enters dst — one blob failing leaves the others whole.
+// A get the server answers statusPushed turns into a wait for the push,
+// and a push that fails is pulled.
 //
 // Sizes come from the refs. A ref with Size <= 0 is of unknown size: its
 // leading chunk is requested first, as one request, the header of that
@@ -318,6 +392,8 @@ func Pull(ctx context.Context, dial Dialer, hash string, dst *Store, cfg Config,
 func PullAll(ctx context.Context, dial Dialer, refs []FileRef, dst *Store, cfg Config, reg *metrics.Registry) []error {
 	cfg = cfg.WithDefaults()
 	errs := make([]error, len(refs))
+	pl := &pullPlan{dial: dial, dst: dst, cfg: cfg, reg: reg}
+	dst.catchUp()
 	var (
 		blobs  []*pullBlob
 		byHash map[string]*pullBlob
@@ -331,12 +407,18 @@ func PullAll(ctx context.Context, dial Dialer, refs []FileRef, dst *Store, cfg C
 			reg.Counter(metrics.StageCacheHits).Inc()
 			continue
 		}
-		if dst.Has(ref.Hash) {
+		a, first := dst.claimArrival(ref.Hash)
+		held := a == nil && dst.Has(ref.Hash)
+		if held || a != nil && !first {
+			// Held, or arriving by a push another plan counts.
 			reg.Counter(metrics.StageCacheHits).Inc()
+		} else {
+			reg.Counter(metrics.StageCacheMisses).Inc()
+		}
+		if held {
 			continue
 		}
-		reg.Counter(metrics.StageCacheMisses).Inc()
-		if ref.Hash == emptyHash {
+		if a == nil && ref.Hash == emptyHash {
 			// Size 0 on a ref reads as unknown, but this hash names no
 			// bytes whatever the ref says: there is nothing to request.
 			if errs[i] = dst.PutHashed(ref.Hash, nil); errs[i] == nil {
@@ -344,42 +426,85 @@ func PullAll(ctx context.Context, dial Dialer, refs []FileRef, dst *Store, cfg C
 			}
 			continue
 		}
-		b := &pullBlob{hash: ref.Hash, refs: []int{i}, size: -1}
+		b := &pullBlob{hash: ref.Hash, refs: []int{i}, want: ref.Size, size: -1, arrival: a, counted: a == nil || first}
 		if byHash == nil {
 			byHash = make(map[string]*pullBlob)
 		}
 		byHash[ref.Hash] = b
 		blobs = append(blobs, b)
-		lead := int64(cfg.ChunkSize)
-		if ref.Size > 0 {
-			if err := b.setSize(ref.Size, dst); err != nil {
-				b.fail(err)
-				continue
-			}
-			lead = ref.Size
+		if a == nil {
+			wave = pl.lead(wave, b)
 		}
-		wave = append(wave, span{b, 0, lead})
 	}
 
 	if len(blobs) == 0 {
 		return errs
 	}
-	pl := &pullPlan{dial: dial, dst: dst, cfg: cfg, reg: reg}
+	patience := cfg.IdleTimeout
+	if patience <= 0 {
+		patience = DefaultIdleTimeout
+	}
 	// Streams stay open between waves: the one that learned a size also
 	// carries its share of the remainder.
 	conns := make([]net.Conn, cfg.Stripes)
-	for len(wave) > 0 {
-		shares := dealSpans(wave, int64(cfg.ChunkSize), cfg.Stripes)
-		var wg sync.WaitGroup
-		for i := range shares {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				conns[i] = pl.pullShare(ctx, conns[i], shares[i])
-			}(i)
+	for round := 0; ; round++ {
+		for len(wave) > 0 {
+			shares := dealSpans(wave, int64(cfg.ChunkSize), cfg.Stripes)
+			var wg sync.WaitGroup
+			for i := range shares {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					conns[i] = pl.pullShare(ctx, conns[i], shares[i])
+				}(i)
+			}
+			wg.Wait()
+			wave, pl.discovered = pl.discovered, nil
 		}
-		wg.Wait()
-		wave, pl.discovered = pl.discovered, nil
+		for _, b := range blobs {
+			if b.pushed.Swap(false) && b.failure() == nil {
+				dst.arena.free(b.buf)
+				b.buf = nil
+				if b.arrival = dst.awaitArrival(b.hash); b.arrival == nil {
+					reg.Counter(metrics.StagePulls).Inc() // in the store already
+				}
+			}
+			a := b.arrival
+			if a == nil {
+				continue
+			}
+			b.arrival = nil
+			err := dst.wait(ctx, a, patience)
+			if err == errHoled {
+				if buf, holes := dst.adopt(a); buf != nil {
+					// Every chunk arrived, some corrupt: those are requested
+					// again, into the push's buffer.
+					b.buf, b.size, b.mend = buf, int64(len(buf)), true
+					b.left.Store(a.missing.Load())
+					for _, h := range holes {
+						wave = append(wave, span{b, h[0], h[1]})
+					}
+					reg.Counter(metrics.StageChunkRetries).Add(int64(len(holes)))
+					b.counted = true
+					continue
+				}
+			}
+			switch {
+			case err == nil:
+				if b.counted {
+					reg.Counter(metrics.StagePulls).Inc()
+				}
+			case ctx.Err() != nil || round >= cfg.PullRetries:
+				b.fail(err)
+			default:
+				// What the push did not bring is pulled.
+				b.counted = true
+				wave = pl.lead(wave, b)
+			}
+		}
+		if len(wave) == 0 {
+			break
+		}
 	}
 	for _, conn := range conns {
 		if conn != nil {
@@ -395,6 +520,20 @@ func PullAll(ctx context.Context, dial Dialer, refs []FileRef, dst *Store, cfg C
 		}
 	}
 	return errs
+}
+
+// lead appends the first span of a blob to request to wave: the whole of
+// it when the ref sized it, else its leading chunk.
+func (pl *pullPlan) lead(wave []span, b *pullBlob) []span {
+	if b.want <= 0 {
+		b.size = -1
+		return append(wave, span{b, 0, int64(pl.cfg.ChunkSize)})
+	}
+	if err := b.setSize(b.want, pl.dst); err != nil {
+		b.fail(err)
+		return wave
+	}
+	return append(wave, span{b, 0, b.want})
 }
 
 // dealSpans lays a wave's spans end to end and cuts the run into up to
@@ -469,6 +608,9 @@ func (pl *pullPlan) pullShare(ctx context.Context, conn net.Conn, missing []span
 			return conn
 		}
 		if conn == nil {
+			if round > 0 && !sleep(ctx, redialBackoff<<(round-1)) {
+				continue // the context ended: the next round fails the spans
+			}
 			conn, err = pl.dial(ctx)
 			if err != nil {
 				conn, lastErr = nil, err
@@ -507,7 +649,11 @@ func (pl *pullPlan) exchange(conn net.Conn, spans []span) (missing []span, got i
 		batch := spans[:min(len(spans), maxPipelined)]
 		spans = spans[len(batch):]
 		for _, sp := range batch {
-			req := append(make([]byte, framePrefix, framePrefix+96), opGet)
+			op := byte(opGet)
+			if sp.b.mend {
+				op = opMend
+			}
+			req := append(make([]byte, framePrefix, framePrefix+96), op)
 			req = wire.AppendString(req, sp.b.hash)
 			req = wire.AppendInt64(req, sp.off)
 			req = wire.AppendInt64(req, sp.end-sp.off)
@@ -551,6 +697,11 @@ func (pl *pullPlan) readResponse(conn net.Conn, sp span) (missing []span, got in
 		return fmt.Errorf("%w: ref says %d bytes, the serving store %d", ErrSizeMismatch, b.size, size)
 	}
 	switch {
+	case status == statusPushed:
+		// Every byte is on this store's inbox streams: the plan waits for
+		// the push. No chunks follow.
+		b.pushed.Store(true)
+		return nil, 0, nil
 	case status == statusNotFound:
 		b.fail(ErrNotFound)
 		return nil, 0, nil

@@ -290,3 +290,26 @@ func TestDealSpansKeepsUnsizedLeadWhole(t *testing.T) {
 		}
 	}
 }
+
+// TestPullBacksOffBetweenRedials: a dial that fails fast for a while does
+// not spend the whole retry budget at once. Between rounds the plan waits
+// a doubling pause, so a server that comes back within ~50 ms is reached.
+func TestPullBacksOffBetweenRedials(t *testing.T) {
+	src, _ := NewStore(Config{}, nil)
+	dst, _ := NewStore(Config{}, nil)
+	data := randBlob(t, 40<<10)
+	ref := src.Put(data)
+	cfg := Config{ChunkSize: 16 << 10, Stripes: 1, IdleTimeout: time.Second}
+	dial := pipeDialer(src, cfg, nil, nil)
+	start := time.Now()
+	refusing := func(ctx context.Context) (net.Conn, error) {
+		if time.Since(start) < 50*time.Millisecond {
+			return nil, errors.New("connection refused")
+		}
+		return dial(ctx)
+	}
+	if err := Pull(context.Background(), refusing, ref.Hash, dst, cfg, nil); err != nil {
+		t.Fatalf("pull against a server back after 50 ms: %v", err)
+	}
+	wantBlob(t, dst, ref, data)
+}

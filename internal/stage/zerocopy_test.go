@@ -54,7 +54,7 @@ func TestServeGetWarmChunksZeroCopy(t *testing.T) {
 	cfg := Config{ChunkSize: 64 << 10, IdleTimeout: -1}.WithDefaults()
 	// Swallow the status frame through the plain Write path above, then
 	// serve the whole blob.
-	if err := serveGet(gc, src, cfg, metrics.NewRegistry(), ref.Hash, 0, 0, cfg.ChunkSize); err != nil {
+	if _, err := serveGet(gc, src, cfg, metrics.NewRegistry(), ref.Hash, 0, 0, cfg.ChunkSize); err != nil {
 		t.Fatal(err)
 	}
 	if len(gc.segs) != 4 {

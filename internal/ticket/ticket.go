@@ -31,6 +31,7 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"hash"
 	"sync"
 	"time"
 
@@ -302,9 +303,43 @@ func Seal(key []byte, c Claims) []byte {
 	body = wire.AppendString(body, c.Service)
 	body = wire.AppendInt64(body, c.Expiry.Unix())
 	body = wire.AppendBytes(body, c.Inner)
-	mac := hmac.New(sha256.New, key)
+	mac, pool := keyedMAC(key)
+	defer pool.Put(mac)
 	mac.Write(body)
 	return mac.Sum(body)
+}
+
+// maxKeyedPools bounds how many sealing keys keep a pool of keyed MAC
+// states; past it the pools start over. A process holds a handful: the
+// master key, its service keys and a session key.
+const maxKeyedPools = 64
+
+// macs holds, per sealing key, HMAC-SHA256 states already keyed: Reset
+// returns one to the state just after keying, so checking a credential
+// neither hashes the key into the pads again nor allocates the two
+// digests hmac.New does.
+var macs struct {
+	mu    sync.Mutex
+	pools map[string]*sync.Pool
+}
+
+// keyedMAC returns a reset HMAC-SHA256 state for key and the pool to put
+// it back in.
+func keyedMAC(key []byte) (hash.Hash, *sync.Pool) {
+	macs.mu.Lock()
+	pool := macs.pools[string(key)]
+	if pool == nil {
+		if len(macs.pools) >= maxKeyedPools || macs.pools == nil {
+			macs.pools = make(map[string]*sync.Pool)
+		}
+		k := string(key)
+		pool = &sync.Pool{New: func() any { return hmac.New(sha256.New, []byte(k)) }}
+		macs.pools[k] = pool
+	}
+	macs.mu.Unlock()
+	mac := pool.Get().(hash.Hash)
+	mac.Reset()
+	return mac, pool
 }
 
 // Open verifies a sealed credential and decodes its claims. A forged or
@@ -317,9 +352,12 @@ func Open(key []byte, want Purpose, sealed []byte, now time.Time) (Claims, error
 		return Claims{}, ErrInvalidTicket
 	}
 	body, sum := sealed[:len(sealed)-sha256.Size], sealed[len(sealed)-sha256.Size:]
-	mac := hmac.New(sha256.New, key)
+	mac, pool := keyedMAC(key)
 	mac.Write(body)
-	if !hmac.Equal(mac.Sum(nil), sum) {
+	var tag [sha256.Size]byte
+	valid := hmac.Equal(mac.Sum(tag[:0]), sum)
+	pool.Put(mac)
+	if !valid {
 		return Claims{}, ErrInvalidTicket
 	}
 	buf := wire.NewBuffer(body[1:])

@@ -266,6 +266,13 @@ func (st *Stream) releaseOOOLocked() {
 	st.oooBytes = 0
 }
 
+// Buffered returns how many received bytes wait to be read.
+func (st *Stream) Buffered() int {
+	st.recvMu.Lock()
+	defer st.recvMu.Unlock()
+	return st.recvBuf.Len()
+}
+
 // Read implements net.Conn. It returns io.EOF after the peer half-closes
 // and all buffered data is consumed.
 func (st *Stream) Read(p []byte) (int, error) {
