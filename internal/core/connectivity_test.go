@@ -226,6 +226,49 @@ func TestHungSiteCannotStallGossip(t *testing.T) {
 	}
 }
 
+// TestEvictionDoesNotWaitForTheBye: a Get that makes room in a full
+// connection cache returns while the tunnel it evicted still waits for
+// the hung peer to answer its bye, and that tunnel closes once the peer
+// answers. The caller used to wait the bye out (up to byeTimeout) before
+// the cache closed the tunnel.
+func TestEvictionDoesNotWaitForTheBye(t *testing.T) {
+	g := newHandGrid(t, "byehang")
+	cfg := core.Config{
+		PeerCache: peerlink.CacheConfig{MaxTunnels: 1},
+		Gossip:    core.GossipConfig{Interval: time.Hour, SummaryEvery: time.Hour},
+	}
+	a := g.start("sitea", g.wan, 0, nil, cfg)
+	flakyB := failure.New(g.wan)
+	g.start("siteb", flakyB, 0, nil, cfg)
+	t.Cleanup(flakyB.Heal) // runs first, so siteb can close
+	g.start("sitec", g.wan, 0, nil, cfg)
+
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := a.Connect(ctx, "siteb", "wan.siteb"); err != nil {
+		t.Fatal(err)
+	}
+	evicted := a.TunnelDone("siteb")
+	if evicted == nil {
+		t.Fatal("no tunnel to siteb held")
+	}
+	flakyB.Hang()
+	if err := a.Connect(ctx, "sitec", "wan.sitec"); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-evicted:
+		t.Fatal("the Get that evicted siteb returned after its tunnel closed: it waited out the bye")
+	default:
+	}
+	flakyB.Heal()
+	select {
+	case <-evicted:
+	case <-ctx.Done():
+		t.Fatal("the evicted tunnel never closed")
+	}
+}
+
 // TestHungHostingSiteIsRescheduled is the hung-peer case end to end: a
 // site hosting ranks of a running job stops answering without its
 // connections dying (failure.Hang, not a kill). No session ever closes

@@ -15,6 +15,15 @@ func SetHelloTimeout(p *Proxy, d time.Duration) { p.helloWait = d }
 // before Start.
 func SetInboxStreams(p *Proxy, n int) { p.inboxStreams = n }
 
+// TunnelDone returns the Done channel of the tunnel p's connection cache
+// holds to site, or nil when it holds none.
+func (p *Proxy) TunnelDone(site string) <-chan struct{} {
+	if pr, ok := p.cache.Peek(site); ok {
+		return pr.Done()
+	}
+	return nil
+}
+
 // PushesTo returns p's pushing side towards site.
 func PushesTo(p *Proxy, site string) *stage.Outbox { return p.outbox(site) }
 

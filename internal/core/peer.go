@@ -72,10 +72,18 @@ func (pr *peer) abort() { _ = pr.conn.Close() }
 // and that may be a control handler of the very tunnel evicted (a handler
 // that dials evicts the least recently used tunnel, which can be its
 // own): Close kills the connection and waits for no handler. The control
-// channel and its handlers see the read fail and end on their own.
+// channel and its handlers see the read fail and end on their own. Every
+// tunnel the cache lets go is marked evicted first (evictPeer), which
+// closes it once its bye is answered: Close leaves such a tunnel alone.
 func (pr *peer) Done() <-chan struct{} { return pr.session.Done() }
-func (pr *peer) Close() error          { pr.abort(); return pr.session.Close() }
-func (pr *peer) Busy() bool            { return pr.session.NumStreams() > 1+int(pr.quiet.Load()) }
+func (pr *peer) Close() error {
+	if pr.evicted.Load() {
+		return nil
+	}
+	pr.abort()
+	return pr.session.Close()
+}
+func (pr *peer) Busy() bool { return pr.session.NumStreams() > 1+int(pr.quiet.Load()) }
 
 // Connect introduces a remote site by address: the address enters the
 // membership directory as a seed, and one synchronous attempt to reach it
@@ -418,16 +426,25 @@ const byeTimeout = 250 * time.Millisecond
 
 // evictPeer is the connection cache's pre-close hook: mark the teardown
 // as expected on this side and announce it to the remote, so neither
-// directory reads a disposable tunnel's close as site failure. During
-// shutdown p.ctx is already cancelled and the bye degrades to a no-op —
-// a crashing or stopping proxy SHOULD look unannounced to its peers.
+// directory reads a disposable tunnel's close as site failure, then close
+// the tunnel. The bye and the close run on their own goroutine: whoever
+// made room in the cache does not wait up to byeTimeout for a peer that
+// is slow to answer. During shutdown p.ctx is already cancelled and the
+// bye degrades to a no-op — a crashing or stopping proxy SHOULD look
+// unannounced to its peers.
 func (p *Proxy) evictPeer(site string, pr *peer) {
 	pr.evicted.Store(true)
-	ctx, cancel := context.WithTimeout(p.ctx, byeTimeout)
-	defer cancel()
-	if _, err := p.callPeer(ctx, pr, &proto.PeerBye{Reason: "evicted"}); err != nil {
-		p.log.Debug("bye announcement failed", "site", site, "err", err)
-	}
+	p.wg.Add(1)
+	go func() {
+		defer p.wg.Done()
+		ctx, cancel := context.WithTimeout(p.ctx, byeTimeout)
+		defer cancel()
+		if _, err := p.callPeer(ctx, pr, &proto.PeerBye{Reason: "evicted"}); err != nil {
+			p.log.Debug("bye announcement failed", "site", site, "err", err)
+		}
+		pr.abort()
+		_ = pr.session.Close()
+	}()
 }
 
 // watchPeer reacts to the peer's session ending. A teardown the

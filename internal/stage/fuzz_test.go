@@ -131,7 +131,8 @@ func FuzzServeRequests(f *testing.F) {
 
 	// Push scripts, answering an inbox request: a clean push of blob 0, a
 	// truncated share header, a blob over the receiving store's cap, a
-	// corrupt chunk, bytes that are not the blob's.
+	// corrupt chunk, bytes that are not the blob's, a share cut short and
+	// a late share of the same push.
 	ok := wireStatus(statusOK, 0)
 	share := wireShare(1, pushedSpanWire{refs[0].Hash, 5000, 0, 5000})
 	pushed := wirePushed(blobs[0], 1<<10)
@@ -142,6 +143,7 @@ func FuzzServeRequests(f *testing.F) {
 	f.Add(odd, concat(ok, wireShare(2, pushedSpanWire{refs[0].Hash, 1 << 20, 0, 1 << 20}), pushed))
 	f.Add(odd, concat(ok, share, badCRC))
 	f.Add(odd, concat(ok, share, wirePushed(seededBlob(23, 5000), 1<<10)))
+	f.Add(odd, concat(ok, cutThenLateShare(blobs[0], 1<<10)))
 	inboxReq := fuzzGet(nil, "", 0, 0, 0)
 	inboxReq[4] = opInbox
 	f.Add(concat(inboxReq, []byte{0, 0, 0, 3, ackStored, 0, 0}), concat(ok, share, pushed))
@@ -197,12 +199,17 @@ func checkPushed(t *testing.T, s *Store) {
 			t.Fatalf("a pushed blob entered the store unverified as %s", short(hash))
 		}
 	}
-	settled := append([]*arrival(nil), s.unclaimed...)
 	s.mu.Unlock()
-	for _, a := range settled {
-		s.abandon(a)
-	}
+	letGo(s)
 	wantQuiet(t, s)
+}
+
+// letGo settles maxSettled empty arrivals, which lets every earlier one
+// go at the bound.
+func letGo(s *Store) {
+	for i := 0; i < maxSettled; i++ {
+		s.settle(&incoming{done: make(chan struct{})}, nil)
+	}
 }
 
 // checkServed replays the request script against what Serve wrote.

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -30,17 +31,11 @@ import (
 // A share header announces every span its stream will carry, so the
 // receiver registers the blobs before the prepare written behind them is
 // stepped. A server that predates pushes answers the inbox request with
-// statusBad, gets no pushes and is pulled from as before.
+// statusBad, gets no pushes and is pulled from as before. Op 3 and
+// status 3 are reserved: earlier builds of protocol 6 used them to mend a
+// pushed blob. They are not reused, and an op 3 is answered statusBad.
 const (
 	opInbox = 2
-	// opMend is a get for the corrupt chunks of a pushed blob: never
-	// answered statusPushed. Only a server that pushes is asked it.
-	opMend = 3
-
-	// statusPushed answers a get for a blob the server is pushing to the
-	// asker, once every byte of it is written: no chunks follow, and the
-	// asker waits for the push.
-	statusPushed = 3
 
 	ackStored = 0 // verified and in the store
 	ackHeld   = 1 // already held, or arriving by another push: the rest is not wanted
@@ -52,14 +47,15 @@ const (
 	// heldRecord is how many hashes an Outbox remembers its peer holding.
 	heldRecord = 1024
 
-	// maxSettled bounds the pushed blobs a store keeps settled for plans
-	// that have not asked for them yet (their job may have been aborted).
+	// maxSettled bounds the settled pushes a store remembers: for plans
+	// that have not asked for their blob yet (their job may have been
+	// aborted), and to refuse a late share of a push that ended.
 	maxSettled = 256
 )
 
-// errPushLost reports a push a server announced that never reached the
-// store; the blob is pulled instead.
-var errPushLost = errors.New("stage: announced push did not arrive")
+// errPushLost reports a push that made no progress for as long as a
+// stream may idle; the blob is pulled instead.
+var errPushLost = errors.New("stage: push stalled")
 
 // errHoled settles a pushed blob whose every chunk arrived but some
 // failed their checksum: the plan that waits for it requests just those.
@@ -87,19 +83,11 @@ func validHash(s string) bool {
 
 // outBlob is one blob on its way to the peer.
 type outBlob struct {
-	hash    string
-	push    uint64       // the push that carries it: an ack names it
-	spans   atomic.Int32 // spans not yet written or cut
-	failed  atomic.Bool  // a span was cut: the peer cannot complete it
-	refused atomic.Bool  // the peer said it holds the blob
-	written chan struct{}
-	stored  time.Time // when the peer said it stored the blob; guarded by Outbox.mu
+	hash  string
+	push  uint64       // the push that carries it: an ack names it
+	spans atomic.Int32 // spans not yet written or cut
+	cut   atomic.Bool  // the rest is not written: the peer cannot complete it, or holds it
 }
-
-// storedGrace is how long after the peer says it stored a pushed blob a
-// get for it is still answered statusPushed: the peer's plan may have
-// asked before the blob registered, and the ask crosses the ack.
-const storedGrace = time.Second
 
 // Outbox is the pushing side towards one peer: the inbox streams the peer
 // opened, the record of blobs the peer holds, and the blobs on their way.
@@ -152,13 +140,7 @@ func (o *Outbox) Streams() int {
 func (o *Outbox) Pushing() int {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	n := 0
-	for _, b := range o.pushing {
-		if b.stored.IsZero() {
-			n++
-		}
-	}
-	return n
+	return len(o.pushing)
 }
 
 func (o *Outbox) recordLocked(hash string) {
@@ -180,10 +162,9 @@ func (o *Outbox) record(hash string) {
 // Serve answers the peer's requests on one inbound stage stream, as the
 // package-level Serve does, and takes the peer's inbox streams: such a
 // stream is answered OK and kept for pushes until it ends, and the acks
-// read off it keep the record. A get for a blob on its way to the peer
-// waits until the blob's bytes are written and is answered statusPushed;
-// a get served to its blob's end records the blob as held. inbox, if not
-// nil, counts the stream while it is an inbox.
+// read off it keep the record. A get served to its blob's end records
+// the blob as held. inbox, if not nil, counts the stream while it is an
+// inbox.
 func (o *Outbox) Serve(conn net.Conn, inbox *atomic.Int32) error {
 	return serve(conn, o.store, o, inbox, o.cfg, o.reg)
 }
@@ -218,24 +199,14 @@ func (o *Outbox) adopt(conn net.Conn) error {
 			o.recordLocked(hash)
 		}
 		b := o.pushing[hash]
-		if b != nil && b.push != push {
-			o.mu.Unlock()
-			continue // an ack of an earlier push of the same blob
-		}
-		if b != nil && status == ackStored {
-			b.stored = time.Now()
-		} else {
+		if b != nil && b.push == push {
 			delete(o.pushing, hash)
+		} else {
+			b = nil // an ack of an earlier push of the same blob
 		}
 		o.mu.Unlock()
-		if b != nil {
-			// Whatever of the blob is still to be written is not wanted.
-			switch status {
-			case ackHeld:
-				b.refused.Store(true)
-			case ackFailed:
-				b.failed.Store(true)
-			}
+		if b != nil && status != ackStored {
+			b.cut.Store(true) // whatever of it is still to be written is not wanted
 		}
 	}
 }
@@ -246,49 +217,14 @@ func (o *Outbox) adopt(conn net.Conn) error {
 func (o *Outbox) drop(conn net.Conn) {
 	o.mu.Lock()
 	delete(o.live, conn)
-	for i, c := range o.free {
-		if c == conn {
-			o.free = append(o.free[:i], o.free[i+1:]...)
-			break
-		}
-	}
+	o.free = slices.DeleteFunc(o.free, func(c net.Conn) bool { return c == conn })
 	for hash, b := range o.pushing {
-		select {
-		case <-b.written:
+		if b.spans.Load() == 0 {
 			delete(o.pushing, hash)
-		default:
 		}
 	}
 	o.mu.Unlock()
 	conn.Close()
-}
-
-// awaitPush reports whether a get for hash is answered statusPushed: the
-// blob is on its way to the peer and every byte of it is written. A push
-// still writing is waited for; one cut short is not pushed.
-func (o *Outbox) awaitPush(hash string) bool {
-	o.mu.Lock()
-	b := o.pushing[hash]
-	if b != nil && !b.stored.IsZero() {
-		o.mu.Unlock()
-		return time.Since(b.stored) < storedGrace
-	}
-	o.mu.Unlock()
-	if b == nil {
-		return false
-	}
-	patience := o.cfg.IdleTimeout
-	if patience <= 0 {
-		patience = DefaultIdleTimeout
-	}
-	timer := time.NewTimer(patience)
-	defer timer.Stop()
-	select {
-	case <-b.written:
-		return !b.failed.Load() && !b.refused.Load()
-	case <-timer.C:
-		return false // a stalled push: the bytes are served
-	}
 }
 
 // Push is one set of blobs on its way to the peer, a share per inbox
@@ -297,7 +233,7 @@ type Push struct {
 	o      *Outbox
 	conns  []net.Conn // nil once lost
 	shares [][]span
-	blobs  map[*pullBlob]*outBlob
+	blobs  map[*incoming]*outBlob
 }
 
 // Push starts pushing the blobs refs name that the record does not say
@@ -310,14 +246,9 @@ type Push struct {
 // bytes. It returns nil when it pushes nothing.
 func (o *Outbox) Push(refs []FileRef) *Push {
 	o.mu.Lock()
-	for hash, b := range o.pushing {
-		if !b.stored.IsZero() && time.Since(b.stored) >= storedGrace {
-			delete(o.pushing, hash)
-		}
-	}
 	var (
 		spans []span
-		out   map[*pullBlob]*outBlob
+		out   map[*incoming]*outBlob
 	)
 	for _, ref := range refs {
 		if len(spans) == maxPipelined || len(o.free) == 0 {
@@ -327,10 +258,10 @@ func (o *Outbox) Push(refs []FileRef) *Push {
 		if held || o.pushing[ref.Hash] != nil || ref.Size <= 0 || ref.Hash == emptyHash {
 			continue
 		}
-		pb := &pullBlob{hash: ref.Hash, size: ref.Size}
-		b := &outBlob{hash: ref.Hash, push: o.seq + 1, written: make(chan struct{})}
+		pb := &incoming{hash: ref.Hash, size: ref.Size}
+		b := &outBlob{hash: ref.Hash, push: o.seq + 1}
 		if out == nil {
-			out = make(map[*pullBlob]*outBlob)
+			out = make(map[*incoming]*outBlob)
 		}
 		o.pushing[ref.Hash] = b
 		out[pb] = b
@@ -380,24 +311,22 @@ func (p *Push) lost(i, k int) {
 	p.conns[i] = nil
 	for _, sp := range p.shares[i][k:] {
 		b := p.blobs[sp.b]
-		b.failed.Store(true)
+		b.cut.Store(true)
 		p.spanDone(b)
 	}
 }
 
-// spanDone counts one span of b written or cut; the last one settles b.
+// spanDone counts one span of b written or cut; the last one forgets a
+// blob that was cut.
 func (p *Push) spanDone(b *outBlob) {
-	if b.spans.Add(-1) != 0 {
+	if b.spans.Add(-1) != 0 || !b.cut.Load() {
 		return
 	}
-	if b.failed.Load() {
-		p.o.mu.Lock()
-		if p.o.pushing[b.hash] == b {
-			delete(p.o.pushing, b.hash)
-		}
-		p.o.mu.Unlock()
+	p.o.mu.Lock()
+	if p.o.pushing[b.hash] == b {
+		delete(p.o.pushing, b.hash)
 	}
-	close(b.written)
+	p.o.mu.Unlock()
 }
 
 // Run writes the push's bytes, each share on its stream, and returns when
@@ -424,38 +353,17 @@ func (p *Push) runShare(ctx context.Context, i int) {
 	cw := newChunkWriter(conn, p.o.cfg.ChunkSize)
 	for k, sp := range p.shares[i] {
 		b := p.blobs[sp.b]
-		for pos := sp.off; pos < sp.end; {
-			n := min(int64(p.o.cfg.ChunkSize), sp.end-pos)
-			var (
-				loan ChunkLoan
-				ok   bool
-			)
-			cut := ctx.Err() != nil || b.failed.Load() || b.refused.Load()
-			if !cut {
-				if loan, ok = p.o.store.LoanChunk(b.hash, pos, n); !ok {
-					cut = true // it left the store: the peer pulls it, or learns it is gone
-				}
-			}
-			var err error
-			armWrite(conn, p.o.cfg.IdleTimeout)
-			if cut {
-				if !b.refused.Load() {
-					b.failed.Store(true)
-				}
-				err = cw.write(nil) // the terminator
-			} else {
-				err = cw.write(loan.Data)
-				loan.Release()
-			}
-			if err != nil {
-				p.lost(i, k)
-				return
-			}
-			if cut {
-				break
-			}
-			p.o.reg.Counter(metrics.StageBytesSent).Add(n)
-			pos += n
+		// A blob that left the store is cut too: the peer pulls it, or
+		// learns it is gone.
+		err := cw.writeChunks(p.o.store, b.hash, sp.off, sp.end, p.o.cfg.IdleTimeout, p.o.reg, func() bool {
+			return ctx.Err() != nil || b.cut.Load()
+		})
+		if err != nil && err != errCut {
+			p.lost(i, k)
+			return
+		}
+		if err == errCut {
+			b.cut.Store(true)
 		}
 		p.spanDone(b)
 	}

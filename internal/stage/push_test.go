@@ -1,6 +1,7 @@
 package stage
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"hash/crc32"
@@ -148,6 +149,68 @@ func TestInboxAgainstAServerThatDoesNotPush(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantBlob(t, dst, ref, data)
+}
+
+// TestSettledPushesAreOneBoundedRecord: on one inbox stream, push 7's
+// first share of a blob is cut by a terminator, and its second share of
+// the same blob is then refused (ackFailed) without beginning an arrival.
+// Push 8's blob arrives with a corrupt chunk and settles holed, its
+// buffer kept for a plan that never comes; once maxSettled later pushes
+// have settled it is let go, and no buffer or pin is left.
+func TestSettledPushesAreOneBoundedRecord(t *testing.T) {
+	const chunk = 16 << 10
+	cut, holed := seededBlob(66, 96<<10), seededBlob(67, 80<<10)
+	corrupt := wirePushed(holed, chunk)
+	corrupt[chunkHeader+100] ^= 0x01
+	s, _ := NewStore(Config{}, nil)
+	conn := &scriptConn{in: bytes.NewReader(concat(wireStatus(statusOK, 0),
+		cutThenLateShare(cut, chunk),
+		wireShare(8, pushedSpanWire{Hash(holed), int64(len(holed)), 0, int64(len(holed))}), corrupt))}
+	if err := NewInbox(s, Config{ChunkSize: chunk}, nil).Receive(conn); err != nil {
+		t.Fatal(err)
+	}
+	raw := conn.out.Bytes()
+	out := wire.NewBuffer(raw[framePrefix+binary.BigEndian.Uint32(raw):]) // past the inbox request
+	type ack struct {
+		status byte
+		push   uint64
+		hash   string
+	}
+	var acks []ack
+	for out.Remaining() > 0 && out.Err() == nil {
+		out.Uint32()
+		acks = append(acks, ack{out.Uint8(), out.Uint64(), out.String()})
+	}
+	want := []ack{{ackFailed, 7, Hash(cut)}, {ackFailed, 7, Hash(cut)}, {ackFailed, 8, Hash(holed)}}
+	if len(acks) != len(want) || acks[0] != want[0] || acks[1] != want[1] || acks[2] != want[2] {
+		t.Fatalf("acks %v, want the cut, the refusal of the late share and the holed blob %v", acks, want)
+	}
+	s.mu.Lock()
+	settled, waiting := len(s.settled), s.arrivals[Hash(holed)] != nil
+	s.mu.Unlock()
+	if settled != 2 || !waiting {
+		t.Fatalf("%d pushes settled (want 2: no arrival for the late share), holed blob kept for a plan: %v", settled, waiting)
+	}
+	if bytes, _ := s.Outstanding(); bytes < int64(len(holed)) {
+		t.Fatalf("%d bytes outstanding, want the holed blob's buffer kept", bytes)
+	}
+	letGo(s)
+	s.mu.Lock()
+	left := len(s.arrivals)
+	s.mu.Unlock()
+	if left != 0 {
+		t.Errorf("%d arrivals left after the bound let them go", left)
+	}
+	wantQuiet(t, s)
+}
+
+// cutThenLateShare is an inbox script: push 7 announces the first half of
+// data, writes its first chunk and cuts the rest with a terminator, then
+// announces the second half and writes it.
+func cutThenLateShare(data []byte, chunk int) []byte {
+	hash, size, half := Hash(data), int64(len(data)), int64(len(data)/2)
+	return concat(wireShare(7, pushedSpanWire{hash, size, 0, half}), wirePushed(data[:chunk], chunk), wireChunk(0, 0, nil),
+		wireShare(7, pushedSpanWire{hash, size, half, size}), wirePushed(data[half:], chunk))
 }
 
 // pushedSpanWire is one span of a share header.

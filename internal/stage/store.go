@@ -135,11 +135,12 @@ type Store struct {
 	pins  atomic.Int64 // Views and ChunkLoans not yet released
 
 	// arrivals are the blobs peers are pushing into the store, and those
-	// pushed for plans that have not asked yet (push.go); unclaimed holds
-	// the settled ones no plan waits on, oldest first.
-	arrivals  map[string]*arrival
-	unclaimed []*arrival
+	// pushed for plans that have not asked yet (inbox.go); settled are the
+	// last pushes that ended, oldest first.
+	arrivals  map[string]*incoming
+	settled   []*incoming
 	receivers map[*receiver]struct{} // the inbox streams feeding the store
+	caught    chan struct{}          // closed when a receiver registers a header, then replaced
 }
 
 type blob struct {
@@ -160,8 +161,9 @@ func NewStore(cfg Config, reg *metrics.Registry) (*Store, error) {
 		spill:     cfg.DiskSpill && cfg.Dir != "",
 		blobs:     make(map[string]*blob),
 		lru:       list.New(),
-		arrivals:  make(map[string]*arrival),
+		arrivals:  make(map[string]*incoming),
 		receivers: make(map[*receiver]struct{}),
+		caught:    make(chan struct{}),
 		reg:       reg,
 		arena:     newArena(reg),
 	}

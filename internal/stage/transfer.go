@@ -133,12 +133,7 @@ func serve(conn net.Conn, store *Store, o *Outbox, inbox *atomic.Int32, cfg Conf
 			return writeFrame(conn, cfg.IdleTimeout, statusFrame(statusBad, 0))
 		}
 		switch {
-		case op == opGet && o != nil && o.awaitPush(hash):
-			size, _ := store.Stat(hash)
-			if err := writeFrame(conn, cfg.IdleTimeout, statusFrame(statusPushed, size)); err != nil {
-				return err
-			}
-		case op == opGet || op == opMend && o != nil:
+		case op == opGet:
 			full, err := serveGet(conn, store, cfg, reg, hash, offset, length, chunk)
 			if err != nil {
 				return err
@@ -160,6 +155,15 @@ func serve(conn net.Conn, store *Store, o *Outbox, inbox *atomic.Int32, cfg Conf
 	}
 }
 
+// request is a request frame, for writeFrame.
+func request(op byte, hash string, offset, length int64, chunk int) []byte {
+	req := append(make([]byte, framePrefix, framePrefix+96), op)
+	req = wire.AppendString(req, hash)
+	req = wire.AppendInt64(req, offset)
+	req = wire.AppendInt64(req, length)
+	return wire.AppendUint32(req, uint32(chunk))
+}
+
 func statusFrame(status byte, size int64) []byte {
 	out := append(make([]byte, framePrefix, framePrefix+9), status)
 	return wire.AppendInt64(out, size)
@@ -171,15 +175,9 @@ type bufferWriter interface {
 	WriteBuffers(segs ...[]byte) (int64, error)
 }
 
-// serveGet streams the requested range as checksummed chunks, leased
-// one at a time from the store. A memory-resident blob's loans alias
-// its backing array, so on the vectored-write path (a bare tunnel
-// stream) the bytes travel disk→store→wire with no intermediate copy:
-// the chunk header and payload are gathered straight into the tunnel's
-// pooled frame buffers. The assembled-frame fallback exists for
-// fault-injection wrappers (which see the conn interface only) so they
-// can corrupt a chunk without desynchronizing the framing. full reports
-// a response that ran to the blob's end.
+// serveGet answers one get: a header, then the requested range as
+// chunks (writeChunks). full reports a response that ran to the blob's
+// end.
 func serveGet(conn net.Conn, store *Store, cfg Config, reg *metrics.Registry, hash string, offset, length int64, chunk int) (full bool, err error) {
 	size, ok := store.Stat(hash)
 	if !ok {
@@ -198,31 +196,13 @@ func serveGet(conn net.Conn, store *Store, cfg Config, reg *metrics.Registry, ha
 	if err := writeFrame(conn, cfg.IdleTimeout, statusFrame(statusOK, size)); err != nil {
 		return false, err
 	}
-	cw := newChunkWriter(conn, chunk)
-	for pos := offset; pos < end; {
-		n := int64(chunk)
-		if pos+n > end {
-			n = end - pos
-		}
-		loan, ok := store.LoanChunk(hash, pos, n)
-		if !ok {
-			// The blob vanished between the stat and this chunk (evicted
-			// with no spill tier). Breaking the connection mid-response
-			// is the honest signal: the puller's framing would desync on
-			// anything else, and its retry path re-stats.
-			return false, fmt.Errorf("stage: blob %s evicted mid-transfer", short(hash))
-		}
-		armWrite(conn, cfg.IdleTimeout)
-		err := cw.write(loan.Data)
-		loan.Release()
-		if err != nil {
-			return false, err
-		}
-		reg.Counter(metrics.StageBytesSent).Add(n)
-		pos += n
-	}
-	return end == size, nil
+	err = newChunkWriter(conn, chunk).writeChunks(store, hash, offset, end, cfg.IdleTimeout, reg, nil)
+	return err == nil && end == size, err
 }
+
+// errCut is a push's terminator: the rest of the span is not coming, and
+// the stream is still in step.
+var errCut = errors.New("stage: push cut short")
 
 // chunkWriter writes chunks, each behind its length and CRC-32C. On a
 // stream with a vectored write the header and the payload are gathered
@@ -230,17 +210,54 @@ func serveGet(conn net.Conn, store *Store, cfg Config, reg *metrics.Registry, ha
 // assembled Write so a corrupted chunk never desynchronizes the framing.
 type chunkWriter struct {
 	conn  net.Conn
+	chunk int
 	bw    bufferWriter
 	frame []byte
 	hdr   [chunkHeader]byte
 }
 
 func newChunkWriter(conn net.Conn, chunk int) *chunkWriter {
-	cw := &chunkWriter{conn: conn}
+	cw := &chunkWriter{conn: conn, chunk: chunk}
 	if cw.bw, _ = conn.(bufferWriter); cw.bw == nil {
 		cw.frame = make([]byte, 0, chunkHeader+chunk)
 	}
 	return cw
+}
+
+// writeChunks writes bytes [pos, end) of the blob stored under hash, for
+// a get or a push, as chunks leased one at a time from the store: a
+// memory-resident blob's loans alias it, so on the vectored-write path
+// the bytes travel store→wire with no copy. A push passes cut, asked
+// before each chunk: when it says so, or the blob has left the store, a
+// terminator replaces the rest and errCut is returned. A get's blob that
+// leaves the store breaks the stream instead: the puller's framing would
+// desync on anything else, and its retry path re-stats.
+func (cw *chunkWriter) writeChunks(store *Store, hash string, pos, end int64, idle time.Duration, reg *metrics.Registry, cut func() bool) error {
+	for pos < end {
+		n := min(int64(cw.chunk), end-pos)
+		loan, ok := ChunkLoan{}, cut == nil || !cut()
+		if ok {
+			loan, ok = store.LoanChunk(hash, pos, n)
+		}
+		armWrite(cw.conn, idle)
+		if !ok && cut == nil {
+			return fmt.Errorf("stage: blob %s evicted mid-transfer", short(hash))
+		}
+		if !ok {
+			if err := cw.write(nil); err != nil {
+				return err
+			}
+			return errCut
+		}
+		err := cw.write(loan.Data)
+		loan.Release()
+		if err != nil {
+			return err
+		}
+		reg.Counter(metrics.StageBytesSent).Add(n)
+		pos += n
+	}
+	return nil
 }
 
 // write writes data as one chunk; no data is a push's terminator.
@@ -259,6 +276,55 @@ func (cw *chunkWriter) write(data []byte) error {
 		_, err = cw.conn.Write(cw.frame)
 	}
 	return err
+}
+
+// readChunks reads the chunks of bytes [pos, end) of b, for a get
+// response or a push, into b's buffer, or drops them when b is nil. It
+// returns the chunks that failed their checksum (framed correctly, so the
+// stream is in sync and only they move again) and after an error the part
+// not yet read; done reports that its bytes were b's last. The error is
+// errCut after a push's terminator, else the stream broke or lost framing.
+func readChunks(conn net.Conn, b *incoming, pos, end int64, idle time.Duration, reg *metrics.Registry) (missing []span, got int64, done bool, err error) {
+	var chdr [chunkHeader]byte
+	for pos < end {
+		unread := span{b, pos, end}
+		armRead(conn, idle)
+		if _, err := io.ReadFull(conn, chdr[:]); err != nil {
+			return append(missing, unread), got, false, err
+		}
+		n := int64(binary.BigEndian.Uint32(chdr[:4]))
+		if n == 0 {
+			return append(missing, unread), got, false, errCut
+		}
+		if pos+n > end || n > maxChunkSize {
+			return append(missing, unread), got, false, fmt.Errorf("stage: bad chunk length %d at offset %d", n, pos)
+		}
+		var dst, dropped []byte // a chunk no blob keeps is read into a pooled buffer
+		if b != nil {
+			dst = b.buf[pos : pos+n]
+		} else {
+			dropped = wire.GetPayload(int(n))
+			dst = dropped
+		}
+		armRead(conn, idle)
+		_, err := io.ReadFull(conn, dst)
+		wire.PutPayload(dropped)
+		if err != nil {
+			return append(missing, unread), got, false, err
+		}
+		switch {
+		case b == nil:
+		case binary.BigEndian.Uint32(chdr[4:]) != crc32.Checksum(dst, castagnoli):
+			reg.Counter(metrics.StageCorruptChunks).Inc()
+			missing = append(missing, span{b, pos, pos + n})
+		default:
+			reg.Counter(metrics.StageBytesReceived).Add(n)
+			got += n
+			done = b.left.Add(-n) == 0
+		}
+		pos += n
+	}
+	return missing, got, done, nil
 }
 
 // Dialer opens a fresh transfer connection to the serving site. A pull
@@ -292,39 +358,43 @@ func sleep(ctx context.Context, d time.Duration) bool {
 // puller's write against the server's; 32 requests are under 3 KiB.
 const maxPipelined = 32
 
-// span is a half-open byte range [off, end) of one blob still missing
-// from a pull plan: the unit of request, retry and resume.
+// span is a half-open byte range [off, end) of one incoming blob: the
+// unit of request, retry, resume and push.
 type span struct {
-	b        *pullBlob
+	b        *incoming
 	off, end int64
 }
 
-// pullBlob is one distinct blob of a pull plan. size and buf are set
-// before any span of the blob is in flight: from the ref, or by the one
-// leading span that learns the size from its get header (the blob's
-// other spans are only dealt in the wave after that).
-type pullBlob struct {
+// incoming is one blob on its way into a store: pulled by a plan, or
+// pushed by a peer (inbox.go) for the plans that wait on it. size and buf
+// are set before any span of it is in flight, or by the one leading span
+// that learns the size from its get header (the other spans are dealt in
+// the wave after that).
+type incoming struct {
 	hash string
-	refs []int        // indices of the plan's refs that name this blob
-	want int64        // the ref's size: <= 0 is unknown
 	size int64        // -1 until known
 	buf  []byte       // spans of different streams fill disjoint ranges
-	left atomic.Int64 // bytes not yet received and verified
-
-	// arrival is a push of the blob the plan waits on instead of asking
-	// for it; counted is false when another plan is the one that counts
-	// it as pulled. pushed is set when the server answered a get for the
-	// blob statusPushed.
-	arrival *arrival
-	counted bool
-	pushed  atomic.Bool
-	mend    bool // the spans are a pushed blob's corrupt chunks: asked for with opMend
+	left atomic.Int64 // bytes not yet read intact; a push counts its corrupt chunks as read, in holes
 
 	mu  sync.Mutex
 	err error // first failure; a failed blob's spans are dropped, not retried
+
+	// A pushed blob's. push, from, holes, claimed, settled and adopted are
+	// held under Store.mu.
+	push    uint64 // the push that announced it
+	from    *Inbox
+	state   atomic.Int32 // arriving, finishing, then arrived, holed or failed
+	readers atomic.Int32 // announced spans whose stream has not finished with them
+	alloc   sync.Once
+	freed   sync.Once
+	holes   []span        // the chunks that failed their checksum
+	done    chan struct{} // closed when it settles, err set
+	claimed bool          // a plan waits on it
+	settled bool
+	adopted bool // a plan took its holed buffer, or it was let go
 }
 
-func (b *pullBlob) fail(err error) {
+func (b *incoming) fail(err error) {
 	b.mu.Lock()
 	if b.err == nil {
 		b.err = err
@@ -332,7 +402,7 @@ func (b *pullBlob) fail(err error) {
 	b.mu.Unlock()
 }
 
-func (b *pullBlob) failure() error {
+func (b *incoming) failure() error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.err
@@ -340,7 +410,7 @@ func (b *pullBlob) failure() error {
 
 // setSize sizes the blob and its buffer. The size comes from a peer: one
 // the system cannot map fails the blob, not the process.
-func (b *pullBlob) setSize(size int64, dst *Store) error {
+func (b *incoming) setSize(size int64, dst *Store) error {
 	buf, err := dst.arena.alloc(int(size))
 	if err != nil {
 		return err
@@ -348,6 +418,32 @@ func (b *pullBlob) setSize(size int64, dst *Store) error {
 	b.size, b.buf = size, buf
 	b.left.Store(size)
 	return nil
+}
+
+// finish enters a blob whose every byte is read into the store if its
+// hash is its name, on the stream that read its last byte, so one blob's
+// hashing overlaps the others' bytes. A pushed blob with corrupt chunks
+// is not hashed: errHoled.
+func (s *Store) finish(b *incoming) error {
+	if len(b.holes) > 0 {
+		return errHoled
+	}
+	if got := s.hash(b.buf); got != b.hash {
+		return fmt.Errorf("stage: content hashes to %s, not %s", got, b.hash)
+	}
+	s.put(b.hash, b.buf)
+	b.buf = nil
+	return nil
+}
+
+// wanted is one distinct blob of a pull plan: the refs that name it, the
+// push it waits on, and the record the plan pulls it into.
+type wanted struct {
+	refs  []int
+	want  int64     // the ref's size: <= 0 is unknown
+	push  *incoming // the push it waits on, if any
+	first bool      // the first plan to wait on push: it counts the pull
+	in    *incoming // the plan's own record, once it pulls or mends
 }
 
 // pullPlan is the state one PullAll shares between its streams.
@@ -371,18 +467,17 @@ func Pull(ctx context.Context, dial Dialer, hash string, dst *Store, cfg Config,
 
 // PullAll brings every blob refs name into dst under one plan and
 // returns one error per ref (nil where the blob is now in dst). Refs dst
-// already holds are cache hits and cost nothing. A blob the serving peer
-// is pushing into dst is waited for, not asked for. The bytes of the
-// other missing blobs are laid end to end, cut into spans and dealt over
-// at most cfg.Stripes streams, all dialed at once; each stream writes the
-// get requests of its spans back to back and then reads the responses
-// in order, so a plan costs one open and one request round trip however
-// many blobs it names. Every chunk checksum is verified, corrupt chunks
-// are re-requested, a dropped stream redials and resumes from the bytes
-// already received, and each reassembled blob is verified against its
-// hash before it enters dst — one blob failing leaves the others whole.
-// A get the server answers statusPushed turns into a wait for the push,
-// and a push that fails is pulled.
+// already holds are cache hits and cost nothing. A blob a peer is pushing
+// into dst is waited for, once the inbox streams have registered the
+// share headers they hold (catchUp); a push that fails is pulled, and the
+// corrupt chunks of one are requested alone. The bytes of the other
+// missing blobs are laid end to end, cut into spans and dealt over at
+// most cfg.Stripes streams, all dialed at once; each stream writes the
+// get requests of its spans back to back and then reads the responses in
+// order, so a plan costs one open and one request round trip however
+// many blobs it names. Corrupt chunks are re-requested, a dropped stream
+// redials and resumes from the bytes already received, and one blob
+// failing leaves the others whole.
 //
 // Sizes come from the refs. A ref with Size <= 0 is of unknown size: its
 // leading chunk is requested first, as one request, the header of that
@@ -393,21 +488,26 @@ func PullAll(ctx context.Context, dial Dialer, refs []FileRef, dst *Store, cfg C
 	cfg = cfg.WithDefaults()
 	errs := make([]error, len(refs))
 	pl := &pullPlan{dial: dial, dst: dst, cfg: cfg, reg: reg}
-	dst.catchUp()
+	// How long the plan waits on inbox streams, even with deadlines off.
+	patience := cfg.IdleTimeout
+	if patience <= 0 {
+		patience = DefaultIdleTimeout
+	}
+	dst.catchUp(patience)
 	var (
-		blobs  []*pullBlob
-		byHash map[string]*pullBlob
+		blobs  []*wanted
+		byHash map[string]*wanted
 		wave   []span
 	)
 	for i, ref := range refs {
-		if b, ok := byHash[ref.Hash]; ok {
+		if w, ok := byHash[ref.Hash]; ok {
 			// A second name for a blob this plan already fetches moves no
 			// bytes of its own.
-			b.refs = append(b.refs, i)
+			w.refs = append(w.refs, i)
 			reg.Counter(metrics.StageCacheHits).Inc()
 			continue
 		}
-		a, first := dst.claimArrival(ref.Hash)
+		a, first := dst.claim(ref.Hash)
 		held := a == nil && dst.Has(ref.Hash)
 		if held || a != nil && !first {
 			// Held, or arriving by a push another plan counts.
@@ -426,114 +526,93 @@ func PullAll(ctx context.Context, dial Dialer, refs []FileRef, dst *Store, cfg C
 			}
 			continue
 		}
-		b := &pullBlob{hash: ref.Hash, refs: []int{i}, want: ref.Size, size: -1, arrival: a, counted: a == nil || first}
+		w := &wanted{refs: []int{i}, want: ref.Size, push: a, first: first}
 		if byHash == nil {
-			byHash = make(map[string]*pullBlob)
+			byHash = make(map[string]*wanted)
 		}
-		byHash[ref.Hash] = b
-		blobs = append(blobs, b)
+		byHash[ref.Hash] = w
+		blobs = append(blobs, w)
 		if a == nil {
-			wave = pl.lead(wave, b)
+			wave = pl.lead(wave, w, ref.Hash)
 		}
 	}
 
-	if len(blobs) == 0 {
-		return errs
-	}
-	patience := cfg.IdleTimeout
-	if patience <= 0 {
-		patience = DefaultIdleTimeout
-	}
 	// Streams stay open between waves: the one that learned a size also
 	// carries its share of the remainder.
 	conns := make([]net.Conn, cfg.Stripes)
-	for round := 0; ; round++ {
-		for len(wave) > 0 {
-			shares := dealSpans(wave, int64(cfg.ChunkSize), cfg.Stripes)
-			var wg sync.WaitGroup
-			for i := range shares {
-				wg.Add(1)
-				go func(i int) {
-					defer wg.Done()
-					conns[i] = pl.pullShare(ctx, conns[i], shares[i])
-				}(i)
-			}
-			wg.Wait()
-			wave, pl.discovered = pl.discovered, nil
+	pl.run(ctx, conns, wave)
+	wave = nil
+	for _, w := range blobs {
+		if w.push == nil {
+			continue
 		}
-		for _, b := range blobs {
-			if b.pushed.Swap(false) && b.failure() == nil {
-				dst.arena.free(b.buf)
-				b.buf = nil
-				if b.arrival = dst.awaitArrival(b.hash); b.arrival == nil {
-					reg.Counter(metrics.StagePulls).Inc() // in the store already
-				}
+		err := dst.wait(ctx, w.push, patience)
+		switch holes := dst.adopt(w.push, err); {
+		case err == nil:
+			if w.first {
+				reg.Counter(metrics.StagePulls).Inc()
 			}
-			a := b.arrival
-			if a == nil {
-				continue
-			}
-			b.arrival = nil
-			err := dst.wait(ctx, a, patience)
-			if err == errHoled {
-				if buf, holes := dst.adopt(a); buf != nil {
-					// Every chunk arrived, some corrupt: those are requested
-					// again, into the push's buffer.
-					b.buf, b.size, b.mend = buf, int64(len(buf)), true
-					b.left.Store(a.missing.Load())
-					for _, h := range holes {
-						wave = append(wave, span{b, h[0], h[1]})
-					}
-					reg.Counter(metrics.StageChunkRetries).Add(int64(len(holes)))
-					b.counted = true
-					continue
-				}
-			}
-			switch {
-			case err == nil:
-				if b.counted {
-					reg.Counter(metrics.StagePulls).Inc()
-				}
-			case ctx.Err() != nil || round >= cfg.PullRetries:
-				b.fail(err)
-			default:
-				// What the push did not bring is pulled.
-				b.counted = true
-				wave = pl.lead(wave, b)
-			}
-		}
-		if len(wave) == 0 {
-			break
+		case holes != nil:
+			// Every chunk arrived, some corrupt: those are requested
+			// again, into the push's buffer.
+			w.in = holes[0].b
+			wave = append(wave, holes...)
+			reg.Counter(metrics.StageChunkRetries).Add(int64(len(holes)))
+		default:
+			// What the push did not bring is pulled.
+			wave = pl.lead(wave, w, w.push.hash)
 		}
 	}
+	pl.run(ctx, conns, wave)
 	for _, conn := range conns {
 		if conn != nil {
 			conn.Close()
 		}
 	}
-	for _, b := range blobs {
-		dst.arena.free(b.buf) // nil once the store has it
-		if err := b.failure(); err != nil {
-			for _, i := range b.refs {
-				errs[i] = fmt.Errorf("stage: pull %s: %w", short(b.hash), err)
+	for _, w := range blobs {
+		if w.in == nil {
+			continue
+		}
+		dst.arena.free(w.in.buf) // nil once the store has it
+		if err := w.in.failure(); err != nil {
+			for _, i := range w.refs {
+				errs[i] = fmt.Errorf("stage: pull %s: %w", short(w.in.hash), err)
 			}
 		}
 	}
 	return errs
 }
 
-// lead appends the first span of a blob to request to wave: the whole of
-// it when the ref sized it, else its leading chunk.
-func (pl *pullPlan) lead(wave []span, b *pullBlob) []span {
-	if b.want <= 0 {
-		b.size = -1
+// run pulls wave and the waves the sizes it learns bring after it.
+func (pl *pullPlan) run(ctx context.Context, conns []net.Conn, wave []span) {
+	for len(wave) > 0 {
+		shares := dealSpans(wave, int64(pl.cfg.ChunkSize), pl.cfg.Stripes)
+		var wg sync.WaitGroup
+		for i := range shares {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				conns[i] = pl.pullShare(ctx, conns[i], shares[i])
+			}(i)
+		}
+		wg.Wait()
+		wave, pl.discovered = pl.discovered, nil
+	}
+}
+
+// lead makes w's record and appends the first span of it to request to
+// wave: the whole blob when the ref sized it, else its leading chunk.
+func (pl *pullPlan) lead(wave []span, w *wanted, hash string) []span {
+	b := &incoming{hash: hash, size: -1}
+	w.in = b
+	if w.want <= 0 {
 		return append(wave, span{b, 0, int64(pl.cfg.ChunkSize)})
 	}
-	if err := b.setSize(b.want, pl.dst); err != nil {
+	if err := b.setSize(w.want, pl.dst); err != nil {
 		b.fail(err)
 		return wave
 	}
-	return append(wave, span{b, 0, b.want})
+	return append(wave, span{b, 0, w.want})
 }
 
 // dealSpans lays a wave's spans end to end and cuts the run into up to
@@ -649,15 +728,7 @@ func (pl *pullPlan) exchange(conn net.Conn, spans []span) (missing []span, got i
 		batch := spans[:min(len(spans), maxPipelined)]
 		spans = spans[len(batch):]
 		for _, sp := range batch {
-			op := byte(opGet)
-			if sp.b.mend {
-				op = opMend
-			}
-			req := append(make([]byte, framePrefix, framePrefix+96), op)
-			req = wire.AppendString(req, sp.b.hash)
-			req = wire.AppendInt64(req, sp.off)
-			req = wire.AppendInt64(req, sp.end-sp.off)
-			req = wire.AppendUint32(req, uint32(pl.cfg.ChunkSize))
+			req := request(opGet, sp.b.hash, sp.off, sp.end-sp.off, pl.cfg.ChunkSize)
 			if err := writeFrame(conn, pl.cfg.IdleTimeout, req); err != nil {
 				return append(append(missing, batch...), spans...), got, err
 			}
@@ -697,11 +768,6 @@ func (pl *pullPlan) readResponse(conn net.Conn, sp span) (missing []span, got in
 		return fmt.Errorf("%w: ref says %d bytes, the serving store %d", ErrSizeMismatch, b.size, size)
 	}
 	switch {
-	case status == statusPushed:
-		// Every byte is on this store's inbox streams: the plan waits for
-		// the push. No chunks follow.
-		b.pushed.Store(true)
-		return nil, 0, nil
 	case status == statusNotFound:
 		b.fail(ErrNotFound)
 		return nil, 0, nil
@@ -730,9 +796,6 @@ func (pl *pullPlan) readResponse(conn net.Conn, sp span) (missing []span, got in
 			b.fail(err) // and the chunks that follow have nowhere to go
 			return nil, 0, err
 		}
-		if size == 0 {
-			pl.finish(b)
-		}
 		if size > sp.end {
 			pl.mu.Lock()
 			pl.discovered = append(pl.discovered, span{b, sp.end, size})
@@ -740,51 +803,15 @@ func (pl *pullPlan) readResponse(conn net.Conn, sp span) (missing []span, got in
 		}
 		sp.end = min(sp.end, size)
 	}
-	var chdr [chunkHeader]byte
-	for pos := sp.off; pos < sp.end; {
-		unread := span{b, pos, sp.end}
-		armRead(conn, pl.cfg.IdleTimeout)
-		if _, err := io.ReadFull(conn, chdr[:]); err != nil {
-			return append(missing, unread), got, err
-		}
-		n := int64(binary.BigEndian.Uint32(chdr[:4]))
-		if n <= 0 || pos+n > sp.end || n > maxChunkSize {
-			return append(missing, unread), got, fmt.Errorf("stage: bad chunk length %d at offset %d", n, pos)
-		}
-		armRead(conn, pl.cfg.IdleTimeout)
-		if _, err := io.ReadFull(conn, b.buf[pos:pos+n]); err != nil {
-			return append(missing, unread), got, err
-		}
-		if binary.BigEndian.Uint32(chdr[4:]) != crc32.Checksum(b.buf[pos:pos+n], castagnoli) {
-			// The chunk is framed correctly but its payload is wrong:
-			// record the span and keep reading — the stream is still
-			// in sync, so later chunks are usable and only this span
-			// is re-requested.
-			pl.reg.Counter(metrics.StageCorruptChunks).Inc()
-			missing = append(missing, span{b, pos, pos + n})
+	missing, got, done, err := readChunks(conn, b, sp.off, sp.end, pl.cfg.IdleTimeout, pl.reg)
+	if done || size == 0 {
+		if err := pl.dst.finish(b); err != nil {
+			b.fail(err)
 		} else {
-			pl.reg.Counter(metrics.StageBytesReceived).Add(n)
-			got += n
-			if b.left.Add(-n) == 0 {
-				pl.finish(b)
-			}
+			pl.reg.Counter(metrics.StagePulls).Inc()
 		}
-		pos += n
 	}
-	return missing, got, nil
-}
-
-// finish hands a fully received blob's buffer to the store if its hash is
-// its name, on the stream that read its last byte, so one blob's hashing
-// overlaps the others' bytes.
-func (pl *pullPlan) finish(b *pullBlob) {
-	if got := pl.dst.hash(b.buf); got != b.hash {
-		b.fail(fmt.Errorf("stage: content hashes to %s, not %s", got, b.hash))
-		return
-	}
-	pl.dst.put(b.hash, b.buf)
-	b.buf = nil
-	pl.reg.Counter(metrics.StagePulls).Inc()
+	return missing, got, err
 }
 
 func short(hash string) string {

@@ -233,7 +233,7 @@ func TestDealSpans(t *testing.T) {
 	for _, c := range cases {
 		var spans []span
 		for _, size := range c.sizes {
-			spans = append(spans, span{&pullBlob{}, 0, size})
+			spans = append(spans, span{&incoming{}, 0, size})
 		}
 		shares := dealSpans(spans, c.chunk, c.stripes)
 		if len(shares) != c.want {
@@ -265,8 +265,8 @@ func TestDealSpans(t *testing.T) {
 // leading span of a blob of unknown size and do not cut it.
 func TestDealSpansKeepsUnsizedLeadWhole(t *testing.T) {
 	const chunk = 64 << 10
-	sized := func(n int64) span { return span{&pullBlob{size: n}, 0, n} }
-	lead := func() span { return span{&pullBlob{size: -1}, 0, chunk} }
+	sized := func(n int64) span { return span{&incoming{size: n}, 0, n} }
+	lead := func() span { return span{&incoming{size: -1}, 0, chunk} }
 	for _, spans := range [][]span{
 		{sized(100), lead()},
 		{lead(), sized(100)},
