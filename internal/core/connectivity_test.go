@@ -21,6 +21,7 @@ import (
 	"gridproxy/internal/peerlink"
 	"gridproxy/internal/proto"
 	"gridproxy/internal/site"
+	"gridproxy/internal/stage"
 	"gridproxy/internal/transport"
 	"gridproxy/internal/tunnel"
 	"gridproxy/internal/wire"
@@ -239,7 +240,7 @@ func TestEvictionDoesNotWaitForTheBye(t *testing.T) {
 	}
 	a := g.start("sitea", g.wan, 0, nil, cfg)
 	flakyB := failure.New(g.wan)
-	g.start("siteb", flakyB, 0, nil, cfg)
+	b := g.start("siteb", flakyB, 0, nil, cfg)
 	t.Cleanup(flakyB.Heal) // runs first, so siteb can close
 	g.start("sitec", g.wan, 0, nil, cfg)
 
@@ -252,9 +253,17 @@ func TestEvictionDoesNotWaitForTheBye(t *testing.T) {
 	if evicted == nil {
 		t.Fatal("no tunnel to siteb held")
 	}
+	// Until both ends' inbox streams are open the tunnel carries streams
+	// the cache counts as work, and it is not evicted.
+	waitFor(t, 10*time.Second, func() bool {
+		return core.PushesTo(a, "siteb").Streams() == stage.DefaultStripes && core.PushesTo(b, "sitea").Streams() == stage.DefaultStripes
+	})
 	flakyB.Hang()
 	if err := a.Connect(ctx, "sitec", "wan.sitec"); err != nil {
 		t.Fatal(err)
+	}
+	if a.TunnelDone("siteb") != nil {
+		t.Fatal("connecting sitec did not evict siteb")
 	}
 	select {
 	case <-evicted:
