@@ -58,7 +58,7 @@ func (s *Store) claim(hash string) (a *incoming, first bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	a = s.arrivals[hash]
-	if a == nil {
+	if a == nil || a.lost {
 		return nil, false
 	}
 	first = !a.claimed
@@ -69,26 +69,35 @@ func (s *Store) claim(hash string) (a *incoming, first bool) {
 	return a, first
 }
 
-// wait blocks until a settles. A push that made no progress for patience
-// is given up: the plan pulls the blob, and no later plan waits on it.
+// wait blocks until a settles. A push that made no progress for patience,
+// or whose plan ended, is given up: the plan pulls the blob, no later plan
+// claims it, and a holed one gives its buffer back when it settles.
 func (s *Store) wait(ctx context.Context, a *incoming, patience time.Duration) error {
 	timer := time.NewTimer(patience)
 	defer timer.Stop()
-	for last := int64(-1); ; {
+	var err error
+	for last := int64(-1); err == nil; {
 		select {
 		case <-a.done:
 			return a.failure()
 		case <-ctx.Done():
-			return ctx.Err()
+			err = ctx.Err()
 		case <-timer.C:
 			if left := a.left.Load(); left != last {
 				last = left
 				timer.Reset(patience)
 				continue
 			}
-			return errPushLost
+			err = errPushLost
 		}
 	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if a.settled {
+		return a.failure()
+	}
+	a.lost = true
+	return err
 }
 
 // adopt hands a push that settled holed to one plan: its buffer becomes
@@ -147,17 +156,20 @@ func (s *Store) announce(hash string, size int64, push uint64, from *Inbox) (*in
 // errHoled that a plan may mend it. One no plan waits on stays in
 // arrivals for the plan to come. The store remembers the last maxSettled
 // arrivals that ended, and refuses a late share of their push; one let
-// go at that bound leaves arrivals too, and gives its buffer back if it
-// is holed and no plan took it.
+// go at that bound leaves arrivals too. A holed one given up or let go
+// gives its buffer back if no plan took it.
 func (s *Store) settle(a *incoming, err error) {
 	if err != nil {
 		a.fail(err)
 	}
-	var stale []byte
 	s.mu.Lock()
 	a.settled = true
-	if a.claimed && s.arrivals[a.hash] == a {
+	if (a.claimed || a.lost) && s.arrivals[a.hash] == a {
 		delete(s.arrivals, a.hash)
+	}
+	stale := [2][]byte{}
+	if a.lost {
+		stale[0] = s.giveBack(a)
 	}
 	s.settled = append(s.settled, a)
 	if len(s.settled) > maxSettled {
@@ -166,26 +178,49 @@ func (s *Store) settle(a *incoming, err error) {
 		if s.arrivals[old.hash] == old {
 			delete(s.arrivals, old.hash)
 		}
-		if old.state.Load() == holed && !old.adopted {
-			old.adopted, stale = true, old.buf
-		}
+		stale[1] = s.giveBack(old)
 	}
 	s.mu.Unlock()
-	s.arena.free(stale)
+	s.arena.free(stale[0])
+	s.arena.free(stale[1])
 	close(a.done)
 }
+
+// giveBack returns the buffer of a holed arrival no plan took, for the
+// caller to free once it has released s.mu; no plan takes it after.
+func (s *Store) giveBack(a *incoming) []byte {
+	if a.state.Load() != holed || a.adopted {
+		return nil
+	}
+	a.adopted = true
+	return a.buf
+}
+
+// Receiver states: what the bytes an inbox stream holds unread are.
+const (
+	between int32 = iota // a share header, if any
+	partial              // the tail of a header still on the wire
+	parsing              // a whole header, not registered yet
+	chunks               // a share's chunks
+)
 
 // receiver is one inbox stream as a plan sees it: whether a share header
 // it has been sent may not be registered yet.
 type receiver struct {
-	buffered func() int  // bytes the stream holds unread; nil when it cannot say
-	idle     atomic.Bool // between shares: what it holds unread is a header
-	parsing  atomic.Bool // a header's prefix is read, its spans not yet registered
+	buffered func() int // bytes the stream holds unread; nil when it cannot say
+	state    atomic.Int32
 }
 
-// behind reports whether r holds a share header it has not registered.
+// behind reports whether r holds a whole share header, or the start of
+// one, that it has not registered.
 func (r *receiver) behind() bool {
-	return r.parsing.Load() || r.idle.Load() && r.buffered != nil && r.buffered() > 0
+	switch r.state.Load() {
+	case between:
+		return r.buffered != nil && r.buffered() > 0
+	case parsing:
+		return true
+	}
+	return false
 }
 
 // catchUp waits until no inbox stream holds a share header it has not
@@ -193,7 +228,9 @@ func (r *receiver) behind() bool {
 // ahead of the prepare written behind them on the same tunnel, but the
 // plan the prepare runs may be stepped first. A receiver that holds a
 // header only has to be scheduled, and wakes the wait when it has
-// registered it.
+// registered it. A header whose tail is still on the wire (held back by
+// the stream's credit, or a hung peer) is not waited for: the plan pulls
+// that blob, and it crosses twice.
 func (s *Store) catchUp(patience time.Duration) {
 	var timeout <-chan time.Time
 	for {
@@ -290,26 +327,34 @@ func (in *Inbox) Receive(conn net.Conn) error {
 // spans it had not finished.
 func (in *Inbox) receive(conn net.Conn, r *receiver) ([]span, error) {
 	for {
-		r.idle.Store(true)
+		r.state.Store(between)
 		conn.SetReadDeadline(time.Time{}) // idle between shares
 		var prefix [framePrefix]byte
 		if _, err := io.ReadFull(conn, prefix[:]); err != nil {
 			return nil, err
 		}
-		r.parsing.Store(true)
-		r.idle.Store(false)
 		n := binary.BigEndian.Uint32(prefix[:])
 		if n > maxShareFrame {
 			return nil, fmt.Errorf("stage: share header of %d bytes exceeds limit %d", n, maxShareFrame)
+		}
+		if r.buffered != nil && r.buffered() >= int(n) {
+			r.state.Store(parsing)
+		} else {
+			r.state.Store(partial)
+			in.store.caughtUp()
 		}
 		frame := make([]byte, n)
 		armRead(conn, in.cfg.IdleTimeout)
 		if _, err := io.ReadFull(conn, frame); err != nil {
 			return nil, err
 		}
-		spans, err := in.announce(conn, frame)
-		r.parsing.Store(false)
+		r.state.Store(parsing)
+		spans, acks, err := in.announce(frame)
+		r.state.Store(chunks)
 		in.store.caughtUp()
+		if err == nil && len(acks) > 0 {
+			err = in.send(conn, acks)
+		}
 		if err != nil {
 			return spans, err
 		}
@@ -326,32 +371,30 @@ func (in *Inbox) receive(conn net.Conn, r *receiver) ([]span, error) {
 
 // announce registers the spans a share header names and refuses those the
 // store does not want; a refused span has no arrival, and its bytes are
-// read and dropped. It returns the spans registered so far, with an error
-// when the header is malformed or the refusal could not be sent.
-func (in *Inbox) announce(conn net.Conn, frame []byte) ([]span, error) {
+// read and dropped. It returns the spans registered so far and the acks
+// that refuse the others, with an error when the header is malformed.
+func (in *Inbox) announce(frame []byte) (spans []span, acks []byte, err error) {
 	buf := wire.NewBuffer(frame)
 	push, count := buf.Uint64(), buf.Uint32()
 	if buf.Err() != nil || count > maxPipelined || push == 0 {
-		return nil, fmt.Errorf("stage: bad share header")
+		return nil, nil, fmt.Errorf("stage: bad share header")
 	}
-	spans := make([]span, 0, count)
+	spans = make([]span, 0, count)
 	for i := 0; i < int(count); i++ {
 		hash, size, off, end := buf.String(), buf.Int64(), buf.Int64(), buf.Int64()
 		if buf.Err() != nil || size <= 0 || off < 0 || off >= end || end > size || !validHash(hash) {
-			return spans, fmt.Errorf("stage: bad share header")
+			return spans, nil, fmt.Errorf("stage: bad share header")
 		}
 		a, refusal := in.store.announce(hash, size, push, in)
 		spans = append(spans, span{a, off, end})
 		if a == nil {
-			if err := in.ack(conn, refusal, push, hash); err != nil {
-				return spans, err
-			}
+			acks = appendAck(acks, refusal, push, hash)
 		}
 	}
 	if buf.Remaining() != 0 {
-		return spans, fmt.Errorf("stage: bad share header")
+		return spans, nil, fmt.Errorf("stage: bad share header")
 	}
-	return spans, nil
+	return spans, acks, nil
 }
 
 // readSpan reads the chunks of one span into its arrival (readChunks), or
@@ -418,7 +461,7 @@ func (in *Inbox) end(conn net.Conn, a *incoming, err error) {
 		if err != nil {
 			status = ackFailed
 		}
-		_ = in.ack(conn, status, a.push, a.hash)
+		_ = in.send(conn, appendAck(nil, status, a.push, a.hash))
 	}
 }
 
@@ -438,9 +481,19 @@ func (in *Inbox) failAll(err error) {
 	}
 }
 
-func (in *Inbox) ack(conn net.Conn, status byte, push uint64, hash string) error {
-	frame := append(make([]byte, framePrefix, framePrefix+80), status)
-	frame = wire.AppendUint64(frame, push)
-	frame = wire.AppendString(frame, hash)
-	return writeFrame(conn, in.cfg.IdleTimeout, frame)
+// appendAck appends an ack frame to acks.
+func appendAck(acks []byte, status byte, push uint64, hash string) []byte {
+	n := len(acks)
+	acks = append(acks, 0, 0, 0, 0, status)
+	acks = wire.AppendUint64(acks, push)
+	acks = wire.AppendString(acks, hash)
+	binary.BigEndian.PutUint32(acks[n:], uint32(len(acks)-n-framePrefix))
+	return acks
+}
+
+// send writes ack frames as one Write.
+func (in *Inbox) send(conn net.Conn, acks []byte) error {
+	armWrite(conn, in.cfg.IdleTimeout)
+	_, err := conn.Write(acks)
+	return err
 }

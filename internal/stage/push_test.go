@@ -5,7 +5,9 @@ import (
 	"context"
 	"encoding/binary"
 	"hash/crc32"
+	"io"
 	"net"
+	"sync"
 	"testing"
 	"time"
 
@@ -241,3 +243,133 @@ func wirePushed(data []byte, chunk int) []byte {
 	}
 	return out
 }
+
+// TestGivenUpPushIsLetGo: a plan that stops waiting for a push, here
+// because its context ended, gives the push up. No later plan claims it,
+// and when it settles holed its buffer goes back at once, not at the
+// bound of the settled record.
+func TestGivenUpPushIsLetGo(t *testing.T) {
+	const chunk = 16 << 10
+	data := seededBlob(68, 48<<10)
+	ref := FileRef{Hash: Hash(data), Size: int64(len(data))}
+	corrupt := wirePushed(data, chunk)
+	corrupt[chunkHeader+100] ^= 0x01
+	s, _ := NewStore(Config{}, nil)
+	conn := newHeldConn()
+	received := make(chan error, 1)
+	go func() { received <- NewInbox(s, Config{ChunkSize: chunk}, nil).Receive(conn) }()
+	conn.deliver(concat(wireStatus(statusOK, 0), wireShare(9, pushedSpanWire{ref.Hash, ref.Size, 0, ref.Size})))
+	waitFor(t, "the push registered", func() bool {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return s.arrivals[ref.Hash] != nil
+	})
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	dial := func(ctx context.Context) (net.Conn, error) { return nil, ctx.Err() }
+	if err := PullAll(ctx, dial, []FileRef{ref}, s, Config{ChunkSize: chunk}, nil)[0]; err == nil {
+		t.Fatal("a plan whose context ended brought the blob")
+	}
+	if a, _ := s.claim(ref.Hash); a != nil {
+		t.Fatal("a later plan claims the push given up")
+	}
+	conn.deliver(corrupt)
+	conn.Close()
+	if err := <-received; err != nil {
+		t.Fatal(err)
+	}
+	wantQuiet(t, s)
+}
+
+// TestPlanDoesNotWaitForAHeaderStillOnTheWire: a plan waits for a share
+// header an inbox stream holds whole, but not for one whose tail has not
+// arrived. It pulls that blob instead, well before the idle timeout.
+func TestPlanDoesNotWaitForAHeaderStillOnTheWire(t *testing.T) {
+	src, _ := NewStore(Config{}, nil)
+	dst, _ := NewStore(Config{}, nil)
+	cfg := Config{IdleTimeout: time.Minute}
+	data := seededBlob(69, 10<<10)
+	ref := src.Put(data)
+	conn := newHeldConn()
+	received := make(chan error, 1)
+	go func() { received <- NewInbox(dst, cfg, nil).Receive(conn) }()
+	header := wireShare(10, pushedSpanWire{ref.Hash, ref.Size, 0, ref.Size})
+	conn.deliver(concat(wireStatus(statusOK, 0), header[:20]))
+	waitFor(t, "the stream holding half a header", func() bool {
+		dst.mu.Lock()
+		defer dst.mu.Unlock()
+		for r := range dst.receivers {
+			return r.state.Load() == partial
+		}
+		return false
+	})
+	done := make(chan error, 1)
+	go func() { done <- Pull(context.Background(), pipeDialer(src, cfg, nil, nil), ref.Hash, dst, cfg, nil) }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the plan waits for a header still on the wire")
+	}
+	wantBlob(t, dst, ref, data)
+	conn.Close()
+	<-received
+	wantQuiet(t, dst)
+}
+
+// heldConn is an inbox stream whose peer's bytes the test delivers;
+// Buffered counts those not yet read, as a tunnel stream's does.
+type heldConn struct {
+	net.Conn // nil: only the methods below are called
+	mu       sync.Mutex
+	cond     sync.Cond
+	unread   []byte
+	closed   bool
+}
+
+func newHeldConn() *heldConn {
+	c := &heldConn{}
+	c.cond.L = &c.mu
+	return c
+}
+
+func (c *heldConn) deliver(b []byte) {
+	c.mu.Lock()
+	c.unread = append(c.unread, b...)
+	c.mu.Unlock()
+	c.cond.Broadcast()
+}
+
+func (c *heldConn) Read(p []byte) (int, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for len(c.unread) == 0 && !c.closed {
+		c.cond.Wait()
+	}
+	if len(c.unread) == 0 {
+		return 0, io.EOF
+	}
+	n := copy(p, c.unread)
+	c.unread = c.unread[n:]
+	return n, nil
+}
+
+func (c *heldConn) Buffered() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.unread)
+}
+
+func (c *heldConn) Close() error {
+	c.mu.Lock()
+	c.closed = true
+	c.mu.Unlock()
+	c.cond.Broadcast()
+	return nil
+}
+
+func (c *heldConn) Write(p []byte) (int, error)      { return len(p), nil }
+func (c *heldConn) SetReadDeadline(time.Time) error  { return nil }
+func (c *heldConn) SetWriteDeadline(time.Time) error { return nil }

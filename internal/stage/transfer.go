@@ -379,8 +379,8 @@ type incoming struct {
 	mu  sync.Mutex
 	err error // first failure; a failed blob's spans are dropped, not retried
 
-	// A pushed blob's. push, from, holes, claimed, settled and adopted are
-	// held under Store.mu.
+	// A pushed blob's. push, from, holes, claimed, lost, settled and
+	// adopted are held under Store.mu.
 	push    uint64 // the push that announced it
 	from    *Inbox
 	state   atomic.Int32 // arriving, finishing, then arrived, holed or failed
@@ -390,6 +390,7 @@ type incoming struct {
 	holes   []span        // the chunks that failed their checksum
 	done    chan struct{} // closed when it settles, err set
 	claimed bool          // a plan waits on it
+	lost    bool          // a plan gave up on it: none claims it
 	settled bool
 	adopted bool // a plan took its holed buffer, or it was let go
 }
