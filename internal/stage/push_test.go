@@ -281,10 +281,10 @@ func TestGivenUpPushIsLetGo(t *testing.T) {
 	wantQuiet(t, s)
 }
 
-// TestPlanDoesNotWaitForAHeaderStillOnTheWire: a plan waits for a share
+// TestPullDoesNotWaitForAHeaderStillOnTheWire: a plan waits for a share
 // header an inbox stream holds whole, but not for one whose tail has not
 // arrived. It pulls that blob instead, well before the idle timeout.
-func TestPlanDoesNotWaitForAHeaderStillOnTheWire(t *testing.T) {
+func TestPullDoesNotWaitForAHeaderStillOnTheWire(t *testing.T) {
 	src, _ := NewStore(Config{}, nil)
 	dst, _ := NewStore(Config{}, nil)
 	cfg := Config{IdleTimeout: time.Minute}
