@@ -719,7 +719,13 @@ func TestPipelinedCommitOnReschedule(t *testing.T) {
 	}
 	heldAtLaunch := reg.Counter(metrics.JobCommitsHeld).Value()
 	gate.Store(true)
-	tb.Site(launch.Locations[0].Site).Close()
+	// The gate may hold a read of the dead site's own inbox streams, and
+	// its Close waits for their readers: it returns once the gate opens.
+	closed := make(chan struct{})
+	go func() {
+		defer close(closed)
+		tb.Site(launch.Locations[0].Site).Close()
+	}()
 	eventually(t, 30*time.Second, "the replacement holds the commit while it stages", func() bool {
 		return reg.Counter(metrics.JobCommitsHeld).Value() == heldAtLaunch+1
 	})
@@ -737,4 +743,5 @@ func TestPipelinedCommitOnReschedule(t *testing.T) {
 	if got := reg.Counter(metrics.JobPrepares).Value(); got != 2 {
 		t.Errorf("job.prepares = %d, want 2 (launch, reschedule)", got)
 	}
+	<-closed
 }
