@@ -199,7 +199,7 @@ func (s *Store) giveBack(a *incoming) []byte {
 // Receiver states: what the bytes an inbox stream holds unread are.
 const (
 	between int32 = iota // a share header, if any
-	partial              // the tail of a header still on the wire
+	partial              // more of a header whose tail may still be on the wire
 	parsing              // a whole header, not registered yet
 	chunks               // a share's chunks
 )
@@ -211,11 +211,11 @@ type receiver struct {
 	state    atomic.Int32
 }
 
-// behind reports whether r holds a whole share header, or the start of
-// one, that it has not registered.
+// behind reports whether r holds share header bytes it has not
+// registered: a whole header, or part of one it has yet to read.
 func (r *receiver) behind() bool {
 	switch r.state.Load() {
-	case between:
+	case between, partial:
 		return r.buffered != nil && r.buffered() > 0
 	case parsing:
 		return true
@@ -228,9 +228,9 @@ func (r *receiver) behind() bool {
 // ahead of the prepare written behind them on the same tunnel, but the
 // plan the prepare runs may be stepped first. A receiver that holds a
 // header only has to be scheduled, and wakes the wait when it has
-// registered it. A header whose tail is still on the wire (held back by
-// the stream's credit, or a hung peer) is not waited for: the plan pulls
-// that blob, and it crosses twice.
+// registered it. Of a header whose tail is still on the wire (held back
+// by the stream's credit, or a hung peer) it waits only for the bytes
+// that have arrived: the plan then pulls that blob, and it crosses twice.
 func (s *Store) catchUp(patience time.Duration) {
 	var timeout <-chan time.Time
 	for {
@@ -341,12 +341,21 @@ func (in *Inbox) receive(conn net.Conn, r *receiver) ([]span, error) {
 			r.state.Store(parsing)
 		} else {
 			r.state.Store(partial)
-			in.store.caughtUp()
 		}
 		frame := make([]byte, n)
 		armRead(conn, in.cfg.IdleTimeout)
-		if _, err := io.ReadFull(conn, frame); err != nil {
-			return nil, err
+		for got := 0; got < len(frame); {
+			k, err := conn.Read(frame[got:])
+			if got += k; got == len(frame) {
+				break
+			}
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			if err != nil {
+				return nil, err
+			}
+			in.store.caughtUp() // ran dry short of the end: plans look again
 		}
 		r.state.Store(parsing)
 		spans, acks, err := in.announce(frame)
