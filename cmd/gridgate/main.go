@@ -46,6 +46,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"os"
 	"os/signal"
@@ -55,7 +56,6 @@ import (
 	"gridproxy/internal/config"
 	"gridproxy/internal/core"
 	"gridproxy/internal/gate"
-	"gridproxy/internal/logging"
 	"gridproxy/internal/metrics"
 	"gridproxy/internal/ticket"
 	"gridproxy/internal/transport"
@@ -73,11 +73,12 @@ func run() error {
 	logLevel := flag.String("log", "info", "log level (debug|info|warn|error)")
 	flag.Parse()
 
-	level, err := logging.ParseLevel(*logLevel)
-	if err != nil {
-		return err
+	var level slog.Level
+	if err := level.UnmarshalText([]byte(*logLevel)); err != nil {
+		return fmt.Errorf("-log: %w", err)
 	}
-	log := logging.New("gridgate", logging.WithLevel(level))
+	logger := slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: level}))
+	log := logger.With("component", "gridgate")
 
 	cfg, err := config.LoadFile(*configPath)
 	if err != nil {
@@ -145,7 +146,7 @@ func run() error {
 	gcfg.Network = transport.NewLabelTCP()
 	gcfg.TGS = tgs
 	gcfg.Metrics = reg
-	gcfg.Logger = log
+	gcfg.Logger = logger
 
 	gateway, err := gate.New(gcfg)
 	if err != nil {

@@ -74,6 +74,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"log/slog"
 	"os"
 	"os/signal"
 	"strings"
@@ -84,7 +85,6 @@ import (
 	"gridproxy/internal/ca"
 	"gridproxy/internal/config"
 	"gridproxy/internal/core"
-	"gridproxy/internal/logging"
 	"gridproxy/internal/metrics"
 	"gridproxy/internal/node"
 	"gridproxy/internal/peerlink"
@@ -110,11 +110,12 @@ func run(args []string) error {
 		return err
 	}
 
-	level, err := logging.ParseLevel(*logLevel)
-	if err != nil {
-		return err
+	var level slog.Level
+	if err := level.UnmarshalText([]byte(*logLevel)); err != nil {
+		return fmt.Errorf("-log: %w", err)
 	}
-	log := logging.New("gridproxyd", logging.WithLevel(level))
+	logger := slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: level}))
+	log := logger.With("component", "gridproxyd")
 
 	cfg, err := config.LoadFile(*configPath)
 	if err != nil {
@@ -233,7 +234,7 @@ func run(args []string) error {
 		Stage:      stagecfg,
 		Tunnel:     tunnel.Config{BondConns: bondConns},
 		Metrics:    reg,
-		Logger:     log,
+		Logger:     logger,
 	})
 	if err != nil {
 		return err
@@ -242,7 +243,7 @@ func run(args []string) error {
 	for i := 0; i < nodes; i++ {
 		agent := node.New(fmt.Sprintf("%s-n%d", siteName, i), siteName, local,
 			node.WithHW(node.HWProfile{Speed: speed, RAMMB: 2048, DiskMB: 64 << 10, RAMPerProcMB: 64}),
-			node.WithLogger(log))
+			node.WithLogger(logger.With("component", "node")))
 		programs.RegisterAll(agent)
 		proxy.AttachNode(agent)
 	}

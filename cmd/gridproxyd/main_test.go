@@ -117,3 +117,21 @@ func TestUnknownKeyIsRefused(t *testing.T) {
 		}
 	}
 }
+
+// TestLogLevelFlag: -log takes slog's level names in any case, and a name
+// it does not know stops the daemon, named, before it reads its config.
+func TestLogLevelFlag(t *testing.T) {
+	missing := filepath.Join(t.TempDir(), "missing.conf")
+	for _, level := range []string{"loud", "warning"} {
+		err := run([]string{"-log", level, "-config", missing})
+		if err == nil || !strings.Contains(err.Error(), strconv.Quote(level)) {
+			t.Errorf("run -log %s = %v, want the level refused by name", level, err)
+		}
+	}
+	for _, level := range []string{"WARN", "debug"} {
+		err := run([]string{"-log", level, "-config", missing})
+		if err == nil || !strings.Contains(err.Error(), missing) {
+			t.Errorf("run -log %s = %v, want the level taken and the missing config refused", level, err)
+		}
+	}
+}

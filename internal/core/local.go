@@ -69,7 +69,7 @@ func (p *Proxy) serveLocal(conn net.Conn) {
 		}
 	default:
 		session := &clientSession{proxy: p}
-		session.rpc = proto.NewRPC(p.ctx, conn, rd, proto.RoleServer, session.handle, p.log.Named("client"), p.reg)
+		session.rpc = proto.NewRPC(p.ctx, conn, rd, proto.RoleServer, session.handle, p.partLog("client"), p.reg)
 		session.rpc.Start()
 		<-session.rpc.Done()
 		session.rpc.Close() // no request in flight opens an upload after this

@@ -143,7 +143,7 @@ func (p *Proxy) connectOnce(ctx context.Context, site, wanAddr string) (*peer, e
 		return p.handleSessionControl(ctx, bound.Load(), msg)
 	}
 	pr := &peer{site: site, conn: conn, session: session}
-	pr.ctrl = proto.NewRPC(p.ctx, ctrlStream, wire.NewReader(ctrlStream), proto.RoleDialer, handler, p.log.Named("ctrl."+site), p.reg)
+	pr.ctrl = proto.NewRPC(p.ctx, ctrlStream, wire.NewReader(ctrlStream), proto.RoleDialer, handler, p.partLog("ctrl."+site), p.reg)
 	pr.ctrl.Arrival = p.launchRoute(nil)
 	pr.ctrl.Start()
 
@@ -275,7 +275,7 @@ func (p *Proxy) admitSession(conn net.Conn, session *tunnel.Session) {
 	// The Hello arrives as the first request on the control channel;
 	// the pending peer's handler registers the peer on receipt.
 	pending := &pendingPeer{proxy: p, conn: conn, session: session, pulled: make(chan struct{})}
-	ctrl := proto.NewRPC(p.ctx, ctrlStream, wire.NewReader(ctrlStream), proto.RoleAcceptor, pending.handle, p.log.Named("ctrl.inbound"), p.reg)
+	ctrl := proto.NewRPC(p.ctx, ctrlStream, wire.NewReader(ctrlStream), proto.RoleAcceptor, pending.handle, p.partLog("ctrl.inbound"), p.reg)
 	pending.ctrl = ctrl
 	// Nothing is stepped for a session that has not said Hello.
 	ctrl.Arrival = p.launchRoute(func() bool { return pending.established() != nil })

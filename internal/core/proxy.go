@@ -25,6 +25,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
+	"log/slog"
+	"math"
 	"net"
 	"slices"
 	"sort"
@@ -34,7 +37,6 @@ import (
 
 	"gridproxy/internal/auth"
 	"gridproxy/internal/balance"
-	"gridproxy/internal/logging"
 	"gridproxy/internal/membership"
 	"gridproxy/internal/metrics"
 	"gridproxy/internal/monitor"
@@ -125,7 +127,7 @@ type Config struct {
 	// size, stripes, idle timeout). The zero value uses stage defaults.
 	Stage stage.Config
 	// Tunnel carries the inter-site session knobs: bond width
-	// (BondConns), adaptive-window clamps (WindowMin/WindowMax/BDPGain/
+	// (BondConns), adaptive-window clamps (WindowMin/WindowMax/
 	// MemBudget), and the probe interval. The zero value enables
 	// RTT-adaptive flow control with the tunnel defaults; setting an
 	// explicit static Window disables adaptation unless Adaptive is also
@@ -133,8 +135,8 @@ type Config struct {
 	Tunnel tunnel.Config
 	// Metrics receives instrument counters; may be nil.
 	Metrics *metrics.Registry
-	// Logger may be nil.
-	Logger *logging.Logger
+	// Logger may be nil, which logs nothing.
+	Logger *slog.Logger
 	// Clock overrides the time source for session-expiry checks,
 	// ticket validation, and job-table bookkeeping (terminal stamps,
 	// the janitor, the orphan reaper) so tests can drive them. Nil
@@ -157,7 +159,10 @@ type Proxy struct {
 	sessionKey []byte
 	clock      func() time.Time
 	reg        *metrics.Registry
-	log        *logging.Logger
+	log        *slog.Logger
+	// rootLog is Config.Logger, which the loggers of the proxy's parts
+	// (partLog) derive from.
+	rootLog *slog.Logger
 
 	collector *monitor.Collector
 	policy    balance.Policy
@@ -223,6 +228,10 @@ func New(cfg Config) (*Proxy, error) {
 	if clock == nil {
 		clock = time.Now
 	}
+	log := cfg.Logger
+	if log == nil {
+		log = slog.New(slog.NewTextHandler(io.Discard, &slog.HandlerOptions{Level: slog.Level(math.MaxInt)}))
+	}
 	tunnelcfg := cfg.Tunnel
 	if tunnelcfg.Window == 0 && !tunnelcfg.Adaptive {
 		// No explicit static window configured: proxies default to the
@@ -244,7 +253,8 @@ func New(cfg Config) (*Proxy, error) {
 		tgs:          cfg.TGS,
 		clock:        clock,
 		reg:          cfg.Metrics,
-		log:          cfg.Logger.Named("proxy." + cfg.Site),
+		log:          log.With("component", "proxy."+cfg.Site),
+		rootLog:      log,
 		collector:    monitor.NewCollector(cfg.Site),
 		policy:       policy,
 		lifecycle:    cfg.Lifecycle.WithDefaults(),
@@ -271,7 +281,7 @@ func New(cfg Config) (*Proxy, error) {
 		DeadAfter:    p.gossipcfg.DeadAfter,
 		VouchWindow:  p.gossipcfg.VouchWindow,
 		Metrics:      cfg.Metrics,
-		Logger:       cfg.Logger.Named("member." + cfg.Site),
+		Logger:       log.With("component", "member."+cfg.Site),
 	})
 	cachecfg := cfg.PeerCache
 	cachecfg.Metrics = cfg.Metrics
@@ -291,6 +301,12 @@ func New(cfg Config) (*Proxy, error) {
 		return nil, err
 	}
 	return p, nil
+}
+
+// partLog returns the logger of one part of the proxy, a control channel
+// say: its component names the proxy and the part.
+func (p *Proxy) partLog(part string) *slog.Logger {
+	return p.rootLog.With("component", "proxy."+p.site+"/"+part)
 }
 
 // Store exposes this site's content-addressed blob store.

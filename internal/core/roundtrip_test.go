@@ -3,6 +3,7 @@ package core_test
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"math/rand"
 	"net"
 	"runtime"
@@ -108,13 +109,26 @@ var noopProgram = map[string]node.ProgramFunc{
 // CommitSpawn follow right behind, and the stage plan inside the prepare
 // waits for the pushed bytes instead of asking for them. The counters say
 // it is still two RPCs, that the commit waited at the destination, and
-// that no get went out: both blobs came by push.
+// that no get went out: both blobs came by push. The pushed bytes may
+// also all settle before the destination steps the commit, which then
+// finds the prepare done; so the destination reads its inbox streams only
+// once it has stepped the commit, and the commit always waits.
 func TestColdStagedLaunchRoundTrips(t *testing.T) {
 	const rtt = 100 * time.Millisecond
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 	reg := metrics.NewRegistry()
-	origin, _ := delayGrid(t, ctx, rtt, reg, newStoreWith(t, "alice", auth.Permission{Action: "*", Resource: "*"}), noopProgram)
+	stepped := make(chan struct{})
+	go func() {
+		defer close(stepped)
+		for reg.Counter(metrics.JobCommitsHeld).Value() == 0 && reg.Counter(metrics.JobCommits).Value() == 0 && ctx.Err() == nil {
+			time.Sleep(time.Millisecond)
+		}
+	}()
+	holdInbox := delayTweak{site: "remote", config: func(cfg *core.Config) {
+		cfg.Stage.WrapConn = func(c net.Conn) net.Conn { return &heldReads{Conn: c, open: stepped} }
+	}}
+	origin, _ := delayGrid(t, ctx, rtt, reg, newStoreWith(t, "alice", auth.Permission{Action: "*", Resource: "*"}), noopProgram, holdInbox)
 	stageIn := coldInputs(t, origin, "a", "b")
 
 	start := time.Now()
@@ -143,6 +157,37 @@ func TestColdStagedLaunchRoundTrips(t *testing.T) {
 			t.Errorf("%s = %d, want %d", name, got, want)
 		}
 	}
+}
+
+// heldReads lets the first frame read on a stage stream through (an
+// inbox stream's handshake) and holds every later read until open is
+// closed.
+type heldReads struct {
+	net.Conn
+	open   <-chan struct{}
+	prefix []byte // the first frame's length prefix, as read so far
+	left   int    // bytes of the first frame still to let through
+}
+
+func (c *heldReads) Read(p []byte) (int, error) {
+	if len(c.prefix) == 4 && c.left == 0 {
+		<-c.open
+		return c.Conn.Read(p)
+	}
+	if len(c.prefix) < 4 {
+		p = p[:min(len(p), 4-len(c.prefix))]
+	} else {
+		p = p[:min(len(p), c.left)]
+	}
+	n, err := c.Conn.Read(p)
+	if len(c.prefix) < 4 {
+		if c.prefix = append(c.prefix, p[:n]...); len(c.prefix) == 4 {
+			c.left = int(binary.BigEndian.Uint32(c.prefix))
+		}
+	} else {
+		c.left -= n
+	}
+	return n, err
 }
 
 // coldInputs puts one random blob per name into origin's store and

@@ -28,6 +28,9 @@ import (
 	"encoding/base64"
 	"errors"
 	"fmt"
+	"io"
+	"log/slog"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -36,7 +39,6 @@ import (
 
 	"gridproxy/internal/core"
 	"gridproxy/internal/grid"
-	"gridproxy/internal/logging"
 	"gridproxy/internal/metrics"
 	"gridproxy/internal/peerlink"
 	"gridproxy/internal/proto"
@@ -118,8 +120,8 @@ type Config struct {
 	Clock func() time.Time
 	// Metrics receives the gate.* instrument family; may be nil.
 	Metrics *metrics.Registry
-	// Logger may be nil.
-	Logger *logging.Logger
+	// Logger may be nil, which logs nothing.
+	Logger *slog.Logger
 }
 
 // Gateway is one HTTP front door over one site proxy.
@@ -139,7 +141,7 @@ type Gateway struct {
 	maxBody  int64
 	clock    func() time.Time
 	reg      *metrics.Registry
-	log      *logging.Logger
+	log      *slog.Logger
 	mux      *http.ServeMux
 
 	// sessionKey seals session tokens; it is random per process (see
@@ -182,6 +184,10 @@ func New(cfg Config) (*Gateway, error) {
 	if maxBody <= 0 {
 		maxBody = 8 << 20
 	}
+	log := cfg.Logger
+	if log == nil {
+		log = slog.New(slog.NewTextHandler(io.Discard, &slog.HandlerOptions{Level: slog.Level(math.MaxInt)}))
+	}
 	g := &Gateway{
 		site:     cfg.Site,
 		service:  core.ServiceName(cfg.Site),
@@ -197,7 +203,7 @@ func New(cfg Config) (*Gateway, error) {
 		maxBody:  maxBody,
 		clock:    clock,
 		reg:      cfg.Metrics,
-		log:      cfg.Logger.Named("gate." + cfg.Site),
+		log:      log.With("component", "gate."+cfg.Site),
 
 		sessionKey: sessionKey,
 		sessionTTL: sessionTTL,

@@ -14,7 +14,6 @@ import (
 
 	"gridproxy/internal/auth"
 	"gridproxy/internal/grid"
-	"gridproxy/internal/logging"
 	"gridproxy/internal/metrics"
 	"gridproxy/internal/proto"
 	"gridproxy/internal/ticket"
@@ -442,7 +441,7 @@ func newTestGateway(t *testing.T, network transport.Network, clock func() time.T
 		t.Fatal(err)
 	}
 	g, err := New(Config{Site: "sitea", ProxyAddr: "proxy", Network: network, TGS: tgs, Clock: clock,
-		Logger: logging.Discard(), Metrics: metrics.NewRegistry()})
+		Metrics: metrics.NewRegistry()})
 	if err != nil {
 		t.Fatal(err)
 	}

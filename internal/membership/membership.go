@@ -32,6 +32,7 @@
 package membership
 
 import (
+	"log/slog"
 	"math"
 	"math/rand"
 	"slices"
@@ -39,7 +40,6 @@ import (
 	"sync"
 	"time"
 
-	"gridproxy/internal/logging"
 	"gridproxy/internal/metrics"
 	"gridproxy/internal/proto"
 )
@@ -193,8 +193,8 @@ type Config struct {
 	Seed int64
 	// Metrics may be nil.
 	Metrics *metrics.Registry
-	// Logger may be nil.
-	Logger *logging.Logger
+	// Logger may be nil, which logs nothing.
+	Logger *slog.Logger
 }
 
 // withDefaults fills zero fields.

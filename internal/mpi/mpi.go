@@ -20,12 +20,12 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"math"
 	"net"
 	"sync"
 	"time"
 
-	"gridproxy/internal/logging"
 	"gridproxy/internal/transport"
 	"gridproxy/internal/wire"
 )
@@ -77,8 +77,8 @@ type Config struct {
 	ListenAddr string
 	// Network is the transport (site-local network for grid nodes).
 	Network transport.Network
-	// Logger is optional.
-	Logger *logging.Logger
+	// Logger may be nil, which logs nothing.
+	Logger *slog.Logger
 }
 
 // World is one rank's handle on the computation.
@@ -87,7 +87,7 @@ type World struct {
 	size    int
 	table   map[int]string
 	network transport.Network
-	log     *logging.Logger
+	log     *slog.Logger
 
 	listener net.Listener
 	inbox    *inbox
@@ -126,13 +126,17 @@ func Join(ctx context.Context, cfg Config) (*World, error) {
 	if err != nil {
 		return nil, fmt.Errorf("mpi: rank %d listen %s: %w", cfg.Rank, cfg.ListenAddr, err)
 	}
+	log := cfg.Logger
+	if log == nil {
+		log = slog.New(slog.NewTextHandler(io.Discard, &slog.HandlerOptions{Level: slog.Level(math.MaxInt)}))
+	}
 	wctx, cancel := context.WithCancel(context.WithoutCancel(ctx))
 	w := &World{
 		rank:     cfg.Rank,
 		size:     cfg.WorldSize,
 		table:    cfg.Table,
 		network:  cfg.Network,
-		log:      cfg.Logger,
+		log:      log,
 		listener: ln,
 		inbox:    newInbox(),
 		sendTo:   make(map[int]*sendConn),

@@ -21,11 +21,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
+	"log/slog"
+	"math"
 	"sort"
 	"sync"
 	"time"
 
-	"gridproxy/internal/logging"
 	"gridproxy/internal/monitor"
 	"gridproxy/internal/transport"
 )
@@ -148,7 +150,7 @@ type Agent struct {
 	site    string
 	network transport.Network
 	hw      HWProfile
-	log     *logging.Logger
+	log     *slog.Logger
 	clock   func() time.Time
 
 	mu       sync.Mutex
@@ -164,8 +166,8 @@ type Option func(*Agent)
 // WithHW sets the hardware profile (default DefaultHW).
 func WithHW(hw HWProfile) Option { return func(a *Agent) { a.hw = hw } }
 
-// WithLogger attaches a logger.
-func WithLogger(log *logging.Logger) Option { return func(a *Agent) { a.log = log } }
+// WithLogger attaches a logger; nil, like none, logs nothing.
+func WithLogger(log *slog.Logger) Option { return func(a *Agent) { a.log = log } }
 
 // WithClock overrides the time source (tests).
 func WithClock(clock func() time.Time) Option { return func(a *Agent) { a.clock = clock } }
@@ -184,6 +186,9 @@ func New(name, site string, network transport.Network, opts ...Option) *Agent {
 	}
 	for _, opt := range opts {
 		opt(a)
+	}
+	if a.log == nil {
+		a.log = slog.New(slog.NewTextHandler(io.Discard, &slog.HandlerOptions{Level: slog.Level(math.MaxInt)}))
 	}
 	return a
 }

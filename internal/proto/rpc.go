@@ -6,12 +6,12 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"math"
 	"net"
 	"sync"
 	"sync/atomic"
 
-	"gridproxy/internal/logging"
 	"gridproxy/internal/metrics"
 	"gridproxy/internal/wire"
 )
@@ -55,7 +55,7 @@ type RPC struct {
 	conn net.Conn
 	rd   *wire.Reader
 	w    *wire.Writer
-	log  *logging.Logger
+	log  *slog.Logger
 	reg  *metrics.Registry
 	role Role
 	// poolFrom is the payload size from which frames are read into pooled
@@ -95,7 +95,11 @@ var ErrClosed = errors.New("proto: control channel closed")
 // a context derived from parent, which must be non-nil. A RoleClient
 // channel has no handler and reads every frame into its own buffer: its
 // replies outlive the read loop, and a pooled frame would be copied out.
-func NewRPC(parent context.Context, conn net.Conn, rd *wire.Reader, role Role, handler Handler, log *logging.Logger, reg *metrics.Registry) *RPC {
+// A nil log logs nothing.
+func NewRPC(parent context.Context, conn net.Conn, rd *wire.Reader, role Role, handler Handler, log *slog.Logger, reg *metrics.Registry) *RPC {
+	if log == nil {
+		log = slog.New(slog.NewTextHandler(io.Discard, &slog.HandlerOptions{Level: slog.Level(math.MaxInt)}))
+	}
 	ctx, cancel := context.WithCancel(parent)
 	poolFrom := MaxInlineOutputs
 	if role == RoleClient {

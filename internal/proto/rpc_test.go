@@ -8,7 +8,6 @@ import (
 	"strings"
 	"testing"
 
-	"gridproxy/internal/logging"
 	"gridproxy/internal/metrics"
 	"gridproxy/internal/wire"
 )
@@ -23,10 +22,10 @@ func TestLargeRepliesLeaveThePool(t *testing.T) {
 	a, b := net.Pipe()
 	server := NewRPC(context.Background(), a, wire.NewReader(a), RoleAcceptor, func(context.Context, Message) (Body, error) {
 		return nil, errors.New(text)
-	}, logging.Discard(), metrics.NewRegistry())
+	}, nil, metrics.NewRegistry())
 	client := NewRPC(context.Background(), b, wire.NewReader(b), RoleDialer, func(context.Context, Message) (Body, error) {
 		return nil, nil
-	}, logging.Discard(), metrics.NewRegistry())
+	}, nil, metrics.NewRegistry())
 	server.Start()
 	client.Start()
 	defer server.Close()

@@ -12,6 +12,7 @@ package site
 import (
 	"context"
 	"fmt"
+	"log/slog"
 	"net"
 	"strings"
 	"sync"
@@ -21,7 +22,6 @@ import (
 	"gridproxy/internal/balance"
 	"gridproxy/internal/ca"
 	"gridproxy/internal/core"
-	"gridproxy/internal/logging"
 	"gridproxy/internal/metrics"
 	"gridproxy/internal/node"
 	"gridproxy/internal/peerlink"
@@ -128,8 +128,8 @@ type TestbedConfig struct {
 	Tunnel tunnel.Config
 	// Metrics may be nil.
 	Metrics *metrics.Registry
-	// Logger may be nil.
-	Logger *logging.Logger
+	// Logger may be nil, which logs nothing.
+	Logger *slog.Logger
 	// Users, if nil, a store is created with a default admin user
 	// "admin"/"admin" holding "*"/"*".
 	Users *auth.Store
@@ -162,7 +162,7 @@ type Testbed struct {
 	jobs       core.JobConfig
 	stage      stage.Config
 	tunnel     tunnel.Config
-	logger     *logging.Logger
+	logger     *slog.Logger
 }
 
 // NewTestbed builds and starts a grid: a CA, per-site TLS credentials, a
@@ -239,7 +239,7 @@ func NewTestbed(cfg TestbedConfig) (*Testbed, error) {
 	return tb, nil
 }
 
-func (tb *Testbed) buildSite(spec SiteSpec, policyName string, log *logging.Logger) (*Site, error) {
+func (tb *Testbed) buildSite(spec SiteSpec, policyName string, log *slog.Logger) (*Site, error) {
 	cred, err := tb.CA.IssueHost("proxy." + spec.Name)
 	if err != nil {
 		return nil, err

@@ -18,7 +18,7 @@ import (
 // connection) and a windowed-maximum delivery rate (differentiated from
 // the receiver's in-order byte count), size the window to
 //
-//	target = BDPGain × gain × max_bandwidth × min_RTT
+//	target = bdpGain × gain × max_bandwidth × min_RTT
 //
 // and cycle gain through [1.25, 0.75, 1 ×6]: the high phase probes for
 // more bandwidth, the drain phase below 1 releases any queue the probe
@@ -133,7 +133,7 @@ func (f *flowState) retarget(cfg Config, gain float64, streams int) {
 	bw := f.maxBW()
 	if rtt > 0 && bw > 0 {
 		bdp := bw * rtt.Seconds()
-		target = int64(cfg.BDPGain * gain * bdp)
+		target = int64(bdpGain * gain * bdp)
 	}
 	if target < int64(cfg.WindowMin) {
 		target = int64(cfg.WindowMin)

@@ -77,10 +77,10 @@ const (
 	// how fat the pipe looks.
 	DefaultWindowMin = 64 << 10
 	DefaultWindowMax = 4 << 20
-	// DefaultBDPGain multiplies the measured bandwidth-delay product
-	// when sizing the adaptive window, leaving headroom for delivery-rate
+	// bdpGain multiplies the measured bandwidth-delay product when
+	// sizing the adaptive window, leaving headroom for delivery-rate
 	// growth the way BBR's cwnd_gain does.
-	DefaultBDPGain = 2.0
+	bdpGain = 2.0
 	// DefaultMemBudget caps the sum of adaptive per-stream windows for
 	// one session, so a session with many streams cannot buffer
 	// unboundedly at the receiver.
@@ -123,7 +123,7 @@ type Config struct {
 
 	// Adaptive enables RTT-adaptive flow control: a background prober
 	// measures per-connection RTT (PING) and delivery rate, and WINDOW
-	// grants are sized to BDPGain × bandwidth × min-RTT, gain-cycled and
+	// grants are sized to bdpGain × bandwidth × min-RTT, gain-cycled and
 	// clamped to [WindowMin, WindowMax] and by MemBudget across the
 	// session's streams. Off, grants replenish a fixed Window exactly as
 	// before.
@@ -132,9 +132,6 @@ type Config struct {
 	// DefaultWindowMin / DefaultWindowMax.
 	WindowMin int
 	WindowMax int
-	// BDPGain scales the measured BDP when sizing the window. Zero means
-	// DefaultBDPGain.
-	BDPGain float64
 	// MemBudget caps the sum of adaptive windows across the session's
 	// live streams, at open time (the credit a SYN or SYNACK advertises)
 	// and on every later grant; each stream keeps earlyCredit whatever
@@ -176,9 +173,6 @@ func (c Config) withDefaults() Config {
 	c.WindowMax = min(c.WindowMax, maxCredit)
 	if c.WindowMax < c.WindowMin {
 		c.WindowMax = c.WindowMin
-	}
-	if c.BDPGain <= 0 {
-		c.BDPGain = DefaultBDPGain
 	}
 	if c.MemBudget == 0 {
 		c.MemBudget = DefaultMemBudget

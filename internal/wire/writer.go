@@ -15,9 +15,9 @@ const (
 	// that have entered a Write call but not yet appended their frame.
 	DefaultLinger = 100 * time.Microsecond
 
-	// DefaultFlushThreshold is the pending-byte level at which the
-	// flusher stops lingering and writes immediately.
-	DefaultFlushThreshold = 128 << 10
+	// flushThreshold is the pending-byte level at which the flusher
+	// stops lingering and writes immediately.
+	flushThreshold = 128 << 10
 
 	// DefaultMaxPending caps the bulk lane; bulk writers block once this
 	// many coalesced bytes are queued, bounding memory per connection.
@@ -45,9 +45,6 @@ type Options struct {
 	// their frames share the same underlying write. Zero means
 	// DefaultLinger; negative disables lingering entirely.
 	Linger time.Duration
-	// FlushThreshold stops the linger early once this many bytes are
-	// pending. Zero means DefaultFlushThreshold.
-	FlushThreshold int
 	// MaxPending caps coalesced-but-unflushed bulk bytes; bulk writers
 	// block above it. Control frames are exempt so the control plane
 	// never waits behind a full bulk lane. Zero means DefaultMaxPending.
@@ -107,10 +104,9 @@ func payloadLen(segs [][]byte) int {
 type Writer struct {
 	out io.Writer
 
-	linger    time.Duration
-	threshold int
-	maxPend   int
-	observer  func(FlushStats)
+	linger   time.Duration
+	maxPend  int
+	observer func(FlushStats)
 
 	// arrivals counts writers that have entered a Write* call but not yet
 	// appended their frame. The flusher lingers only while it is nonzero.
@@ -150,18 +146,14 @@ func NewWriterOpts(w io.Writer, opts Options) *Writer {
 	} else if opts.Linger < 0 {
 		opts.Linger = 0
 	}
-	if opts.FlushThreshold == 0 {
-		opts.FlushThreshold = DefaultFlushThreshold
-	}
 	if opts.MaxPending == 0 {
 		opts.MaxPending = DefaultMaxPending
 	}
 	bw := &Writer{
-		out:       w,
-		linger:    opts.Linger,
-		threshold: opts.FlushThreshold,
-		maxPend:   opts.MaxPending,
-		observer:  opts.Observer,
+		out:      w,
+		linger:   opts.Linger,
+		maxPend:  opts.MaxPending,
+		observer: opts.Observer,
 	}
 	bw.cond.L = &bw.mu
 	return bw
@@ -282,7 +274,7 @@ func (w *Writer) flushBatchLocked() {
 	if w.linger > 0 {
 		var deadline time.Time
 		for w.err == nil &&
-			len(w.ctrl.buf)+len(w.bulk.buf) < w.threshold &&
+			len(w.ctrl.buf)+len(w.bulk.buf) < flushThreshold &&
 			w.arrivals.Load() > 0 {
 			now := time.Now()
 			if deadline.IsZero() {
